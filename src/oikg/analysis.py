@@ -10,7 +10,6 @@ so the direction stays an observation, not a baked-in assumption.
 
 import csv
 import math
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -19,11 +18,11 @@ import numpy as np
 from . import nn
 from .errors import InvalidArgument, NumericFailure
 from .metrics import write_summary_json
-from .model import EpisodeCache, ModelConfig, build_params, forward_step
-from .navgraph import STOP, PathGraph
+from .model import EpisodeCache, ModelConfig, build_params
 from .rng import substream
-from .training import (TrainConfig, _observe, episode_loss, evaluate_policy,
-                       rollout_student, rollout_teacher, train)
+from .training import (TrainConfig, episode_loss, evaluate_policy,
+                       greedy_policy, rollout, rollout_student,
+                       rollout_teacher, teacher_policy, train)
 
 GRID_LABELS = ("----", "M---", "MG--", "MGL-", "MGLO")
 PATHWAY_PREFIXES = ("obs.", "graph.")
@@ -170,19 +169,12 @@ def cue_action_series(data, params, mcfg: ModelConfig, bins: int = 8,
     cues = []
     actions = []
     for env, ep in data:
-        pg = PathGraph(env.graph, ep.start, local_only=env.local_only)
-        cache = EpisodeCache()
-        gt = ep.gt_path
-        for t in range(len(gt)):
-            obs = _observe(env, pg.current, mcfg)
-            feats, _ = forward_step(pg, obs, ep.instruction, params, mcfg,
-                                    cache)
-            cue = (feats.key_detail.data[:dims] if feats.key_detail is not None
-                   else np.zeros(dims))
-            cues.append(np.array(cue, dtype=np.float64))
-            target = gt[t + 1] if t + 1 < len(gt) else STOP
-            actions.append(int(target))
-            pg.advance(target)
+        rec = rollout(env, ep, len(ep.gt_path), teacher_policy(ep), params,
+                      mcfg)
+        for s in rec.steps:
+            cues.append(np.array(s.key_detail[:dims] if s.key_detail is not None
+                                 else np.zeros(dims), dtype=np.float64))
+            actions.append(int(s.action))
     return quantize_series(np.stack(cues), bins=bins), actions
 
 
@@ -291,29 +283,22 @@ def detail_probe(train_data, eval_data, seeds, base_mcfg: ModelConfig,
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int = 1000, warmup: int = 50) -> float:
     """Mean wall-clock milliseconds per forward_step, measured warm."""
-    if min_steps < 1:
-        raise InvalidArgument("min_steps must be >= 1")
+    data = list(data)
+    if min_steps < 1 or t_max < 1:
+        raise InvalidArgument("min_steps and t_max must be >= 1")
+    if not data:
+        raise InvalidArgument("no episodes to time")
     timed = 0
     spent = 0.0
     skipped = 0
     while timed < min_steps:
         for env, ep in data:
-            pg = PathGraph(env.graph, ep.start, local_only=env.local_only)
-            cache = EpisodeCache()
-            for _ in range(t_max):
-                obs = _observe(env, pg.current, mcfg)
-                t0 = time.perf_counter()
-                _, action = forward_step(pg, obs, ep.instruction, params,
-                                         mcfg, cache)
-                dt = time.perf_counter() - t0
+            for s in rollout(env, ep, t_max, greedy_policy, params, mcfg).steps:
                 if skipped < warmup:
                     skipped += 1
                 else:
                     timed += 1
-                    spent += dt
-                pg.advance(action)
-                if pg.terminal:
-                    break
+                    spent += s.seconds
     return spent / timed * 1000.0
 
 

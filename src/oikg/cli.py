@@ -26,14 +26,14 @@ from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
 from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
-from .model import (TINY_CONFIG, EpisodeCache, ModelConfig, build_params,
-                    forward_step)
-from .navgraph import STOP, PathGraph, load_environment, save_environment
+from .model import TINY_CONFIG, ModelConfig, build_params
+from .navgraph import load_environment, save_environment
 from .rng import substream
 from .synthenv import (EnvParams, episode_from_dict, episode_to_dict,
                        generate_environment, make_episode, make_latents,
                        save_vocab)
-from .training import (EnvBundle, TrainConfig, _observe, pseudo_label, train,
+from .training import (EnvBundle, TrainConfig, greedy_policy, random_policy,
+                       recovery_label, rollout, teacher_policy, train,
                        write_training_log)
 
 FLAG_NAMES = ("MED", "GE", "LD", "OD")
@@ -204,41 +204,25 @@ def cmd_train(cfg: dict) -> None:
 # ------------------------------------------------------------------ eval
 
 
-def _traced_rollout(idx, env, ep, params, mcfg, t_max, agent, seed):
-    rng = substream(seed, "random-agent", idx) if agent == "random" else None
-    pg = PathGraph(env.graph, ep.start, local_only=env.local_only)
-    cache = EpisodeCache()
-    gt = ep.gt_path
-    lines = []
-    for t in range(t_max):
-        frontier = pg.frontier()
-        actions = frontier + [STOP]
-        plabel = actions[pseudo_label(pg, ep, env.graph)]
-        entry = {"t": t, "node": pg.current, "frontier": frontier,
-                 "pseudo_label": plabel}
-        if agent == "model":
-            obs = _observe(env, pg.current, mcfg)
-            feats, action = forward_step(pg, obs, ep.instruction, params,
-                                         mcfg, cache)
-            entry["scores"] = [float(v) for v in feats.scores.data]
-        elif agent == "oracle":
-            action = gt[t + 1] if t + 1 < len(gt) else STOP
-        else:
-            action = actions[int(rng.integers(len(actions)))]
-        entry["action"] = action
-        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-        pg.advance(action)
-        if pg.terminal:
-            break
-    return list(pg.route), lines
+def _trace_line(t: int, step) -> str:
+    entry = {"t": t, "node": step.node, "frontier": step.order,
+             "pseudo_label": step.supervision, "action": step.action}
+    if step.logits is not None:
+        entry["scores"] = [float(v) for v in step.logits.data]
+    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
 
 
 def _eval_unit(payload):
     idx, env, ep, params, mcfg, t_max, agent, seed = payload
-    route, lines = _traced_rollout(idx, env, ep, params, mcfg, t_max, agent,
-                                   seed)
-    row = evaluate(EpisodeResult(env.graph, tuple(route), ep.gt_path))
-    return idx, row, lines
+    if agent == "model":
+        choose = greedy_policy
+    elif agent == "oracle":
+        choose = teacher_policy(ep)
+    else:
+        choose = random_policy(substream(seed, "random-agent", idx))
+    rec = rollout(env, ep, t_max, choose, params, mcfg, label=recovery_label)
+    row = evaluate(EpisodeResult(env.graph, rec.route, ep.gt_path))
+    return idx, row, [_trace_line(t, s) for t, s in enumerate(rec.steps)]
 
 
 def _map_units(jobs: int, fn, payloads):

@@ -7,6 +7,11 @@ the panorama, fuse with the encoded instruction, inject pooled room/object
 cues through a single-key attention with residual, then self-attend across
 candidates and score each row with an MLP.
 
+Single-key alignment needs no query/key projection: a softmax over one key
+row is exactly 1.0, so the attended value is f_c + 1 * (f_k W_v) for every
+candidate row whatever the query, and projection weights for the query and
+key would never receive gradient.  Only W_v (``enh.wv``) is learned.
+
 Four independent flags (decouple, geo_embed, loc_detail, obj_detail) switch
 stages off; disabled stages are bypassed entirely, never approximated with
 zeroed weights, which keeps ablations exact.  ``stage_trace`` records which
@@ -68,7 +73,6 @@ class ModelConfig:
     geo_embed: bool = True
     loc_detail: bool = True
     obj_detail: bool = True
-    deep: bool = False
 
     def __post_init__(self):
         dims = (self.vis_dim, self.graph_dim, self.text_dim, self.key_dim,
@@ -121,8 +125,8 @@ class StepFeatures:
 # -------------------------------------------------------------- parameters
 
 
-def _block_spec(prefix: str, dim: int, deep: bool) -> list:
-    spec = [
+def _block_spec(prefix: str, dim: int) -> list:
+    return [
         (f"{prefix}.attn.wq", (dim, dim)),
         (f"{prefix}.attn.wk", (dim, dim)),
         (f"{prefix}.attn.wv", (dim, dim)),
@@ -132,10 +136,6 @@ def _block_spec(prefix: str, dim: int, deep: bool) -> list:
         (f"{prefix}.mlp.w2", (2 * dim, dim)),
         (f"{prefix}.mlp.b2", (dim,)),
     ]
-    if deep:
-        spec += [(f"{prefix}.ln1.g", (dim,)), (f"{prefix}.ln1.b", (dim,)),
-                 (f"{prefix}.ln2.g", (dim,)), (f"{prefix}.ln2.b", (dim,))]
-    return spec
 
 
 def param_spec(cfg: ModelConfig) -> list:
@@ -158,26 +158,24 @@ def param_spec(cfg: ModelConfig) -> list:
         spec += [("graph.pe.w", (3, d)), ("graph.pe.b", (d,))]
 
     for i in range(cfg.layers):
-        spec += _block_spec(f"ogi.l{i}", cfg.attn_dim, cfg.deep)
+        spec += _block_spec(f"ogi.l{i}", cfg.attn_dim)
 
     spec += [("txt.embed", (cfg.vocab_size, cfg.text_dim))]
     for i in range(cfg.layers):
-        spec += _block_spec(f"txt.l{i}", cfg.attn_dim, cfg.deep)
+        spec += _block_spec(f"txt.l{i}", cfg.attn_dim)
 
     if cfg.loc_detail or cfg.obj_detail:
         spec += [
             ("kd.loc.w", (cfg.text_dim, cfg.key_dim)), ("kd.loc.b", (cfg.key_dim,)),
             ("kd.obj.w", (cfg.text_dim, cfg.key_dim)), ("kd.obj.b", (cfg.key_dim,)),
             ("kd.fuse.w", (2 * cfg.key_dim, cfg.key_dim)), ("kd.fuse.b", (cfg.key_dim,)),
-            ("enh.wq", (cfg.cross_dim, cfg.attn_dim)),
-            ("enh.wk", (cfg.key_dim, cfg.attn_dim)),
             ("enh.wv", (cfg.key_dim, cfg.cross_dim)),
         ]
 
     for i in range(cfg.layers):
-        spec += _block_spec(f"cmf.l{i}", cfg.attn_dim, cfg.deep)
+        spec += _block_spec(f"cmf.l{i}", cfg.attn_dim)
 
-    spec += _block_spec("sel", cfg.cross_dim, cfg.deep)[:4]  # self-attention only
+    spec += _block_spec("sel", cfg.cross_dim)[:4]  # self-attention only
     spec += [("sel.mlp.w1", (cfg.cross_dim, cfg.cross_dim)),
              ("sel.mlp.b1", (cfg.cross_dim,)),
              ("sel.mlp.w2", (cfg.cross_dim, 1)), ("sel.mlp.b2", (1,))]
@@ -185,11 +183,7 @@ def param_spec(cfg: ModelConfig) -> list:
 
 
 def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
-    store = nn.init_params(param_spec(cfg), seed)
-    for name in store.names():
-        if name.endswith(("ln1.g", "ln2.g")):
-            store[name].data[:] = 1.0  # norm gains start at identity
-    return store
+    return nn.init_params(param_spec(cfg), seed)
 
 
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
@@ -199,14 +193,9 @@ def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
                      params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.wo"],
                      cfg.heads)
     h = nn.add(h, a)
-    if cfg.deep:
-        h = nn.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     m = nn.mlp(h, [(params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
                    (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])])
-    h = nn.add(h, m)
-    if cfg.deep:
-        h = nn.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    return h
+    return nn.add(h, m)
 
 
 # ------------------------------------------------------------- observation
@@ -367,20 +356,18 @@ def enhance_and_score(f_c: nn.Tensor, f_k: nn.Tensor | None,
     """Inject the key-detail row into each candidate, then score.
 
     The key detail enters as a single key/value attention row added
-    residually.  With both detail flags off the injection is skipped and the
-    cross-modal rows pass through untouched.  Scoring always runs: candidate
-    self-attention with residual, then a per-row MLP.
+    residually; with one key the attention weights are exactly 1.0, so the
+    aligned row is f_k W_v for every candidate.  With both detail flags off
+    the injection is skipped and the cross-modal rows pass through
+    untouched.  Scoring always runs: candidate self-attention with residual,
+    then a per-row MLP.
     """
     if f_k is None:
         f_e = f_c
     else:
         _record("enhance-align")
-        q = nn.matmul(f_c, params["enh.wq"])                      # (N_c, attn)
         k_row = nn.reshape(f_k, (1, f_k.shape[0]))
-        k = nn.matmul(k_row, params["enh.wk"])                    # (1, attn)
-        logits = nn.scale(nn.matmul(q, nn.transpose(k, (1, 0))),
-                          1.0 / math.sqrt(cfg.attn_dim))          # (N_c, 1)
-        weights = nn.softmax(logits, axis=-1)                     # single key: all ones
+        weights = nn.Tensor(np.ones((f_c.shape[0], 1)))           # single key: all ones
         align = nn.matmul(weights, nn.matmul(k_row, params["enh.wv"]))
         f_e = nn.add(f_c, align)
 

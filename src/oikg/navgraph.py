@@ -64,9 +64,6 @@ class NavGraph:
     def position(self, node_id: int) -> np.ndarray:
         return np.array(self.nodes[node_id].pos)
 
-    def edge_count(self) -> int:
-        return len(self.poses)
-
     # ------------------------------------------------------------- routing
 
     def _dist_from(self, src: int) -> dict[int, float]:

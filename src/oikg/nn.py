@@ -285,27 +285,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(p, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = (x.data - mu) / sigma
-
-    def backward(g):
-        ghat = g * gamma.data
-        m1 = ghat.mean(axis=-1, keepdims=True)
-        m2 = (ghat * xhat).mean(axis=-1, keepdims=True)
-        if x.requires_grad:
-            x.accumulate_grad((ghat - m1 - xhat * m2) / sigma)
-        sum_axes = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=sum_axes))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=sum_axes))
-
-    return _result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w + b, with the bias broadcast over rows."""
     if w.data.ndim != 2:
@@ -497,8 +476,13 @@ def init_params(spec: Iterable[tuple[str, tuple]], seed: int) -> ParamStore:
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm."""
+    """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm.
+
+    A non-finite norm raises NumericFailure before any gradient is scaled.
+    """
     norm = store.global_grad_norm()
+    if not np.isfinite(norm):
+        raise NumericFailure(f"non-finite gradient norm {norm}")
     if norm > max_norm > 0.0:
         factor = max_norm / norm
         for t in store.params.values():

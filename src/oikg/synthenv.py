@@ -50,12 +50,6 @@ _WORDS = SPECIAL_WORDS + ROOM_WORDS + OBJECT_WORDS + FILLER_WORDS
 _WORD_TO_ID = {w: i for i, w in enumerate(_WORDS)}
 
 
-def token_word(token_id: int) -> str:
-    if not 0 <= token_id < VOCAB_SIZE:
-        raise InvalidArgument(f"token id {token_id} out of vocabulary")
-    return _WORDS[token_id]
-
-
 def word_token(word: str) -> int:
     try:
         return _WORD_TO_ID[word]

@@ -4,11 +4,13 @@ Per episode the loss is lam * TF + (1 - lam) * SF where TF supervises the
 model along the reference route and SF supervises self-sampled rollouts
 with recovery labels pointing at the nearest unvisited reference node.
 Both rollouts share one autograd graph per episode so cached encodings
-receive gradient from both terms.
+receive gradient from both terms.  ``rollout`` is the package's only episode
+walk; callers differ in the policy that acts and the label that supervises.
 """
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +61,18 @@ class EnvBundle:
 
 @dataclass
 class StepRecord:
+    """One decision.  predicted is the model's argmax (the sample under
+    student forcing), supervision the label, action the executed move.
+    logits and key_detail are detached; only loss holds the step's graph."""
     node: int
     order: tuple
-    logits: nn.Tensor
-    predicted: int
-    supervision: int
-    loss: nn.Tensor
+    logits: nn.Tensor | None
+    predicted: int | None
+    supervision: int | None
+    loss: nn.Tensor | None
+    action: int = STOP
+    key_detail: np.ndarray | None = None
+    seconds: float = 0.0
 
 
 @dataclass
@@ -81,20 +89,108 @@ class RolloutRecord:
         return nn.scale(total, 1.0 / len(self.steps))
 
 
-def _observe(env: EnvBundle, node: int, mcfg: ModelConfig):
-    return render_observation(env.graph, node, env.latents, env.sigma,
-                              mcfg.view_grid)
+def _slot_action(order, slot: int) -> int:
+    return order[slot] if slot < len(order) else STOP
 
 
-def _supervised_step(pg: PathGraph, env: EnvBundle, episode: Episode, params,
-                     mcfg: ModelConfig, cache, slot: int) -> StepRecord:
-    obs = _observe(env, pg.current, mcfg)
-    feats, predicted = forward_step(pg, obs, episode.instruction, params,
-                                    mcfg, cache)
-    sup = feats.order[slot] if slot < len(feats.order) else STOP
-    return StepRecord(node=pg.current, order=feats.order, logits=feats.scores,
-                      predicted=predicted, supervision=sup,
-                      loss=nn.cross_entropy(feats.scores, slot))
+def _action_slot(order, action: int) -> int:
+    return len(order) if action == STOP else order.index(action)
+
+
+def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
+            mcfg: ModelConfig | None = None, cache: EpisodeCache | None = None,
+            label=None) -> RolloutRecord:
+    """Walk one episode: run the model if `params` is given, act on
+    `choose(t, step)`, and if `label` is given record `label(pg, episode,
+    step)` as supervision (with its cross-entropy loss when the model ran).
+    Ends at STOP or after t_max steps.  Helpers are module globals looked up
+    at call time, so wrappers installed on them see every step."""
+    pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
+    cache = cache if cache is not None else EpisodeCache()
+    rec = RolloutRecord()
+    for t in range(t_max):
+        step = StepRecord(node=pg.current, order=pg.frontier(), logits=None,
+                          predicted=None, supervision=None, loss=None)
+        scores = None
+        if params is not None:
+            obs = render_observation(env.graph, pg.current, env.latents,
+                                     env.sigma, mcfg.view_grid)
+            t0 = time.perf_counter()
+            feats, step.predicted = forward_step(
+                pg, obs, episode.instruction, params, mcfg, cache)
+            step.seconds = time.perf_counter() - t0
+            scores = feats.scores
+            step.logits = nn.Tensor(scores.data)
+            if feats.key_detail is not None:
+                step.key_detail = feats.key_detail.data
+        step.action = choose(t, step)
+        if label is not None:
+            step.supervision = label(pg, episode, step)
+            if scores is not None:
+                step.loss = nn.cross_entropy(
+                    scores, _action_slot(step.order, step.supervision))
+        rec.steps.append(step)
+        pg.advance(step.action)
+        if pg.terminal:
+            break
+    rec.route = tuple(pg.route)
+    return rec
+
+
+# ---------------------------------------------------------------- policies
+
+
+def teacher_policy(episode: Episode):
+    """Reference next hop, then STOP (teacher forcing and the oracle agent)."""
+    gt = episode.gt_path
+
+    def choose(t, step):
+        target = gt[t + 1] if t + 1 < len(gt) else STOP
+        if target != STOP and target not in step.order:
+            raise InvalidState(f"reference action {target} missing from "
+                               f"frontier at node {step.node}")
+        return target
+    return choose
+
+
+def sample_policy(rng: np.random.Generator):
+    """Sample from the softmax of the model's scores (student forcing)."""
+    def choose(t, step):
+        scores = step.logits.data
+        if not np.all(np.isfinite(scores)):
+            raise NumericFailure(f"non-finite action scores at node {step.node}")
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        return _slot_action(step.order, int(rng.choice(p.size, p=p)))
+    return choose
+
+
+def greedy_policy(t, step):
+    """The model's argmax."""
+    return step.predicted
+
+
+def random_policy(rng: np.random.Generator):
+    """Uniform over frontier + STOP."""
+    def choose(t, step):
+        return _slot_action(step.order, int(rng.integers(len(step.order) + 1)))
+    return choose
+
+
+# ------------------------------------------------------------------ labels
+
+
+def teacher_label(pg: PathGraph, episode: Episode, step: StepRecord) -> int:
+    """Teacher forcing supervises the reference hop it executes."""
+    return step.action
+
+
+def recovery_label(pg: PathGraph, episode: Episode, step: StepRecord) -> int:
+    """The recovery pseudo-label of the current state, as an action."""
+    return _slot_action(step.order, pseudo_label(pg, episode, pg.graph))
+
+
+# ------------------------------------------------------ supervised rollouts
 
 
 def rollout_teacher(env: EnvBundle, episode: Episode, params,
@@ -107,24 +203,8 @@ def rollout_teacher(env: EnvBundle, episode: Episode, params,
         raise InvalidArgument(f"reference route length {len(gt)} exceeds t_max {t_max}")
     if episode.start != gt[0]:
         raise InvalidArgument("episode start disagrees with its reference route")
-    pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
-    cache = cache if cache is not None else EpisodeCache()
-    rec = RolloutRecord()
-    for t in range(len(gt)):
-        target = gt[t + 1] if t + 1 < len(gt) else STOP
-        frontier = pg.frontier()
-        if target == STOP:
-            slot = len(frontier)
-        elif target in frontier:
-            slot = frontier.index(target)
-        else:
-            raise InvalidState(
-                f"reference action {target} missing from frontier at node {pg.current}")
-        rec.steps.append(_supervised_step(pg, env, episode, params, mcfg,
-                                          cache, slot))
-        pg.advance(target)
-    rec.route = tuple(pg.route)
-    return rec
+    return rollout(env, episode, len(gt), teacher_policy(episode), params,
+                   mcfg, cache, label=teacher_label)
 
 
 def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
@@ -166,38 +246,28 @@ def rollout_student(env: EnvBundle, episode: Episode, params,
                     t_max: int, cache: EpisodeCache | None = None) -> RolloutRecord:
     """Move by sampling the predicted action distribution; supervise each
     step with the recovery label.  Ends at a sampled STOP or after t_max."""
-    pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
-    cache = cache if cache is not None else EpisodeCache()
-    rec = RolloutRecord()
-    for _ in range(t_max):
-        slot = pseudo_label(pg, episode, env.graph)
-        step = _supervised_step(pg, env, episode, params, mcfg, cache, slot)
-        scores = step.logits.data
-        if not np.all(np.isfinite(scores)):
-            raise NumericFailure(
-                f"non-finite action scores at node {pg.current}")
-        p = np.exp(scores - scores.max())
-        p /= p.sum()
-        pick = int(rng.choice(p.size, p=p))
-        action = step.order[pick] if pick < len(step.order) else STOP
-        step.predicted = action
-        rec.steps.append(step)
-        pg.advance(action)
-        if pg.terminal:
-            break
-    rec.route = tuple(pg.route)
+    rec = rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
+                  label=recovery_label)
+    for s in rec.steps:
+        s.predicted = s.action
     return rec
+
+
+def _mix_losses(tf_mean: nn.Tensor, sf_mean: nn.Tensor, lam: float,
+               swap_lambda: bool = False) -> nn.Tensor:
+    """lam * tf_mean + (1 - lam) * sf_mean; swap_lambda reverses the
+    weighting."""
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidArgument(f"lam must be in [0, 1], got {lam}")
+    w_tf, w_sf = (1.0 - lam, lam) if swap_lambda else (lam, 1.0 - lam)
+    return nn.add(nn.scale(tf_mean, w_tf), nn.scale(sf_mean, w_sf))
 
 
 def episode_loss(tf: RolloutRecord, sf: RolloutRecord, lam: float,
                  swap_lambda: bool = False) -> nn.Tensor:
     """lam * mean(TF) + (1 - lam) * mean(SF); swap_lambda reverses the
     weighting."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidArgument(f"lam must be in [0, 1], got {lam}")
-    w_tf, w_sf = (1.0 - lam, lam) if swap_lambda else (lam, 1.0 - lam)
-    return nn.add(nn.scale(tf.mean_loss(), w_tf),
-                  nn.scale(sf.mean_loss(), w_sf))
+    return _mix_losses(tf.mean_loss(), sf.mean_loss(), lam, swap_lambda)
 
 
 # -------------------------------------------------------------- evaluation
@@ -206,16 +276,7 @@ def episode_loss(tf: RolloutRecord, sf: RolloutRecord, lam: float,
 def greedy_rollout(env: EnvBundle, episode: Episode, params,
                    mcfg: ModelConfig, t_max: int) -> list[int]:
     """Trajectory executed by always taking the argmax action."""
-    pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
-    cache = EpisodeCache()
-    for _ in range(t_max):
-        obs = _observe(env, pg.current, mcfg)
-        _, action = forward_step(pg, obs, episode.instruction, params, mcfg,
-                                 cache)
-        pg.advance(action)
-        if pg.terminal:
-            break
-    return list(pg.route)
+    return list(rollout(env, episode, t_max, greedy_policy, params, mcfg).route)
 
 
 def teacher_accuracy(records) -> float:
@@ -259,8 +320,9 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
     """Optimize params in place over (EnvBundle, Episode) pairs.
 
     Returns the log rows (one dict per iteration); when out_dir is given
-    also writes train_log.csv and params.ckpt there.  A non-finite loss
-    aborts with the offending state dumped to abort.ckpt.
+    also writes train_log.csv and params.ckpt there.  A non-finite loss or
+    gradient norm aborts before the optimizer step, with the parameters of
+    the previous iteration dumped to abort.ckpt.
     """
     data = list(data)
     if not data:
@@ -279,24 +341,23 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
                 env, ep = data[int(j)]
                 cache = EpisodeCache()
                 tf = rollout_teacher(env, ep, params, mcfg, cache=cache,
-                                     t_max=cfg.t_max)
+                                     t_max=cfg.t_max).mean_loss()
                 sf = rollout_student(env, ep, params, mcfg, student_rng,
-                                     cfg.t_max, cache=cache)
-                loss = episode_loss(tf, sf, cfg.lam, cfg.swap_lambda)
-                tf_vals.append(float(tf.mean_loss().data))
-                sf_vals.append(float(sf.mean_loss().data))
+                                     cfg.t_max, cache=cache).mean_loss()
+                tf_vals.append(float(tf.data))
+                sf_vals.append(float(sf.data))
+                loss = _mix_losses(tf, sf, cfg.lam, cfg.swap_lambda)
                 total = loss if total is None else nn.add(total, loss)
             total = nn.scale(total, 1.0 / cfg.batch_size)
             total_val = float(total.data)
             if not math.isfinite(total_val):
-                raise NumericFailure(
-                    f"non-finite loss {total_val} at iteration {it}")
-        except NumericFailure:
+                raise NumericFailure(f"non-finite loss {total_val}")
+            nn.backward(total)
+            grad_norm = nn.clip_global_norm(params, cfg.clip)
+        except NumericFailure as err:
             if out_dir is not None:
                 nn.save_checkpoint(f"{out_dir}/abort.ckpt", params)
-            raise
-        nn.backward(total)
-        grad_norm = nn.clip_global_norm(params, cfg.clip)
+            raise NumericFailure(f"iteration {it}: {err}") from err
         nn.optimizer_step(params, cfg.lr)
 
         row = {"iteration": it,

@@ -1,6 +1,7 @@
 """Probes, estimators, and the ablation harness."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -271,6 +272,24 @@ def test_time_forward_steps(world):
     assert ms > 0.0 and math.isfinite(ms)
     with pytest.raises(InvalidArgument):
         time_forward_steps(world, params, MCFG, t_max=4, min_steps=0)
+
+
+def test_time_forward_steps_empty_data_raises():
+    # a regression used to spin forever; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise AssertionError("time_forward_steps hung on empty data")
+
+    params = build_params(MCFG, seed=0)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(InvalidArgument):
+            time_forward_steps([], params, MCFG, t_max=4, min_steps=5)
+        with pytest.raises(InvalidArgument):
+            time_forward_steps(iter([]), params, MCFG, t_max=4, min_steps=5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_run_ablation_deterministic(world, tmp_path):

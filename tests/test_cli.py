@@ -210,6 +210,19 @@ def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path):
                  "--model", "full"]) == 3
 
 
+def test_eval_rejects_checkpoint_with_enhance_query_key(data_dir, ckpt_dir,
+                                                       tmp_path):
+    # checkpoints from before the single-key reduction carry enh.wq/enh.wk
+    store = build_params(TINY_CONFIG, 0)
+    store.load_state(nn.load_checkpoint(ckpt_dir / "params.ckpt"))
+    store.add("enh.wq", np.zeros((TINY_CONFIG.cross_dim, TINY_CONFIG.attn_dim)))
+    store.add("enh.wk", np.zeros((TINY_CONFIG.key_dim, TINY_CONFIG.attn_dim)))
+    old = tmp_path / "old.ckpt"
+    nn.save_checkpoint(old, store)
+    assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                 "--ckpt", str(old)]) == 3
+
+
 # ------------------------------------------------------------ ablate/probe
 
 

@@ -280,15 +280,6 @@ def test_fd_mlp():
     check_grads(make_loss, [x, w1, b1, w2, b2])
 
 
-def test_fd_layer_norm():
-    rng = np.random.default_rng(8)
-    x = rand_tensor(rng, (3, 6))
-    gamma = nn.Tensor(rng.uniform(0.5, 1.5, size=6), requires_grad=True)
-    beta = rand_tensor(rng, (6,))
-    c = nn.Tensor(rng.normal(size=(3, 6)))
-    check_grads(lambda: nn.tsum(nn.mul(nn.layer_norm(x, gamma, beta), c)), [x, gamma, beta])
-
-
 def test_fd_attention_multihead():
     rng = np.random.default_rng(9)
     q = rand_tensor(rng, (3, 8))
@@ -387,6 +378,17 @@ def test_clip_global_norm():
     norm2 = nn.clip_global_norm(store, 100.0)
     assert abs(norm2 - 2.5) < 1e-12
     assert abs(store.global_grad_norm() - 2.5) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_global_norm_non_finite_raises_before_scaling(bad):
+    store = nn.init_params([("a", (2,)), ("b", (2,))], seed=3)
+    store["a"].grad = np.array([3.0, 0.0])
+    store["b"].grad = np.array([0.0, bad])
+    with pytest.raises(NumericFailure):
+        nn.clip_global_norm(store, 2.5)
+    np.testing.assert_array_equal(store["a"].grad, [3.0, 0.0])
+    np.testing.assert_array_equal(store["b"].grad, [0.0, bad])
 
 
 # --------------------------------------------------------------- checkpoints

@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from oikg import nn
+from oikg import nn, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
 from oikg.model import TINY_CONFIG, build_params
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
@@ -14,8 +14,10 @@ from oikg.synthenv import (Episode, EnvParams, generate_environment,
                            generate_instruction, make_episode, make_latents)
 from oikg.training import (EnvBundle, RolloutRecord, StepRecord, TrainConfig,
                            episode_loss, evaluate_policy, greedy_rollout,
-                           pseudo_label, rollout_student, rollout_teacher,
-                           teacher_accuracy, train, write_training_log)
+                           pseudo_label, random_policy, recovery_label,
+                           rollout, rollout_student, rollout_teacher,
+                           teacher_accuracy, teacher_policy, train,
+                           write_training_log)
 
 MCFG = TINY_CONFIG
 
@@ -343,6 +345,40 @@ def test_greedy_rollout_and_evaluate(world, params):
     assert summary["count"] == 2
 
 
+def test_greedy_eval_never_computes_recovery_labels(world, params,
+                                                   monkeypatch):
+    def refuse(*args):
+        raise AssertionError("greedy evaluation computed a recovery label")
+
+    monkeypatch.setattr(training, "pseudo_label", refuse)
+    ep = make_episode(world.graph, seed=2)
+    rec = rollout(world, ep, 5, training.greedy_policy, params, MCFG)
+    assert all(s.supervision is None and s.loss is None for s in rec.steps)
+    assert [s.action for s in rec.steps] == [s.predicted for s in rec.steps]
+    evaluate_policy([(world, ep)], params, MCFG, 5)
+
+
+def test_rollout_without_params_runs_no_model(world, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("model or renderer ran without params")
+
+    monkeypatch.setattr(training, "forward_step", refuse)
+    monkeypatch.setattr(training, "render_observation", refuse)
+    ep = make_episode(world.graph, seed=4)
+    oracle = rollout(world, ep, 30, teacher_policy(ep), label=recovery_label)
+    assert oracle.route == ep.gt_path
+    assert [s.action for s in oracle.steps] == list(ep.gt_path[1:]) + [STOP]
+    # on the reference route the recovery label is the reference next hop
+    assert [s.supervision for s in oracle.steps] == \
+        [s.action for s in oracle.steps]
+    a = rollout(world, ep, 6, random_policy(substream(1, "r")))
+    b = rollout(world, ep, 6, random_policy(substream(1, "r")))
+    assert a.route == b.route and 1 <= len(a.steps) <= 6
+    for s in a.steps:
+        assert s.logits is None and s.predicted is None
+        assert s.action in list(s.order) + [STOP]
+
+
 def test_teacher_accuracy_range(world, params):
     ep = make_episode(world.graph, seed=2)
     rec = rollout_teacher(world, ep, params, MCFG)
@@ -424,6 +460,37 @@ def test_train_non_finite_aborts_with_dump(world, tmp_path):
     with pytest.raises(NumericFailure):
         train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
     assert (tmp_path / "abort.ckpt").exists()
+
+
+def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
+                                                     monkeypatch):
+    ep = make_episode(world.graph, seed=2)
+    cfg = TrainConfig(t_max=6, iterations=3, batch_size=1, seed=1)
+    after_first = build_params(MCFG, seed=0)
+    train([(world, ep)], after_first,
+          TrainConfig(t_max=6, iterations=1, batch_size=1, seed=1), MCFG)
+
+    p = build_params(MCFG, seed=0)
+    real_backward = nn.backward
+    calls = []
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        calls.append(1)
+        if len(calls) == 2:  # iteration 2: finite loss, inf gradient
+            grad = next(t.grad for t in p.params.values() if t.grad is not None)
+            grad.flat[0] = np.inf
+
+    monkeypatch.setattr(nn, "backward", poisoned_backward)
+    with pytest.raises(NumericFailure, match="iteration 2"):
+        train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
+    assert len(calls) == 2
+    dumped = nn.load_checkpoint(tmp_path / "abort.ckpt")
+    want = after_first.state_dict()
+    assert dumped.keys() == want.keys()
+    for name, arr in dumped.items():
+        assert np.all(np.isfinite(arr))
+        np.testing.assert_array_equal(arr, want[name])
 
 
 def test_train_requires_data(world, params):
