@@ -8,16 +8,17 @@ report per-seed samples, a mean difference, and an exact sign-test p-value
 so the direction stays an observation, not a baked-in assumption.
 """
 
-import csv
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import nn
+from .artifacts import write_csv
 from .errors import InvalidArgument, NumericFailure
-from .metrics import write_summary_json
 from .model import EpisodeCache, ModelConfig, build_params
 from .rng import substream
 from .training import (TrainConfig, episode_loss, evaluate_policy,
@@ -224,10 +225,6 @@ def make_probe(name: str, label_a: str, label_b: str, samples_a,
             "sign_test_p": sign_test(diffs)}
 
 
-def write_probe_json(path, probe: dict) -> None:
-    write_summary_json(path, probe)
-
-
 # ------------------------------------------------------- variant handling
 
 
@@ -302,6 +299,17 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
     return spent / timed * 1000.0
 
 
+def map_units(jobs: int, fn, *iterables) -> list:
+    """list(map(fn, *iterables)), spread over `jobs` worker processes when
+    jobs > 1; results keep input order either way.  It lives here, not in
+    `training`, so that importing the training code does not load the
+    process-pool modules (about 2 MB of resident memory)."""
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
                       base_mcfg: ModelConfig, seeds,
                       min_timing_steps: int = 1000):
@@ -343,32 +351,31 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
 
 def run_ablation(train_data, eval_data, tcfg: TrainConfig,
                  base_mcfg: ModelConfig, seeds=(0,), grid=GRID_LABELS,
-                 min_timing_steps: int = 1000):
+                 min_timing_steps: int = 1000, jobs: int = 1):
     """Train/evaluate each variant with identical seeds and budget.
 
-    Returns (rows, sidecar) where sidecar holds per-seed eval metrics.  A
-    diverging variant yields a failed row and the grid continues.
+    Every grid label is checked before any compute; cells run over `jobs`
+    worker processes without changing any result.  Returns (rows, sidecar)
+    where sidecar holds per-seed eval metrics.  A diverging variant yields
+    a failed row and the grid continues.
     """
-    rows = []
-    sidecar: dict = {}
+    grid = tuple(grid)
     for label in grid:
-        row, per_seed = run_ablation_cell(label, train_data, eval_data, tcfg,
-                                          base_mcfg, seeds, min_timing_steps)
-        rows.append(row)
-        sidecar[label] = per_seed
+        variant_config(base_mcfg, label)
+    cells = map_units(jobs, run_ablation_cell, grid, repeat(train_data),
+                      repeat(eval_data), repeat(tcfg), repeat(base_mcfg),
+                      repeat(tuple(seeds)), repeat(min_timing_steps))
+    rows = [row for row, _ in cells]
+    sidecar = {label: per_seed for label, (_, per_seed) in zip(grid, cells)}
     return rows, sidecar
 
 
 def write_ablation_csv(path, rows, comment: str | None = None) -> None:
     """Flag columns then TL, NE, SR, SPL (x100), per-step ms."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "MED", "GE", "LD", "OD", "TL", "NE",
-                         "SR", "SPL", "time_ms", "failed"])
-        for r in rows:
-            writer.writerow([r.label, int(r.med), int(r.ge), int(r.ld),
-                             int(r.od), f"{r.tl:.2f}", f"{r.ne:.2f}",
-                             f"{r.sr * 100.0:.2f}", f"{r.spl * 100.0:.2f}",
-                             f"{r.step_ms:.3f}", int(r.failed)])
+    write_csv(path, ["variant", "MED", "GE", "LD", "OD", "TL", "NE", "SR",
+                     "SPL", "time_ms", "failed"],
+              ([r.label, int(r.med), int(r.ge), int(r.ld), int(r.od),
+                f"{r.tl:.2f}", f"{r.ne:.2f}", f"{r.sr * 100.0:.2f}",
+                f"{r.spl * 100.0:.2f}", f"{r.step_ms:.3f}", int(r.failed)]
+               for r in rows),
+              comment=comment)

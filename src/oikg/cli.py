@@ -12,16 +12,14 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 import argparse
 import hashlib
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import nn
-from .analysis import (GRID_LABELS, detail_probe, grad_probe,
-                       run_ablation_cell, variant_config, write_ablation_csv,
-                       write_probe_json)
+from .analysis import (GRID_LABELS, detail_probe, grad_probe, map_units,
+                       run_ablation, variant_config, write_ablation_csv)
+from .artifacts import canonical_json, read_json, write_json
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
@@ -38,6 +36,21 @@ from .training import (EnvBundle, TrainConfig, greedy_policy, random_policy,
 
 FLAG_NAMES = ("MED", "GE", "LD", "OD")
 SPLITS = ("train", "val_seen", "val_unseen")
+MODEL_PRESETS = {"tiny": TINY_CONFIG, "full": ModelConfig()}
+
+# the allowed values of the enumerated settings, checked for flags and
+# config-file values alike
+CHOICES = {
+    "mode": ("shortest", "detour"),
+    "model": tuple(MODEL_PRESETS),
+    "agent": ("model", "oracle", "random"),
+    "split": SPLITS,
+    "which": ("grad", "detail", "all"),
+}
+
+# keys of the `gen` config.json that the other commands read
+GEN_KEYS = ("feature_dim", "sigma", "mode", "latent_seed_seen",
+            "latent_seed_unseen")
 
 DEFAULTS = {
     "gen": {"nodes": 30, "radius": 3.5, "extent": 10.0, "feature_dim": 10,
@@ -61,20 +74,8 @@ DEFAULTS = {
 NON_SEMANTIC_KEYS = ("out", "data", "ckpt", "config", "jobs")
 
 
-def _dump_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 def archive_config(out: Path, command: str, cfg: dict) -> str:
@@ -83,7 +84,7 @@ def archive_config(out: Path, command: str, cfg: dict) -> str:
     h = config_hash(clean)
     record = dict(clean)
     record["config_hash"] = h
-    _dump_json(out / "config.json", record)
+    write_json(out / "config.json", record)
     return h
 
 
@@ -107,8 +108,17 @@ def _flags_label(spec: str) -> str:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    base = TINY_CONFIG if cfg["model"] == "tiny" else ModelConfig()
-    return variant_config(base, _flags_label(cfg["flags"]))
+    return variant_config(MODEL_PRESETS[cfg["model"]],
+                          _flags_label(cfg["flags"]))
+
+
+def _train_config(cfg: dict, t_max: int, iterations: int) -> TrainConfig:
+    """TrainConfig from a command's settings.  Only `train` sets seed,
+    swap_lambda and eval_every; the other commands keep their defaults."""
+    extra = {k: cfg[k] for k in ("seed", "swap_lambda", "eval_every")
+             if k in cfg}
+    return TrainConfig(lam=cfg["lam"], t_max=t_max, lr=cfg["lr"],
+                       iterations=iterations, batch_size=cfg["batch"], **extra)
 
 
 def _guard_feature_dim(gen_cfg: dict, mcfg: ModelConfig) -> None:
@@ -123,19 +133,29 @@ def _derived_seed(seed: int, *tags) -> int:
     return int(substream(seed, *tags).integers(0, 2 ** 31 - 1))
 
 
+def _read_record(path, keys: tuple) -> dict:
+    """A JSON object from a data file holding every key in `keys`; anything
+    else is a data error naming the first key missing."""
+    record = read_json(path)
+    if not isinstance(record, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in record:
+            raise SchemaError(f"{path}: missing key {key!r}")
+    return record
+
+
 def _load_split(data_dir: str, split: str):
     """(EnvBundle, episodes, archived gen config) for one split."""
-    if split not in SPLITS:
-        raise InvalidArgument(f"unknown split {split!r}")
     base = Path(data_dir)
-    gen_cfg = _load_json(base / "config.json")
+    gen_cfg = _read_record(base / "config.json", GEN_KEYS)
     env_file = "env_unseen.json" if split == "val_unseen" else "env.json"
     graph = load_environment(base / env_file)
     latent_seed = (gen_cfg["latent_seed_unseen"] if split == "val_unseen"
                    else gen_cfg["latent_seed_seen"])
     latents = make_latents(graph, gen_cfg["feature_dim"], latent_seed)
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
-    raw = _load_json(base / f"episodes_{split}.json")
+    raw = _read_record(base / f"episodes_{split}.json", ("episodes",))
     episodes = [episode_from_dict(d) for d in raw["episodes"]]
     return env, episodes, gen_cfg
 
@@ -171,7 +191,7 @@ def cmd_gen(cfg: dict) -> None:
     save_environment(out / "env_unseen.json", envs["unseen"])
     save_vocab(out / "vocab.json")
     for split, eps in splits.items():
-        _dump_json(out / f"episodes_{split}.json",
+        write_json(out / f"episodes_{split}.json",
                    {"episodes": [episode_to_dict(e) for e in eps]})
     record = dict(cfg)
     record["latent_seed_seen"] = _derived_seed(cfg["seed"], "gen-latent", "seen")
@@ -188,11 +208,7 @@ def cmd_train(cfg: dict) -> None:
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
     mcfg = _model_config(cfg)
     _guard_feature_dim(gen_cfg, mcfg)
-    tcfg = TrainConfig(lam=cfg["lam"], t_max=_default_t_max(cfg, gen_cfg),
-                       lr=cfg["lr"], iterations=cfg["iters"],
-                       batch_size=cfg["batch"], seed=cfg["seed"],
-                       swap_lambda=cfg["swap_lambda"],
-                       eval_every=cfg["eval_every"])
+    tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
     params = build_params(mcfg, cfg["seed"])
     data = [(env, ep) for ep in episodes]
     rows = train(data, params, tcfg, mcfg, out_dir=str(out))
@@ -209,7 +225,7 @@ def _trace_line(t: int, step) -> str:
              "pseudo_label": step.supervision, "action": step.action}
     if step.logits is not None:
         entry["scores"] = [float(v) for v in step.logits.data]
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    return canonical_json(entry)
 
 
 def _eval_unit(payload):
@@ -223,13 +239,6 @@ def _eval_unit(payload):
     rec = rollout(env, ep, t_max, choose, params, mcfg, label=recovery_label)
     row = evaluate(EpisodeResult(env.graph, rec.route, ep.gt_path))
     return idx, row, [_trace_line(t, s) for t, s in enumerate(rec.steps)]
-
-
-def _map_units(jobs: int, fn, payloads):
-    if jobs <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
 
 
 def cmd_eval(cfg: dict) -> None:
@@ -248,12 +257,12 @@ def cmd_eval(cfg: dict) -> None:
     t_max = cfg["t_max"]
     payloads = [(i, env, ep, params, mcfg, t_max, agent, cfg["seed"])
                 for i, ep in enumerate(episodes)]
-    results = _map_units(cfg["jobs"], _eval_unit, payloads)
+    results = map_units(cfg["jobs"], _eval_unit, payloads)
     rows = {f"ep{idx:03d}": row for idx, row, _ in results}
     write_results_csv(out / "results.csv", rows, comment=f"config_hash={h}")
     summary = aggregate(rows.values())
     summary.update({"config_hash": h, "agent": agent, "split": cfg["split"]})
-    _dump_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     traces = out / "traces"
     traces.mkdir(exist_ok=True)
     for idx, _, lines in sorted(results):
@@ -264,37 +273,21 @@ def cmd_eval(cfg: dict) -> None:
 # ---------------------------------------------------------------- ablate
 
 
-def _ablate_unit(payload):
-    label, train_data, eval_data, tcfg, mcfg, seeds, timing_steps = payload
-    row, per_seed = run_ablation_cell(label, train_data, eval_data, tcfg,
-                                      mcfg, seeds, timing_steps)
-    return label, row, per_seed
-
-
 def cmd_ablate(cfg: dict) -> None:
     out = _resolve_out(cfg["out"])
     env, train_eps, gen_cfg = _load_split(cfg["data"], "train")
     _, eval_eps, _ = _load_split(cfg["data"], "val_seen")
-    base = TINY_CONFIG if cfg["model"] == "tiny" else ModelConfig()
+    base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
     grid = GRID_LABELS if cfg["grid"] == "all" else tuple(cfg["grid"].split(","))
-    for label in grid:
-        variant_config(base, label)  # validate before spending compute
-    tcfg = TrainConfig(lam=cfg["lam"], t_max=_default_t_max(cfg, gen_cfg),
-                       lr=cfg["lr"], iterations=cfg["iters"],
-                       batch_size=cfg["batch"], seed=0)
-    seeds = tuple(range(cfg["seeds"]))
-    train_data = [(env, ep) for ep in train_eps]
-    eval_data = [(env, ep) for ep in eval_eps]
-    payloads = [(label, train_data, eval_data, tcfg, base, seeds,
-                 cfg["timing_steps"]) for label in grid]
-    cells = _map_units(cfg["jobs"], _ablate_unit, payloads)
+    tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
+    rows, sidecar = run_ablation(
+        [(env, ep) for ep in train_eps], [(env, ep) for ep in eval_eps], tcfg,
+        base, seeds=range(cfg["seeds"]), grid=grid,
+        min_timing_steps=cfg["timing_steps"], jobs=cfg["jobs"])
     h = archive_config(out, "ablate", cfg)
-    rows = [row for _, row, _ in cells]
     write_ablation_csv(out / "ablation.csv", rows, comment=f"config_hash={h}")
-    _dump_json(out / "ablation_seeds.json",
-               {"config_hash": h,
-                "cells": {label: per_seed for label, _, per_seed in cells}})
+    write_json(out / "ablation_seeds.json", {"config_hash": h, "cells": sidecar})
 
 
 # ----------------------------------------------------------------- probe
@@ -303,7 +296,7 @@ def cmd_ablate(cfg: dict) -> None:
 def cmd_probe(cfg: dict) -> None:
     out = _resolve_out(cfg["out"])
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
-    base = TINY_CONFIG if cfg["model"] == "tiny" else ModelConfig()
+    base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
     data = [(env, ep) for ep in episodes[:cfg["probe_episodes"]]]
     seeds = tuple(range(cfg["seeds"]))
@@ -312,15 +305,13 @@ def cmd_probe(cfg: dict) -> None:
     if cfg["which"] in ("grad", "all"):
         probe = grad_probe(data, seeds, base, lam=cfg["lam"], t_max=t_max)
         probe["config_hash"] = h
-        write_probe_json(out / "probe_grad.json", probe)
+        write_json(out / "probe_grad.json", probe)
     if cfg["which"] in ("detail", "all"):
-        tcfg = (TrainConfig(lam=cfg["lam"], t_max=t_max, lr=cfg["lr"],
-                            iterations=cfg["train_iters"],
-                            batch_size=cfg["batch"], seed=0)
+        tcfg = (_train_config(cfg, t_max, cfg["train_iters"])
                 if cfg["train_iters"] > 0 else None)
         probe = detail_probe(data, data, seeds, base, train_cfg=tcfg)
         probe["config_hash"] = h
-        write_probe_json(out / "probe_detail.json", probe)
+        write_json(out / "probe_detail.json", probe)
 
 
 # ------------------------------------------------------------- plumbing
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--episodes", type=int, default=sup)
     g.add_argument("--val-episodes", type=int, default=sup,
                    help="per-split validation episode count (0: episodes/5)")
-    g.add_argument("--mode", choices=("shortest", "detour"), default=sup)
+    g.add_argument("--mode", choices=CHOICES["mode"], default=sup)
     g.add_argument("--seed", type=int, default=sup)
 
     t = sub.add_parser("train", help="train an agent on generated data")
@@ -364,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=sup)
     t.add_argument("--flags", default=sup,
                    help="comma subset of MED,GE,LD,OD")
-    t.add_argument("--model", choices=("tiny", "full"), default=sup)
+    t.add_argument("--model", choices=CHOICES["model"], default=sup)
     t.add_argument("--swap-lambda", action="store_true", default=sup)
     t.add_argument("--eval-every", type=int, default=sup)
 
@@ -373,13 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.add_argument("--config", default=sup)
     e.add_argument("--ckpt", default=sup)
-    e.add_argument("--agent", choices=("model", "oracle", "random"),
-                   default=sup)
-    e.add_argument("--split", choices=SPLITS, default=sup)
+    e.add_argument("--agent", choices=CHOICES["agent"], default=sup)
+    e.add_argument("--split", choices=CHOICES["split"], default=sup)
     e.add_argument("--t-max", type=int, default=sup)
     e.add_argument("--seed", type=int, default=sup)
     e.add_argument("--flags", default=sup)
-    e.add_argument("--model", choices=("tiny", "full"), default=sup)
+    e.add_argument("--model", choices=CHOICES["model"], default=sup)
     e.add_argument("--jobs", type=int, default=sup)
 
     a = sub.add_parser("ablate", help="train/evaluate the component grid")
@@ -394,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--lr", type=float, default=sup)
     a.add_argument("--lambda", dest="lam", type=float, default=sup)
     a.add_argument("--timing-steps", type=int, default=sup)
-    a.add_argument("--model", choices=("tiny", "full"), default=sup)
+    a.add_argument("--model", choices=CHOICES["model"], default=sup)
     a.add_argument("--grid", default=sup,
                    help="'all' or comma list of labels like MG--,MGLO")
     a.add_argument("--jobs", type=int, default=sup)
@@ -403,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--data", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--config", default=sup)
-    r.add_argument("--which", choices=("grad", "detail", "all"), default=sup)
+    r.add_argument("--which", choices=CHOICES["which"], default=sup)
     r.add_argument("--seeds", type=int, default=sup)
     r.add_argument("--t-max", type=int, default=sup)
     r.add_argument("--lambda", dest="lam", type=float, default=sup)
     r.add_argument("--train-iters", type=int, default=sup)
     r.add_argument("--lr", type=float, default=sup)
     r.add_argument("--batch", type=int, default=sup)
-    r.add_argument("--model", choices=("tiny", "full"), default=sup)
+    r.add_argument("--model", choices=CHOICES["model"], default=sup)
     r.add_argument("--probe-episodes", type=int, default=sup)
 
     return p
@@ -422,7 +412,9 @@ def merge_config(args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS[args.cmd])
     cfg_path = given.pop("config", None)
     if cfg_path is not None:
-        loaded = _load_json(cfg_path)
+        loaded = read_json(cfg_path)
+        if not isinstance(loaded, dict):
+            raise InvalidArgument(f"config file {cfg_path} is not a JSON object")
         allowed = set(merged) | {"out", "data", "ckpt"}
         unknown = sorted(set(loaded) - allowed)
         if unknown:
@@ -430,6 +422,10 @@ def merge_config(args: argparse.Namespace) -> dict:
                 f"unknown config fields {unknown} for command {args.cmd!r}")
         merged.update(loaded)
     merged.update(given)
+    for key, allowed_values in CHOICES.items():
+        if key in merged and merged[key] not in allowed_values:
+            raise InvalidArgument(
+                f"invalid {key} {merged[key]!r}; choose from {allowed_values}")
     return merged
 
 
@@ -455,8 +451,7 @@ def main(argv=None) -> int:
         print(f"oikg: usage error: {err}", file=sys.stderr)
         return 2
     except (SchemaError, IncompatibleCheckpoint, GenerationFailure,
-            InvalidState, OikgError, OSError, json.JSONDecodeError,
-            KeyError) as err:
+            InvalidState, OikgError, OSError) as err:
         print(f"oikg: data error: {err}", file=sys.stderr)
         return 3
 

@@ -83,16 +83,6 @@ def relative_pose(frm: Sequence[float], to: Sequence[float]) -> RelativePose:
     return RelativePose(heading=heading, elevation=elevation, length=length)
 
 
-def apply_pose(frm: Sequence[float], pose: RelativePose) -> tuple[float, float, float]:
-    """Endpoint reached by following ``pose`` from ``frm`` (round-trip check helper)."""
-    ch = math.cos(pose.elevation)
-    return (
-        float(frm[0]) + pose.length * ch * math.cos(pose.heading),
-        float(frm[1]) + pose.length * ch * math.sin(pose.heading),
-        float(frm[2]) + pose.length * math.sin(pose.elevation),
-    )
-
-
 def nearest_view(candidate_heading: float, view_headings: Sequence[float]) -> tuple[int, float]:
     """Index and distance of the view heading closest to a candidate heading.
 

@@ -1,18 +1,16 @@
 """Navigation evaluation: trajectory length, error, success, and warping
 similarity.
 
-All distances between nodes are shortest-route (geodesic) lengths by
-default; an optional switch scores success by straight-line distance
-instead.  Success is inclusive at exactly the 3-meter boundary.
+All distances between nodes are shortest-route (geodesic) lengths.
+Success is inclusive at exactly the 3-meter boundary.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import InvalidArgument
 from .navgraph import NavGraph, path_length
 
@@ -62,21 +60,18 @@ def trajectory_length(r: EpisodeResult) -> float:
     return path_length(r.env, r.executed_path)
 
 
-def navigation_error(r: EpisodeResult, euclidean: bool = False) -> float:
+def navigation_error(r: EpisodeResult) -> float:
     """Distance from the final node to the goal."""
-    if euclidean:
-        return float(np.linalg.norm(r.env.position(r.final) - r.env.position(r.goal)))
     return r.env.geodesic(r.final, r.goal)
 
 
-def success(r: EpisodeResult, radius: float = SUCCESS_RADIUS,
-            euclidean: bool = False) -> float:
-    return 1.0 if navigation_error(r, euclidean=euclidean) <= radius else 0.0
+def success(r: EpisodeResult, radius: float = SUCCESS_RADIUS) -> float:
+    return 1.0 if navigation_error(r) <= radius else 0.0
 
 
-def spl(r: EpisodeResult, euclidean: bool = False) -> float:
+def spl(r: EpisodeResult) -> float:
     """Success weighted by route efficiency: SR * l / max(l, p)."""
-    sr = success(r, euclidean=euclidean)
+    sr = success(r)
     l = r.env.geodesic(r.executed_path[0], r.goal)
     if l == 0.0:
         return sr
@@ -117,18 +112,14 @@ def ndtw(r: EpisodeResult, d_th: float = SUCCESS_RADIUS) -> float:
     return math.exp(-dtw_cost(r) / (len(r.gt_path) * d_th))
 
 
-def sdtw(r: EpisodeResult, d_th: float = SUCCESS_RADIUS,
-         euclidean: bool = False) -> float:
-    return success(r, euclidean=euclidean) * ndtw(r, d_th=d_th)
-
-
-def evaluate(r: EpisodeResult, euclidean: bool = False) -> MetricRow:
-    sr = success(r, euclidean=euclidean)
+def evaluate(r: EpisodeResult) -> MetricRow:
+    """Every metric of one episode; sDTW is SR * nDTW."""
+    sr = success(r)
     nd = ndtw(r)
     return MetricRow(tl=trajectory_length(r),
-                     ne=navigation_error(r, euclidean=euclidean),
+                     ne=navigation_error(r),
                      sr=sr,
-                     spl=spl(r, euclidean=euclidean),
+                     spl=spl(r),
                      ndtw=nd,
                      sdtw=sr * nd)
 
@@ -154,19 +145,8 @@ def aggregate(rows) -> dict:
 
 def write_results_csv(path, results: dict, comment: str | None = None) -> None:
     """results: episode_id -> MetricRow, written in sorted id order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["episode_id", "TL", "NE", "SR", "SPL", "nDTW", "sDTW"])
-        for ep_id in sorted(results):
-            row = results[ep_id]
-            writer.writerow([ep_id] + [repr(float(v)) for v in
-                                       (row.tl, row.ne, row.sr, row.spl,
-                                        row.ndtw, row.sdtw)])
-
-
-def write_summary_json(path, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_csv(path, ["episode_id", "TL", "NE", "SR", "SPL", "nDTW", "sDTW"],
+              ([ep_id] + [repr(float(v)) for v in
+                          (row.tl, row.ne, row.sr, row.spl, row.ndtw, row.sdtw)]
+               for ep_id, row in sorted(results.items())),
+              comment=comment)

@@ -111,10 +111,8 @@ TINY_CONFIG = ModelConfig(
 
 @dataclass
 class StepFeatures:
-    """Every intermediate the pipeline produced for one decision step."""
-    obs_refined: nn.Tensor          # (K, graph_dim)
-    cand_geo: nn.Tensor             # (N_c, graph_dim)
-    instr_enc: nn.Tensor            # (M, text_dim)
+    """The late-stage outputs of one decision step (the bypass tests compare
+    cross_modal with enhanced)."""
     key_detail: nn.Tensor | None    # (key_dim,) or None when both detail flags off
     cross_modal: nn.Tensor          # (N_c, cross_dim)
     enhanced: nn.Tensor             # (N_c, cross_dim)
@@ -438,7 +436,6 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     f_e, scores = enhance_and_score(f_c, f_k, params, cfg)
     action = select_action(scores, order)
-    feats = StepFeatures(obs_refined=f_o, cand_geo=f_g, instr_enc=f_i,
-                         key_detail=f_k, cross_modal=f_c, enhanced=f_e,
+    feats = StepFeatures(key_detail=f_k, cross_modal=f_c, enhanced=f_e,
                          scores=scores, order=order)
     return feats, action

@@ -10,13 +10,11 @@ each connection as two directed edges.
 """
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from .artifacts import read_json, write_json
 from .errors import IllegalAction, InvalidArgument, SchemaError
 from .geometry import RelativePose, relative_pose
 
@@ -60,9 +58,6 @@ class NavGraph:
             return self.poses[(u, v)]
         except KeyError:
             raise InvalidArgument(f"no edge {u}->{v}") from None
-
-    def position(self, node_id: int) -> np.ndarray:
-        return np.array(self.nodes[node_id].pos)
 
     # ------------------------------------------------------------- routing
 
@@ -189,7 +184,6 @@ class PathGraph:
         self._visited_set: set[int] = {start}
         self.route: list[int] = [start]
         self.terminal = False
-        self.step = 0
         self._global_frontier: set[int] = set(graph.neighbors(start)) - self._visited_set
 
     def frontier(self) -> list[int]:
@@ -201,10 +195,6 @@ class PathGraph:
         else:
             pool = self._global_frontier
         return sorted(pool)
-
-    def actions(self) -> list[int]:
-        """Frontier targets plus the always-legal STOP sentinel (last)."""
-        return self.frontier() + [STOP]
 
     def advance(self, chosen: int) -> list[int]:
         """Move to a frontier node; returns the traversed segment (current excluded).
@@ -230,7 +220,6 @@ class PathGraph:
             segment = route[1:]
         self.route.extend(segment)
         self.current = chosen
-        self.step += 1
         if chosen not in self._visited_set:
             self.visited.append(chosen)
             self._visited_set.add(chosen)
@@ -240,12 +229,6 @@ class PathGraph:
 
 
 # ------------------------------------------------------------- file formats
-
-
-def _canonical_dump(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def graph_to_dict(graph: NavGraph) -> dict:
@@ -270,7 +253,7 @@ def graph_to_dict(graph: NavGraph) -> dict:
 
 
 def save_environment(path, graph: NavGraph) -> None:
-    _canonical_dump(graph_to_dict(graph), path)
+    write_json(path, graph_to_dict(graph))
 
 
 def graph_from_dict(data: dict) -> NavGraph:
@@ -304,9 +287,4 @@ def graph_from_dict(data: dict) -> NavGraph:
 
 
 def load_environment(path) -> NavGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(path))

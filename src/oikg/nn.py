@@ -10,6 +10,7 @@ addition.
 Set ``DEBUG_FINITE = True`` to assert finiteness after every op.
 """
 
+import math
 import struct
 from typing import Iterable, Sequence
 
@@ -66,23 +67,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # small operator sugar used all over the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _result(data, parents, backward) -> Tensor:
@@ -242,16 +226,6 @@ def tsum(a: Tensor) -> Tensor:
             a.accumulate_grad(np.full(a.shape, float(g)))
 
     return _result(a.data.sum(), (a,), backward)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g) / n))
-
-    return _result(a.data.mean(), (a,), backward)
 
 
 def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
@@ -547,10 +521,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: block name is not UTF-8") from exc
+        if name in out:
+            raise SchemaError(f"{path}: duplicate block {name!r}")
         (ndim,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
+        # Python ints: a product of 32-bit dims can exceed any fixed width
+        flat = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8")
+        try:
+            data = flat.reshape(shape)
+        except ValueError as exc:  # more dims than numpy supports
+            raise SchemaError(f"{path}: block {name!r}: {exc}") from exc
         out[name] = data.astype(np.float64).copy()
     return out

@@ -13,15 +13,15 @@ Every generator is a pure function of (params, seed): rerunning with the
 same seed reproduces output bit for bit.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
 from .geometry import TWO_PI, angular_distance
-from .navgraph import NavGraph, NavNode, build_graph, path_length
+from .navgraph import NavGraph, NavNode, build_graph
 from .rng import substream
 
 ROOM_WORDS = ("kitchen", "hallway", "bedroom", "bathroom",
@@ -85,9 +85,7 @@ def vocab_table() -> list[dict]:
 
 
 def save_vocab(path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab_table(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, vocab_table())
 
 
 # ------------------------------------------------------------------- views
@@ -112,9 +110,6 @@ class ViewGrid:
         head = np.arange(self.n_headings) * (TWO_PI / self.n_headings)
         ne = len(self.elevations)
         return np.repeat(head, ne), np.tile(np.array(self.elevations), self.n_headings)
-
-
-FAST_GRID = ViewGrid(n_headings=12, elevations=(0.0,))
 
 
 @dataclass(frozen=True)
@@ -404,12 +399,6 @@ def episode_to_dict(ep: Episode) -> dict:
     }
 
 
-def save_episode(path, ep: Episode) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(episode_to_dict(ep), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def episode_from_dict(data: dict) -> Episode:
     required = ("start", "gt_path", "tokens", "loc_mask", "obj_mask", "text")
     if not isinstance(data, dict) or any(k not in data for k in required):
@@ -435,11 +424,3 @@ def episode_from_dict(data: dict) -> Episode:
                         text=str(data["text"]))
     return Episode(start=start, instruction=instr)
 
-
-def load_episode(path) -> Episode:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return episode_from_dict(data)

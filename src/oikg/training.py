@@ -8,7 +8,6 @@ receive gradient from both terms.  ``rollout`` is the package's only episode
 walk; callers differ in the policy that acts and the label that supervises.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .artifacts import write_csv
 from .errors import InvalidArgument, InvalidState, NumericFailure
 from .metrics import EpisodeResult, aggregate, evaluate
 from .model import EpisodeCache, ModelConfig, forward_step
@@ -305,14 +305,10 @@ def evaluate_policy(data, params, mcfg: ModelConfig, t_max: int):
 
 
 def write_training_log(path, rows, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] if isinstance(row[c], (str, int))
-                             else repr(float(row[c])) for c in LOG_COLUMNS])
+    write_csv(path, LOG_COLUMNS,
+              ([row[c] if isinstance(row[c], (str, int))
+                else repr(float(row[c])) for c in LOG_COLUMNS] for row in rows),
+              comment=comment)
 
 
 def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,

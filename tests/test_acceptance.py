@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from test_analysis import linear_regression_builder
 from test_cli import GEN_ARGS, tree_hashes
@@ -140,6 +141,7 @@ def test_a04_flag_bypasses_are_exact():
                 "enhance-align"} & set(trace)
 
 
+@pytest.mark.slow
 def test_a05_overfit_twenty_episodes():
     t0 = time.monotonic()
     g = generate_environment(EnvParams(node_count=14, connection_radius=4.0,
@@ -159,6 +161,7 @@ def test_a05_overfit_twenty_episodes():
     assert time.monotonic() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_a06_generalization_harness_and_grid_report(tmp_path):
     def world(seed):
         g = generate_environment(EnvParams(node_count=14,
@@ -216,7 +219,7 @@ def test_a07_metric_units_and_invariants():
     for _ in range(300):
         fr = metrics.EpisodeResult(w, random_walk(w, rng),
                                    random_walk(w, rng))
-        assert metrics.sdtw(fr) == metrics.success(fr) * metrics.ndtw(fr)
+        assert metrics.evaluate(fr).sdtw == metrics.success(fr) * metrics.ndtw(fr)
         assert metrics.spl(fr) <= metrics.success(fr)
 
 

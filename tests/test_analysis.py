@@ -6,14 +6,15 @@ import signal
 import numpy as np
 import pytest
 
-from oikg import nn
+from oikg import analysis, nn
 from oikg.analysis import (GRID_LABELS, AblationRow, GradStats,
                            alignment_score, cue_action_series, detail_probe,
                            grad_probe, grad_second_moment, make_probe,
                            mi_plugin, pathway_filter, quantize_series,
                            run_ablation, sign_test, time_forward_steps,
                            variant_config, vln_loss_builder,
-                           write_ablation_csv, write_probe_json)
+                           write_ablation_csv)
+from oikg.artifacts import write_json
 from oikg.errors import InvalidArgument
 from oikg.model import TINY_CONFIG, build_params
 from oikg.navgraph import NavNode, build_graph
@@ -218,8 +219,8 @@ def test_make_probe_and_json(tmp_path):
     assert probe["mean_diff"] == pytest.approx(np.mean([0.5, -0.5, 2.0]))
     assert 0.0 < probe["sign_test_p"] <= 1.0
     p1, p2 = tmp_path / "p1.json", tmp_path / "p2.json"
-    write_probe_json(p1, probe)
-    write_probe_json(p2, probe)
+    write_json(p1, probe)
+    write_json(p2, probe)
     assert p1.read_bytes() == p2.read_bytes()
     with pytest.raises(InvalidArgument):
         make_probe("demo", "A", "B", [1.0], [])
@@ -342,3 +343,13 @@ def test_run_ablation_guards(world):
     tcfg = TrainConfig(iterations=1)
     with pytest.raises(InvalidArgument):
         run_ablation(world, world, tcfg, MCFG, seeds=())
+
+
+def test_run_ablation_checks_every_label_before_compute(world, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(analysis, "train", no_training)
+    with pytest.raises(InvalidArgument):
+        run_ablation(world, world, TrainConfig(iterations=1), MCFG,
+                     grid=("MGLO", "XYZW"))

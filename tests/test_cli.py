@@ -1,11 +1,12 @@
 """Command-line surface: files, exit codes, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from oikg import nn
+from oikg import cli, nn
 from oikg.cli import main
 from oikg.metrics import EpisodeResult  # noqa: F401  (re-export sanity)
 from oikg.model import TINY_CONFIG, build_params
@@ -140,6 +141,47 @@ def test_config_file_merge_and_override(data_dir, tmp_path):
                  "--out", str(tmp_path / "o3"), "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["eval"], {"agent": "oracel"}),
+    (["probe"], {"which": "grads"}),
+    (["eval", "--agent", "oracle"], {"model": "huge"}),
+    (["train"], ["iters"]),
+], ids=["agent", "which", "model", "not_an_object"])
+def test_config_file_values_are_checked_like_flags(data_dir, tmp_path, argv,
+                                                   content):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(content))
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(data_dir), "--out", str(out),
+                            "--config", str(cfg)] + argv[1:]) == 2
+    assert not out.exists()
+
+
+def test_bare_key_error_is_not_a_data_error(monkeypatch, tmp_path):
+    def buggy(cfg):
+        raise KeyError("not a data key")
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", buggy)
+    with pytest.raises(KeyError):
+        main(["gen", "--out", str(tmp_path / "g")])
+
+
+@pytest.mark.parametrize("name, key", [
+    ("config.json", "latent_seed_seen"),
+    ("episodes_val_seen.json", "episodes"),
+])
+def test_data_file_missing_key_is_a_data_error(data_dir, tmp_path, capsys,
+                                               name, key):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    record = json.loads((copy / name).read_text())
+    del record[key]
+    (copy / name).write_text(json.dumps(record))
+    assert main(["eval", "--data", str(copy), "--out", str(tmp_path / "e"),
+                 "--agent", "oracle"]) == 3
+    assert repr(key) in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- eval
 
 
@@ -238,6 +280,27 @@ def test_ablate_subset_grid(data_dir, tmp_path):
     sidecar = json.loads((out / "ablation_seeds.json").read_text())
     assert set(sidecar["cells"]) == {"M---", "MGLO"}
     assert set(sidecar["cells"]["MGLO"]["0"]) == {"TL", "NE", "SR", "SPL"}
+
+
+def test_ablate_jobs_invariant(data_dir, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(["ablate", "--data", str(data_dir), "--out", str(out),
+                     "--iters", "1", "--seeds", "2", "--batch", "1",
+                     "--timing-steps", "3", "--grid=----,MGLO",
+                     "--jobs", jobs]) == 0
+        outs.append(out)
+    assert ((outs[0] / "ablation_seeds.json").read_bytes()
+            == (outs[1] / "ablation_seeds.json").read_bytes())
+
+    def without_time(out):
+        lines = (out / "ablation.csv").read_text().splitlines()
+        col = lines[1].split(",").index("time_ms")
+        return [line.split(",")[:col] + line.split(",")[col + 1:]
+                for line in lines]
+
+    assert without_time(outs[0]) == without_time(outs[1])
 
 
 def test_ablate_bad_grid_label(data_dir, tmp_path):

@@ -7,7 +7,6 @@ from oikg.errors import DegeneratePose, InvalidArgument
 from oikg.geometry import (
     TWO_PI,
     angular_distance,
-    apply_pose,
     nearest_view,
     relative_pose,
     trig_embed,
@@ -125,6 +124,16 @@ def test_relative_pose_inversion_flips():
         assert angular_distance(rev.heading, fwd.heading + math.pi) == pytest.approx(0.0, abs=1e-9)
         assert rev.elevation == pytest.approx(-fwd.elevation, abs=1e-9)
         assert rev.length == pytest.approx(fwd.length, abs=1e-12)
+
+
+def apply_pose(frm, pose):
+    """Endpoint reached by following ``pose`` from ``frm``."""
+    ch = math.cos(pose.elevation)
+    return (
+        float(frm[0]) + pose.length * ch * math.cos(pose.heading),
+        float(frm[1]) + pose.length * ch * math.sin(pose.heading),
+        float(frm[2]) + pose.length * math.sin(pose.elevation),
+    )
 
 
 def test_relative_pose_round_trip():

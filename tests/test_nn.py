@@ -5,9 +5,12 @@ relative error <= 1e-4 with step h = 1e-4, denominator max(|a|,|b|,1e-8).
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oikg import nn
 from oikg.errors import (
@@ -239,7 +242,7 @@ def test_fd_relu_softmax_mean():
     c = nn.Tensor(rng.normal(size=(3, 5)))
 
     def make_loss():
-        return nn.tmean(nn.mul(nn.softmax(nn.relu(x)), c))
+        return nn.tsum(nn.mul(nn.softmax(nn.relu(x)), c))
 
     check_grads(make_loss, [x])
 
@@ -424,6 +427,90 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     trunc.write_bytes(cut)
     with pytest.raises(SchemaError):
         nn.load_checkpoint(trunc)
+
+
+def raw_block(name: bytes, dims, payload: bytes | None = None) -> bytes:
+    """One checkpoint block written by hand: name, dims, float64 payload."""
+    head = struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+    head += b"".join(struct.pack("<I", d) for d in dims)
+    return head + (payload if payload is not None
+                   else b"\0" * (8 * math.prod(dims)))
+
+
+@pytest.mark.parametrize("body", [
+    raw_block(b"\xff\xfe", (1,)),
+    # the product wraps negative in int64; Python ints see a huge block
+    raw_block(b"w", (2 ** 32 - 1, 2 ** 32 - 1), payload=b"\0" * 8),
+    raw_block(b"w", (1,)) + raw_block(b"w", (1,)),
+    raw_block(b"w", (1,) * 65),
+], ids=["non_utf8_name", "dims_overflow_int64", "duplicate_name",
+        "too_many_dims"])
+def test_checkpoint_malformed_blocks_raise_schema_error(tmp_path, body):
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(nn.CHECKPOINT_MAGIC + body)
+    with pytest.raises(SchemaError):
+        nn.load_checkpoint(p)
+
+
+PROP_SPEC = [("m.w", (2, 3)), ("m.b", (3,)), ("s", ())]
+
+
+@pytest.fixture(scope="module")
+def valid_ckpt(tmp_path_factory):
+    """(scratch dir, bytes of a valid checkpoint of PROP_SPEC)."""
+    d = tmp_path_factory.mktemp("ckpt_props")
+    nn.save_checkpoint(d / "valid.ckpt", nn.init_params(PROP_SPEC, seed=7))
+    return d, (d / "valid.ckpt").read_bytes()
+
+
+def _load_bytes(d, blob: bytes):
+    p = d / "probe.ckpt"
+    p.write_bytes(blob)
+    return nn.load_checkpoint(p)
+
+
+def _block_ends() -> dict:
+    """Byte offset after each block of PROP_SPEC -> names stored up to it."""
+    off = len(nn.CHECKPOINT_MAGIC)
+    ends, names = {off: ()}, ()
+    for name, shape in sorted(PROP_SPEC):
+        off += 4 + len(name) + 4 + 4 * len(shape) + 8 * math.prod(shape)
+        names += (name,)
+        ends[off] = names
+    return ends
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_strict_prefix_never_loads_whole(valid_ckpt, data):
+    # The format has no block count, so a cut at a block boundary parses as
+    # a shorter checkpoint; load_state then rejects the missing names.
+    d, blob = valid_ckpt
+    ends = _block_ends()
+    assert max(ends) == len(blob)
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    if cut in ends:
+        state = _load_bytes(d, blob[:cut])
+        assert tuple(sorted(state)) == ends[cut]
+        with pytest.raises(IncompatibleCheckpoint):
+            nn.init_params(PROP_SPEC, seed=0).load_state(state)
+    else:
+        with pytest.raises(SchemaError):
+            _load_bytes(d, blob[:cut])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_single_byte_overwrite_loads_or_schema_error(valid_ckpt,
+                                                                data):
+    d, blob = valid_ckpt
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    changed = bytearray(blob)
+    changed[pos] = data.draw(st.integers(0, 255), label="value")
+    try:
+        _load_bytes(d, bytes(changed))
+    except SchemaError:
+        pass
 
 
 def test_load_state_mismatch_errors(tmp_path):

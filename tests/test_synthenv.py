@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from oikg import synthenv as se
+from oikg.artifacts import read_json, write_json
 from oikg.errors import GenerationFailure, InvalidArgument, SchemaError
 from oikg.geometry import angular_distance
 from oikg.navgraph import NavNode, build_graph, graph_to_dict, path_length
+
+
+FLAT_12 = se.ViewGrid(n_headings=12, elevations=(0.0,))
 
 
 def canonical(graph) -> str:
@@ -64,8 +68,8 @@ def test_view_grid_default_36():
 
 
 def test_view_grid_fast_12():
-    assert se.FAST_GRID.k == 12
-    _, elevations = se.FAST_GRID.angles()
+    assert FLAT_12.k == 12
+    _, elevations = FLAT_12.angles()
     np.testing.assert_array_equal(elevations, np.zeros(12))
     with pytest.raises(InvalidArgument):
         se.ViewGrid(n_headings=0)
@@ -97,7 +101,7 @@ def test_environment_connected_and_geometric(env):
         for j in ids:
             if i >= j:
                 continue
-            d = float(np.linalg.norm(env.position(i) - env.position(j)))
+            d = float(np.linalg.norm(np.subtract(env.nodes[i].pos, env.nodes[j].pos)))
             assert env.has_edge(i, j) == (d <= p)
     for i in ids:
         node = env.nodes[i]
@@ -146,9 +150,9 @@ def cross_graph():
 
 def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
-    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=se.FAST_GRID)
+    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=FLAT_12)
     assert obs.visual.shape == (12, 12)
-    headings, elevations = se.FAST_GRID.angles()
+    headings, elevations = FLAT_12.angles()
     np.testing.assert_array_equal(obs.headings, headings)
     np.testing.assert_array_equal(obs.elevations, elevations)
 
@@ -194,7 +198,7 @@ def test_observation_nearest_in_bin_rule(env):
     lat = se.make_latents(env, feature_dim=16, seed=3)
     half_bin = math.pi / 12
     for node in env.node_ids()[:6]:
-        obs = se.render_observation(env, node, lat, sigma=0.0, grid=se.FAST_GRID)
+        obs = se.render_observation(env, node, lat, sigma=0.0, grid=FLAT_12)
         edges = [(nbr, env.edge_pose(node, nbr).heading) for nbr in env.neighbors(node)]
         background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
         for k in range(12):
@@ -312,10 +316,10 @@ def test_episode_round_trip_byte_identical(tmp_path, env):
     ep = se.make_episode(env, seed=11)
     p1 = tmp_path / "ep1.json"
     p2 = tmp_path / "ep2.json"
-    se.save_episode(p1, ep)
-    loaded = se.load_episode(p1)
+    write_json(p1, se.episode_to_dict(ep))
+    loaded = se.episode_from_dict(read_json(p1))
     assert loaded == ep
-    se.save_episode(p2, loaded)
+    write_json(p2, se.episode_to_dict(loaded))
     assert p1.read_bytes() == p2.read_bytes()
 
 
