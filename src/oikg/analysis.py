@@ -170,8 +170,9 @@ def cue_action_series(data, params, mcfg: ModelConfig, bins: int = 8,
     cues = []
     actions = []
     for env, ep in data:
-        rec = rollout(env, ep, len(ep.gt_path), teacher_policy(ep), params,
-                      mcfg)
+        with nn.no_tape():
+            rec = rollout(env, ep, len(ep.gt_path), teacher_policy(ep), params,
+                          mcfg)
         for s in rec.steps:
             cues.append(np.array(s.key_detail[:dims] if s.key_detail is not None
                                  else np.zeros(dims), dtype=np.float64))
@@ -186,7 +187,8 @@ def alignment_score(data, params, mcfg: ModelConfig) -> float:
     """Mean log-probability of reference actions under teacher forcing."""
     losses = []
     for env, ep in data:
-        rec = rollout_teacher(env, ep, params, mcfg)
+        with nn.no_tape():
+            rec = rollout_teacher(env, ep, params, mcfg)
         losses.extend(float(s.loss.data) for s in rec.steps)
     if not losses:
         raise InvalidArgument("no supervised steps")
@@ -279,7 +281,8 @@ def detail_probe(train_data, eval_data, seeds, base_mcfg: ModelConfig,
 
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int = 1000, warmup: int = 50) -> float:
-    """Mean wall-clock milliseconds per forward_step, measured warm."""
+    """Mean wall-clock milliseconds per forward_step, measured warm and
+    without a tape, as greedy evaluation runs."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")
@@ -290,7 +293,9 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
     skipped = 0
     while timed < min_steps:
         for env, ep in data:
-            for s in rollout(env, ep, t_max, greedy_policy, params, mcfg).steps:
+            with nn.no_tape():
+                rec = rollout(env, ep, t_max, greedy_policy, params, mcfg)
+            for s in rec.steps:
                 if skipped < warmup:
                     skipped += 1
                 else:

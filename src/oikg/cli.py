@@ -48,9 +48,9 @@ CHOICES = {
     "which": ("grad", "detail", "all"),
 }
 
-# keys of the `gen` config.json that the other commands read
-GEN_KEYS = ("feature_dim", "sigma", "mode", "latent_seed_seen",
-            "latent_seed_unseen")
+# keys of the `gen` config.json that the other commands read, with their types
+GEN_KEYS = {"feature_dim": int, "sigma": (int, float), "mode": str,
+            "latent_seed_seen": int, "latent_seed_unseen": int}
 
 DEFAULTS = {
     "gen": {"nodes": 30, "radius": 3.5, "extent": 10.0, "feature_dim": 10,
@@ -133,15 +133,18 @@ def _derived_seed(seed: int, *tags) -> int:
     return int(substream(seed, *tags).integers(0, 2 ** 31 - 1))
 
 
-def _read_record(path, keys: tuple) -> dict:
-    """A JSON object from a data file holding every key in `keys`; anything
-    else is a data error naming the first key missing."""
+def _read_record(path, keys: dict) -> dict:
+    """A JSON object from a data file holding every key in `keys` with a
+    value of the type(s) it maps to; anything else is a data error naming
+    the first key missing or mistyped."""
     record = read_json(path)
     if not isinstance(record, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    for key in keys:
+    for key, types in keys.items():
         if key not in record:
             raise SchemaError(f"{path}: missing key {key!r}")
+        if isinstance(record[key], bool) or not isinstance(record[key], types):
+            raise SchemaError(f"{path}: key {key!r} has a value of the wrong type")
     return record
 
 
@@ -155,8 +158,14 @@ def _load_split(data_dir: str, split: str):
                    else gen_cfg["latent_seed_seen"])
     latents = make_latents(graph, gen_cfg["feature_dim"], latent_seed)
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
-    raw = _read_record(base / f"episodes_{split}.json", ("episodes",))
-    episodes = [episode_from_dict(d) for d in raw["episodes"]]
+    path = base / f"episodes_{split}.json"
+    raw = _read_record(path, {"episodes": list})
+    episodes = []
+    for i, d in enumerate(raw["episodes"]):
+        try:
+            episodes.append(episode_from_dict(d))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: episode {i}: {exc}") from exc
     return env, episodes, gen_cfg
 
 
@@ -236,7 +245,8 @@ def _eval_unit(payload):
         choose = teacher_policy(ep)
     else:
         choose = random_policy(substream(seed, "random-agent", idx))
-    rec = rollout(env, ep, t_max, choose, params, mcfg, label=recovery_label)
+    with nn.no_tape():
+        rec = rollout(env, ep, t_max, choose, params, mcfg, label=recovery_label)
     row = evaluate(EpisodeResult(env.graph, rec.route, ep.gt_path))
     return idx, row, [_trace_line(t, s) for t, s in enumerate(rec.steps)]
 

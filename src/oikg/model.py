@@ -228,53 +228,62 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
 # -------------------------------------------------------------- candidates
 
 
-def geometric_pe(candidate_heading: float, view_headings,
-                 params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    """Positional embedding from the offset to the nearest panorama view.
-
-    Input is [distance, sin(offset), cos(offset)]; disabled flag gives an
-    exact zero vector without touching any parameter.
-    """
-    if not cfg.geo_embed:
-        return nn.Tensor(np.zeros(cfg.graph_dim))
-    _record("geometric-pe")
-    idx, dist = nearest_view(candidate_heading, view_headings)
-    off = candidate_heading - view_headings[idx]
-    feats = nn.Tensor(np.array([dist, math.sin(off), math.cos(off)]))
-    return nn.linear(feats, params["graph.pe.w"], params["graph.pe.b"])
-
-
-def candidate_features(heading: float, elevation: float, pe: nn.Tensor,
-                       params: nn.ParamStore) -> nn.Tensor:
-    """Edge-direction row: projected trig embedding plus positional term."""
-    base = nn.linear(nn.Tensor(np.asarray(trig_embed(heading, elevation))),
-                     params["graph.edge.w"], params["graph.edge.b"])
-    return nn.add(base, pe)
-
-
-def stop_features(params: nn.ParamStore) -> nn.Tensor:
-    return nn.reshape(params["graph.stop"], (params["graph.stop"].shape[1],))
-
-
 def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
                      cfg: ModelConfig) -> tuple[nn.Tensor, list]:
     """One feature row per frontier node (sorted by id) plus the STOP row.
 
     A frontier node adjacent to the current node uses its edge direction;
-    one attached elsewhere uses the straight-line direction to it.
+    one attached elsewhere uses the straight-line direction to it.  Row i is
+    (t_i W_edge + b_edge) + (p_i W_pe + b_pe): t_i is the trig embedding of
+    that direction and p_i = [distance, sin(offset), cos(offset)] its offset
+    to the nearest panorama view.  With geo_embed off the positional term is
+    an exact zero that touches no parameter.  The last row is the learned
+    STOP embedding.
+
+    All rows are one tape node.  Each row is its own vector-matrix product,
+    not a row of one batched product, whose last bits can differ; backward
+    adds each row's terms into the parameters row by row, in row order, so
+    forward values and gradients are bitwise those of one linear node per
+    term and row.
     """
     graph = pg.graph
     order = pg.frontier()
-    rows = []
+    w_e, b_e = params["graph.edge.w"], params["graph.edge.b"]
+    stop = params["graph.stop"]
+    parents = (w_e, b_e, stop)
+    if cfg.geo_embed:
+        w_p, b_p = params["graph.pe.w"], params["graph.pe.b"]
+        parents += (w_p, b_p)
+    edge_in, pe_in, rows = [], [], []
     for c in order:
         if graph.has_edge(pg.current, c):
             pose = graph.edge_pose(pg.current, c)
         else:
             pose = relative_pose(graph.nodes[pg.current].pos, graph.nodes[c].pos)
-        pe = geometric_pe(pose.heading, obs.headings, params, cfg)
-        rows.append(candidate_features(pose.heading, pose.elevation, pe, params))
-    rows.append(stop_features(params))
-    return nn.stack_rows(rows), order
+        t = np.asarray(trig_embed(pose.heading, pose.elevation))
+        edge_in.append(t)
+        row = t @ w_e.data + b_e.data
+        if cfg.geo_embed:
+            _record("geometric-pe")
+            idx, dist = nearest_view(pose.heading, obs.headings)
+            off = pose.heading - obs.headings[idx]
+            f = np.array([dist, math.sin(off), math.cos(off)])
+            pe_in.append(f)
+            rows.append(row + (f @ w_p.data + b_p.data))
+        else:
+            rows.append(row + 0.0)
+    rows.append(stop.data.reshape(stop.shape[1]))
+
+    def backward(g):
+        for i, t in enumerate(edge_in):
+            b_e.accumulate_grad(g[i])
+            w_e.accumulate_grad(np.outer(t, g[i]))
+            if pe_in:
+                b_p.accumulate_grad(g[i])
+                w_p.accumulate_grad(np.outer(pe_in[i], g[i]))
+        stop.accumulate_grad(g[-1].reshape(stop.shape))
+
+    return nn.tape_node(np.stack(rows), parents, backward), order
 
 
 def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
@@ -395,7 +404,8 @@ def select_action(scores, frontier_order) -> int:
 
 
 class EpisodeCache:
-    """Reuses instruction/panorama encodings inside one autograd graph.
+    """Reuses instruction/panorama encodings inside one autograd graph, and
+    the rendered panoramas of one episode's nodes.
 
     Valid only between backward passes: call reset() whenever a new loss
     graph starts, because encoded tensors belong to the previous graph.
@@ -404,10 +414,12 @@ class EpisodeCache:
     def __init__(self):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
+        self.views: dict[int, Observation] = {}
 
     def reset(self) -> None:
         self.instr = None
         self.obs.clear()
+        self.views.clear()
 
 
 def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,

@@ -259,6 +259,8 @@ def save_environment(path, graph: NavGraph) -> None:
 def graph_from_dict(data: dict) -> NavGraph:
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise SchemaError("environment must be an object with 'nodes' and 'edges'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise SchemaError("environment 'nodes' and 'edges' must be lists")
     nodes = []
     for i, entry in enumerate(data["nodes"]):
         try:
@@ -273,7 +275,10 @@ def graph_from_dict(data: dict) -> NavGraph:
     for i, pair in enumerate(data["edges"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"bad edge entry at index {i}: expected [from, to]")
-        u, v = int(pair[0]), int(pair[1])
+        try:
+            u, v = int(pair[0]), int(pair[1])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad edge entry at index {i}: {exc}") from exc
         key = (min(u, v), max(u, v))
         if key in seen:
             raise SchemaError(f"duplicate connection {list(key)}")
@@ -287,4 +292,8 @@ def graph_from_dict(data: dict) -> NavGraph:
 
 
 def load_environment(path) -> NavGraph:
-    return graph_from_dict(read_json(path))
+    data = read_json(path)
+    try:
+        return graph_from_dict(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -7,11 +7,14 @@ Shapes are limited to what the model needs (vectors, matrices, and
 head-batched 3-D matmuls) -- no general broadcasting beyond row-wise bias
 addition.
 
-Set ``DEBUG_FINITE = True`` to assert finiteness after every op.
+Set ``DEBUG_FINITE = True`` to assert finiteness after every op.  Inside
+``no_tape()`` ops record nothing: their outputs are untracked values, bitwise
+the same as with the tape on.
 """
 
 import math
 import struct
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +30,7 @@ from .errors import (
 from .rng import substream
 
 DEBUG_FINITE = False
+_TAPE_ON = True
 
 CHECKPOINT_MAGIC = b"OIKG0001"
 
@@ -69,8 +73,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, parents, backward) -> Tensor:
-    tracked = any(p.requires_grad for p in parents)
+@contextmanager
+def no_tape():
+    """Ops inside the scope build no graph, so nothing can backpropagate
+    through their outputs; the previous setting returns on exit."""
+    global _TAPE_ON
+    prev = _TAPE_ON
+    _TAPE_ON = False
+    try:
+        yield
+    finally:
+        _TAPE_ON = prev
+
+
+def tape_node(data, parents, backward) -> Tensor:
+    """The output of one op: tracked, with ``backward(g)`` routing the output
+    gradient into its tracked parents, when the tape is on and any parent is
+    tracked; otherwise a plain value.  Ops outside this module build their
+    tape nodes through it too."""
+    tracked = _TAPE_ON and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=tracked,
                   _parents=tuple(parents) if tracked else (),
                   _backward=backward if tracked else None)
@@ -98,7 +119,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _result(out_data, (a, b), backward)
+    return tape_node(out_data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -110,7 +131,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(-g, b.shape))
 
-    return _result(out_data, (a, b), backward)
+    return tape_node(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -122,7 +143,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
-    return _result(out_data, (a, b), backward)
+    return tape_node(out_data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -130,7 +151,7 @@ def scale(a: Tensor, s: float) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * s)
 
-    return _result(a.data * s, (a,), backward)
+    return tape_node(a.data * s, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,7 +180,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 b.accumulate_grad(a.data.transpose(0, 2, 1) @ g)
 
-    return _result(out_data, (a, b), backward)
+    return tape_node(out_data, (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -169,7 +190,7 @@ def relu(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * mask)
 
-    return _result(np.maximum(a.data, 0.0), (a,), backward)
+    return tape_node(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -177,7 +198,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
-    return _result(a.data.reshape(shape), (a,), backward)
+    return tape_node(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -188,7 +209,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.transpose(inv))
 
-    return _result(a.data.transpose(axes), (a,), backward)
+    return tape_node(a.data.transpose(axes), (a,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -204,20 +225,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 p.accumulate_grad(g[tuple(idx)])
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a 2-D matrix, one per row."""
-    if not rows:
-        raise InvalidArgument("stack_rows needs at least one row")
-
-    def backward(g):
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                r.accumulate_grad(g[i])
-
-    return _result(np.stack([r.data for r in rows], axis=0), rows, backward)
+    return tape_node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -225,7 +233,7 @@ def tsum(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.full(a.shape, float(g)))
 
-    return _result(a.data.sum(), (a,), backward)
+    return tape_node(a.data.sum(), (a,), backward)
 
 
 def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
@@ -242,7 +250,7 @@ def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
             np.add.at(dT, idx, g)
             table.accumulate_grad(dT)
 
-    return _result(table.data[idx], (table,), backward)
+    return tape_node(table.data[idx], (table,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -256,21 +264,35 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             dot = (g * p).sum(axis=axis, keepdims=True)
             a.accumulate_grad((g - dot) * p)
 
-    return _result(p, (a,), backward)
+    return tape_node(p, (a,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w + b, with the bias broadcast over rows."""
+    """y = x @ w + b for 1-D or 2-D x, the bias broadcast over rows; one
+    tape node, bitwise equal to ``add(matmul(x, w), b)``."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"linear input must be 1-D or 2-D, got {x.shape}")
     if w.data.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear shape mismatch {x.shape} @ {w.shape}")
-    y = matmul(x, w)
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    out_data = x.data @ w.data
     if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
-        y = add(y, b)
-    return y
+        out_data = out_data + b.data
+    vector = x.data.ndim == 1
+
+    def backward(g):
+        # the arrays, and their order, of the matmul + add pair this fuses
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g if vector else g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(w.data @ g if vector else g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(np.outer(x.data, g) if vector else x.data.T @ g)
+
+    return tape_node(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
 def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
@@ -333,7 +355,7 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
             d[int(target)] -= 1.0
             logits.accumulate_grad(d * float(g))
 
-    return _result(loss, (logits,), backward)
+    return tape_node(loss, (logits,), backward)
 
 
 # ------------------------------------------------------------- autodiff core

@@ -403,9 +403,14 @@ def episode_from_dict(data: dict) -> Episode:
     required = ("start", "gt_path", "tokens", "loc_mask", "obj_mask", "text")
     if not isinstance(data, dict) or any(k not in data for k in required):
         raise SchemaError(f"episode must contain {required}")
-    tokens = [int(t) for t in data["tokens"]]
-    loc = [bool(b) for b in data["loc_mask"]]
-    obj = [bool(b) for b in data["obj_mask"]]
+    try:
+        tokens = [int(t) for t in data["tokens"]]
+        loc = [bool(b) for b in data["loc_mask"]]
+        obj = [bool(b) for b in data["obj_mask"]]
+        gt_path = [int(n) for n in data["gt_path"]]
+        start = int(data["start"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad episode value: {exc}") from exc
     if not (len(tokens) == len(loc) == len(obj)):
         raise SchemaError("masks must match token count")
     for t in tokens:
@@ -413,10 +418,8 @@ def episode_from_dict(data: dict) -> Episode:
             raise SchemaError(f"token id {t} out of vocabulary")
     if any(a and b for a, b in zip(loc, obj)):
         raise SchemaError("location and object masks overlap")
-    gt_path = [int(n) for n in data["gt_path"]]
     if not gt_path:
         raise SchemaError("gt_path must be non-empty")
-    start = int(data["start"])
     if start != gt_path[0]:
         raise SchemaError("start must equal first gt_path node")
     instr = Instruction(tokens=tuple(tokens), location_mask=tuple(loc),

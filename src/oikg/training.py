@@ -103,8 +103,9 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
     """Walk one episode: run the model if `params` is given, act on
     `choose(t, step)`, and if `label` is given record `label(pg, episode,
     step)` as supervision (with its cross-entropy loss when the model ran).
-    Ends at STOP or after t_max steps.  Helpers are module globals looked up
-    at call time, so wrappers installed on them see every step."""
+    Ends at STOP or after t_max steps.  A node's panorama is rendered once
+    per `cache`, i.e. per episode.  Helpers are module globals looked up at
+    call time, so wrappers installed on them see every step."""
     pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
     cache = cache if cache is not None else EpisodeCache()
     rec = RolloutRecord()
@@ -113,8 +114,10 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
                           predicted=None, supervision=None, loss=None)
         scores = None
         if params is not None:
-            obs = render_observation(env.graph, pg.current, env.latents,
-                                     env.sigma, mcfg.view_grid)
+            obs = cache.views.get(pg.current)
+            if obs is None:
+                obs = cache.views[pg.current] = render_observation(
+                    env.graph, pg.current, env.latents, env.sigma, mcfg.view_grid)
             t0 = time.perf_counter()
             feats, step.predicted = forward_step(
                 pg, obs, episode.instruction, params, mcfg, cache)
@@ -275,8 +278,10 @@ def episode_loss(tf: RolloutRecord, sf: RolloutRecord, lam: float,
 
 def greedy_rollout(env: EnvBundle, episode: Episode, params,
                    mcfg: ModelConfig, t_max: int) -> list[int]:
-    """Trajectory executed by always taking the argmax action."""
-    return list(rollout(env, episode, t_max, greedy_policy, params, mcfg).route)
+    """Trajectory executed by always taking the argmax action; no tape is
+    built, since nothing backpropagates through an evaluation."""
+    with nn.no_tape():
+        return list(rollout(env, episode, t_max, greedy_policy, params, mcfg).route)
 
 
 def teacher_accuracy(records) -> float:

@@ -107,12 +107,20 @@ def test_a04_flag_bypasses_are_exact():
     graph, latents, ins, _ = frozen_gradient_fixture()
     rng = substream(104, "pe-sweep")
 
-    # geometric embedding off: the positional term is exactly zero
+    # geometric embedding off: the positional term is exactly zero, so with
+    # a zeroed edge projection every candidate row is zero
     cfg = replace(TINY_CONFIG, geo_embed=False)
     params = build_params(cfg, seed=0)
-    views, _ = cfg.view_grid.angles()
-    for h in rng.uniform(-math.pi, math.pi, size=64):
-        assert not model.geometric_pe(float(h), views, params, cfg).data.any()
+    params["graph.edge.w"].data[:] = 0.0
+    params["graph.edge.b"].data[:] = 0.0
+    headings = rng.uniform(-math.pi, math.pi, size=64)
+    star = graph_from([(0, (0.0, 0.0, 0.0))] + [
+        (i + 1, (math.cos(h), math.sin(h), 0.0)) for i, h in enumerate(headings)],
+        [(0, i + 1) for i in range(len(headings))])
+    f_g, _ = model.build_candidates(
+        PathGraph(star, start=0),
+        obs_at(star, make_latents(star, cfg.vis_dim, seed=0), 0, cfg), params, cfg)
+    assert f_g.shape == (65, cfg.graph_dim) and not f_g.data[:-1].any()
     with model.stage_trace() as trace:
         model.forward_step(PathGraph(graph, start=0),
                            obs_at(graph, latents, 0, cfg), ins, params, cfg)

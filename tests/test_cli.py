@@ -182,6 +182,36 @@ def test_data_file_missing_key_is_a_data_error(data_dir, tmp_path, capsys,
     assert repr(key) in capsys.readouterr().err
 
 
+def _edit_episodes(record):
+    record["episodes"] = 5
+
+
+def _edit_edge(record):
+    record["edges"][0] = [0, "x"]
+
+
+def _edit_feature_dim(record):
+    record["feature_dim"] = "x"
+
+
+@pytest.mark.parametrize("name, edit, entry", [
+    ("episodes_val_seen.json", _edit_episodes, "'episodes'"),
+    ("env.json", _edit_edge, "edge entry at index 0"),
+    ("config.json", _edit_feature_dim, "'feature_dim'"),
+])
+def test_data_file_wrong_value_type_is_a_data_error(data_dir, tmp_path, capsys,
+                                                    name, edit, entry):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    record = json.loads((copy / name).read_text())
+    edit(record)
+    (copy / name).write_text(json.dumps(record))
+    assert main(["eval", "--data", str(copy), "--out", str(tmp_path / "e"),
+                 "--agent", "oracle"]) == 3
+    err = capsys.readouterr().err
+    assert name in err and entry in err
+
+
 # ------------------------------------------------------------------- eval
 
 

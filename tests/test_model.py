@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from test_metrics import graph_from
+
 from oikg import model, nn
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, ShapeError
+from oikg.geometry import nearest_view, relative_pose, trig_embed
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
 
 TINY = model.TINY_CONFIG
@@ -121,64 +124,184 @@ def test_stage_trace_records_observation_mode(setup):
 # -------------------------------------------------------------- candidates
 
 
+# The per-candidate composition build_candidates replaced, kept as its
+# oracle: a positional linear, an edge linear and their sum per candidate,
+# each a matmul node and an add node, then one node stacking the rows.
+
+
+def oracle_stack_rows(rows):
+    def backward(g):
+        for i, r in enumerate(rows):
+            if r.requires_grad:
+                r.accumulate_grad(g[i])
+
+    return nn.tape_node(np.stack([r.data for r in rows], axis=0), rows, backward)
+
+
+def oracle_geometric_pe(candidate_heading, view_headings, params, cfg):
+    if not cfg.geo_embed:
+        return nn.Tensor(np.zeros(cfg.graph_dim))
+    idx, dist = nearest_view(candidate_heading, view_headings)
+    off = candidate_heading - view_headings[idx]
+    feats = nn.Tensor(np.array([dist, math.sin(off), math.cos(off)]))
+    return nn.add(nn.matmul(feats, params["graph.pe.w"]), params["graph.pe.b"])
+
+
+def oracle_candidate_features(heading, elevation, pe, params):
+    trig = nn.Tensor(np.asarray(trig_embed(heading, elevation)))
+    base = nn.add(nn.matmul(trig, params["graph.edge.w"]), params["graph.edge.b"])
+    return nn.add(base, pe)
+
+
+def oracle_build_candidates(pg, obs, params, cfg):
+    graph = pg.graph
+    order = pg.frontier()
+    rows = []
+    for c in order:
+        if graph.has_edge(pg.current, c):
+            pose = graph.edge_pose(pg.current, c)
+        else:
+            pose = relative_pose(graph.nodes[pg.current].pos, graph.nodes[c].pos)
+        pe = oracle_geometric_pe(pose.heading, obs.headings, params, cfg)
+        rows.append(oracle_candidate_features(pose.heading, pose.elevation, pe, params))
+    stop = params["graph.stop"]
+    rows.append(nn.reshape(stop, (stop.shape[1],)))
+    return oracle_stack_rows(rows), order
+
+
+def star_graph():
+    """Node 0 with neighbours at headings 0 (node 1), pi/2 (node 2) and
+    pi/4 (node 3)."""
+    return graph_from([(0, (0.0, 0.0, 0.0)), (1, (2.0, 0.0, 0.0)),
+                       (2, (0.0, 2.0, 0.0)), (3, (1.0, 1.0, 0.0))],
+                      [(0, 1), (0, 2), (0, 3)])
+
+
+def star_rows(params, cfg):
+    graph = star_graph()
+    latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
+    f_g, order = model.build_candidates(PathGraph(graph, start=0),
+                                        obs_at(graph, latents, 0, cfg), params, cfg)
+    assert order == [1, 2, 3]
+    return f_g.data
+
+
 def scripted_pe_params(params):
-    # read the 3-dim input back out through the first three output dims
-    params["graph.pe.w"].data[:] = 0.0
+    # zero edge term; read the 3-dim positional input back out through the
+    # first three output dims
+    for name in ("graph.edge.w", "graph.edge.b", "graph.pe.w", "graph.pe.b"):
+        params[name].data[:] = 0.0
     params["graph.pe.w"].data[0, 0] = 1.0
     params["graph.pe.w"].data[1, 1] = 1.0
     params["graph.pe.w"].data[2, 2] = 1.0
-    params["graph.pe.b"].data[:] = 0.0
 
 
 def test_geometric_pe_aligned_view(setup):
     *_, params = setup
     scripted_pe_params(params)
-    views = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-    pe = model.geometric_pe(math.pi / 2, views, params, TINY)
-    np.testing.assert_allclose(pe.data[:3], [0.0, 0.0, 1.0], atol=1e-12)
+    rows = star_rows(params, TINY)  # TINY views: 0, pi/2, pi, 3pi/2
+    np.testing.assert_allclose(rows[0, :3], [0.0, 0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(rows[1, :3], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_geometric_pe_between_views_ties_low_index(setup):
     *_, params = setup
     scripted_pe_params(params)
-    views = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
-    pe = model.geometric_pe(math.pi / 4, views, params, TINY)
+    rows = star_rows(params, TINY)
     np.testing.assert_allclose(
-        pe.data[:3], [math.pi / 4, math.sin(math.pi / 4), math.cos(math.pi / 4)],
+        rows[2, :3], [math.pi / 4, math.sin(math.pi / 4), math.cos(math.pi / 4)],
         atol=1e-12)
 
 
-def test_geometric_pe_off_is_exact_zero(setup):
-    *_, params = setup
+def test_geometric_pe_off_is_exact_zero():
     cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": False})
+    params = model.build_params(cfg, seed=0)
+    assert "graph.pe.w" not in params and "graph.pe.b" not in params
+    params["graph.edge.w"].data[:] = 0.0
+    params["graph.edge.b"].data[:] = 0.0
     with model.stage_trace() as trace:
-        pe = model.geometric_pe(1.2345, [0.0, 1.0], params, cfg)
-    np.testing.assert_array_equal(pe.data, np.zeros(cfg.graph_dim))
+        rows = star_rows(params, cfg)
+    np.testing.assert_array_equal(rows[:-1], np.zeros((3, cfg.graph_dim)))
     assert "geometric-pe" not in trace
 
 
-def test_candidate_features_zero_angles(setup):
-    *_, params = setup
-    pe = nn.Tensor(np.zeros(TINY.graph_dim))
-    out = model.candidate_features(0.0, 0.0, pe, params)
+def test_candidate_features_zero_angles():
+    cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": False})
+    params = model.build_params(cfg, seed=0)
+    rows = star_rows(params, cfg)  # node 1 lies at heading 0, elevation 0
     expect = np.array([0.0, 1.0, 0.0, 1.0]) @ params["graph.edge.w"].data \
         + params["graph.edge.b"].data
-    np.testing.assert_array_equal(out.data, expect)
+    np.testing.assert_array_equal(rows[0], expect)
 
 
 def test_candidate_features_pe_additivity(setup):
     *_, params = setup
     rng = np.random.default_rng(3)
-    pe = nn.Tensor(rng.normal(size=TINY.graph_dim))
-    zero = nn.Tensor(np.zeros(TINY.graph_dim))
-    with_pe = model.candidate_features(0.7, -0.2, pe, params)
-    without = model.candidate_features(0.7, -0.2, zero, params)
-    np.testing.assert_allclose(with_pe.data - without.data, pe.data, atol=1e-12)
-    # with a zeroed base path the addition is exact to the bit
+    params["graph.pe.w"].data[:] = rng.normal(size=params["graph.pe.w"].shape)
+    params["graph.pe.b"].data[:] = rng.normal(size=params["graph.pe.b"].shape)
+    off_cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": False})
+    views, _ = TINY.view_grid.angles()
+    pe = np.stack([oracle_geometric_pe(h, views, params, TINY).data
+                   for h in (0.0, math.pi / 2, math.pi / 4)])
+    with_pe = star_rows(params, TINY)
+    without = star_rows(params, off_cfg)
+    np.testing.assert_allclose(with_pe[:-1] - without[:-1], pe, atol=1e-12)
+    np.testing.assert_array_equal(with_pe[-1], without[-1])
+    # with a zeroed edge path the addition is exact to the bit
     params["graph.edge.w"].data[:] = 0.0
     params["graph.edge.b"].data[:] = 0.0
-    np.testing.assert_array_equal(
-        model.candidate_features(0.7, -0.2, pe, params).data, pe.data)
+    np.testing.assert_array_equal(star_rows(params, TINY)[:-1], pe)
+
+
+def two_node_graph():
+    return graph_from([(0, (0.0, 0.0, 0.0)), (1, (1.0, 2.0, 0.5))], [(0, 1)])
+
+
+@pytest.mark.parametrize("geo_embed", [True, False])
+@pytest.mark.parametrize("walk", ["adjacent-and-not", "empty-frontier"])
+def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
+    """Rows and every parameter gradient equal the per-candidate tape's to
+    the bit, over a loss that sums the rows of every step of a walk."""
+    cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": geo_embed})
+    graph, moves = ((tiny_graph(), [1, 3, 2]) if walk == "adjacent-and-not"
+                    else (two_node_graph(), [1]))
+    latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
+    params = model.build_params(cfg, seed=5)
+    rng = np.random.default_rng(13)
+    weights = [nn.Tensor(rng.normal(size=(4, cfg.graph_dim)))
+               for _ in range(len(moves) + 1)]
+
+    def run(build):
+        params.zero_grad()
+        pg = PathGraph(graph, start=0)
+        rows, total = [], None
+        for t in range(len(moves) + 1):
+            f_g, order = build(pg, obs_at(graph, latents, pg.current, cfg), params, cfg)
+            assert order == pg.frontier()
+            n = f_g.shape[0]
+            term = nn.tsum(nn.mul(f_g, nn.Tensor(weights[t].data[:n])))
+            total = term if total is None else nn.add(total, term)
+            rows.append(f_g.data)
+            if t < len(moves):
+                pg.advance(moves[t])
+        nn.backward(total)
+        return rows, {n: params[n].grad.copy() for n in params.names()
+                      if params[n].grad is not None}
+
+    rows, grads = run(model.build_candidates)
+    want_rows, want_grads = run(oracle_build_candidates)
+    shapes = [r.shape[0] for r in rows]
+    if walk == "adjacent-and-not":
+        assert shapes == [3, 3, 2, 1]  # frontier {2, 3} at node 1: 2 is not adjacent
+    else:
+        assert shapes == [2, 1]        # STOP only once every node is visited
+    for got, want in zip(rows, want_rows):
+        np.testing.assert_array_equal(got, want)
+    assert sorted(grads) == sorted(want_grads)
+    assert {"graph.edge.w", "graph.stop"} <= set(grads)
+    assert ("graph.pe.w" in grads) == geo_embed
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
 
 
 def test_stop_slot_is_learned_embedding(setup):

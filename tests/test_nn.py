@@ -161,6 +161,8 @@ def test_linear_shape_errors():
         nn.linear(nn.Tensor(np.zeros((2, 5))), w)
     with pytest.raises(ShapeError):
         nn.linear(x, w, nn.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        nn.linear(nn.Tensor(np.zeros((2, 2, 3))), w)
 
 
 def test_embedding_lookup_and_bounds():
@@ -194,6 +196,42 @@ def test_backward_requires_scalar_tracked_fresh_graph():
     np.testing.assert_allclose(w.grad, [2.0, 4.0], atol=1e-12)
     with pytest.raises(InvalidState):
         nn.backward(loss)
+
+
+def test_no_tape_values_match_and_nothing_is_recorded():
+    rng = np.random.default_rng(10)
+    x = rand_tensor(rng, (2, 3))
+    w = rand_tensor(rng, (3, 4))
+    b = rand_tensor(rng, (4,))
+
+    def forward():
+        return nn.softmax(nn.relu(nn.linear(x, w, b)))
+
+    taped = forward()
+    with nn.no_tape():
+        plain = forward()
+        loss = nn.tsum(plain)
+    np.testing.assert_array_equal(plain.data, taped.data)
+    assert taped.requires_grad and taped._parents
+    assert not plain.requires_grad and plain._parents == ()
+    with pytest.raises(InvalidState):
+        nn.backward(loss)
+    assert nn.linear(x, w, b).requires_grad  # the tape is back on after the scope
+
+
+def test_no_tape_restores_after_exception_and_nesting():
+    w = nn.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ShapeError):
+        with nn.no_tape():
+            nn.matmul(w, w)
+    assert nn.relu(w).requires_grad
+    with nn.no_tape():
+        with nn.no_tape():
+            pass
+        assert not nn.relu(w).requires_grad  # an inner scope leaves it off
+    loss = nn.tsum(nn.mul(w, w))
+    nn.backward(loss)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
 
 def test_grad_accumulates_across_reuse():
@@ -236,6 +274,47 @@ def test_fd_matmul_all_ranks():
     check_grads(lambda: nn.tsum(nn.mul(nn.matmul(bm1, bm2), cb)), [bm1, bm2])
 
 
+@pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_fd_linear(x_shape, with_bias):
+    rng = np.random.default_rng(8)
+    x = rand_tensor(rng, x_shape)
+    w = rand_tensor(rng, (3, 5))
+    b = rand_tensor(rng, (5,)) if with_bias else None
+    c = nn.Tensor(rng.normal(size=x_shape[:-1] + (5,)))
+    check_grads(lambda: nn.tsum(nn.mul(nn.linear(x, w, b), c)),
+                [x, w] + ([b] if with_bias else []))
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_is_bitwise_matmul_then_add(x_shape, with_bias):
+    """The fused node computes the arrays of the matmul + add pair it replaces."""
+    rng = np.random.default_rng(9)
+    x = rand_tensor(rng, x_shape)
+    w = rand_tensor(rng, (3, 5))
+    b = rand_tensor(rng, (5,)) if with_bias else None
+    c = nn.Tensor(rng.normal(size=x_shape[:-1] + (5,)))
+    leaves = [x, w] + ([b] if with_bias else [])
+
+    def run(fused):
+        y = nn.linear(x, w, b) if fused else nn.matmul(x, w)
+        if b is not None and not fused:
+            y = nn.add(y, b)
+        # x feeds the loss twice, so the order of its gradient terms counts
+        loss = nn.add(nn.tsum(nn.mul(y, c)), nn.tsum(nn.mul(x, x)))
+        for t in leaves:
+            t.grad = None
+        nn.backward(loss)
+        return y.data, [t.grad.copy() for t in leaves]
+
+    y_fused, g_fused = run(True)
+    y_pair, g_pair = run(False)
+    np.testing.assert_array_equal(y_fused, y_pair)
+    for a, b_ in zip(g_fused, g_pair):
+        np.testing.assert_array_equal(a, b_)
+
+
 def test_fd_relu_softmax_mean():
     rng = np.random.default_rng(4)
     x = rand_tensor(rng, (3, 5))
@@ -255,7 +334,8 @@ def test_fd_concat_stack_reshape_transpose():
     c = nn.Tensor(rng.normal(size=(2, 12)))
 
     def make_loss():
-        m = nn.stack_rows([r1, r2, r3])                     # (3, 4)
+        m = nn.concat([nn.reshape(r, (1, 4)) for r in (r1, r2, r3)],
+                      axis=0)                               # (3, 4)
         m2 = nn.concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
         m3 = nn.reshape(nn.transpose(m2, (1, 0)), (2, 12))  # (2, 12)
         return nn.tsum(nn.mul(m3, c))
