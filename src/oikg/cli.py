@@ -49,9 +49,12 @@ CHOICES = {
 }
 
 # keys of the `gen` config.json that the other commands read, with their types
-GEN_KEYS = {"feature_dim": int, "sigma": (int, float), "mode": str,
+GEN_KEYS = {"feature_dim": int, "sigma": float, "mode": str,
             "latent_seed_seen": int, "latent_seed_unseen": int}
 
+# each command's settings, the one declaration of its flags: a key becomes
+# --key-with-dashes (lam becomes --lambda), typed by its default, a bool
+# default makes a switch, and CHOICES limit the values
 DEFAULTS = {
     "gen": {"nodes": 30, "radius": 3.5, "extent": 10.0, "feature_dim": 10,
             "sigma": 0.1, "episodes": 40, "val_episodes": 0,
@@ -59,14 +62,33 @@ DEFAULTS = {
     "train": {"iters": 200, "lam": 0.2, "lr": 1e-3, "batch": 2, "t_max": 0,
               "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny",
               "swap_lambda": False, "eval_every": 0},
-    "eval": {"agent": "model", "split": "val_seen", "t_max": 30, "seed": 0,
-             "flags": "MED,GE,LD,OD", "model": "tiny", "ckpt": "", "jobs": 1},
+    "eval": {"ckpt": "", "agent": "model", "split": "val_seen", "t_max": 30,
+             "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny", "jobs": 1},
     "ablate": {"iters": 60, "seeds": 3, "t_max": 0, "batch": 2, "lr": 3e-3,
                "lam": 0.2, "timing_steps": 1000, "model": "tiny",
                "grid": "all", "jobs": 1},
     "probe": {"which": "all", "seeds": 5, "t_max": 0, "lam": 0.2,
-              "train_iters": 0, "model": "tiny", "probe_episodes": 4,
-              "lr": 3e-3, "batch": 2},
+              "train_iters": 0, "lr": 3e-3, "batch": 2, "model": "tiny",
+              "probe_episodes": 4},
+}
+
+COMMAND_HELP = {
+    "gen": "generate environments and episode splits",
+    "train": "train an agent on generated data",
+    "eval": "evaluate an agent, writing metrics and traces",
+    "ablate": "train/evaluate the component grid",
+    "probe": "gradient / key-detail probes",
+}
+
+SETTING_HELP = {
+    "feature_dim": "observation feature size; must match the model's visual "
+                   "dim (tiny: 10, full: 32)",
+    "val_episodes": "per-split validation episode count (0: episodes/5)",
+    "lam": "teacher-forcing weight in the mixed loss",
+    "t_max": "step cap per episode (0: 15, or 30 for detour data)",
+    "flags": "comma subset of MED,GE,LD,OD",
+    "seeds": "number of seeds (0..N-1) per variant",
+    "grid": "'all' or comma list of labels like MG--,MGLO",
 }
 
 # keys that describe where a run lives rather than what it computes; they
@@ -133,17 +155,25 @@ def _derived_seed(seed: int, *tags) -> int:
     return int(substream(seed, *tags).integers(0, 2 ** 31 - 1))
 
 
+def _has_type(value, kind: type) -> bool:
+    """Whether a JSON value fits a setting of type `kind`: a bool only where
+    `kind` is bool, and an int also where it is float."""
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
+
+
 def _read_record(path, keys: dict) -> dict:
     """A JSON object from a data file holding every key in `keys` with a
-    value of the type(s) it maps to; anything else is a data error naming
-    the first key missing or mistyped."""
+    value of the type it maps to; anything else is a data error naming the
+    first key missing or mistyped."""
     record = read_json(path)
     if not isinstance(record, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    for key, types in keys.items():
+    for key, kind in keys.items():
         if key not in record:
             raise SchemaError(f"{path}: missing key {key!r}")
-        if isinstance(record[key], bool) or not isinstance(record[key], types):
+        if not _has_type(record[key], kind):
             raise SchemaError(f"{path}: key {key!r} has a value of the wrong type")
     return record
 
@@ -179,7 +209,8 @@ def _default_t_max(cfg: dict, gen_cfg: dict) -> int:
 
 
 def cmd_gen(cfg: dict) -> None:
-    out = _resolve_out(cfg["out"])
+    if cfg["episodes"] < 0 or cfg["val_episodes"] < 0:
+        raise InvalidArgument("episode counts must be >= 0")
     n_val = cfg["val_episodes"] or max(1, cfg["episodes"] // 5)
     envs = {}
     for name in ("seen", "unseen"):
@@ -196,6 +227,7 @@ def cmd_gen(cfg: dict) -> None:
         "val_unseen": [make_episode(envs["unseen"], seed=j, mode=cfg["mode"])
                        for j in range(n_val)],
     }
+    out = _resolve_out(cfg["out"])
     save_environment(out / "env.json", envs["seen"])
     save_environment(out / "env_unseen.json", envs["unseen"])
     save_vocab(out / "vocab.json")
@@ -304,27 +336,37 @@ def cmd_ablate(cfg: dict) -> None:
 
 
 def cmd_probe(cfg: dict) -> None:
-    out = _resolve_out(cfg["out"])
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
     base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
     data = [(env, ep) for ep in episodes[:cfg["probe_episodes"]]]
     seeds = tuple(range(cfg["seeds"]))
     t_max = _default_t_max(cfg, gen_cfg)
-    h = archive_config(out, "probe", cfg)
+    probes = {}
     if cfg["which"] in ("grad", "all"):
-        probe = grad_probe(data, seeds, base, lam=cfg["lam"], t_max=t_max)
-        probe["config_hash"] = h
-        write_json(out / "probe_grad.json", probe)
+        probes["grad"] = grad_probe(data, seeds, base, lam=cfg["lam"],
+                                    t_max=t_max)
     if cfg["which"] in ("detail", "all"):
         tcfg = (_train_config(cfg, t_max, cfg["train_iters"])
                 if cfg["train_iters"] > 0 else None)
-        probe = detail_probe(data, data, seeds, base, train_cfg=tcfg)
+        probes["detail"] = detail_probe(data, data, seeds, base, train_cfg=tcfg)
+    out = _resolve_out(cfg["out"])
+    h = archive_config(out, "probe", cfg)
+    for name, probe in probes.items():
         probe["config_hash"] = h
-        write_json(out / "probe_detail.json", probe)
+        write_json(out / f"probe_{name}.json", probe)
 
 
 # ------------------------------------------------------------- plumbing
+
+
+def _flag(key: str) -> str:
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+def _path_keys(cmd: str) -> tuple:
+    """The required flags naming where a run reads its data and writes."""
+    return ("out",) if cmd == "gen" else ("data", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,90 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic navigation pipeline: generate worlds, train "
                     "the agent, evaluate, and run ablations/probes.")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("gen", help="generate environments and episode splits")
-    g.add_argument("--out", required=True)
-    g.add_argument("--config", default=sup)
-    g.add_argument("--nodes", type=int, default=sup)
-    g.add_argument("--radius", type=float, default=sup)
-    g.add_argument("--extent", type=float, default=sup)
-    g.add_argument("--feature-dim", type=int, default=sup,
-                   help="observation feature size; must match the model's "
-                        "visual dim (tiny: 10, full: 32)")
-    g.add_argument("--sigma", type=float, default=sup)
-    g.add_argument("--episodes", type=int, default=sup)
-    g.add_argument("--val-episodes", type=int, default=sup,
-                   help="per-split validation episode count (0: episodes/5)")
-    g.add_argument("--mode", choices=CHOICES["mode"], default=sup)
-    g.add_argument("--seed", type=int, default=sup)
-
-    t = sub.add_parser("train", help="train an agent on generated data")
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--config", default=sup)
-    t.add_argument("--iters", type=int, default=sup)
-    t.add_argument("--lambda", dest="lam", type=float, default=sup,
-                   help="teacher-forcing weight in the mixed loss")
-    t.add_argument("--lr", type=float, default=sup)
-    t.add_argument("--batch", type=int, default=sup)
-    t.add_argument("--t-max", type=int, default=sup,
-                   help="step cap per episode (0: 15, or 30 for detour data)")
-    t.add_argument("--seed", type=int, default=sup)
-    t.add_argument("--flags", default=sup,
-                   help="comma subset of MED,GE,LD,OD")
-    t.add_argument("--model", choices=CHOICES["model"], default=sup)
-    t.add_argument("--swap-lambda", action="store_true", default=sup)
-    t.add_argument("--eval-every", type=int, default=sup)
-
-    e = sub.add_parser("eval", help="evaluate an agent, writing metrics and traces")
-    e.add_argument("--data", required=True)
-    e.add_argument("--out", required=True)
-    e.add_argument("--config", default=sup)
-    e.add_argument("--ckpt", default=sup)
-    e.add_argument("--agent", choices=CHOICES["agent"], default=sup)
-    e.add_argument("--split", choices=CHOICES["split"], default=sup)
-    e.add_argument("--t-max", type=int, default=sup)
-    e.add_argument("--seed", type=int, default=sup)
-    e.add_argument("--flags", default=sup)
-    e.add_argument("--model", choices=CHOICES["model"], default=sup)
-    e.add_argument("--jobs", type=int, default=sup)
-
-    a = sub.add_parser("ablate", help="train/evaluate the component grid")
-    a.add_argument("--data", required=True)
-    a.add_argument("--out", required=True)
-    a.add_argument("--config", default=sup)
-    a.add_argument("--iters", type=int, default=sup)
-    a.add_argument("--seeds", type=int, default=sup,
-                   help="number of seeds (0..N-1) per grid cell")
-    a.add_argument("--t-max", type=int, default=sup)
-    a.add_argument("--batch", type=int, default=sup)
-    a.add_argument("--lr", type=float, default=sup)
-    a.add_argument("--lambda", dest="lam", type=float, default=sup)
-    a.add_argument("--timing-steps", type=int, default=sup)
-    a.add_argument("--model", choices=CHOICES["model"], default=sup)
-    a.add_argument("--grid", default=sup,
-                   help="'all' or comma list of labels like MG--,MGLO")
-    a.add_argument("--jobs", type=int, default=sup)
-
-    r = sub.add_parser("probe", help="gradient / key-detail probes")
-    r.add_argument("--data", required=True)
-    r.add_argument("--out", required=True)
-    r.add_argument("--config", default=sup)
-    r.add_argument("--which", choices=CHOICES["which"], default=sup)
-    r.add_argument("--seeds", type=int, default=sup)
-    r.add_argument("--t-max", type=int, default=sup)
-    r.add_argument("--lambda", dest="lam", type=float, default=sup)
-    r.add_argument("--train-iters", type=int, default=sup)
-    r.add_argument("--lr", type=float, default=sup)
-    r.add_argument("--batch", type=int, default=sup)
-    r.add_argument("--model", choices=CHOICES["model"], default=sup)
-    r.add_argument("--probe-episodes", type=int, default=sup)
-
+    for cmd, settings in DEFAULTS.items():
+        s = sub.add_parser(cmd, help=COMMAND_HELP[cmd])
+        for key in _path_keys(cmd):
+            s.add_argument(_flag(key), required=True)
+        s.add_argument("--config", default=sup)
+        for key, default in settings.items():
+            kind = ({"action": "store_true"} if isinstance(default, bool) else
+                    {"type": type(default), "choices": CHOICES.get(key)})
+            s.add_argument(_flag(key), dest=key, default=sup,
+                           help=SETTING_HELP.get(key), **kind)
     return p
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags.  A config-file field must
+    name one of the command's flags and pass that flag's type and choice
+    checks; an int given for a float setting becomes a float, as it would
+    from the flag."""
     given = {k: v for k, v in vars(args).items() if k != "cmd"}
     merged = dict(DEFAULTS[args.cmd])
     cfg_path = given.pop("config", None)
@@ -425,17 +401,22 @@ def merge_config(args: argparse.Namespace) -> dict:
         loaded = read_json(cfg_path)
         if not isinstance(loaded, dict):
             raise InvalidArgument(f"config file {cfg_path} is not a JSON object")
-        allowed = set(merged) | {"out", "data", "ckpt"}
-        unknown = sorted(set(loaded) - allowed)
+        kinds = dict.fromkeys(_path_keys(args.cmd), str) | {
+            k: type(v) for k, v in DEFAULTS[args.cmd].items()}
+        unknown = sorted(set(loaded) - set(kinds))
         if unknown:
             raise InvalidArgument(
                 f"unknown config fields {unknown} for command {args.cmd!r}")
-        merged.update(loaded)
+        for key, value in loaded.items():
+            if not _has_type(value, kinds[key]):
+                raise InvalidArgument(
+                    f"config field {key!r} needs a value of type "
+                    f"{kinds[key].__name__}, got {value!r}")
+            if key in CHOICES and value not in CHOICES[key]:
+                raise InvalidArgument(
+                    f"invalid {key} {value!r}; choose from {CHOICES[key]}")
+            merged[key] = kinds[key](value)
     merged.update(given)
-    for key, allowed_values in CHOICES.items():
-        if key in merged and merged[key] not in allowed_values:
-            raise InvalidArgument(
-                f"invalid {key} {merged[key]!r}; choose from {allowed_values}")
     return merged
 
 

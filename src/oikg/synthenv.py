@@ -228,6 +228,9 @@ def generate_environment(p: EnvParams) -> NavGraph:
         raise InvalidArgument("connection_radius and extent must be > 0")
     if p.sigma < 0:
         raise InvalidArgument("sigma must be >= 0")
+    if p.feature_dim <= ROOM_COUNT:
+        raise InvalidArgument(
+            f"feature dim must exceed {ROOM_COUNT}, got {p.feature_dim}")
 
     for attempt in range(_MAX_ENV_ATTEMPTS):
         rng = substream(p.seed, "env", attempt)

@@ -56,7 +56,6 @@ class EnvBundle:
     graph: NavGraph
     latents: LatentTable
     sigma: float = 0.0
-    local_only: bool = False
 
 
 @dataclass
@@ -106,7 +105,7 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
     Ends at STOP or after t_max steps.  A node's panorama is rendered once
     per `cache`, i.e. per episode.  Helpers are module globals looked up at
     call time, so wrappers installed on them see every step."""
-    pg = PathGraph(env.graph, episode.start, local_only=env.local_only)
+    pg = PathGraph(env.graph, episode.start)
     cache = cache if cache is not None else EpisodeCache()
     rec = RolloutRecord()
     for t in range(t_max):

@@ -237,8 +237,7 @@ def test_a08_recovery_labels_match_bruteforce_exhaustively():
         for g_seed in range(2):
             g = generate_environment(EnvParams(node_count=node_count,
                                                connection_radius=6.0,
-                                               extent=8.0, feature_dim=4,
-                                               seed=g_seed))
+                                               extent=8.0, seed=g_seed))
             d = floyd_warshall(g)
             rng = substream(g_seed, "deviation-sweep", node_count)
             ids = g.node_ids()

@@ -1,12 +1,14 @@
 """Command-line surface: files, exit codes, determinism."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from oikg import cli, nn
+from oikg.artifacts import canonical_json
 from oikg.cli import main
 from oikg.metrics import EpisodeResult  # noqa: F401  (re-export sanity)
 from oikg.model import TINY_CONFIG, build_params
@@ -16,6 +18,44 @@ from oikg.synthenv import episode_from_dict
 GEN_ARGS = ["--nodes", "14", "--radius", "4.0", "--extent", "11.0",
             "--episodes", "4", "--val-episodes", "2", "--sigma", "0",
             "--seed", "7"]
+
+
+# the command-line surface, pinned: each command's flags with the setting
+# each one sets and the type its value parses to
+PATH_FLAGS = {"--data": ("data", str), "--out": ("out", str),
+              "--config": ("config", str)}
+SURFACE = {
+    "gen": {"--nodes": ("nodes", int), "--radius": ("radius", float),
+            "--extent": ("extent", float), "--feature-dim": ("feature_dim", int),
+            "--sigma": ("sigma", float), "--episodes": ("episodes", int),
+            "--val-episodes": ("val_episodes", int), "--mode": ("mode", str),
+            "--seed": ("seed", int)},
+    "train": {"--iters": ("iters", int), "--lambda": ("lam", float),
+              "--lr": ("lr", float), "--batch": ("batch", int),
+              "--t-max": ("t_max", int), "--seed": ("seed", int),
+              "--flags": ("flags", str), "--model": ("model", str),
+              "--swap-lambda": ("swap_lambda", bool),
+              "--eval-every": ("eval_every", int)},
+    "eval": {"--ckpt": ("ckpt", str), "--agent": ("agent", str),
+             "--split": ("split", str), "--t-max": ("t_max", int),
+             "--seed": ("seed", int), "--flags": ("flags", str),
+             "--model": ("model", str), "--jobs": ("jobs", int)},
+    "ablate": {"--iters": ("iters", int), "--seeds": ("seeds", int),
+               "--t-max": ("t_max", int), "--batch": ("batch", int),
+               "--lr": ("lr", float), "--lambda": ("lam", float),
+               "--timing-steps": ("timing_steps", int),
+               "--model": ("model", str), "--grid": ("grid", str),
+               "--jobs": ("jobs", int)},
+    "probe": {"--which": ("which", str), "--seeds": ("seeds", int),
+              "--t-max": ("t_max", int), "--lambda": ("lam", float),
+              "--train-iters": ("train_iters", int), "--lr": ("lr", float),
+              "--batch": ("batch", int), "--model": ("model", str),
+              "--probe-episodes": ("probe_episodes", int)},
+}
+
+
+def path_args(cmd):
+    return ["--out", "o"] if cmd == "gen" else ["--data", "d", "--out", "o"]
 
 
 def tree_hashes(root):
@@ -76,6 +116,11 @@ def test_gen_usage_errors(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "x"), "--mode", "spiral"]) == 2
     assert main(["gen"]) == 2  # --out required
     assert main(["spelunk"]) == 2  # unknown command
+    for bad in (["--episodes", "-1"], ["--val-episodes", "-2"],
+                ["--feature-dim", "3"]):
+        out = tmp_path / "y"
+        assert main(["gen", "--out", str(out)] + bad) == 2
+        assert not out.exists()
 
 
 def test_gen_unwritable_path(tmp_path):
@@ -141,12 +186,72 @@ def test_config_file_merge_and_override(data_dir, tmp_path):
                  "--out", str(tmp_path / "o3"), "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("cmd", sorted(SURFACE))
+def test_cli_surface_is_pinned(cmd, capsys):
+    flags = dict(PATH_FLAGS, **SURFACE[cmd])
+    if cmd == "gen":
+        del flags["--data"]
+    assert main([cmd, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == set(flags)
+    parser = cli.build_parser()
+    for flag, (dest, kind) in flags.items():
+        if flag in PATH_FLAGS:
+            argv, want = [flag, "p"], "p"
+        elif kind is bool:
+            argv, want = [flag], True
+        else:
+            want = cli.DEFAULTS[cmd][dest]
+            argv = [flag, str(want)]
+        given = vars(parser.parse_args([cmd] + path_args(cmd) + argv))
+        assert type(given[dest]) is kind and given[dest] == want
+    assert {dest: kind for dest, kind in SURFACE[cmd].values()} == {
+        key: type(default) for key, default in cli.DEFAULTS[cmd].items()}
+
+
+def _other_values(cmd, key):
+    """Values of a setting other than its default, of the setting's own
+    type; an int where the setting is a float."""
+    default = cli.DEFAULTS[cmd][key]
+    if isinstance(default, bool):
+        return [not default]
+    if key in cli.CHOICES:
+        return [v for v in cli.CHOICES[key] if v != default]
+    if isinstance(default, str):
+        return ["x" + default]
+    if isinstance(default, float):
+        return [default + 1.5, 2]
+    return [default + 3]
+
+
+@pytest.mark.parametrize("cmd, key", [(cmd, key) for cmd in cli.DEFAULTS
+                                      for key in cli.DEFAULTS[cmd]])
+def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
+    parser = cli.build_parser()
+    cfg = tmp_path / "c.json"
+    flag, = (f for f, (dest, _) in SURFACE[cmd].items() if dest == key)
+    for value in _other_values(cmd, key):
+        argv = [flag] if value is True else [flag, str(value)]
+        by_flag = cli.merge_config(parser.parse_args([cmd] + path_args(cmd) + argv))
+        cfg.write_text(json.dumps({key: value}))
+        by_file = cli.merge_config(parser.parse_args(
+            [cmd] + path_args(cmd) + ["--config", str(cfg)]))
+        assert by_flag[key] == value and by_flag[key] != cli.DEFAULTS[cmd][key]
+        assert canonical_json(by_file) == canonical_json(by_flag)
+
+
 @pytest.mark.parametrize("argv, content", [
     (["eval"], {"agent": "oracel"}),
     (["probe"], {"which": "grads"}),
     (["eval", "--agent", "oracle"], {"model": "huge"}),
     (["train"], ["iters"]),
-], ids=["agent", "which", "model", "not_an_object"])
+    (["train"], {"iters": "3"}),
+    (["train"], {"batch": 1.5}),
+    (["train"], {"swap_lambda": "no"}),
+    (["train"], {"iters": True}),
+    (["train"], {"ckpt": "x"}),
+], ids=["agent", "which", "model", "not_an_object", "str_for_int",
+        "float_for_int", "str_for_bool", "bool_for_int", "flag_of_another_command"])
 def test_config_file_values_are_checked_like_flags(data_dir, tmp_path, argv,
                                                    content):
     cfg = tmp_path / "c.json"
@@ -336,6 +441,17 @@ def test_ablate_jobs_invariant(data_dir, tmp_path):
 def test_ablate_bad_grid_label(data_dir, tmp_path):
     assert main(["ablate", "--data", str(data_dir),
                  "--out", str(tmp_path / "a"), "--grid", "XYZW"]) == 2
+
+
+@pytest.mark.parametrize("bad", [["--seeds", "1"], ["--probe-episodes", "0"],
+                                 ["--lambda", "2"]],
+                         ids=["one_seed", "no_episodes", "lambda_above_1"])
+def test_probe_rejects_settings_before_writing(data_dir, tmp_path, bad):
+    out = tmp_path / "p"
+    assert main(["probe", "--data", str(data_dir), "--out", str(out),
+                 "--seeds", "2", "--probe-episodes", "2", "--t-max", "6"]
+                + bad) == 2
+    assert not out.exists()
 
 
 def test_probe_outputs(data_dir, tmp_path):

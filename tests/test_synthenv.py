@@ -130,6 +130,9 @@ def test_environment_param_validation_and_failure():
         se.generate_environment(se.EnvParams(node_count=1, connection_radius=1, extent=1))
     with pytest.raises(InvalidArgument):
         se.generate_environment(se.EnvParams(node_count=5, connection_radius=0, extent=1))
+    with pytest.raises(InvalidArgument, match="feature dim"):
+        se.generate_environment(se.EnvParams(node_count=5, connection_radius=1, extent=1,
+                                             feature_dim=se.ROOM_COUNT))
     with pytest.raises(GenerationFailure):
         se.generate_environment(
             se.EnvParams(node_count=40, connection_radius=0.01, extent=100.0, seed=0))
