@@ -245,13 +245,13 @@ def cmd_gen(cfg: dict) -> None:
 
 
 def cmd_train(cfg: dict) -> None:
-    out = _resolve_out(cfg["out"])
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
     mcfg = _model_config(cfg)
     _guard_feature_dim(gen_cfg, mcfg)
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
     params = build_params(mcfg, cfg["seed"])
     data = [(env, ep) for ep in episodes]
+    out = _resolve_out(cfg["out"])
     rows = train(data, params, tcfg, mcfg, out_dir=str(out))
     h = archive_config(out, "train", cfg)
     write_training_log(out / "train_log.csv", rows,
@@ -284,7 +284,6 @@ def _eval_unit(payload):
 
 
 def cmd_eval(cfg: dict) -> None:
-    out = _resolve_out(cfg["out"])
     env, episodes, gen_cfg = _load_split(cfg["data"], cfg["split"])
     mcfg = _model_config(cfg)
     agent = cfg["agent"]
@@ -295,6 +294,7 @@ def cmd_eval(cfg: dict) -> None:
         _guard_feature_dim(gen_cfg, mcfg)
         params = build_params(mcfg, 0)
         params.load_state(nn.load_checkpoint(cfg["ckpt"]))
+    out = _resolve_out(cfg["out"])
     h = archive_config(out, "eval", cfg)
     t_max = cfg["t_max"]
     payloads = [(i, env, ep, params, mcfg, t_max, agent, cfg["seed"])
@@ -316,13 +316,15 @@ def cmd_eval(cfg: dict) -> None:
 
 
 def cmd_ablate(cfg: dict) -> None:
-    out = _resolve_out(cfg["out"])
     env, train_eps, gen_cfg = _load_split(cfg["data"], "train")
     _, eval_eps, _ = _load_split(cfg["data"], "val_seen")
     base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
     grid = GRID_LABELS if cfg["grid"] == "all" else tuple(cfg["grid"].split(","))
+    for label in grid:
+        variant_config(base, label)
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
+    out = _resolve_out(cfg["out"])
     rows, sidecar = run_ablation(
         [(env, ep) for ep in train_eps], [(env, ep) for ep in eval_eps], tcfg,
         base, seeds=range(cfg["seeds"]), grid=grid,

@@ -14,13 +14,12 @@ key would never receive gradient.  Only W_v (``enh.wv``) is learned.
 
 Four independent flags (decouple, geo_embed, loc_detail, obj_detail) switch
 stages off; disabled stages are bypassed entirely, never approximated with
-zeroed weights, which keeps ablations exact.  ``stage_trace`` records which
-stages actually execute so bypasses can be asserted.
+zeroed weights, which keeps ablations exact: a configuration reads exactly
+the parameters ``param_spec`` declares for it.
 """
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,72 +29,30 @@ from .geometry import nearest_view, relative_pose, trig_embed
 from .navgraph import STOP, PathGraph
 from .synthenv import VOCAB_SIZE, Instruction, Observation, ViewGrid
 
-_STAGE_TRACE: list | None = None
-
-
-@contextmanager
-def stage_trace():
-    """Collect the names of pipeline stages that actually run."""
-    global _STAGE_TRACE
-    prev = _STAGE_TRACE
-    _STAGE_TRACE = trace = []
-    try:
-        yield trace
-    finally:
-        _STAGE_TRACE = prev
-
-
-def _record(stage: str) -> None:
-    if _STAGE_TRACE is not None:
-        _STAGE_TRACE.append(stage)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions, view grid, and stage flags.
+    """Widths, view grid, and stage flags.
 
-    The attention stack threads one width through graph, text, and
-    cross-modal features, so those dims must agree with attn_dim; visual and
-    key-detail widths are free.
+    The attention stack threads one width, dim, through graph, text, and
+    cross-modal features; visual and key-detail widths are free.
     """
-    n_headings: int = 12
-    elevations: tuple[float, ...] = (-math.pi / 6, 0.0, math.pi / 6)
+    view_grid: ViewGrid = ViewGrid()
     vis_dim: int = 32
-    graph_dim: int = 32
-    text_dim: int = 32
+    dim: int = 32
     key_dim: int = 32
-    cross_dim: int = 32
-    attn_dim: int = 32
     heads: int = 2
     layers: int = 2
-    vocab_size: int = VOCAB_SIZE
     decouple: bool = True
     geo_embed: bool = True
     loc_detail: bool = True
     obj_detail: bool = True
 
     def __post_init__(self):
-        dims = (self.vis_dim, self.graph_dim, self.text_dim, self.key_dim,
-                self.cross_dim, self.attn_dim, self.heads, self.layers,
-                self.vocab_size, self.n_headings)
-        if any(d < 1 for d in dims):
+        if min(self.vis_dim, self.dim, self.key_dim, self.heads, self.layers) < 1:
             raise InvalidArgument("all dims/counts must be positive")
-        if not (self.graph_dim == self.text_dim == self.cross_dim == self.attn_dim):
-            raise InvalidArgument(
-                "graph_dim, text_dim, cross_dim, and attn_dim must agree "
-                f"(got {self.graph_dim}/{self.text_dim}/{self.cross_dim}/{self.attn_dim})")
-        if self.attn_dim % self.heads:
-            raise InvalidArgument(f"attn_dim {self.attn_dim} not divisible by heads {self.heads}")
-        if not self.elevations:
-            raise InvalidArgument("need at least one elevation")
-
-    @property
-    def k(self) -> int:
-        return self.n_headings * len(self.elevations)
-
-    @property
-    def view_grid(self) -> ViewGrid:
-        return ViewGrid(n_headings=self.n_headings, elevations=self.elevations)
+        if self.dim % self.heads:
+            raise InvalidArgument(f"dim {self.dim} not divisible by heads {self.heads}")
 
     def flag_label(self) -> str:
         """Four-letter stage mask, dash for a disabled stage (e.g. 'MG--')."""
@@ -104,20 +61,15 @@ class ModelConfig:
             ("L", self.loc_detail), ("O", self.obj_detail)))
 
 
-TINY_CONFIG = ModelConfig(
-    n_headings=4, elevations=(0.0,), vis_dim=10, graph_dim=8, text_dim=8,
-    key_dim=8, cross_dim=8, attn_dim=8, heads=2, layers=1)
+TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8,
+                          key_dim=8, heads=2, layers=1)
 
 
 @dataclass
 class StepFeatures:
-    """The late-stage outputs of one decision step (the bypass tests compare
-    cross_modal with enhanced)."""
+    """The outputs of one decision step that rollouts keep."""
     key_detail: nn.Tensor | None    # (key_dim,) or None when both detail flags off
-    cross_modal: nn.Tensor          # (N_c, cross_dim)
-    enhanced: nn.Tensor             # (N_c, cross_dim)
-    scores: nn.Tensor               # (N_c,)
-    order: list = field(default_factory=list)  # frontier ids; STOP is the extra last slot
+    scores: nn.Tensor               # (N_c,): frontier ids in order, then STOP
 
 
 # -------------------------------------------------------------- parameters
@@ -138,7 +90,7 @@ def _block_spec(prefix: str, dim: int) -> list:
 
 def param_spec(cfg: ModelConfig) -> list:
     """(name, shape) pairs for every parameter the configured pipeline uses."""
-    d = cfg.graph_dim
+    d = cfg.dim
     spec: list = []
     if cfg.decouple:
         spec += [
@@ -156,27 +108,26 @@ def param_spec(cfg: ModelConfig) -> list:
         spec += [("graph.pe.w", (3, d)), ("graph.pe.b", (d,))]
 
     for i in range(cfg.layers):
-        spec += _block_spec(f"ogi.l{i}", cfg.attn_dim)
+        spec += _block_spec(f"ogi.l{i}", d)
 
-    spec += [("txt.embed", (cfg.vocab_size, cfg.text_dim))]
+    spec += [("txt.embed", (VOCAB_SIZE, d))]
     for i in range(cfg.layers):
-        spec += _block_spec(f"txt.l{i}", cfg.attn_dim)
+        spec += _block_spec(f"txt.l{i}", d)
 
     if cfg.loc_detail or cfg.obj_detail:
         spec += [
-            ("kd.loc.w", (cfg.text_dim, cfg.key_dim)), ("kd.loc.b", (cfg.key_dim,)),
-            ("kd.obj.w", (cfg.text_dim, cfg.key_dim)), ("kd.obj.b", (cfg.key_dim,)),
+            ("kd.loc.w", (d, cfg.key_dim)), ("kd.loc.b", (cfg.key_dim,)),
+            ("kd.obj.w", (d, cfg.key_dim)), ("kd.obj.b", (cfg.key_dim,)),
             ("kd.fuse.w", (2 * cfg.key_dim, cfg.key_dim)), ("kd.fuse.b", (cfg.key_dim,)),
-            ("enh.wv", (cfg.key_dim, cfg.cross_dim)),
+            ("enh.wv", (cfg.key_dim, d)),
         ]
 
     for i in range(cfg.layers):
-        spec += _block_spec(f"cmf.l{i}", cfg.attn_dim)
+        spec += _block_spec(f"cmf.l{i}", d)
 
-    spec += _block_spec("sel", cfg.cross_dim)[:4]  # self-attention only
-    spec += [("sel.mlp.w1", (cfg.cross_dim, cfg.cross_dim)),
-             ("sel.mlp.b1", (cfg.cross_dim,)),
-             ("sel.mlp.w2", (cfg.cross_dim, 1)), ("sel.mlp.b2", (1,))]
+    spec += _block_spec("sel", d)[:4]  # self-attention only
+    spec += [("sel.mlp.w1", (d, d)), ("sel.mlp.b1", (d,)),
+             ("sel.mlp.w2", (d, 1)), ("sel.mlp.b2", (1,))]
     return spec
 
 
@@ -206,18 +157,16 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
     With decoupling off, one linear projection of the raw concatenated
     [angular, visual] rows is used instead (the coupled baseline).
     """
-    if obs.visual.shape != (cfg.k, cfg.vis_dim):
-        raise ShapeError(
-            f"panorama shape {obs.visual.shape} != ({cfg.k}, {cfg.vis_dim})")
+    want = (cfg.view_grid.k, cfg.vis_dim)
+    if obs.visual.shape != want:
+        raise ShapeError(f"panorama shape {obs.visual.shape} != {want}")
     ang = np.stack([np.asarray(trig_embed(h, e))
                     for h, e in zip(obs.headings, obs.elevations)])
     ang_t = nn.Tensor(ang)
     vis_t = nn.Tensor(obs.visual)
     if not cfg.decouple:
-        _record("coupled")
         return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
                          params["obs.coupled.w"], params["obs.coupled.b"])
-    _record("decouple")
     e_a = nn.linear(ang_t, params["obs.ang.w"], params["obs.ang.b"])
     e_v = nn.linear(vis_t, params["obs.vis.w"], params["obs.vis.b"])
     return nn.mlp(nn.concat([e_a, e_v], axis=-1),
@@ -264,7 +213,6 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
         edge_in.append(t)
         row = t @ w_e.data + b_e.data
         if cfg.geo_embed:
-            _record("geometric-pe")
             idx, dist = nearest_view(pose.heading, obs.headings)
             off = pose.heading - obs.headings[idx]
             f = np.array([dist, math.sin(off), math.cos(off)])
@@ -310,7 +258,7 @@ def sinusoid_table(m: int, dim: int) -> np.ndarray:
 def encode_instruction(ins: Instruction, params: nn.ParamStore,
                        cfg: ModelConfig) -> nn.Tensor:
     h = nn.embedding(list(ins.tokens), params["txt.embed"])
-    h = nn.add(h, nn.Tensor(sinusoid_table(len(ins.tokens), cfg.text_dim)))
+    h = nn.add(h, nn.Tensor(sinusoid_table(len(ins.tokens), cfg.dim)))
     for i in range(cfg.layers):
         h = _decoder_block(h, h, f"txt.l{i}", params, cfg)
     return h
@@ -336,11 +284,10 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
     A disabled flag (or an empty mask) zeroes that cue's pooled block; the
     projection bias still passes through, matching the ablation contract.
     """
-    _record("key-detail")
     f_loc = (_masked_mean(f_i, loc_mask) if cfg.loc_detail
-             else nn.Tensor(np.zeros(cfg.text_dim)))
+             else nn.Tensor(np.zeros(cfg.dim)))
     f_obj = (_masked_mean(f_i, obj_mask) if cfg.obj_detail
-             else nn.Tensor(np.zeros(cfg.text_dim)))
+             else nn.Tensor(np.zeros(cfg.dim)))
     e_loc = nn.linear(f_loc, params["kd.loc.w"], params["kd.loc.b"])
     e_obj = nn.linear(f_obj, params["kd.obj.w"], params["kd.obj.b"])
     return nn.linear(nn.concat([e_loc, e_obj], axis=-1),
@@ -359,7 +306,7 @@ def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
 
 
 def enhance_and_score(f_c: nn.Tensor, f_k: nn.Tensor | None,
-                      params: nn.ParamStore, cfg: ModelConfig) -> tuple[nn.Tensor, nn.Tensor]:
+                      params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     """Inject the key-detail row into each candidate, then score.
 
     The key detail enters as a single key/value attention row added
@@ -372,7 +319,6 @@ def enhance_and_score(f_c: nn.Tensor, f_k: nn.Tensor | None,
     if f_k is None:
         f_e = f_c
     else:
-        _record("enhance-align")
         k_row = nn.reshape(f_k, (1, f_k.shape[0]))
         weights = nn.Tensor(np.ones((f_c.shape[0], 1)))           # single key: all ones
         align = nn.matmul(weights, nn.matmul(k_row, params["enh.wv"]))
@@ -384,7 +330,7 @@ def enhance_and_score(f_c: nn.Tensor, f_k: nn.Tensor | None,
     h = nn.add(f_e, att)
     scores = nn.mlp(h, [(params["sel.mlp.w1"], params["sel.mlp.b1"]),
                         (params["sel.mlp.w2"], params["sel.mlp.b2"])])
-    return f_e, nn.reshape(scores, (scores.shape[0],))
+    return nn.reshape(scores, (scores.shape[0],))
 
 
 def select_action(scores, frontier_order) -> int:
@@ -407,19 +353,14 @@ class EpisodeCache:
     """Reuses instruction/panorama encodings inside one autograd graph, and
     the rendered panoramas of one episode's nodes.
 
-    Valid only between backward passes: call reset() whenever a new loss
-    graph starts, because encoded tensors belong to the previous graph.
+    One cache serves one episode and is dropped with it: the encoded
+    tensors belong to the loss graph they were built in.
     """
 
     def __init__(self):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
         self.views: dict[int, Observation] = {}
-
-    def reset(self) -> None:
-        self.instr = None
-        self.obs.clear()
-        self.views.clear()
 
 
 def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
@@ -446,8 +387,5 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
     f_k = (extract_key_detail(f_i, ins.location_mask, ins.object_mask, params, cfg)
            if (cfg.loc_detail or cfg.obj_detail) else None)
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
-    f_e, scores = enhance_and_score(f_c, f_k, params, cfg)
-    action = select_action(scores, order)
-    feats = StepFeatures(key_detail=f_k, cross_modal=f_c, enhanced=f_e,
-                         scores=scores, order=order)
-    return feats, action
+    scores = enhance_and_score(f_c, f_k, params, cfg)
+    return StepFeatures(key_detail=f_k, scores=scores), select_action(scores, order)

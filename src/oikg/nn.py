@@ -122,30 +122,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return tape_node(out_data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return tape_node(out_data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return tape_node(out_data, (a, b), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         if a.requires_grad:
@@ -226,14 +202,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 p.accumulate_grad(g[tuple(idx)])
 
     return tape_node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
-
-
-def tsum(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full(a.shape, float(g)))
-
-    return tape_node(a.data.sum(), (a,), backward)
 
 
 def embedding(ids: Sequence[int], table: Tensor) -> Tensor:

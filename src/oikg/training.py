@@ -60,8 +60,8 @@ class EnvBundle:
 
 @dataclass
 class StepRecord:
-    """One decision.  predicted is the model's argmax (the sample under
-    student forcing), supervision the label, action the executed move.
+    """One decision.  predicted is the model's argmax, supervision the
+    label, action the executed move (the sample under student forcing).
     logits and key_detail are detached; only loss holds the step's graph."""
     node: int
     order: tuple
@@ -248,11 +248,8 @@ def rollout_student(env: EnvBundle, episode: Episode, params,
                     t_max: int, cache: EpisodeCache | None = None) -> RolloutRecord:
     """Move by sampling the predicted action distribution; supervise each
     step with the recovery label.  Ends at a sampled STOP or after t_max."""
-    rec = rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
-                  label=recovery_label)
-    for s in rec.steps:
-        s.predicted = s.action
-    return rec
+    return rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
+                   label=recovery_label)
 
 
 def _mix_losses(tf_mean: nn.Tensor, sf_mean: nn.Tensor, lam: float,
@@ -283,14 +280,6 @@ def greedy_rollout(env: EnvBundle, episode: Episode, params,
         return list(rollout(env, episode, t_max, greedy_policy, params, mcfg).route)
 
 
-def teacher_accuracy(records) -> float:
-    """Fraction of supervised steps whose argmax equals the supervision."""
-    steps = [s for rec in records for s in rec.steps]
-    if not steps:
-        raise InvalidArgument("no steps to score")
-    return sum(1.0 for s in steps if s.predicted == s.supervision) / len(steps)
-
-
 def evaluate_policy(data, params, mcfg: ModelConfig, t_max: int):
     """Greedy rollout on every (EnvBundle, Episode) pair.
 
@@ -316,13 +305,14 @@ def write_training_log(path, rows, comment: str | None = None) -> None:
 
 
 def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
-          eval_data=None, out_dir=None) -> list:
+          out_dir=None) -> list:
     """Optimize params in place over (EnvBundle, Episode) pairs.
 
-    Returns the log rows (one dict per iteration); when out_dir is given
-    also writes train_log.csv and params.ckpt there.  A non-finite loss or
-    gradient norm aborts before the optimizer step, with the parameters of
-    the previous iteration dumped to abort.ckpt.
+    Returns the log rows (one dict per iteration; eval_every evaluates on
+    the training pairs); when out_dir is given also writes params.ckpt
+    there.  A non-finite loss or gradient norm aborts before the optimizer
+    step, with the parameters of the previous iteration dumped to
+    abort.ckpt.
     """
     data = list(data)
     if not data:
@@ -367,14 +357,12 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
                "grad_norm": grad_norm,
                "eval_SR": "", "eval_SPL": "", "eval_nDTW": ""}
         if cfg.eval_every > 0 and it % cfg.eval_every == 0:
-            _, summary = evaluate_policy(eval_data if eval_data is not None
-                                         else data, params, mcfg, cfg.t_max)
+            _, summary = evaluate_policy(data, params, mcfg, cfg.t_max)
             row["eval_SR"] = repr(summary["SR"])
             row["eval_SPL"] = repr(summary["SPL"])
             row["eval_nDTW"] = repr(summary["nDTW"])
         log.append(row)
 
     if out_dir is not None:
-        write_training_log(f"{out_dir}/train_log.csv", log)
         nn.save_checkpoint(f"{out_dir}/params.ckpt", params)
     return log

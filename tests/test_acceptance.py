@@ -19,9 +19,10 @@ import pytest
 from test_analysis import linear_regression_builder
 from test_cli import GEN_ARGS, tree_hashes
 from test_metrics import chain_graph, enumerate_dtw, graph_from, random_walk
-from test_model import frozen_gradient_fixture, obs_at
+from test_model import (frozen_gradient_fixture, obs_at, record_calls,
+                        record_param_reads)
 from test_training import (episode_for, floyd_warshall, oracle_label,
-                           reachable_states)
+                           reachable_states, teacher_accuracy)
 
 from oikg import metrics, model, nn
 from oikg.analysis import (GRID_LABELS, grad_second_moment, mi_plugin,
@@ -34,8 +35,7 @@ from oikg.rng import substream
 from oikg.synthenv import (EnvParams, generate_environment, make_episode,
                            make_latents)
 from oikg.training import (EnvBundle, TrainConfig, evaluate_policy,
-                           pseudo_label, rollout_teacher, teacher_accuracy,
-                           train)
+                           pseudo_label, rollout_teacher, train)
 
 
 def dtw_world():
@@ -80,7 +80,7 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
         pg = PathGraph(graph, start=0)
         feats, _ = model.forward_step(pg, obs_at(graph, latents, 0), ins,
                                       params, TINY_CONFIG)
-        return nn.cross_entropy(feats.scores, feats.order.index(1))
+        return nn.cross_entropy(feats.scores, pg.frontier().index(1))
 
     nn.backward(make_loss())
     grads = {n: (params[n].grad.copy() if params[n].grad is not None
@@ -103,9 +103,18 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
     assert time.monotonic() - t0 < 60.0
 
 
-def test_a04_flag_bypasses_are_exact():
+def test_a04_flag_bypasses_are_exact(monkeypatch):
     graph, latents, ins, _ = frozen_gradient_fixture()
     rng = substream(104, "pe-sweep")
+
+    def step(cfg, params):
+        """Parameter names one decision step reads, and its features."""
+        reads = record_param_reads(monkeypatch)
+        feats, _ = model.forward_step(PathGraph(graph, start=0),
+                                      obs_at(graph, latents, 0, cfg), ins,
+                                      params, cfg)
+        monkeypatch.undo()
+        return set(reads), feats
 
     # geometric embedding off: the positional term is exactly zero, so with
     # a zeroed edge projection every candidate row is zero
@@ -120,33 +129,32 @@ def test_a04_flag_bypasses_are_exact():
     f_g, _ = model.build_candidates(
         PathGraph(star, start=0),
         obs_at(star, make_latents(star, cfg.vis_dim, seed=0), 0, cfg), params, cfg)
-    assert f_g.shape == (65, cfg.graph_dim) and not f_g.data[:-1].any()
-    with model.stage_trace() as trace:
-        model.forward_step(PathGraph(graph, start=0),
-                           obs_at(graph, latents, 0, cfg), ins, params, cfg)
-    assert "geometric-pe" not in trace
+    assert f_g.shape == (65, cfg.dim) and not f_g.data[:-1].any()
+    views = record_calls(monkeypatch, model, "nearest_view")
+    reads, _ = step(cfg, params)
+    assert views == [] and not {n for n in reads if n.startswith("graph.pe.")}
 
     # both detail channels off: enhancement is the bitwise identity
     cfg = replace(TINY_CONFIG, loc_detail=False, obj_detail=False)
     params = build_params(cfg, seed=0)
-    with model.stage_trace() as trace:
-        feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      obs_at(graph, latents, 0, cfg), ins,
-                                      params, cfg)
-    assert feats.key_detail is None
-    np.testing.assert_array_equal(feats.enhanced.data, feats.cross_modal.data)
-    assert "key-detail" not in trace and "enhance-align" not in trace
+    enhance = record_calls(monkeypatch, model, "enhance_and_score")
+    attention = record_calls(monkeypatch, nn, "attention")
+    detail = record_calls(monkeypatch, model, "extract_key_detail")
+    reads, feats = step(cfg, params)
+    assert feats.key_detail is None and detail == []
+    [((f_c, *_), _)] = enhance
+    [*_, ((f_e, *_), _)] = attention  # the scoring attention comes last
+    assert f_e is f_c  # the cross-modal rows, untouched
+    assert not {n for n in reads if n.startswith(("kd.", "enh."))}
 
     # everything off: only the coupled pipeline runs
     cfg = replace(TINY_CONFIG, decouple=False, geo_embed=False,
                   loc_detail=False, obj_detail=False)
-    params = build_params(cfg, seed=0)
-    with model.stage_trace() as trace:
-        model.forward_step(PathGraph(graph, start=0),
-                           obs_at(graph, latents, 0, cfg), ins, params, cfg)
-    assert "coupled" in trace
-    assert not {"decouple", "geometric-pe", "key-detail",
-                "enhance-align"} & set(trace)
+    reads, _ = step(cfg, build_params(cfg, seed=0))
+    assert {"obs.coupled.w", "obs.coupled.b"} <= reads
+    assert not {n for n in reads
+                if n.startswith(("obs.ang.", "obs.vis.", "obs.fuse.",
+                                 "graph.pe.", "kd.", "enh."))}
 
 
 @pytest.mark.slow

@@ -6,6 +6,8 @@ import signal
 import numpy as np
 import pytest
 
+from tape_ops import mul, sub
+
 from oikg import analysis, nn
 from oikg.analysis import (GRID_LABELS, AblationRow, GradStats,
                            alignment_score, cue_action_series, detail_probe,
@@ -43,9 +45,9 @@ def linear_regression_builder(seed):
     # L = (w*x - y)^2 with x = 1, y = 0, w = 1 -> dL/dw = 2, norm^2 = 4
     store = nn.ParamStore()
     w = store.add("w", np.float64(1.0))
-    diff = nn.sub(nn.mul(w, nn.Tensor(np.float64(1.0))),
+    diff = sub(mul(w, nn.Tensor(np.float64(1.0))),
                   nn.Tensor(np.float64(0.0)))
-    return store, nn.mul(diff, diff)
+    return store, mul(diff, diff)
 
 
 def test_grad_second_moment_linear_regression():
@@ -73,7 +75,7 @@ def test_grad_second_moment_guards_and_failures():
     def flaky(seed):
         store = nn.ParamStore()
         w = store.add("w", np.float64(np.nan if seed == 1 else 1.0))
-        return store, nn.mul(w, w)
+        return store, mul(w, w)
 
     with pytest.warns(UserWarning, match="non-finite"):
         stats = grad_second_moment(flaky, seeds=(0, 1, 2))
@@ -89,7 +91,7 @@ def test_pathway_filter_restricts_names():
         store = nn.ParamStore()
         a = store.add("obs.w", np.float64(1.0))
         b = store.add("txt.w", np.float64(1.0))
-        return store, nn.add(nn.mul(a, a), nn.mul(nn.scale(b, 3.0), b))
+        return store, nn.add(mul(a, a), mul(nn.scale(b, 3.0), b))
 
     stats = grad_second_moment(builder, (0, 1), pathway_filter)
     assert stats.mean_sq_norm == pytest.approx(4.0, abs=1e-12)  # txt.w excluded

@@ -158,13 +158,17 @@ def test_train_zero_iters_keeps_init(data_dir, tmp_path):
 
 
 def test_train_missing_data(tmp_path):
+    out = tmp_path / "o"
     assert main(["train", "--data", str(tmp_path / "nope"),
-                 "--out", str(tmp_path / "o")]) == 3
+                 "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_train_bad_lambda(data_dir, tmp_path):
+    out = tmp_path / "o"
     assert main(["train", "--data", str(data_dir),
-                 "--out", str(tmp_path / "o"), "--lambda", "1.5"]) == 2
+                 "--out", str(out), "--lambda", "1.5"]) == 2
+    assert not out.exists()
 
 
 def test_config_file_merge_and_override(data_dir, tmp_path):
@@ -370,8 +374,9 @@ def test_eval_traces_structure(data_dir, ckpt_dir, tmp_path):
 
 
 def test_eval_requires_ckpt(data_dir, tmp_path):
-    assert main(["eval", "--data", str(data_dir),
-                 "--out", str(tmp_path / "e")]) == 2
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(data_dir), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path):
@@ -392,8 +397,8 @@ def test_eval_rejects_checkpoint_with_enhance_query_key(data_dir, ckpt_dir,
     # checkpoints from before the single-key reduction carry enh.wq/enh.wk
     store = build_params(TINY_CONFIG, 0)
     store.load_state(nn.load_checkpoint(ckpt_dir / "params.ckpt"))
-    store.add("enh.wq", np.zeros((TINY_CONFIG.cross_dim, TINY_CONFIG.attn_dim)))
-    store.add("enh.wk", np.zeros((TINY_CONFIG.key_dim, TINY_CONFIG.attn_dim)))
+    store.add("enh.wq", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
+    store.add("enh.wk", np.zeros((TINY_CONFIG.key_dim, TINY_CONFIG.dim)))
     old = tmp_path / "old.ckpt"
     nn.save_checkpoint(old, store)
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
@@ -439,8 +444,10 @@ def test_ablate_jobs_invariant(data_dir, tmp_path):
 
 
 def test_ablate_bad_grid_label(data_dir, tmp_path):
+    out = tmp_path / "a"
     assert main(["ablate", "--data", str(data_dir),
-                 "--out", str(tmp_path / "a"), "--grid", "XYZW"]) == 2
+                 "--out", str(out), "--grid", "XYZW"]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [["--seeds", "1"], ["--probe-episodes", "0"],

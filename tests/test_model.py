@@ -1,10 +1,13 @@
 """Pipeline-stage contracts: shapes, bypasses, equivariance, gradients."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tape_ops import mul, tsum
 from test_metrics import graph_from
 
 from oikg import model, nn
@@ -42,7 +45,35 @@ def obs_at(graph, latents, node, cfg=TINY, sigma=0.1):
 def random_obs(rng, cfg):
     headings, elevations = cfg.view_grid.angles()
     return se.Observation(node=0, headings=headings, elevations=elevations,
-                          visual=rng.normal(size=(cfg.k, cfg.vis_dim)))
+                          visual=rng.normal(size=(cfg.view_grid.k, cfg.vis_dim)))
+
+
+def record_param_reads(monkeypatch) -> list:
+    """Names read from any ParamStore from now on, seen from outside the
+    program by wrapping ``ParamStore.__getitem__``."""
+    reads = []
+    getitem = nn.ParamStore.__getitem__
+
+    def spy(store, name):
+        reads.append(name)
+        return getitem(store, name)
+
+    monkeypatch.setattr(nn.ParamStore, "__getitem__", spy)
+    return reads
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """(args, result) of every call made to ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 # ------------------------------------------------------------------ config
@@ -50,15 +81,16 @@ def random_obs(rng, cfg):
 
 def test_config_validation():
     with pytest.raises(InvalidArgument):
-        model.ModelConfig(graph_dim=16, attn_dim=32)
+        model.ModelConfig(dim=0)
     with pytest.raises(InvalidArgument):
         model.ModelConfig(heads=5)  # 32 % 5 != 0
     with pytest.raises(InvalidArgument):
-        model.ModelConfig(elevations=())
-    with pytest.raises(InvalidArgument):
         model.ModelConfig(layers=0)
-    assert model.ModelConfig().k == 36
-    assert TINY.k == 4
+    with pytest.raises(InvalidArgument):
+        model.ModelConfig(view_grid=se.ViewGrid(4, ()))
+    assert model.ModelConfig().view_grid == se.ViewGrid()
+    assert model.ModelConfig().view_grid.k == 36
+    assert TINY.view_grid.k == 4
 
 
 def test_flag_labels():
@@ -108,19 +140,6 @@ def test_coupled_baseline_differs_from_decoupled():
     assert not np.allclose(out_on.data, out_off.data)
 
 
-def test_stage_trace_records_observation_mode(setup):
-    graph, latents, _, params = setup
-    obs = obs_at(graph, latents, 0)
-    with model.stage_trace() as trace:
-        model.decouple_observation(obs, params, TINY)
-    assert trace == ["decouple"]
-    coupled_cfg = model.ModelConfig(**{**TINY.__dict__, "decouple": False})
-    with model.stage_trace() as trace:
-        model.decouple_observation(obs, params_off := model.build_params(coupled_cfg, 0),
-                                   coupled_cfg)
-    assert trace == ["coupled"]
-
-
 # -------------------------------------------------------------- candidates
 
 
@@ -140,7 +159,7 @@ def oracle_stack_rows(rows):
 
 def oracle_geometric_pe(candidate_heading, view_headings, params, cfg):
     if not cfg.geo_embed:
-        return nn.Tensor(np.zeros(cfg.graph_dim))
+        return nn.Tensor(np.zeros(cfg.dim))
     idx, dist = nearest_view(candidate_heading, view_headings)
     off = candidate_heading - view_headings[idx]
     feats = nn.Tensor(np.array([dist, math.sin(off), math.cos(off)]))
@@ -213,16 +232,16 @@ def test_geometric_pe_between_views_ties_low_index(setup):
         atol=1e-12)
 
 
-def test_geometric_pe_off_is_exact_zero():
+def test_geometric_pe_off_is_exact_zero(monkeypatch):
     cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": False})
     params = model.build_params(cfg, seed=0)
     assert "graph.pe.w" not in params and "graph.pe.b" not in params
     params["graph.edge.w"].data[:] = 0.0
     params["graph.edge.b"].data[:] = 0.0
-    with model.stage_trace() as trace:
-        rows = star_rows(params, cfg)
-    np.testing.assert_array_equal(rows[:-1], np.zeros((3, cfg.graph_dim)))
-    assert "geometric-pe" not in trace
+    views = record_calls(monkeypatch, model, "nearest_view")
+    rows = star_rows(params, cfg)
+    np.testing.assert_array_equal(rows[:-1], np.zeros((3, cfg.dim)))
+    assert views == []  # the positional stage never ran
 
 
 def test_candidate_features_zero_angles():
@@ -268,7 +287,7 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
     latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
     params = model.build_params(cfg, seed=5)
     rng = np.random.default_rng(13)
-    weights = [nn.Tensor(rng.normal(size=(4, cfg.graph_dim)))
+    weights = [nn.Tensor(rng.normal(size=(4, cfg.dim)))
                for _ in range(len(moves) + 1)]
 
     def run(build):
@@ -279,7 +298,7 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
             f_g, order = build(pg, obs_at(graph, latents, pg.current, cfg), params, cfg)
             assert order == pg.frontier()
             n = f_g.shape[0]
-            term = nn.tsum(nn.mul(f_g, nn.Tensor(weights[t].data[:n])))
+            term = tsum(mul(f_g, nn.Tensor(weights[t].data[:n])))
             total = term if total is None else nn.add(total, term)
             rows.append(f_g.data)
             if t < len(moves):
@@ -309,7 +328,7 @@ def test_stop_slot_is_learned_embedding(setup):
     pg = PathGraph(graph, start=0)
     f_g, order = model.build_candidates(pg, obs_at(graph, latents, 0), params, TINY)
     assert order == [1, 2]
-    assert f_g.shape == (3, TINY.graph_dim)
+    assert f_g.shape == (3, TINY.dim)
     np.testing.assert_array_equal(f_g.data[-1], params["graph.stop"].data[0])
 
 
@@ -321,8 +340,8 @@ def test_ogi_singleton_observation_rows_share_attention(setup):
     for name in ("ogi.l0.mlp.w1", "ogi.l0.mlp.w2"):
         params[name].data[:] = 0.0
     rng = np.random.default_rng(4)
-    f_g = nn.Tensor(rng.normal(size=(3, TINY.graph_dim)))
-    f_o = nn.Tensor(rng.normal(size=(1, TINY.graph_dim)))
+    f_g = nn.Tensor(rng.normal(size=(3, TINY.dim)))
+    f_o = nn.Tensor(rng.normal(size=(1, TINY.dim)))
     out = model.observation_graph_interaction(f_g, f_o, params, TINY)
     delta = out.data - f_g.data  # attention contribution only (mlp zeroed)
     np.testing.assert_allclose(delta[0], delta[1], atol=1e-12)
@@ -333,8 +352,8 @@ def test_ogi_zero_output_projection_leaves_mlp_path(setup):
     *_, params = setup
     params["ogi.l0.attn.wo"].data[:] = 0.0
     rng = np.random.default_rng(5)
-    f_g = nn.Tensor(rng.normal(size=(3, TINY.graph_dim)))
-    f_o = nn.Tensor(rng.normal(size=(2, TINY.graph_dim)))
+    f_g = nn.Tensor(rng.normal(size=(3, TINY.dim)))
+    f_o = nn.Tensor(rng.normal(size=(2, TINY.dim)))
     out = model.observation_graph_interaction(f_g, f_o, params, TINY)
     expect = nn.add(f_g, nn.mlp(f_g, [(params["ogi.l0.mlp.w1"], params["ogi.l0.mlp.b1"]),
                                       (params["ogi.l0.mlp.w2"], params["ogi.l0.mlp.b2"])]))
@@ -355,10 +374,10 @@ def test_encode_instruction_position_sensitivity(setup):
     b = make_instruction([se.BOS, se.object_token(1), se.room_token(0), se.EOS])
     fa = model.encode_instruction(a, params, TINY)
     fb = model.encode_instruction(b, params, TINY)
-    assert fa.shape == (4, TINY.text_dim)
+    assert fa.shape == (4, TINY.dim)
     assert not np.allclose(fa.data[1], fb.data[1])
     single = model.encode_instruction(make_instruction([se.BOS]), params, TINY)
-    assert single.shape == (1, TINY.text_dim)
+    assert single.shape == (1, TINY.dim)
     with pytest.raises(InvalidArgument):
         model.encode_instruction(make_instruction([se.VOCAB_SIZE + 3]), params, TINY)
 
@@ -377,7 +396,7 @@ def test_sinusoid_table_shape_and_range():
 def test_key_detail_masked_means(setup):
     *_, params = setup
     rng = np.random.default_rng(6)
-    f_i = nn.Tensor(rng.normal(size=(5, TINY.text_dim)))
+    f_i = nn.Tensor(rng.normal(size=(5, TINY.dim)))
     loc = [False, True, False, True, False]
     obj = [False, False, True, False, False]
     out = model.extract_key_detail(f_i, loc, obj, params, TINY)
@@ -394,7 +413,7 @@ def test_key_detail_location_only_object_block_is_bias(setup):
     *_, params = setup
     cfg = model.ModelConfig(**{**TINY.__dict__, "obj_detail": False})
     rng = np.random.default_rng(7)
-    f_i = nn.Tensor(rng.normal(size=(4, TINY.text_dim)))
+    f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
     loc = [False, True, True, False]
     out = model.extract_key_detail(f_i, loc, [False] * 4, params, cfg)
     f_loc = f_i.data[1:3].mean(axis=0)
@@ -408,7 +427,7 @@ def test_key_detail_location_only_object_block_is_bias(setup):
 def test_key_detail_empty_mask_degrades_to_zero_block(setup):
     *_, params = setup
     rng = np.random.default_rng(8)
-    f_i = nn.Tensor(rng.normal(size=(3, TINY.text_dim)))
+    f_i = nn.Tensor(rng.normal(size=(3, TINY.dim)))
     out = model.extract_key_detail(f_i, [False] * 3, [False] * 3, params, TINY)
     assert np.all(np.isfinite(out.data))
     with pytest.raises(ShapeError):
@@ -418,26 +437,31 @@ def test_key_detail_empty_mask_degrades_to_zero_block(setup):
 # ----------------------------------------------------------------- scoring
 
 
-def test_enhance_residual_identity_and_single_key(setup):
+def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     *_, params = setup
     rng = np.random.default_rng(9)
-    f_c = nn.Tensor(rng.normal(size=(3, TINY.cross_dim)))
+    f_c = nn.Tensor(rng.normal(size=(3, TINY.dim)))
     f_k = nn.Tensor(rng.normal(size=TINY.key_dim))
-    f_e, scores = model.enhance_and_score(f_c, f_k, params, TINY)
+    attention = record_calls(monkeypatch, nn, "attention")
+    scores = model.enhance_and_score(f_c, f_k, params, TINY)
     assert scores.shape == (3,)
-    # single key row: weights are exactly 1, so each row gains (f_k wk->wv) row
+    # single key row: weights are exactly 1, so each row the scoring
+    # attention sees has gained the same f_k W_v row
+    [((f_e, *_), _)] = attention
     align_row = f_k.data @ params["enh.wv"].data
     np.testing.assert_array_equal(f_e.data, f_c.data + np.tile(align_row, (3, 1)))
 
 
-def test_enhance_bypass_is_bitwise(setup):
+def test_enhance_bypass_is_bitwise(setup, monkeypatch):
     *_, params = setup
     rng = np.random.default_rng(10)
-    f_c = nn.Tensor(rng.normal(size=(4, TINY.cross_dim)))
-    with model.stage_trace() as trace:
-        f_e, scores = model.enhance_and_score(f_c, None, params, TINY)
-    assert f_e is f_c
-    assert "enhance-align" not in trace
+    f_c = nn.Tensor(rng.normal(size=(4, TINY.dim)))
+    reads = record_param_reads(monkeypatch)
+    attention = record_calls(monkeypatch, nn, "attention")
+    scores = model.enhance_and_score(f_c, None, params, TINY)
+    [((f_e, *_), _)] = attention
+    assert f_e is f_c  # scoring sees the cross-modal rows, untouched
+    assert "enh.wv" not in reads and reads  # scoring ran, alignment did not
     assert scores.shape == (4,)
 
 
@@ -445,17 +469,16 @@ def test_candidate_order_equivariance(setup):
     *_, params = setup
     rng = np.random.default_rng(11)
     n = 5
-    f_g = rng.normal(size=(n, TINY.graph_dim))
-    f_o = nn.Tensor(rng.normal(size=(TINY.k, TINY.graph_dim)))
-    f_i = nn.Tensor(rng.normal(size=(6, TINY.text_dim)))
+    f_g = rng.normal(size=(n, TINY.dim))
+    f_o = nn.Tensor(rng.normal(size=(TINY.view_grid.k, TINY.dim)))
+    f_i = nn.Tensor(rng.normal(size=(6, TINY.dim)))
     f_k = nn.Tensor(rng.normal(size=TINY.key_dim))
     perm = rng.permutation(n)
 
     def run(rows):
         g_enh = model.observation_graph_interaction(nn.Tensor(rows), f_o, params, TINY)
         f_c = model.cross_modal_fusion(g_enh, f_i, params, TINY)
-        _, scores = model.enhance_and_score(f_c, f_k, params, TINY)
-        return scores.data
+        return model.enhance_and_score(f_c, f_k, params, TINY).data
 
     base = run(f_g)
     shuffled = run(f_g[perm])
@@ -498,32 +521,49 @@ def test_forward_step_shapes_and_determinism(setup):
     obs = obs_at(graph, latents, 0)
     feats, action = model.forward_step(pg, obs, ins, params, TINY)
     assert feats.scores.shape == (len(pg.frontier()) + 1,)
-    assert feats.order == pg.frontier()
-    assert feats.enhanced.shape == feats.cross_modal.shape
     assert feats.key_detail.shape == (TINY.key_dim,)
     feats2, action2 = model.forward_step(pg, obs, ins, params, TINY)
     np.testing.assert_array_equal(feats.scores.data, feats2.scores.data)
     assert action == action2 and (action in pg.frontier() or action == STOP)
 
 
-def test_forward_step_all_flags_off_trace_is_clean(setup):
-    graph, latents, ins, _ = setup
-    cfg = model.ModelConfig(**{**TINY.__dict__, "decouple": False,
-                               "geo_embed": False, "loc_detail": False,
-                               "obj_detail": False})
-    params = model.build_params(cfg, seed=0)
-    pg = PathGraph(graph, start=0)
-    with model.stage_trace() as trace:
-        feats, _ = model.forward_step(pg, obs_at(graph, latents, 0, cfg), ins,
+FLAG_COMBINATIONS = list(itertools.product((True, False), repeat=4))
 
-                                      params, cfg)
-    assert "decouple" not in trace
-    assert "geometric-pe" not in trace
-    assert "key-detail" not in trace
-    assert "enhance-align" not in trace
-    assert "coupled" in trace
-    assert feats.key_detail is None
-    np.testing.assert_array_equal(feats.enhanced.data, feats.cross_modal.data)
+
+@pytest.mark.parametrize("flags", FLAG_COMBINATIONS,
+                         ids=["".join(c if on else "-" for c, on in zip("MGLO", f))
+                              for f in FLAG_COMBINATIONS])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
+    """A step reads every declared parameter and nothing else, so each
+    disabled stage is bypassed (its parameters are never read) and no
+    declared parameter is dead.  With both detail flags off the enhancement
+    hands the cross-modal rows through untouched."""
+    decouple, geo_embed, loc_detail, obj_detail = flags
+    cfg = replace(TINY if preset == "tiny" else model.ModelConfig(),
+                  decouple=decouple, geo_embed=geo_embed,
+                  loc_detail=loc_detail, obj_detail=obj_detail)
+    params = model.build_params(cfg, seed=0)
+    graph = tiny_graph()
+    ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
+    obs = obs_at(graph, se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3),
+                 0, cfg)
+    pg = PathGraph(graph, start=0)
+    assert pg.frontier()  # so the candidate rows read their parameters
+    reads = record_param_reads(monkeypatch)
+    enhance = record_calls(monkeypatch, model, "enhance_and_score")
+    attention = record_calls(monkeypatch, nn, "attention")
+    feats, _ = model.forward_step(pg, obs, ins, params, cfg)
+    assert set(reads) == {name for name, _ in model.param_spec(cfg)}
+    [((f_c, f_k, *_), scores)] = enhance
+    assert scores is feats.scores and f_k is feats.key_detail
+    if loc_detail or obj_detail:
+        assert f_k.shape == (cfg.key_dim,)
+    else:
+        # the step's last attention is the scoring one; it sees the
+        # cross-modal rows, untouched
+        [*_, ((f_e, *_), _)] = attention
+        assert f_k is None and f_e is f_c
 
 
 def test_forward_step_cache_matches_uncached(setup):
@@ -542,7 +582,6 @@ def test_forward_step_cache_matches_uncached(setup):
         return outs
 
     cached = rollout(True)
-    cache.reset()
     plain = rollout(False)
     for a, b in zip(cached, plain):
         np.testing.assert_array_equal(a, b)
@@ -570,7 +609,7 @@ def test_forward_step_golden_scores():
     pg = PathGraph(graph, start=0)
     obs = obs_at(graph, latents, 0)
     feats, action = model.forward_step(pg, obs, ins, params, TINY)
-    assert feats.order == [1, 2]
+    assert pg.frontier() == [1, 2]
     assert action == STOP
     np.testing.assert_allclose(
         feats.scores.data,
@@ -585,7 +624,7 @@ def test_forward_gradients_sampled_finite_difference():
         pg = PathGraph(graph, start=0)
         obs = obs_at(graph, latents, 0)
         feats, _ = model.forward_step(pg, obs, ins, params, TINY)
-        target = feats.order.index(1)  # ground-truth next hop
+        target = pg.frontier().index(1)  # ground-truth next hop
         return nn.cross_entropy(feats.scores, target)
 
     loss = make_loss()

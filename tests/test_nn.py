@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tape_ops import mul, sub, tsum
+
 from oikg import nn
 from oikg.errors import (
     IncompatibleCheckpoint,
@@ -190,8 +192,8 @@ def test_backward_requires_scalar_tracked_fresh_graph():
     with pytest.raises(InvalidArgument):
         nn.backward(nn.relu(w))
     with pytest.raises(InvalidState):
-        nn.backward(nn.tsum(nn.Tensor([1.0, 2.0])))  # constants only
-    loss = nn.tsum(nn.mul(w, w))
+        nn.backward(tsum(nn.Tensor([1.0, 2.0])))  # constants only
+    loss = tsum(mul(w, w))
     nn.backward(loss)
     np.testing.assert_allclose(w.grad, [2.0, 4.0], atol=1e-12)
     with pytest.raises(InvalidState):
@@ -210,7 +212,7 @@ def test_no_tape_values_match_and_nothing_is_recorded():
     taped = forward()
     with nn.no_tape():
         plain = forward()
-        loss = nn.tsum(plain)
+        loss = tsum(plain)
     np.testing.assert_array_equal(plain.data, taped.data)
     assert taped.requires_grad and taped._parents
     assert not plain.requires_grad and plain._parents == ()
@@ -229,14 +231,14 @@ def test_no_tape_restores_after_exception_and_nesting():
         with nn.no_tape():
             pass
         assert not nn.relu(w).requires_grad  # an inner scope leaves it off
-    loss = nn.tsum(nn.mul(w, w))
+    loss = tsum(mul(w, w))
     nn.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
 
 def test_grad_accumulates_across_reuse():
     w = nn.Tensor([3.0], requires_grad=True)
-    loss = nn.tsum(nn.add(nn.mul(w, w), w))  # w^2 + w -> 2w + 1
+    loss = tsum(nn.add(mul(w, w), w))  # w^2 + w -> 2w + 1
     nn.backward(loss)
     np.testing.assert_allclose(w.grad, [7.0], atol=1e-12)
 
@@ -248,8 +250,8 @@ def test_fd_add_mul_scale_sub():
     c = nn.Tensor(rng.normal(size=(3, 4)))
 
     def make_loss():
-        out = nn.sub(nn.scale(nn.mul(a, b), 1.7), a)
-        return nn.tsum(nn.mul(out, c))
+        out = sub(nn.scale(mul(a, b), 1.7), a)
+        return tsum(mul(out, c))
 
     check_grads(make_loss, [a, b])
 
@@ -259,7 +261,7 @@ def test_fd_bias_broadcast():
     x = rand_tensor(rng, (4, 3))
     b = rand_tensor(rng, (3,))
     c = nn.Tensor(rng.normal(size=(4, 3)))
-    check_grads(lambda: nn.tsum(nn.mul(nn.add(x, b), c)), [x, b])
+    check_grads(lambda: tsum(mul(nn.add(x, b), c)), [x, b])
 
 
 def test_fd_matmul_all_ranks():
@@ -270,8 +272,8 @@ def test_fd_matmul_all_ranks():
     bm2 = rand_tensor(rng, (2, 4, 5))
     cv = nn.Tensor(rng.normal(size=(4,)))
     cb = nn.Tensor(rng.normal(size=(2, 3, 5)))
-    check_grads(lambda: nn.tsum(nn.mul(nn.matmul(v, a), cv)), [v, a])
-    check_grads(lambda: nn.tsum(nn.mul(nn.matmul(bm1, bm2), cb)), [bm1, bm2])
+    check_grads(lambda: tsum(mul(nn.matmul(v, a), cv)), [v, a])
+    check_grads(lambda: tsum(mul(nn.matmul(bm1, bm2), cb)), [bm1, bm2])
 
 
 @pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
@@ -282,7 +284,7 @@ def test_fd_linear(x_shape, with_bias):
     w = rand_tensor(rng, (3, 5))
     b = rand_tensor(rng, (5,)) if with_bias else None
     c = nn.Tensor(rng.normal(size=x_shape[:-1] + (5,)))
-    check_grads(lambda: nn.tsum(nn.mul(nn.linear(x, w, b), c)),
+    check_grads(lambda: tsum(mul(nn.linear(x, w, b), c)),
                 [x, w] + ([b] if with_bias else []))
 
 
@@ -302,7 +304,7 @@ def test_linear_is_bitwise_matmul_then_add(x_shape, with_bias):
         if b is not None and not fused:
             y = nn.add(y, b)
         # x feeds the loss twice, so the order of its gradient terms counts
-        loss = nn.add(nn.tsum(nn.mul(y, c)), nn.tsum(nn.mul(x, x)))
+        loss = nn.add(tsum(mul(y, c)), tsum(mul(x, x)))
         for t in leaves:
             t.grad = None
         nn.backward(loss)
@@ -321,7 +323,7 @@ def test_fd_relu_softmax_mean():
     c = nn.Tensor(rng.normal(size=(3, 5)))
 
     def make_loss():
-        return nn.tsum(nn.mul(nn.softmax(nn.relu(x)), c))
+        return tsum(mul(nn.softmax(nn.relu(x)), c))
 
     check_grads(make_loss, [x])
 
@@ -338,7 +340,7 @@ def test_fd_concat_stack_reshape_transpose():
                       axis=0)                               # (3, 4)
         m2 = nn.concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
         m3 = nn.reshape(nn.transpose(m2, (1, 0)), (2, 12))  # (2, 12)
-        return nn.tsum(nn.mul(m3, c))
+        return tsum(mul(m3, c))
 
     check_grads(make_loss, [r1, r2, r3])
 
@@ -347,7 +349,7 @@ def test_fd_embedding_with_repeats():
     rng = np.random.default_rng(6)
     table = rand_tensor(rng, (5, 3))
     c = nn.Tensor(rng.normal(size=(4, 3)))
-    check_grads(lambda: nn.tsum(nn.mul(nn.embedding([1, 3, 1, 0], table), c)), [table])
+    check_grads(lambda: tsum(mul(nn.embedding([1, 3, 1, 0], table), c)), [table])
 
 
 def test_fd_mlp():
@@ -358,7 +360,7 @@ def test_fd_mlp():
     c = nn.Tensor(rng.normal(size=(3, 2)))
 
     def make_loss():
-        return nn.tsum(nn.mul(nn.mlp(x, [(w1, b1), (w2, b2)]), c))
+        return tsum(mul(nn.mlp(x, [(w1, b1), (w2, b2)]), c))
 
     check_grads(make_loss, [x, w1, b1, w2, b2])
 
@@ -373,7 +375,7 @@ def test_fd_attention_multihead():
 
     def make_loss():
         out = nn.attention(q, k, v, wq, wk, wv, wo, heads=2)
-        return nn.tsum(nn.mul(out, c))
+        return tsum(mul(out, c))
 
     check_grads(make_loss, [q, k, v, wq, wk, wv, wo])
 
@@ -442,7 +444,7 @@ def test_optimizer_deterministic():
     def run():
         store = nn.init_params([("w", (4, 4))], seed=2)
         for step in range(5):
-            loss = nn.tsum(nn.mul(store["w"], store["w"]))
+            loss = tsum(mul(store["w"], store["w"]))
             nn.backward(loss)
             nn.optimizer_step(store, lr=0.01)
         return store["w"].data.copy()

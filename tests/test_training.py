@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oikg import nn, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
@@ -18,8 +20,7 @@ from oikg.training import (EnvBundle, RolloutRecord, StepRecord, TrainConfig,
                            episode_loss, evaluate_policy, greedy_rollout,
                            pseudo_label, random_policy, recovery_label,
                            rollout, rollout_student, rollout_teacher,
-                           teacher_accuracy, teacher_policy, train,
-                           write_training_log)
+                           teacher_policy, train, write_training_log)
 
 MCFG = TINY_CONFIG
 REFERENCE = Path(__file__).resolve().parents[1] / "benches" / "reference.json"
@@ -35,6 +36,13 @@ def graph_from(points, pairs, directed=()):
 def episode_for(graph, gt, seed=0):
     ins = generate_instruction(graph, gt, seed)
     return Episode(start=gt[0], instruction=ins)
+
+
+def teacher_accuracy(records) -> float:
+    """Fraction of supervised steps whose argmax equals the supervision."""
+    steps = [s for rec in records for s in rec.steps]
+    assert steps, "no steps to score"
+    return sum(1.0 for s in steps if s.predicted == s.supervision) / len(steps)
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +325,33 @@ def test_pseudo_label_exhaustive_oracle(local_only):
     assert total > 200
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), nodes=st.integers(3, 9),
+       waypoints=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       moves=st.lists(st.integers(0, 63), max_size=12),
+       local_only=st.booleans())
+def test_pseudo_label_is_total(seed, nodes, waypoints, moves, local_only):
+    """On any connected world, any reference route through it (shortest
+    legs between waypoints, so nodes may repeat) and any walk of legal
+    frontier moves from its start, global or local-only, every state gets a
+    label that is a slot of frontier + [STOP]."""
+    g = generate_environment(EnvParams(node_count=nodes, connection_radius=5.0,
+                                       extent=8.0, feature_dim=9, seed=seed))
+    stops = [w % nodes for w in waypoints]
+    gt = [stops[0]]
+    for a, b in zip(stops, stops[1:]):
+        gt += g.shortest_path(a, b)[1:]
+    ep = episode_for(g, gt)
+    pg = PathGraph(g, gt[0], local_only=local_only)
+    for m in moves + [None]:
+        frontier = pg.frontier()
+        label = pseudo_label(pg, ep, g)
+        assert type(label) is int and 0 <= label <= len(frontier)
+        if m is None or not frontier:
+            break
+        pg.advance(frontier[m % len(frontier)])
+
+
 # ------------------------------------------------------------ student side
 
 
@@ -329,7 +364,7 @@ def test_student_rollout_deterministic_and_bounded(world, params):
     assert np.array_equal(a.steps[0].logits.data, b.steps[0].logits.data)
     assert 1 <= len(a.steps) <= 6
     # terminal at sampled STOP or after t_max steps
-    assert a.steps[-1].predicted == STOP or len(a.steps) == 6
+    assert a.steps[-1].action == STOP or len(a.steps) == 6
     for s in a.steps:
         assert s.supervision in tuple(s.order) + (STOP,)
     c = rollout_student(world, ep, params, MCFG, substream(10, "s"), 6)
@@ -423,15 +458,6 @@ def test_greedy_eval_builds_no_tape(world, params, monkeypatch):
     assert all(s._parents == () for s in scores)
 
 
-def test_teacher_accuracy_range(world, params):
-    ep = make_episode(world.graph, seed=2)
-    rec = rollout_teacher(world, ep, params, MCFG)
-    acc = teacher_accuracy([rec])
-    assert 0.0 <= acc <= 1.0
-    with pytest.raises(InvalidArgument):
-        teacher_accuracy([])
-
-
 # ----------------------------------------------------------- training loop
 
 
@@ -458,10 +484,9 @@ def test_train_deterministic(world, tmp_path):
         finals.append(p.state_dict())
     assert logs[0] == logs[1]
     assert all(np.array_equal(finals[0][k], finals[1][k]) for k in finals[0])
-    assert (tmp_path / "a" / "train_log.csv").read_bytes() == \
-        (tmp_path / "b" / "train_log.csv").read_bytes()
     assert (tmp_path / "a" / "params.ckpt").read_bytes() == \
         (tmp_path / "b" / "params.ckpt").read_bytes()
+    assert not (tmp_path / "a" / "train_log.csv").exists()  # the CLI writes it
     # eval columns filled only on eval iterations
     assert logs[0][0]["eval_SR"] == "" and logs[0][1]["eval_SR"] != ""
 
