@@ -344,15 +344,20 @@ def cmd_probe(cfg: dict) -> None:
     data = [(env, ep) for ep in episodes[:cfg["probe_episodes"]]]
     seeds = tuple(range(cfg["seeds"]))
     t_max = _default_t_max(cfg, gen_cfg)
+    tcfg = _train_config(cfg, t_max, cfg["train_iters"])  # checks --lambda too
+    if not data:
+        raise InvalidArgument("--probe-episodes must select at least one episode")
+    need = 2 if cfg["which"] in ("grad", "all") else 1  # the grad probe pairs seeds
+    if len(seeds) < need:
+        raise InvalidArgument(f"--which {cfg['which']} needs --seeds >= {need}")
+    out = _resolve_out(cfg["out"])
     probes = {}
     if cfg["which"] in ("grad", "all"):
         probes["grad"] = grad_probe(data, seeds, base, lam=cfg["lam"],
                                     t_max=t_max)
     if cfg["which"] in ("detail", "all"):
-        tcfg = (_train_config(cfg, t_max, cfg["train_iters"])
-                if cfg["train_iters"] > 0 else None)
-        probes["detail"] = detail_probe(data, data, seeds, base, train_cfg=tcfg)
-    out = _resolve_out(cfg["out"])
+        probes["detail"] = detail_probe(data, data, seeds, base,
+                                        train_cfg=tcfg if cfg["train_iters"] > 0 else None)
     h = archive_config(out, "probe", cfg)
     for name, probe in probes.items():
         probe["config_hash"] = h

@@ -12,6 +12,7 @@ Set ``DEBUG_FINITE = True`` to assert finiteness after every op.  Inside
 the same as with the tape on.
 """
 
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -33,6 +34,7 @@ DEBUG_FINITE = False
 _TAPE_ON = True
 
 CHECKPOINT_MAGIC = b"OIKG0001"
+_EPOCHS = itertools.count(1)  # one stamp per backward pass marks visited nodes
 
 
 def _as_f64(data) -> np.ndarray:
@@ -45,7 +47,7 @@ def _as_f64(data) -> np.ndarray:
 class Tensor:
     """Shape-tagged float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done", "_epoch")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_f64(data)
@@ -54,6 +56,7 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._done = False
+        self._epoch = 0
         if DEBUG_FINITE and not np.all(np.isfinite(self.data)):
             raise NumericFailure("non-finite tensor values")
 
@@ -66,8 +69,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the values and layout of zeros_like(data) += g, in one allocation
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -159,33 +164,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape_node(out_data, (a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return tape_node(np.maximum(a.data, 0.0), (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
     return tape_node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
-
-    return tape_node(a.data.transpose(axes), (a,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -221,31 +205,21 @@ def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
     return tape_node(table.data[idx], (table,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax: rows sum to 1, invariant to per-row shifts."""
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            a.accumulate_grad((g - dot) * p)
-
-    return tape_node(p, (a,), backward)
+def _check_linear(x_shape: tuple, w: Tensor, b: Tensor | None) -> None:
+    if len(x_shape) not in (1, 2):
+        raise ShapeError(f"linear input must be 1-D or 2-D, got {x_shape}")
+    if w.data.ndim != 2:
+        raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
+    if x_shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear shape mismatch {x_shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w + b for 1-D or 2-D x, the bias broadcast over rows; one
     tape node, bitwise equal to ``add(matmul(x, w), b)``."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"linear input must be 1-D or 2-D, got {x.shape}")
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear shape mismatch {x.shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    _check_linear(x.shape, w, b)
     out_data = x.data @ w.data
     if b is not None:
         out_data = out_data + b.data
@@ -263,16 +237,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return tape_node(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
+def _grad_copy(g: np.ndarray) -> np.ndarray:
+    """The gradient an inner node of a fused op's node-per-op composition
+    would hold: the values and C layout of ``zeros_like(data); grad += g``."""
+    return np.add(g, 0.0, order="C")
+
+
 def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """Stack of linear layers with ReLU between them; final layer is linear."""
+    """Stack of linear layers with ReLU between them; final layer is linear.
+
+    One tape node, bitwise equal to the chain of ``linear`` and ReLU nodes
+    it fuses (``oracle_mlp`` in the tests): the forward makes the chain's
+    numpy calls, and the backward replays its arrays, last layer first,
+    adding into each bias, x and each weight in the chain's order.
+    """
     if not layers:
         raise InvalidArgument("mlp needs at least one layer")
-    h = x
+    ins, masks, live = [], [], []   # per layer: input, ReLU mask, input tracked
+    h, tracked = x.data, x.requires_grad
     for i, (w, b) in enumerate(layers):
-        h = linear(h, w, b)
+        _check_linear(h.shape, w, b)
+        ins.append(h)
+        live.append(tracked)
+        h = h @ w.data + b.data
+        tracked = tracked or w.requires_grad or b.requires_grad
         if i + 1 < len(layers):
-            h = relu(h)
-    return h
+            masks.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+    vector = x.data.ndim == 1
+
+    def backward(g):
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if b.requires_grad:
+                b.accumulate_grad(g if vector else g.sum(axis=0))
+            g_in = (w.data @ g if vector else g @ w.data.T) if live[i] else None
+            if i == 0 and g_in is not None:
+                x.accumulate_grad(g_in)
+            if w.requires_grad:
+                w.accumulate_grad(np.outer(ins[i], g) if vector else ins[i].T @ g)
+            if i == 0 or g_in is None:
+                return
+            g = _grad_copy(g_in * masks[i - 1])  # through the ReLU below
+
+    parents = (x,) + tuple(t for layer in layers for t in layer)
+    return tape_node(h, parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor,
@@ -282,6 +291,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
 
     q: (n, dm), k/v: (m, dm).  Per head: softmax(QWq (KWk)^T / sqrt(dm/h)) VWv;
     heads are concatenated and output-projected back to (n, dm).
+
+    Three tape nodes, bitwise equal to the 17-node composition of
+    projections, reshapes, transposes, matmuls, scale and softmax that they
+    fuse (``oracle_attention`` in the tests).  The K and V projections stay
+    ``linear`` nodes; one core node with parents (q, K, V, wq, wo) covers
+    the rest.  It makes the composition's numpy calls on the same memory
+    layouts, and its backward replays the composition's arrays in its
+    order.  K and V keep their own nodes because the order counts: a
+    decoder stack feeds one k=v tensor to every layer, and the tape adds a
+    layer's K and V terms into it only after the query's ancestry, earlier
+    layers included, has run.  A single node would add them before.
     """
     n, dm = q.shape
     m = k.shape[0]
@@ -289,20 +309,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"attention key/value shapes {k.shape}/{v.shape} != ({m},{dm})")
     if dm % heads != 0:
         raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
+    if (any(w.shape != (dm, dm) for w in (wq, wk, wv))
+            or wo.data.ndim != 2 or wo.shape[0] != dm):
+        raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
+                         f"do not fit width {dm}")
     dh = dm // heads
+    s = 1.0 / np.sqrt(dh)
+    k_proj, v_proj = linear(k, wk), linear(v, wv)
 
-    def split(t: Tensor, rows: int) -> Tensor:
-        # (rows, dm) -> (heads, rows, dh)
-        return transpose(reshape(t, (rows, heads, dh)), (1, 0, 2))
+    def split(a: np.ndarray, rows: int) -> np.ndarray:
+        # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data
+        return np.ascontiguousarray(a.reshape(rows, heads, dh).transpose(1, 0, 2))
 
-    qh = split(linear(q, wq), n)
-    kh = split(linear(k, wk), m)
-    vh = split(linear(v, wv), m)
-    scores = scale(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    weights = softmax(scores, axis=-1)  # (heads, n, m), rows sum to 1
-    mixed = matmul(weights, vh)  # (heads, n, dh)
-    merged = reshape(transpose(mixed, (1, 0, 2)), (n, dm))
-    return linear(merged, wo)
+    qh = split(q.data @ wq.data, n)
+    kh = split(k_proj.data, m)
+    vh = split(v_proj.data, m)
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    scores = (qh @ kt) * s
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
+    merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
+    q_live = q.requires_grad or wq.requires_grad
+    p_live = q_live or k_proj.requires_grad
+    mix_live = p_live or v_proj.requires_grad
+
+    def backward(g):
+        g_merged = g @ wo.data.T if mix_live else None
+        if wo.requires_grad:
+            wo.accumulate_grad(merged.T @ g)
+        if not mix_live:
+            return
+        g_mixed = _grad_copy(g_merged.reshape(n, heads, dh).transpose(1, 0, 2))
+        if p_live:
+            g_p = _grad_copy(g_mixed @ vh.transpose(0, 2, 1))
+            dot = (g_p * p).sum(axis=-1, keepdims=True)
+            g_scores = _grad_copy(_grad_copy((g_p - dot) * p) * s)
+            if q_live:
+                g_qh = g_scores @ kt.transpose(0, 2, 1)
+                g_q = _grad_copy(g_qh.transpose(1, 0, 2)).reshape(n, dm)
+                if q.requires_grad:
+                    q.accumulate_grad(g_q @ wq.data.T)
+                if wq.requires_grad:
+                    wq.accumulate_grad(q.data.T @ g_q)
+            if k_proj.requires_grad:
+                g_kt = qh.transpose(0, 2, 1) @ g_scores
+                k_proj.accumulate_grad(g_kt.transpose(2, 0, 1).reshape(m, dm))
+        if v_proj.requires_grad:
+            g_vh = p.transpose(0, 2, 1) @ g_mixed
+            v_proj.accumulate_grad(g_vh.transpose(1, 0, 2).reshape(m, dm))
+
+    return tape_node(merged @ wo.data, (q, k_proj, v_proj, wq, wo), backward)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -339,20 +396,20 @@ def backward(loss: Tensor) -> None:
         raise InvalidState("backward already ran on this graph; rebuild the loss first")
     loss._done = True
 
+    epoch = next(_EPOCHS)
     order: list[Tensor] = []
-    seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node._epoch == epoch:
             continue
-        seen.add(id(node))
+        node._epoch = epoch
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p.requires_grad and p._epoch != epoch:
                 stack.append((p, False))
 
     loss.accumulate_grad(np.array(1.0))

@@ -451,14 +451,26 @@ def test_ablate_bad_grid_label(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [["--seeds", "1"], ["--probe-episodes", "0"],
-                                 ["--lambda", "2"]],
-                         ids=["one_seed", "no_episodes", "lambda_above_1"])
+                                 ["--lambda", "2"], ["--which", "detail", "--seeds", "0"]],
+                         ids=["one_seed", "no_episodes", "lambda_above_1", "detail_no_seeds"])
 def test_probe_rejects_settings_before_writing(data_dir, tmp_path, bad):
     out = tmp_path / "p"
     assert main(["probe", "--data", str(data_dir), "--out", str(out),
                  "--seeds", "2", "--probe-episodes", "2", "--t-max", "6"]
                 + bad) == 2
     assert not out.exists()
+
+
+def test_probe_creates_out_before_any_probe(data_dir, tmp_path, monkeypatch):
+    """An --out that cannot be created fails (exit 3) before any compute."""
+    calls = []
+    monkeypatch.setattr(cli, "grad_probe", lambda *a, **k: calls.append("grad"))
+    monkeypatch.setattr(cli, "detail_probe", lambda *a, **k: calls.append("detail"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["probe", "--data", str(data_dir), "--out", str(blocker / "p"),
+                 "--seeds", "2", "--probe-episodes", "2", "--which", "all"]) == 3
+    assert calls == []
 
 
 def test_probe_outputs(data_dir, tmp_path):

@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tape_ops import mul, tsum
+from tape_ops import mul, oracle_attention, oracle_mlp, tsum
 from test_metrics import graph_from
 
-from oikg import model, nn
+from oikg import model, nn, training
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, ShapeError
 from oikg.geometry import nearest_view, relative_pose, trig_embed
@@ -645,3 +645,45 @@ def test_forward_gradients_sampled_finite_difference():
             numeric = (lp - lm) / (2 * h)
             err = abs(numeric - gflat[idx]) / max(abs(numeric), abs(gflat[idx]), 1e-8)
             assert err <= 1e-4, f"{name}[{idx}]: analytic {gflat[idx]}, numeric {numeric}"
+
+
+@pytest.mark.parametrize("geo_embed", [True, False])
+def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embed):
+    """One iteration of the full model in the benchmark's ``train_full``
+    setup (a 30-node detour world, two episodes, 30 steps), run with the
+    fused ``nn.attention``/``nn.mlp`` and again with the node-per-op oracles
+    patched in.  Losses, every gradient, the Adam moments and the updated
+    parameters match bit for bit.  Two decoder layers share each k=v
+    tensor, so a fused op that reorders those gradient sums fails here."""
+    cfg = replace(model.ModelConfig(), geo_embed=geo_embed)
+    graph = se.generate_environment(se.EnvParams(
+        node_count=30, connection_radius=3.5, extent=10.0,
+        feature_dim=cfg.vis_dim, sigma=0.1, seed=4))
+    env = training.EnvBundle(graph, se.make_latents(graph, cfg.vis_dim, seed=5), sigma=0.1)
+    data = [(env, se.make_episode(graph, seed=i, mode="detour")) for i in range(4)]
+    train_cfg = training.TrainConfig(lam=0.2, t_max=30, lr=1e-3, iterations=1, batch_size=2)
+    step = nn.optimizer_step
+
+    def run():
+        grads = {}
+
+        def record_then_step(store, lr):
+            grads.update((n, store[n].grad.copy()) for n in store.names())
+            step(store, lr)
+
+        monkeypatch.setattr(nn, "optimizer_step", record_then_step)
+        params = model.build_params(cfg, seed=0)
+        log = training.train(data, params, train_cfg, cfg)
+        state = {n: (params[n].data, params._m[n], params._v[n]) for n in params.names()}
+        return log, grads, state
+
+    fused = run()
+    monkeypatch.setattr(nn, "attention", oracle_attention)
+    monkeypatch.setattr(nn, "mlp", oracle_mlp)
+    oracle = run()
+    assert fused[0] == oracle[0]
+    assert fused[1].keys() == oracle[1].keys() == fused[2].keys()
+    for name in fused[1]:
+        assert fused[1][name].tobytes() == oracle[1][name].tobytes(), f"{name} gradient"
+        for a, b in zip(fused[2][name], oracle[2][name]):
+            assert a.tobytes() == b.tobytes(), f"{name} state"

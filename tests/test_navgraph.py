@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oikg.errors import IllegalAction, InvalidArgument, SchemaError
 from oikg.navgraph import (
@@ -261,6 +263,33 @@ def test_frontier_fuzz_matches_oracle():
             if not frontier:
                 break
             pg.advance(int(rng.choice(frontier)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 9), local_only=st.booleans(),
+       moves=st.lists(st.integers(-1, 63), max_size=14))
+def test_frontier_properties(seed, n, local_only, moves):
+    """On any connected graph and any walk of frontier moves ending in STOP
+    (-1):
+    the frontier is sorted, unvisited, and exactly the unvisited neighbours
+    of the current node (local_only) or of the visited set (global); once
+    the walk is terminal it is empty and every move is illegal."""
+    g = random_graph(np.random.default_rng(seed), n)
+    pg = PathGraph(g, start=seed % n, local_only=local_only)
+    for m in moves + [-1]:
+        frontier = pg.frontier()
+        assert frontier == sorted(set(frontier))
+        assert not set(frontier) & set(pg.visited)
+        sources = [pg.current] if local_only else pg.visited
+        assert set(frontier) == {c for u in sources for c in g.neighbors(u)} - set(pg.visited)
+        if m < 0 or not frontier:
+            pg.advance(STOP)
+            break
+        pg.advance(frontier[m % len(frontier)])
+    assert pg.terminal and pg.frontier() == []
+    for target in (STOP, *g.node_ids()):
+        with pytest.raises(IllegalAction):
+            pg.advance(target)
 
 
 # ------------------------------------------------------------- file formats

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_ops import mul, sub, tsum
+from tape_ops import mul, oracle_attention, oracle_mlp, relu, softmax, sub, transpose, tsum
 
 from oikg import nn
 from oikg.errors import (
@@ -63,21 +63,21 @@ def rand_tensor(rng, shape, requires_grad=True):
 
 
 def test_softmax_known_values():
-    t = nn.softmax(nn.Tensor([0.0, math.log(3.0)]))
+    t = softmax(nn.Tensor([0.0, math.log(3.0)]))
     np.testing.assert_allclose(t.data, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 7)) * 10.0
-    p = nn.softmax(nn.Tensor(x)).data
+    p = softmax(nn.Tensor(x)).data
     np.testing.assert_allclose(p.sum(axis=-1), np.ones(5), atol=1e-12)
-    shifted = nn.softmax(nn.Tensor(x + 123.456)).data
+    shifted = softmax(nn.Tensor(x + 123.456)).data
     np.testing.assert_allclose(p, shifted, atol=1e-12)
 
 
 def test_softmax_extreme_logits_stay_finite():
-    p = nn.softmax(nn.Tensor([1e4, 0.0, -1e4])).data
+    p = softmax(nn.Tensor([1e4, 0.0, -1e4])).data
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
@@ -190,7 +190,7 @@ def test_debug_finite_flag():
 def test_backward_requires_scalar_tracked_fresh_graph():
     w = nn.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(InvalidArgument):
-        nn.backward(nn.relu(w))
+        nn.backward(relu(w))
     with pytest.raises(InvalidState):
         nn.backward(tsum(nn.Tensor([1.0, 2.0])))  # constants only
     loss = tsum(mul(w, w))
@@ -207,7 +207,7 @@ def test_no_tape_values_match_and_nothing_is_recorded():
     b = rand_tensor(rng, (4,))
 
     def forward():
-        return nn.softmax(nn.relu(nn.linear(x, w, b)))
+        return softmax(relu(nn.linear(x, w, b)))
 
     taped = forward()
     with nn.no_tape():
@@ -226,11 +226,11 @@ def test_no_tape_restores_after_exception_and_nesting():
     with pytest.raises(ShapeError):
         with nn.no_tape():
             nn.matmul(w, w)
-    assert nn.relu(w).requires_grad
+    assert relu(w).requires_grad
     with nn.no_tape():
         with nn.no_tape():
             pass
-        assert not nn.relu(w).requires_grad  # an inner scope leaves it off
+        assert not relu(w).requires_grad  # an inner scope leaves it off
     loss = tsum(mul(w, w))
     nn.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 4.0])
@@ -323,7 +323,7 @@ def test_fd_relu_softmax_mean():
     c = nn.Tensor(rng.normal(size=(3, 5)))
 
     def make_loss():
-        return tsum(mul(nn.softmax(nn.relu(x)), c))
+        return tsum(mul(softmax(relu(x)), c))
 
     check_grads(make_loss, [x])
 
@@ -339,7 +339,7 @@ def test_fd_concat_stack_reshape_transpose():
         m = nn.concat([nn.reshape(r, (1, 4)) for r in (r1, r2, r3)],
                       axis=0)                               # (3, 4)
         m2 = nn.concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
-        m3 = nn.reshape(nn.transpose(m2, (1, 0)), (2, 12))  # (2, 12)
+        m3 = nn.reshape(transpose(m2, (1, 0)), (2, 12))  # (2, 12)
         return tsum(mul(m3, c))
 
     check_grads(make_loss, [r1, r2, r3])
@@ -394,6 +394,180 @@ def test_attention_head_count_must_divide():
     ws = [rand_tensor(rng, (6, 6)) for _ in range(4)]
     with pytest.raises(ShapeError):
         nn.attention(t, t, t, *ws, heads=4)
+    with pytest.raises(ShapeError):
+        nn.attention(t, t, t, ws[0], ws[1], rand_tensor(rng, (6, 4)), ws[3], heads=2)
+
+
+# ------------------------------------------------- fused ops vs their oracles
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and bytes: stricter than ``np.array_equal``, which takes
+    -0.0 for 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def inner_nodes(root: nn.Tensor) -> int:
+    """Distinct tensors with parents reachable from root, root included."""
+    seen, stack = {id(root)}, [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._parents)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return count
+
+
+def fused_vs_oracle(build, leaves):
+    """Build a loss with ``build(attention, mlp)``, once with the fused ops
+    and once with the oracles, and run backward on each; every output value
+    and every leaf gradient must match bit for bit."""
+    runs = []
+    for ops in ((nn.attention, nn.mlp), (oracle_attention, oracle_mlp)):
+        for t in leaves:
+            t.grad = None
+        outs, loss = build(*ops)
+        nn.backward(loss)
+        runs.append(([o.data.copy() for o in outs],
+                     [None if t.grad is None else t.grad.copy() for t in leaves]))
+    (outs, grads), (ref_outs, ref_grads) = runs
+    for i, (a, b) in enumerate(zip(outs, ref_outs)):
+        assert same_bits(a, b), f"output {i} differs"
+    for i, (a, b) in enumerate(zip(grads, ref_grads)):
+        assert (a is None) == (b is None), f"leaf {i}: gradient presence differs"
+        assert a is None or same_bits(a, b), f"leaf {i}: gradient differs"
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("sharing", ["q|kv", "qkv", "q|k|v"])
+def test_attention_matches_oracle_bitwise(heads, sharing):
+    rng = np.random.default_rng(12)
+    x0 = rand_tensor(rng, (3, 4))
+    w_in = rand_tensor(rng, (4, 4))
+    src = [rand_tensor(rng, (5, 4)) for _ in range(2)]
+    ws = [rand_tensor(rng, (4, 4)) for _ in range(4)]
+    c = nn.Tensor(rng.normal(size=(3, 4)))
+
+    def build(attention, _):
+        q = nn.linear(x0, w_in)   # a tracked inner tensor, read again below
+        if sharing == "qkv":
+            k = v = q
+        elif sharing == "q|kv":
+            k = v = src[0]
+        else:
+            k, v = src
+        out = attention(q, k, v, *ws, heads=heads)
+        h = nn.add(q, out)
+        loss = nn.add(tsum(mul(h, c)), tsum(mul(k, v)))
+        return [out], loss
+
+    fused_vs_oracle(build, [x0, w_in, *src, *ws])
+
+
+@pytest.mark.parametrize("tracked", ["weights", "query", "key", "value"])
+def test_attention_partial_tracking_matches_oracle(tracked):
+    """Only some inputs tracked: the fused op routes gradient exactly where
+    the composition did and nowhere else."""
+    rng = np.random.default_rng(13)
+    q, k, v = (rand_tensor(rng, (r, 4), requires_grad=tracked == name)
+               for r, name in ((2, "query"), (3, "key"), (3, "value")))
+    ws = [rand_tensor(rng, (4, 4), requires_grad=tracked == "weights") for _ in range(4)]
+    c = nn.Tensor(rng.normal(size=(2, 4)))
+
+    def build(attention, _):
+        out = attention(q, k, v, *ws, heads=2)
+        return [out], tsum(mul(out, c))
+
+    fused_vs_oracle(build, [q, k, v, *ws])
+
+
+def test_decoder_stack_sharing_kv_matches_oracle_bitwise():
+    """Two decoder layers read one k=v tensor.  The tape adds layer 0's K
+    and V terms into it before layer 1's, because layer 1's query ancestry
+    (layer 0) runs before layer 1's K and V projections; a fused op that
+    reorders those sums changes the gradient's last bits."""
+    rng = np.random.default_rng(14)
+    dm = 8
+    x0 = rand_tensor(rng, (3, dm))
+    src = rand_tensor(rng, (6, dm))
+    w_src = rand_tensor(rng, (dm, dm))
+    layers = [([rand_tensor(rng, (dm, dm)) for _ in range(4)],
+               [(rand_tensor(rng, (dm, 2 * dm)), rand_tensor(rng, (2 * dm,))),
+                (rand_tensor(rng, (2 * dm, dm)), rand_tensor(rng, (dm,)))])
+              for _ in range(2)]
+    c = nn.Tensor(rng.normal(size=(3, dm)))
+    leaves = [x0, src, w_src] + [t for ws, mlp_layers in layers
+                                 for t in ws + [p for wb in mlp_layers for p in wb]]
+
+    def build(attention, mlp):
+        kv = nn.linear(src, w_src)
+        h, outs = x0, []
+        for ws, mlp_layers in layers:
+            h = nn.add(h, attention(h, kv, kv, *ws, heads=2))
+            h = nn.add(h, mlp(h, mlp_layers))
+            outs.append(h)
+        return outs, tsum(mul(h, c))
+
+    fused_vs_oracle(build, leaves)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
+def test_mlp_matches_oracle_bitwise(depth, x_shape):
+    rng = np.random.default_rng(15)
+    x0 = rand_tensor(rng, x_shape)
+    widths = [4, 6, 5, 3][:depth + 1]
+    layers = [(rand_tensor(rng, (a, b)), rand_tensor(rng, (b,)))
+              for a, b in zip(widths, widths[1:])]
+    c = nn.Tensor(rng.normal(size=x_shape[:-1] + (widths[-1],)))
+    leaves = [x0] + [t for wb in layers for t in wb]
+
+    def build(_, mlp):
+        x = nn.scale(x0, 1.5)   # a tracked inner tensor, read again below
+        out = mlp(x, layers)
+        return [out], nn.add(tsum(mul(out, c)), tsum(mul(x, x)))
+
+    fused_vs_oracle(build, leaves)
+
+
+def test_mlp_untracked_first_layer_matches_oracle():
+    """Gradient stops below the first layer with a tracked parameter."""
+    rng = np.random.default_rng(16)
+    x = rand_tensor(rng, (3, 4), requires_grad=False)
+    layers = [(rand_tensor(rng, (4, 5), requires_grad=False),
+               rand_tensor(rng, (5,), requires_grad=False)),
+              (rand_tensor(rng, (5, 2)), rand_tensor(rng, (2,)))]
+    c = nn.Tensor(rng.normal(size=(3, 2)))
+
+    def build(_, mlp):
+        out = mlp(x, layers)
+        return [out], tsum(mul(out, c))
+
+    fused_vs_oracle(build, [x] + [t for wb in layers for t in wb])
+
+
+def test_fused_ops_node_counts_and_no_tape():
+    rng = np.random.default_rng(17)
+    q, kv = rand_tensor(rng, (2, 4)), rand_tensor(rng, (3, 4))
+    ws = [rand_tensor(rng, (4, 4)) for _ in range(4)]
+    layers = [(rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,))),
+              (rand_tensor(rng, (6, 4)), rand_tensor(rng, (4,)))]
+    att = nn.attention(q, kv, kv, *ws, heads=2)
+    assert inner_nodes(att) == 3
+    assert inner_nodes(oracle_attention(q, kv, kv, *ws, heads=2)) == 17
+    assert att._parents == (q, att._parents[1], att._parents[2], ws[0], ws[3])
+    assert att._parents[1]._parents == (kv, ws[1]) and att._parents[2]._parents == (kv, ws[2])
+    out = nn.mlp(q, layers)
+    assert inner_nodes(out) == 1
+    assert inner_nodes(oracle_mlp(q, layers)) == 3
+    with nn.no_tape():
+        plain_att = nn.attention(q, kv, kv, *ws, heads=2)
+        plain_out = nn.mlp(q, layers)
+    assert not plain_att.requires_grad and not plain_out.requires_grad
+    assert same_bits(plain_att.data, att.data) and same_bits(plain_out.data, out.data)
 
 
 # ------------------------------------------------------- parameters/optimizer
