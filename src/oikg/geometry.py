@@ -8,6 +8,7 @@ Conventions used everywhere in this package:
 - degrees appear only in human-readable output, never in computation
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,17 +84,40 @@ def relative_pose(frm: Sequence[float], to: Sequence[float]) -> RelativePose:
     return RelativePose(heading=heading, elevation=elevation, length=length)
 
 
-def nearest_view(candidate_heading: float, view_headings: Sequence[float]) -> tuple[int, float]:
-    """Index and distance of the view heading closest to a candidate heading.
+@functools.cache
+def grid_columns(n: int) -> tuple[float, ...]:
+    """Headings of a uniform n-column grid, column j at j * (2*pi / n).
 
-    Ties break to the lowest index so results are deterministic.
+    These are the floats ``np.arange(n) * (2*pi / n)`` holds, as Python
+    floats.
     """
-    if len(view_headings) == 0:
-        raise InvalidArgument("nearest_view needs at least one view heading")
-    best_i = 0
-    best_d = angular_distance(candidate_heading, view_headings[0])
-    for i in range(1, len(view_headings)):
-        d = angular_distance(candidate_heading, view_headings[i])
-        if d < best_d:
-            best_i, best_d = i, d
-    return best_i, best_d
+    if n < 1:
+        raise InvalidArgument(f"a heading grid needs >= 1 column, got {n}")
+    step = TWO_PI / n
+    return tuple(j * step for j in range(n))
+
+
+def bracketing_columns(heading: float, n: int) -> list[tuple[float, int]]:
+    """(distance, column) for the columns of ``grid_columns(n)`` that
+    bracket a heading.
+
+    The bracket is column floor(heading / bin) mod n and the next one, a
+    single column when n == 1.  Every other column is at least a full bin
+    from the heading, so it can neither be the nearest nor lie within half a
+    bin.  Each distance is ``angular_distance(heading, column)``, the call a
+    scan of every column would make for that column.
+    """
+    _check_finite(heading)
+    columns = grid_columns(n)
+    j = math.floor(heading / (TWO_PI / n)) % n
+    near = (j, (j + 1) % n) if n > 1 else (j,)
+    return [(angular_distance(heading, columns[i]), i) for i in near]
+
+
+def nearest_column(heading: float, n: int) -> tuple[int, float]:
+    """Column of ``grid_columns(n)`` nearest a heading, and its distance.
+
+    Ties break to the lowest column, as in a scan of all columns in order.
+    """
+    d, j = min(bracketing_columns(heading, n))
+    return j, d

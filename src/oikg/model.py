@@ -18,6 +18,7 @@ zeroed weights, which keeps ablations exact: a configuration reads exactly
 the parameters ``param_spec`` declares for it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
-from .geometry import nearest_view, relative_pose, trig_embed
+from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
 from .navgraph import STOP, PathGraph
 from .synthenv import VOCAB_SIZE, Instruction, Observation, ViewGrid
 
@@ -150,6 +151,32 @@ def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
 # ------------------------------------------------------------- observation
 
 
+@functools.cache
+def _grid_views(grid: ViewGrid, elevation_bits: bytes) -> tuple[bytes, bytes, np.ndarray]:
+    """The bytes of a view grid's per-view headings and elevations, and its
+    read-only angular block, whose row i is ``trig_embed`` of view i;
+    computed once per grid.  ``elevation_bits`` keys the cache on the
+    elevations' bits: grids whose elevations differ only in the sign of a
+    zero are equal and hash alike, but their blocks differ."""
+    headings, elevations = grid.angles()
+    block = np.stack([np.asarray(trig_embed(h, e))
+                      for h, e in zip(headings, elevations)])
+    block.flags.writeable = False
+    return headings.tobytes(), elevations.tobytes(), block
+
+
+def _check_view_grid(obs: Observation, grid: ViewGrid) -> np.ndarray:
+    """The grid's angular block, once the view angles of ``obs`` are
+    known to be the grid's, bit for bit."""
+    headings, elevations, block = _grid_views(
+        grid, np.array(grid.elevations).tobytes())
+    if obs.headings.tobytes() != headings or obs.elevations.tobytes() != elevations:
+        raise ShapeError(f"panorama at node {obs.node} is not on the model's "
+                         f"{grid.n_headings}-heading x {len(grid.elevations)}"
+                         "-elevation view grid")
+    return block
+
+
 def decouple_observation(obs: Observation, params: nn.ParamStore,
                          cfg: ModelConfig) -> nn.Tensor:
     """Refined panorama rows; angular and visual blocks embedded separately.
@@ -160,9 +187,7 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
     want = (cfg.view_grid.k, cfg.vis_dim)
     if obs.visual.shape != want:
         raise ShapeError(f"panorama shape {obs.visual.shape} != {want}")
-    ang = np.stack([np.asarray(trig_embed(h, e))
-                    for h, e in zip(obs.headings, obs.elevations)])
-    ang_t = nn.Tensor(ang)
+    ang_t = nn.Tensor(_check_view_grid(obs, cfg.view_grid))
     vis_t = nn.Tensor(obs.visual)
     if not cfg.decouple:
         return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
@@ -185,9 +210,10 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
     one attached elsewhere uses the straight-line direction to it.  Row i is
     (t_i W_edge + b_edge) + (p_i W_pe + b_pe): t_i is the trig embedding of
     that direction and p_i = [distance, sin(offset), cos(offset)] its offset
-    to the nearest panorama view.  With geo_embed off the positional term is
-    an exact zero that touches no parameter.  The last row is the learned
-    STOP embedding.
+    to the nearest panorama view, looked up among the two heading columns of
+    ``cfg.view_grid`` that bracket it; ``obs`` must lie on that grid.  With
+    geo_embed off the positional term is an exact zero that touches no
+    parameter.  The last row is the learned STOP embedding.
 
     All rows are one tape node.  Each row is its own vector-matrix product,
     not a row of one batched product, whose last bits can differ; backward
@@ -195,6 +221,8 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
     forward values and gradients are bitwise those of one linear node per
     term and row.
     """
+    _check_view_grid(obs, cfg.view_grid)
+    n = cfg.view_grid.n_headings
     graph = pg.graph
     order = pg.frontier()
     w_e, b_e = params["graph.edge.w"], params["graph.edge.b"]
@@ -213,8 +241,8 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
         edge_in.append(t)
         row = t @ w_e.data + b_e.data
         if cfg.geo_embed:
-            idx, dist = nearest_view(pose.heading, obs.headings)
-            off = pose.heading - obs.headings[idx]
+            j, dist = nearest_column(pose.heading, n)
+            off = pose.heading - grid_columns(n)[j]
             f = np.array([dist, math.sin(off), math.cos(off)])
             pe_in.append(f)
             rows.append(row + (f @ w_p.data + b_p.data))

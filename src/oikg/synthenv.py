@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
-from .geometry import TWO_PI, angular_distance
+from .geometry import TWO_PI, bracketing_columns
 from .navgraph import NavGraph, NavNode, build_graph
 from .rng import substream
 
@@ -162,22 +162,25 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
     dim = latents.feature_dim
     half_bin = math.pi / grid.n_headings
 
-    edges = [(nbr, graph.edge_pose(node, nbr).heading)
-             for nbr in graph.neighbors(node)]
+    # an edge can only be seen in the columns bracketing its heading: per
+    # column, the nearest such edge, ties to the lowest neighbour id
+    best: dict[int, tuple[float, int]] = {}
+    for nbr in graph.neighbors(node):
+        for d, j in bracketing_columns(graph.edge_pose(node, nbr).heading,
+                                       grid.n_headings):
+            if j not in best or (d, nbr) < best[j]:
+                best[j] = (d, nbr)
+    ne = len(grid.elevations)
+    background = np.concatenate([latents.background, np.zeros(ROOM_COUNT)])
     visual = np.empty((grid.k, dim))
-    for k in range(grid.k):
-        best = None
-        for nbr, ang in edges:
-            d = angular_distance(ang, headings[k])
-            if best is None or (d, nbr) < best[:2]:
-                best = (d, nbr)
-        if best is not None and best[0] <= half_bin + 1e-12:
-            nbr = best[1]
+    for j in range(grid.n_headings):
+        d, nbr = best.get(j, (math.inf, None))
+        row = background
+        if d <= half_bin + 1e-12:
             onehot = np.zeros(ROOM_COUNT)
             onehot[graph.nodes[nbr].room] = 1.0
-            visual[k] = np.concatenate([latents.node[nbr], onehot])
-        else:
-            visual[k] = np.concatenate([latents.background, np.zeros(ROOM_COUNT)])
+            row = np.concatenate([latents.node[nbr], onehot])
+        visual[j * ne:(j + 1) * ne] = row  # every elevation row of column j
     if sigma > 0:
         noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
             (grid.k, dim))

@@ -130,7 +130,7 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
         PathGraph(star, start=0),
         obs_at(star, make_latents(star, cfg.vis_dim, seed=0), 0, cfg), params, cfg)
     assert f_g.shape == (65, cfg.dim) and not f_g.data[:-1].any()
-    views = record_calls(monkeypatch, model, "nearest_view")
+    views = record_calls(monkeypatch, model, "nearest_column")
     reads, _ = step(cfg, params)
     assert views == [] and not {n for n in reads if n.startswith("graph.pe.")}
 

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oikg.errors import DegeneratePose, InvalidArgument
 from oikg.geometry import (
     TWO_PI,
     angular_distance,
-    nearest_view,
+    bracketing_columns,
+    grid_columns,
+    nearest_column,
     relative_pose,
     trig_embed,
     wrap_angle,
@@ -145,6 +149,21 @@ def test_relative_pose_round_trip():
         assert np.max(np.abs(np.asarray(got) - b)) <= 1e-9
 
 
+def nearest_view(candidate_heading, view_headings):
+    """Brute-force oracle: index and distance of the view heading closest to
+    a candidate heading, scanning every view; ties break to the lowest
+    index."""
+    if len(view_headings) == 0:
+        raise InvalidArgument("nearest_view needs at least one view heading")
+    best_i = 0
+    best_d = angular_distance(candidate_heading, view_headings[0])
+    for i in range(1, len(view_headings)):
+        d = angular_distance(candidate_heading, view_headings[i])
+        if d < best_d:
+            best_i, best_d = i, d
+    return best_i, best_d
+
+
 def test_nearest_view_exact_match():
     headings = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     assert nearest_view(0.0, headings) == (0, 0.0)
@@ -178,3 +197,59 @@ def test_nearest_view_matches_exhaustive_scan():
         dists = [angular_distance(cand, v) for v in views]
         assert d == min(dists)
         assert i == dists.index(min(dists))
+
+
+def grid_heading(n):
+    """Headings on and between the columns of an n-column grid: uniform
+    draws, exact columns, exact midpoints (two roundings), the largest
+    float below 2*pi, and the float neighbours of each."""
+    step = TWO_PI / n
+    cols = st.integers(0, n - 1)
+    base = st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        cols.map(lambda j: j * step),
+        cols.map(lambda j: (j + 0.5) * step),
+        cols.map(lambda j: j * step + step / 2),
+        st.just(math.nextafter(TWO_PI, 0.0)))
+    return st.tuples(base, st.sampled_from((0, -1, 1))).map(
+        lambda bs: bs[0] if bs[1] == 0 else math.nextafter(bs[0], bs[1] * math.inf))
+
+
+def test_grid_columns_are_the_view_grid_floats():
+    for n in range(1, 25):
+        cols = grid_columns(n)
+        assert all(type(c) is float for c in cols)
+        np.testing.assert_array_equal(np.array(cols), np.arange(n) * (TWO_PI / n))
+    with pytest.raises(InvalidArgument):
+        grid_columns(0)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nearest_column_matches_scan(data):
+    """The bracket lookup returns the brute-force scan's column and distance
+    to the bit; every column outside the bracket is farther than half a bin
+    (+1e-12), and on a grid whose columns repeat per elevation the scan's
+    first view is that column's first row."""
+    n = data.draw(st.integers(1, 24), label="n")
+    h = data.draw(grid_heading(n), label="heading")
+    cols = grid_columns(n)
+    j, d = nearest_column(h, n)
+    assert (j, d) == nearest_view(h, cols)
+    bracket = bracketing_columns(h, n)
+    near = {c for _, c in bracket}
+    assert len(near) == len(bracket) == min(n, 2)
+    for dist, c in bracket:
+        assert dist == angular_distance(h, cols[c])
+    for c in range(n):
+        if c not in near:
+            assert angular_distance(h, cols[c]) > math.pi / n + 1e-12
+    ne = data.draw(st.integers(1, 3), label="elevations")
+    assert nearest_view(h, np.repeat(np.arange(n) * (TWO_PI / n), ne)) == (j * ne, d)
+
+
+def test_nearest_column_ties_low_and_rejects_nonfinite():
+    assert nearest_column(math.pi / 4, 4) == (0, angular_distance(math.pi / 4, 0.0))
+    assert nearest_column(math.nextafter(TWO_PI, 0.0), 4)[0] == 0
+    with pytest.raises(InvalidArgument):
+        nearest_column(float("nan"), 4)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from tape_ops import mul, oracle_attention, oracle_mlp, tsum
+from test_geometry import nearest_view
 from test_metrics import graph_from
 
 from oikg import model, nn, training
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, ShapeError
-from oikg.geometry import nearest_view, relative_pose, trig_embed
+from oikg.geometry import relative_pose, trig_embed
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
 
 TINY = model.TINY_CONFIG
@@ -127,6 +128,52 @@ def test_decouple_zero_visual_weights_isolate_angles(setup):
     np.testing.assert_array_equal(out_a.data, out_b.data)
 
 
+def test_observation_off_the_model_grid_is_rejected(setup):
+    """Two grids with the same k: a panorama rendered on one is refused by a
+    model configured with the other, in both stages that read its angles."""
+    graph, latents, *_ = setup
+    flat = replace(TINY, view_grid=se.ViewGrid(12, (0.0,)))
+    tall = replace(TINY, view_grid=se.ViewGrid(4, (-0.5, 0.0, 0.5)))
+    assert flat.view_grid.k == tall.view_grid.k == 12
+    for cfg, other in ((flat, tall), (tall, flat)):
+        params = model.build_params(cfg, seed=0)
+        good = obs_at(graph, latents, 0, cfg)
+        model.decouple_observation(good, params, cfg)
+        model.build_candidates(PathGraph(graph, start=0), good, params, cfg)
+        bad = obs_at(graph, latents, 0, other)
+        with pytest.raises(ShapeError):
+            model.decouple_observation(bad, params, cfg)
+        with pytest.raises(ShapeError):
+            model.build_candidates(PathGraph(graph, start=0), bad, params, cfg)
+
+
+def test_angular_block_built_once_per_grid(monkeypatch):
+    """The trig embedding of the views is computed once per grid, read-only,
+    and equal to the per-view stack it replaced."""
+    cfg = replace(TINY, view_grid=se.ViewGrid(5, (0.25, -0.75)))
+    params = model.build_params(cfg, seed=0)
+    rng = np.random.default_rng(4)
+    calls = record_calls(monkeypatch, model, "trig_embed")
+    obs = random_obs(rng, cfg)
+    first = model.decouple_observation(obs, params, cfg)
+    assert len(calls) == cfg.view_grid.k
+    again = model.decouple_observation(random_obs(rng, cfg), params, cfg)
+    assert len(calls) == cfg.view_grid.k and again.shape == first.shape
+    block = model._check_view_grid(obs, cfg.view_grid)
+    assert not block.flags.writeable
+    want = np.stack([np.asarray(trig_embed(h, e))
+                     for h, e in zip(obs.headings, obs.elevations)])
+    np.testing.assert_array_equal(block, want)
+    # grids that differ only in the sign of a zero elevation compare equal,
+    # yet each gets its own block
+    for zero in (0.0, -0.0, 0.0):
+        grid = se.ViewGrid(3, (zero,))
+        assert grid == se.ViewGrid(3, (0.0,))
+        obs = random_obs(rng, replace(cfg, view_grid=grid))
+        block = model._check_view_grid(obs, grid)
+        assert math.copysign(1.0, block[0, 2]) == math.copysign(1.0, zero)
+
+
 def test_coupled_baseline_differs_from_decoupled():
     coupled_cfg = model.ModelConfig(
         **{**TINY.__dict__, "decouple": False})
@@ -238,7 +285,7 @@ def test_geometric_pe_off_is_exact_zero(monkeypatch):
     assert "graph.pe.w" not in params and "graph.pe.b" not in params
     params["graph.edge.w"].data[:] = 0.0
     params["graph.edge.b"].data[:] = 0.0
-    views = record_calls(monkeypatch, model, "nearest_view")
+    views = record_calls(monkeypatch, model, "nearest_column")
     rows = star_rows(params, cfg)
     np.testing.assert_array_equal(rows[:-1], np.zeros((3, cfg.dim)))
     assert views == []  # the positional stage never ran
@@ -321,6 +368,28 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
     assert ("graph.pe.w" in grads) == geo_embed
     for name, g in grads.items():
         np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+
+def test_build_candidates_matches_oracle_on_full_grid():
+    """On the default 12 x 3 grid, with candidates at random headings, on
+    columns and at midpoints, the bracket lookup gives the rows of the
+    oracle's scan over all 36 views, bit for bit."""
+    cfg = model.ModelConfig()
+    step = 2 * math.pi / cfg.view_grid.n_headings
+    rng = np.random.default_rng(29)
+    headings = [*rng.uniform(0.0, 2 * math.pi, size=40),
+                *(j * step for j in range(12)), *((j + 0.5) * step for j in range(12))]
+    star = graph_from([(0, (0.0, 0.0, 0.0))] + [
+        (i + 1, (math.cos(h), math.sin(h), 0.1 * (i % 3 - 1)))
+        for i, h in enumerate(headings)],
+        [(0, i + 1) for i in range(len(headings))])
+    latents = se.make_latents(star, feature_dim=cfg.vis_dim, seed=0)
+    params = model.build_params(cfg, seed=1)
+    obs = obs_at(star, latents, 0, cfg)
+    got, order = model.build_candidates(PathGraph(star, start=0), obs, params, cfg)
+    want, want_order = oracle_build_candidates(PathGraph(star, start=0), obs, params, cfg)
+    assert order == want_order and len(order) == len(headings)
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_stop_slot_is_learned_embedding(setup):

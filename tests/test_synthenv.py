@@ -1,15 +1,18 @@
 """Generator determinism, observation semantics, and instruction invariants."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oikg import synthenv as se
 from oikg.artifacts import read_json, write_json
 from oikg.errors import GenerationFailure, InvalidArgument, SchemaError
-from oikg.geometry import angular_distance
+from oikg.geometry import TWO_PI, angular_distance
 from oikg.navgraph import NavNode, build_graph, graph_to_dict, path_length
 
 
@@ -215,6 +218,56 @@ def test_observation_nearest_in_bin_rule(env):
             else:
                 expect = background
             np.testing.assert_allclose(obs.visual[k], expect, atol=0)
+
+
+def oracle_render_visual(graph, node, latents, grid):
+    """Noise-free panorama by a per-view scan over every edge."""
+    headings, _ = grid.angles()
+    half_bin = math.pi / grid.n_headings
+    edges = [(nbr, graph.edge_pose(node, nbr).heading) for nbr in graph.neighbors(node)]
+    rows = []
+    for k in range(grid.k):
+        scored = sorted((angular_distance(a, headings[k]), nbr) for nbr, a in edges)
+        if scored and scored[0][0] <= half_bin + 1e-12:
+            nbr = scored[0][1]
+            onehot = np.zeros(se.ROOM_COUNT)
+            onehot[graph.nodes[nbr].room] = 1.0
+            rows.append(np.concatenate([latents.node[nbr], onehot]))
+        else:
+            rows.append(np.concatenate([latents.background, np.zeros(se.ROOM_COUNT)]))
+    return np.stack(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_render_matches_per_view_scan(data):
+    """Random star graphs on grids of 1-24 headings and 1-3 elevations:
+    edges at random headings, on columns, exactly half a bin from one, a
+    float either side of that, and repeated headings (ties go to the lower
+    neighbour id).  The bracket lookup renders the scan's panorama."""
+    n = data.draw(st.integers(1, 24), label="n")
+    elevations = tuple(data.draw(st.lists(
+        st.floats(-1.5, 1.5), min_size=1, max_size=3), label="elevations"))
+    grid = se.ViewGrid(n, elevations)
+    step = TWO_PI / n
+    cols = st.integers(0, n - 1)
+    half = cols.map(lambda j: j * step + step / 2)
+    heading = st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True), cols.map(lambda j: j * step),
+        half, half.map(lambda h: math.nextafter(h, 0.0)),
+        half.map(lambda h: math.nextafter(h, TWO_PI)))
+    headings = data.draw(st.lists(heading, min_size=1, max_size=8), label="headings")
+    headings += data.draw(st.lists(st.sampled_from(headings), max_size=2), label="repeats")
+    nodes = [NavNode(0, (0.0, 0.0, 0.0), 0, (0,))] + [
+        NavNode(i + 1, (math.cos(h) * (1 + i), math.sin(h) * (1 + i), 0.0), i % se.ROOM_COUNT, (0,))
+        for i, h in enumerate(headings)]
+    graph = build_graph(nodes, [e for i in range(len(headings))
+                                for e in ((0, i + 1), (i + 1, 0))])
+    for i, h in enumerate(headings):  # pin each edge to its exact heading
+        graph.poses[(0, i + 1)] = dataclasses.replace(graph.poses[(0, i + 1)], heading=h)
+    lat = se.make_latents(graph, feature_dim=12, seed=data.draw(st.integers(0, 99)))
+    obs = se.render_observation(graph, 0, lat, sigma=0.0, grid=grid)
+    np.testing.assert_array_equal(obs.visual, oracle_render_visual(graph, 0, lat, grid))
 
 
 def test_observation_errors(cross_graph):
