@@ -292,17 +292,18 @@ def encode_instruction(ins: Instruction, params: nn.ParamStore,
     return h
 
 
-def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
-    """Arithmetic mean of the masked rows (constant selector, so grads flow)."""
+def _selector(mask, tokens: int) -> np.ndarray | None:
+    """The (1, tokens) row whose product with the token rows is the mean of
+    the masked rows, or None when the mask selects no token."""
     idx = np.asarray(mask, dtype=bool)
-    if idx.shape != (f_i.shape[0],):
-        raise ShapeError(f"mask length {idx.shape} != token count {f_i.shape[0]}")
+    if idx.shape != (tokens,):
+        raise ShapeError(f"mask length {idx.shape} != token count {tokens}")
     n = int(idx.sum())
     if n == 0:
-        return nn.Tensor(np.zeros(f_i.shape[1]))
-    sel = np.zeros((1, f_i.shape[0]))
+        return None
+    sel = np.zeros((1, tokens))
     sel[0, idx] = 1.0 / n
-    return nn.reshape(nn.matmul(nn.Tensor(sel), f_i), (f_i.shape[1],))
+    return sel
 
 
 def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
@@ -311,15 +312,61 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
 
     A disabled flag (or an empty mask) zeroes that cue's pooled block; the
     projection bias still passes through, matching the ablation contract.
+
+    One tape node, bitwise equal to the eight-node chain it fuses
+    (``oracle_key_detail`` in the tests): per cue the masked mean
+    ``reshape(matmul(sel, f_i))`` and a ``linear``, then ``concat`` and the
+    fuse ``linear``.  Its parents are f_i, when a cue reads it, and the six
+    ``kd.*`` parameters.  The backward replays the chain's arrays in the
+    order the walk ran its nodes: the fuse projection, then the whole
+    location branch, then the whole object branch, each branch ending with
+    ``sel.T @ g`` into f_i.  No other consumer of f_i can run in between,
+    so f_i receives its terms where the chain gave them.
     """
-    f_loc = (_masked_mean(f_i, loc_mask) if cfg.loc_detail
-             else nn.Tensor(np.zeros(cfg.dim)))
-    f_obj = (_masked_mean(f_i, obj_mask) if cfg.obj_detail
-             else nn.Tensor(np.zeros(cfg.dim)))
-    e_loc = nn.linear(f_loc, params["kd.loc.w"], params["kd.loc.b"])
-    e_obj = nn.linear(f_obj, params["kd.obj.w"], params["kd.obj.b"])
-    return nn.linear(nn.concat([e_loc, e_obj], axis=-1),
-                     params["kd.fuse.w"], params["kd.fuse.b"])
+    tokens, d = f_i.shape
+    f_w, f_b = params["kd.fuse.w"], params["kd.fuse.b"]
+    branches = []   # per cue: selector (None: zero block), pooled row, w, b, x live
+    embedded = []
+    for on, mask, cue in ((cfg.loc_detail, loc_mask, "loc"),
+                          (cfg.obj_detail, obj_mask, "obj")):
+        sel = _selector(mask, tokens) if on else None
+        x = np.zeros(d) if sel is None else (sel @ f_i.data).reshape(d)
+        w, b = params[f"kd.{cue}.w"], params[f"kd.{cue}.b"]
+        nn._check_linear(x.shape, w, b)
+        embedded.append(x @ w.data + b.data)
+        branches.append((sel, x, w, b, sel is not None and f_i.requires_grad))
+    c = np.concatenate(embedded, axis=-1)
+    nn._check_linear(c.shape, f_w, f_b)
+    out = c @ f_w.data + f_b.data
+    e_live = [x_live or w.requires_grad or b.requires_grad
+              for _, _, w, b, x_live in branches]
+    k = embedded[0].shape[0]
+
+    def backward(g):
+        if f_b.requires_grad:
+            f_b.accumulate_grad(g)
+        g_c = nn._grad_copy(f_w.data @ g) if any(e_live) else None
+        if f_w.requires_grad:
+            f_w.accumulate_grad(np.outer(c, g))
+        if g_c is None:
+            return
+        for (sel, x, w, b, x_live), live, part in zip(
+                branches, e_live, (slice(0, k), slice(k, None))):
+            if not live:
+                continue
+            g_e = nn._grad_copy(g_c[part])
+            if b.requires_grad:
+                b.accumulate_grad(g_e)
+            g_x = nn._grad_copy(w.data @ g_e) if x_live else None
+            if w.requires_grad:
+                w.accumulate_grad(np.outer(x, g_e))
+            if g_x is not None:
+                f_i.accumulate_grad(sel.T @ nn._grad_copy(g_x.reshape(1, d)))
+
+    reads_f_i = any(sel is not None for sel, *_ in branches)
+    parents = ((f_i,) if reads_f_i else ()) + tuple(
+        t for _, _, w, b, _ in branches for t in (w, b)) + (f_w, f_b)
+    return nn.tape_node(out, parents, backward)
 
 
 def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
@@ -378,23 +425,35 @@ def select_action(scores, frontier_order) -> int:
 
 
 class EpisodeCache:
-    """Reuses instruction/panorama encodings inside one autograd graph, and
-    the rendered panoramas of one episode's nodes.
+    """Reuses, inside one autograd graph, the encodings that stay fixed for
+    an episode: the instruction encoding, each node's panorama embedding and
+    the key detail; and keeps the rendered panoramas of the episode's nodes.
 
-    One cache serves one episode and is dropped with it: the encoded
-    tensors belong to the loss graph they were built in.
+    One cache serves one episode, its teacher and student rollouts alike,
+    and is dropped with it: the encoded tensors belong to the loss graph
+    they were built in.  ``key_detail`` is the first step's node, its data
+    read-only, since every later step's ``StepRecord.key_detail`` shares it.
     """
 
     def __init__(self):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
         self.views: dict[int, Observation] = {}
+        self.key_detail: nn.Tensor | None = None
 
 
 def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
                  params: nn.ParamStore, cfg: ModelConfig,
                  cache: EpisodeCache | None = None) -> tuple[StepFeatures, int]:
-    """Run the full pipeline for one decision step."""
+    """Run the full pipeline for one decision step.
+
+    With a cache, the key detail is computed once per episode.  Every later
+    step gets ``nn.replay`` of the cached node: a new node with its data,
+    parents and backward, so each step's gradient still reaches f_i and the
+    ``kd.*`` parameters on its own, at the step's place in the backward
+    walk, as a per-step rebuild gave it.  One tracked tensor shared by the
+    steps would sum their gradients first and change the last bits.
+    """
     if cache is not None and obs.node in cache.obs:
         f_o = cache.obs[obs.node]
     else:
@@ -412,8 +471,16 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
         if cache is not None:
             cache.instr = f_i
 
-    f_k = (extract_key_detail(f_i, ins.location_mask, ins.object_mask, params, cfg)
-           if (cfg.loc_detail or cfg.obj_detail) else None)
+    f_k = None
+    if cfg.loc_detail or cfg.obj_detail:
+        if cache is not None and cache.key_detail is not None:
+            f_k = nn.replay(cache.key_detail)
+        else:
+            f_k = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
+                                     params, cfg)
+            if cache is not None:
+                f_k.data.flags.writeable = False
+                cache.key_detail = f_k
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, f_k, params, cfg)
     return StepFeatures(key_detail=f_k, scores=scores), select_action(scores, order)

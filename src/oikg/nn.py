@@ -102,6 +102,18 @@ def tape_node(data, parents, backward) -> Tensor:
                   _backward=backward if tracked else None)
 
 
+def replay(node: Tensor) -> Tensor:
+    """A new node with ``node``'s data, parents and backward, so a value
+    computed once serves several consumers that each keep their own
+    gradient: the walk runs the backward once per node, each time with that
+    node's gradient, where a shared node would sum the gradients first.  An
+    untracked ``node``, or any node inside ``no_tape()``, is returned as it
+    is, since nothing backpropagates through it."""
+    if not (_TAPE_ON and node.requires_grad):
+        return node
+    return tape_node(node.data, node._parents, node._backward)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g over axes that were broadcast to reach its shape."""
     while g.ndim > len(shape):

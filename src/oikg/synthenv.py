@@ -14,6 +14,7 @@ same seed reproduces output bit for bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +94,27 @@ def save_vocab(path) -> None:
 
 @dataclass(frozen=True)
 class ViewGrid:
-    """Fixed panoramic sampling grid: headings x elevations, heading-major."""
+    """Fixed panoramic sampling grid: headings x elevations, heading-major.
+
+    At least one heading column, an int; at least one elevation, each
+    finite, in [-pi/2, pi/2] and distinct by value (0.0 and -0.0 repeat).
+    """
     n_headings: int = 12
     elevations: tuple[float, ...] = (-math.pi / 6, 0.0, math.pi / 6)
 
     def __post_init__(self):
-        if self.n_headings < 1 or not self.elevations:
-            raise InvalidArgument("view grid needs >=1 heading and >=1 elevation")
+        n = self.n_headings
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise InvalidArgument(f"view grid needs an int n_headings >= 1, got {n!r}")
+        if not self.elevations:
+            raise InvalidArgument("view grid needs >=1 elevation")
+        for e in self.elevations:
+            if not (isinstance(e, numbers.Real) and math.isfinite(e)
+                    and -math.pi / 2 <= e <= math.pi / 2):
+                raise InvalidArgument(f"view grid elevation {e!r} is not a finite "
+                                      "angle in [-pi/2, pi/2]")
+        if len(set(self.elevations)) != len(self.elevations):
+            raise InvalidArgument(f"view grid repeats an elevation: {self.elevations}")
 
     @property
     def k(self) -> int:

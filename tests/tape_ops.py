@@ -5,8 +5,9 @@ gradients by finite differences.
 - ``sub``, ``mul`` and ``tsum`` build test losses.
 - ``relu``, ``softmax`` and ``transpose`` are the parts of
   ``oracle_mlp`` and ``oracle_attention``: the node-per-op compositions
-  that ``nn.mlp`` and ``nn.attention`` fuse.  The fused ops must match
-  them bitwise, values and every gradient.
+  that ``nn.mlp`` and ``nn.attention`` fuse.  ``_masked_mean`` is the part
+  of ``oracle_key_detail``, the chain ``model.extract_key_detail`` fuses.
+  The fused ops must match them bitwise, values and every gradient.
 """
 
 from typing import Sequence
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from oikg import nn
+from oikg.errors import ShapeError
 
 
 def sub(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
@@ -108,3 +110,30 @@ def oracle_attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
     mixed = nn.matmul(weights, vh)
     merged = nn.reshape(transpose(mixed, (1, 0, 2)), (n, dm))
     return nn.linear(merged, wo)
+
+
+def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
+    """Arithmetic mean of the masked rows (constant selector, so grads flow)."""
+    idx = np.asarray(mask, dtype=bool)
+    if idx.shape != (f_i.shape[0],):
+        raise ShapeError(f"mask length {idx.shape} != token count {f_i.shape[0]}")
+    n = int(idx.sum())
+    if n == 0:
+        return nn.Tensor(np.zeros(f_i.shape[1]))
+    sel = np.zeros((1, f_i.shape[0]))
+    sel[0, idx] = 1.0 / n
+    return nn.reshape(nn.matmul(nn.Tensor(sel), f_i), (f_i.shape[1],))
+
+
+def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:
+    """``model.extract_key_detail`` as eight nodes: per cue a masked mean
+    (``matmul`` and ``reshape``) and a ``linear``, then ``concat`` and the
+    fuse ``linear``.  A disabled cue is an untracked zero block."""
+    f_loc = (_masked_mean(f_i, loc_mask) if cfg.loc_detail
+             else nn.Tensor(np.zeros(cfg.dim)))
+    f_obj = (_masked_mean(f_i, obj_mask) if cfg.obj_detail
+             else nn.Tensor(np.zeros(cfg.dim)))
+    e_loc = nn.linear(f_loc, params["kd.loc.w"], params["kd.loc.b"])
+    e_obj = nn.linear(f_obj, params["kd.obj.w"], params["kd.obj.b"])
+    return nn.linear(nn.concat([e_loc, e_obj], axis=-1),
+                     params["kd.fuse.w"], params["kd.fuse.b"])

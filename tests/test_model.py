@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tape_ops import mul, oracle_attention, oracle_mlp, tsum
+from tape_ops import mul, oracle_attention, oracle_key_detail, oracle_mlp, tsum
 from test_geometry import nearest_view
 from test_metrics import graph_from
+from test_nn import same_bits
 
 from oikg import model, nn, training
 from oikg import synthenv as se
@@ -503,6 +504,107 @@ def test_key_detail_empty_mask_degrades_to_zero_block(setup):
         model.extract_key_detail(f_i, [False] * 2, [False] * 3, params, TINY)
 
 
+def detail_config(detail: str) -> model.ModelConfig:
+    """TINY with the detail flags of a two-letter mask such as 'L-'."""
+    return replace(TINY, loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
+
+
+@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
+@pytest.mark.parametrize("masks", ["both", "loc empty", "both empty"])
+@pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
+                                     "also read after", "replayed"])
+def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
+    """The fused key detail against the eight-node chain it replaces: the
+    output and every leaf gradient match bit for bit.  f_i is an inner
+    tensor; another consumer, a ``linear``, may read it too, with its term
+    entering the loss before or after the key detail's.  A replayed node
+    (the cached key detail of a later step) must give what a second chain
+    gave."""
+    cfg = detail_config(detail)
+    rng = np.random.default_rng(21)
+    params = model.build_params(cfg, seed=1)
+    for name in params.names():
+        params[name].data = rng.normal(size=params[name].shape)
+    tracked = f_i_use != "untracked"
+    x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
+    w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
+    w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
+    c = [nn.Tensor(rng.normal(size=cfg.key_dim)) for _ in range(2)]
+    c_other = nn.Tensor(rng.normal(size=(6, 3)))
+    loc = [False, True, False, True, True, False]
+    obj = [True, True, False, False, True, False]   # overlaps loc: order counts
+    if masks != "both":
+        loc = [False] * 6
+    if masks == "both empty":
+        obj = [False] * 6
+    leaves = [x0, w_in, w_other] + [params[name] for name in params.names()]
+    runs = []
+    for op in (model.extract_key_detail, oracle_key_detail):
+        for t in leaves:
+            t.grad = None
+        f_i = nn.linear(x0, w_in)
+        outs = [op(f_i, loc, obj, params, cfg)]
+        if f_i_use == "replayed":
+            outs.append(nn.replay(outs[0]) if op is model.extract_key_detail
+                        else op(f_i, loc, obj, params, cfg))
+        terms = [tsum(mul(out, ci)) for out, ci in zip(outs, c)]
+        other = tsum(mul(nn.linear(f_i, w_other), c_other))
+        if f_i_use == "also read before":
+            terms.insert(0, other)
+        elif f_i_use == "also read after":
+            terms.append(other)
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = nn.add(loss, term)
+        nn.backward(loss)
+        runs.append(([(o.data.copy(), o.requires_grad) for o in outs],
+                     [None if t.grad is None else t.grad.copy() for t in leaves]))
+        if op is model.extract_key_detail:  # one node over f_i and kd.*
+            reads = (("L" in detail and masks == "both")
+                     or ("O" in detail and masks != "both empty"))
+            assert outs[0]._parents == (f_i,) * reads + tuple(
+                params[f"kd.{n}"] for n in ("loc.w", "loc.b", "obj.w", "obj.b",
+                                            "fuse.w", "fuse.b"))
+    (outs, grads), (ref_outs, ref_grads) = runs
+    for (a, a_live), (b, b_live) in zip(outs, ref_outs):
+        assert same_bits(a, b) and a_live == b_live
+    for i, (a, b) in enumerate(zip(grads, ref_grads)):
+        assert (a is None) == (b is None), f"leaf {i}: gradient presence differs"
+        assert a is None or same_bits(a, b), f"leaf {i}: gradient differs"
+
+
+def test_cached_step_builds_24_tape_nodes(setup, monkeypatch):
+    """With the instruction, the panorama and the key detail cached, a TINY
+    step builds 24 tracked tensors; the key detail is one replayed node."""
+    graph, latents, ins, params = setup
+    cache = model.EpisodeCache()
+    pg = PathGraph(graph, start=0)
+    obs = obs_at(graph, latents, 0)
+    first, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+    built = []
+    tape_node = nn.tape_node
+
+    def spy(*args):
+        out = tape_node(*args)
+        if out.requires_grad:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(nn, "tape_node", spy)
+    detail = record_calls(monkeypatch, model, "extract_key_detail")
+    feats, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+    assert len(built) == 24 and detail == []
+    f_k = feats.key_detail
+    assert f_k is not first.key_detail and f_k.data is first.key_detail.data
+    assert f_k._parents == first.key_detail._parents
+    assert f_k._backward is first.key_detail._backward
+    with pytest.raises(ValueError):
+        f_k.data[0] = 1.0
+    with nn.no_tape():
+        plain, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+    assert plain.key_detail is cache.key_detail
+
+
 # ----------------------------------------------------------------- scoring
 
 
@@ -716,15 +818,27 @@ def test_forward_gradients_sampled_finite_difference():
             assert err <= 1e-4, f"{name}[{idx}]: analytic {gflat[idx]}, numeric {numeric}"
 
 
+class PerStepKeyDetail(model.EpisodeCache):
+    """A cache that never holds the key detail, so every step rebuilds it."""
+
+    key_detail = property(lambda self: None, lambda self, value: None)
+
+
+@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
 @pytest.mark.parametrize("geo_embed", [True, False])
-def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embed):
+def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embed,
+                                                           detail):
     """One iteration of the full model in the benchmark's ``train_full``
     setup (a 30-node detour world, two episodes, 30 steps), run with the
-    fused ``nn.attention``/``nn.mlp`` and again with the node-per-op oracles
-    patched in.  Losses, every gradient, the Adam moments and the updated
-    parameters match bit for bit.  Two decoder layers share each k=v
-    tensor, so a fused op that reorders those gradient sums fails here."""
-    cfg = replace(model.ModelConfig(), geo_embed=geo_embed)
+    fused ``nn.attention``/``nn.mlp``/``extract_key_detail`` and the
+    once-per-episode key detail, and again with the node-per-op oracles
+    patched in and the key-detail chain rebuilt on every step, the tape of
+    a per-step pipeline.  Losses, every gradient, the Adam moments and the
+    updated parameters match bit for bit.  Two decoder layers share each
+    k=v tensor, so a fused op that reorders those gradient sums fails here;
+    so does a key detail whose steps reach f_i and ``kd.*`` out of order."""
+    cfg = replace(model.ModelConfig(), geo_embed=geo_embed,
+                  loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
     graph = se.generate_environment(se.EnvParams(
         node_count=30, connection_radius=3.5, extent=10.0,
         feature_dim=cfg.vis_dim, sigma=0.1, seed=4))
@@ -741,15 +855,21 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
             step(store, lr)
 
         monkeypatch.setattr(nn, "optimizer_step", record_then_step)
+        details = record_calls(monkeypatch, model, "extract_key_detail")
+        steps = record_calls(monkeypatch, training, "forward_step")
         params = model.build_params(cfg, seed=0)
         log = training.train(data, params, train_cfg, cfg)
         state = {n: (params[n].data, params._m[n], params._v[n]) for n in params.names()}
-        return log, grads, state
+        return log, grads, state, len(details), len(steps)
 
     fused = run()
+    assert fused[3] == train_cfg.batch_size  # once per episode
     monkeypatch.setattr(nn, "attention", oracle_attention)
     monkeypatch.setattr(nn, "mlp", oracle_mlp)
+    monkeypatch.setattr(model, "extract_key_detail", oracle_key_detail)
+    monkeypatch.setattr(training, "EpisodeCache", PerStepKeyDetail)
     oracle = run()
+    assert oracle[3] == oracle[4] == fused[4]  # once per step
     assert fused[0] == oracle[0]
     assert fused[1].keys() == oracle[1].keys() == fused[2].keys()
     for name in fused[1]:

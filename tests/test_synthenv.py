@@ -78,6 +78,36 @@ def test_view_grid_fast_12():
         se.ViewGrid(n_headings=0)
 
 
+@pytest.mark.parametrize("n_headings", [True, 2.5, 0, -3])
+def test_view_grid_rejects_bad_heading_count(n_headings):
+    with pytest.raises(InvalidArgument):
+        se.ViewGrid(n_headings, (0.0,))
+
+
+@pytest.mark.parametrize("elevation", [math.nan, math.inf, -math.inf])
+def test_view_grid_rejects_non_finite_elevation(elevation):
+    with pytest.raises(InvalidArgument):
+        se.ViewGrid(4, (0.0, elevation))
+
+
+@pytest.mark.parametrize("elevation", [4.0, -1.6, math.nextafter(math.pi / 2, 2.0)])
+def test_view_grid_rejects_elevation_out_of_range(elevation):
+    with pytest.raises(InvalidArgument):
+        se.ViewGrid(4, (elevation,))
+    se.ViewGrid(4, (-math.pi / 2, math.pi / 2))  # the range's ends are views
+
+
+@pytest.mark.parametrize("elevations", [(0.0, 0.0), (0.0, -0.0), (0.5, -0.5, 0.5)])
+def test_view_grid_rejects_repeated_elevation(elevations):
+    with pytest.raises(InvalidArgument):
+        se.ViewGrid(4, elevations)
+
+
+def test_view_grid_presets_construct():
+    from oikg.model import TINY_CONFIG, ModelConfig
+    assert ModelConfig().view_grid.k == 36 and TINY_CONFIG.view_grid.k == 4
+
+
 # ------------------------------------------------------------ environments
 
 
@@ -247,7 +277,7 @@ def test_render_matches_per_view_scan(data):
     neighbour id).  The bracket lookup renders the scan's panorama."""
     n = data.draw(st.integers(1, 24), label="n")
     elevations = tuple(data.draw(st.lists(
-        st.floats(-1.5, 1.5), min_size=1, max_size=3), label="elevations"))
+        st.floats(-1.5, 1.5), min_size=1, max_size=3, unique=True), label="elevations"))
     grid = se.ViewGrid(n, elevations)
     step = TWO_PI / n
     cols = st.integers(0, n - 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oikg import nn, training
+from oikg import model, nn, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
 from oikg.model import TINY_CONFIG, EpisodeCache, build_params
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
@@ -435,6 +435,34 @@ def test_rollout_renders_each_node_once_per_episode(world, params,
     visited = {s.node for rec in (tf, sf) for s in rec.steps}
     assert len(tf.steps) + len(sf.steps) > len(visited)  # some steps revisit
     assert sorted(renders) == sorted(visited)
+
+
+def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
+    """A teacher and a student rollout sharing one cache compute the key
+    detail once; every step records the same read-only array.  Greedy
+    evaluation computes it once per episode."""
+    calls = []
+    extract = model.extract_key_detail
+
+    def counted(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(model, "extract_key_detail", counted)
+    ep = make_episode(world.graph, seed=6)
+    cache = EpisodeCache()
+    tf = rollout_teacher(world, ep, params, MCFG, cache=cache)
+    sf = rollout_student(world, ep, params, MCFG, substream(9, "s"), 8,
+                         cache=cache)
+    steps = tf.steps + sf.steps
+    assert len(calls) == 1 and len(steps) > 1
+    assert all(s.key_detail is steps[0].key_detail for s in steps)
+    with pytest.raises(ValueError):
+        steps[-1].key_detail[0] = 0.0
+    calls.clear()
+    eps = [make_episode(world.graph, seed=s) for s in (2, 3, 6)]
+    evaluate_policy([(world, e) for e in eps], params, MCFG, 6)
+    assert len(calls) == len(eps)
 
 
 def test_greedy_eval_builds_no_tape(world, params, monkeypatch):
