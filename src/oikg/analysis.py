@@ -19,14 +19,18 @@ import numpy as np
 from . import nn
 from .artifacts import write_csv
 from .errors import InvalidArgument, NumericFailure
-from .model import EpisodeCache, ModelConfig, build_params
+from .model import ModelConfig, build_params
 from .rng import substream
-from .training import (TrainConfig, episode_loss, evaluate_policy,
-                       greedy_policy, rollout, rollout_student,
-                       rollout_teacher, teacher_policy, train)
+from .training import (TrainConfig, check_routes, episode_loss,
+                       evaluate_policy, greedy_policy, rollout,
+                       rollout_teacher, train)
 
 GRID_LABELS = ("----", "M---", "MG--", "MGL-", "MGLO")
 PATHWAY_PREFIXES = ("obs.", "graph.")
+# the key-detail cue of the MI probe: its first CUE_DIMS entries, each
+# binned into CUE_BINS uniform bins
+CUE_BINS = 8
+CUE_DIMS = 2
 
 
 @dataclass(frozen=True)
@@ -102,17 +106,14 @@ def vln_loss_builder(data, mcfg: ModelConfig, lam: float = 0.2,
     data = list(data)
     if not data:
         raise InvalidArgument("empty episode batch")
+    check_routes(data, t_max)
 
     def build(seed):
         params = build_params(mcfg, seed)
         rng = substream(seed, "probe-student")
         total = None
         for env, ep in data:
-            cache = EpisodeCache()
-            tf = rollout_teacher(env, ep, params, mcfg, cache=cache)
-            sf = rollout_student(env, ep, params, mcfg, rng, t_max,
-                                 cache=cache)
-            loss = episode_loss(tf, sf, lam)
+            loss, _, _ = episode_loss(env, ep, params, mcfg, rng, t_max, lam)
             total = loss if total is None else nn.add(total, loss)
         return params, nn.scale(total, 1.0 / len(data))
 
@@ -160,39 +161,30 @@ def quantize_series(values, bins: int = 8):
     return [int(v) for v in idx @ weights]
 
 
-def cue_action_series(data, params, mcfg: ModelConfig, bins: int = 8,
-                      dims: int = 2):
-    """Paired (quantized key-detail cue, reference action) series.
-
-    Walks each reference route under teacher forcing; the cue is the first
-    `dims` entries of the key-detail vector (constant zero when the detail
-    stages are disabled, making the MI exactly zero)."""
-    cues = []
-    actions = []
-    for env, ep in data:
-        with nn.no_tape():
-            rec = rollout(env, ep, len(ep.gt_path), teacher_policy(ep), params,
-                          mcfg)
-        for s in rec.steps:
-            cues.append(np.array(s.key_detail[:dims] if s.key_detail is not None
-                                 else np.zeros(dims), dtype=np.float64))
-            actions.append(int(s.action))
-    return quantize_series(np.stack(cues), bins=bins), actions
-
-
 # ------------------------------------------------------- alignment probe
 
 
-def alignment_score(data, params, mcfg: ModelConfig) -> float:
-    """Mean log-probability of reference actions under teacher forcing."""
-    losses = []
+def teacher_probe(data, params, mcfg: ModelConfig):
+    """One teacher-forced walk of each reference route, without a tape.
+
+    Returns (alignment score, cues, actions): the score is the mean
+    log-probability of the reference actions; cues and actions are the
+    paired per-step series of the MI probe, the cue being the quantized
+    first CUE_DIMS entries of the key-detail vector (constant zero when the
+    detail stages are disabled, making the MI exactly zero)."""
+    losses, cues, actions = [], [], []
     for env, ep in data:
         with nn.no_tape():
             rec = rollout_teacher(env, ep, params, mcfg)
-        losses.extend(float(s.loss.data) for s in rec.steps)
+        for s in rec.steps:
+            losses.append(float(s.loss.data))
+            cues.append(np.array(s.key_detail[:CUE_DIMS] if s.key_detail is not None
+                                 else np.zeros(CUE_DIMS), dtype=np.float64))
+            actions.append(int(s.action))
     if not losses:
         raise InvalidArgument("no supervised steps")
-    return -float(np.mean(losses))
+    return (-float(np.mean(losses)),
+            quantize_series(np.stack(cues), bins=CUE_BINS), actions)
 
 
 # ----------------------------------------------------------- sign testing
@@ -266,8 +258,7 @@ def detail_probe(train_data, eval_data, seeds, base_mcfg: ModelConfig,
             params = build_params(mcfg, seed)
             if train_cfg is not None:
                 train(train_data, params, replace(train_cfg, seed=seed), mcfg)
-            scores[key] = alignment_score(eval_data, params, mcfg)
-            xs, ys = cue_action_series(eval_data, params, mcfg)
+            scores[key], xs, ys = teacher_probe(eval_data, params, mcfg)
             (mi_a if key == "a" else mi_b).append(mi_plugin(xs, ys))
         samples_a.append(scores["a"])
         samples_b.append(scores["b"])

@@ -30,9 +30,9 @@ from .rng import substream
 from .synthenv import (EnvParams, episode_from_dict, episode_to_dict,
                        generate_environment, make_episode, make_latents,
                        save_vocab)
-from .training import (EnvBundle, TrainConfig, greedy_policy, random_policy,
-                       recovery_label, rollout, teacher_policy, train,
-                       write_training_log)
+from .training import (EnvBundle, TrainConfig, check_routes, greedy_policy,
+                       random_policy, recovery_label, rollout, teacher_policy,
+                       train, write_training_log)
 
 FLAG_NAMES = ("MED", "GE", "LD", "OD")
 SPLITS = ("train", "val_seen", "val_unseen")
@@ -200,6 +200,8 @@ def _load_split(data_dir: str, split: str):
 
 
 def _default_t_max(cfg: dict, gen_cfg: dict) -> int:
+    if cfg["t_max"] < 0:
+        raise InvalidArgument("--t-max must be >= 0 (0: the default)")
     if cfg["t_max"] > 0:
         return cfg["t_max"]
     return 30 if gen_cfg["mode"] == "detour" else 15
@@ -249,8 +251,9 @@ def cmd_train(cfg: dict) -> None:
     mcfg = _model_config(cfg)
     _guard_feature_dim(gen_cfg, mcfg)
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
-    params = build_params(mcfg, cfg["seed"])
     data = [(env, ep) for ep in episodes]
+    check_routes(data, tcfg.t_max)
+    params = build_params(mcfg, cfg["seed"])
     out = _resolve_out(cfg["out"])
     rows = train(data, params, tcfg, mcfg, out_dir=str(out))
     h = archive_config(out, "train", cfg)
@@ -287,6 +290,8 @@ def cmd_eval(cfg: dict) -> None:
     env, episodes, gen_cfg = _load_split(cfg["data"], cfg["split"])
     mcfg = _model_config(cfg)
     agent = cfg["agent"]
+    if cfg["t_max"] < 1:
+        raise InvalidArgument("--t-max must be >= 1")
     params = None
     if agent == "model":
         if not cfg["ckpt"]:
@@ -323,10 +328,14 @@ def cmd_ablate(cfg: dict) -> None:
     grid = GRID_LABELS if cfg["grid"] == "all" else tuple(cfg["grid"].split(","))
     for label in grid:
         variant_config(base, label)
+    if cfg["seeds"] < 1 or cfg["timing_steps"] < 1:
+        raise InvalidArgument("--seeds and --timing-steps must be >= 1")
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
+    train_data = [(env, ep) for ep in train_eps]
+    check_routes(train_data, tcfg.t_max)
     out = _resolve_out(cfg["out"])
     rows, sidecar = run_ablation(
-        [(env, ep) for ep in train_eps], [(env, ep) for ep in eval_eps], tcfg,
+        train_data, [(env, ep) for ep in eval_eps], tcfg,
         base, seeds=range(cfg["seeds"]), grid=grid,
         min_timing_steps=cfg["timing_steps"], jobs=cfg["jobs"])
     h = archive_config(out, "ablate", cfg)
@@ -345,8 +354,9 @@ def cmd_probe(cfg: dict) -> None:
     seeds = tuple(range(cfg["seeds"]))
     t_max = _default_t_max(cfg, gen_cfg)
     tcfg = _train_config(cfg, t_max, cfg["train_iters"])  # checks --lambda too
-    if not data:
+    if cfg["probe_episodes"] < 1 or not data:
         raise InvalidArgument("--probe-episodes must select at least one episode")
+    check_routes(data, t_max)
     need = 2 if cfg["which"] in ("grad", "all") else 1  # the grad probe pairs seeds
     if len(seeds) < need:
         raise InvalidArgument(f"--which {cfg['which']} needs --seeds >= {need}")

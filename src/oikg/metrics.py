@@ -65,8 +65,8 @@ def navigation_error(r: EpisodeResult) -> float:
     return r.env.geodesic(r.final, r.goal)
 
 
-def success(r: EpisodeResult, radius: float = SUCCESS_RADIUS) -> float:
-    return 1.0 if navigation_error(r) <= radius else 0.0
+def success(r: EpisodeResult) -> float:
+    return 1.0 if navigation_error(r) <= SUCCESS_RADIUS else 0.0
 
 
 def spl(r: EpisodeResult) -> float:
@@ -106,10 +106,9 @@ def dtw_cost(r: EpisodeResult) -> float:
     return float(cost[n - 1, m - 1])
 
 
-def ndtw(r: EpisodeResult, d_th: float = SUCCESS_RADIUS) -> float:
-    if d_th <= 0:
-        raise InvalidArgument("d_th must be > 0")
-    return math.exp(-dtw_cost(r) / (len(r.gt_path) * d_th))
+def ndtw(r: EpisodeResult) -> float:
+    """exp(-DTW / (|reference| * d_th)), with d_th the success radius."""
+    return math.exp(-dtw_cost(r) / (len(r.gt_path) * SUCCESS_RADIUS))
 
 
 def evaluate(r: EpisodeResult) -> MetricRow:

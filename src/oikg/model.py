@@ -447,40 +447,35 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
                  cache: EpisodeCache | None = None) -> tuple[StepFeatures, int]:
     """Run the full pipeline for one decision step.
 
-    With a cache, the key detail is computed once per episode.  Every later
+    Without a cache the step gets one of its own.  With a cache shared by
+    the episode's steps, the key detail is computed once.  Every later
     step gets ``nn.replay`` of the cached node: a new node with its data,
     parents and backward, so each step's gradient still reaches f_i and the
     ``kd.*`` parameters on its own, at the step's place in the backward
     walk, as a per-step rebuild gave it.  One tracked tensor shared by the
     steps would sum their gradients first and change the last bits.
     """
-    if cache is not None and obs.node in cache.obs:
-        f_o = cache.obs[obs.node]
-    else:
-        f_o = decouple_observation(obs, params, cfg)
-        if cache is not None:
-            cache.obs[obs.node] = f_o
+    cache = cache if cache is not None else EpisodeCache()
+    f_o = cache.obs.get(obs.node)
+    if f_o is None:
+        f_o = cache.obs[obs.node] = decouple_observation(obs, params, cfg)
 
     f_g, order = build_candidates(pg, obs, params, cfg)
     g_enh = observation_graph_interaction(f_g, f_o, params, cfg)
 
-    if cache is not None and cache.instr is not None:
-        f_i = cache.instr
-    else:
-        f_i = encode_instruction(ins, params, cfg)
-        if cache is not None:
-            cache.instr = f_i
+    f_i = cache.instr
+    if f_i is None:
+        f_i = cache.instr = encode_instruction(ins, params, cfg)
 
     f_k = None
     if cfg.loc_detail or cfg.obj_detail:
-        if cache is not None and cache.key_detail is not None:
+        if cache.key_detail is not None:
             f_k = nn.replay(cache.key_detail)
         else:
             f_k = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
                                      params, cfg)
-            if cache is not None:
-                f_k.data.flags.writeable = False
-                cache.key_detail = f_k
+            f_k.data.flags.writeable = False
+            cache.key_detail = f_k
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, f_k, params, cfg)
     return StepFeatures(key_detail=f_k, scores=scores), select_action(scores, order)

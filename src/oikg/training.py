@@ -4,8 +4,9 @@ Per episode the loss is lam * TF + (1 - lam) * SF where TF supervises the
 model along the reference route and SF supervises self-sampled rollouts
 with recovery labels pointing at the nearest unvisited reference node.
 Both rollouts share one autograd graph per episode so cached encodings
-receive gradient from both terms.  ``rollout`` is the package's only episode
-walk; callers differ in the policy that acts and the label that supervises.
+receive gradient from both terms; ``episode_loss`` is the one place that
+builds this loss.  ``rollout`` is the package's only episode walk; callers
+differ in the policy that acts and the label that supervises.
 """
 
 import math
@@ -195,14 +196,22 @@ def recovery_label(pg: PathGraph, episode: Episode, step: StepRecord) -> int:
 # ------------------------------------------------------ supervised rollouts
 
 
+def check_routes(data, t_max: int) -> None:
+    """Every reference route of the (EnvBundle, Episode) pairs fits in t_max
+    decisions: a teacher-forced walk takes one per route node, the last one
+    STOP.  Checked before any compute, whichever episodes are drawn."""
+    for _, ep in data:
+        if len(ep.gt_path) > t_max:
+            raise InvalidArgument(f"reference route length {len(ep.gt_path)} "
+                                  f"exceeds t_max {t_max}")
+
+
 def rollout_teacher(env: EnvBundle, episode: Episode, params,
-                    mcfg: ModelConfig, cache: EpisodeCache | None = None,
-                    t_max: int | None = None) -> RolloutRecord:
+                    mcfg: ModelConfig,
+                    cache: EpisodeCache | None = None) -> RolloutRecord:
     """Walk the reference route, supervising each decision with its next hop
     and the final decision with STOP."""
     gt = episode.gt_path
-    if t_max is not None and len(gt) > t_max:
-        raise InvalidArgument(f"reference route length {len(gt)} exceeds t_max {t_max}")
     if episode.start != gt[0]:
         raise InvalidArgument("episode start disagrees with its reference route")
     return rollout(env, episode, len(gt), teacher_policy(episode), params,
@@ -243,30 +252,23 @@ def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
     return frontier.index(best)
 
 
-def rollout_student(env: EnvBundle, episode: Episode, params,
-                    mcfg: ModelConfig, rng: np.random.Generator,
-                    t_max: int, cache: EpisodeCache | None = None) -> RolloutRecord:
-    """Move by sampling the predicted action distribution; supervise each
-    step with the recovery label.  Ends at a sampled STOP or after t_max."""
-    return rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
-                   label=recovery_label)
-
-
-def _mix_losses(tf_mean: nn.Tensor, sf_mean: nn.Tensor, lam: float,
-               swap_lambda: bool = False) -> nn.Tensor:
-    """lam * tf_mean + (1 - lam) * sf_mean; swap_lambda reverses the
-    weighting."""
+def episode_loss(env: EnvBundle, episode: Episode, params, mcfg: ModelConfig,
+                 rng: np.random.Generator, t_max: int, lam: float,
+                 swap_lambda: bool = False):
+    """The mixed-forcing loss of one episode, lam * mean(TF) + (1 - lam) *
+    mean(SF); swap_lambda reverses the weighting.  The teacher walk and the
+    student walk (sampled with `rng`, at most t_max steps, supervised by the
+    recovery label) share one EpisodeCache.  Returns (loss, TF mean, SF
+    mean), the means as floats."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgument(f"lam must be in [0, 1], got {lam}")
+    cache = EpisodeCache()
+    tf = rollout_teacher(env, episode, params, mcfg, cache).mean_loss()
+    sf = rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
+                 label=recovery_label).mean_loss()
     w_tf, w_sf = (1.0 - lam, lam) if swap_lambda else (lam, 1.0 - lam)
-    return nn.add(nn.scale(tf_mean, w_tf), nn.scale(sf_mean, w_sf))
-
-
-def episode_loss(tf: RolloutRecord, sf: RolloutRecord, lam: float,
-                 swap_lambda: bool = False) -> nn.Tensor:
-    """lam * mean(TF) + (1 - lam) * mean(SF); swap_lambda reverses the
-    weighting."""
-    return _mix_losses(tf.mean_loss(), sf.mean_loss(), lam, swap_lambda)
+    return (nn.add(nn.scale(tf, w_tf), nn.scale(sf, w_sf)),
+            float(tf.data), float(sf.data))
 
 
 # -------------------------------------------------------------- evaluation
@@ -317,6 +319,7 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
     data = list(data)
     if not data:
         raise InvalidArgument("no training data")
+    check_routes(data, cfg.t_max)
     batch_rng = substream(cfg.seed, "train-batch")
     student_rng = substream(cfg.seed, "train-student")
     log: list = []
@@ -329,14 +332,10 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             tf_vals, sf_vals = [], []
             for j in idx:
                 env, ep = data[int(j)]
-                cache = EpisodeCache()
-                tf = rollout_teacher(env, ep, params, mcfg, cache=cache,
-                                     t_max=cfg.t_max).mean_loss()
-                sf = rollout_student(env, ep, params, mcfg, student_rng,
-                                     cfg.t_max, cache=cache).mean_loss()
-                tf_vals.append(float(tf.data))
-                sf_vals.append(float(sf.data))
-                loss = _mix_losses(tf, sf, cfg.lam, cfg.swap_lambda)
+                loss, tf, sf = episode_loss(env, ep, params, mcfg, student_rng,
+                                            cfg.t_max, cfg.lam, cfg.swap_lambda)
+                tf_vals.append(tf)
+                sf_vals.append(sf)
                 total = loss if total is None else nn.add(total, loss)
             total = nn.scale(total, 1.0 / cfg.batch_size)
             total_val = float(total.data)

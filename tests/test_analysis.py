@@ -9,21 +9,22 @@ import pytest
 from tape_ops import mul, sub
 
 from oikg import analysis, nn
-from oikg.analysis import (GRID_LABELS, AblationRow, GradStats,
-                           alignment_score, cue_action_series, detail_probe,
+from oikg import training
+from oikg.analysis import (GRID_LABELS, AblationRow, GradStats, detail_probe,
                            grad_probe, grad_second_moment, make_probe,
                            mi_plugin, pathway_filter, quantize_series,
-                           run_ablation, sign_test, time_forward_steps,
-                           variant_config, vln_loss_builder,
-                           write_ablation_csv)
+                           run_ablation, sign_test, teacher_probe,
+                           time_forward_steps, variant_config,
+                           vln_loss_builder, write_ablation_csv)
 from oikg.artifacts import write_json
 from oikg.errors import InvalidArgument
-from oikg.model import TINY_CONFIG, build_params
+from oikg.model import TINY_CONFIG, EpisodeCache, build_params
 from oikg.navgraph import NavNode, build_graph
 from oikg.rng import substream
 from oikg.synthenv import (Episode, EnvParams, generate_environment,
                            generate_instruction, make_episode, make_latents)
-from oikg.training import EnvBundle, TrainConfig, rollout_teacher, train
+from oikg.training import (EnvBundle, TrainConfig, recovery_label, rollout,
+                           rollout_teacher, sample_policy, train)
 
 MCFG = TINY_CONFIG
 
@@ -106,6 +107,35 @@ def test_vln_builder_deterministic(world):
     assert stats.mean_sq_norm > 0.0 and math.isfinite(stats.mean_sq_norm)
     with pytest.raises(InvalidArgument):
         vln_loss_builder([], MCFG)
+    with pytest.raises(InvalidArgument):  # routes are checked before any seed
+        vln_loss_builder(world, MCFG, t_max=max(len(ep.gt_path) for _, ep in world) - 1)
+
+
+def test_vln_builder_matches_inline_composition(world):
+    """The builder's loss and every gradient equal, bit for bit, a teacher
+    walk, a student walk on the same cache and their mix written out here."""
+    lam, t_max, seed = 0.3, 6, 3
+    store, loss = vln_loss_builder(world, MCFG, lam=lam, t_max=t_max)(seed)
+    params = build_params(MCFG, seed)
+    rng = substream(seed, "probe-student")
+    total = None
+    for env, ep in world:
+        cache = EpisodeCache()
+        tf = rollout_teacher(env, ep, params, MCFG, cache).mean_loss()
+        sf = rollout(env, ep, t_max, sample_policy(rng), params, MCFG, cache,
+                     label=recovery_label).mean_loss()
+        mixed = nn.add(nn.scale(tf, lam), nn.scale(sf, 1.0 - lam))
+        total = mixed if total is None else nn.add(total, mixed)
+    want = nn.scale(total, 1.0 / len(world))
+    assert loss.data.tobytes() == want.data.tobytes()
+    nn.backward(loss)
+    nn.backward(want)
+    assert store.names() == params.names()
+    for name in params.names():
+        got, ref = store[name].grad, params[name].grad
+        assert (got is None) == (ref is None), name
+        if ref is not None:
+            assert got.tobytes() == ref.tobytes(), name
 
 
 # ----------------------------------------------------- mutual information
@@ -155,12 +185,12 @@ def test_quantize_series():
 def test_cue_series_constant_without_details(world):
     mcfg = variant_config(MCFG, "MG--")
     params = build_params(mcfg, seed=0)
-    xs, ys = cue_action_series(world, params, mcfg)
+    _, xs, ys = teacher_probe(world, params, mcfg)
     assert len(set(xs)) == 1  # disabled details give a constant cue
     assert mi_plugin(xs, ys) == 0.0
     assert len(xs) == sum(len(ep.gt_path) for _, ep in world)
     full = build_params(MCFG, seed=0)
-    xs_full, ys_full = cue_action_series(world, full, MCFG)
+    _, xs_full, ys_full = teacher_probe(world, full, MCFG)
     assert len(xs_full) == len(xs) and ys_full == ys
 
 
@@ -178,7 +208,7 @@ def test_alignment_uniform_baseline():
     params = build_params(MCFG, seed=0)
     for name in params.names():
         params.params[name].data[...] = 0.0
-    score = alignment_score([(EnvBundle(g, lat), ep)], params, MCFG)
+    score, _, _ = teacher_probe([(EnvBundle(g, lat), ep)], params, MCFG)
     assert score == pytest.approx(-math.log(4.0), abs=1e-12)
 
 
@@ -188,19 +218,19 @@ def test_alignment_matches_teacher_losses(world):
     for env, ep in world:
         rec = rollout_teacher(env, ep, params, MCFG)
         losses.extend(float(s.loss.data) for s in rec.steps)
-    assert alignment_score(world, params, MCFG) == \
+    assert teacher_probe(world, params, MCFG)[0] == \
         pytest.approx(-np.mean(losses), abs=1e-12)
     with pytest.raises(InvalidArgument):
-        alignment_score([], params, MCFG)
+        teacher_probe([], params, MCFG)
 
 
 def test_alignment_improves_with_training(world):
     params = build_params(MCFG, seed=0)
-    before = alignment_score(world, params, MCFG)
+    before = teacher_probe(world, params, MCFG)[0]
     cfg = TrainConfig(lam=0.2, t_max=8, lr=3e-3, iterations=60, batch_size=2,
                       seed=1)
     train(world, params, cfg, MCFG)
-    assert alignment_score(world, params, MCFG) > before
+    assert teacher_probe(world, params, MCFG)[0] > before
 
 
 # ------------------------------------------------------------- sign test
@@ -244,6 +274,21 @@ def test_detail_probe_structure(world):
     assert len(probe["samples"]["a"]) == 2
     assert len(probe["mi_cue_action"]["a"]) == 2
     assert all(v == 0.0 for v in probe["mi_cue_action"]["b"])
+
+
+def test_detail_probe_walks_each_route_once(world, monkeypatch):
+    """One forward step per teacher-forced decision: each seed and variant
+    walks every reference route once, for the score and the cue series."""
+    calls = []
+    forward = training.forward_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_step", counted)
+    detail_probe(world, world, seeds=(0, 1, 2), base_mcfg=MCFG)
+    assert len(calls) == 3 * 2 * sum(len(ep.gt_path) for _, ep in world)
 
 
 # -------------------------------------------------------------- variants

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from oikg import cli, nn
+from oikg import cli, nn, training
 from oikg.artifacts import canonical_json
 from oikg.cli import main
 from oikg.metrics import EpisodeResult  # noqa: F401  (re-export sanity)
@@ -70,6 +70,14 @@ def tree_hashes(root):
 def data_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("data") / "d1"
     assert main(["gen", "--out", str(d)] + GEN_ARGS) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def default_data(tmp_path_factory):
+    """`gen` at its defaults: 30 nodes, training routes of 4-5 nodes."""
+    d = tmp_path_factory.mktemp("data") / "default"
+    assert main(["gen", "--out", str(d)]) == 0
     return d
 
 
@@ -443,6 +451,38 @@ def test_ablate_jobs_invariant(data_dir, tmp_path):
     assert without_time(outs[0]) == without_time(outs[1])
 
 
+@pytest.mark.parametrize("argv", [
+    *(["train", "--iters", "1", "--t-max", "4", "--seed", str(seed)]
+      for seed in range(6)),
+    ["ablate", "--iters", "1", "--seeds", "1", "--t-max", "4",
+     "--timing-steps", "3", "--grid", "MGLO"],
+    ["probe", "--which", "detail", "--seeds", "1", "--t-max", "3"],
+], ids=[*(f"train_seed{seed}" for seed in range(6)), "ablate", "probe"])
+def test_route_longer_than_t_max_rejected_before_out(default_data, tmp_path,
+                                                     argv):
+    """Every reference route is checked, whichever episodes a seed draws."""
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(default_data), "--out", str(out)]
+                + argv[1:]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--seeds", "0"],
+    ["ablate", "--timing-steps", "0", "--iters", "1", "--seeds", "1",
+     "--grid", "MGLO"],
+    ["eval", "--agent", "oracle", "--t-max", "0"],
+    ["eval", "--agent", "oracle", "--t-max", "-3"],
+    ["train", "--iters", "1", "--t-max", "-1"],
+], ids=["ablate_no_seeds", "ablate_no_timing_steps", "eval_t_max_0",
+        "eval_t_max_negative", "train_t_max_negative"])
+def test_settings_rejected_before_out(data_dir, tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(data_dir), "--out", str(out)]
+                + argv[1:]) == 2
+    assert not out.exists()
+
+
 def test_ablate_bad_grid_label(data_dir, tmp_path):
     out = tmp_path / "a"
     assert main(["ablate", "--data", str(data_dir),
@@ -451,8 +491,10 @@ def test_ablate_bad_grid_label(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [["--seeds", "1"], ["--probe-episodes", "0"],
-                                 ["--lambda", "2"], ["--which", "detail", "--seeds", "0"]],
-                         ids=["one_seed", "no_episodes", "lambda_above_1", "detail_no_seeds"])
+                                 ["--probe-episodes", "-1"], ["--lambda", "2"],
+                                 ["--which", "detail", "--seeds", "0"]],
+                         ids=["one_seed", "no_episodes", "negative_episodes",
+                              "lambda_above_1", "detail_no_seeds"])
 def test_probe_rejects_settings_before_writing(data_dir, tmp_path, bad):
     out = tmp_path / "p"
     assert main(["probe", "--data", str(data_dir), "--out", str(out),
@@ -485,3 +527,20 @@ def test_probe_outputs(data_dir, tmp_path):
     detail = json.loads((out / "probe_detail.json").read_text())
     assert detail["probe"] == "alignment_score"
     assert detail["config_hash"] == grad["config_hash"]
+
+
+def test_detail_probe_one_forward_step_per_teacher_step(default_data, tmp_path,
+                                                       monkeypatch):
+    """Five seeds, two variants and four 4-node routes: 160 teacher-forced
+    decisions, each scored and cued by the one walk that takes it."""
+    calls = []
+    forward = training.forward_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_step", counted)
+    assert main(["probe", "--data", str(default_data), "--out", str(tmp_path / "p"),
+                 "--which", "detail", "--seeds", "5"]) == 0
+    assert len(calls) == 160

@@ -17,10 +17,11 @@ from oikg.rng import substream
 from oikg.synthenv import (Episode, EnvParams, generate_environment,
                            generate_instruction, make_episode, make_latents)
 from oikg.training import (EnvBundle, RolloutRecord, StepRecord, TrainConfig,
-                           episode_loss, evaluate_policy, greedy_rollout,
-                           pseudo_label, random_policy, recovery_label,
-                           rollout, rollout_student, rollout_teacher,
-                           teacher_policy, train, write_training_log)
+                           check_routes, episode_loss, evaluate_policy,
+                           greedy_rollout, pseudo_label, random_policy,
+                           recovery_label, rollout, rollout_teacher,
+                           sample_policy, teacher_policy, train,
+                           write_training_log)
 
 MCFG = TINY_CONFIG
 REFERENCE = Path(__file__).resolve().parents[1] / "benches" / "reference.json"
@@ -100,8 +101,9 @@ def test_teacher_single_node_route(world, params):
 
 def test_teacher_guards(world, params):
     ep = make_episode(world.graph, seed=2)
+    check_routes([(world, ep)], len(ep.gt_path))
     with pytest.raises(InvalidArgument):
-        rollout_teacher(world, ep, params, MCFG, t_max=len(ep.gt_path) - 1)
+        check_routes([(world, ep)], len(ep.gt_path) - 1)
     bad = Episode(start=[n for n in world.graph.node_ids()
                          if n != ep.gt_path[0]][0],
                   instruction=ep.instruction)
@@ -132,35 +134,35 @@ def test_mean_loss_averages_own_length():
         RolloutRecord().mean_loss()
 
 
-def constant_record(value, steps):
-    rec = RolloutRecord()
-    for _ in range(steps):
-        rec.steps.append(StepRecord(node=0, order=(), logits=nn.Tensor(value),
-                                    predicted=STOP, supervision=STOP,
-                                    loss=nn.Tensor(np.float64(value))))
-    return rec
+def test_episode_loss_arithmetic(world, params):
+    ep = make_episode(world.graph, seed=3)
 
+    def mixed(lam, swap_lambda=False):
+        return episode_loss(world, ep, params, MCFG, substream(0, "mix"), 8,
+                            lam, swap_lambda)
 
-def test_episode_loss_arithmetic():
-    tf, sf = constant_record(1.0, 3), constant_record(2.0, 5)
-    assert float(episode_loss(tf, sf, 0.2).data) == pytest.approx(1.8, abs=1e-12)
-    assert float(episode_loss(tf, sf, 1.0).data) == 1.0
-    assert float(episode_loss(tf, sf, 0.0).data) == 2.0
-    assert float(episode_loss(tf, sf, 0.2, swap_lambda=True).data) == \
-        pytest.approx(0.8 * 1.0 + 0.2 * 2.0, abs=1e-12)
+    _, tfm, sfm = mixed(0.2)
+    assert tfm != sfm
+    assert float(mixed(1.0)[0].data) == tfm
+    assert float(mixed(0.0)[0].data) == sfm
+    assert float(mixed(0.2, swap_lambda=True)[0].data) == (1.0 - 0.2) * tfm + 0.2 * sfm
     with pytest.raises(InvalidArgument):
-        episode_loss(tf, sf, 1.5)
+        mixed(1.5)
 
 
 def test_episode_loss_linear_in_lambda(world, params):
+    """The mix of the two walks' mean losses, each walk as run on its own."""
     ep = make_episode(world.graph, seed=3)
     tf = rollout_teacher(world, ep, params, MCFG)
-    sf = rollout_student(world, ep, params, MCFG, substream(0, "lin"), 8)
+    sf = rollout(world, ep, 8, sample_policy(substream(0, "lin")), params, MCFG,
+                 label=recovery_label)
     tfm = float(tf.mean_loss().data)
     sfm = float(sf.mean_loss().data)
     for lam in (0.0, 0.2, 0.5, 1.0):
-        got = float(episode_loss(tf, sf, lam).data)
-        assert got == lam * tfm + (1.0 - lam) * sfm  # bitwise
+        got, tf_got, sf_got = episode_loss(world, ep, params, MCFG,
+                                           substream(0, "lin"), 8, lam)
+        assert (tf_got, sf_got) == (tfm, sfm)
+        assert float(got.data) == lam * tfm + (1.0 - lam) * sfm  # bitwise
 
 
 # ----------------------------------------------------------- pseudo labels
@@ -357,8 +359,10 @@ def test_pseudo_label_is_total(seed, nodes, waypoints, moves, local_only):
 
 def test_student_rollout_deterministic_and_bounded(world, params):
     ep = make_episode(world.graph, seed=6)
-    a = rollout_student(world, ep, params, MCFG, substream(9, "s"), 6)
-    b = rollout_student(world, ep, params, MCFG, substream(9, "s"), 6)
+    a = rollout(world, ep, 6, sample_policy(substream(9, "s")), params, MCFG,
+                label=recovery_label)
+    b = rollout(world, ep, 6, sample_policy(substream(9, "s")), params, MCFG,
+                label=recovery_label)
     assert a.route == b.route
     assert [s.supervision for s in a.steps] == [s.supervision for s in b.steps]
     assert np.array_equal(a.steps[0].logits.data, b.steps[0].logits.data)
@@ -367,7 +371,8 @@ def test_student_rollout_deterministic_and_bounded(world, params):
     assert a.steps[-1].action == STOP or len(a.steps) == 6
     for s in a.steps:
         assert s.supervision in tuple(s.order) + (STOP,)
-    c = rollout_student(world, ep, params, MCFG, substream(10, "s"), 6)
+    c = rollout(world, ep, 6, sample_policy(substream(10, "s")), params, MCFG,
+                label=recovery_label)
     assert isinstance(c.route, tuple)
 
 
@@ -430,10 +435,13 @@ def test_rollout_renders_each_node_once_per_episode(world, params,
     ep = make_episode(world.graph, seed=6)
     cache = EpisodeCache()
     tf = rollout_teacher(world, ep, params, MCFG, cache=cache)
-    sf = rollout_student(world, ep, params, MCFG, substream(9, "s"), 8,
-                         cache=cache)
+    sf = rollout(world, ep, 8, sample_policy(substream(9, "s")), params, MCFG,
+                 cache, label=recovery_label)
     visited = {s.node for rec in (tf, sf) for s in rec.steps}
     assert len(tf.steps) + len(sf.steps) > len(visited)  # some steps revisit
+    assert sorted(renders) == sorted(visited)
+    renders.clear()  # the episode loss walks the same routes on one cache
+    episode_loss(world, ep, params, MCFG, substream(9, "s"), 8, 0.2)
     assert sorted(renders) == sorted(visited)
 
 
@@ -452,13 +460,16 @@ def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
     ep = make_episode(world.graph, seed=6)
     cache = EpisodeCache()
     tf = rollout_teacher(world, ep, params, MCFG, cache=cache)
-    sf = rollout_student(world, ep, params, MCFG, substream(9, "s"), 8,
-                         cache=cache)
+    sf = rollout(world, ep, 8, sample_policy(substream(9, "s")), params, MCFG,
+                 cache, label=recovery_label)
     steps = tf.steps + sf.steps
     assert len(calls) == 1 and len(steps) > 1
     assert all(s.key_detail is steps[0].key_detail for s in steps)
     with pytest.raises(ValueError):
         steps[-1].key_detail[0] = 0.0
+    calls.clear()
+    episode_loss(world, ep, params, MCFG, substream(9, "s"), 8, 0.2)
+    assert len(calls) == 1
     calls.clear()
     eps = [make_episode(world.graph, seed=s) for s in (2, 3, 6)]
     evaluate_policy([(world, e) for e in eps], params, MCFG, 6)
@@ -624,6 +635,20 @@ def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
     for name, arr in dumped.items():
         assert np.all(np.isfinite(arr))
         np.testing.assert_array_equal(arr, want[name])
+
+
+def test_train_checks_every_route_before_compute(world, params, monkeypatch):
+    """A route longer than t_max fails before any step, even in an episode
+    the batches would never draw."""
+    def refuse(*args):
+        raise AssertionError("a step ran before the routes were checked")
+
+    monkeypatch.setattr(training, "forward_step", refuse)
+    short, long = (make_episode(world.graph, seed=s) for s in (2, 6))
+    assert len(short.gt_path) < len(long.gt_path)
+    cfg = TrainConfig(t_max=len(long.gt_path) - 1, iterations=0)
+    with pytest.raises(InvalidArgument, match="exceeds t_max"):
+        train([(world, short), (world, long)], params, cfg, MCFG)
 
 
 def test_train_requires_data(world, params):
