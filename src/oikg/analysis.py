@@ -111,11 +111,8 @@ def vln_loss_builder(data, mcfg: ModelConfig, lam: float = 0.2,
     def build(seed):
         params = build_params(mcfg, seed)
         rng = substream(seed, "probe-student")
-        total = None
-        for env, ep in data:
-            loss, _, _ = episode_loss(env, ep, params, mcfg, rng, t_max, lam)
-            total = loss if total is None else nn.add(total, loss)
-        return params, nn.scale(total, 1.0 / len(data))
+        return params, nn.mean([episode_loss(env, ep, params, mcfg, rng, t_max, lam)[0]
+                                for env, ep in data])
 
     return build
 

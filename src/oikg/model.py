@@ -55,12 +55,6 @@ class ModelConfig:
         if self.dim % self.heads:
             raise InvalidArgument(f"dim {self.dim} not divisible by heads {self.heads}")
 
-    def flag_label(self) -> str:
-        """Four-letter stage mask, dash for a disabled stage (e.g. 'MG--')."""
-        return "".join(ch if on else "-" for ch, on in (
-            ("M", self.decouple), ("G", self.geo_embed),
-            ("L", self.loc_detail), ("O", self.obj_detail)))
-
 
 TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8,
                           key_dim=8, heads=2, layers=1)
@@ -136,16 +130,16 @@ def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
     return nn.init_params(param_spec(cfg), seed)
 
 
+def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, list]:
+    """The (wq, wk, wv, wo) attention weights and the MLP layers of a block."""
+    attn = tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+    return attn, [(params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
+                  (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])]
+
+
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
                    params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    a = nn.attention(h, kv, kv,
-                     params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.wk"],
-                     params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.wo"],
-                     cfg.heads)
-    h = nn.add(h, a)
-    m = nn.mlp(h, [(params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
-                   (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])])
-    return nn.add(h, m)
+    return nn.residual_block(h, kv, *_block_weights(prefix, params), cfg.heads)
 
 
 # ------------------------------------------------------------- observation
@@ -183,6 +177,12 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
 
     With decoupling off, one linear projection of the raw concatenated
     [angular, visual] rows is used instead (the coupled baseline).
+
+    Decoupled, the rows are one tape node over the eight ``obs.*``
+    parameters, since both blocks are constants: bitwise equal to the
+    ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
+    The backward replays that chain in the walk's order: the MLP, then the
+    angular branch, then the visual one.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
     if obs.visual.shape != want:
@@ -192,11 +192,35 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
     if not cfg.decouple:
         return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
                          params["obs.coupled.w"], params["obs.coupled.b"])
-    e_a = nn.linear(ang_t, params["obs.ang.w"], params["obs.ang.b"])
-    e_v = nn.linear(vis_t, params["obs.vis.w"], params["obs.vis.b"])
-    return nn.mlp(nn.concat([e_a, e_v], axis=-1),
-                  [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
-                   (params["obs.fuse.w2"], params["obs.fuse.b2"])])
+    branches = [(ang_t.data, params["obs.ang.w"], params["obs.ang.b"]),
+                (vis_t.data, params["obs.vis.w"], params["obs.vis.b"])]
+    embedded = []
+    for x, w, b in branches:
+        nn._check_linear(x.shape, w, b)
+        embedded.append(x @ w.data + b.data)
+    live = [w.requires_grad or b.requires_grad for _, w, b in branches]
+    layers = [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
+              (params["obs.fuse.w2"], params["obs.fuse.b2"])]
+    out, mlp_backward = nn._mlp_chain(np.concatenate(embedded, axis=-1), any(live), layers)
+    d = embedded[0].shape[1]
+
+    def backward(g):
+        g_c = mlp_backward(g)
+        if g_c is None:
+            return
+        g_c = nn._grad_copy(g_c)
+        for (x, w, b), e_live, part in zip(branches, live, (slice(0, d), slice(d, None))):
+            if not e_live:
+                continue
+            g_e = nn._grad_copy(g_c[:, part])
+            if b.requires_grad:
+                b.accumulate_grad(g_e.sum(axis=0))
+            if w.requires_grad:
+                w.accumulate_grad(x.T @ g_e)
+
+    parents = tuple(t for _, w, b in branches for t in (w, b)) + tuple(
+        t for layer in layers for t in layer)
+    return nn.tape_node(out, parents, backward)
 
 
 # -------------------------------------------------------------- candidates
@@ -380,32 +404,70 @@ def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
 # ----------------------------------------------------------------- scoring
 
 
-def enhance_and_score(f_c: nn.Tensor, f_k: nn.Tensor | None,
+def alignment_row(f_k: nn.Tensor, params: nn.ParamStore) -> nn.Tensor:
+    """The key detail's single-key attention value, the (1, d) row f_k W_v.
+
+    Fixed for an episode, so ``forward_step`` builds it once per episode,
+    with the key detail.  One tape node that takes over f_k's own node: its
+    parents are f_k's parents and ``enh.wv``, and its backward runs the
+    row's product, ``reshape(f_k) @ enh.wv``, then f_k's backward, as the
+    walk ran the unfused chain.  Later steps replay it (``nn.replay``), so
+    each step's gradient reaches f_k's parents on its own.  An f_k that is
+    not an op's output (a leaf or a constant) stays a parent itself.
+    """
+    w = params["enh.wv"]
+    k = f_k.shape[0]
+    nn._check_linear((k,), w, None)
+    k_row = f_k.data.reshape(1, k)
+    folded = f_k._backward is not None
+    parents = (f_k._parents if folded else (f_k,)) + (w,)
+
+    def backward(g):
+        g_k = nn._grad_copy(g @ w.data.T) if f_k.requires_grad else None
+        if w.requires_grad:
+            w.accumulate_grad(k_row.T @ g)
+        if g_k is None:
+            return
+        if folded:
+            f_k._backward(nn._grad_copy(g_k.reshape(k)))
+        else:
+            f_k.accumulate_grad(g_k.reshape(k))
+
+    return nn.tape_node(k_row @ w.data, parents, backward)
+
+
+def add_row(f_c: nn.Tensor, row: nn.Tensor) -> nn.Tensor:
+    """Every candidate row plus the (1, d) alignment row: one tape node,
+    bitwise equal to ``add(f_c, matmul(ones((N_c, 1)), row))``.  With one
+    key the attention weights are exactly 1.0, so each row gains the same
+    row; the backward sums the rows' gradients as ``ones.T @ g``."""
+    if row.shape != (1, f_c.shape[1]):
+        raise ShapeError(f"alignment row {row.shape} != (1, {f_c.shape[1]})")
+    ones = np.ones((f_c.shape[0], 1))   # the single key's attention weights
+
+    def backward(g):
+        if f_c.requires_grad:
+            f_c.accumulate_grad(g)
+        if row.requires_grad:
+            row.accumulate_grad(ones.T @ nn._grad_copy(g))
+
+    return nn.tape_node(f_c.data + ones @ row.data, (f_c, row), backward)
+
+
+def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
                       params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    """Inject the key-detail row into each candidate, then score.
+    """Inject the key-detail alignment row into each candidate, then score.
 
     The key detail enters as a single key/value attention row added
     residually; with one key the attention weights are exactly 1.0, so the
-    aligned row is f_k W_v for every candidate.  With both detail flags off
-    the injection is skipped and the cross-modal rows pass through
-    untouched.  Scoring always runs: candidate self-attention with residual,
-    then a per-row MLP.
+    aligned row is ``alignment_row`` for every candidate.  With both detail
+    flags off (``row`` None) the injection is skipped and the cross-modal
+    rows pass through untouched.  Scoring always runs: candidate
+    self-attention with residual, then a per-row MLP, one score per row.
     """
-    if f_k is None:
-        f_e = f_c
-    else:
-        k_row = nn.reshape(f_k, (1, f_k.shape[0]))
-        weights = nn.Tensor(np.ones((f_c.shape[0], 1)))           # single key: all ones
-        align = nn.matmul(weights, nn.matmul(k_row, params["enh.wv"]))
-        f_e = nn.add(f_c, align)
-
-    att = nn.attention(f_e, f_e, f_e,
-                       params["sel.attn.wq"], params["sel.attn.wk"],
-                       params["sel.attn.wv"], params["sel.attn.wo"], cfg.heads)
-    h = nn.add(f_e, att)
-    scores = nn.mlp(h, [(params["sel.mlp.w1"], params["sel.mlp.b1"]),
-                        (params["sel.mlp.w2"], params["sel.mlp.b2"])])
-    return nn.reshape(scores, (scores.shape[0],))
+    f_e = f_c if row is None else add_row(f_c, row)
+    return nn.residual_block(f_e, f_e, *_block_weights("sel", params), cfg.heads,
+                             score=True)
 
 
 def select_action(scores, frontier_order) -> int:
@@ -426,13 +488,16 @@ def select_action(scores, frontier_order) -> int:
 
 class EpisodeCache:
     """Reuses, inside one autograd graph, the encodings that stay fixed for
-    an episode: the instruction encoding, each node's panorama embedding and
-    the key detail; and keeps the rendered panoramas of the episode's nodes.
+    an episode: the instruction encoding, each node's panorama embedding,
+    and the key detail with its alignment row; and keeps the rendered
+    panoramas of the episode's nodes.
 
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
-    they were built in.  ``key_detail`` is the first step's node, its data
-    read-only, since every later step's ``StepRecord.key_detail`` shares it.
+    they were built in.  ``key_detail`` is the first step's key detail, its
+    data read-only, since every step's ``StepRecord.key_detail`` shares it.
+    ``align`` is the first step's ``alignment_row`` node, which took over
+    the key detail's node; later steps replay it.
     """
 
     def __init__(self):
@@ -440,6 +505,7 @@ class EpisodeCache:
         self.obs: dict[int, nn.Tensor] = {}
         self.views: dict[int, Observation] = {}
         self.key_detail: nn.Tensor | None = None
+        self.align: nn.Tensor | None = None
 
 
 def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
@@ -448,12 +514,13 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
     """Run the full pipeline for one decision step.
 
     Without a cache the step gets one of its own.  With a cache shared by
-    the episode's steps, the key detail is computed once.  Every later
-    step gets ``nn.replay`` of the cached node: a new node with its data,
-    parents and backward, so each step's gradient still reaches f_i and the
-    ``kd.*`` parameters on its own, at the step's place in the backward
-    walk, as a per-step rebuild gave it.  One tracked tensor shared by the
-    steps would sum their gradients first and change the last bits.
+    the episode's steps, the key detail and its alignment row are computed
+    once, as one node.  Every later step gets ``nn.replay`` of that node: a
+    new node with its data, parents and backward, so each step's gradient
+    still reaches f_i, ``enh.wv`` and the ``kd.*`` parameters on its own,
+    at the step's place in the backward walk, as a per-step rebuild gave
+    it.  One tracked tensor shared by the steps would sum their gradients
+    first and change the last bits.
     """
     cache = cache if cache is not None else EpisodeCache()
     f_o = cache.obs.get(obs.node)
@@ -467,15 +534,16 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
     if f_i is None:
         f_i = cache.instr = encode_instruction(ins, params, cfg)
 
-    f_k = None
+    f_k = row = None
     if cfg.loc_detail or cfg.obj_detail:
-        if cache.key_detail is not None:
-            f_k = nn.replay(cache.key_detail)
+        if cache.align is not None:
+            f_k, row = cache.key_detail, nn.replay(cache.align)
         else:
             f_k = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
                                      params, cfg)
             f_k.data.flags.writeable = False
-            cache.key_detail = f_k
+            row = alignment_row(f_k, params)
+            cache.key_detail, cache.align = f_k, row
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
-    scores = enhance_and_score(f_c, f_k, params, cfg)
+    scores = enhance_and_score(f_c, row, params, cfg)
     return StepFeatures(key_detail=f_k, scores=scores), select_action(scores, order)

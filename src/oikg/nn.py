@@ -3,11 +3,8 @@
 Everything is 64-bit float and deterministic: same inputs give bitwise
 identical outputs.  The engine is a flat tape of ``Tensor`` nodes; each op
 records a closure that routes the output gradient back into its parents.
-Shapes are limited to what the model needs (vectors, matrices, and
-head-batched 3-D matmuls) -- no general broadcasting beyond row-wise bias
-addition.
-
-Set ``DEBUG_FINITE = True`` to assert finiteness after every op.  Inside
+Shapes are limited to what the model needs: vectors and matrices, with a
+bias broadcast over rows inside ``linear`` and nowhere else.  Inside
 ``no_tape()`` ops record nothing: their outputs are untracked values, bitwise
 the same as with the tape on.
 """
@@ -30,7 +27,6 @@ from .errors import (
 )
 from .rng import substream
 
-DEBUG_FINITE = False
 _TAPE_ON = True
 
 CHECKPOINT_MAGIC = b"OIKG0001"
@@ -57,15 +53,10 @@ class Tensor:
         self._backward = _backward
         self._done = False
         self._epoch = 0
-        if DEBUG_FINITE and not np.all(np.isfinite(self.data)):
-            raise NumericFailure("non-finite tensor values")
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -114,29 +105,22 @@ def replay(node: Tensor) -> Tensor:
     return tape_node(node.data, node._parents, node._backward)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g over axes that were broadcast to reach its shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------- basic ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    """Elementwise sum of two tensors of one shape; any other pair raises
+    ``ShapeError`` instead of broadcasting."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add shape mismatch {a.shape} + {b.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            b.accumulate_grad(g)
 
-    return tape_node(out_data, (a, b), backward)
+    return tape_node(a.data + b.data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -145,43 +129,6 @@ def scale(a: Tensor, s: float) -> Tensor:
             a.accumulate_grad(g * s)
 
     return tape_node(a.data * s, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1D@2D, 2D@2D, and batch-matched 3D@3D operands."""
-    an, bn = a.data.ndim, b.data.ndim
-    if (an, bn) not in ((1, 2), (2, 2), (3, 3)):
-        raise ShapeError(f"unsupported matmul ranks {an}@{bn}")
-    if a.shape[-1] != b.shape[-2] or (an == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if an == 1:
-            if a.requires_grad:
-                a.accumulate_grad(b.data @ g)
-            if b.requires_grad:
-                b.accumulate_grad(np.outer(a.data, g))
-        elif an == 2:
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-        else:
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.transpose(0, 2, 1))
-            if b.requires_grad:
-                b.accumulate_grad(a.data.transpose(0, 2, 1) @ g)
-
-    return tape_node(out_data, (a, b), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return tape_node(a.data.reshape(shape), (a,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -255,18 +202,22 @@ def _grad_copy(g: np.ndarray) -> np.ndarray:
     return np.add(g, 0.0, order="C")
 
 
-def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
-    """Stack of linear layers with ReLU between them; final layer is linear.
+def _mlp_chain(x: np.ndarray, x_live: bool, layers: Sequence[tuple[Tensor, Tensor]]):
+    """The one implementation of an MLP: linear layers with ReLU between
+    them, the last layer linear.  Returns the output and ``backward(g)``,
+    which adds into each bias and weight, last layer first, and returns the
+    gradient of x, or None when ``x_live`` is false.
 
-    One tape node, bitwise equal to the chain of ``linear`` and ReLU nodes
-    it fuses (``oracle_mlp`` in the tests): the forward makes the chain's
-    numpy calls, and the backward replays its arrays, last layer first,
-    adding into each bias, x and each weight in the chain's order.
+    Fused nodes run it, bitwise equal to the chain of ``linear`` and ReLU
+    nodes (``oracle_mlp`` in the tests): the forward makes the chain's numpy
+    calls, and the backward replays its arrays, adding into each bias and
+    weight in the chain's order.  x's gradient comes back for the caller to
+    route, after the first layer's weight term.
     """
     if not layers:
         raise InvalidArgument("mlp needs at least one layer")
     ins, masks, live = [], [], []   # per layer: input, ReLU mask, input tracked
-    h, tracked = x.data, x.requires_grad
+    h, tracked = x, x_live
     for i, (w, b) in enumerate(layers):
         _check_linear(h.shape, w, b)
         ins.append(h)
@@ -276,7 +227,7 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         if i + 1 < len(layers):
             masks.append(h > 0.0)
             h = np.maximum(h, 0.0)
-    vector = x.data.ndim == 1
+    vector = x.ndim == 1
 
     def backward(g):
         for i in reversed(range(len(layers))):
@@ -284,50 +235,31 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
             if b.requires_grad:
                 b.accumulate_grad(g if vector else g.sum(axis=0))
             g_in = (w.data @ g if vector else g @ w.data.T) if live[i] else None
-            if i == 0 and g_in is not None:
-                x.accumulate_grad(g_in)
             if w.requires_grad:
                 w.accumulate_grad(np.outer(ins[i], g) if vector else ins[i].T @ g)
             if i == 0 or g_in is None:
-                return
+                return g_in
             g = _grad_copy(g_in * masks[i - 1])  # through the ReLU below
 
-    parents = (x,) + tuple(t for layer in layers for t in layer)
-    return tape_node(h, parents, backward)
+    return h, backward
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention.
+def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
+                    wq: Tensor, wo: Tensor, heads: int):
+    """The one implementation of multi-head scaled dot-product attention
+    after the K and V projections: per head softmax(QWq K^T / sqrt(dm/h)) V,
+    heads concatenated and projected by wo.  Returns the (n, dm) output and
+    ``backward(g)``, which adds into wo, q, wq, K and V in that order.
 
-    q: (n, dm), k/v: (m, dm).  Per head: softmax(QWq (KWk)^T / sqrt(dm/h)) VWv;
-    heads are concatenated and output-projected back to (n, dm).
-
-    Three tape nodes, bitwise equal to the 17-node composition of
-    projections, reshapes, transposes, matmuls, scale and softmax that they
-    fuse (``oracle_attention`` in the tests).  The K and V projections stay
-    ``linear`` nodes; one core node with parents (q, K, V, wq, wo) covers
-    the rest.  It makes the composition's numpy calls on the same memory
-    layouts, and its backward replays the composition's arrays in its
-    order.  K and V keep their own nodes because the order counts: a
-    decoder stack feeds one k=v tensor to every layer, and the tape adds a
-    layer's K and V terms into it only after the query's ancestry, earlier
-    layers included, has run.  A single node would add them before.
+    Bitwise equal to the 17-node composition of projections, reshapes,
+    transposes, matmuls, scale and softmax (``oracle_attention`` in the
+    tests): it makes the composition's numpy calls on the same memory
+    layouts, and its backward replays the composition's arrays in its order.
     """
     n, dm = q.shape
-    m = k.shape[0]
-    if k.shape != (m, dm) or v.shape != (m, dm):
-        raise ShapeError(f"attention key/value shapes {k.shape}/{v.shape} != ({m},{dm})")
-    if dm % heads != 0:
-        raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
-    if (any(w.shape != (dm, dm) for w in (wq, wk, wv))
-            or wo.data.ndim != 2 or wo.shape[0] != dm):
-        raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
-                         f"do not fit width {dm}")
+    m = k_proj.shape[0]
     dh = dm // heads
     s = 1.0 / np.sqrt(dh)
-    k_proj, v_proj = linear(k, wk), linear(v, wv)
 
     def split(a: np.ndarray, rows: int) -> np.ndarray:
         # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data
@@ -371,7 +303,103 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
             g_vh = p.transpose(0, 2, 1) @ g_mixed
             v_proj.accumulate_grad(g_vh.transpose(1, 0, 2).reshape(m, dm))
 
-    return tape_node(merged @ wo.data, (q, k_proj, v_proj, wq, wo), backward)
+    return merged @ wo.data, backward
+
+
+def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
+    n, dm = q_shape
+    if len(kv_shape) != 2 or kv_shape[1] != dm:
+        raise ShapeError(f"attention key/value shape {kv_shape} != (m, {dm})")
+    if dm % heads != 0:
+        raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
+    wq, wk, wv, wo = attn
+    if (any(w.shape != (dm, dm) for w in (wq, wk, wv))
+            or wo.data.ndim != 2 or wo.shape[0] != dm):
+        raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
+                         f"do not fit width {dm}")
+
+
+def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
+                   layers: Sequence[tuple[Tensor, Tensor]], heads: int,
+                   score: bool = False) -> Tensor:
+    """A residual attention + MLP block: h1 = h + attention(h, kv, kv), then
+    h1 + mlp(h1).  ``attn`` is (wq, wk, wv, wo), ``layers`` the MLP's (w, b)
+    pairs.  With ``score`` the block is a scoring head: mlp(h1), whose last
+    layer is one wide, flattened to one score per row, with no second add.
+
+    Three tape nodes, bitwise equal to the composition they fuse
+    (``oracle_residual_block`` in the tests): the K and V projections stay
+    ``linear`` nodes, and one block node with parents (h, K, V, wq, wo, MLP
+    weights) covers the Q projection, the attention core, the first add,
+    the MLP and the second add (or the final reshape).  Its backward runs
+    the composition's steps in the tape's order: the second add, the MLP,
+    the first add, the attention core.  So h receives the first add's term,
+    then the query's.  K and V keep their own nodes because a decoder stack
+    feeds one k=v tensor to every layer, and the tape adds a layer's K and
+    V terms into it only after the query's ancestry, earlier layers
+    included, has run; a block node would add them before.
+    """
+    _check_attention(h.shape, kv.shape, attn, heads)
+    wq, wk, wv, wo = attn
+    k_proj, v_proj = linear(kv, wk), linear(kv, wv)
+    a, core_backward = _attention_core(h, k_proj, v_proj, wq, wo, heads)
+    h1 = h.data + a
+    a_live = any(t.requires_grad for t in (h, k_proj, v_proj, wq, wo))
+    h1_live = h.requires_grad or a_live
+    m, mlp_backward = _mlp_chain(h1, h1_live, layers)
+    if score:
+        if m.shape[1] != 1:
+            raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
+        out = m.reshape(m.shape[0])
+    else:
+        out = h1 + m
+
+    def backward(g):
+        g_m = _grad_copy(g.reshape(m.shape) if score else g)
+        g_h1 = _grad_copy(g) if h1_live and not score else None
+        g_in = mlp_backward(g_m)
+        if g_in is not None:
+            if g_h1 is None:
+                g_h1 = _grad_copy(g_in)
+            else:
+                g_h1 += g_in
+        if g_h1 is None:
+            return
+        if h.requires_grad:
+            h.accumulate_grad(g_h1)
+        if a_live:
+            core_backward(_grad_copy(g_h1))
+
+    parents = (h, k_proj, v_proj, wq, wo) + tuple(t for layer in layers for t in layer)
+    return tape_node(out, parents, backward)
+
+
+def mean(terms: Sequence[Tensor]) -> Tensor:
+    """The mean of same-shape tensors: their left-to-right sum times 1/n.
+
+    One tape node, bitwise equal to the chain of ``add`` nodes and the
+    ``scale`` it fuses (``oracle_mean`` in the tests).  The chain's nodes
+    run back to back in the backward walk, and each passes on the gradient
+    the scale gave the sum, so every term receives that one array.
+    """
+    if not terms:
+        raise InvalidArgument("mean needs at least one tensor")
+    if any(t.shape != terms[0].shape for t in terms):
+        raise ShapeError(f"mean of shapes {[t.shape for t in terms]}")
+    s = 1.0 / len(terms)
+    total = terms[0].data
+    for t in terms[1:]:
+        total = total + t.data
+
+    def backward(g):
+        g = g * s
+        if len(terms) > 1:
+            g = _grad_copy(g)   # as the chain's sum node holds it
+        for t in terms:
+            if t.requires_grad:
+                t.accumulate_grad(g)
+
+    return tape_node(total * s, tuple(terms), backward)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -471,9 +499,6 @@ class ParamStore:
             if t.grad is not None:
                 total += float(np.sum(t.grad * t.grad))
         return float(np.sqrt(total))
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: self.params[name].data.copy() for name in self.names()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         if set(state) != set(self.params):

@@ -68,18 +68,6 @@ def token_class(token_id: int) -> str:
     raise InvalidArgument(f"token id {token_id} out of vocabulary")
 
 
-def room_token(room: int) -> int:
-    if not 0 <= room < ROOM_COUNT:
-        raise InvalidArgument(f"room index {room} out of range")
-    return ROOM_BASE + room
-
-
-def object_token(obj: int) -> int:
-    if not 0 <= obj < OBJECT_COUNT:
-        raise InvalidArgument(f"object index {obj} out of range")
-    return OBJECT_BASE + obj
-
-
 def vocab_table() -> list[dict]:
     return [{"id": i, "word": _WORDS[i], "class": token_class(i)}
             for i in range(VOCAB_SIZE)]

@@ -83,10 +83,7 @@ class RolloutRecord:
     def mean_loss(self) -> nn.Tensor:
         if not self.steps:
             raise InvalidArgument("empty rollout record")
-        total = self.steps[0].loss
-        for s in self.steps[1:]:
-            total = nn.add(total, s.loss)
-        return nn.scale(total, 1.0 / len(self.steps))
+        return nn.mean([s.loss for s in self.steps])
 
 
 def _slot_action(order, slot: int) -> int:
@@ -328,16 +325,16 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
         idx = batch_rng.integers(len(data), size=cfg.batch_size)
         params.zero_grad()
         try:
-            total = None
-            tf_vals, sf_vals = [], []
+            total = None   # drop the last iteration's graph before building this one
+            losses, tf_vals, sf_vals = [], [], []
             for j in idx:
                 env, ep = data[int(j)]
                 loss, tf, sf = episode_loss(env, ep, params, mcfg, student_rng,
                                             cfg.t_max, cfg.lam, cfg.swap_lambda)
+                losses.append(loss)
                 tf_vals.append(tf)
                 sf_vals.append(sf)
-                total = loss if total is None else nn.add(total, loss)
-            total = nn.scale(total, 1.0 / cfg.batch_size)
+            total = nn.mean(losses)
             total_val = float(total.data)
             if not math.isfinite(total_val):
                 raise NumericFailure(f"non-finite loss {total_val}")

@@ -2,28 +2,50 @@
 ``nn.tape_node`` like the library's own ops, and test_nn checks their
 gradients by finite differences.
 
-- ``sub``, ``mul`` and ``tsum`` build test losses.
-- ``relu``, ``softmax`` and ``transpose`` are the parts of
-  ``oracle_mlp`` and ``oracle_attention``: the node-per-op compositions
-  that ``nn.mlp`` and ``nn.attention`` fuse.  ``_masked_mean`` is the part
-  of ``oracle_key_detail``, the chain ``model.extract_key_detail`` fuses.
-  The fused ops must match them bitwise, values and every gradient.
+- ``sub``, ``mul`` and ``tsum`` build test losses; ``sub``, ``mul`` and
+  ``bias_add`` broadcast, summing the gradient back over broadcast axes
+  (``unbroadcast``), where ``nn.add`` takes equal shapes only.
+- ``matmul``, ``reshape``, ``relu``, ``softmax`` and ``transpose`` are the
+  parts of the node-per-op compositions that the library's fused nodes
+  replace.  The fused ops must match them bitwise, values and every
+  gradient:
+  - ``oracle_mlp`` and ``oracle_attention``, what the MLP chain and the
+    attention core compute; ``mlp`` (one node) and ``attention`` (three)
+    run those two implementations as ops of their own;
+  - ``oracle_residual_block``, ``nn.residual_block`` (decoder block and
+    scoring head);
+  - ``oracle_decouple_observation``, ``model.decouple_observation``;
+  - ``oracle_key_detail`` (with its part ``_masked_mean``),
+    ``model.extract_key_detail``;
+  - ``oracle_alignment_row`` and ``oracle_add_row``, ``model.alignment_row``
+    and ``model.add_row``;
+  - ``oracle_mean``, ``nn.mean``.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from oikg import nn
+from oikg import model, nn
 from oikg.errors import ShapeError
+
+
+def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g over axes that were broadcast to reach its shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
 
 
 def sub(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(nn._unbroadcast(g, a.shape))
+            a.accumulate_grad(unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(nn._unbroadcast(-g, b.shape))
+            b.accumulate_grad(unbroadcast(-g, b.shape))
 
     return nn.tape_node(a.data - b.data, (a, b), backward)
 
@@ -31,11 +53,22 @@ def sub(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
 def mul(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(nn._unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(nn._unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(unbroadcast(g * a.data, b.shape))
 
     return nn.tape_node(a.data * b.data, (a, b), backward)
+
+
+def bias_add(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
+    """a + b with b broadcast: the add that ``nn.linear`` fuses."""
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(unbroadcast(g, b.shape))
+
+    return nn.tape_node(a.data + b.data, (a, b), backward)
 
 
 def tsum(a: nn.Tensor) -> nn.Tensor:
@@ -44,6 +77,42 @@ def tsum(a: nn.Tensor) -> nn.Tensor:
             a.accumulate_grad(np.full(a.shape, float(g)))
 
     return nn.tape_node(a.data.sum(), (a,), backward)
+
+
+def matmul(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
+    """Matrix product for 1D@2D, 2D@2D, and batch-matched 3D@3D operands."""
+    an, bn = a.data.ndim, b.data.ndim
+    if (an, bn) not in ((1, 2), (2, 2), (3, 3)):
+        raise ShapeError(f"unsupported matmul ranks {an}@{bn}")
+    if a.shape[-1] != b.shape[-2] or (an == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+
+    def backward(g):
+        if an == 1:
+            if a.requires_grad:
+                a.accumulate_grad(b.data @ g)
+            if b.requires_grad:
+                b.accumulate_grad(np.outer(a.data, g))
+        elif an == 2:
+            if a.requires_grad:
+                a.accumulate_grad(g @ b.data.T)
+            if b.requires_grad:
+                b.accumulate_grad(a.data.T @ g)
+        else:
+            if a.requires_grad:
+                a.accumulate_grad(g @ b.data.transpose(0, 2, 1))
+            if b.requires_grad:
+                b.accumulate_grad(a.data.transpose(0, 2, 1) @ g)
+
+    return nn.tape_node(a.data @ b.data, (a, b), backward)
+
+
+def reshape(a: nn.Tensor, shape) -> nn.Tensor:
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(g.reshape(a.shape))
+
+    return nn.tape_node(a.data.reshape(shape), (a,), backward)
 
 
 def relu(a: nn.Tensor) -> nn.Tensor:
@@ -81,8 +150,38 @@ def softmax(a: nn.Tensor, axis: int = -1) -> nn.Tensor:
     return nn.tape_node(p, (a,), backward)
 
 
+# ------------------------------------------- the library's parts as ops
+
+
+def mlp(x: nn.Tensor, layers) -> nn.Tensor:
+    """The library's MLP chain as one node over (x, each w and b)."""
+    out, chain_backward = nn._mlp_chain(x.data, x.requires_grad, layers)
+
+    def backward(g):
+        g_x = chain_backward(g)
+        if g_x is not None:
+            x.accumulate_grad(g_x)
+
+    parents = (x,) + tuple(t for layer in layers for t in layer)
+    return nn.tape_node(out, parents, backward)
+
+
+def attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
+    """The library's attention core as three nodes: ``linear(k, wk)``,
+    ``linear(v, wv)`` and one core node with parents (q, K, V, wq, wo)."""
+    nn._check_attention(q.shape, k.shape, (wq, wk, wv, wo), heads)
+    if v.shape != k.shape:
+        raise ShapeError(f"attention value shape {v.shape} != key shape {k.shape}")
+    k_proj, v_proj = nn.linear(k, wk), nn.linear(v, wv)
+    out, backward = nn._attention_core(q, k_proj, v_proj, wq, wo, heads)
+    return nn.tape_node(out, (q, k_proj, v_proj, wq, wo), backward)
+
+
+# ------------------------------------------------------------ oracles
+
+
 def oracle_mlp(x: nn.Tensor, layers) -> nn.Tensor:
-    """``nn.mlp`` as a chain of ``linear`` and ``relu`` nodes."""
+    """The MLP chain as a chain of ``linear`` and ``relu`` nodes."""
     h = x
     for i, (w, b) in enumerate(layers):
         h = nn.linear(h, w, b)
@@ -92,24 +191,48 @@ def oracle_mlp(x: nn.Tensor, layers) -> nn.Tensor:
 
 
 def oracle_attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
-    """``nn.attention`` as 17 nodes: four projections, reshapes and
-    transposes around two head-batched matmuls, a scale and a softmax."""
+    """Attention as 17 nodes: four projections, reshapes and transposes
+    around two head-batched matmuls, a scale and a softmax."""
     n, dm = q.shape
     m = k.shape[0]
     dh = dm // heads
 
     def split(t: nn.Tensor, rows: int) -> nn.Tensor:
         # (rows, dm) -> (heads, rows, dh)
-        return transpose(nn.reshape(t, (rows, heads, dh)), (1, 0, 2))
+        return transpose(reshape(t, (rows, heads, dh)), (1, 0, 2))
 
     qh = split(nn.linear(q, wq), n)
     kh = split(nn.linear(k, wk), m)
     vh = split(nn.linear(v, wv), m)
-    scores = nn.scale(nn.matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    scores = nn.scale(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
     weights = softmax(scores, axis=-1)
-    mixed = nn.matmul(weights, vh)
-    merged = nn.reshape(transpose(mixed, (1, 0, 2)), (n, dm))
+    mixed = matmul(weights, vh)
+    merged = reshape(transpose(mixed, (1, 0, 2)), (n, dm))
     return nn.linear(merged, wo)
+
+
+def oracle_residual_block(h, kv, attn, layers, heads: int, score: bool = False) -> nn.Tensor:
+    """``nn.residual_block`` node per op: attention, add, MLP, then add (a
+    decoder block) or reshape to one score per row (a scoring head)."""
+    h1 = nn.add(h, oracle_attention(h, kv, kv, *attn, heads))
+    m = oracle_mlp(h1, layers)
+    return reshape(m, (m.shape[0],)) if score else nn.add(h1, m)
+
+
+def oracle_decouple_observation(obs, params, cfg) -> nn.Tensor:
+    """``model.decouple_observation`` node per op: a ``linear`` per block,
+    their ``concat`` and the fuse MLP; or, decoupling off, the ``concat``
+    of the raw blocks and one ``linear``."""
+    ang_t = nn.Tensor(model._check_view_grid(obs, cfg.view_grid))
+    vis_t = nn.Tensor(obs.visual)
+    if not cfg.decouple:
+        return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
+                         params["obs.coupled.w"], params["obs.coupled.b"])
+    e_a = nn.linear(ang_t, params["obs.ang.w"], params["obs.ang.b"])
+    e_v = nn.linear(vis_t, params["obs.vis.w"], params["obs.vis.b"])
+    return oracle_mlp(nn.concat([e_a, e_v], axis=-1),
+                      [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
+                       (params["obs.fuse.w2"], params["obs.fuse.b2"])])
 
 
 def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
@@ -122,7 +245,7 @@ def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
         return nn.Tensor(np.zeros(f_i.shape[1]))
     sel = np.zeros((1, f_i.shape[0]))
     sel[0, idx] = 1.0 / n
-    return nn.reshape(nn.matmul(nn.Tensor(sel), f_i), (f_i.shape[1],))
+    return reshape(matmul(nn.Tensor(sel), f_i), (f_i.shape[1],))
 
 
 def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:
@@ -137,3 +260,24 @@ def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:
     e_obj = nn.linear(f_obj, params["kd.obj.w"], params["kd.obj.b"])
     return nn.linear(nn.concat([e_loc, e_obj], axis=-1),
                      params["kd.fuse.w"], params["kd.fuse.b"])
+
+
+def oracle_alignment_row(f_k, params) -> nn.Tensor:
+    """``model.alignment_row`` as the ``reshape`` of f_k to a row and its
+    ``matmul`` with ``enh.wv``; f_k keeps its own node."""
+    return matmul(reshape(f_k, (1, f_k.shape[0])), params["enh.wv"])
+
+
+def oracle_add_row(f_c, row) -> nn.Tensor:
+    """``model.add_row`` as the single key's all-ones weights times the row,
+    then an ``add``."""
+    weights = nn.Tensor(np.ones((f_c.shape[0], 1)))
+    return nn.add(f_c, matmul(weights, row))
+
+
+def oracle_mean(terms) -> nn.Tensor:
+    """``nn.mean`` as a left-to-right chain of ``add`` nodes and a ``scale``."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = nn.add(total, t)
+    return nn.scale(total, 1.0 / len(terms))

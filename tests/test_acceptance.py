@@ -92,9 +92,9 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp = make_loss().item()
+            lp = float(make_loss().data)
             flat[idx] = orig - h
-            lm = make_loss().item()
+            lm = float(make_loss().data)
             flat[idx] = orig
             numeric = (lp - lm) / (2 * h)
             err = (abs(numeric - gflat[idx])
@@ -138,12 +138,12 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
     cfg = replace(TINY_CONFIG, loc_detail=False, obj_detail=False)
     params = build_params(cfg, seed=0)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
-    attention = record_calls(monkeypatch, nn, "attention")
+    blocks = record_calls(monkeypatch, nn, "residual_block")
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     reads, feats = step(cfg, params)
     assert feats.key_detail is None and detail == []
     [((f_c, *_), _)] = enhance
-    [*_, ((f_e, *_), _)] = attention  # the scoring attention comes last
+    [*_, ((f_e, *_), _)] = blocks  # the scoring head comes last
     assert f_e is f_c  # the cross-modal rows, untouched
     assert not {n for n in reads if n.startswith(("kd.", "enh."))}
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tape_ops import mul, sub
+from test_model import flag_label
 
 from oikg import analysis, nn
 from oikg import training
@@ -301,9 +302,9 @@ def test_variant_config_labels():
     none = variant_config(MCFG, "----")
     assert (none.decouple, none.geo_embed, none.loc_detail, none.obj_detail) \
         == (False, False, False, False)
-    assert variant_config(MCFG, "M-L-").flag_label() == "M-L-"
+    assert flag_label(variant_config(MCFG, "M-L-")) == "M-L-"
     for label in GRID_LABELS:
-        assert variant_config(MCFG, label).flag_label() == label
+        assert flag_label(variant_config(MCFG, label)) == label
     with pytest.raises(InvalidArgument):
         variant_config(MCFG, "XGLO")
     with pytest.raises(InvalidArgument):

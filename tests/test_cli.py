@@ -7,6 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
+from test_training import state_dict
+
 from oikg import cli, nn, training
 from oikg.artifacts import canonical_json
 from oikg.cli import main
@@ -160,7 +162,7 @@ def test_train_zero_iters_keeps_init(data_dir, tmp_path):
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  "--iters", "0", "--seed", "5"]) == 0
     saved = nn.load_checkpoint(out / "params.ckpt")
-    init = build_params(TINY_CONFIG, 5).state_dict()
+    init = state_dict(build_params(TINY_CONFIG, 5))
     assert set(saved) == set(init)
     assert all(np.array_equal(saved[k], init[k]) for k in init)
 

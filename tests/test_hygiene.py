@@ -1,0 +1,84 @@
+"""Reachability: the package holds no code that only the tests reach.
+
+Every module-level function, class and assignment of ``src/oikg``, and
+every method that is not a dunder, must be referenced by name somewhere in
+``src/oikg`` outside its own definition.  A helper that only tests call
+belongs in the tests; one that nothing calls belongs nowhere.  Names are
+matched, not resolved: a reference to ``x.add`` keeps every ``add`` alive,
+and one name of an unpacking assignment (``PAD, BOS, EOS = 0, 1, 2``)
+keeps the whole statement.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "oikg"
+
+
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare names, defining node) for each checked member."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, {node.name}, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not dunder(item.name)):
+                    yield f"{node.name}.{item.name}", {item.name}, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name) and not dunder(n.id)]
+            if names:
+                yield ", ".join(names), set(names), node
+
+
+def loaded_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def unreferenced(src: Path = SRC) -> list[str]:
+    """Members of the package's modules that nothing in it references,
+    as 'module.member' strings."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    # every loaded name, with the node that loads it
+    loads = [(name, node) for tree in trees.values() for node in ast.walk(tree)
+             if (name := loaded_name(node)) is not None]
+    found = []
+    for module, tree in trees.items():
+        for qualname, names, defn in definitions(tree):
+            inside = {id(n) for n in ast.walk(defn)}
+            if not any(n in names and id(node) not in inside for n, node in loads):
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_every_package_member_is_referenced_in_the_package():
+    assert unreferenced() == []
+
+
+def test_check_flags_a_member_only_its_own_body_uses(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import math\n"
+        "LIMIT = 3\n"
+        "LOW, HIGH = 0, 1\n"
+        "UNUSED_A, UNUSED_B = 2, 3\n"
+        "def bounds():\n    return LOW\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else math.pi\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = used()\n"
+        "    def grow(self):\n        return self.size\n"
+        "    def orphan(self):\n        return self.grow()\n")
+    (tmp_path / "b.py").write_text("from .a import Box, bounds\n\nBOX = (Box(), bounds())\n")
+    assert unreferenced(tmp_path) == ["a.UNUSED_A, UNUSED_B", "a.recursive",
+                                      "a.Box.orphan", "b.BOX"]

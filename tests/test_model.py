@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tape_ops import mul, oracle_attention, oracle_key_detail, oracle_mlp, tsum
+from tape_ops import (matmul, mlp, mul, oracle_add_row, oracle_alignment_row,
+                      oracle_decouple_observation, oracle_key_detail, oracle_mean,
+                      oracle_residual_block, reshape, tsum)
 from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import same_bits
@@ -69,8 +71,8 @@ def record_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
 
-    def spy(*args):
-        result = original(*args)
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
         calls.append((args, result))
         return result
 
@@ -95,13 +97,20 @@ def test_config_validation():
     assert TINY.view_grid.k == 4
 
 
+def flag_label(cfg: model.ModelConfig) -> str:
+    """Four-letter stage mask, dash for a disabled stage (e.g. 'MG--')."""
+    return "".join(ch if on else "-" for ch, on in (
+        ("M", cfg.decouple), ("G", cfg.geo_embed),
+        ("L", cfg.loc_detail), ("O", cfg.obj_detail)))
+
+
 def test_flag_labels():
-    assert model.ModelConfig().flag_label() == "MGLO"
+    assert flag_label(model.ModelConfig()) == "MGLO"
     off = model.ModelConfig(decouple=False, geo_embed=False,
                             loc_detail=False, obj_detail=False)
-    assert off.flag_label() == "----"
-    assert model.ModelConfig(geo_embed=False, loc_detail=False,
-                             obj_detail=False).flag_label() == "M---"
+    assert flag_label(off) == "----"
+    assert flag_label(model.ModelConfig(geo_embed=False, loc_detail=False,
+                                        obj_detail=False)) == "M---"
 
 
 # ------------------------------------------------------------- observation
@@ -175,6 +184,38 @@ def test_angular_block_built_once_per_grid(monkeypatch):
         assert math.copysign(1.0, block[0, 2]) == math.copysign(1.0, zero)
 
 
+@pytest.mark.parametrize("decouple", [True, False])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_decouple_observation_matches_oracle_bitwise(preset, decouple):
+    """The panorama node against the ``linear``/``concat``/MLP chain: the
+    rows and every parameter gradient match bit for bit.  The rows feed two
+    consumers, as a panorama shared by two steps does, and one ``obs.*``
+    weight is also read elsewhere, its term entering the loss first."""
+    cfg = replace(TINY if preset == "tiny" else model.ModelConfig(), decouple=decouple)
+    rng = np.random.default_rng(26)
+    params = model.build_params(cfg, seed=1)
+    obs = random_obs(rng, cfg)
+    w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
+    c = [nn.Tensor(rng.normal(size=(cfg.view_grid.k, n))) for n in (cfg.dim, 3)]
+    shared = params["obs.ang.w" if decouple else "obs.coupled.w"]
+    c_shared = nn.Tensor(rng.normal(size=shared.shape))
+    leaves = [w_other] + [params[name] for name in params.names()]
+    runs = []
+    for op in (model.decouple_observation, oracle_decouple_observation):
+        for t in leaves:
+            t.grad = None
+        f_o = op(obs, params, cfg)
+        loss = nn.add(tsum(mul(shared, c_shared)),
+                      nn.add(tsum(mul(f_o, c[0])), tsum(mul(nn.linear(f_o, w_other), c[1]))))
+        nn.backward(loss)
+        runs.append((f_o, [None if t.grad is None else t.grad.copy() for t in leaves]))
+    (f_o, grads), (ref, ref_grads) = runs
+    assert same_bits(f_o.data, ref.data)
+    assert len([p for p in f_o._parents if p.requires_grad]) == (8 if decouple else 2)
+    for i, (a, b) in enumerate(zip(grads, ref_grads)):
+        assert (a is None) == (b is None) and (a is None or same_bits(a, b)), f"leaf {i}"
+
+
 def test_coupled_baseline_differs_from_decoupled():
     coupled_cfg = model.ModelConfig(
         **{**TINY.__dict__, "decouple": False})
@@ -211,12 +252,12 @@ def oracle_geometric_pe(candidate_heading, view_headings, params, cfg):
     idx, dist = nearest_view(candidate_heading, view_headings)
     off = candidate_heading - view_headings[idx]
     feats = nn.Tensor(np.array([dist, math.sin(off), math.cos(off)]))
-    return nn.add(nn.matmul(feats, params["graph.pe.w"]), params["graph.pe.b"])
+    return nn.add(matmul(feats, params["graph.pe.w"]), params["graph.pe.b"])
 
 
 def oracle_candidate_features(heading, elevation, pe, params):
     trig = nn.Tensor(np.asarray(trig_embed(heading, elevation)))
-    base = nn.add(nn.matmul(trig, params["graph.edge.w"]), params["graph.edge.b"])
+    base = nn.add(matmul(trig, params["graph.edge.w"]), params["graph.edge.b"])
     return nn.add(base, pe)
 
 
@@ -232,7 +273,7 @@ def oracle_build_candidates(pg, obs, params, cfg):
         pe = oracle_geometric_pe(pose.heading, obs.headings, params, cfg)
         rows.append(oracle_candidate_features(pose.heading, pose.elevation, pe, params))
     stop = params["graph.stop"]
-    rows.append(nn.reshape(stop, (stop.shape[1],)))
+    rows.append(reshape(stop, (stop.shape[1],)))
     return oracle_stack_rows(rows), order
 
 
@@ -425,8 +466,8 @@ def test_ogi_zero_output_projection_leaves_mlp_path(setup):
     f_g = nn.Tensor(rng.normal(size=(3, TINY.dim)))
     f_o = nn.Tensor(rng.normal(size=(2, TINY.dim)))
     out = model.observation_graph_interaction(f_g, f_o, params, TINY)
-    expect = nn.add(f_g, nn.mlp(f_g, [(params["ogi.l0.mlp.w1"], params["ogi.l0.mlp.b1"]),
-                                      (params["ogi.l0.mlp.w2"], params["ogi.l0.mlp.b2"])]))
+    expect = nn.add(f_g, mlp(f_g, [(params["ogi.l0.mlp.w1"], params["ogi.l0.mlp.b1"]),
+                                   (params["ogi.l0.mlp.w2"], params["ogi.l0.mlp.b2"])]))
     np.testing.assert_array_equal(out.data, expect.data)
 
 
@@ -440,8 +481,9 @@ def make_instruction(tokens, loc=None, obj=None):
 
 def test_encode_instruction_position_sensitivity(setup):
     *_, params = setup
-    a = make_instruction([se.BOS, se.room_token(0), se.object_token(1), se.EOS])
-    b = make_instruction([se.BOS, se.object_token(1), se.room_token(0), se.EOS])
+    room, obj = se.ROOM_BASE, se.OBJECT_BASE + 1
+    a = make_instruction([se.BOS, room, obj, se.EOS])
+    b = make_instruction([se.BOS, obj, room, se.EOS])
     fa = model.encode_instruction(a, params, TINY)
     fb = model.encode_instruction(b, params, TINY)
     assert fa.shape == (4, TINY.dim)
@@ -573,9 +615,100 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
         assert a is None or same_bits(a, b), f"leaf {i}: gradient differs"
 
 
-def test_cached_step_builds_24_tape_nodes(setup, monkeypatch):
+@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
+@pytest.mark.parametrize("masks", ["both", "both empty"])
+@pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
+                                     "also read after"])
+def test_alignment_row_matches_oracle_bitwise(detail, masks, f_i_use):
+    """Two steps of the key-detail injection: the fused key detail, its
+    alignment row taking over its node, replayed for the second step, and
+    one ``add_row`` node per step; against the chain each step built,
+    ``oracle_key_detail``, ``oracle_alignment_row`` and ``oracle_add_row``.
+    The candidate rows, every output and every leaf gradient match bit for
+    bit, with f_i read elsewhere too."""
+    cfg = detail_config(detail)
+    rng = np.random.default_rng(24)
+    params = model.build_params(cfg, seed=1)
+    for name in params.names():
+        params[name].data = rng.normal(size=params[name].shape)
+    tracked = f_i_use != "untracked"
+    x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
+    w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
+    w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
+    rows = [nn.Tensor(rng.normal(size=(n, cfg.dim)), requires_grad=True) for n in (3, 4)]
+    w_c = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=True)
+    c = [nn.Tensor(rng.normal(size=(n, cfg.dim))) for n in (3, 4)]
+    c_other = nn.Tensor(rng.normal(size=(6, 3)))
+    loc = [False, True, False, True, True, False]
+    obj = [True, True, False, False, True, False]
+    if masks == "both empty":
+        loc = obj = [False] * 6
+    leaves = [x0, w_in, w_other, w_c, *rows] + [params[name] for name in params.names()]
+    runs = []
+    for fused in (True, False):
+        for t in leaves:
+            t.grad = None
+        f_i = nn.linear(x0, w_in)
+        outs, row = [], None
+        for r in rows:
+            f_c = nn.linear(r, w_c)   # the step's cross-modal rows
+            if not fused:
+                f_k = oracle_key_detail(f_i, loc, obj, params, cfg)
+                outs.append(oracle_add_row(f_c, oracle_alignment_row(f_k, params)))
+                continue
+            if row is None:
+                row = model.alignment_row(
+                    model.extract_key_detail(f_i, loc, obj, params, cfg), params)
+                assert row._parents[-1] is params["enh.wv"]
+            outs.append(model.add_row(f_c, row if r is rows[0] else nn.replay(row)))
+        terms = [tsum(mul(out, ci)) for out, ci in zip(outs, c)]
+        other = tsum(mul(nn.linear(f_i, w_other), c_other))
+        if f_i_use == "also read before":
+            terms.insert(0, other)
+        elif f_i_use == "also read after":
+            terms.append(other)
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = nn.add(loss, term)
+        nn.backward(loss)
+        runs.append(([o.data.copy() for o in outs],
+                     [None if t.grad is None else t.grad.copy() for t in leaves]))
+    (outs, grads), (ref_outs, ref_grads) = runs
+    assert all(same_bits(a, b) for a, b in zip(outs, ref_outs))
+    for i, (a, b) in enumerate(zip(grads, ref_grads)):
+        assert (a is None) == (b is None), f"leaf {i}: gradient presence differs"
+        assert a is None or same_bits(a, b), f"leaf {i}: gradient differs"
+
+
+@pytest.mark.parametrize("f_k_kind", ["leaf", "constant"])
+def test_alignment_row_of_a_leaf_or_constant(f_k_kind):
+    """A key detail that is no op's output stays the row's parent."""
+    rng = np.random.default_rng(25)
+    params = model.build_params(TINY, seed=2)
+    f_k = nn.Tensor(rng.normal(size=TINY.key_dim), requires_grad=f_k_kind == "leaf")
+    c = nn.Tensor(rng.normal(size=(1, TINY.dim)))
+    runs = []
+    for op in (model.alignment_row, oracle_alignment_row):
+        f_k.grad = params["enh.wv"].grad = None
+        row = op(f_k, params)
+        nn.backward(tsum(mul(row, c)))
+        runs.append([row.data, f_k.grad, params["enh.wv"].grad])
+    (row, g_k, g_w), (ref_row, ref_g_k, ref_g_w) = runs
+    assert same_bits(row, ref_row) and same_bits(g_w, ref_g_w)
+    assert (g_k is None) == (ref_g_k is None) == (f_k_kind == "constant")
+    assert g_k is None or same_bits(g_k, ref_g_k)
+    with pytest.raises(ShapeError):
+        model.add_row(nn.Tensor(np.zeros((3, TINY.dim))), nn.Tensor(np.zeros(TINY.dim)))
+
+
+def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     """With the instruction, the panorama and the key detail cached, a TINY
-    step builds 24 tracked tensors; the key detail is one replayed node."""
+    step builds 12 tracked tensors: the candidate rows; K, V and one block
+    node for each decoder block and for the scoring head; the replayed
+    alignment row and the node adding it into the candidate rows.  Counted
+    the same way, a step built 24 before the residual blocks, the alignment
+    row and its add became one node each.  Neither the key detail nor its
+    row is computed again."""
     graph, latents, ins, params = setup
     cache = model.EpisodeCache()
     pg = PathGraph(graph, start=0)
@@ -592,17 +725,23 @@ def test_cached_step_builds_24_tape_nodes(setup, monkeypatch):
 
     monkeypatch.setattr(nn, "tape_node", spy)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
+    aligned = record_calls(monkeypatch, model, "alignment_row")
+    blocks = record_calls(monkeypatch, nn, "residual_block")
+    added = record_calls(monkeypatch, model, "add_row")
     feats, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
-    assert len(built) == 24 and detail == []
-    f_k = feats.key_detail
-    assert f_k is not first.key_detail and f_k.data is first.key_detail.data
-    assert f_k._parents == first.key_detail._parents
-    assert f_k._backward is first.key_detail._backward
+    assert len(built) == 12 and detail == [] and aligned == []
+    assert len(blocks) == 3 and len(added) == 1
+    assert feats.key_detail is first.key_detail is cache.key_detail
     with pytest.raises(ValueError):
-        f_k.data[0] = 1.0
+        feats.key_detail.data[0] = 1.0
+    [((_, row), _)] = added
+    assert row is not cache.align and row.data is cache.align.data
+    assert row._parents == cache.align._parents == (
+        first.key_detail._parents + (params["enh.wv"],))
+    assert row._backward is cache.align._backward
     with nn.no_tape():
         plain, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
-    assert plain.key_detail is cache.key_detail
+    assert plain.key_detail is cache.key_detail and added[-1][0][1] is cache.align
 
 
 # ----------------------------------------------------------------- scoring
@@ -613,12 +752,12 @@ def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     rng = np.random.default_rng(9)
     f_c = nn.Tensor(rng.normal(size=(3, TINY.dim)))
     f_k = nn.Tensor(rng.normal(size=TINY.key_dim))
-    attention = record_calls(monkeypatch, nn, "attention")
-    scores = model.enhance_and_score(f_c, f_k, params, TINY)
+    blocks = record_calls(monkeypatch, nn, "residual_block")
+    scores = model.enhance_and_score(f_c, model.alignment_row(f_k, params), params, TINY)
     assert scores.shape == (3,)
     # single key row: weights are exactly 1, so each row the scoring
     # attention sees has gained the same f_k W_v row
-    [((f_e, *_), _)] = attention
+    [((f_e, *_), _)] = blocks
     align_row = f_k.data @ params["enh.wv"].data
     np.testing.assert_array_equal(f_e.data, f_c.data + np.tile(align_row, (3, 1)))
 
@@ -628,9 +767,9 @@ def test_enhance_bypass_is_bitwise(setup, monkeypatch):
     rng = np.random.default_rng(10)
     f_c = nn.Tensor(rng.normal(size=(4, TINY.dim)))
     reads = record_param_reads(monkeypatch)
-    attention = record_calls(monkeypatch, nn, "attention")
+    blocks = record_calls(monkeypatch, nn, "residual_block")
     scores = model.enhance_and_score(f_c, None, params, TINY)
-    [((f_e, *_), _)] = attention
+    [((f_e, *_), _)] = blocks
     assert f_e is f_c  # scoring sees the cross-modal rows, untouched
     assert "enh.wv" not in reads and reads  # scoring ran, alignment did not
     assert scores.shape == (4,)
@@ -643,13 +782,13 @@ def test_candidate_order_equivariance(setup):
     f_g = rng.normal(size=(n, TINY.dim))
     f_o = nn.Tensor(rng.normal(size=(TINY.view_grid.k, TINY.dim)))
     f_i = nn.Tensor(rng.normal(size=(6, TINY.dim)))
-    f_k = nn.Tensor(rng.normal(size=TINY.key_dim))
+    row = model.alignment_row(nn.Tensor(rng.normal(size=TINY.key_dim)), params)
     perm = rng.permutation(n)
 
     def run(rows):
         g_enh = model.observation_graph_interaction(nn.Tensor(rows), f_o, params, TINY)
         f_c = model.cross_modal_fusion(g_enh, f_i, params, TINY)
-        return model.enhance_and_score(f_c, f_k, params, TINY).data
+        return model.enhance_and_score(f_c, row, params, TINY).data
 
     base = run(f_g)
     shuffled = run(f_g[perm])
@@ -723,18 +862,18 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     assert pg.frontier()  # so the candidate rows read their parameters
     reads = record_param_reads(monkeypatch)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
-    attention = record_calls(monkeypatch, nn, "attention")
+    blocks = record_calls(monkeypatch, nn, "residual_block")
     feats, _ = model.forward_step(pg, obs, ins, params, cfg)
     assert set(reads) == {name for name, _ in model.param_spec(cfg)}
-    [((f_c, f_k, *_), scores)] = enhance
-    assert scores is feats.scores and f_k is feats.key_detail
+    [((f_c, row, *_), scores)] = enhance
+    assert scores is feats.scores
     if loc_detail or obj_detail:
-        assert f_k.shape == (cfg.key_dim,)
+        assert feats.key_detail.shape == (cfg.key_dim,) and row.shape == (1, cfg.dim)
     else:
-        # the step's last attention is the scoring one; it sees the
+        # the step's last residual block is the scoring head; it sees the
         # cross-modal rows, untouched
-        [*_, ((f_e, *_), _)] = attention
-        assert f_k is None and f_e is f_c
+        [*_, ((f_e, *_), _)] = blocks
+        assert feats.key_detail is None and row is None and f_e is f_c
 
 
 def test_forward_step_cache_matches_uncached(setup):
@@ -809,9 +948,9 @@ def test_forward_gradients_sampled_finite_difference():
         for idx in sorted({0, flat.size // 2, flat.size - 1}):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp = make_loss().item()
+            lp = float(make_loss().data)
             flat[idx] = orig - h
-            lm = make_loss().item()
+            lm = float(make_loss().data)
             flat[idx] = orig
             numeric = (lp - lm) / (2 * h)
             err = abs(numeric - gflat[idx]) / max(abs(numeric), abs(gflat[idx]), 1e-8)
@@ -819,25 +958,34 @@ def test_forward_gradients_sampled_finite_difference():
 
 
 class PerStepKeyDetail(model.EpisodeCache):
-    """A cache that never holds the key detail, so every step rebuilds it."""
+    """A cache that never holds the key detail or its alignment row, so
+    every step rebuilds them."""
 
     key_detail = property(lambda self: None, lambda self, value: None)
+    align = property(lambda self: None, lambda self, value: None)
 
 
-@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
-@pytest.mark.parametrize("geo_embed", [True, False])
+TRAIN_CASES = [pytest.param(geo, detail, True, id=f"{geo}-{detail}")
+               for detail in ("LO", "L-", "-O") for geo in (True, False)] + [
+    pytest.param(True, "--", True, id="True---"),
+    pytest.param(True, "LO", False, id="True-LO-coupled"),
+    pytest.param(False, "--", False, id="False----coupled")]
+
+
+@pytest.mark.parametrize("geo_embed, detail, decouple", TRAIN_CASES)
 def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embed,
-                                                           detail):
+                                                           detail, decouple):
     """One iteration of the full model in the benchmark's ``train_full``
     setup (a 30-node detour world, two episodes, 30 steps), run with the
-    fused ``nn.attention``/``nn.mlp``/``extract_key_detail`` and the
-    once-per-episode key detail, and again with the node-per-op oracles
-    patched in and the key-detail chain rebuilt on every step, the tape of
-    a per-step pipeline.  Losses, every gradient, the Adam moments and the
-    updated parameters match bit for bit.  Two decoder layers share each
-    k=v tensor, so a fused op that reorders those gradient sums fails here;
-    so does a key detail whose steps reach f_i and ``kd.*`` out of order."""
-    cfg = replace(model.ModelConfig(), geo_embed=geo_embed,
+    fused nodes (residual blocks, panorama, key detail and alignment row
+    once per episode, loss means), and again with the node-per-op oracles
+    patched in and the key detail and its row rebuilt on every step, the
+    tape of a per-step pipeline.  Losses, every gradient, the Adam moments
+    and the updated parameters match bit for bit.  Two decoder layers share
+    each k=v tensor, so a fused op that reorders those gradient sums fails
+    here; so does a key detail whose steps reach f_i and ``kd.*`` out of
+    order."""
+    cfg = replace(model.ModelConfig(), geo_embed=geo_embed, decouple=decouple,
                   loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
     graph = se.generate_environment(se.EnvParams(
         node_count=30, connection_radius=3.5, extent=10.0,
@@ -863,13 +1011,17 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
         return log, grads, state, len(details), len(steps)
 
     fused = run()
-    assert fused[3] == train_cfg.batch_size  # once per episode
-    monkeypatch.setattr(nn, "attention", oracle_attention)
-    monkeypatch.setattr(nn, "mlp", oracle_mlp)
+    per_episode = train_cfg.batch_size if detail != "--" else 0
+    assert fused[3] == per_episode
+    monkeypatch.setattr(nn, "residual_block", oracle_residual_block)
+    monkeypatch.setattr(nn, "mean", oracle_mean)
+    monkeypatch.setattr(model, "decouple_observation", oracle_decouple_observation)
     monkeypatch.setattr(model, "extract_key_detail", oracle_key_detail)
+    monkeypatch.setattr(model, "alignment_row", oracle_alignment_row)
+    monkeypatch.setattr(model, "add_row", oracle_add_row)
     monkeypatch.setattr(training, "EpisodeCache", PerStepKeyDetail)
     oracle = run()
-    assert oracle[3] == oracle[4] == fused[4]  # once per step
+    assert oracle[3] == (oracle[4] if detail != "--" else 0) and oracle[4] == fused[4]
     assert fused[0] == oracle[0]
     assert fused[1].keys() == oracle[1].keys() == fused[2].keys()
     for name in fused[1]:

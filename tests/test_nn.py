@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_ops import mul, oracle_attention, oracle_mlp, relu, softmax, sub, transpose, tsum
+from tape_ops import (attention, bias_add, matmul, mlp, mul, oracle_attention, oracle_mean,
+                      oracle_mlp, oracle_residual_block, relu, reshape, softmax, sub,
+                      transpose, tsum)
 
 from oikg import nn
 from oikg.errors import (
@@ -46,9 +48,9 @@ def check_grads(make_loss, tensors, h=FD_H, tol=FD_TOL):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = make_loss().item()
+            lp = float(make_loss().data)
             flat[i] = orig - h
-            lm = make_loss().item()
+            lm = float(make_loss().data)
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             assert rel_err(numeric, gflat[i]) <= tol, (
@@ -83,14 +85,14 @@ def test_softmax_extreme_logits_stay_finite():
 
 
 def test_cross_entropy_uniform_and_known_case():
-    assert rel_err(nn.cross_entropy(nn.Tensor([0.0] * 4), 2).item(), math.log(4.0)) < 1e-12
+    assert rel_err(float(nn.cross_entropy(nn.Tensor([0.0] * 4), 2).data), math.log(4.0)) < 1e-12
     loss = nn.cross_entropy(nn.Tensor([0.0, math.log(3.0)]), 1)
-    assert rel_err(loss.item(), -math.log(0.75)) < 1e-12
+    assert rel_err(float(loss.data), -math.log(0.75)) < 1e-12
 
 
 def test_cross_entropy_large_margin_vanishes():
     # target logit 50 above the rest: loss is effectively zero
-    assert nn.cross_entropy(nn.Tensor([0.0, 50.0, 0.0]), 1).item() < 1e-20
+    assert float(nn.cross_entropy(nn.Tensor([0.0, 50.0, 0.0]), 1).data) < 1e-20
 
 
 def test_linear_identity_zero_and_hand_case():
@@ -108,19 +110,19 @@ def test_mlp_single_layer_and_relu_kill():
     x = nn.Tensor([[1.0, -1.0]])
     w = nn.Tensor([[2.0, 0.0], [0.0, 2.0]])
     b = nn.Tensor([0.5, 0.5])
-    np.testing.assert_array_equal(nn.mlp(x, [(w, b)]).data,
+    np.testing.assert_array_equal(mlp(x, [(w, b)]).data,
                                   nn.linear(x, w, b).data)
     # strongly negative pre-activations: hidden dies, output = final bias
     w1 = nn.Tensor(-100.0 * np.ones((2, 3)))
     b1 = nn.Tensor(np.zeros(3))
     w2 = nn.Tensor(np.ones((3, 1)))
     b2 = nn.Tensor([7.0])
-    out = nn.mlp(nn.Tensor([[1.0, 1.0]]), [(w1, b1), (w2, b2)])
+    out = mlp(nn.Tensor([[1.0, 1.0]]), [(w1, b1), (w2, b2)])
     np.testing.assert_array_equal(out.data, [[7.0]])
     # 2-2-1 hand case: relu([1,-1]@[[1,0],[0,1]]) = [1,0]; [1,0]@[[2],[3]]+1 = 3
-    out = nn.mlp(nn.Tensor([[1.0, -1.0]]),
-                 [(nn.Tensor(np.eye(2)), nn.Tensor(np.zeros(2))),
-                  (nn.Tensor([[2.0], [3.0]]), nn.Tensor([1.0]))])
+    out = mlp(nn.Tensor([[1.0, -1.0]]),
+              [(nn.Tensor(np.eye(2)), nn.Tensor(np.zeros(2))),
+               (nn.Tensor([[2.0], [3.0]]), nn.Tensor([1.0]))])
     np.testing.assert_array_equal(out.data, [[3.0]])
 
 
@@ -130,13 +132,13 @@ def test_attention_singleton_key_and_identical_keys():
     wq, wk, wv, wo = (nn.Tensor(rng.normal(size=(4, 4))) for _ in range(4))
     # one key/value row: weights are 1, output = (v wv) wo per query row
     v1 = nn.Tensor(rng.normal(size=(1, 4)))
-    out = nn.attention(q, v1, v1, wq, wk, wv, wo, heads=2)
+    out = attention(q, v1, v1, wq, wk, wv, wo, heads=2)
     expect = np.tile((v1.data @ wv.data) @ wo.data, (3, 1))
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
     # identical key rows: uniform weights, output = mean of value rows, projected
     k2 = nn.Tensor(np.tile(rng.normal(size=(1, 4)), (2, 1)))
     v2 = nn.Tensor(rng.normal(size=(2, 4)))
-    out2 = nn.attention(q, k2, v2, wq, wk, wv, wo, heads=2)
+    out2 = attention(q, k2, v2, wq, wk, wv, wo, heads=2)
     expect2 = np.tile((v2.data @ wv.data).mean(axis=0) @ wo.data, (3, 1))
     np.testing.assert_allclose(out2.data, expect2, atol=1e-12)
 
@@ -151,9 +153,9 @@ def test_cross_entropy_rejects_bad_target():
 def test_matmul_shape_errors():
     a = nn.Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        nn.matmul(a, nn.Tensor(np.zeros((4, 2))))
+        matmul(a, nn.Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError):
-        nn.matmul(a, nn.Tensor(np.zeros(3)))
+        matmul(a, nn.Tensor(np.zeros(3)))
 
 
 def test_linear_shape_errors():
@@ -173,15 +175,6 @@ def test_embedding_lookup_and_bounds():
     np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]])
     with pytest.raises(InvalidArgument):
         nn.embedding([4], table)
-
-
-def test_debug_finite_flag():
-    nn.DEBUG_FINITE = True
-    try:
-        with pytest.raises(NumericFailure):
-            nn.Tensor([np.inf, 1.0])
-    finally:
-        nn.DEBUG_FINITE = False
 
 
 # --------------------------------------------------------------- gradients
@@ -225,7 +218,7 @@ def test_no_tape_restores_after_exception_and_nesting():
     w = nn.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
         with nn.no_tape():
-            nn.matmul(w, w)
+            nn.linear(w, w)
     assert relu(w).requires_grad
     with nn.no_tape():
         with nn.no_tape():
@@ -261,7 +254,7 @@ def test_fd_bias_broadcast():
     x = rand_tensor(rng, (4, 3))
     b = rand_tensor(rng, (3,))
     c = nn.Tensor(rng.normal(size=(4, 3)))
-    check_grads(lambda: tsum(mul(nn.add(x, b), c)), [x, b])
+    check_grads(lambda: tsum(mul(bias_add(x, b), c)), [x, b])
 
 
 def test_fd_matmul_all_ranks():
@@ -272,8 +265,8 @@ def test_fd_matmul_all_ranks():
     bm2 = rand_tensor(rng, (2, 4, 5))
     cv = nn.Tensor(rng.normal(size=(4,)))
     cb = nn.Tensor(rng.normal(size=(2, 3, 5)))
-    check_grads(lambda: tsum(mul(nn.matmul(v, a), cv)), [v, a])
-    check_grads(lambda: tsum(mul(nn.matmul(bm1, bm2), cb)), [bm1, bm2])
+    check_grads(lambda: tsum(mul(matmul(v, a), cv)), [v, a])
+    check_grads(lambda: tsum(mul(matmul(bm1, bm2), cb)), [bm1, bm2])
 
 
 @pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
@@ -300,9 +293,9 @@ def test_linear_is_bitwise_matmul_then_add(x_shape, with_bias):
     leaves = [x, w] + ([b] if with_bias else [])
 
     def run(fused):
-        y = nn.linear(x, w, b) if fused else nn.matmul(x, w)
+        y = nn.linear(x, w, b) if fused else matmul(x, w)
         if b is not None and not fused:
-            y = nn.add(y, b)
+            y = bias_add(y, b)
         # x feeds the loss twice, so the order of its gradient terms counts
         loss = nn.add(tsum(mul(y, c)), tsum(mul(x, x)))
         for t in leaves:
@@ -336,10 +329,10 @@ def test_fd_concat_stack_reshape_transpose():
     c = nn.Tensor(rng.normal(size=(2, 12)))
 
     def make_loss():
-        m = nn.concat([nn.reshape(r, (1, 4)) for r in (r1, r2, r3)],
+        m = nn.concat([reshape(r, (1, 4)) for r in (r1, r2, r3)],
                       axis=0)                               # (3, 4)
         m2 = nn.concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
-        m3 = nn.reshape(transpose(m2, (1, 0)), (2, 12))  # (2, 12)
+        m3 = reshape(transpose(m2, (1, 0)), (2, 12))  # (2, 12)
         return tsum(mul(m3, c))
 
     check_grads(make_loss, [r1, r2, r3])
@@ -360,7 +353,7 @@ def test_fd_mlp():
     c = nn.Tensor(rng.normal(size=(3, 2)))
 
     def make_loss():
-        return tsum(mul(nn.mlp(x, [(w1, b1), (w2, b2)]), c))
+        return tsum(mul(mlp(x, [(w1, b1), (w2, b2)]), c))
 
     check_grads(make_loss, [x, w1, b1, w2, b2])
 
@@ -374,7 +367,7 @@ def test_fd_attention_multihead():
     c = nn.Tensor(rng.normal(size=(3, 8)))
 
     def make_loss():
-        out = nn.attention(q, k, v, wq, wk, wv, wo, heads=2)
+        out = attention(q, k, v, wq, wk, wv, wo, heads=2)
         return tsum(mul(out, c))
 
     check_grads(make_loss, [q, k, v, wq, wk, wv, wo])
@@ -393,9 +386,9 @@ def test_attention_head_count_must_divide():
     t = rand_tensor(rng, (2, 6))
     ws = [rand_tensor(rng, (6, 6)) for _ in range(4)]
     with pytest.raises(ShapeError):
-        nn.attention(t, t, t, *ws, heads=4)
+        attention(t, t, t, *ws, heads=4)
     with pytest.raises(ShapeError):
-        nn.attention(t, t, t, ws[0], ws[1], rand_tensor(rng, (6, 4)), ws[3], heads=2)
+        attention(t, t, t, ws[0], ws[1], rand_tensor(rng, (6, 4)), ws[3], heads=2)
 
 
 # ------------------------------------------------- fused ops vs their oracles
@@ -421,12 +414,14 @@ def inner_nodes(root: nn.Tensor) -> int:
     return count
 
 
-def fused_vs_oracle(build, leaves):
-    """Build a loss with ``build(attention, mlp)``, once with the fused ops
-    and once with the oracles, and run backward on each; every output value
-    and every leaf gradient must match bit for bit."""
+def fused_vs_oracle(build, leaves,
+                    ops=((attention, mlp), (oracle_attention, oracle_mlp))):
+    """Build a loss with ``build(*fused_ops)``, once with the fused ops and
+    once with the oracles (by default ``attention`` and ``mlp`` against
+    theirs), and run backward on each; every output value and every leaf
+    gradient must match bit for bit."""
     runs = []
-    for ops in ((nn.attention, nn.mlp), (oracle_attention, oracle_mlp)):
+    for ops in ops:
         for t in leaves:
             t.grad = None
         outs, loss = build(*ops)
@@ -549,25 +544,186 @@ def test_mlp_untracked_first_layer_matches_oracle():
     fused_vs_oracle(build, [x] + [t for wb in layers for t in wb])
 
 
+BLOCKS = ((nn.residual_block,), (oracle_residual_block,))
+
+
+def block_params(rng, dm, layers, out_width=None, tracked=True):
+    """Per layer: the (wq, wk, wv, wo) weights and a two-layer MLP."""
+    def t(*shape):
+        return rand_tensor(rng, shape, requires_grad=tracked)
+    return [((t(dm, dm), t(dm, dm), t(dm, dm), t(dm, dm)),
+             [(t(dm, 2 * dm), t(2 * dm)), (t(2 * dm, out_width or dm), t(out_width or dm))])
+            for _ in range(layers)]
+
+
+def block_leaves(blocks):
+    return [t for attn, mlp_layers in blocks
+            for t in list(attn) + [p for wb in mlp_layers for p in wb]]
+
+
+@pytest.mark.parametrize("kv_read", ["first", "last"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_residual_block_stack_sharing_kv_matches_oracle_bitwise(heads, kv_read):
+    """Two decoder blocks read one k=v tensor, which a third consumer reads
+    too, its term entering the loss before or after theirs.  The tape adds
+    block 0's K and V terms into it before block 1's, since block 1's query
+    ancestry (block 0) runs before block 1's K and V projections; and each
+    block input receives the first residual add's term before the query's."""
+    rng = np.random.default_rng(14)
+    dm = 8
+    x0, src = rand_tensor(rng, (3, dm)), rand_tensor(rng, (6, dm))
+    w_in, w_src = rand_tensor(rng, (dm, dm)), rand_tensor(rng, (dm, dm))
+    blocks = block_params(rng, dm, 2)
+    c, c_kv = nn.Tensor(rng.normal(size=(3, dm))), nn.Tensor(rng.normal(size=(6, dm)))
+
+    def build(block):
+        kv = nn.linear(src, w_src)
+        h, outs = nn.linear(x0, w_in), []
+        for attn, mlp_layers in blocks:
+            h = block(h, kv, attn, mlp_layers, heads)
+            outs.append(h)
+        terms = [tsum(mul(h, c)), tsum(mul(kv, c_kv))]
+        if kv_read == "first":
+            terms.reverse()
+        return outs, nn.add(*terms)
+
+    fused_vs_oracle(build, [x0, src, w_in, w_src] + block_leaves(blocks), BLOCKS)
+
+
+@pytest.mark.parametrize("score", [False, True], ids=["self-attention", "head"])
+def test_residual_block_with_q_k_v_one_tensor_matches_oracle_bitwise(score):
+    """q = k = v, as in the instruction encoder's blocks and the scoring
+    head, where the block input receives four terms in the tape's order:
+    the first add's, the query's, K's and V's.  The input is also read
+    elsewhere."""
+    rng = np.random.default_rng(18)
+    dm = 8
+    x0, w_in = rand_tensor(rng, (4, dm)), rand_tensor(rng, (dm, dm))
+    blocks = block_params(rng, dm, 1 if score else 2, out_width=1 if score else None)
+    c = nn.Tensor(rng.normal(size=(4,) if score else (4, dm)))
+
+    def build(block):
+        x = nn.linear(x0, w_in)
+        h, outs = x, []
+        for attn, mlp_layers in blocks:
+            h = block(h, h, attn, mlp_layers, 2, score=score)
+            outs.append(h)
+        return outs, nn.add(tsum(mul(h, c)), tsum(mul(x, x)))
+
+    fused_vs_oracle(build, [x0, w_in] + block_leaves(blocks), BLOCKS)
+
+
+@pytest.mark.parametrize("score", [False, True], ids=["block", "head"])
+@pytest.mark.parametrize("tracked", ["input", "key", "attention", "mlp"])
+def test_residual_block_partial_tracking_matches_oracle(tracked, score):
+    """Only some inputs tracked: the block node routes gradient exactly
+    where the composition did and nowhere else."""
+    rng = np.random.default_rng(19)
+    h = rand_tensor(rng, (3, 4), requires_grad=tracked == "input")
+    kv = rand_tensor(rng, (5, 4), requires_grad=tracked == "key")
+    [(attn, _)] = block_params(rng, 4, 1, tracked=tracked == "attention")
+    [(_, mlp_layers)] = block_params(rng, 4, 1, out_width=1 if score else None,
+                                     tracked=tracked == "mlp")
+    c = nn.Tensor(rng.normal(size=(3,) if score else (3, 4)))
+
+    def build(block):
+        out = block(h, kv, attn, mlp_layers, 2, score=score)
+        return [out], tsum(mul(out, c))
+
+    fused_vs_oracle(build, [h, kv] + block_leaves([(attn, mlp_layers)]), BLOCKS)
+
+
+@pytest.mark.parametrize("score", [False, True])
+def test_fd_residual_block(score):
+    rng = np.random.default_rng(20)
+    h, kv = rand_tensor(rng, (3, 4)), rand_tensor(rng, (2, 4))
+    [(attn, mlp_layers)] = block_params(rng, 4, 1, out_width=1 if score else None)
+    c = nn.Tensor(rng.normal(size=(3,) if score else (3, 4)))
+
+    def make_loss():
+        return tsum(mul(nn.residual_block(h, kv, attn, mlp_layers, 2, score=score), c))
+
+    check_grads(make_loss, [h, kv] + block_leaves([(attn, mlp_layers)]))
+
+
+def test_residual_block_shape_errors():
+    rng = np.random.default_rng(21)
+    [(attn, mlp_layers)] = block_params(rng, 4, 1)
+    h = rand_tensor(rng, (3, 4))
+    with pytest.raises(ShapeError):
+        nn.residual_block(h, rand_tensor(rng, (2, 6)), attn, mlp_layers, 2)
+    with pytest.raises(ShapeError):
+        nn.residual_block(h, h, attn, mlp_layers, 3)
+    with pytest.raises(ShapeError):   # a scoring head needs one output column
+        nn.residual_block(h, h, attn, mlp_layers, 2, score=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mean_matches_oracle_bitwise(n):
+    """Scalar terms of unlike magnitudes, so the order of the sum shows,
+    one of them read twice, each also read elsewhere: the mean and every
+    gradient match the add chain and scale bit for bit."""
+    rng = np.random.default_rng(22)
+    xs = [rand_tensor(rng, (3,)) for _ in range(n)]
+    scales = (1.0, 1e16, -1e16, 3.0)
+    c = nn.Tensor(rng.normal(size=3))
+
+    def build(mean):
+        terms = [nn.scale(tsum(mul(x, x)), s) for x, s in zip(xs, scales)]
+        terms.append(terms[0])
+        out = mean(terms)
+        return [out], nn.add(nn.scale(out, 0.7), mul(terms[-1], tsum(mul(xs[0], c))))
+
+    fused_vs_oracle(build, xs, ((nn.mean,), (oracle_mean,)))
+    with pytest.raises(ShapeError):
+        nn.mean([xs[0], tsum(xs[0])])
+    with pytest.raises(InvalidArgument):
+        nn.mean([])
+
+
+def test_add_rejects_shape_mismatch():
+    rng = np.random.default_rng(23)
+    with pytest.raises(ShapeError):
+        nn.add(rand_tensor(rng, (3, 4)), rand_tensor(rng, (1, 4)))
+    with pytest.raises(ShapeError):
+        nn.add(rand_tensor(rng, (4,)), rand_tensor(rng, (3, 4)))
+
+
 def test_fused_ops_node_counts_and_no_tape():
     rng = np.random.default_rng(17)
     q, kv = rand_tensor(rng, (2, 4)), rand_tensor(rng, (3, 4))
     ws = [rand_tensor(rng, (4, 4)) for _ in range(4)]
     layers = [(rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,))),
               (rand_tensor(rng, (6, 4)), rand_tensor(rng, (4,)))]
-    att = nn.attention(q, kv, kv, *ws, heads=2)
+    head_layers = [layers[0], (rand_tensor(rng, (6, 1)), rand_tensor(rng, (1,)))]
+    att = attention(q, kv, kv, *ws, heads=2)
     assert inner_nodes(att) == 3
     assert inner_nodes(oracle_attention(q, kv, kv, *ws, heads=2)) == 17
     assert att._parents == (q, att._parents[1], att._parents[2], ws[0], ws[3])
     assert att._parents[1]._parents == (kv, ws[1]) and att._parents[2]._parents == (kv, ws[2])
-    out = nn.mlp(q, layers)
+    out = mlp(q, layers)
     assert inner_nodes(out) == 1
     assert inner_nodes(oracle_mlp(q, layers)) == 3
+    weights = [t for wb in layers for t in wb]
+    block = nn.residual_block(q, kv, ws, layers, 2)
+    assert inner_nodes(block) == 3
+    assert inner_nodes(oracle_residual_block(q, kv, ws, layers, 2)) == 22
+    k_proj, v_proj = block._parents[1:3]
+    assert block._parents == (q, k_proj, v_proj, ws[0], ws[3], *weights)
+    assert k_proj._parents == (kv, ws[1]) and v_proj._parents == (kv, ws[2])
+    head = nn.residual_block(q, q, ws, head_layers, 2, score=True)
+    assert head.shape == (2,) and inner_nodes(head) == 3
+    assert inner_nodes(oracle_residual_block(q, q, ws, head_layers, 2, score=True)) == 22
+    terms = [tsum(q), tsum(kv), tsum(q)]
+    mean = nn.mean(terms)
+    assert mean._parents == tuple(terms) and inner_nodes(mean) == 3 + 1
+    assert inner_nodes(oracle_mean(terms)) == 3 + 3
     with nn.no_tape():
-        plain_att = nn.attention(q, kv, kv, *ws, heads=2)
-        plain_out = nn.mlp(q, layers)
-    assert not plain_att.requires_grad and not plain_out.requires_grad
-    assert same_bits(plain_att.data, att.data) and same_bits(plain_out.data, out.data)
+        plain = [attention(q, kv, kv, *ws, heads=2), mlp(q, layers),
+                 nn.residual_block(q, kv, ws, layers, 2),
+                 nn.residual_block(q, q, ws, head_layers, 2, score=True), nn.mean(terms)]
+    for a, b in zip(plain, (att, out, block, head, mean)):
+        assert not a.requires_grad and a._parents == () and same_bits(a.data, b.data)
 
 
 # ------------------------------------------------------- parameters/optimizer

@@ -43,13 +43,11 @@ def test_vocab_layout():
     assert table[se.PAD]["word"] == "<pad>"
     assert table[se.BOS]["word"] == "<bos>"
     assert table[se.EOS]["word"] == "<eos>"
-    assert se.token_class(se.room_token(0)) == "room"
-    assert se.token_class(se.object_token(7)) == "object"
+    assert se.token_class(se.ROOM_BASE) == "room"
+    assert se.token_class(se.OBJECT_BASE + 7) == "object"
     assert se.word_token("kitchen") == se.ROOM_BASE
     with pytest.raises(InvalidArgument):
         se.word_token("xyzzy")
-    with pytest.raises(InvalidArgument):
-        se.room_token(8)
 
 
 # -------------------------------------------------------------------- grid

@@ -27,6 +27,11 @@ MCFG = TINY_CONFIG
 REFERENCE = Path(__file__).resolve().parents[1] / "benches" / "reference.json"
 
 
+def state_dict(store) -> dict:
+    """A copy of every parameter's values, by name."""
+    return {name: store[name].data.copy() for name in store.names()}
+
+
 def graph_from(points, pairs, directed=()):
     nodes = [NavNode(i, tuple(map(float, p)), i % 8, (i % 8,))
              for i, p in points]
@@ -501,11 +506,11 @@ def test_greedy_eval_builds_no_tape(world, params, monkeypatch):
 
 
 def test_train_zero_iterations_no_change(world, params):
-    before = {k: v.copy() for k, v in params.state_dict().items()}
+    before = state_dict(params)
     ep = make_episode(world.graph, seed=2)
     log = train([(world, ep)], params, TrainConfig(iterations=0), MCFG)
     assert log == []
-    after = params.state_dict()
+    after = state_dict(params)
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -520,7 +525,7 @@ def test_train_deterministic(world, tmp_path):
         d.mkdir()
         p = build_params(MCFG, seed=0)
         logs.append(train(data, p, cfg, MCFG, out_dir=str(d)))
-        finals.append(p.state_dict())
+        finals.append(state_dict(p))
     assert logs[0] == logs[1]
     assert all(np.array_equal(finals[0][k], finals[1][k]) for k in finals[0])
     assert (tmp_path / "a" / "params.ckpt").read_bytes() == \
@@ -547,12 +552,12 @@ def test_train_log_format(world, params, tmp_path):
 
 def test_train_changes_params_and_learns(world):
     p = build_params(MCFG, seed=0)
-    before = {k: v.copy() for k, v in p.state_dict().items()}
+    before = state_dict(p)
     ep = make_episode(world.graph, seed=2)
     cfg = TrainConfig(lam=0.2, t_max=10, lr=3e-3, iterations=150,
                       batch_size=1, seed=1)
     log = train([(world, ep)], p, cfg, MCFG)
-    assert any(not np.array_equal(before[k], p.state_dict()[k]) for k in before)
+    assert any(not np.array_equal(before[k], state_dict(p)[k]) for k in before)
     rec = rollout_teacher(world, ep, p, MCFG)
     assert teacher_accuracy([rec]) == 1.0
     assert greedy_rollout(world, ep, p, MCFG, 10) == list(ep.gt_path)
@@ -569,7 +574,7 @@ def test_train_with_evaluations_learns_as_without(world):
         cfg = TrainConfig(lam=0.2, t_max=8, lr=3e-3, iterations=3,
                           batch_size=2, seed=1, eval_every=eval_every)
         log = train(data, p, cfg, MCFG)
-        runs.append(([row["total_loss"] for row in log], p.state_dict()))
+        runs.append(([row["total_loss"] for row in log], state_dict(p)))
     (loss_a, state_a), (loss_b, state_b) = runs
     assert loss_a == loss_b
     assert all(np.array_equal(state_a[k], state_b[k]) for k in state_a)
@@ -630,7 +635,7 @@ def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
         train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
     assert len(calls) == 2
     dumped = nn.load_checkpoint(tmp_path / "abort.ckpt")
-    want = after_first.state_dict()
+    want = state_dict(after_first)
     assert dumped.keys() == want.keys()
     for name, arr in dumped.items():
         assert np.all(np.isfinite(arr))
