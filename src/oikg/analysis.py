@@ -43,11 +43,7 @@ class GradStats:
 
 @dataclass(frozen=True)
 class AblationRow:
-    label: str
-    med: bool
-    ge: bool
-    ld: bool
-    od: bool
+    label: str      # the variant's four-character flag label, e.g. 'MG--'
     tl: float
     ne: float
     sr: float
@@ -293,14 +289,18 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
 
 
 def map_units(jobs: int, fn, *iterables) -> list:
-    """list(map(fn, *iterables)), spread over `jobs` worker processes when
-    jobs > 1; results keep input order either way.  It lives here, not in
-    `training`, so that importing the training code does not load the
-    process-pool modules (about 2 MB of resident memory)."""
-    if jobs <= 1:
-        return list(map(fn, *iterables))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *iterables))
+    """list(map(fn, *iterables)), spread over at most `jobs` worker
+    processes and never more than one per unit, since a pool starts all of
+    its workers up front; results keep input order either way.  It lives
+    here, not in `training`, so that importing the training code does not
+    load the process-pool modules (about 2 MB of resident memory)."""
+    if jobs < 1:
+        raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
+    units = list(zip(*iterables))
+    if min(jobs, len(units)) <= 1:
+        return [fn(*args) for args in units]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+        return list(pool.map(fn, *zip(*units)))
 
 
 def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
@@ -324,9 +324,7 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
             _, summary = evaluate_policy(eval_data, params, mcfg, tcfg.t_max)
         except NumericFailure as err:
             warnings.warn(f"variant {label} seed {seed} diverged: {err}")
-            return (AblationRow(label=label, med=mcfg.decouple,
-                                ge=mcfg.geo_embed, ld=mcfg.loc_detail,
-                                od=mcfg.obj_detail, tl=math.nan, ne=math.nan,
+            return (AblationRow(label=label, tl=math.nan, ne=math.nan,
                                 sr=math.nan, spl=math.nan, step_ms=math.nan,
                                 failed=True), per_seed)
         per_seed[str(seed)] = {k: summary[k] for k in ("TL", "NE", "SR", "SPL")}
@@ -336,10 +334,8 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
             for k in ("TL", "NE", "SR", "SPL")}
     ms = time_forward_steps(eval_data, timing_params, mcfg, tcfg.t_max,
                             min_steps=min_timing_steps)
-    return (AblationRow(label=label, med=mcfg.decouple, ge=mcfg.geo_embed,
-                        ld=mcfg.loc_detail, od=mcfg.obj_detail, tl=mean["TL"],
-                        ne=mean["NE"], sr=mean["SR"], spl=mean["SPL"],
-                        step_ms=ms), per_seed)
+    return (AblationRow(label=label, tl=mean["TL"], ne=mean["NE"],
+                        sr=mean["SR"], spl=mean["SPL"], step_ms=ms), per_seed)
 
 
 def run_ablation(train_data, eval_data, tcfg: TrainConfig,
@@ -364,10 +360,11 @@ def run_ablation(train_data, eval_data, tcfg: TrainConfig,
 
 
 def write_ablation_csv(path, rows, comment: str | None = None) -> None:
-    """Flag columns then TL, NE, SR, SPL (x100), per-step ms."""
+    """Flag columns, read off the label, then TL, NE, SR, SPL (x100),
+    per-step ms."""
     write_csv(path, ["variant", "MED", "GE", "LD", "OD", "TL", "NE", "SR",
                      "SPL", "time_ms", "failed"],
-              ([r.label, int(r.med), int(r.ge), int(r.ld), int(r.od),
+              ([r.label, *(int(c != "-") for c in r.label),
                 f"{r.tl:.2f}", f"{r.ne:.2f}", f"{r.sr * 100.0:.2f}",
                 f"{r.spl * 100.0:.2f}", f"{r.step_ms:.3f}", int(r.failed)]
                for r in rows),

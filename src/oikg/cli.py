@@ -290,8 +290,8 @@ def cmd_eval(cfg: dict) -> None:
     env, episodes, gen_cfg = _load_split(cfg["data"], cfg["split"])
     mcfg = _model_config(cfg)
     agent = cfg["agent"]
-    if cfg["t_max"] < 1:
-        raise InvalidArgument("--t-max must be >= 1")
+    if cfg["t_max"] < 1 or cfg["jobs"] < 1:
+        raise InvalidArgument("--t-max and --jobs must be >= 1")
     params = None
     if agent == "model":
         if not cfg["ckpt"]:
@@ -328,8 +328,8 @@ def cmd_ablate(cfg: dict) -> None:
     grid = GRID_LABELS if cfg["grid"] == "all" else tuple(cfg["grid"].split(","))
     for label in grid:
         variant_config(base, label)
-    if cfg["seeds"] < 1 or cfg["timing_steps"] < 1:
-        raise InvalidArgument("--seeds and --timing-steps must be >= 1")
+    if min(cfg["seeds"], cfg["timing_steps"], cfg["jobs"]) < 1:
+        raise InvalidArgument("--seeds, --timing-steps and --jobs must be >= 1")
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
     train_data = [(env, ep) for ep in train_eps]
     check_routes(train_data, tcfg.t_max)

@@ -13,9 +13,9 @@ candidate row whatever the query, and projection weights for the query and
 key would never receive gradient.  Only W_v (``enh.wv``) is learned.
 
 Four independent flags (decouple, geo_embed, loc_detail, obj_detail) switch
-stages off; disabled stages are bypassed entirely, never approximated with
-zeroed weights, which keeps ablations exact: a configuration reads exactly
-the parameters ``param_spec`` declares for it.
+stages off; disabled stages are bypassed entirely and read no weight, never
+zeroed weights (a disabled detail cue keeps only its bias): a configuration
+reads exactly the parameters ``param_spec`` declares for it, and each learns.
 """
 
 import functools
@@ -31,18 +31,20 @@ from .navgraph import STOP, PathGraph
 from .synthenv import VOCAB_SIZE, Instruction, Observation, ViewGrid
 
 
+HEADS = 2  # attention heads of every residual block
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Widths, view grid, and stage flags.
 
-    The attention stack threads one width, dim, through graph, text, and
-    cross-modal features; visual and key-detail widths are free.
+    The attention stack threads one width, dim, through graph, text,
+    cross-modal and key-detail features, split over ``HEADS`` heads; the
+    visual width is free.
     """
     view_grid: ViewGrid = ViewGrid()
     vis_dim: int = 32
     dim: int = 32
-    key_dim: int = 32
-    heads: int = 2
     layers: int = 2
     decouple: bool = True
     geo_embed: bool = True
@@ -50,20 +52,19 @@ class ModelConfig:
     obj_detail: bool = True
 
     def __post_init__(self):
-        if min(self.vis_dim, self.dim, self.key_dim, self.heads, self.layers) < 1:
+        if min(self.vis_dim, self.dim, self.layers) < 1:
             raise InvalidArgument("all dims/counts must be positive")
-        if self.dim % self.heads:
-            raise InvalidArgument(f"dim {self.dim} not divisible by heads {self.heads}")
+        if self.dim % HEADS:
+            raise InvalidArgument(f"dim {self.dim} not divisible by {HEADS} heads")
 
 
-TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8,
-                          key_dim=8, heads=2, layers=1)
+TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8, layers=1)
 
 
 @dataclass
 class StepFeatures:
     """The outputs of one decision step that rollouts keep."""
-    key_detail: nn.Tensor | None    # (key_dim,) or None when both detail flags off
+    key_detail: nn.Tensor | None    # (dim,) or None when both detail flags off
     scores: nn.Tensor               # (N_c,): frontier ids in order, then STOP
 
 
@@ -110,12 +111,12 @@ def param_spec(cfg: ModelConfig) -> list:
         spec += _block_spec(f"txt.l{i}", d)
 
     if cfg.loc_detail or cfg.obj_detail:
-        spec += [
-            ("kd.loc.w", (d, cfg.key_dim)), ("kd.loc.b", (cfg.key_dim,)),
-            ("kd.obj.w", (d, cfg.key_dim)), ("kd.obj.b", (cfg.key_dim,)),
-            ("kd.fuse.w", (2 * cfg.key_dim, cfg.key_dim)), ("kd.fuse.b", (cfg.key_dim,)),
-            ("enh.wv", (cfg.key_dim, d)),
-        ]
+        for on, cue in ((cfg.loc_detail, "loc"), (cfg.obj_detail, "obj")):
+            if on:
+                spec.append((f"kd.{cue}.w", (d, d)))
+            spec.append((f"kd.{cue}.b", (d,)))
+        spec += [("kd.fuse.w", (2 * d, d)), ("kd.fuse.b", (d,)),
+                 ("enh.wv", (d, d))]
 
     for i in range(cfg.layers):
         spec += _block_spec(f"cmf.l{i}", d)
@@ -138,8 +139,8 @@ def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, list]:
 
 
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
-                   params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    return nn.residual_block(h, kv, *_block_weights(prefix, params), cfg.heads)
+                   params: nn.ParamStore) -> nn.Tensor:
+    return nn.residual_block(h, kv, *_block_weights(prefix, params), HEADS)
 
 
 # ------------------------------------------------------------- observation
@@ -291,7 +292,7 @@ def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
     """Candidates attend over panorama rows through the decoder stack."""
     h = f_g
     for i in range(cfg.layers):
-        h = _decoder_block(h, f_o, f"ogi.l{i}", params, cfg)
+        h = _decoder_block(h, f_o, f"ogi.l{i}", params)
     return h
 
 
@@ -312,7 +313,7 @@ def encode_instruction(ins: Instruction, params: nn.ParamStore,
     h = nn.embedding(list(ins.tokens), params["txt.embed"])
     h = nn.add(h, nn.Tensor(sinusoid_table(len(ins.tokens), cfg.dim)))
     for i in range(cfg.layers):
-        h = _decoder_block(h, h, f"txt.l{i}", params, cfg)
+        h = _decoder_block(h, h, f"txt.l{i}", params)
     return h
 
 
@@ -334,35 +335,41 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
                        params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     """Pooled location/object cues, each projected then fused to one vector.
 
-    A disabled flag (or an empty mask) zeroes that cue's pooled block; the
-    projection bias still passes through, matching the ablation contract.
+    An empty mask zeroes that cue's pooled block.  A disabled flag leaves
+    the cue only its projection bias, ``0.0 + b``, the value a zero block
+    times its weight plus the bias gave, matching the ablation contract;
+    that weight is not declared, so it is not read.
 
-    One tape node, bitwise equal to the eight-node chain it fuses
-    (``oracle_key_detail`` in the tests): per cue the masked mean
-    ``reshape(matmul(sel, f_i))`` and a ``linear``, then ``concat`` and the
-    fuse ``linear``.  Its parents are f_i, when a cue reads it, and the six
-    ``kd.*`` parameters.  The backward replays the chain's arrays in the
-    order the walk ran its nodes: the fuse projection, then the whole
-    location branch, then the whole object branch, each branch ending with
-    ``sel.T @ g`` into f_i.  No other consumer of f_i can run in between,
-    so f_i receives its terms where the chain gave them.
+    One tape node, bitwise equal to the chain it fuses
+    (``oracle_key_detail`` in the tests): per enabled cue the masked mean
+    ``reshape(matmul(sel, f_i))`` and a ``linear``, per disabled cue the
+    bias, then ``concat`` and the fuse ``linear``.  Its parents are f_i,
+    when a cue reads it, and the ``kd.*`` parameters.  The backward replays
+    the chain's arrays in the order the walk ran its nodes: the fuse
+    projection, then the whole location branch, then the whole object
+    branch, each branch ending with ``sel.T @ g`` into f_i.  No other
+    consumer of f_i can run in between, so f_i receives its terms where
+    the chain gave them.
     """
     tokens, d = f_i.shape
     f_w, f_b = params["kd.fuse.w"], params["kd.fuse.b"]
-    branches = []   # per cue: selector (None: zero block), pooled row, w, b, x live
+    branches = []   # per cue: selector (None: zero block), pooled row, w (None: off), b, x live
     embedded = []
     for on, mask, cue in ((cfg.loc_detail, loc_mask, "loc"),
                           (cfg.obj_detail, obj_mask, "obj")):
         sel = _selector(mask, tokens) if on else None
         x = np.zeros(d) if sel is None else (sel @ f_i.data).reshape(d)
-        w, b = params[f"kd.{cue}.w"], params[f"kd.{cue}.b"]
-        nn._check_linear(x.shape, w, b)
-        embedded.append(x @ w.data + b.data)
+        w, b = params[f"kd.{cue}.w"] if on else None, params[f"kd.{cue}.b"]
+        if w is None:
+            embedded.append(0.0 + b.data)
+        else:
+            nn._check_linear(x.shape, w, b)
+            embedded.append(x @ w.data + b.data)
         branches.append((sel, x, w, b, sel is not None and f_i.requires_grad))
     c = np.concatenate(embedded, axis=-1)
     nn._check_linear(c.shape, f_w, f_b)
     out = c @ f_w.data + f_b.data
-    e_live = [x_live or w.requires_grad or b.requires_grad
+    e_live = [x_live or b.requires_grad or (w is not None and w.requires_grad)
               for _, _, w, b, x_live in branches]
     k = embedded[0].shape[0]
 
@@ -382,14 +389,14 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
             if b.requires_grad:
                 b.accumulate_grad(g_e)
             g_x = nn._grad_copy(w.data @ g_e) if x_live else None
-            if w.requires_grad:
+            if w is not None and w.requires_grad:
                 w.accumulate_grad(np.outer(x, g_e))
             if g_x is not None:
                 f_i.accumulate_grad(sel.T @ nn._grad_copy(g_x.reshape(1, d)))
 
     reads_f_i = any(sel is not None for sel, *_ in branches)
     parents = ((f_i,) if reads_f_i else ()) + tuple(
-        t for _, _, w, b, _ in branches for t in (w, b)) + (f_w, f_b)
+        t for _, _, w, b, _ in branches for t in (w, b) if t is not None) + (f_w, f_b)
     return nn.tape_node(out, parents, backward)
 
 
@@ -397,7 +404,7 @@ def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
                        params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     h = g_enh
     for i in range(cfg.layers):
-        h = _decoder_block(h, f_i, f"cmf.l{i}", params, cfg)
+        h = _decoder_block(h, f_i, f"cmf.l{i}", params)
     return h
 
 
@@ -466,7 +473,7 @@ def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
     self-attention with residual, then a per-row MLP, one score per row.
     """
     f_e = f_c if row is None else add_row(f_c, row)
-    return nn.residual_block(f_e, f_e, *_block_weights("sel", params), cfg.heads,
+    return nn.residual_block(f_e, f_e, *_block_weights("sel", params), HEADS,
                              score=True)
 
 

@@ -170,31 +170,23 @@ class PathGraph:
     ``visited`` lists distinct decision nodes in first-visit order; ``route``
     is the full executed trajectory including pass-through nodes used to
     reach a non-adjacent frontier choice.  The frontier is every unvisited
-    node adjacent to the visited set (global mode) or to the current node
-    only (``local_only``).
+    node adjacent to the visited set.
     """
 
-    def __init__(self, graph: NavGraph, start: int, local_only: bool = False):
+    def __init__(self, graph: NavGraph, start: int):
         if start not in graph.nodes:
             raise InvalidArgument(f"unknown start node {start}")
         self.graph = graph
-        self.local_only = local_only
         self.current = start
         self.visited: list[int] = [start]
         self._visited_set: set[int] = {start}
         self.route: list[int] = [start]
         self.terminal = False
-        self._global_frontier: set[int] = set(graph.neighbors(start)) - self._visited_set
+        self._frontier: set[int] = set(graph.neighbors(start)) - self._visited_set
 
     def frontier(self) -> list[int]:
         """Candidate movement targets, sorted by node id."""
-        if self.terminal:
-            return []
-        if self.local_only:
-            pool = set(self.graph.neighbors(self.current)) - self._visited_set
-        else:
-            pool = self._global_frontier
-        return sorted(pool)
+        return [] if self.terminal else sorted(self._frontier)
 
     def advance(self, chosen: int) -> list[int]:
         """Move to a frontier node; returns the traversed segment (current excluded).
@@ -223,8 +215,8 @@ class PathGraph:
         if chosen not in self._visited_set:
             self.visited.append(chosen)
             self._visited_set.add(chosen)
-        self._global_frontier.discard(chosen)
-        self._global_frontier |= set(self.graph.neighbors(chosen)) - self._visited_set
+        self._frontier.discard(chosen)
+        self._frontier |= set(self.graph.neighbors(chosen)) - self._visited_set
         return segment
 
 

@@ -26,6 +26,7 @@ from .synthenv import Episode, LatentTable, render_observation
 
 LOG_COLUMNS = ("iteration", "tf_loss", "sf_loss", "total_loss", "grad_norm",
                "eval_SR", "eval_SPL", "eval_nDTW")
+CLIP_NORM = 5.0  # global gradient-norm bound of every optimizer step
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     swap_lambda: bool = False
-    clip: float = 5.0
     eval_every: int = 0
 
     def __post_init__(self):
@@ -45,8 +45,8 @@ class TrainConfig:
             raise InvalidArgument(f"lam must be in [0, 1], got {self.lam}")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
-        if self.lr <= 0 or self.clip <= 0:
-            raise InvalidArgument("lr and clip must be > 0")
+        if self.lr <= 0:
+            raise InvalidArgument("lr must be > 0")
         if self.iterations < 0 or self.batch_size < 1 or self.eval_every < 0:
             raise InvalidArgument("bad iteration/batch/eval settings")
 
@@ -339,7 +339,7 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             if not math.isfinite(total_val):
                 raise NumericFailure(f"non-finite loss {total_val}")
             nn.backward(total)
-            grad_norm = nn.clip_global_norm(params, cfg.clip)
+            grad_norm = nn.clip_global_norm(params, CLIP_NORM)
         except NumericFailure as err:
             if out_dir is not None:
                 nn.save_checkpoint(f"{out_dir}/abort.ckpt", params)

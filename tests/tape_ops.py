@@ -249,16 +249,17 @@ def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
 
 
 def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:
-    """``model.extract_key_detail`` as eight nodes: per cue a masked mean
-    (``matmul`` and ``reshape``) and a ``linear``, then ``concat`` and the
-    fuse ``linear``.  A disabled cue is an untracked zero block."""
-    f_loc = (_masked_mean(f_i, loc_mask) if cfg.loc_detail
-             else nn.Tensor(np.zeros(cfg.dim)))
-    f_obj = (_masked_mean(f_i, obj_mask) if cfg.obj_detail
-             else nn.Tensor(np.zeros(cfg.dim)))
-    e_loc = nn.linear(f_loc, params["kd.loc.w"], params["kd.loc.b"])
-    e_obj = nn.linear(f_obj, params["kd.obj.w"], params["kd.obj.b"])
-    return nn.linear(nn.concat([e_loc, e_obj], axis=-1),
+    """``model.extract_key_detail`` as a node chain: per enabled cue a
+    masked mean (``matmul`` and ``reshape``) and a ``linear``, per disabled
+    cue its bias added to an untracked zero block, then ``concat`` and the
+    fuse ``linear``."""
+    blocks = []
+    for on, mask, cue in ((cfg.loc_detail, loc_mask, "loc"),
+                          (cfg.obj_detail, obj_mask, "obj")):
+        b = params[f"kd.{cue}.b"]
+        blocks.append(nn.linear(_masked_mean(f_i, mask), params[f"kd.{cue}.w"], b)
+                      if on else nn.add(nn.Tensor(np.zeros(cfg.dim)), b))
+    return nn.linear(nn.concat(blocks, axis=-1),
                      params["kd.fuse.w"], params["kd.fuse.b"])
 
 

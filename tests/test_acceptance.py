@@ -242,7 +242,7 @@ def test_a07_metric_units_and_invariants():
 def test_a08_recovery_labels_match_bruteforce_exhaustively():
     total = 0
     for node_count in (4, 6, 8, 10):
-        for g_seed in range(2):
+        for g_seed in range(4):
             g = generate_environment(EnvParams(node_count=node_count,
                                                connection_radius=6.0,
                                                extent=8.0, seed=g_seed))
@@ -253,12 +253,11 @@ def test_a08_recovery_labels_match_bruteforce_exhaustively():
                 a, b = rng.choice(len(ids), size=2, replace=False)
                 gt = tuple(g.shortest_path(int(ids[a]), int(ids[b])))
                 ep = episode_for(g, gt)
-                for local_only in (False, True):
-                    for pg in reachable_states(g, gt[0], local_only):
-                        want = oracle_label(pg, gt, g, d)
-                        assert want is not None
-                        assert pseudo_label(pg, ep, g) == want
-                        total += 1
+                for pg in reachable_states(g, gt[0]):
+                    want = oracle_label(pg, gt, g, d)
+                    assert want is not None
+                    assert pseudo_label(pg, ep, g) == want
+                    total += 1
     assert total >= 20000  # every reachable deviation state was swept
 
 

@@ -2,6 +2,7 @@
 
 import math
 import signal
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -367,6 +368,57 @@ def test_run_ablation_deterministic(world, tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("----,0,0,0,0,")
     assert lines[2].startswith("MGLO,1,1,1,1,")
+
+
+def test_ablation_csv_flag_columns_read_off_the_label(tmp_path):
+    path = tmp_path / "ablation.csv"
+    rows = [AblationRow(label=label, tl=1.0, ne=2.0, sr=0.5, spl=0.25, step_ms=0.125)
+            for label in ("M-L-", "-G-O")]
+    write_ablation_csv(path, rows)
+    assert path.read_text().splitlines()[1:] == [
+        "M-L-,1,0,1,0,1.00,2.00,50.00,25.00,0.125,0",
+        "-G-O,0,1,0,1,1.00,2.00,50.00,25.00,0.125,0"]
+
+
+class FakePool:
+    """A process pool that records the workers asked of it and maps in
+    this process, so that no worker starts."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        FakePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, units, workers", [
+    (1, 5, None), (2, 5, 2), (64, 3, 3), (64, 1, None), (64, 0, None)])
+def test_map_units_starts_at_most_one_worker_per_unit(monkeypatch, jobs, units,
+                                                      workers):
+    """A pool starts all of its workers up front, so ``map_units`` asks
+    for at most one per unit, and for none when one process is enough."""
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+    assert analysis.map_units(jobs, pow, range(units), repeat(2)) == [
+        i * i for i in range(units)]
+    assert FakePool.started == ([] if workers is None else [workers])
+
+
+def test_map_units_rejects_fewer_than_one_job(monkeypatch):
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+    for jobs in (0, -2):
+        with pytest.raises(InvalidArgument):
+            analysis.map_units(jobs, pow, range(3), repeat(2))
+    assert FakePool.started == []
 
 
 def test_run_ablation_single_row(world):

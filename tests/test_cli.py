@@ -7,10 +7,12 @@ import shutil
 import numpy as np
 import pytest
 
+from test_analysis import FakePool
 from test_training import state_dict
 
-from oikg import cli, nn, training
+from oikg import analysis, cli, nn, training
 from oikg.artifacts import canonical_json
+from oikg.analysis import variant_config
 from oikg.cli import main
 from oikg.metrics import EpisodeResult  # noqa: F401  (re-export sanity)
 from oikg.model import TINY_CONFIG, build_params
@@ -368,6 +370,19 @@ def test_eval_jobs_invariant(data_dir, ckpt_dir, tmp_path):
     assert tree_hashes(outs[0]) == tree_hashes(outs[1])
 
 
+def test_jobs_start_at_most_one_worker_per_unit(data_dir, tmp_path, monkeypatch):
+    """A ``--jobs`` far above the unit count asks the pool for one worker
+    per episode or grid cell; the fake pool starts none."""
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", FakePool)
+    assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                 "--agent", "oracle", "--jobs", "64"]) == 0
+    assert main(["ablate", "--data", str(data_dir), "--out", str(tmp_path / "a"),
+                 "--iters", "1", "--seeds", "1", "--batch", "1",
+                 "--timing-steps", "3", "--grid=----,MGLO", "--jobs", "64"]) == 0
+    assert FakePool.started == [2, 2]
+
+
 def test_eval_traces_structure(data_dir, ckpt_dir, tmp_path):
     out = tmp_path / "tr"
     assert main(["eval", "--data", str(data_dir), "--out", str(out),
@@ -408,11 +423,26 @@ def test_eval_rejects_checkpoint_with_enhance_query_key(data_dir, ckpt_dir,
     store = build_params(TINY_CONFIG, 0)
     store.load_state(nn.load_checkpoint(ckpt_dir / "params.ckpt"))
     store.add("enh.wq", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
-    store.add("enh.wk", np.zeros((TINY_CONFIG.key_dim, TINY_CONFIG.dim)))
+    store.add("enh.wk", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
     old = tmp_path / "old.ckpt"
     nn.save_checkpoint(old, store)
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
                  "--ckpt", str(old)]) == 3
+
+
+@pytest.mark.parametrize("flags, label, dead", [("MED,GE,LD", "MGL-", "kd.obj.w"),
+                                               ("OD", "---O", "kd.loc.w")])
+def test_eval_rejects_one_cue_checkpoint_with_disabled_cue_weight(
+        data_dir, tmp_path, capsys, flags, label, dead):
+    # one-cue checkpoints from before the disabled cue's weight was dropped
+    # carry that weight, which never learned
+    store = build_params(variant_config(TINY_CONFIG, label), 0)
+    store.add(dead, np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
+    old = tmp_path / "old.ckpt"
+    nn.save_checkpoint(old, store)
+    assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                 "--ckpt", str(old), "--flags", flags]) == 3
+    assert f"extra ['{dead}']" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ ablate/probe
@@ -476,8 +506,11 @@ def test_route_longer_than_t_max_rejected_before_out(default_data, tmp_path,
     ["eval", "--agent", "oracle", "--t-max", "0"],
     ["eval", "--agent", "oracle", "--t-max", "-3"],
     ["train", "--iters", "1", "--t-max", "-1"],
+    ["eval", "--agent", "oracle", "--jobs", "0"],
+    ["ablate", "--jobs", "0", "--iters", "1", "--seeds", "1", "--grid", "MGLO"],
 ], ids=["ablate_no_seeds", "ablate_no_timing_steps", "eval_t_max_0",
-        "eval_t_max_negative", "train_t_max_negative"])
+        "eval_t_max_negative", "train_t_max_negative", "eval_jobs_0",
+        "ablate_jobs_0"])
 def test_settings_rejected_before_out(data_dir, tmp_path, argv):
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(data_dir), "--out", str(out)]

@@ -87,7 +87,7 @@ def test_config_validation():
     with pytest.raises(InvalidArgument):
         model.ModelConfig(dim=0)
     with pytest.raises(InvalidArgument):
-        model.ModelConfig(heads=5)  # 32 % 5 != 0
+        model.ModelConfig(dim=33)  # 33 % model.HEADS != 0
     with pytest.raises(InvalidArgument):
         model.ModelConfig(layers=0)
     with pytest.raises(InvalidArgument):
@@ -556,7 +556,7 @@ def detail_config(detail: str) -> model.ModelConfig:
 @pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
                                      "also read after", "replayed"])
 def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
-    """The fused key detail against the eight-node chain it replaces: the
+    """The fused key detail against the node chain it replaces: the
     output and every leaf gradient match bit for bit.  f_i is an inner
     tensor; another consumer, a ``linear``, may read it too, with its term
     entering the loss before or after the key detail's.  A replayed node
@@ -571,7 +571,7 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
     x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
     w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
     w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
-    c = [nn.Tensor(rng.normal(size=cfg.key_dim)) for _ in range(2)]
+    c = [nn.Tensor(rng.normal(size=cfg.dim)) for _ in range(2)]
     c_other = nn.Tensor(rng.normal(size=(6, 3)))
     loc = [False, True, False, True, True, False]
     obj = [True, True, False, False, True, False]   # overlaps loc: order counts
@@ -604,9 +604,10 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
         if op is model.extract_key_detail:  # one node over f_i and kd.*
             reads = (("L" in detail and masks == "both")
                      or ("O" in detail and masks != "both empty"))
+            kd = (("loc.w",) * ("L" in detail) + ("loc.b",)
+                  + ("obj.w",) * ("O" in detail) + ("obj.b", "fuse.w", "fuse.b"))
             assert outs[0]._parents == (f_i,) * reads + tuple(
-                params[f"kd.{n}"] for n in ("loc.w", "loc.b", "obj.w", "obj.b",
-                                            "fuse.w", "fuse.b"))
+                params[f"kd.{n}"] for n in kd)
     (outs, grads), (ref_outs, ref_grads) = runs
     for (a, a_live), (b, b_live) in zip(outs, ref_outs):
         assert same_bits(a, b) and a_live == b_live
@@ -685,7 +686,7 @@ def test_alignment_row_of_a_leaf_or_constant(f_k_kind):
     """A key detail that is no op's output stays the row's parent."""
     rng = np.random.default_rng(25)
     params = model.build_params(TINY, seed=2)
-    f_k = nn.Tensor(rng.normal(size=TINY.key_dim), requires_grad=f_k_kind == "leaf")
+    f_k = nn.Tensor(rng.normal(size=TINY.dim), requires_grad=f_k_kind == "leaf")
     c = nn.Tensor(rng.normal(size=(1, TINY.dim)))
     runs = []
     for op in (model.alignment_row, oracle_alignment_row):
@@ -751,7 +752,7 @@ def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     *_, params = setup
     rng = np.random.default_rng(9)
     f_c = nn.Tensor(rng.normal(size=(3, TINY.dim)))
-    f_k = nn.Tensor(rng.normal(size=TINY.key_dim))
+    f_k = nn.Tensor(rng.normal(size=TINY.dim))
     blocks = record_calls(monkeypatch, nn, "residual_block")
     scores = model.enhance_and_score(f_c, model.alignment_row(f_k, params), params, TINY)
     assert scores.shape == (3,)
@@ -782,7 +783,7 @@ def test_candidate_order_equivariance(setup):
     f_g = rng.normal(size=(n, TINY.dim))
     f_o = nn.Tensor(rng.normal(size=(TINY.view_grid.k, TINY.dim)))
     f_i = nn.Tensor(rng.normal(size=(6, TINY.dim)))
-    row = model.alignment_row(nn.Tensor(rng.normal(size=TINY.key_dim)), params)
+    row = model.alignment_row(nn.Tensor(rng.normal(size=TINY.dim)), params)
     perm = rng.permutation(n)
 
     def run(rows):
@@ -831,7 +832,7 @@ def test_forward_step_shapes_and_determinism(setup):
     obs = obs_at(graph, latents, 0)
     feats, action = model.forward_step(pg, obs, ins, params, TINY)
     assert feats.scores.shape == (len(pg.frontier()) + 1,)
-    assert feats.key_detail.shape == (TINY.key_dim,)
+    assert feats.key_detail.shape == (TINY.dim,)
     feats2, action2 = model.forward_step(pg, obs, ins, params, TINY)
     np.testing.assert_array_equal(feats.scores.data, feats2.scores.data)
     assert action == action2 and (action in pg.frontier() or action == STOP)
@@ -868,12 +869,62 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     [((f_c, row, *_), scores)] = enhance
     assert scores is feats.scores
     if loc_detail or obj_detail:
-        assert feats.key_detail.shape == (cfg.key_dim,) and row.shape == (1, cfg.dim)
+        assert feats.key_detail.shape == (cfg.dim,) and row.shape == (1, cfg.dim)
     else:
         # the step's last residual block is the scoring head; it sees the
         # cross-modal rows, untouched
         [*_, ((f_e, *_), _)] = blocks
         assert feats.key_detail is None and row is None and f_e is f_c
+
+
+@pytest.fixture(scope="module")
+def learning_data():
+    """Two episodes of a 10-node world per visual width, each instruction
+    naming both a location and an object, so either cue pools some token."""
+    data = {}
+    for vis_dim in {TINY.vis_dim, model.ModelConfig().vis_dim}:
+        graph = se.generate_environment(se.EnvParams(
+            node_count=10, connection_radius=4.0, extent=8.0,
+            feature_dim=vis_dim, seed=2))
+        env = training.EnvBundle(graph, se.make_latents(graph, vis_dim, seed=2), sigma=0.1)
+        eps = [se.make_episode(graph, seed=i) for i in range(2)]
+        assert all(any(ep.instruction.location_mask) and any(ep.instruction.object_mask)
+                   for ep in eps)
+        data[vis_dim] = [(env, ep) for ep in eps]
+    return data
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBINATIONS,
+                         ids=["".join(c if on else "-" for c, on in zip("MGLO", f))
+                              for f in FLAG_COMBINATIONS])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_every_declared_parameter_learns(monkeypatch, learning_data, preset, flags):
+    """One training iteration gives every parameter that ``param_spec``
+    declares a nonzero gradient, so none of them is dead weight: a
+    disabled detail cue declares no ``kd.<cue>.w`` for a zero block to
+    multiply.
+
+    ``sel.mlp.b2``, the scoring head's last bias, is the one known
+    exception.  It shifts every score alike, which softmax and
+    cross-entropy ignore, so its gradient is rounding noise, at most 1e-12
+    (ROADMAP, open item on the shift-invariant score bias)."""
+    decouple, geo_embed, loc_detail, obj_detail = flags
+    cfg = replace(TINY if preset == "tiny" else model.ModelConfig(),
+                  decouple=decouple, geo_embed=geo_embed,
+                  loc_detail=loc_detail, obj_detail=obj_detail)
+    grads = {}
+
+    def record(store, lr):
+        grads.update((n, store[n].grad) for n in store.names())
+
+    monkeypatch.setattr(nn, "optimizer_step", record)
+    params = model.build_params(cfg, seed=0)
+    training.train(learning_data[cfg.vis_dim], params,
+                   training.TrainConfig(t_max=15, iterations=1, batch_size=2), cfg)
+    assert set(grads) == {name for name, _ in model.param_spec(cfg)}
+    assert np.max(np.abs(grads.pop("sel.mlp.b2"))) <= 1e-12
+    dead = [n for n, g in grads.items() if g is None or not np.any(g)]
+    assert dead == []
 
 
 def test_forward_step_cache_matches_uncached(setup):

@@ -203,16 +203,12 @@ def global_frontier_oracle(graph, visited):
     return sorted(out - set(visited))
 
 
-def test_frontier_expansion_global_vs_local(fork):
+def test_frontier_expansion_global(fork):
     pg = PathGraph(fork, start=0)
     assert pg.frontier() == [1, 2]
     assert pg.frontier() == [1, 2]
     pg.advance(1)
-    assert pg.frontier() == [2, 3]  # global: 2 stays reachable via 0
-
-    local = PathGraph(fork, start=0, local_only=True)
-    local.advance(1)
-    assert local.frontier() == [3]  # only unvisited neighbors of node 1
+    assert pg.frontier() == [2, 3]  # 2 stays reachable via 0
 
 
 def test_jump_to_non_adjacent_frontier_routes_through_visited(fork):
@@ -238,15 +234,6 @@ def test_stop_and_illegal_moves(fork):
         pg.advance(1)
 
 
-def test_local_mode_can_strand_leaving_only_stop():
-    nodes = make_nodes([(0, 0, 0), (1, 0, 0)])
-    g = build_graph(nodes, bidirectional([(0, 1)]))
-    pg = PathGraph(g, start=0, local_only=True)
-    pg.advance(1)
-    assert pg.frontier() == []
-    assert pg.frontier() == []
-
-
 def test_frontier_fuzz_matches_oracle():
     rng = np.random.default_rng(2024)
     for trial in range(25):
@@ -266,22 +253,21 @@ def test_frontier_fuzz_matches_oracle():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 9), local_only=st.booleans(),
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 9),
        moves=st.lists(st.integers(-1, 63), max_size=14))
-def test_frontier_properties(seed, n, local_only, moves):
+def test_frontier_properties(seed, n, moves):
     """On any connected graph and any walk of frontier moves ending in STOP
     (-1):
     the frontier is sorted, unvisited, and exactly the unvisited neighbours
-    of the current node (local_only) or of the visited set (global); once
-    the walk is terminal it is empty and every move is illegal."""
+    of the visited set; once the walk is terminal it is empty and every
+    move is illegal."""
     g = random_graph(np.random.default_rng(seed), n)
-    pg = PathGraph(g, start=seed % n, local_only=local_only)
+    pg = PathGraph(g, start=seed % n)
     for m in moves + [-1]:
         frontier = pg.frontier()
         assert frontier == sorted(set(frontier))
         assert not set(frontier) & set(pg.visited)
-        sources = [pg.current] if local_only else pg.visited
-        assert set(frontier) == {c for u in sources for c in g.neighbors(u)} - set(pg.visited)
+        assert set(frontier) == {c for u in pg.visited for c in g.neighbors(u)} - set(pg.visited)
         if m < 0 or not frontier:
             pg.advance(STOP)
             break

@@ -217,24 +217,32 @@ def test_pseudo_label_goal_reached_stop():
 
 
 def test_pseudo_label_restricted_frontier_fallback():
-    g = star_world()
-    ep = episode_for(g, (0, 3))
-    pg = PathGraph(g, 0, local_only=True)
+    # hub 0; the agent left the route (0, 2, 4) for 1.  The nearest
+    # unvisited route node is 4, off the frontier, and its shortest route
+    # 1 -> 0 -> 3 -> 4 starts at visited 0, so the label falls back to the
+    # frontier node nearest 4: 3, neither the first hop nor the target
+    g = graph_from([(0, (0, 0, 0)), (1, (2, 0, 0)), (2, (-2, 6, 0)),
+                    (3, (-2, 0, 0)), (4, (-4, 0, 0))],
+                   [(0, 1), (0, 2), (0, 3), (2, 4), (3, 4)])
+    ep = episode_for(g, (0, 2, 4))
+    pg = PathGraph(g, 0)
     pg.advance(1)
-    # shortest route 1 -> 0 -> 3 starts at visited 0; local frontier is {2}
-    assert pg.frontier() == [2]
-    assert pseudo_label(pg, ep, g) == 0
+    assert pg.frontier() == [2, 3]
+    assert g.shortest_path(1, 4) == [1, 0, 3, 4]
+    assert pg.frontier()[pseudo_label(pg, ep, g)] == 3
 
 
 def test_pseudo_label_stranded_stop():
-    # pure star: from leaf 1 every neighbor is visited in local mode
+    # pure star: the agent passed the goal 3 and then visited every other
+    # node, so the frontier is empty away from the goal
     g = graph_from([(0, (0, 0, 0)), (1, (2, 0, 0)), (2, (0, 2, 0)),
                     (3, (-2, 0, 0))],
                    [(0, 1), (0, 2), (0, 3)])
     ep = episode_for(g, (0, 3))
-    pg = PathGraph(g, 0, local_only=True)
-    pg.advance(1)
-    assert pg.frontier() == []
+    pg = PathGraph(g, 0)
+    for node in (3, 1, 2):
+        pg.advance(node)
+    assert pg.frontier() == [] and pg.current != 3
     assert pseudo_label(pg, ep, g) == 0  # only the STOP slot exists
 
 
@@ -289,14 +297,14 @@ def oracle_label(pg, gt, graph, d):
     return frontier.index(best)
 
 
-def reachable_states(graph, start, local_only):
+def reachable_states(graph, start):
     """Every distinct (visited set, current node) exploration state."""
     seen = set()
     states = []
     queue = deque([(start,)])
     while queue:
         seq = queue.popleft()
-        pg = PathGraph(graph, seq[0], local_only=local_only)
+        pg = PathGraph(graph, seq[0])
         for a in seq[1:]:
             pg.advance(a)
         key = (frozenset(pg.visited), pg.current)
@@ -309,8 +317,7 @@ def reachable_states(graph, start, local_only):
     return states
 
 
-@pytest.mark.parametrize("local_only", [False, True])
-def test_pseudo_label_exhaustive_oracle(local_only):
+def test_pseudo_label_exhaustive_oracle():
     total = 0
     for g_seed in range(4):
         g = generate_environment(EnvParams(node_count=7,
@@ -324,7 +331,7 @@ def test_pseudo_label_exhaustive_oracle(local_only):
             a, b = rng.choice(len(ids), size=2, replace=False)
             gt = tuple(g.shortest_path(int(ids[a]), int(ids[b])))
             ep = episode_for(g, gt)
-            for pg in reachable_states(g, gt[0], local_only):
+            for pg in reachable_states(g, gt[0]):
                 want = oracle_label(pg, gt, g, d)
                 assert want is not None
                 assert pseudo_label(pg, ep, g) == want
@@ -335,13 +342,12 @@ def test_pseudo_label_exhaustive_oracle(local_only):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 16), nodes=st.integers(3, 9),
        waypoints=st.lists(st.integers(0, 8), min_size=1, max_size=4),
-       moves=st.lists(st.integers(0, 63), max_size=12),
-       local_only=st.booleans())
-def test_pseudo_label_is_total(seed, nodes, waypoints, moves, local_only):
+       moves=st.lists(st.integers(0, 63), max_size=12))
+def test_pseudo_label_is_total(seed, nodes, waypoints, moves):
     """On any connected world, any reference route through it (shortest
     legs between waypoints, so nodes may repeat) and any walk of legal
-    frontier moves from its start, global or local-only, every state gets a
-    label that is a slot of frontier + [STOP]."""
+    frontier moves from its start, every state gets a label that is a slot
+    of frontier + [STOP]."""
     g = generate_environment(EnvParams(node_count=nodes, connection_radius=5.0,
                                        extent=8.0, feature_dim=9, seed=seed))
     stops = [w % nodes for w in waypoints]
@@ -349,7 +355,7 @@ def test_pseudo_label_is_total(seed, nodes, waypoints, moves, local_only):
     for a, b in zip(stops, stops[1:]):
         gt += g.shortest_path(a, b)[1:]
     ep = episode_for(g, gt)
-    pg = PathGraph(g, gt[0], local_only=local_only)
+    pg = PathGraph(g, gt[0])
     for m in moves + [None]:
         frontier = pg.frontier()
         label = pseudo_label(pg, ep, g)
