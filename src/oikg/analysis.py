@@ -238,10 +238,10 @@ def grad_probe(data, seeds, base_mcfg: ModelConfig, lam: float = 0.2,
     return probe
 
 
-def detail_probe(train_data, eval_data, seeds, base_mcfg: ModelConfig,
-                 train_cfg: TrainConfig | None = None) -> dict:
-    """Alignment score with vs without key-detail stages; optional short
-    training budget per seed, otherwise scored at initialization."""
+def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) -> dict:
+    """Alignment score on `data` with vs without key-detail stages, each
+    seed's model first trained on `data` for ``train_cfg.iterations``
+    (zero: scored at initialization)."""
     samples_a, samples_b = [], []
     mi_a, mi_b = [], []
     for seed in seeds:
@@ -249,9 +249,8 @@ def detail_probe(train_data, eval_data, seeds, base_mcfg: ModelConfig,
         for key, label in (("a", "MGLO"), ("b", "MG--")):
             mcfg = variant_config(base_mcfg, label)
             params = build_params(mcfg, seed)
-            if train_cfg is not None:
-                train(train_data, params, replace(train_cfg, seed=seed), mcfg)
-            scores[key], xs, ys = teacher_probe(eval_data, params, mcfg)
+            train(data, params, replace(train_cfg, seed=seed), mcfg)
+            scores[key], xs, ys = teacher_probe(data, params, mcfg)
             (mi_a if key == "a" else mi_b).append(mi_plugin(xs, ys))
         samples_a.append(scores["a"])
         samples_b.append(scores["b"])

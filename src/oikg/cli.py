@@ -19,7 +19,7 @@ from pathlib import Path
 from . import nn
 from .analysis import (GRID_LABELS, detail_probe, grad_probe, map_units,
                        run_ablation, variant_config, write_ablation_csv)
-from .artifacts import canonical_json, read_json, write_json
+from .artifacts import canonical_json, load_checkpoint, read_json, write_json
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
@@ -190,6 +190,8 @@ def _load_split(data_dir: str, split: str):
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
     path = base / f"episodes_{split}.json"
     raw = _read_record(path, {"episodes": list})
+    if not raw["episodes"]:
+        raise InvalidArgument(f"{path}: the {split} split has no episodes")
     episodes = []
     for i, d in enumerate(raw["episodes"]):
         try:
@@ -298,7 +300,7 @@ def cmd_eval(cfg: dict) -> None:
             raise InvalidArgument("--ckpt is required for the model agent")
         _guard_feature_dim(gen_cfg, mcfg)
         params = build_params(mcfg, 0)
-        params.load_state(nn.load_checkpoint(cfg["ckpt"]))
+        params.load_state(load_checkpoint(cfg["ckpt"]))
     out = _resolve_out(cfg["out"])
     h = archive_config(out, "eval", cfg)
     t_max = cfg["t_max"]
@@ -354,7 +356,7 @@ def cmd_probe(cfg: dict) -> None:
     seeds = tuple(range(cfg["seeds"]))
     t_max = _default_t_max(cfg, gen_cfg)
     tcfg = _train_config(cfg, t_max, cfg["train_iters"])  # checks --lambda too
-    if cfg["probe_episodes"] < 1 or not data:
+    if cfg["probe_episodes"] < 1:
         raise InvalidArgument("--probe-episodes must select at least one episode")
     check_routes(data, t_max)
     need = 2 if cfg["which"] in ("grad", "all") else 1  # the grad probe pairs seeds
@@ -366,8 +368,7 @@ def cmd_probe(cfg: dict) -> None:
         probes["grad"] = grad_probe(data, seeds, base, lam=cfg["lam"],
                                     t_max=t_max)
     if cfg["which"] in ("detail", "all"):
-        probes["detail"] = detail_probe(data, data, seeds, base,
-                                        train_cfg=tcfg if cfg["train_iters"] > 0 else None)
+        probes["detail"] = detail_probe(data, seeds, base, tcfg)
     h = archive_config(out, "probe", cfg)
     for name, probe in probes.items():
         probe["config_hash"] = h

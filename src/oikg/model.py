@@ -10,7 +10,9 @@ candidates and score each row with an MLP.
 Single-key alignment needs no query/key projection: a softmax over one key
 row is exactly 1.0, so the attended value is f_c + 1 * (f_k W_v) for every
 candidate row whatever the query, and projection weights for the query and
-key would never receive gradient.  Only W_v (``enh.wv``) is learned.
+key would never receive gradient.  Only W_v (``enh.wv``) is learned, and
+the key detail and its row f_k W_v are one tape node, built once per
+episode; likewise the two panorama blocks and their fuse MLP.
 
 Four independent flags (decouple, geo_embed, loc_detail, obj_detail) switch
 stages off; disabled stages are bypassed entirely and read no weight, never
@@ -64,7 +66,7 @@ TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8, laye
 @dataclass
 class StepFeatures:
     """The outputs of one decision step that rollouts keep."""
-    key_detail: nn.Tensor | None    # (dim,) or None when both detail flags off
+    key_detail: np.ndarray | None   # (dim,), read-only; None when both detail flags off
     scores: nn.Tensor               # (N_c,): frontier ids in order, then STOP
 
 
@@ -179,49 +181,23 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
     With decoupling off, one linear projection of the raw concatenated
     [angular, visual] rows is used instead (the coupled baseline).
 
-    Decoupled, the rows are one tape node over the eight ``obs.*``
-    parameters, since both blocks are constants: bitwise equal to the
-    ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
-    The backward replays that chain in the walk's order: the MLP, then the
-    angular branch, then the visual one.
+    Decoupled, the rows are one ``nn._joined_chain`` node over the eight
+    ``obs.*`` parameters, since both blocks are constants: bitwise equal to
+    the ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
     if obs.visual.shape != want:
         raise ShapeError(f"panorama shape {obs.visual.shape} != {want}")
-    ang_t = nn.Tensor(_check_view_grid(obs, cfg.view_grid))
-    vis_t = nn.Tensor(obs.visual)
+    ang = _check_view_grid(obs, cfg.view_grid)
+    vis = nn._as_f64(obs.visual)
     if not cfg.decouple:
-        return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
+        return nn.linear(nn.Tensor(np.concatenate([ang, vis], axis=-1)),
                          params["obs.coupled.w"], params["obs.coupled.b"])
-    branches = [(ang_t.data, params["obs.ang.w"], params["obs.ang.b"]),
-                (vis_t.data, params["obs.vis.w"], params["obs.vis.b"])]
-    embedded = []
-    for x, w, b in branches:
-        nn._check_linear(x.shape, w, b)
-        embedded.append(x @ w.data + b.data)
-    live = [w.requires_grad or b.requires_grad for _, w, b in branches]
+    branches = [(ang, False, params["obs.ang.w"], params["obs.ang.b"]),
+                (vis, False, params["obs.vis.w"], params["obs.vis.b"])]
     layers = [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
               (params["obs.fuse.w2"], params["obs.fuse.b2"])]
-    out, mlp_backward = nn._mlp_chain(np.concatenate(embedded, axis=-1), any(live), layers)
-    d = embedded[0].shape[1]
-
-    def backward(g):
-        g_c = mlp_backward(g)
-        if g_c is None:
-            return
-        g_c = nn._grad_copy(g_c)
-        for (x, w, b), e_live, part in zip(branches, live, (slice(0, d), slice(d, None))):
-            if not e_live:
-                continue
-            g_e = nn._grad_copy(g_c[:, part])
-            if b.requires_grad:
-                b.accumulate_grad(g_e.sum(axis=0))
-            if w.requires_grad:
-                w.accumulate_grad(x.T @ g_e)
-
-    parents = tuple(t for _, w, b in branches for t in (w, b)) + tuple(
-        t for layer in layers for t in layer)
-    return nn.tape_node(out, parents, backward)
+    return nn.tape_node(*nn._joined_chain(branches, layers))
 
 
 # -------------------------------------------------------------- candidates
@@ -277,11 +253,9 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
 
     def backward(g):
         for i, t in enumerate(edge_in):
-            b_e.accumulate_grad(g[i])
-            w_e.accumulate_grad(np.outer(t, g[i]))
+            nn._affine_backward(t, w_e, b_e, g[i], False)
             if pe_in:
-                b_p.accumulate_grad(g[i])
-                w_p.accumulate_grad(np.outer(pe_in[i], g[i]))
+                nn._affine_backward(pe_in[i], w_p, b_p, g[i], False)
         stop.accumulate_grad(g[-1].reshape(stop.shape))
 
     return nn.tape_node(np.stack(rows), parents, backward), order
@@ -331,73 +305,56 @@ def _selector(mask, tokens: int) -> np.ndarray | None:
     return sel
 
 
-def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask,
-                       params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    """Pooled location/object cues, each projected then fused to one vector.
+def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask, params: nn.ParamStore,
+                       cfg: ModelConfig) -> tuple[np.ndarray, nn.Tensor]:
+    """Pooled location/object cues, each projected then fused to the key
+    detail f_k, and its single-key attention value, the row f_k W_v.
 
     An empty mask zeroes that cue's pooled block.  A disabled flag leaves
     the cue only its projection bias, ``0.0 + b``, the value a zero block
     times its weight plus the bias gave, matching the ablation contract;
     that weight is not declared, so it is not read.
 
-    One tape node, bitwise equal to the chain it fuses
-    (``oracle_key_detail`` in the tests): per enabled cue the masked mean
-    ``reshape(matmul(sel, f_i))`` and a ``linear``, per disabled cue the
-    bias, then ``concat`` and the fuse ``linear``.  Its parents are f_i,
-    when a cue reads it, and the ``kd.*`` parameters.  The backward replays
-    the chain's arrays in the order the walk ran its nodes: the fuse
-    projection, then the whole location branch, then the whole object
-    branch, each branch ending with ``sel.T @ g`` into f_i.  No other
-    consumer of f_i can run in between, so f_i receives its terms where
-    the chain gave them.
+    Returns f_k's read-only (d,) array and the (1, d) row, one tape node
+    bitwise equal to the chain it fuses (``oracle_extract_key_detail`` in
+    the tests): per enabled cue the masked mean ``reshape(matmul(sel,
+    f_i))`` and a ``linear``, per disabled cue the bias, then ``concat``,
+    the fuse ``linear``, the reshape of f_k to a row and its product with
+    ``enh.wv``.  Its parents are f_i, when a cue reads
+    it, the ``kd.*`` parameters and ``enh.wv``.  The backward replays the
+    chain's arrays in the order the walk ran its nodes: the row product,
+    the fuse projection, then the whole location branch, then the whole
+    object branch, each branch ending with ``sel.T @ g`` into f_i.  No
+    other consumer of f_i can run in between, so f_i receives its terms
+    where the chain gave them.
     """
     tokens, d = f_i.shape
-    f_w, f_b = params["kd.fuse.w"], params["kd.fuse.b"]
-    branches = []   # per cue: selector (None: zero block), pooled row, w (None: off), b, x live
-    embedded = []
+    sels, branches = [], []   # per cue: selector (None: zero block); (x, x live, w, b)
     for on, mask, cue in ((cfg.loc_detail, loc_mask, "loc"),
                           (cfg.obj_detail, obj_mask, "obj")):
         sel = _selector(mask, tokens) if on else None
         x = np.zeros(d) if sel is None else (sel @ f_i.data).reshape(d)
-        w, b = params[f"kd.{cue}.w"] if on else None, params[f"kd.{cue}.b"]
-        if w is None:
-            embedded.append(0.0 + b.data)
-        else:
-            nn._check_linear(x.shape, w, b)
-            embedded.append(x @ w.data + b.data)
-        branches.append((sel, x, w, b, sel is not None and f_i.requires_grad))
-    c = np.concatenate(embedded, axis=-1)
-    nn._check_linear(c.shape, f_w, f_b)
-    out = c @ f_w.data + f_b.data
-    e_live = [x_live or b.requires_grad or (w is not None and w.requires_grad)
-              for _, _, w, b, x_live in branches]
-    k = embedded[0].shape[0]
+        w = params[f"kd.{cue}.w"] if on else None
+        sels.append(sel)
+        branches.append((x, sel is not None and f_i.requires_grad, w, params[f"kd.{cue}.b"]))
+    f_k, weights, chain_backward = nn._joined_chain(
+        branches, [(params["kd.fuse.w"], params["kd.fuse.b"])])
+    wv = params["enh.wv"]
+    k_row = f_k.reshape(1, f_k.shape[0])
+    parents = ((f_i,) if any(sel is not None for sel in sels) else ()) + weights
+    k_live = any(t.requires_grad for t in parents)
 
     def backward(g):
-        if f_b.requires_grad:
-            f_b.accumulate_grad(g)
-        g_c = nn._grad_copy(f_w.data @ g) if any(e_live) else None
-        if f_w.requires_grad:
-            f_w.accumulate_grad(np.outer(c, g))
-        if g_c is None:
+        g_k = nn._affine_backward(k_row, wv, None, g, k_live)
+        if g_k is None:
             return
-        for (sel, x, w, b, x_live), live, part in zip(
-                branches, e_live, (slice(0, k), slice(k, None))):
-            if not live:
-                continue
-            g_e = nn._grad_copy(g_c[part])
-            if b.requires_grad:
-                b.accumulate_grad(g_e)
-            g_x = nn._grad_copy(w.data @ g_e) if x_live else None
-            if w is not None and w.requires_grad:
-                w.accumulate_grad(np.outer(x, g_e))
+        for sel, g_x in zip(sels, chain_backward(nn._grad_copy(g_k.reshape(f_k.shape)))):
             if g_x is not None:
                 f_i.accumulate_grad(sel.T @ nn._grad_copy(g_x.reshape(1, d)))
 
-    reads_f_i = any(sel is not None for sel, *_ in branches)
-    parents = ((f_i,) if reads_f_i else ()) + tuple(
-        t for _, _, w, b, _ in branches for t in (w, b) if t is not None) + (f_w, f_b)
-    return nn.tape_node(out, parents, backward)
+    row = nn.tape_node(nn._affine(k_row, wv, None), parents + (wv,), backward)
+    f_k.flags.writeable = False
+    return f_k, row
 
 
 def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
@@ -409,38 +366,6 @@ def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
 
 
 # ----------------------------------------------------------------- scoring
-
-
-def alignment_row(f_k: nn.Tensor, params: nn.ParamStore) -> nn.Tensor:
-    """The key detail's single-key attention value, the (1, d) row f_k W_v.
-
-    Fixed for an episode, so ``forward_step`` builds it once per episode,
-    with the key detail.  One tape node that takes over f_k's own node: its
-    parents are f_k's parents and ``enh.wv``, and its backward runs the
-    row's product, ``reshape(f_k) @ enh.wv``, then f_k's backward, as the
-    walk ran the unfused chain.  Later steps replay it (``nn.replay``), so
-    each step's gradient reaches f_k's parents on its own.  An f_k that is
-    not an op's output (a leaf or a constant) stays a parent itself.
-    """
-    w = params["enh.wv"]
-    k = f_k.shape[0]
-    nn._check_linear((k,), w, None)
-    k_row = f_k.data.reshape(1, k)
-    folded = f_k._backward is not None
-    parents = (f_k._parents if folded else (f_k,)) + (w,)
-
-    def backward(g):
-        g_k = nn._grad_copy(g @ w.data.T) if f_k.requires_grad else None
-        if w.requires_grad:
-            w.accumulate_grad(k_row.T @ g)
-        if g_k is None:
-            return
-        if folded:
-            f_k._backward(nn._grad_copy(g_k.reshape(k)))
-        else:
-            f_k.accumulate_grad(g_k.reshape(k))
-
-    return nn.tape_node(k_row @ w.data, parents, backward)
 
 
 def add_row(f_c: nn.Tensor, row: nn.Tensor) -> nn.Tensor:
@@ -467,10 +392,11 @@ def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
 
     The key detail enters as a single key/value attention row added
     residually; with one key the attention weights are exactly 1.0, so the
-    aligned row is ``alignment_row`` for every candidate.  With both detail
-    flags off (``row`` None) the injection is skipped and the cross-modal
-    rows pass through untouched.  Scoring always runs: candidate
-    self-attention with residual, then a per-row MLP, one score per row.
+    aligned row is f_k W_v, ``extract_key_detail``'s row, for every
+    candidate.  With both detail flags off (``row`` None) the injection is
+    skipped and the cross-modal rows pass through untouched.  Scoring
+    always runs: candidate self-attention with residual, then a per-row MLP,
+    one score per row.
     """
     f_e = f_c if row is None else add_row(f_c, row)
     return nn.residual_block(f_e, f_e, *_block_weights("sel", params), HEADS,
@@ -501,17 +427,16 @@ class EpisodeCache:
 
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
-    they were built in.  ``key_detail`` is the first step's key detail, its
-    data read-only, since every step's ``StepRecord.key_detail`` shares it.
-    ``align`` is the first step's ``alignment_row`` node, which took over
-    the key detail's node; later steps replay it.
+    they were built in.  ``key_detail`` is the first step's read-only key
+    detail array, which every step's ``StepRecord.key_detail`` shares, and
+    ``align`` the first step's alignment row node; later steps replay it.
     """
 
     def __init__(self):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
         self.views: dict[int, Observation] = {}
-        self.key_detail: nn.Tensor | None = None
+        self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
 
 
@@ -546,10 +471,8 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
         if cache.align is not None:
             f_k, row = cache.key_detail, nn.replay(cache.align)
         else:
-            f_k = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
-                                     params, cfg)
-            f_k.data.flags.writeable = False
-            row = alignment_row(f_k, params)
+            f_k, row = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
+                                          params, cfg)
             cache.key_detail, cache.align = f_k, row
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, row, params, cfg)

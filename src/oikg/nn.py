@@ -4,14 +4,13 @@ Everything is 64-bit float and deterministic: same inputs give bitwise
 identical outputs.  The engine is a flat tape of ``Tensor`` nodes; each op
 records a closure that routes the output gradient back into its parents.
 Shapes are limited to what the model needs: vectors and matrices, with a
-bias broadcast over rows inside ``linear`` and nowhere else.  Inside
+bias broadcast over rows inside the affine kernel (``_affine``, behind
+``linear`` and the fused nodes) and nowhere else.  Inside
 ``no_tape()`` ops record nothing: their outputs are untracked values, bitwise
 the same as with the tape on.
 """
 
 import itertools
-import math
-import struct
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -22,14 +21,13 @@ from .errors import (
     InvalidArgument,
     InvalidState,
     NumericFailure,
-    SchemaError,
     ShapeError,
 )
 from .rng import substream
 
 _TAPE_ON = True
 
-CHECKPOINT_MAGIC = b"OIKG0001"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # optimizer_step's moments
 _EPOCHS = itertools.count(1)  # one stamp per backward pass marks visited nodes
 
 
@@ -131,22 +129,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return tape_node(a.data * s, (a,), backward)
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not parts:
-        raise InvalidArgument("concat needs at least one tensor")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p.accumulate_grad(g[tuple(idx)])
-
-    return tape_node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
-
-
 def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
     """Row lookup: out[i] = table[ids[i]]."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -175,25 +157,40 @@ def _check_linear(x_shape: tuple, w: Tensor, b: Tensor | None) -> None:
         raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
 
 
+def _affine(x: np.ndarray, w: Tensor | None, b: Tensor | None) -> np.ndarray:
+    """x @ w + b, checked, for 1-D or 2-D x: the forward of every fused
+    linear map.  Without b there is no bias; without w there is no input,
+    and the block is the bias alone, ``0.0 + b``."""
+    if w is None:
+        return 0.0 + b.data
+    _check_linear(x.shape, w, b)
+    out = x @ w.data
+    return out if b is None else out + b.data
+
+
+def _affine_backward(x: np.ndarray, w: Tensor | None, b: Tensor | None,
+                     g: np.ndarray, x_live: bool) -> np.ndarray | None:
+    """The one gradient of ``_affine``, in the order of ``linear``'s node:
+    the bias term, then x's gradient (returned, None unless ``x_live``),
+    then the weight term."""
+    vector = g.ndim == 1
+    if b is not None and b.requires_grad:
+        b.accumulate_grad(g if vector else g.sum(axis=0))
+    g_x = (w.data @ g if vector else g @ w.data.T) if x_live else None
+    if w is not None and w.requires_grad:
+        w.accumulate_grad(np.outer(x, g) if vector else x.T @ g)
+    return g_x
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w + b for 1-D or 2-D x, the bias broadcast over rows; one
     tape node, bitwise equal to ``add(matmul(x, w), b)``."""
-    _check_linear(x.shape, w, b)
-    out_data = x.data @ w.data
-    if b is not None:
-        out_data = out_data + b.data
-    vector = x.data.ndim == 1
-
     def backward(g):
-        # the arrays, and their order, of the matmul + add pair this fuses
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g if vector else g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(w.data @ g if vector else g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate_grad(np.outer(x.data, g) if vector else x.data.T @ g)
+        g_x = _affine_backward(x.data, w, b, g, x.requires_grad)
+        if g_x is not None:
+            x.accumulate_grad(g_x)
 
-    return tape_node(out_data, (x, w) if b is None else (x, w, b), backward)
+    return tape_node(_affine(x.data, w, b), (x, w) if b is None else (x, w, b), backward)
 
 
 def _grad_copy(g: np.ndarray) -> np.ndarray:
@@ -219,29 +216,58 @@ def _mlp_chain(x: np.ndarray, x_live: bool, layers: Sequence[tuple[Tensor, Tenso
     ins, masks, live = [], [], []   # per layer: input, ReLU mask, input tracked
     h, tracked = x, x_live
     for i, (w, b) in enumerate(layers):
-        _check_linear(h.shape, w, b)
         ins.append(h)
         live.append(tracked)
-        h = h @ w.data + b.data
+        h = _affine(h, w, b)
         tracked = tracked or w.requires_grad or b.requires_grad
         if i + 1 < len(layers):
             masks.append(h > 0.0)
             h = np.maximum(h, 0.0)
-    vector = x.ndim == 1
 
     def backward(g):
         for i in reversed(range(len(layers))):
             w, b = layers[i]
-            if b.requires_grad:
-                b.accumulate_grad(g if vector else g.sum(axis=0))
-            g_in = (w.data @ g if vector else g @ w.data.T) if live[i] else None
-            if w.requires_grad:
-                w.accumulate_grad(np.outer(ins[i], g) if vector else ins[i].T @ g)
+            g_in = _affine_backward(ins[i], w, b, g, live[i])
             if i == 0 or g_in is None:
                 return g_in
             g = _grad_copy(g_in * masks[i - 1])  # through the ReLU below
 
     return h, backward
+
+
+def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tensor]]):
+    """Blocks embedded apart, joined, then an MLP chain: each branch
+    ``(x, x_live, w, b)`` is ``_affine(x, w, b)``, the blocks are
+    concatenated on the last axis and run through ``_mlp_chain``.  Returns
+    the output, the weights and biases it reads, in order, and
+    ``backward(g)``, which runs the chain, then each branch in order, and
+    returns the list of the branches' x gradients (None where x is not
+    live).
+
+    Bitwise equal to a ``linear`` node per branch (a bias add for a branch
+    without w), a ``concat`` node and the chain's nodes, whose backward the
+    walk runs in that order: the chain, then the first branch, then the
+    next.
+    """
+    embedded = [_affine(x, w, b) for x, _, w, b in branches]
+    offsets = list(itertools.accumulate((e.shape[-1] for e in embedded), initial=0))
+    live = [x_live or b.requires_grad or (w is not None and w.requires_grad)
+            for _, x_live, w, b in branches]
+    out, chain_backward = _mlp_chain(np.concatenate(embedded, axis=-1), any(live), layers)
+
+    def backward(g):
+        g_c = chain_backward(g)
+        if g_c is None:
+            return [None] * len(branches)
+        g_c = _grad_copy(g_c)
+        g_xs = []
+        for (x, x_live, w, b), e_live, lo, hi in zip(branches, live, offsets[:-1], offsets[1:]):
+            g_xs.append(_affine_backward(x, w, b, _grad_copy(g_c[..., lo:hi]), x_live)
+                        if e_live else None)
+        return g_xs
+
+    weights = tuple(t for *_, w, b in branches for t in (w, b) if t is not None)
+    return out, weights + tuple(t for layer in layers for t in layer), backward
 
 
 def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
@@ -468,7 +494,7 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self._t = 0   # optimizer steps taken; every parameter takes each one
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.params:
@@ -477,7 +503,6 @@ class ParamStore:
         self.params[name] = t
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
-        self._t[name] = 0
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -549,75 +574,20 @@ def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     return norm
 
 
-def optimizer_step(store: ParamStore, lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def optimizer_step(store: ParamStore, lr: float) -> None:
     """Adaptive-moment update with bias correction; gradients are zeroed after."""
+    store._t += 1
+    t = store._t
     for name in store.names():
         p = store.params[name]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        store._t[name] += 1
-        t = store._t[name]
         m = store._m[name]
         v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     store.zero_grad()
-
-
-# ---------------------------------------------------------------- checkpoints
-
-
-def save_checkpoint(path, store: ParamStore) -> None:
-    """Length-prefixed binary blocks (name, dims, little-endian float64 data)."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for name in store.names():
-            data = store.params[name].data
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", data.ndim))
-            for d in data.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise SchemaError(f"{path}: bad checkpoint magic")
-    out: dict[str, np.ndarray] = {}
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise SchemaError(f"{path}: truncated checkpoint")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    while off < len(blob):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: block name is not UTF-8") from exc
-        if name in out:
-            raise SchemaError(f"{path}: duplicate block {name!r}")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        # Python ints: a product of 32-bit dims can exceed any fixed width
-        flat = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8")
-        try:
-            data = flat.reshape(shape)
-        except ValueError as exc:  # more dims than numpy supports
-            raise SchemaError(f"{path}: block {name!r}: {exc}") from exc
-        out[name] = data.astype(np.float64).copy()
-    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .artifacts import write_csv
+from .artifacts import save_checkpoint, write_csv
 from .errors import InvalidArgument, InvalidState, NumericFailure
 from .metrics import EpisodeResult, aggregate, evaluate
 from .model import EpisodeCache, ModelConfig, forward_step
@@ -121,8 +121,7 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
             step.seconds = time.perf_counter() - t0
             scores = feats.scores
             step.logits = nn.Tensor(scores.data)
-            if feats.key_detail is not None:
-                step.key_detail = feats.key_detail.data
+            step.key_detail = feats.key_detail
         step.action = choose(t, step)
         if label is not None:
             step.supervision = label(pg, episode, step)
@@ -342,7 +341,7 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             grad_norm = nn.clip_global_norm(params, CLIP_NORM)
         except NumericFailure as err:
             if out_dir is not None:
-                nn.save_checkpoint(f"{out_dir}/abort.ckpt", params)
+                save_checkpoint(f"{out_dir}/abort.ckpt", params)
             raise NumericFailure(f"iteration {it}: {err}") from err
         nn.optimizer_step(params, cfg.lr)
 
@@ -360,5 +359,5 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
         log.append(row)
 
     if out_dir is not None:
-        nn.save_checkpoint(f"{out_dir}/params.ckpt", params)
+        save_checkpoint(f"{out_dir}/params.ckpt", params)
     return log

@@ -5,20 +5,20 @@ gradients by finite differences.
 - ``sub``, ``mul`` and ``tsum`` build test losses; ``sub``, ``mul`` and
   ``bias_add`` broadcast, summing the gradient back over broadcast axes
   (``unbroadcast``), where ``nn.add`` takes equal shapes only.
-- ``matmul``, ``reshape``, ``relu``, ``softmax`` and ``transpose`` are the
-  parts of the node-per-op compositions that the library's fused nodes
-  replace.  The fused ops must match them bitwise, values and every
-  gradient:
+- ``matmul``, ``reshape``, ``relu``, ``softmax``, ``transpose`` and
+  ``concat`` are the parts of the node-per-op compositions that the
+  library's fused nodes replace.  The fused ops must match them bitwise,
+  values and every gradient:
   - ``oracle_mlp`` and ``oracle_attention``, what the MLP chain and the
     attention core compute; ``mlp`` (one node) and ``attention`` (three)
     run those two implementations as ops of their own;
   - ``oracle_residual_block``, ``nn.residual_block`` (decoder block and
     scoring head);
   - ``oracle_decouple_observation``, ``model.decouple_observation``;
-  - ``oracle_key_detail`` (with its part ``_masked_mean``),
-    ``model.extract_key_detail``;
-  - ``oracle_alignment_row`` and ``oracle_add_row``, ``model.alignment_row``
-    and ``model.add_row``;
+  - ``oracle_extract_key_detail``, ``model.extract_key_detail``: the
+    chain ``oracle_key_detail`` (with its part ``_masked_mean``) and
+    ``oracle_alignment_row``;
+  - ``oracle_add_row``, ``model.add_row``;
   - ``oracle_mean``, ``nn.mean``.
 """
 
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from oikg import model, nn
-from oikg.errors import ShapeError
+from oikg.errors import InvalidArgument, ShapeError
 
 
 def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -136,6 +136,22 @@ def transpose(a: nn.Tensor, axes: Sequence[int]) -> nn.Tensor:
     return nn.tape_node(a.data.transpose(axes), (a,), backward)
 
 
+def concat(parts: Sequence[nn.Tensor], axis: int = -1) -> nn.Tensor:
+    if not parts:
+        raise InvalidArgument("concat needs at least one tensor")
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                p.accumulate_grad(g[tuple(idx)])
+
+    return nn.tape_node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
+
+
 def softmax(a: nn.Tensor, axis: int = -1) -> nn.Tensor:
     """Numerically stable softmax: rows sum to 1, invariant to per-row shifts."""
     z = a.data - a.data.max(axis=axis, keepdims=True)
@@ -226,11 +242,11 @@ def oracle_decouple_observation(obs, params, cfg) -> nn.Tensor:
     ang_t = nn.Tensor(model._check_view_grid(obs, cfg.view_grid))
     vis_t = nn.Tensor(obs.visual)
     if not cfg.decouple:
-        return nn.linear(nn.concat([ang_t, vis_t], axis=-1),
+        return nn.linear(concat([ang_t, vis_t], axis=-1),
                          params["obs.coupled.w"], params["obs.coupled.b"])
     e_a = nn.linear(ang_t, params["obs.ang.w"], params["obs.ang.b"])
     e_v = nn.linear(vis_t, params["obs.vis.w"], params["obs.vis.b"])
-    return oracle_mlp(nn.concat([e_a, e_v], axis=-1),
+    return oracle_mlp(concat([e_a, e_v], axis=-1),
                       [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
                        (params["obs.fuse.w2"], params["obs.fuse.b2"])])
 
@@ -259,14 +275,21 @@ def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:
         b = params[f"kd.{cue}.b"]
         blocks.append(nn.linear(_masked_mean(f_i, mask), params[f"kd.{cue}.w"], b)
                       if on else nn.add(nn.Tensor(np.zeros(cfg.dim)), b))
-    return nn.linear(nn.concat(blocks, axis=-1),
+    return nn.linear(concat(blocks, axis=-1),
                      params["kd.fuse.w"], params["kd.fuse.b"])
 
 
 def oracle_alignment_row(f_k, params) -> nn.Tensor:
-    """``model.alignment_row`` as the ``reshape`` of f_k to a row and its
-    ``matmul`` with ``enh.wv``; f_k keeps its own node."""
+    """The key detail's alignment row as the ``reshape`` of f_k to a row
+    and its ``matmul`` with ``enh.wv``; f_k keeps its own node."""
     return matmul(reshape(f_k, (1, f_k.shape[0])), params["enh.wv"])
+
+
+def oracle_extract_key_detail(f_i, loc_mask, obj_mask, params, cfg):
+    """``model.extract_key_detail`` as a node chain: f_k's array and the
+    row ``oracle_alignment_row(oracle_key_detail(...))``."""
+    f_k = oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg)
+    return f_k.data, oracle_alignment_row(f_k, params)
 
 
 def oracle_add_row(f_c, row) -> nn.Tensor:

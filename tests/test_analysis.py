@@ -270,8 +270,11 @@ def test_grad_probe_structure(world):
     assert again == probe
 
 
+UNTRAINED = TrainConfig(iterations=0)   # the detail probe scores at initialization
+
+
 def test_detail_probe_structure(world):
-    probe = detail_probe(world, world, seeds=(0, 1), base_mcfg=MCFG)
+    probe = detail_probe(world, seeds=(0, 1), base_mcfg=MCFG, train_cfg=UNTRAINED)
     assert probe["variant_a"] == "MGLO" and probe["variant_b"] == "MG--"
     assert len(probe["samples"]["a"]) == 2
     assert len(probe["mi_cue_action"]["a"]) == 2
@@ -289,7 +292,7 @@ def test_detail_probe_walks_each_route_once(world, monkeypatch):
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(training, "forward_step", counted)
-    detail_probe(world, world, seeds=(0, 1, 2), base_mcfg=MCFG)
+    detail_probe(world, seeds=(0, 1, 2), base_mcfg=MCFG, train_cfg=UNTRAINED)
     assert len(calls) == 3 * 2 * sum(len(ep.gt_path) for _, ep in world)
 
 

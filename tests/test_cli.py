@@ -10,7 +10,7 @@ import pytest
 from test_analysis import FakePool
 from test_training import state_dict
 
-from oikg import analysis, cli, nn, training
+from oikg import analysis, artifacts, cli, training
 from oikg.artifacts import canonical_json
 from oikg.analysis import variant_config
 from oikg.cli import main
@@ -163,7 +163,7 @@ def test_train_zero_iters_keeps_init(data_dir, tmp_path):
     out = tmp_path / "t0"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  "--iters", "0", "--seed", "5"]) == 0
-    saved = nn.load_checkpoint(out / "params.ckpt")
+    saved = artifacts.load_checkpoint(out / "params.ckpt")
     init = state_dict(build_params(TINY_CONFIG, 5))
     assert set(saved) == set(init)
     assert all(np.array_equal(saved[k], init[k]) for k in init)
@@ -421,11 +421,11 @@ def test_eval_rejects_checkpoint_with_enhance_query_key(data_dir, ckpt_dir,
                                                        tmp_path):
     # checkpoints from before the single-key reduction carry enh.wq/enh.wk
     store = build_params(TINY_CONFIG, 0)
-    store.load_state(nn.load_checkpoint(ckpt_dir / "params.ckpt"))
+    store.load_state(artifacts.load_checkpoint(ckpt_dir / "params.ckpt"))
     store.add("enh.wq", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
     store.add("enh.wk", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
     old = tmp_path / "old.ckpt"
-    nn.save_checkpoint(old, store)
+    artifacts.save_checkpoint(old, store)
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
                  "--ckpt", str(old)]) == 3
 
@@ -439,7 +439,7 @@ def test_eval_rejects_one_cue_checkpoint_with_disabled_cue_weight(
     store = build_params(variant_config(TINY_CONFIG, label), 0)
     store.add(dead, np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
     old = tmp_path / "old.ckpt"
-    nn.save_checkpoint(old, store)
+    artifacts.save_checkpoint(old, store)
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
                  "--ckpt", str(old), "--flags", flags]) == 3
     assert f"extra ['{dead}']" in capsys.readouterr().err
@@ -515,6 +515,27 @@ def test_settings_rejected_before_out(data_dir, tmp_path, argv):
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(data_dir), "--out", str(out)]
                 + argv[1:]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, empty", [
+    (["train", "--iters", "1"], "train"),
+    (["ablate", "--iters", "1", "--seeds", "1", "--grid", "MGLO"], "train"),
+    (["ablate", "--iters", "1", "--seeds", "1", "--grid", "MGLO"], "val_seen"),
+    (["eval", "--agent", "oracle"], "val_seen"),
+], ids=["train", "ablate_empty_train", "ablate_empty_val_seen", "eval"])
+def test_empty_split_rejected_before_out(data_dir, tmp_path, argv, empty):
+    """An episode split with no episodes is a usage error, found before
+    --out is created: the train split of `gen --episodes 0`, or a val_seen
+    split whose episode list is empty."""
+    data = tmp_path / "d"
+    if empty == "train":
+        assert main(["gen", "--out", str(data)] + GEN_ARGS + ["--episodes", "0"]) == 0
+    else:
+        shutil.copytree(data_dir, data)
+        (data / "episodes_val_seen.json").write_text('{"episodes":[]}\n')
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(data), "--out", str(out)] + argv[1:]) == 2
     assert not out.exists()
 
 

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tape_ops import (matmul, mlp, mul, oracle_add_row, oracle_alignment_row,
-                      oracle_decouple_observation, oracle_key_detail, oracle_mean,
-                      oracle_residual_block, reshape, tsum)
+from tape_ops import (matmul, mlp, mul, oracle_add_row, oracle_decouple_observation,
+                      oracle_extract_key_detail, oracle_mean, oracle_residual_block,
+                      reshape, tsum)
 from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import same_bits
@@ -511,14 +511,14 @@ def test_key_detail_masked_means(setup):
     f_i = nn.Tensor(rng.normal(size=(5, TINY.dim)))
     loc = [False, True, False, True, False]
     obj = [False, False, True, False, False]
-    out = model.extract_key_detail(f_i, loc, obj, params, TINY)
+    out, _ = model.extract_key_detail(f_i, loc, obj, params, TINY)
     f_loc = (f_i.data[1] + f_i.data[3]) / 2.0
     f_obj = f_i.data[2]
     e_loc = f_loc @ params["kd.loc.w"].data + params["kd.loc.b"].data
     e_obj = f_obj @ params["kd.obj.w"].data + params["kd.obj.b"].data
     expect = np.concatenate([e_loc, e_obj]) @ params["kd.fuse.w"].data \
         + params["kd.fuse.b"].data
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_key_detail_location_only_object_block_is_bias(setup):
@@ -527,21 +527,21 @@ def test_key_detail_location_only_object_block_is_bias(setup):
     rng = np.random.default_rng(7)
     f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
     loc = [False, True, True, False]
-    out = model.extract_key_detail(f_i, loc, [False] * 4, params, cfg)
+    out, _ = model.extract_key_detail(f_i, loc, [False] * 4, params, cfg)
     f_loc = f_i.data[1:3].mean(axis=0)
     e_loc = f_loc @ params["kd.loc.w"].data + params["kd.loc.b"].data
     e_obj = params["kd.obj.b"].data  # zero pooled block leaves only the bias
     expect = np.concatenate([e_loc, e_obj]) @ params["kd.fuse.w"].data \
         + params["kd.fuse.b"].data
-    np.testing.assert_allclose(out.data, expect, atol=1e-12)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_key_detail_empty_mask_degrades_to_zero_block(setup):
     *_, params = setup
     rng = np.random.default_rng(8)
     f_i = nn.Tensor(rng.normal(size=(3, TINY.dim)))
-    out = model.extract_key_detail(f_i, [False] * 3, [False] * 3, params, TINY)
-    assert np.all(np.isfinite(out.data))
+    out, row = model.extract_key_detail(f_i, [False] * 3, [False] * 3, params, TINY)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(row.data))
     with pytest.raises(ShapeError):
         model.extract_key_detail(f_i, [False] * 2, [False] * 3, params, TINY)
 
@@ -551,17 +551,15 @@ def detail_config(detail: str) -> model.ModelConfig:
     return replace(TINY, loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
 
 
-@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
-@pytest.mark.parametrize("masks", ["both", "loc empty", "both empty"])
-@pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
-                                     "also read after", "replayed"])
-def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
-    """The fused key detail against the node chain it replaces: the
-    output and every leaf gradient match bit for bit.  f_i is an inner
-    tensor; another consumer, a ``linear``, may read it too, with its term
-    entering the loss before or after the key detail's.  A replayed node
-    (the cached key detail of a later step) must give what a second chain
-    gave."""
+def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows):
+    """The fused key detail against the node chain it replaces,
+    ``oracle_extract_key_detail``, over one step, or two when its row is
+    replayed (the cached key detail of a later step) where the chain is
+    built again.  With ``add_rows`` each step adds its row into its own
+    candidate rows, ``add_row`` against ``oracle_add_row``.  The key detail
+    arrays, every output and every leaf gradient match bit for bit.  f_i is
+    an inner tensor; another consumer, a ``linear``, may read it too, with
+    its term entering the loss before or after the key detail's."""
     cfg = detail_config(detail)
     rng = np.random.default_rng(21)
     params = model.build_params(cfg, seed=1)
@@ -571,7 +569,11 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
     x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
     w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
     w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
-    c = [nn.Tensor(rng.normal(size=cfg.dim)) for _ in range(2)]
+    w_c = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=True)
+    steps = 2 if add_rows or f_i_use == "replayed" else 1
+    sizes = (3, 4) if add_rows else (1,) * steps   # candidate rows per step
+    rows = [nn.Tensor(rng.normal(size=(n, cfg.dim)), requires_grad=True) for n in sizes]
+    c = [nn.Tensor(rng.normal(size=(n, cfg.dim))) for n in sizes]
     c_other = nn.Tensor(rng.normal(size=(6, 3)))
     loc = [False, True, False, True, True, False]
     obj = [True, True, False, False, True, False]   # overlaps loc: order counts
@@ -579,16 +581,24 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
         loc = [False] * 6
     if masks == "both empty":
         obj = [False] * 6
-    leaves = [x0, w_in, w_other] + [params[name] for name in params.names()]
+    leaves = [x0, w_in, w_other, w_c, *rows] + [params[name] for name in params.names()]
     runs = []
-    for op in (model.extract_key_detail, oracle_key_detail):
+    for op in (model.extract_key_detail, oracle_extract_key_detail):
+        fused = op is model.extract_key_detail
         for t in leaves:
             t.grad = None
         f_i = nn.linear(x0, w_in)
-        outs = [op(f_i, loc, obj, params, cfg)]
-        if f_i_use == "replayed":
-            outs.append(nn.replay(outs[0]) if op is model.extract_key_detail
-                        else op(f_i, loc, obj, params, cfg))
+        f_ks, outs, node = [], [], None
+        for r in rows:
+            if fused and node is not None:
+                row = nn.replay(node)
+            else:
+                f_k, row = op(f_i, loc, obj, params, cfg)
+                f_ks.append(f_k)
+                node = row
+            if add_rows:
+                row = (model.add_row if fused else oracle_add_row)(nn.linear(r, w_c), row)
+            outs.append(row)
         terms = [tsum(mul(out, ci)) for out, ci in zip(outs, c)]
         other = tsum(mul(nn.linear(f_i, w_other), c_other))
         if f_i_use == "also read before":
@@ -599,16 +609,18 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
         for term in terms[1:]:
             loss = nn.add(loss, term)
         nn.backward(loss)
-        runs.append(([(o.data.copy(), o.requires_grad) for o in outs],
+        runs.append((f_ks[0], [(o.data.copy(), o.requires_grad) for o in outs],
                      [None if t.grad is None else t.grad.copy() for t in leaves]))
-        if op is model.extract_key_detail:  # one node over f_i and kd.*
+        if fused:   # one node over f_i, kd.* and enh.wv
+            assert len(f_ks) == 1 and not f_ks[0].flags.writeable
             reads = (("L" in detail and masks == "both")
                      or ("O" in detail and masks != "both empty"))
             kd = (("loc.w",) * ("L" in detail) + ("loc.b",)
                   + ("obj.w",) * ("O" in detail) + ("obj.b", "fuse.w", "fuse.b"))
-            assert outs[0]._parents == (f_i,) * reads + tuple(
-                params[f"kd.{n}"] for n in kd)
-    (outs, grads), (ref_outs, ref_grads) = runs
+            assert node._parents == (f_i,) * reads + tuple(
+                params[f"kd.{n}"] for n in kd) + (params["enh.wv"],)
+    (f_k, outs, grads), (ref_f_k, ref_outs, ref_grads) = runs
+    assert same_bits(f_k, ref_f_k)
     for (a, a_live), (b, b_live) in zip(outs, ref_outs):
         assert same_bits(a, b) and a_live == b_live
     for i, (a, b) in enumerate(zip(grads, ref_grads)):
@@ -617,89 +629,55 @@ def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
 
 
 @pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
+@pytest.mark.parametrize("masks", ["both", "loc empty", "both empty"])
+@pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
+                                     "also read after", "replayed"])
+def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
+    """The key detail and its alignment row against the node chain."""
+    check_key_detail_against_oracle(detail, masks, f_i_use, add_rows=False)
+
+
+@pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
 @pytest.mark.parametrize("masks", ["both", "both empty"])
 @pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
                                      "also read after"])
 def test_alignment_row_matches_oracle_bitwise(detail, masks, f_i_use):
-    """Two steps of the key-detail injection: the fused key detail, its
-    alignment row taking over its node, replayed for the second step, and
-    one ``add_row`` node per step; against the chain each step built,
-    ``oracle_key_detail``, ``oracle_alignment_row`` and ``oracle_add_row``.
-    The candidate rows, every output and every leaf gradient match bit for
-    bit, with f_i read elsewhere too."""
-    cfg = detail_config(detail)
-    rng = np.random.default_rng(24)
-    params = model.build_params(cfg, seed=1)
-    for name in params.names():
-        params[name].data = rng.normal(size=params[name].shape)
-    tracked = f_i_use != "untracked"
-    x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
-    w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
-    w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
-    rows = [nn.Tensor(rng.normal(size=(n, cfg.dim)), requires_grad=True) for n in (3, 4)]
-    w_c = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=True)
-    c = [nn.Tensor(rng.normal(size=(n, cfg.dim))) for n in (3, 4)]
-    c_other = nn.Tensor(rng.normal(size=(6, 3)))
-    loc = [False, True, False, True, True, False]
-    obj = [True, True, False, False, True, False]
-    if masks == "both empty":
-        loc = obj = [False] * 6
-    leaves = [x0, w_in, w_other, w_c, *rows] + [params[name] for name in params.names()]
-    runs = []
-    for fused in (True, False):
-        for t in leaves:
-            t.grad = None
-        f_i = nn.linear(x0, w_in)
-        outs, row = [], None
-        for r in rows:
-            f_c = nn.linear(r, w_c)   # the step's cross-modal rows
-            if not fused:
-                f_k = oracle_key_detail(f_i, loc, obj, params, cfg)
-                outs.append(oracle_add_row(f_c, oracle_alignment_row(f_k, params)))
-                continue
-            if row is None:
-                row = model.alignment_row(
-                    model.extract_key_detail(f_i, loc, obj, params, cfg), params)
-                assert row._parents[-1] is params["enh.wv"]
-            outs.append(model.add_row(f_c, row if r is rows[0] else nn.replay(row)))
-        terms = [tsum(mul(out, ci)) for out, ci in zip(outs, c)]
-        other = tsum(mul(nn.linear(f_i, w_other), c_other))
-        if f_i_use == "also read before":
-            terms.insert(0, other)
-        elif f_i_use == "also read after":
-            terms.append(other)
-        loss = terms[0]
-        for term in terms[1:]:
-            loss = nn.add(loss, term)
-        nn.backward(loss)
-        runs.append(([o.data.copy() for o in outs],
-                     [None if t.grad is None else t.grad.copy() for t in leaves]))
-    (outs, grads), (ref_outs, ref_grads) = runs
-    assert all(same_bits(a, b) for a, b in zip(outs, ref_outs))
-    for i, (a, b) in enumerate(zip(grads, ref_grads)):
-        assert (a is None) == (b is None), f"leaf {i}: gradient presence differs"
-        assert a is None or same_bits(a, b), f"leaf {i}: gradient differs"
+    """Two steps of the key-detail injection: the fused node, replayed for
+    the second step, and one ``add_row`` node per step, against the chain
+    each step built."""
+    check_key_detail_against_oracle(detail, masks, f_i_use, add_rows=True)
 
 
-@pytest.mark.parametrize("f_k_kind", ["leaf", "constant"])
-def test_alignment_row_of_a_leaf_or_constant(f_k_kind):
-    """A key detail that is no op's output stays the row's parent."""
-    rng = np.random.default_rng(25)
-    params = model.build_params(TINY, seed=2)
-    f_k = nn.Tensor(rng.normal(size=TINY.dim), requires_grad=f_k_kind == "leaf")
-    c = nn.Tensor(rng.normal(size=(1, TINY.dim)))
-    runs = []
-    for op in (model.alignment_row, oracle_alignment_row):
-        f_k.grad = params["enh.wv"].grad = None
-        row = op(f_k, params)
-        nn.backward(tsum(mul(row, c)))
-        runs.append([row.data, f_k.grad, params["enh.wv"].grad])
-    (row, g_k, g_w), (ref_row, ref_g_k, ref_g_w) = runs
-    assert same_bits(row, ref_row) and same_bits(g_w, ref_g_w)
-    assert (g_k is None) == (ref_g_k is None) == (f_k_kind == "constant")
-    assert g_k is None or same_bits(g_k, ref_g_k)
-    with pytest.raises(ShapeError):
-        model.add_row(nn.Tensor(np.zeros((3, TINY.dim))), nn.Tensor(np.zeros(TINY.dim)))
+def record_tracked_nodes(monkeypatch) -> list:
+    """Every tracked tensor built through ``nn.tape_node`` from now on."""
+    built = []
+    tape_node = nn.tape_node
+
+    def spy(*args):
+        out = tape_node(*args)
+        if out.requires_grad:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(nn, "tape_node", spy)
+    return built
+
+
+def test_first_step_builds_18_tape_nodes(setup, monkeypatch):
+    """An episode's first TINY step builds 18 tracked tensors: the panorama
+    and the candidate rows; K, V and one block node for each decoder block
+    and for the scoring head; the token embedding and its position add; one
+    node for the key detail with its alignment row; and the node adding the
+    row into the candidate rows.  Counted the same way, it built 19 while
+    the alignment row took over a key-detail node of its own."""
+    graph, latents, ins, params = setup
+    built = record_tracked_nodes(monkeypatch)
+    detail = record_calls(monkeypatch, model, "extract_key_detail")
+    cache = model.EpisodeCache()
+    model.forward_step(PathGraph(graph, start=0), obs_at(graph, latents, 0),
+                       ins, params, TINY, cache)
+    assert len(built) == 18 and len(detail) == 1
+    assert sum(t is cache.align for t in built) == 1
 
 
 def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
@@ -715,30 +693,22 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     pg = PathGraph(graph, start=0)
     obs = obs_at(graph, latents, 0)
     first, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
-    built = []
-    tape_node = nn.tape_node
-
-    def spy(*args):
-        out = tape_node(*args)
-        if out.requires_grad:
-            built.append(out)
-        return out
-
-    monkeypatch.setattr(nn, "tape_node", spy)
+    built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
-    aligned = record_calls(monkeypatch, model, "alignment_row")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     added = record_calls(monkeypatch, model, "add_row")
     feats, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
-    assert len(built) == 12 and detail == [] and aligned == []
+    assert len(built) == 12 and detail == []
     assert len(blocks) == 3 and len(added) == 1
     assert feats.key_detail is first.key_detail is cache.key_detail
     with pytest.raises(ValueError):
-        feats.key_detail.data[0] = 1.0
+        feats.key_detail[0] = 1.0
     [((_, row), _)] = added
     assert row is not cache.align and row.data is cache.align.data
-    assert row._parents == cache.align._parents == (
-        first.key_detail._parents + (params["enh.wv"],))
+    reads = any(ins.location_mask) or any(ins.object_mask)
+    assert row._parents == cache.align._parents == (cache.instr,) * reads + tuple(
+        params[n] for n in ("kd.loc.w", "kd.loc.b", "kd.obj.w", "kd.obj.b",
+                            "kd.fuse.w", "kd.fuse.b", "enh.wv"))
     assert row._backward is cache.align._backward
     with nn.no_tape():
         plain, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
@@ -752,15 +722,19 @@ def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     *_, params = setup
     rng = np.random.default_rng(9)
     f_c = nn.Tensor(rng.normal(size=(3, TINY.dim)))
-    f_k = nn.Tensor(rng.normal(size=TINY.dim))
+    f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
+    f_k, row = model.extract_key_detail(f_i, [True, False, True, False],
+                                        [False, True, False, False], params, TINY)
     blocks = record_calls(monkeypatch, nn, "residual_block")
-    scores = model.enhance_and_score(f_c, model.alignment_row(f_k, params), params, TINY)
+    scores = model.enhance_and_score(f_c, row, params, TINY)
     assert scores.shape == (3,)
     # single key row: weights are exactly 1, so each row the scoring
     # attention sees has gained the same f_k W_v row
     [((f_e, *_), _)] = blocks
-    align_row = f_k.data @ params["enh.wv"].data
+    align_row = f_k @ params["enh.wv"].data
     np.testing.assert_array_equal(f_e.data, f_c.data + np.tile(align_row, (3, 1)))
+    with pytest.raises(ShapeError):   # the row must be (1, dim)
+        model.add_row(nn.Tensor(np.zeros((3, TINY.dim))), nn.Tensor(np.zeros(TINY.dim)))
 
 
 def test_enhance_bypass_is_bitwise(setup, monkeypatch):
@@ -783,7 +757,7 @@ def test_candidate_order_equivariance(setup):
     f_g = rng.normal(size=(n, TINY.dim))
     f_o = nn.Tensor(rng.normal(size=(TINY.view_grid.k, TINY.dim)))
     f_i = nn.Tensor(rng.normal(size=(6, TINY.dim)))
-    row = model.alignment_row(nn.Tensor(rng.normal(size=TINY.dim)), params)
+    row = nn.linear(nn.Tensor(rng.normal(size=(1, TINY.dim))), params["enh.wv"])
     perm = rng.permutation(n)
 
     def run(rows):
@@ -1067,8 +1041,7 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
     monkeypatch.setattr(nn, "residual_block", oracle_residual_block)
     monkeypatch.setattr(nn, "mean", oracle_mean)
     monkeypatch.setattr(model, "decouple_observation", oracle_decouple_observation)
-    monkeypatch.setattr(model, "extract_key_detail", oracle_key_detail)
-    monkeypatch.setattr(model, "alignment_row", oracle_alignment_row)
+    monkeypatch.setattr(model, "extract_key_detail", oracle_extract_key_detail)
     monkeypatch.setattr(model, "add_row", oracle_add_row)
     monkeypatch.setattr(training, "EpisodeCache", PerStepKeyDetail)
     oracle = run()

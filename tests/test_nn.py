@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tape_ops import (attention, bias_add, matmul, mlp, mul, oracle_attention, oracle_mean,
-                      oracle_mlp, oracle_residual_block, relu, reshape, softmax, sub,
-                      transpose, tsum)
+from tape_ops import (attention, bias_add, concat, matmul, mlp, mul, oracle_attention,
+                      oracle_mean, oracle_mlp, oracle_residual_block, relu, reshape,
+                      softmax, sub, transpose, tsum)
 
-from oikg import nn
+from oikg import artifacts, nn
 from oikg.errors import (
     IncompatibleCheckpoint,
     InvalidArgument,
@@ -329,9 +329,9 @@ def test_fd_concat_stack_reshape_transpose():
     c = nn.Tensor(rng.normal(size=(2, 12)))
 
     def make_loss():
-        m = nn.concat([reshape(r, (1, 4)) for r in (r1, r2, r3)],
+        m = concat([reshape(r, (1, 4)) for r in (r1, r2, r3)],
                       axis=0)                               # (3, 4)
-        m2 = nn.concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
+        m2 = concat([m, nn.scale(m, 0.5)], axis=-1)      # (3, 8)
         m3 = reshape(transpose(m2, (1, 0)), (2, 12))  # (2, 12)
         return tsum(mul(m3, c))
 
@@ -814,15 +814,15 @@ def test_checkpoint_round_trip_byte_exact(tmp_path):
     store["scalar"].data = np.array(1.5)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    nn.save_checkpoint(p1, store)
-    state = nn.load_checkpoint(p1)
+    artifacts.save_checkpoint(p1, store)
+    state = artifacts.load_checkpoint(p1)
     assert set(state) == {"m.w", "m.b", "scalar"}
     for name in state:
         np.testing.assert_array_equal(state[name], store[name].data)
 
     other = nn.init_params([("m.w", (3, 5)), ("m.b", (5,)), ("scalar", ())], seed=99)
     other.load_state(state)
-    nn.save_checkpoint(p2, other)
+    artifacts.save_checkpoint(p2, other)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(b"OIKG0001")
 
@@ -831,14 +831,14 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(SchemaError):
-        nn.load_checkpoint(p)
+        artifacts.load_checkpoint(p)
     good = tmp_path / "good.ckpt"
-    nn.save_checkpoint(good, nn.init_params([("w", (2, 2))], seed=0))
+    artifacts.save_checkpoint(good, nn.init_params([("w", (2, 2))], seed=0))
     cut = good.read_bytes()[:-5]
     trunc = tmp_path / "trunc.ckpt"
     trunc.write_bytes(cut)
     with pytest.raises(SchemaError):
-        nn.load_checkpoint(trunc)
+        artifacts.load_checkpoint(trunc)
 
 
 def raw_block(name: bytes, dims, payload: bytes | None = None) -> bytes:
@@ -859,9 +859,9 @@ def raw_block(name: bytes, dims, payload: bytes | None = None) -> bytes:
         "too_many_dims"])
 def test_checkpoint_malformed_blocks_raise_schema_error(tmp_path, body):
     p = tmp_path / "bad.ckpt"
-    p.write_bytes(nn.CHECKPOINT_MAGIC + body)
+    p.write_bytes(artifacts.CHECKPOINT_MAGIC + body)
     with pytest.raises(SchemaError):
-        nn.load_checkpoint(p)
+        artifacts.load_checkpoint(p)
 
 
 PROP_SPEC = [("m.w", (2, 3)), ("m.b", (3,)), ("s", ())]
@@ -871,19 +871,19 @@ PROP_SPEC = [("m.w", (2, 3)), ("m.b", (3,)), ("s", ())]
 def valid_ckpt(tmp_path_factory):
     """(scratch dir, bytes of a valid checkpoint of PROP_SPEC)."""
     d = tmp_path_factory.mktemp("ckpt_props")
-    nn.save_checkpoint(d / "valid.ckpt", nn.init_params(PROP_SPEC, seed=7))
+    artifacts.save_checkpoint(d / "valid.ckpt", nn.init_params(PROP_SPEC, seed=7))
     return d, (d / "valid.ckpt").read_bytes()
 
 
 def _load_bytes(d, blob: bytes):
     p = d / "probe.ckpt"
     p.write_bytes(blob)
-    return nn.load_checkpoint(p)
+    return artifacts.load_checkpoint(p)
 
 
 def _block_ends() -> dict:
     """Byte offset after each block of PROP_SPEC -> names stored up to it."""
-    off = len(nn.CHECKPOINT_MAGIC)
+    off = len(artifacts.CHECKPOINT_MAGIC)
     ends, names = {off: ()}, ()
     for name, shape in sorted(PROP_SPEC):
         off += 4 + len(name) + 4 + 4 * len(shape) + 8 * math.prod(shape)

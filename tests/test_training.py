@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oikg import model, nn, training
+from oikg import artifacts, model, nn, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
 from oikg.model import TINY_CONFIG, EpisodeCache, build_params
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
@@ -640,7 +640,7 @@ def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
     with pytest.raises(NumericFailure, match="iteration 2"):
         train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
     assert len(calls) == 2
-    dumped = nn.load_checkpoint(tmp_path / "abort.ckpt")
+    dumped = artifacts.load_checkpoint(tmp_path / "abort.ckpt")
     want = state_dict(after_first)
     assert dumped.keys() == want.keys()
     for name, arr in dumped.items():
