@@ -224,6 +224,17 @@ def variant_config(base: ModelConfig, label: str) -> ModelConfig:
                    loc_detail=label[2] == "L", obj_detail=label[3] == "O")
 
 
+def check_grid(base: ModelConfig, grid) -> tuple:
+    """The grid's labels as a tuple, once each is a variant label and none
+    repeats, since a repeated cell would train twice and write two rows."""
+    grid = tuple(grid)
+    for label in grid:
+        variant_config(base, label)
+    if len(set(grid)) != len(grid):
+        raise InvalidArgument(f"grid repeats a label: {','.join(grid)}")
+    return grid
+
+
 def grad_probe(data, seeds, base_mcfg: ModelConfig, lam: float = 0.2,
                t_max: int = 15) -> dict:
     """Squared gradient norm on the observation/graph pathways: decoupled
@@ -342,14 +353,12 @@ def run_ablation(train_data, eval_data, tcfg: TrainConfig,
                  min_timing_steps: int = 1000, jobs: int = 1):
     """Train/evaluate each variant with identical seeds and budget.
 
-    Every grid label is checked before any compute; cells run over `jobs`
-    worker processes without changing any result.  Returns (rows, sidecar)
-    where sidecar holds per-seed eval metrics.  A diverging variant yields
-    a failed row and the grid continues.
+    The grid is checked (``check_grid``) before any compute; cells run
+    over `jobs` worker processes without changing any result.  Returns
+    (rows, sidecar) where sidecar holds per-seed eval metrics.  A diverging
+    variant yields a failed row and the grid continues.
     """
-    grid = tuple(grid)
-    for label in grid:
-        variant_config(base_mcfg, label)
+    grid = check_grid(base_mcfg, grid)
     cells = map_units(jobs, run_ablation_cell, grid, repeat(train_data),
                       repeat(eval_data), repeat(tcfg), repeat(base_mcfg),
                       repeat(tuple(seeds)), repeat(min_timing_steps))

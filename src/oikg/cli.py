@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import nn
-from .analysis import (GRID_LABELS, detail_probe, grad_probe, map_units,
+from .analysis import (GRID_LABELS, check_grid, detail_probe, grad_probe, map_units,
                        run_ablation, variant_config, write_ablation_csv)
 from .artifacts import canonical_json, load_checkpoint, read_json, write_json
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
@@ -53,15 +53,15 @@ GEN_KEYS = {"feature_dim": int, "sigma": float, "mode": str,
             "latent_seed_seen": int, "latent_seed_unseen": int}
 
 # each command's settings, the one declaration of its flags: a key becomes
-# --key-with-dashes (lam becomes --lambda), typed by its default, a bool
-# default makes a switch, and CHOICES limit the values
+# --key-with-dashes (lam becomes --lambda), typed by its default, and
+# CHOICES limit the values
 DEFAULTS = {
     "gen": {"nodes": 30, "radius": 3.5, "extent": 10.0, "feature_dim": 10,
             "sigma": 0.1, "episodes": 40, "val_episodes": 0,
             "mode": "shortest", "seed": 0},
     "train": {"iters": 200, "lam": 0.2, "lr": 1e-3, "batch": 2, "t_max": 0,
               "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny",
-              "swap_lambda": False, "eval_every": 0},
+              "eval_every": 0},
     "eval": {"ckpt": "", "agent": "model", "split": "val_seen", "t_max": 30,
              "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny", "jobs": 1},
     "ablate": {"iters": 60, "seeds": 3, "t_max": 0, "batch": 2, "lr": 3e-3,
@@ -135,10 +135,9 @@ def _model_config(cfg: dict) -> ModelConfig:
 
 
 def _train_config(cfg: dict, t_max: int, iterations: int) -> TrainConfig:
-    """TrainConfig from a command's settings.  Only `train` sets seed,
-    swap_lambda and eval_every; the other commands keep their defaults."""
-    extra = {k: cfg[k] for k in ("seed", "swap_lambda", "eval_every")
-             if k in cfg}
+    """TrainConfig from a command's settings.  Only `train` sets seed and
+    eval_every; the other commands keep their defaults."""
+    extra = {k: cfg[k] for k in ("seed", "eval_every") if k in cfg}
     return TrainConfig(lam=cfg["lam"], t_max=t_max, lr=cfg["lr"],
                        iterations=iterations, batch_size=cfg["batch"], **extra)
 
@@ -156,11 +155,11 @@ def _derived_seed(seed: int, *tags) -> int:
 
 
 def _has_type(value, kind: type) -> bool:
-    """Whether a JSON value fits a setting of type `kind`: a bool only where
-    `kind` is bool, and an int also where it is float."""
+    """Whether a JSON value fits a setting of type `kind`: never a bool,
+    and an int also where `kind` is float."""
     if kind is float:
         kind = (int, float)
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _read_record(path, keys: dict) -> dict:
@@ -327,9 +326,8 @@ def cmd_ablate(cfg: dict) -> None:
     _, eval_eps, _ = _load_split(cfg["data"], "val_seen")
     base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
-    grid = GRID_LABELS if cfg["grid"] == "all" else tuple(cfg["grid"].split(","))
-    for label in grid:
-        variant_config(base, label)
+    grid = check_grid(base, GRID_LABELS if cfg["grid"] == "all"
+                      else cfg["grid"].split(","))
     if min(cfg["seeds"], cfg["timing_steps"], cfg["jobs"]) < 1:
         raise InvalidArgument("--seeds, --timing-steps and --jobs must be >= 1")
     tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
@@ -400,10 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument(_flag(key), required=True)
         s.add_argument("--config", default=sup)
         for key, default in settings.items():
-            kind = ({"action": "store_true"} if isinstance(default, bool) else
-                    {"type": type(default), "choices": CHOICES.get(key)})
-            s.add_argument(_flag(key), dest=key, default=sup,
-                           help=SETTING_HELP.get(key), **kind)
+            s.add_argument(_flag(key), dest=key, default=sup, type=type(default),
+                           choices=CHOICES.get(key), help=SETTING_HELP.get(key))
     return p
 
 

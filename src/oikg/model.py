@@ -342,12 +342,9 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask, params: nn.ParamStore
     wv = params["enh.wv"]
     k_row = f_k.reshape(1, f_k.shape[0])
     parents = ((f_i,) if any(sel is not None for sel in sels) else ()) + weights
-    k_live = any(t.requires_grad for t in parents)
 
     def backward(g):
-        g_k = nn._affine_backward(k_row, wv, None, g, k_live)
-        if g_k is None:
-            return
+        g_k = nn._affine_backward(k_row, wv, None, g, True)
         for sel, g_x in zip(sels, chain_backward(nn._grad_copy(g_k.reshape(f_k.shape)))):
             if g_x is not None:
                 f_i.accumulate_grad(sel.T @ nn._grad_copy(g_x.reshape(1, d)))

@@ -199,38 +199,34 @@ def _grad_copy(g: np.ndarray) -> np.ndarray:
     return np.add(g, 0.0, order="C")
 
 
-def _mlp_chain(x: np.ndarray, x_live: bool, layers: Sequence[tuple[Tensor, Tensor]]):
+def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
     """The one implementation of an MLP: linear layers with ReLU between
     them, the last layer linear.  Returns the output and ``backward(g)``,
-    which adds into each bias and weight, last layer first, and returns the
-    gradient of x, or None when ``x_live`` is false.
+    which adds into each tracked bias and weight, last layer first, and
+    returns the gradient of x.
 
     Fused nodes run it, bitwise equal to the chain of ``linear`` and ReLU
     nodes (``oracle_mlp`` in the tests): the forward makes the chain's numpy
     calls, and the backward replays its arrays, adding into each bias and
-    weight in the chain's order.  x's gradient comes back for the caller to
-    route, after the first layer's weight term.
+    weight in the chain's order.  Every layer's weight is a parameter, so
+    the backward runs the whole chain; a ReLU passes the gradient where the
+    next layer's input, ``max(h, 0)``, is positive, which is where h is.
+    x's gradient comes back for the caller to route, after the first
+    layer's weight term.
     """
     if not layers:
         raise InvalidArgument("mlp needs at least one layer")
-    ins, masks, live = [], [], []   # per layer: input, ReLU mask, input tracked
-    h, tracked = x, x_live
+    ins, h = [], x   # per layer: its input, after the ReLU below it
     for i, (w, b) in enumerate(layers):
-        ins.append(h)
-        live.append(tracked)
-        h = _affine(h, w, b)
-        tracked = tracked or w.requires_grad or b.requires_grad
-        if i + 1 < len(layers):
-            masks.append(h > 0.0)
-            h = np.maximum(h, 0.0)
+        ins.append(np.maximum(h, 0.0) if i else h)
+        h = _affine(ins[-1], w, b)
 
     def backward(g):
         for i in reversed(range(len(layers))):
-            w, b = layers[i]
-            g_in = _affine_backward(ins[i], w, b, g, live[i])
-            if i == 0 or g_in is None:
-                return g_in
-            g = _grad_copy(g_in * masks[i - 1])  # through the ReLU below
+            g = _affine_backward(ins[i], *layers[i], g, True)
+            if i:
+                g = _grad_copy(g * (ins[i] > 0.0))   # through the ReLU below
+        return g
 
     return h, backward
 
@@ -242,7 +238,7 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     the output, the weights and biases it reads, in order, and
     ``backward(g)``, which runs the chain, then each branch in order, and
     returns the list of the branches' x gradients (None where x is not
-    live).
+    live: a constant block).
 
     Bitwise equal to a ``linear`` node per branch (a bias add for a branch
     without w), a ``concat`` node and the chain's nodes, whose backward the
@@ -251,20 +247,12 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     """
     embedded = [_affine(x, w, b) for x, _, w, b in branches]
     offsets = list(itertools.accumulate((e.shape[-1] for e in embedded), initial=0))
-    live = [x_live or b.requires_grad or (w is not None and w.requires_grad)
-            for _, x_live, w, b in branches]
-    out, chain_backward = _mlp_chain(np.concatenate(embedded, axis=-1), any(live), layers)
+    out, chain_backward = _mlp_chain(np.concatenate(embedded, axis=-1), layers)
 
     def backward(g):
-        g_c = chain_backward(g)
-        if g_c is None:
-            return [None] * len(branches)
-        g_c = _grad_copy(g_c)
-        g_xs = []
-        for (x, x_live, w, b), e_live, lo, hi in zip(branches, live, offsets[:-1], offsets[1:]):
-            g_xs.append(_affine_backward(x, w, b, _grad_copy(g_c[..., lo:hi]), x_live)
-                        if e_live else None)
-        return g_xs
+        g_c = _grad_copy(chain_backward(g))
+        return [_affine_backward(x, w, b, _grad_copy(g_c[..., lo:hi]), x_live)
+                for (x, x_live, w, b), lo, hi in zip(branches, offsets[:-1], offsets[1:])]
 
     weights = tuple(t for *_, w, b in branches for t in (w, b) if t is not None)
     return out, weights + tuple(t for layer in layers for t in layer), backward
@@ -300,31 +288,24 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
     merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
-    q_live = q.requires_grad or wq.requires_grad
-    p_live = q_live or k_proj.requires_grad
-    mix_live = p_live or v_proj.requires_grad
 
     def backward(g):
-        g_merged = g @ wo.data.T if mix_live else None
+        g_merged = g @ wo.data.T
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g)
-        if not mix_live:
-            return
         g_mixed = _grad_copy(g_merged.reshape(n, heads, dh).transpose(1, 0, 2))
-        if p_live:
-            g_p = _grad_copy(g_mixed @ vh.transpose(0, 2, 1))
-            dot = (g_p * p).sum(axis=-1, keepdims=True)
-            g_scores = _grad_copy(_grad_copy((g_p - dot) * p) * s)
-            if q_live:
-                g_qh = g_scores @ kt.transpose(0, 2, 1)
-                g_q = _grad_copy(g_qh.transpose(1, 0, 2)).reshape(n, dm)
-                if q.requires_grad:
-                    q.accumulate_grad(g_q @ wq.data.T)
-                if wq.requires_grad:
-                    wq.accumulate_grad(q.data.T @ g_q)
-            if k_proj.requires_grad:
-                g_kt = qh.transpose(0, 2, 1) @ g_scores
-                k_proj.accumulate_grad(g_kt.transpose(2, 0, 1).reshape(m, dm))
+        g_p = _grad_copy(g_mixed @ vh.transpose(0, 2, 1))
+        dot = (g_p * p).sum(axis=-1, keepdims=True)
+        g_scores = _grad_copy(_grad_copy((g_p - dot) * p) * s)
+        g_qh = g_scores @ kt.transpose(0, 2, 1)
+        g_q = _grad_copy(g_qh.transpose(1, 0, 2)).reshape(n, dm)
+        if q.requires_grad:
+            q.accumulate_grad(g_q @ wq.data.T)
+        if wq.requires_grad:
+            wq.accumulate_grad(q.data.T @ g_q)
+        if k_proj.requires_grad:
+            g_kt = qh.transpose(0, 2, 1) @ g_scores
+            k_proj.accumulate_grad(g_kt.transpose(2, 0, 1).reshape(m, dm))
         if v_proj.requires_grad:
             g_vh = p.transpose(0, 2, 1) @ g_mixed
             v_proj.accumulate_grad(g_vh.transpose(1, 0, 2).reshape(m, dm))
@@ -360,19 +341,21 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
     the MLP and the second add (or the final reshape).  Its backward runs
     the composition's steps in the tape's order: the second add, the MLP,
     the first add, the attention core.  So h receives the first add's term,
-    then the query's.  K and V keep their own nodes because a decoder stack
-    feeds one k=v tensor to every layer, and the tape adds a layer's K and
-    V terms into it only after the query's ancestry, earlier layers
-    included, has run; a block node would add them before.
+    then the query's.  h1's gradient is the second add's term (none in a
+    scoring head) plus the MLP's, one expression for both.  Every step
+    runs, since wq, wo and the MLP weights are parameters; only the adds
+    into an input or weight wait on its ``requires_grad``.  K and V keep
+    their own nodes because a decoder stack feeds one k=v tensor to every
+    layer, and the tape adds a layer's K and V terms into it only after the
+    query's ancestry, earlier layers included, has run; a block node would
+    add them before.
     """
     _check_attention(h.shape, kv.shape, attn, heads)
     wq, wk, wv, wo = attn
     k_proj, v_proj = linear(kv, wk), linear(kv, wv)
     a, core_backward = _attention_core(h, k_proj, v_proj, wq, wo, heads)
     h1 = h.data + a
-    a_live = any(t.requires_grad for t in (h, k_proj, v_proj, wq, wo))
-    h1_live = h.requires_grad or a_live
-    m, mlp_backward = _mlp_chain(h1, h1_live, layers)
+    m, mlp_backward = _mlp_chain(h1, layers)
     if score:
         if m.shape[1] != 1:
             raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
@@ -381,20 +364,11 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
         out = h1 + m
 
     def backward(g):
-        g_m = _grad_copy(g.reshape(m.shape) if score else g)
-        g_h1 = _grad_copy(g) if h1_live and not score else None
-        g_in = mlp_backward(g_m)
-        if g_in is not None:
-            if g_h1 is None:
-                g_h1 = _grad_copy(g_in)
-            else:
-                g_h1 += g_in
-        if g_h1 is None:
-            return
+        g_in = mlp_backward(_grad_copy(g.reshape(m.shape) if score else g))
+        g_h1 = (0.0 if score else _grad_copy(g)) + g_in   # second add's term + MLP's
         if h.requires_grad:
             h.accumulate_grad(g_h1)
-        if a_live:
-            core_backward(_grad_copy(g_h1))
+        core_backward(_grad_copy(g_h1))
 
     parents = (h, k_proj, v_proj, wq, wo) + tuple(t for layer in layers for t in layer)
     return tape_node(out, parents, backward)
@@ -566,7 +540,7 @@ def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     norm = store.global_grad_norm()
     if not np.isfinite(norm):
         raise NumericFailure(f"non-finite gradient norm {norm}")
-    if norm > max_norm > 0.0:
+    if norm > max_norm:
         factor = max_norm / norm
         for t in store.params.values():
             if t.grad is not None:

@@ -159,8 +159,8 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
     """
     if node not in graph.nodes:
         raise InvalidArgument(f"unknown node {node}")
-    if sigma < 0:
-        raise InvalidArgument("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
     headings, elevations = grid.angles()
     dim = latents.feature_dim
     half_bin = math.pi / grid.n_headings
@@ -230,10 +230,10 @@ def generate_environment(p: EnvParams) -> NavGraph:
     """Seeded geometric random graph, resampled until connected."""
     if p.node_count < 2:
         raise InvalidArgument("node_count must be >= 2")
-    if p.connection_radius <= 0 or p.extent <= 0:
-        raise InvalidArgument("connection_radius and extent must be > 0")
-    if p.sigma < 0:
-        raise InvalidArgument("sigma must be >= 0")
+    if not all(math.isfinite(v) and v > 0 for v in (p.connection_radius, p.extent)):
+        raise InvalidArgument("connection_radius and extent must be finite and > 0")
+    if not (math.isfinite(p.sigma) and p.sigma >= 0):
+        raise InvalidArgument(f"sigma must be finite and >= 0, got {p.sigma}")
     if p.feature_dim <= ROOM_COUNT:
         raise InvalidArgument(
             f"feature dim must exceed {ROOM_COUNT}, got {p.feature_dim}")

@@ -37,7 +37,6 @@ class TrainConfig:
     iterations: int = 20000
     batch_size: int = 4
     seed: int = 0
-    swap_lambda: bool = False
     eval_every: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,8 @@ class TrainConfig:
             raise InvalidArgument(f"lam must be in [0, 1], got {self.lam}")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
-        if self.lr <= 0:
-            raise InvalidArgument("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidArgument(f"lr must be finite and > 0, got {self.lr}")
         if self.iterations < 0 or self.batch_size < 1 or self.eval_every < 0:
             raise InvalidArgument("bad iteration/batch/eval settings")
 
@@ -249,10 +248,9 @@ def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
 
 
 def episode_loss(env: EnvBundle, episode: Episode, params, mcfg: ModelConfig,
-                 rng: np.random.Generator, t_max: int, lam: float,
-                 swap_lambda: bool = False):
+                 rng: np.random.Generator, t_max: int, lam: float):
     """The mixed-forcing loss of one episode, lam * mean(TF) + (1 - lam) *
-    mean(SF); swap_lambda reverses the weighting.  The teacher walk and the
+    mean(SF).  The teacher walk and the
     student walk (sampled with `rng`, at most t_max steps, supervised by the
     recovery label) share one EpisodeCache.  Returns (loss, TF mean, SF
     mean), the means as floats."""
@@ -262,8 +260,7 @@ def episode_loss(env: EnvBundle, episode: Episode, params, mcfg: ModelConfig,
     tf = rollout_teacher(env, episode, params, mcfg, cache).mean_loss()
     sf = rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
                  label=recovery_label).mean_loss()
-    w_tf, w_sf = (1.0 - lam, lam) if swap_lambda else (lam, 1.0 - lam)
-    return (nn.add(nn.scale(tf, w_tf), nn.scale(sf, w_sf)),
+    return (nn.add(nn.scale(tf, lam), nn.scale(sf, 1.0 - lam)),
             float(tf.data), float(sf.data))
 
 
@@ -329,7 +326,7 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             for j in idx:
                 env, ep = data[int(j)]
                 loss, tf, sf = episode_loss(env, ep, params, mcfg, student_rng,
-                                            cfg.t_max, cfg.lam, cfg.swap_lambda)
+                                            cfg.t_max, cfg.lam)
                 losses.append(loss)
                 tf_vals.append(tf)
                 sf_vals.append(sf)

@@ -171,11 +171,11 @@ def softmax(a: nn.Tensor, axis: int = -1) -> nn.Tensor:
 
 def mlp(x: nn.Tensor, layers) -> nn.Tensor:
     """The library's MLP chain as one node over (x, each w and b)."""
-    out, chain_backward = nn._mlp_chain(x.data, x.requires_grad, layers)
+    out, chain_backward = nn._mlp_chain(x.data, layers)
 
     def backward(g):
         g_x = chain_backward(g)
-        if g_x is not None:
+        if x.requires_grad:
             x.accumulate_grad(g_x)
 
     parents = (x,) + tuple(t for layer in layers for t in layer)

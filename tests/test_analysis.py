@@ -453,6 +453,6 @@ def test_run_ablation_checks_every_label_before_compute(world, monkeypatch):
         raise AssertionError("a cell trained before the grid was checked")
 
     monkeypatch.setattr(analysis, "train", no_training)
-    with pytest.raises(InvalidArgument):
-        run_ablation(world, world, TrainConfig(iterations=1), MCFG,
-                     grid=("MGLO", "XYZW"))
+    for grid in (("MGLO", "XYZW"), ("MG--", "MG--"), ("----", "MGLO", "----")):
+        with pytest.raises(InvalidArgument):
+            run_ablation(world, world, TrainConfig(iterations=1), MCFG, grid=grid)

@@ -38,7 +38,6 @@ SURFACE = {
               "--lr": ("lr", float), "--batch": ("batch", int),
               "--t-max": ("t_max", int), "--seed": ("seed", int),
               "--flags": ("flags", str), "--model": ("model", str),
-              "--swap-lambda": ("swap_lambda", bool),
               "--eval-every": ("eval_every", int)},
     "eval": {"--ckpt": ("ckpt", str), "--agent": ("agent", str),
              "--split": ("split", str), "--t-max": ("t_max", int),
@@ -129,7 +128,9 @@ def test_gen_usage_errors(tmp_path):
     assert main(["gen"]) == 2  # --out required
     assert main(["spelunk"]) == 2  # unknown command
     for bad in (["--episodes", "-1"], ["--val-episodes", "-2"],
-                ["--feature-dim", "3"]):
+                ["--feature-dim", "3"], ["--sigma", "nan"], ["--sigma", "inf"],
+                ["--extent", "inf"], ["--extent", "nan"], ["--radius", "nan"],
+                ["--radius", "inf"]):
         out = tmp_path / "y"
         assert main(["gen", "--out", str(out)] + bad) == 2
         assert not out.exists()
@@ -214,8 +215,6 @@ def test_cli_surface_is_pinned(cmd, capsys):
     for flag, (dest, kind) in flags.items():
         if flag in PATH_FLAGS:
             argv, want = [flag, "p"], "p"
-        elif kind is bool:
-            argv, want = [flag], True
         else:
             want = cli.DEFAULTS[cmd][dest]
             argv = [flag, str(want)]
@@ -229,8 +228,6 @@ def _other_values(cmd, key):
     """Values of a setting other than its default, of the setting's own
     type; an int where the setting is a float."""
     default = cli.DEFAULTS[cmd][key]
-    if isinstance(default, bool):
-        return [not default]
     if key in cli.CHOICES:
         return [v for v in cli.CHOICES[key] if v != default]
     if isinstance(default, str):
@@ -247,8 +244,8 @@ def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
     cfg = tmp_path / "c.json"
     flag, = (f for f, (dest, _) in SURFACE[cmd].items() if dest == key)
     for value in _other_values(cmd, key):
-        argv = [flag] if value is True else [flag, str(value)]
-        by_flag = cli.merge_config(parser.parse_args([cmd] + path_args(cmd) + argv))
+        by_flag = cli.merge_config(parser.parse_args(
+            [cmd] + path_args(cmd) + [flag, str(value)]))
         cfg.write_text(json.dumps({key: value}))
         by_file = cli.merge_config(parser.parse_args(
             [cmd] + path_args(cmd) + ["--config", str(cfg)]))
@@ -263,11 +260,11 @@ def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
     (["train"], ["iters"]),
     (["train"], {"iters": "3"}),
     (["train"], {"batch": 1.5}),
-    (["train"], {"swap_lambda": "no"}),
+    (["train"], {"lr": True}),
     (["train"], {"iters": True}),
     (["train"], {"ckpt": "x"}),
 ], ids=["agent", "which", "model", "not_an_object", "str_for_int",
-        "float_for_int", "str_for_bool", "bool_for_int", "flag_of_another_command"])
+        "float_for_int", "bool_for_float", "bool_for_int", "flag_of_another_command"])
 def test_config_file_values_are_checked_like_flags(data_dir, tmp_path, argv,
                                                    content):
     cfg = tmp_path / "c.json"
@@ -508,9 +505,16 @@ def test_route_longer_than_t_max_rejected_before_out(default_data, tmp_path,
     ["train", "--iters", "1", "--t-max", "-1"],
     ["eval", "--agent", "oracle", "--jobs", "0"],
     ["ablate", "--jobs", "0", "--iters", "1", "--seeds", "1", "--grid", "MGLO"],
+    ["train", "--iters", "1", "--lr", "nan"],
+    ["train", "--iters", "1", "--lr", "inf"],
+    ["ablate", "--iters", "1", "--seeds", "1", "--grid", "MGLO", "--lr", "nan"],
+    ["probe", "--train-iters", "2", "--lr", "inf"],
+    ["ablate", "--iters", "1", "--seeds", "1", "--grid=MG--,MG--"],
+    ["ablate", "--iters", "1", "--seeds", "1", "--grid=----,MGLO,----"],
 ], ids=["ablate_no_seeds", "ablate_no_timing_steps", "eval_t_max_0",
         "eval_t_max_negative", "train_t_max_negative", "eval_jobs_0",
-        "ablate_jobs_0"])
+        "ablate_jobs_0", "train_lr_nan", "train_lr_inf", "ablate_lr_nan",
+        "probe_lr_inf", "ablate_grid_repeats", "ablate_grid_repeats_apart"])
 def test_settings_rejected_before_out(data_dir, tmp_path, argv):
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(data_dir), "--out", str(out)]

@@ -7,9 +7,13 @@ belongs in the tests; one that nothing calls belongs nowhere.  Names are
 matched, not resolved: a reference to ``x.add`` keeps every ``add`` alive,
 and one name of an unpacking assignment (``PAD, BOS, EOS = 0, 1, 2``)
 keeps the whole statement.
+
+Likewise pytest must know every setting of ``[tool.pytest.ini_options]``:
+a misspelled key would switch nothing on.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oikg"
@@ -82,3 +86,15 @@ def test_check_flags_a_member_only_its_own_body_uses(tmp_path):
     (tmp_path / "b.py").write_text("from .a import Box, bounds\n\nBOX = (Box(), bounds())\n")
     assert unreferenced(tmp_path) == ["a.UNUSED_A, UNUSED_B", "a.recursive",
                                       "a.Box.orphan", "b.BOX"]
+
+
+def test_every_pytest_setting_is_known(pytestconfig):
+    """``--strict-config`` stops a run at an unknown key, where pytest
+    honours it from ``addopts``; ``getini`` raises ValueError for one on
+    every pytest version."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    section = text.split("[tool.pytest.ini_options]\n", 1)[1].split("\n[", 1)[0]
+    keys = re.findall(r"^(\w+)\s*=", section, flags=re.MULTILINE)
+    assert "addopts" in keys and "filterwarnings" in keys
+    for key in keys:
+        pytestconfig.getini(key)

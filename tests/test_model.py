@@ -184,20 +184,23 @@ def test_angular_block_built_once_per_grid(monkeypatch):
         assert math.copysign(1.0, block[0, 2]) == math.copysign(1.0, zero)
 
 
-@pytest.mark.parametrize("decouple", [True, False])
-@pytest.mark.parametrize("preset", ["tiny", "full"])
-def test_decouple_observation_matches_oracle_bitwise(preset, decouple):
+PRESETS = {"tiny": TINY, "full": model.ModelConfig()}
+
+
+def check_decouple_against_oracle(cfg, frozen=()):
     """The panorama node against the ``linear``/``concat``/MLP chain: the
-    rows and every parameter gradient match bit for bit.  The rows feed two
+    rows, which gradients exist, and their bits match.  The rows feed two
     consumers, as a panorama shared by two steps does, and one ``obs.*``
-    weight is also read elsewhere, its term entering the loss first."""
-    cfg = replace(TINY if preset == "tiny" else model.ModelConfig(), decouple=decouple)
+    weight is also read elsewhere, its term entering the loss first.  The
+    parameters named in ``frozen`` are untracked."""
     rng = np.random.default_rng(26)
     params = model.build_params(cfg, seed=1)
+    for name in frozen:
+        params[name].requires_grad = False
     obs = random_obs(rng, cfg)
     w_other = nn.Tensor(rng.normal(size=(cfg.dim, 3)), requires_grad=True)
     c = [nn.Tensor(rng.normal(size=(cfg.view_grid.k, n))) for n in (cfg.dim, 3)]
-    shared = params["obs.ang.w" if decouple else "obs.coupled.w"]
+    shared = params["obs.ang.w" if cfg.decouple else "obs.coupled.w"]
     c_shared = nn.Tensor(rng.normal(size=shared.shape))
     leaves = [w_other] + [params[name] for name in params.names()]
     runs = []
@@ -210,10 +213,46 @@ def test_decouple_observation_matches_oracle_bitwise(preset, decouple):
         nn.backward(loss)
         runs.append((f_o, [None if t.grad is None else t.grad.copy() for t in leaves]))
     (f_o, grads), (ref, ref_grads) = runs
-    assert same_bits(f_o.data, ref.data)
-    assert len([p for p in f_o._parents if p.requires_grad]) == (8 if decouple else 2)
+    assert same_bits(f_o.data, ref.data) and f_o.requires_grad == ref.requires_grad
+    assert len([p for p in f_o._parents if p.requires_grad]) == (
+        (8 if cfg.decouple else 2) - len(frozen))
     for i, (a, b) in enumerate(zip(grads, ref_grads)):
         assert (a is None) == (b is None) and (a is None or same_bits(a, b)), f"leaf {i}"
+
+
+@pytest.mark.parametrize("decouple", [True, False])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_decouple_observation_matches_oracle_bitwise(preset, decouple):
+    check_decouple_against_oracle(replace(PRESETS[preset], decouple=decouple))
+
+
+def frozen_subsets(names, with_all):
+    """(id, names) for each subset of ``names`` to leave untracked: one
+    name, two, all but one, and, with ``with_all``, all of them."""
+    short = [n.split(".", 1)[1] for n in names]
+    subsets = [(s, (n,)) for s, n in zip(short, names)]
+    subsets += [(f"{sa}+{sb}", (a, b)) for (sa, a), (sb, b)
+                in itertools.combinations(zip(short, names), 2)]
+    subsets += [(f"all-but-{s}", tuple(m for m in names if m != n))
+                for s, n in zip(short, names)]
+    return subsets + [("all", tuple(names))] * with_all
+
+
+OBS_FROZEN = frozen_subsets(
+    [f"obs.{n}" for n in ("ang.w", "ang.b", "vis.w", "vis.b",
+                          "fuse.w1", "fuse.b1", "fuse.w2", "fuse.b2")], with_all=True)
+KD_FROZEN = frozen_subsets(
+    [f"kd.{n}" for n in ("loc.w", "loc.b", "obj.w", "obj.b", "fuse.w", "fuse.b")]
+    + ["enh.wv"], with_all=False)
+
+
+@pytest.mark.parametrize("frozen", [f for _, f in OBS_FROZEN],
+                         ids=[i for i, _ in OBS_FROZEN])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_decouple_observation_frozen_weights_match_oracle(preset, frozen):
+    """A weight left untracked gets no gradient from the panorama node, as
+    from the chain, and every other value and gradient keeps its bits."""
+    check_decouple_against_oracle(PRESETS[preset], frozen)
 
 
 def test_coupled_baseline_differs_from_decoupled():
@@ -546,12 +585,13 @@ def test_key_detail_empty_mask_degrades_to_zero_block(setup):
         model.extract_key_detail(f_i, [False] * 2, [False] * 3, params, TINY)
 
 
-def detail_config(detail: str) -> model.ModelConfig:
-    """TINY with the detail flags of a two-letter mask such as 'L-'."""
-    return replace(TINY, loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
+def detail_config(detail: str, base=TINY) -> model.ModelConfig:
+    """``base`` with the detail flags of a two-letter mask such as 'L-'."""
+    return replace(base, loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
 
 
-def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows):
+def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
+                                    base=TINY, frozen=()):
     """The fused key detail against the node chain it replaces,
     ``oracle_extract_key_detail``, over one step, or two when its row is
     replayed (the cached key detail of a later step) where the chain is
@@ -559,12 +599,16 @@ def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows):
     candidate rows, ``add_row`` against ``oracle_add_row``.  The key detail
     arrays, every output and every leaf gradient match bit for bit.  f_i is
     an inner tensor; another consumer, a ``linear``, may read it too, with
-    its term entering the loss before or after the key detail's."""
-    cfg = detail_config(detail)
+    its term entering the loss before or after the key detail's.  The
+    configuration is ``base`` with the detail flags; the parameters named
+    in ``frozen`` are untracked."""
+    cfg = detail_config(detail, base)
     rng = np.random.default_rng(21)
     params = model.build_params(cfg, seed=1)
     for name in params.names():
         params[name].data = rng.normal(size=params[name].shape)
+    for name in frozen:
+        params[name].requires_grad = False
     tracked = f_i_use != "untracked"
     x0 = nn.Tensor(rng.normal(size=(6, cfg.dim)), requires_grad=tracked)
     w_in = nn.Tensor(rng.normal(size=(cfg.dim, cfg.dim)), requires_grad=tracked)
@@ -646,6 +690,18 @@ def test_alignment_row_matches_oracle_bitwise(detail, masks, f_i_use):
     the second step, and one ``add_row`` node per step, against the chain
     each step built."""
     check_key_detail_against_oracle(detail, masks, f_i_use, add_rows=True)
+
+
+@pytest.mark.parametrize("frozen", [f for _, f in KD_FROZEN],
+                         ids=[i for i, _ in KD_FROZEN])
+@pytest.mark.parametrize("f_i_use", ["tracked", "untracked"])
+@pytest.mark.parametrize("preset", ["tiny", "full"])
+def test_key_detail_frozen_weights_match_oracle(preset, f_i_use, frozen):
+    """A ``kd.*`` weight or ``enh.wv`` left untracked gets no gradient from
+    the key-detail node, as from the chain, and every other value and
+    gradient keeps its bits."""
+    check_key_detail_against_oracle("LO", "both", f_i_use, add_rows=False,
+                                    base=PRESETS[preset], frozen=frozen)
 
 
 def record_tracked_nodes(monkeypatch) -> list:

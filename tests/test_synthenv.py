@@ -159,8 +159,12 @@ def test_environment_two_nodes_huge_radius_complete():
 def test_environment_param_validation_and_failure():
     with pytest.raises(InvalidArgument):
         se.generate_environment(se.EnvParams(node_count=1, connection_radius=1, extent=1))
-    with pytest.raises(InvalidArgument):
-        se.generate_environment(se.EnvParams(node_count=5, connection_radius=0, extent=1))
+    for bad in ({"connection_radius": 0}, {"connection_radius": math.nan},
+                {"extent": math.inf}, {"extent": -1.0}, {"sigma": math.nan},
+                {"sigma": math.inf}, {"sigma": -0.1}):
+        with pytest.raises(InvalidArgument):
+            se.generate_environment(se.EnvParams(**{
+                "node_count": 5, "connection_radius": 1, "extent": 1, **bad}))
     with pytest.raises(InvalidArgument, match="feature dim"):
         se.generate_environment(se.EnvParams(node_count=5, connection_radius=1, extent=1,
                                              feature_dim=se.ROOM_COUNT))
@@ -302,8 +306,9 @@ def test_observation_errors(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=0)
     with pytest.raises(InvalidArgument):
         se.render_observation(cross_graph, 99, lat, sigma=0.1)
-    with pytest.raises(InvalidArgument):
-        se.render_observation(cross_graph, 0, lat, sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="sigma"):
+            se.render_observation(cross_graph, 0, lat, sigma=sigma)
     with pytest.raises(InvalidArgument):
         se.make_latents(cross_graph, feature_dim=8, seed=0)
 
