@@ -276,7 +276,8 @@ def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) ->
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int = 1000, warmup: int = 50) -> float:
     """Mean wall-clock milliseconds per forward_step, measured warm and
-    without a tape, as greedy evaluation runs."""
+    without a tape, as greedy evaluation runs.  A greedy walk never
+    revisits a node, so each timed step includes its panorama's render."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")

@@ -27,10 +27,10 @@ from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
 from .model import TINY_CONFIG, ModelConfig, build_params
 from .navgraph import load_environment, save_environment
 from .rng import substream
-from .synthenv import (EnvParams, episode_from_dict, episode_to_dict,
+from .synthenv import (EnvBundle, EnvParams, episode_from_dict, episode_to_dict,
                        generate_environment, make_episode, make_latents,
                        save_vocab)
-from .training import (EnvBundle, TrainConfig, check_routes, greedy_policy,
+from .training import (TrainConfig, check_routes, greedy_policy,
                        random_policy, recovery_label, rollout, teacher_policy,
                        train, write_training_log)
 
@@ -156,9 +156,9 @@ def _derived_seed(seed: int, *tags) -> int:
 
 def _has_type(value, kind: type) -> bool:
     """Whether a JSON value fits a setting of type `kind`: never a bool,
-    and an int also where `kind` is float."""
-    if kind is float:
-        kind = (int, float)
+    and an int also where `kind` is float, if a float can hold it."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
     return not isinstance(value, bool) and isinstance(value, kind)
 
 
@@ -269,7 +269,7 @@ def _trace_line(t: int, step) -> str:
     entry = {"t": t, "node": step.node, "frontier": step.order,
              "pseudo_label": step.supervision, "action": step.action}
     if step.logits is not None:
-        entry["scores"] = [float(v) for v in step.logits.data]
+        entry["scores"] = [float(v) for v in step.logits]
     return canonical_json(entry)
 
 

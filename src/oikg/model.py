@@ -30,7 +30,8 @@ from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
 from .navgraph import STOP, PathGraph
-from .synthenv import VOCAB_SIZE, Instruction, Observation, ViewGrid
+from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, Observation, ViewGrid,
+                       render_observation)
 
 
 HEADS = 2  # attention heads of every residual block
@@ -149,37 +150,33 @@ def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
 
 
 @functools.cache
-def _grid_views(grid: ViewGrid, elevation_bits: bytes) -> tuple[bytes, bytes, np.ndarray]:
-    """The bytes of a view grid's per-view headings and elevations, and its
-    read-only angular block, whose row i is ``trig_embed`` of view i;
-    computed once per grid.  ``elevation_bits`` keys the cache on the
-    elevations' bits: grids whose elevations differ only in the sign of a
-    zero are equal and hash alike, but their blocks differ."""
+def _grid_views(grid: ViewGrid) -> np.ndarray:
+    """A view grid's read-only angular block, whose row i is ``trig_embed``
+    of view i; computed once per grid.  Equal grids have bit-equal angles
+    (``ViewGrid`` stores a zero elevation as +0.0), so they share a block."""
     headings, elevations = grid.angles()
     block = np.stack([np.asarray(trig_embed(h, e))
                       for h, e in zip(headings, elevations)])
     block.flags.writeable = False
-    return headings.tobytes(), elevations.tobytes(), block
+    return block
 
 
 def _check_view_grid(obs: Observation, grid: ViewGrid) -> np.ndarray:
-    """The grid's angular block, once the view angles of ``obs`` are
-    known to be the grid's, bit for bit."""
-    headings, elevations, block = _grid_views(
-        grid, np.array(grid.elevations).tobytes())
-    if obs.headings.tobytes() != headings or obs.elevations.tobytes() != elevations:
+    """The grid's angular block, once ``obs`` is known to lie on the grid."""
+    if obs.grid != grid:
         raise ShapeError(f"panorama at node {obs.node} is not on the model's "
                          f"{grid.n_headings}-heading x {len(grid.elevations)}"
                          "-elevation view grid")
-    return block
+    return _grid_views(grid)
 
 
 def decouple_observation(obs: Observation, params: nn.ParamStore,
                          cfg: ModelConfig) -> nn.Tensor:
-    """Refined panorama rows; angular and visual blocks embedded separately.
-
-    With decoupling off, one linear projection of the raw concatenated
-    [angular, visual] rows is used instead (the coupled baseline).
+    """Refined panorama rows of ``obs``, which must lie on ``cfg.view_grid``
+    with ``cfg.vis_dim`` visual columns (else ``ShapeError``); angular and
+    visual blocks embedded separately.  With decoupling off, one linear
+    projection of the raw concatenated [angular, visual] rows is used
+    instead (the coupled baseline).
 
     Decoupled, the rows are one ``nn._joined_chain`` node over the eight
     ``obs.*`` parameters, since both blocks are constants: bitwise equal to
@@ -203,7 +200,7 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
 # -------------------------------------------------------------- candidates
 
 
-def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
+def build_candidates(pg: PathGraph, params: nn.ParamStore,
                      cfg: ModelConfig) -> tuple[nn.Tensor, list]:
     """One feature row per frontier node (sorted by id) plus the STOP row.
 
@@ -212,7 +209,7 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
     (t_i W_edge + b_edge) + (p_i W_pe + b_pe): t_i is the trig embedding of
     that direction and p_i = [distance, sin(offset), cos(offset)] its offset
     to the nearest panorama view, looked up among the two heading columns of
-    ``cfg.view_grid`` that bracket it; ``obs`` must lie on that grid.  With
+    ``cfg.view_grid`` that bracket it; no panorama is read.  With
     geo_embed off the positional term is an exact zero that touches no
     parameter.  The last row is the learned STOP embedding.
 
@@ -222,7 +219,6 @@ def build_candidates(pg: PathGraph, obs: Observation, params: nn.ParamStore,
     forward values and gradients are bitwise those of one linear node per
     term and row.
     """
-    _check_view_grid(obs, cfg.view_grid)
     n = cfg.view_grid.n_headings
     graph = pg.graph
     order = pg.frontier()
@@ -418,9 +414,9 @@ def select_action(scores, frontier_order) -> int:
 
 class EpisodeCache:
     """Reuses, inside one autograd graph, the encodings that stay fixed for
-    an episode: the instruction encoding, each node's panorama embedding,
-    and the key detail with its alignment row; and keeps the rendered
-    panoramas of the episode's nodes.
+    an episode: the instruction encoding, each node's panorama embedding
+    (so each node is rendered once per episode), and the key detail with
+    its alignment row.
 
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
@@ -432,15 +428,16 @@ class EpisodeCache:
     def __init__(self):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
-        self.views: dict[int, Observation] = {}
         self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
 
 
-def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
+def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
                  params: nn.ParamStore, cfg: ModelConfig,
                  cache: EpisodeCache | None = None) -> tuple[StepFeatures, int]:
-    """Run the full pipeline for one decision step.
+    """Run the full pipeline for one decision step at ``pg.current``, whose
+    panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
+    its first visit per cache; later visits reuse the embedding.
 
     Without a cache the step gets one of its own.  With a cache shared by
     the episode's steps, the key detail and its alignment row are computed
@@ -452,11 +449,13 @@ def forward_step(pg: PathGraph, obs: Observation, ins: Instruction,
     first and change the last bits.
     """
     cache = cache if cache is not None else EpisodeCache()
-    f_o = cache.obs.get(obs.node)
+    f_o = cache.obs.get(pg.current)
     if f_o is None:
-        f_o = cache.obs[obs.node] = decouple_observation(obs, params, cfg)
+        obs = render_observation(env.graph, pg.current, env.latents, env.sigma,
+                                 cfg.view_grid)
+        f_o = cache.obs[pg.current] = decouple_observation(obs, params, cfg)
 
-    f_g, order = build_candidates(pg, obs, params, cfg)
+    f_g, order = build_candidates(pg, params, cfg)
     g_enh = observation_graph_interaction(f_g, f_o, params, cfg)
 
     f_i = cache.instr

@@ -85,7 +85,8 @@ class ViewGrid:
     """Fixed panoramic sampling grid: headings x elevations, heading-major.
 
     At least one heading column, an int; at least one elevation, each
-    finite, in [-pi/2, pi/2] and distinct by value (0.0 and -0.0 repeat).
+    finite, in [-pi/2, pi/2] and distinct by value (0.0 and -0.0 repeat),
+    stored as a float, a zero as +0.0: equal grids have bit-equal angles.
     """
     n_headings: int = 12
     elevations: tuple[float, ...] = (-math.pi / 6, 0.0, math.pi / 6)
@@ -103,6 +104,8 @@ class ViewGrid:
                                       "angle in [-pi/2, pi/2]")
         if len(set(self.elevations)) != len(self.elevations):
             raise InvalidArgument(f"view grid repeats an elevation: {self.elevations}")
+        object.__setattr__(self, "elevations",
+                           tuple(float(e) + 0.0 for e in self.elevations))
 
     @property
     def k(self) -> int:
@@ -117,11 +120,11 @@ class ViewGrid:
 
 @dataclass(frozen=True)
 class Observation:
-    """One node's panorama: exact view angles plus noisy visual vectors."""
+    """One node's panorama: the grid whose views it shows, in the grid's
+    order, and their noisy visual vectors."""
     node: int
-    headings: np.ndarray    # (k,)
-    elevations: np.ndarray  # (k,)
-    visual: np.ndarray      # (k, feature_dim)
+    grid: ViewGrid
+    visual: np.ndarray      # (grid.k, feature_dim)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,14 @@ class LatentTable:
     @property
     def feature_dim(self) -> int:
         return self.free_dim + ROOM_COUNT
+
+
+@dataclass(frozen=True)
+class EnvBundle:
+    """Everything needed to run an agent in one environment."""
+    graph: NavGraph
+    latents: LatentTable
+    sigma: float = 0.0
 
 
 def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
@@ -161,7 +172,6 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
         raise InvalidArgument(f"unknown node {node}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
-    headings, elevations = grid.angles()
     dim = latents.feature_dim
     half_bin = math.pi / grid.n_headings
 
@@ -188,8 +198,7 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
         noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
             (grid.k, dim))
         visual = visual + sigma * noise
-    return Observation(node=node, headings=headings, elevations=elevations,
-                       visual=visual)
+    return Observation(node=node, grid=grid, visual=visual)
 
 
 # ------------------------------------------------------------- environments

@@ -22,7 +22,7 @@ from .metrics import EpisodeResult, aggregate, evaluate
 from .model import EpisodeCache, ModelConfig, forward_step
 from .navgraph import STOP, NavGraph, PathGraph
 from .rng import substream
-from .synthenv import Episode, LatentTable, render_observation
+from .synthenv import EnvBundle, Episode
 
 LOG_COLUMNS = ("iteration", "tf_loss", "sf_loss", "total_loss", "grad_norm",
                "eval_SR", "eval_SPL", "eval_nDTW")
@@ -50,22 +50,15 @@ class TrainConfig:
             raise InvalidArgument("bad iteration/batch/eval settings")
 
 
-@dataclass(frozen=True)
-class EnvBundle:
-    """Everything needed to run an agent in one environment."""
-    graph: NavGraph
-    latents: LatentTable
-    sigma: float = 0.0
-
-
 @dataclass
 class StepRecord:
     """One decision.  predicted is the model's argmax, supervision the
     label, action the executed move (the sample under student forcing).
-    logits and key_detail are detached; only loss holds the step's graph."""
+    logits and key_detail are arrays (None when no model ran); only loss
+    holds the step's graph."""
     node: int
     order: tuple
-    logits: nn.Tensor | None
+    logits: np.ndarray | None
     predicted: int | None
     supervision: int | None
     loss: nn.Tensor | None
@@ -99,9 +92,10 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
     """Walk one episode: run the model if `params` is given, act on
     `choose(t, step)`, and if `label` is given record `label(pg, episode,
     step)` as supervision (with its cross-entropy loss when the model ran).
-    Ends at STOP or after t_max steps.  A node's panorama is rendered once
-    per `cache`, i.e. per episode.  Helpers are module globals looked up at
-    call time, so wrappers installed on them see every step."""
+    Ends at STOP or after t_max steps.  `forward_step` renders a node's
+    panorama on its first visit per `cache`, i.e. per episode.  Helpers are
+    module globals looked up at call time, so wrappers installed on them
+    see every step."""
     pg = PathGraph(env.graph, episode.start)
     cache = cache if cache is not None else EpisodeCache()
     rec = RolloutRecord()
@@ -110,16 +104,12 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
                           predicted=None, supervision=None, loss=None)
         scores = None
         if params is not None:
-            obs = cache.views.get(pg.current)
-            if obs is None:
-                obs = cache.views[pg.current] = render_observation(
-                    env.graph, pg.current, env.latents, env.sigma, mcfg.view_grid)
             t0 = time.perf_counter()
             feats, step.predicted = forward_step(
-                pg, obs, episode.instruction, params, mcfg, cache)
+                pg, env, episode.instruction, params, mcfg, cache)
             step.seconds = time.perf_counter() - t0
             scores = feats.scores
-            step.logits = nn.Tensor(scores.data)
+            step.logits = scores.data
             step.key_detail = feats.key_detail
         step.action = choose(t, step)
         if label is not None:
@@ -154,7 +144,7 @@ def teacher_policy(episode: Episode):
 def sample_policy(rng: np.random.Generator):
     """Sample from the softmax of the model's scores (student forcing)."""
     def choose(t, step):
-        scores = step.logits.data
+        scores = step.logits
         if not np.all(np.isfinite(scores)):
             raise NumericFailure(f"non-finite action scores at node {step.node}")
         p = np.exp(scores - scores.max())

@@ -19,7 +19,7 @@ import pytest
 from test_analysis import linear_regression_builder
 from test_cli import GEN_ARGS, tree_hashes
 from test_metrics import chain_graph, enumerate_dtw, graph_from, random_walk
-from test_model import (frozen_gradient_fixture, obs_at, record_calls,
+from test_model import (env_of, frozen_gradient_fixture, record_calls,
                         record_param_reads)
 from test_training import (episode_for, floyd_warshall, oracle_label,
                            reachable_states, teacher_accuracy)
@@ -78,7 +78,7 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
 
     def make_loss():
         pg = PathGraph(graph, start=0)
-        feats, _ = model.forward_step(pg, obs_at(graph, latents, 0), ins,
+        feats, _ = model.forward_step(pg, env_of(graph, latents), ins,
                                       params, TINY_CONFIG)
         return nn.cross_entropy(feats.scores, pg.frontier().index(1))
 
@@ -111,8 +111,7 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
         """Parameter names one decision step reads, and its features."""
         reads = record_param_reads(monkeypatch)
         feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      obs_at(graph, latents, 0, cfg), ins,
-                                      params, cfg)
+                                      env_of(graph, latents), ins, params, cfg)
         monkeypatch.undo()
         return set(reads), feats
 
@@ -126,9 +125,7 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
     star = graph_from([(0, (0.0, 0.0, 0.0))] + [
         (i + 1, (math.cos(h), math.sin(h), 0.0)) for i, h in enumerate(headings)],
         [(0, i + 1) for i in range(len(headings))])
-    f_g, _ = model.build_candidates(
-        PathGraph(star, start=0),
-        obs_at(star, make_latents(star, cfg.vis_dim, seed=0), 0, cfg), params, cfg)
+    f_g, _ = model.build_candidates(PathGraph(star, start=0), params, cfg)
     assert f_g.shape == (65, cfg.dim) and not f_g.data[:-1].any()
     views = record_calls(monkeypatch, model, "nearest_column")
     reads, _ = step(cfg, params)

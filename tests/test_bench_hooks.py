@@ -8,7 +8,7 @@ the fast test loop.
 import importlib.util
 from pathlib import Path
 
-from test_model import obs_at, tiny_graph
+from test_model import env_of, tiny_graph
 
 from oikg import model, nn
 from oikg import synthenv as se
@@ -41,7 +41,7 @@ def test_traced_step_exposes_scores_and_tape():
     params = model.build_params(cfg, seed=0)
     with tracing.Tracer("scores") as tracer:
         feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      obs_at(graph, latents, 0), ins, params, cfg)
+                                      env_of(graph, latents), ins, params, cfg)
     assert feats.scores.shape == (3,)
     assert tracer.counts["model.forward_step"] == 1
     assert tracer.tape_nodes > 1  # walked back from the step's scores

@@ -263,8 +263,10 @@ def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
     (["train"], {"lr": True}),
     (["train"], {"iters": True}),
     (["train"], {"ckpt": "x"}),
+    (["train"], {"lr": 10 ** 400}),
 ], ids=["agent", "which", "model", "not_an_object", "str_for_int",
-        "float_for_int", "bool_for_float", "bool_for_int", "flag_of_another_command"])
+        "float_for_int", "bool_for_float", "bool_for_int", "flag_of_another_command",
+        "int_too_large_for_float"])
 def test_config_file_values_are_checked_like_flags(data_dir, tmp_path, argv,
                                                    content):
     cfg = tmp_path / "c.json"
@@ -312,10 +314,15 @@ def _edit_feature_dim(record):
     record["feature_dim"] = "x"
 
 
+def _edit_sigma(record):
+    record["sigma"] = 10 ** 400   # an int no float can hold
+
+
 @pytest.mark.parametrize("name, edit, entry", [
     ("episodes_val_seen.json", _edit_episodes, "'episodes'"),
     ("env.json", _edit_edge, "edge entry at index 0"),
     ("config.json", _edit_feature_dim, "'feature_dim'"),
+    ("config.json", _edit_sigma, "'sigma'"),
 ])
 def test_data_file_wrong_value_type_is_a_data_error(data_dir, tmp_path, capsys,
                                                     name, edit, entry):

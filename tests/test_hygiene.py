@@ -89,12 +89,14 @@ def test_check_flags_a_member_only_its_own_body_uses(tmp_path):
 
 
 def test_every_pytest_setting_is_known(pytestconfig):
-    """``--strict-config`` stops a run at an unknown key, where pytest
-    honours it from ``addopts``; ``getini`` raises ValueError for one on
-    every pytest version."""
+    """``getini`` raises ValueError for an unknown key.  Strictness is on:
+    pytest reads it from the ``strict_markers`` and ``strict_config`` ini
+    keys, and the same flags in ``addopts`` leave those keys false."""
     text = (SRC.parents[1] / "pyproject.toml").read_text()
     section = text.split("[tool.pytest.ini_options]\n", 1)[1].split("\n[", 1)[0]
     keys = re.findall(r"^(\w+)\s*=", section, flags=re.MULTILINE)
-    assert "addopts" in keys and "filterwarnings" in keys
+    assert "filterwarnings" in keys
     for key in keys:
         pytestconfig.getini(key)
+    assert pytestconfig.getini("strict_markers") is True
+    assert pytestconfig.getini("strict_config") is True

@@ -46,9 +46,13 @@ def obs_at(graph, latents, node, cfg=TINY, sigma=0.1):
                                  grid=cfg.view_grid)
 
 
+def env_of(graph, latents, sigma=0.1):
+    """The world ``forward_step`` renders ``obs_at``'s panoramas from."""
+    return se.EnvBundle(graph, latents, sigma)
+
+
 def random_obs(rng, cfg):
-    headings, elevations = cfg.view_grid.angles()
-    return se.Observation(node=0, headings=headings, elevations=elevations,
+    return se.Observation(node=0, grid=cfg.view_grid,
                           visual=rng.normal(size=(cfg.view_grid.k, cfg.vis_dim)))
 
 
@@ -131,8 +135,7 @@ def test_decouple_zero_visual_weights_isolate_angles(setup):
     params["obs.vis.w"].data[:] = 0.0
     rng = np.random.default_rng(1)
     a = random_obs(rng, TINY)
-    b = se.Observation(node=0, headings=a.headings, elevations=a.elevations,
-                       visual=rng.normal(size=a.visual.shape))
+    b = se.Observation(node=0, grid=a.grid, visual=rng.normal(size=a.visual.shape))
     out_a = model.decouple_observation(a, params, TINY)
     out_b = model.decouple_observation(b, params, TINY)
     np.testing.assert_array_equal(out_a.data, out_b.data)
@@ -140,7 +143,7 @@ def test_decouple_zero_visual_weights_isolate_angles(setup):
 
 def test_observation_off_the_model_grid_is_rejected(setup):
     """Two grids with the same k: a panorama rendered on one is refused by a
-    model configured with the other, in both stages that read its angles."""
+    model configured with the other."""
     graph, latents, *_ = setup
     flat = replace(TINY, view_grid=se.ViewGrid(12, (0.0,)))
     tall = replace(TINY, view_grid=se.ViewGrid(4, (-0.5, 0.0, 0.5)))
@@ -149,12 +152,9 @@ def test_observation_off_the_model_grid_is_rejected(setup):
         params = model.build_params(cfg, seed=0)
         good = obs_at(graph, latents, 0, cfg)
         model.decouple_observation(good, params, cfg)
-        model.build_candidates(PathGraph(graph, start=0), good, params, cfg)
         bad = obs_at(graph, latents, 0, other)
         with pytest.raises(ShapeError):
             model.decouple_observation(bad, params, cfg)
-        with pytest.raises(ShapeError):
-            model.build_candidates(PathGraph(graph, start=0), bad, params, cfg)
 
 
 def test_angular_block_built_once_per_grid(monkeypatch):
@@ -172,16 +172,15 @@ def test_angular_block_built_once_per_grid(monkeypatch):
     block = model._check_view_grid(obs, cfg.view_grid)
     assert not block.flags.writeable
     want = np.stack([np.asarray(trig_embed(h, e))
-                     for h, e in zip(obs.headings, obs.elevations)])
+                     for h, e in zip(*cfg.view_grid.angles())])
     np.testing.assert_array_equal(block, want)
-    # grids that differ only in the sign of a zero elevation compare equal,
-    # yet each gets its own block
-    for zero in (0.0, -0.0, 0.0):
-        grid = se.ViewGrid(3, (zero,))
-        assert grid == se.ViewGrid(3, (0.0,))
-        obs = random_obs(rng, replace(cfg, view_grid=grid))
-        block = model._check_view_grid(obs, grid)
-        assert math.copysign(1.0, block[0, 2]) == math.copysign(1.0, zero)
+    # a grid stores a zero elevation as +0.0, so grids equal by value have
+    # bit-equal angles and share one block
+    grid = se.ViewGrid(3, (-0.0,))
+    assert grid == se.ViewGrid(3, (0.0,))
+    assert math.copysign(1.0, grid.elevations[0]) == 1.0
+    assert model._grid_views(grid) is model._grid_views(se.ViewGrid(3, (0.0,)))
+    assert math.copysign(1.0, model._grid_views(grid)[0, 2]) == 1.0
 
 
 PRESETS = {"tiny": TINY, "full": model.ModelConfig()}
@@ -300,8 +299,9 @@ def oracle_candidate_features(heading, elevation, pe, params):
     return nn.add(base, pe)
 
 
-def oracle_build_candidates(pg, obs, params, cfg):
+def oracle_build_candidates(pg, params, cfg):
     graph = pg.graph
+    view_headings, _ = cfg.view_grid.angles()
     order = pg.frontier()
     rows = []
     for c in order:
@@ -309,7 +309,7 @@ def oracle_build_candidates(pg, obs, params, cfg):
             pose = graph.edge_pose(pg.current, c)
         else:
             pose = relative_pose(graph.nodes[pg.current].pos, graph.nodes[c].pos)
-        pe = oracle_geometric_pe(pose.heading, obs.headings, params, cfg)
+        pe = oracle_geometric_pe(pose.heading, view_headings, params, cfg)
         rows.append(oracle_candidate_features(pose.heading, pose.elevation, pe, params))
     stop = params["graph.stop"]
     rows.append(reshape(stop, (stop.shape[1],)))
@@ -325,10 +325,7 @@ def star_graph():
 
 
 def star_rows(params, cfg):
-    graph = star_graph()
-    latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
-    f_g, order = model.build_candidates(PathGraph(graph, start=0),
-                                        obs_at(graph, latents, 0, cfg), params, cfg)
+    f_g, order = model.build_candidates(PathGraph(star_graph(), start=0), params, cfg)
     assert order == [1, 2, 3]
     return f_g.data
 
@@ -412,7 +409,6 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
     cfg = model.ModelConfig(**{**TINY.__dict__, "geo_embed": geo_embed})
     graph, moves = ((tiny_graph(), [1, 3, 2]) if walk == "adjacent-and-not"
                     else (two_node_graph(), [1]))
-    latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
     params = model.build_params(cfg, seed=5)
     rng = np.random.default_rng(13)
     weights = [nn.Tensor(rng.normal(size=(4, cfg.dim)))
@@ -423,7 +419,7 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
         pg = PathGraph(graph, start=0)
         rows, total = [], None
         for t in range(len(moves) + 1):
-            f_g, order = build(pg, obs_at(graph, latents, pg.current, cfg), params, cfg)
+            f_g, order = build(pg, params, cfg)
             assert order == pg.frontier()
             n = f_g.shape[0]
             term = tsum(mul(f_g, nn.Tensor(weights[t].data[:n])))
@@ -464,19 +460,17 @@ def test_build_candidates_matches_oracle_on_full_grid():
         (i + 1, (math.cos(h), math.sin(h), 0.1 * (i % 3 - 1)))
         for i, h in enumerate(headings)],
         [(0, i + 1) for i in range(len(headings))])
-    latents = se.make_latents(star, feature_dim=cfg.vis_dim, seed=0)
     params = model.build_params(cfg, seed=1)
-    obs = obs_at(star, latents, 0, cfg)
-    got, order = model.build_candidates(PathGraph(star, start=0), obs, params, cfg)
-    want, want_order = oracle_build_candidates(PathGraph(star, start=0), obs, params, cfg)
+    got, order = model.build_candidates(PathGraph(star, start=0), params, cfg)
+    want, want_order = oracle_build_candidates(PathGraph(star, start=0), params, cfg)
     assert order == want_order and len(order) == len(headings)
     np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_stop_slot_is_learned_embedding(setup):
-    graph, latents, _, params = setup
+    graph, _, _, params = setup
     pg = PathGraph(graph, start=0)
-    f_g, order = model.build_candidates(pg, obs_at(graph, latents, 0), params, TINY)
+    f_g, order = model.build_candidates(pg, params, TINY)
     assert order == [1, 2]
     assert f_g.shape == (3, TINY.dim)
     np.testing.assert_array_equal(f_g.data[-1], params["graph.stop"].data[0])
@@ -730,7 +724,7 @@ def test_first_step_builds_18_tape_nodes(setup, monkeypatch):
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     cache = model.EpisodeCache()
-    model.forward_step(PathGraph(graph, start=0), obs_at(graph, latents, 0),
+    model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
                        ins, params, TINY, cache)
     assert len(built) == 18 and len(detail) == 1
     assert sum(t is cache.align for t in built) == 1
@@ -747,13 +741,13 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     graph, latents, ins, params = setup
     cache = model.EpisodeCache()
     pg = PathGraph(graph, start=0)
-    obs = obs_at(graph, latents, 0)
-    first, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+    env = env_of(graph, latents)
+    first, _ = model.forward_step(pg, env, ins, params, TINY, cache)
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     added = record_calls(monkeypatch, model, "add_row")
-    feats, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+    feats, _ = model.forward_step(pg, env, ins, params, TINY, cache)
     assert len(built) == 12 and detail == []
     assert len(blocks) == 3 and len(added) == 1
     assert feats.key_detail is first.key_detail is cache.key_detail
@@ -767,7 +761,7 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
                             "kd.fuse.w", "kd.fuse.b", "enh.wv"))
     assert row._backward is cache.align._backward
     with nn.no_tape():
-        plain, _ = model.forward_step(pg, obs, ins, params, TINY, cache)
+        plain, _ = model.forward_step(pg, env, ins, params, TINY, cache)
     assert plain.key_detail is cache.key_detail and added[-1][0][1] is cache.align
 
 
@@ -859,11 +853,11 @@ def test_select_action_affine_invariance():
 def test_forward_step_shapes_and_determinism(setup):
     graph, latents, ins, params = setup
     pg = PathGraph(graph, start=0)
-    obs = obs_at(graph, latents, 0)
-    feats, action = model.forward_step(pg, obs, ins, params, TINY)
+    env = env_of(graph, latents)
+    feats, action = model.forward_step(pg, env, ins, params, TINY)
     assert feats.scores.shape == (len(pg.frontier()) + 1,)
     assert feats.key_detail.shape == (TINY.dim,)
-    feats2, action2 = model.forward_step(pg, obs, ins, params, TINY)
+    feats2, action2 = model.forward_step(pg, env, ins, params, TINY)
     np.testing.assert_array_equal(feats.scores.data, feats2.scores.data)
     assert action == action2 and (action in pg.frontier() or action == STOP)
 
@@ -887,14 +881,13 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     params = model.build_params(cfg, seed=0)
     graph = tiny_graph()
     ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
-    obs = obs_at(graph, se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3),
-                 0, cfg)
+    env = env_of(graph, se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3))
     pg = PathGraph(graph, start=0)
     assert pg.frontier()  # so the candidate rows read their parameters
     reads = record_param_reads(monkeypatch)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
     blocks = record_calls(monkeypatch, nn, "residual_block")
-    feats, _ = model.forward_step(pg, obs, ins, params, cfg)
+    feats, _ = model.forward_step(pg, env, ins, params, cfg)
     assert set(reads) == {name for name, _ in model.param_spec(cfg)}
     [((f_c, row, *_), scores)] = enhance
     assert scores is feats.scores
@@ -965,8 +958,7 @@ def test_forward_step_cache_matches_uncached(setup):
         pg = PathGraph(graph, start=0)
         outs = []
         for node in [0, 1]:
-            obs = obs_at(graph, latents, pg.current)
-            feats, _ = model.forward_step(pg, obs, ins, params, TINY,
+            feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
                                           cache=cache if use_cache else None)
             outs.append(feats.scores.data.copy())
             pg.advance(node + 1)  # 0->1 then jump/step
@@ -998,8 +990,7 @@ def test_forward_step_golden_scores():
     pipeline on the frozen fixture."""
     graph, latents, ins, params = frozen_gradient_fixture()
     pg = PathGraph(graph, start=0)
-    obs = obs_at(graph, latents, 0)
-    feats, action = model.forward_step(pg, obs, ins, params, TINY)
+    feats, action = model.forward_step(pg, env_of(graph, latents), ins, params, TINY)
     assert pg.frontier() == [1, 2]
     assert action == STOP
     np.testing.assert_allclose(
@@ -1013,8 +1004,7 @@ def test_forward_gradients_sampled_finite_difference():
 
     def make_loss():
         pg = PathGraph(graph, start=0)
-        obs = obs_at(graph, latents, 0)
-        feats, _ = model.forward_step(pg, obs, ins, params, TINY)
+        feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY)
         target = pg.frontier().index(1)  # ground-truth next hop
         return nn.cross_entropy(feats.scores, target)
 

@@ -189,10 +189,7 @@ def cross_graph():
 def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=FLAT_12)
-    assert obs.visual.shape == (12, 12)
-    headings, elevations = FLAT_12.angles()
-    np.testing.assert_array_equal(obs.headings, headings)
-    np.testing.assert_array_equal(obs.elevations, elevations)
+    assert obs.visual.shape == (12, 12) and obs.grid == FLAT_12
 
     def expected_neighbor(nbr):
         onehot = np.zeros(se.ROOM_COUNT)
@@ -224,8 +221,8 @@ def test_observation_noise_deterministic_and_scaled(cross_graph):
     clean = se.render_observation(cross_graph, 0, lat, sigma=0.0)
     noise = a.visual - clean.visual
     assert 0.03 < float(np.std(noise)) < 0.3
-    # angular block identical regardless of noise
-    np.testing.assert_array_equal(a.headings, clean.headings)
+    # the same view grid regardless of noise
+    assert a.grid == clean.grid == se.ViewGrid()
     other = se.render_observation(cross_graph, 1, lat, sigma=0.1)
     assert not np.array_equal(a.visual - clean.visual,
                               other.visual - se.render_observation(
@@ -237,10 +234,11 @@ def test_observation_nearest_in_bin_rule(env):
     half_bin = math.pi / 12
     for node in env.node_ids()[:6]:
         obs = se.render_observation(env, node, lat, sigma=0.0, grid=FLAT_12)
+        headings, _ = obs.grid.angles()
         edges = [(nbr, env.edge_pose(node, nbr).heading) for nbr in env.neighbors(node)]
         background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
         for k in range(12):
-            scored = sorted((angular_distance(a, obs.headings[k]), nbr)
+            scored = sorted((angular_distance(a, headings[k]), nbr)
                             for nbr, a in edges)
             if scored and scored[0][0] <= half_bin + 1e-12:
                 nbr = scored[0][1]

@@ -123,7 +123,7 @@ def make_fake_record(margins):
     rec = RolloutRecord()
     for m in margins:
         scores = nn.Tensor(np.array([m, 0.0]))
-        rec.steps.append(StepRecord(node=0, order=(7,), logits=scores,
+        rec.steps.append(StepRecord(node=0, order=(7,), logits=scores.data,
                                     predicted=7, supervision=7,
                                     loss=nn.cross_entropy(scores, 0)))
     return rec
@@ -376,7 +376,7 @@ def test_student_rollout_deterministic_and_bounded(world, params):
                 label=recovery_label)
     assert a.route == b.route
     assert [s.supervision for s in a.steps] == [s.supervision for s in b.steps]
-    assert np.array_equal(a.steps[0].logits.data, b.steps[0].logits.data)
+    assert np.array_equal(a.steps[0].logits, b.steps[0].logits)
     assert 1 <= len(a.steps) <= 6
     # terminal at sampled STOP or after t_max steps
     assert a.steps[-1].action == STOP or len(a.steps) == 6
@@ -417,7 +417,7 @@ def test_rollout_without_params_runs_no_model(world, monkeypatch):
         raise AssertionError("model or renderer ran without params")
 
     monkeypatch.setattr(training, "forward_step", refuse)
-    monkeypatch.setattr(training, "render_observation", refuse)
+    monkeypatch.setattr(model, "render_observation", refuse)
     ep = make_episode(world.graph, seed=4)
     oracle = rollout(world, ep, 30, teacher_policy(ep), label=recovery_label)
     assert oracle.route == ep.gt_path
@@ -436,13 +436,13 @@ def test_rollout_without_params_runs_no_model(world, monkeypatch):
 def test_rollout_renders_each_node_once_per_episode(world, params,
                                                     monkeypatch):
     renders = []
-    render = training.render_observation
+    render = model.render_observation
 
     def counted(graph, node, *args):
         renders.append(node)
         return render(graph, node, *args)
 
-    monkeypatch.setattr(training, "render_observation", counted)
+    monkeypatch.setattr(model, "render_observation", counted)
     ep = make_episode(world.graph, seed=6)
     cache = EpisodeCache()
     tf = rollout_teacher(world, ep, params, MCFG, cache=cache)
@@ -454,6 +454,28 @@ def test_rollout_renders_each_node_once_per_episode(world, params,
     renders.clear()  # the episode loss walks the same routes on one cache
     episode_loss(world, ep, params, MCFG, substream(9, "s"), 8, 0.2)
     assert sorted(renders) == sorted(visited)
+
+
+def test_greedy_rollout_renders_once_per_step(world, params, monkeypatch):
+    """A walk never revisits a node, so greedy evaluation, one cache per
+    episode, renders one panorama per decision step, at that step's node."""
+    renders = []
+    render = model.render_observation
+
+    def counted(graph, node, *args):
+        renders.append(node)
+        return render(graph, node, *args)
+
+    monkeypatch.setattr(model, "render_observation", counted)
+    steps = 0
+    for seed in (2, 3, 6):
+        renders.clear()
+        with nn.no_tape():
+            rec = rollout(world, make_episode(world.graph, seed=seed), 8,
+                          training.greedy_policy, params, MCFG)
+        assert renders == [s.node for s in rec.steps]
+        steps += len(rec.steps)
+    assert steps > 3  # some walk takes more than one step
 
 
 def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
@@ -502,7 +524,7 @@ def test_greedy_eval_builds_no_tape(world, params, monkeypatch):
     assert greedy_rollout(world, ep, params, MCFG, 6) == list(taped.route)
     assert len(scores) == len(taped.steps)
     for s, want in zip(scores, taped.steps):
-        np.testing.assert_array_equal(s.data, want.logits.data)
+        np.testing.assert_array_equal(s.data, want.logits)
         assert not s.requires_grad and s._parents == ()
     evaluate_policy([(world, ep)], params, MCFG, 6)
     assert all(s._parents == () for s in scores)
