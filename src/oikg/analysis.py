@@ -19,26 +19,26 @@ import numpy as np
 from . import nn
 from .artifacts import write_csv
 from .errors import InvalidArgument, NumericFailure
-from .model import ModelConfig, build_params
+from .model import EpisodeCache, ModelConfig, build_params
 from .rng import substream
 from .training import (TrainConfig, check_routes, episode_loss,
                        evaluate_policy, greedy_policy, rollout,
                        rollout_teacher, train)
 
 GRID_LABELS = ("----", "M---", "MG--", "MGL-", "MGLO")
+FLAG_NAMES = ("MED", "GE", "LD", "OD")   # the flags of a label's four characters
 PATHWAY_PREFIXES = ("obs.", "graph.")
 # the key-detail cue of the MI probe: its first CUE_DIMS entries, each
 # binned into CUE_BINS uniform bins
 CUE_BINS = 8
 CUE_DIMS = 2
+TIMING_WARMUP = 50   # untimed greedy steps before time_forward_steps times
 
 
 @dataclass(frozen=True)
 class GradStats:
-    mean_sq_norm: float
     samples: tuple
-    seeds: int
-    failures: int = 0
+    failures: int
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class AblationRow:
 # ---------------------------------------------------------- gradient probe
 
 
-def grad_second_moment(loss_builder, seeds, param_filter=None) -> GradStats:
-    """Mean squared gradient norm over seeded trials.
+def grad_second_moment(loss_builder, seeds, param_filter) -> GradStats:
+    """Squared gradient norms over seeded trials.
 
     loss_builder(seed) must return (ParamStore, scalar loss Tensor) built
     from a fresh initialization.  param_filter restricts the norm to
@@ -73,9 +73,7 @@ def grad_second_moment(loss_builder, seeds, param_filter=None) -> GradStats:
         store.zero_grad()
         nn.backward(loss)
         total = 0.0
-        for name in store.names():
-            if param_filter is not None and not param_filter(name):
-                continue
+        for name in filter(param_filter, store.names()):
             g = store.params[name].grad
             if g is not None:
                 total += float(np.sum(g * g))
@@ -86,9 +84,7 @@ def grad_second_moment(loss_builder, seeds, param_filter=None) -> GradStats:
             warnings.warn(f"non-finite gradient sample for seed {seed}, excluded")
     if not samples:
         raise NumericFailure("all gradient samples were non-finite")
-    return GradStats(mean_sq_norm=float(np.mean(samples)),
-                     samples=tuple(samples), seeds=len(samples),
-                     failures=failures)
+    return GradStats(samples=tuple(samples), failures=failures)
 
 
 def pathway_filter(name: str) -> bool:
@@ -96,8 +92,7 @@ def pathway_filter(name: str) -> bool:
     return name.startswith(PATHWAY_PREFIXES)
 
 
-def vln_loss_builder(data, mcfg: ModelConfig, lam: float = 0.2,
-                     t_max: int = 15):
+def vln_loss_builder(data, mcfg: ModelConfig, lam: float, t_max: int):
     """Builder running one mixed-forcing loss over the batch per seed."""
     data = list(data)
     if not data:
@@ -139,7 +134,7 @@ def mi_plugin(x_samples, y_samples) -> float:
     return max(0.0, mi)
 
 
-def quantize_series(values, bins: int = 8):
+def quantize_series(values, bins: int):
     """Row vectors to discrete symbols: uniform per-dimension binning."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
@@ -162,22 +157,25 @@ def teacher_probe(data, params, mcfg: ModelConfig):
 
     Returns (alignment score, cues, actions): the score is the mean
     log-probability of the reference actions; cues and actions are the
-    paired per-step series of the MI probe, the cue being the quantized
-    first CUE_DIMS entries of the key-detail vector (constant zero when the
-    detail stages are disabled, making the MI exactly zero)."""
+    paired per-step series of the MI probe.  An episode's cue, repeated for
+    each of its steps, is the first CUE_DIMS entries of the key detail its
+    walk's cache holds, quantized over the whole series (constant zero when
+    the detail stages are disabled, making the MI exactly zero)."""
     losses, cues, actions = [], [], []
     for env, ep in data:
+        cache = EpisodeCache()
         with nn.no_tape():
-            rec = rollout_teacher(env, ep, params, mcfg)
+            rec = rollout_teacher(env, ep, params, mcfg, cache)
+        cue = (np.zeros(CUE_DIMS) if cache.key_detail is None
+               else cache.key_detail[:CUE_DIMS])
+        cues += [cue] * len(rec.steps)
         for s in rec.steps:
             losses.append(float(s.loss.data))
-            cues.append(np.array(s.key_detail[:CUE_DIMS] if s.key_detail is not None
-                                 else np.zeros(CUE_DIMS), dtype=np.float64))
             actions.append(int(s.action))
     if not losses:
         raise InvalidArgument("no supervised steps")
     return (-float(np.mean(losses)),
-            quantize_series(np.stack(cues), bins=CUE_BINS), actions)
+            quantize_series(np.stack(cues), CUE_BINS), actions)
 
 
 # ----------------------------------------------------------- sign testing
@@ -235,8 +233,8 @@ def check_grid(base: ModelConfig, grid) -> tuple:
     return grid
 
 
-def grad_probe(data, seeds, base_mcfg: ModelConfig, lam: float = 0.2,
-               t_max: int = 15) -> dict:
+def grad_probe(data, seeds, base_mcfg: ModelConfig, lam: float,
+               t_max: int) -> dict:
     """Squared gradient norm on the observation/graph pathways: decoupled
     geometric variant vs coupled baseline, paired by seed."""
     a = grad_second_moment(vln_loss_builder(data, variant_config(base_mcfg, "MG--"),
@@ -274,29 +272,24 @@ def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) ->
 
 
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
-                       min_steps: int = 1000, warmup: int = 50) -> float:
-    """Mean wall-clock milliseconds per forward_step, measured warm and
-    without a tape, as greedy evaluation runs.  A greedy walk never
-    revisits a node, so each timed step includes its panorama's render."""
+                       min_steps: int) -> float:
+    """Mean wall-clock milliseconds per forward_step over at least
+    `min_steps` steps, measured without a tape, as greedy evaluation runs,
+    after TIMING_WARMUP untimed steps.  A greedy walk never revisits a
+    node, so each timed step includes its panorama's render."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")
     if not data:
         raise InvalidArgument("no episodes to time")
-    timed = 0
-    spent = 0.0
-    skipped = 0
-    while timed < min_steps:
+    seconds: list = []
+    while len(seconds) < TIMING_WARMUP + min_steps:
         for env, ep in data:
             with nn.no_tape():
                 rec = rollout(env, ep, t_max, greedy_policy, params, mcfg)
-            for s in rec.steps:
-                if skipped < warmup:
-                    skipped += 1
-                else:
-                    timed += 1
-                    spent += s.seconds
-    return spent / timed * 1000.0
+            seconds += [s.seconds for s in rec.steps]
+    timed = seconds[TIMING_WARMUP:]
+    return sum(timed) / len(timed) * 1000.0
 
 
 def map_units(jobs: int, fn, *iterables) -> list:
@@ -315,8 +308,7 @@ def map_units(jobs: int, fn, *iterables) -> list:
 
 
 def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
-                      base_mcfg: ModelConfig, seeds,
-                      min_timing_steps: int = 1000):
+                      base_mcfg: ModelConfig, seeds, min_timing_steps: int):
     """One grid cell: train/evaluate a variant over every seed.
 
     Returns (AblationRow, per-seed metric dict); divergence on any seed
@@ -350,8 +342,8 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
 
 
 def run_ablation(train_data, eval_data, tcfg: TrainConfig,
-                 base_mcfg: ModelConfig, seeds=(0,), grid=GRID_LABELS,
-                 min_timing_steps: int = 1000, jobs: int = 1):
+                 base_mcfg: ModelConfig, seeds, grid, min_timing_steps: int,
+                 jobs: int):
     """Train/evaluate each variant with identical seeds and budget.
 
     The grid is checked (``check_grid``) before any compute; cells run
@@ -368,11 +360,11 @@ def run_ablation(train_data, eval_data, tcfg: TrainConfig,
     return rows, sidecar
 
 
-def write_ablation_csv(path, rows, comment: str | None = None) -> None:
+def write_ablation_csv(path, rows, comment: str) -> None:
     """Flag columns, read off the label, then TL, NE, SR, SPL (x100),
     per-step ms."""
-    write_csv(path, ["variant", "MED", "GE", "LD", "OD", "TL", "NE", "SR",
-                     "SPL", "time_ms", "failed"],
+    write_csv(path, ["variant", *FLAG_NAMES, "TL", "NE", "SR", "SPL",
+                     "time_ms", "failed"],
               ([r.label, *(int(c != "-") for c in r.label),
                 f"{r.tl:.2f}", f"{r.ne:.2f}", f"{r.sr * 100.0:.2f}",
                 f"{r.spl * 100.0:.2f}", f"{r.step_ms:.3f}", int(r.failed)]

@@ -2,11 +2,11 @@
 
 Canonical JSON sorts object keys and drops all optional whitespace, so equal
 values always serialize to equal bytes; a JSON file holds one such document
-plus a trailing newline.  A CSV file is an optional ``# comment`` line, a
-header row and data rows, written with the csv module's line endings.  A
-checkpoint is binary: a magic string, then one length-prefixed block per
-parameter.  Every artifact the package reads or writes goes through this
-module.
+plus a trailing newline.  A CSV file is a ``# comment`` line, which names
+the run's ``config_hash``, a header row and data rows, written with the csv
+module's line endings.  A checkpoint is binary: a magic string, then one
+length-prefixed block per parameter.  Every artifact the package reads or
+writes goes through this module.
 """
 
 import csv
@@ -39,10 +39,9 @@ def read_json(path):
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def write_csv(path, header, rows, comment: str | None = None) -> None:
+def write_csv(path, header, rows, comment: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -17,24 +17,24 @@ import sys
 from pathlib import Path
 
 from . import nn
-from .analysis import (GRID_LABELS, check_grid, detail_probe, grad_probe, map_units,
-                       run_ablation, variant_config, write_ablation_csv)
+from .analysis import (FLAG_NAMES, GRID_LABELS, check_grid, detail_probe,
+                       grad_probe, map_units, run_ablation, variant_config,
+                       write_ablation_csv)
 from .artifacts import canonical_json, load_checkpoint, read_json, write_json
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
 from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
 from .model import TINY_CONFIG, ModelConfig, build_params
-from .navgraph import load_environment, save_environment
+from .navgraph import check_route, load_environment, save_environment
 from .rng import substream
-from .synthenv import (EnvBundle, EnvParams, episode_from_dict, episode_to_dict,
-                       generate_environment, make_episode, make_latents,
-                       save_vocab)
+from .synthenv import (ROOM_COUNT, EnvBundle, EnvParams, episode_from_dict,
+                       episode_to_dict, generate_environment, make_episode,
+                       make_latents, save_vocab)
 from .training import (TrainConfig, check_routes, greedy_policy,
                        random_policy, recovery_label, rollout, teacher_policy,
                        train, write_training_log)
 
-FLAG_NAMES = ("MED", "GE", "LD", "OD")
 SPLITS = ("train", "val_seen", "val_unseen")
 MODEL_PRESETS = {"tiny": TINY_CONFIG, "full": ModelConfig()}
 
@@ -178,9 +178,18 @@ def _read_record(path, keys: dict) -> dict:
 
 
 def _load_split(data_dir: str, split: str):
-    """(EnvBundle, episodes, archived gen config) for one split."""
+    """(EnvBundle, episodes, archived gen config) for one split, once the
+    config's values are in range and every episode's route lies in the
+    split's graph; anything else is a data error."""
     base = Path(data_dir)
-    gen_cfg = _read_record(base / "config.json", GEN_KEYS)
+    gen_path = base / "config.json"
+    gen_cfg = _read_record(gen_path, GEN_KEYS)
+    if not 0 <= gen_cfg["sigma"] <= sys.float_info.max:  # also NaN
+        raise SchemaError(f"{gen_path}: sigma must be finite and >= 0")
+    if gen_cfg["feature_dim"] <= ROOM_COUNT:
+        raise SchemaError(f"{gen_path}: feature_dim must exceed {ROOM_COUNT}")
+    if gen_cfg["mode"] not in CHOICES["mode"]:
+        raise SchemaError(f"{gen_path}: mode must be one of {CHOICES['mode']}")
     env_file = "env_unseen.json" if split == "val_unseen" else "env.json"
     graph = load_environment(base / env_file)
     latent_seed = (gen_cfg["latent_seed_unseen"] if split == "val_unseen"
@@ -195,7 +204,8 @@ def _load_split(data_dir: str, split: str):
     for i, d in enumerate(raw["episodes"]):
         try:
             episodes.append(episode_from_dict(d))
-        except SchemaError as exc:
+            check_route(graph, episodes[-1].gt_path, "gt")
+        except (SchemaError, InvalidArgument) as exc:
             raise SchemaError(f"{path}: episode {i}: {exc}") from exc
     return env, episodes, gen_cfg
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .errors import InvalidArgument
-from .navgraph import NavGraph, path_length
+from .navgraph import NavGraph, check_route, path_length
 
 SUCCESS_RADIUS = 3.0
 
@@ -27,15 +27,8 @@ class EpisodeResult:
     def __post_init__(self):
         object.__setattr__(self, "executed_path", tuple(int(n) for n in self.executed_path))
         object.__setattr__(self, "gt_path", tuple(int(n) for n in self.gt_path))
-        for label, path in (("executed", self.executed_path), ("gt", self.gt_path)):
-            if not path:
-                raise InvalidArgument(f"{label} path is empty")
-            for n in path:
-                if n not in self.env.nodes:
-                    raise InvalidArgument(f"{label} path references unknown node {n}")
-            for u, v in zip(path, path[1:]):
-                if not self.env.has_edge(u, v):
-                    raise InvalidArgument(f"{label} path hop {u}->{v} is not an edge")
+        check_route(self.env, self.executed_path, "executed")
+        check_route(self.env, self.gt_path, "gt")
 
     @property
     def goal(self) -> int:
@@ -142,7 +135,7 @@ def aggregate(rows) -> dict:
 # ------------------------------------------------------------- file formats
 
 
-def write_results_csv(path, results: dict, comment: str | None = None) -> None:
+def write_results_csv(path, results: dict, comment: str) -> None:
     """results: episode_id -> MetricRow, written in sorted id order."""
     write_csv(path, ["episode_id", "TL", "NE", "SR", "SPL", "nDTW", "sDTW"],
               ([ep_id] + [repr(float(v)) for v in

@@ -29,7 +29,7 @@ import numpy as np
 from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
-from .navgraph import STOP, PathGraph
+from .navgraph import PathGraph, slot_action
 from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, Observation, ViewGrid,
                        render_observation)
 
@@ -66,9 +66,9 @@ TINY_CONFIG = ModelConfig(view_grid=ViewGrid(4, (0.0,)), vis_dim=10, dim=8, laye
 
 @dataclass
 class StepFeatures:
-    """The outputs of one decision step that rollouts keep."""
-    key_detail: np.ndarray | None   # (dim,), read-only; None when both detail flags off
-    scores: nn.Tensor               # (N_c,): frontier ids in order, then STOP
+    """The output of one decision step that rollouts keep; the episode's key
+    detail stays in its ``EpisodeCache``."""
+    scores: nn.Tensor   # (N_c,): frontier ids in order, then STOP
 
 
 # -------------------------------------------------------------- parameters
@@ -396,17 +396,16 @@ def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
                              score=True)
 
 
-def select_action(scores, frontier_order) -> int:
-    """Highest-scoring candidate; ordering makes ties favor the lowest node
-    id and give STOP (the last slot) lowest priority."""
-    data = scores.data if isinstance(scores, nn.Tensor) else np.asarray(scores)
-    if data.size == 0:
+def select_action(scores: np.ndarray, frontier_order) -> int:
+    """The action of the highest score in the array ``scores``, one slot per
+    frontier node then STOP (``navgraph.slot_action``); ordering makes ties
+    favor the lowest node id and give STOP lowest priority."""
+    if scores.size == 0:
         raise InvalidState("no candidate scores")
-    if data.shape != (len(frontier_order) + 1,):
+    if scores.shape != (len(frontier_order) + 1,):
         raise ShapeError(
-            f"{data.shape[0]} scores for {len(frontier_order)} frontier nodes + STOP")
-    best = int(np.argmax(data))
-    return frontier_order[best] if best < len(frontier_order) else STOP
+            f"{scores.shape[0]} scores for {len(frontier_order)} frontier nodes + STOP")
+    return slot_action(frontier_order, int(np.argmax(scores)))
 
 
 # ---------------------------------------------------------------- pipeline
@@ -420,8 +419,8 @@ class EpisodeCache:
 
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
-    they were built in.  ``key_detail`` is the first step's read-only key
-    detail array, which every step's ``StepRecord.key_detail`` shares, and
+    they were built in.  ``key_detail`` is the episode's read-only key
+    detail array, the one copy (None when both detail flags are off), and
     ``align`` the first step's alignment row node; later steps replay it.
     """
 
@@ -434,21 +433,20 @@ class EpisodeCache:
 
 def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
                  params: nn.ParamStore, cfg: ModelConfig,
-                 cache: EpisodeCache | None = None) -> tuple[StepFeatures, int]:
+                 cache: EpisodeCache) -> tuple[StepFeatures, int]:
     """Run the full pipeline for one decision step at ``pg.current``, whose
     panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
     its first visit per cache; later visits reuse the embedding.
 
-    Without a cache the step gets one of its own.  With a cache shared by
-    the episode's steps, the key detail and its alignment row are computed
-    once, as one node.  Every later step gets ``nn.replay`` of that node: a
-    new node with its data, parents and backward, so each step's gradient
-    still reaches f_i, ``enh.wv`` and the ``kd.*`` parameters on its own,
-    at the step's place in the backward walk, as a per-step rebuild gave
-    it.  One tracked tensor shared by the steps would sum their gradients
-    first and change the last bits.
+    ``cache`` is shared by the episode's steps: the first computes the key
+    detail, kept in ``cache.key_detail``, and its alignment row, as one
+    node.  Every later step gets ``nn.replay`` of that node: a new node with
+    its data, parents and backward, so each step's gradient still reaches
+    f_i, ``enh.wv`` and the ``kd.*`` parameters on its own, at the step's
+    place in the backward walk, as a per-step rebuild gave it.  One tracked
+    tensor shared by the steps would sum their gradients first and change
+    the last bits.
     """
-    cache = cache if cache is not None else EpisodeCache()
     f_o = cache.obs.get(pg.current)
     if f_o is None:
         obs = render_observation(env.graph, pg.current, env.latents, env.sigma,
@@ -462,14 +460,14 @@ def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
     if f_i is None:
         f_i = cache.instr = encode_instruction(ins, params, cfg)
 
-    f_k = row = None
+    row = None
     if cfg.loc_detail or cfg.obj_detail:
         if cache.align is not None:
-            f_k, row = cache.key_detail, nn.replay(cache.align)
+            row = nn.replay(cache.align)
         else:
-            f_k, row = extract_key_detail(f_i, ins.location_mask, ins.object_mask,
-                                          params, cfg)
-            cache.key_detail, cache.align = f_k, row
+            cache.key_detail, row = extract_key_detail(
+                f_i, ins.location_mask, ins.object_mask, params, cfg)
+            cache.align = row
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, row, params, cfg)
-    return StepFeatures(key_detail=f_k, scores=scores), select_action(scores, order)
+    return StepFeatures(scores=scores), select_action(scores.data, order)

@@ -23,6 +23,16 @@ STOP = -1  # action sentinel: terminate at the current node
 INF = float("inf")
 
 
+def slot_action(order, slot: int) -> int:
+    """The action of a score slot: the frontier nodes in ``order``, then STOP."""
+    return order[slot] if slot < len(order) else STOP
+
+
+def action_slot(order, action: int) -> int:
+    """The score slot of an action; ``slot_action``'s inverse."""
+    return len(order) if action == STOP else order.index(action)
+
+
 @dataclass(frozen=True)
 class NavNode:
     id: int
@@ -162,6 +172,19 @@ def path_length(graph: NavGraph, path: Sequence[int]) -> float:
     for u, v in zip(path, path[1:]):
         total += graph.edge_pose(u, v).length
     return total
+
+
+def check_route(graph: NavGraph, path, what: str) -> None:
+    """InvalidArgument unless the ``what`` route is non-empty, of known
+    nodes, and each hop an edge."""
+    if not path:
+        raise InvalidArgument(f"{what} path is empty")
+    for n in path:
+        if n not in graph.nodes:
+            raise InvalidArgument(f"{what} path references unknown node {n}")
+    for u, v in zip(path, path[1:]):
+        if not graph.has_edge(u, v):
+            raise InvalidArgument(f"{what} path hop {u}->{v} is not an edge")
 
 
 class PathGraph:

@@ -22,7 +22,7 @@ import numpy as np
 from .artifacts import write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
 from .geometry import TWO_PI, bracketing_columns
-from .navgraph import NavGraph, NavNode, build_graph
+from .navgraph import NavGraph, NavNode, build_graph, check_route
 from .rng import substream
 
 ROOM_WORDS = ("kitchen", "hallway", "bedroom", "bathroom",
@@ -131,13 +131,9 @@ class Observation:
 class LatentTable:
     """Per-node appearance vectors; room one-hot fills the trailing dims."""
     seed: int
-    free_dim: int
+    feature_dim: int   # the vectors' width plus ROOM_COUNT
     node: dict[int, np.ndarray]
     background: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.free_dim + ROOM_COUNT
 
 
 @dataclass(frozen=True)
@@ -155,11 +151,12 @@ def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
     node = {n: substream(seed, "latent", n).standard_normal(free)
             for n in graph.node_ids()}
     background = substream(seed, "latent", "background").standard_normal(free)
-    return LatentTable(seed=seed, free_dim=free, node=node, background=background)
+    return LatentTable(seed=seed, feature_dim=feature_dim, node=node,
+                       background=background)
 
 
 def render_observation(graph: NavGraph, node: int, latents: LatentTable,
-                       sigma: float, grid: ViewGrid = ViewGrid()) -> Observation:
+                       sigma: float, grid: ViewGrid) -> Observation:
     """Panorama at a node.
 
     A view shows the out-neighbor whose edge heading is nearest the view
@@ -308,14 +305,7 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
     least one location and one object cue.
     """
     gt_path = tuple(int(n) for n in gt_path)
-    if not gt_path:
-        raise InvalidArgument("empty gt_path")
-    for n in gt_path:
-        if n not in graph.nodes:
-            raise InvalidArgument(f"gt_path references unknown node {n}")
-    for u, v in zip(gt_path, gt_path[1:]):
-        if not graph.has_edge(u, v):
-            raise InvalidArgument(f"gt_path hop {u}->{v} is not an edge")
+    check_route(graph, gt_path, "gt")
 
     goal = gt_path[-1]
     goal_objects = graph.nodes[goal].objects

@@ -20,7 +20,7 @@ from .artifacts import save_checkpoint, write_csv
 from .errors import InvalidArgument, InvalidState, NumericFailure
 from .metrics import EpisodeResult, aggregate, evaluate
 from .model import EpisodeCache, ModelConfig, forward_step
-from .navgraph import STOP, NavGraph, PathGraph
+from .navgraph import STOP, NavGraph, PathGraph, action_slot, slot_action
 from .rng import substream
 from .synthenv import EnvBundle, Episode
 
@@ -54,8 +54,8 @@ class TrainConfig:
 class StepRecord:
     """One decision.  predicted is the model's argmax, supervision the
     label, action the executed move (the sample under student forcing).
-    logits and key_detail are arrays (None when no model ran); only loss
-    holds the step's graph."""
+    logits is the scores array (None when no model ran); only loss holds
+    the step's graph.  The episode's key detail is its cache's."""
     node: int
     order: tuple
     logits: np.ndarray | None
@@ -63,7 +63,6 @@ class StepRecord:
     supervision: int | None
     loss: nn.Tensor | None
     action: int = STOP
-    key_detail: np.ndarray | None = None
     seconds: float = 0.0
 
 
@@ -78,24 +77,16 @@ class RolloutRecord:
         return nn.mean([s.loss for s in self.steps])
 
 
-def _slot_action(order, slot: int) -> int:
-    return order[slot] if slot < len(order) else STOP
-
-
-def _action_slot(order, action: int) -> int:
-    return len(order) if action == STOP else order.index(action)
-
-
 def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
             mcfg: ModelConfig | None = None, cache: EpisodeCache | None = None,
             label=None) -> RolloutRecord:
     """Walk one episode: run the model if `params` is given, act on
     `choose(t, step)`, and if `label` is given record `label(pg, episode,
     step)` as supervision (with its cross-entropy loss when the model ran).
-    Ends at STOP or after t_max steps.  `forward_step` renders a node's
-    panorama on its first visit per `cache`, i.e. per episode.  Helpers are
-    module globals looked up at call time, so wrappers installed on them
-    see every step."""
+    Ends at STOP or after t_max steps.  `cache` (a new one if not given)
+    holds the episode's fixed encodings, its key detail among them, and
+    each node's panorama, rendered on its first visit.  Helpers are module
+    globals looked up at call time, so wrappers see every step."""
     pg = PathGraph(env.graph, episode.start)
     cache = cache if cache is not None else EpisodeCache()
     rec = RolloutRecord()
@@ -110,13 +101,12 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
             step.seconds = time.perf_counter() - t0
             scores = feats.scores
             step.logits = scores.data
-            step.key_detail = feats.key_detail
         step.action = choose(t, step)
         if label is not None:
             step.supervision = label(pg, episode, step)
             if scores is not None:
                 step.loss = nn.cross_entropy(
-                    scores, _action_slot(step.order, step.supervision))
+                    scores, action_slot(step.order, step.supervision))
         rec.steps.append(step)
         pg.advance(step.action)
         if pg.terminal:
@@ -149,7 +139,7 @@ def sample_policy(rng: np.random.Generator):
             raise NumericFailure(f"non-finite action scores at node {step.node}")
         p = np.exp(scores - scores.max())
         p /= p.sum()
-        return _slot_action(step.order, int(rng.choice(p.size, p=p)))
+        return slot_action(step.order, int(rng.choice(p.size, p=p)))
     return choose
 
 
@@ -161,7 +151,7 @@ def greedy_policy(t, step):
 def random_policy(rng: np.random.Generator):
     """Uniform over frontier + STOP."""
     def choose(t, step):
-        return _slot_action(step.order, int(rng.integers(len(step.order) + 1)))
+        return slot_action(step.order, int(rng.integers(len(step.order) + 1)))
     return choose
 
 
@@ -175,7 +165,7 @@ def teacher_label(pg: PathGraph, episode: Episode, step: StepRecord) -> int:
 
 def recovery_label(pg: PathGraph, episode: Episode, step: StepRecord) -> int:
     """The recovery pseudo-label of the current state, as an action."""
-    return _slot_action(step.order, pseudo_label(pg, episode, pg.graph))
+    return slot_action(step.order, pseudo_label(pg, episode, pg.graph))
 
 
 # ------------------------------------------------------ supervised rollouts
@@ -282,7 +272,7 @@ def evaluate_policy(data, params, mcfg: ModelConfig, t_max: int):
 # ----------------------------------------------------------------- training
 
 
-def write_training_log(path, rows, comment: str | None = None) -> None:
+def write_training_log(path, rows, comment: str) -> None:
     write_csv(path, LOG_COLUMNS,
               ([row[c] if isinstance(row[c], (str, int))
                 else repr(float(row[c])) for c in LOG_COLUMNS] for row in rows),

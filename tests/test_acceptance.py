@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_analysis import linear_regression_builder
+from test_analysis import every_parameter, linear_regression_builder
 from test_cli import GEN_ARGS, tree_hashes
 from test_metrics import chain_graph, enumerate_dtw, graph_from, random_walk
 from test_model import (env_of, frozen_gradient_fixture, record_calls,
@@ -79,7 +79,7 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
     def make_loss():
         pg = PathGraph(graph, start=0)
         feats, _ = model.forward_step(pg, env_of(graph, latents), ins,
-                                      params, TINY_CONFIG)
+                                      params, TINY_CONFIG, model.EpisodeCache())
         return nn.cross_entropy(feats.scores, pg.frontier().index(1))
 
     nn.backward(make_loss())
@@ -108,12 +108,13 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
     rng = substream(104, "pe-sweep")
 
     def step(cfg, params):
-        """Parameter names one decision step reads, and its features."""
+        """Parameter names one decision step reads, and its episode cache."""
         reads = record_param_reads(monkeypatch)
-        feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      env_of(graph, latents), ins, params, cfg)
+        cache = model.EpisodeCache()
+        model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
+                           ins, params, cfg, cache)
         monkeypatch.undo()
-        return set(reads), feats
+        return set(reads), cache
 
     # geometric embedding off: the positional term is exactly zero, so with
     # a zeroed edge projection every candidate row is zero
@@ -137,8 +138,8 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     detail = record_calls(monkeypatch, model, "extract_key_detail")
-    reads, feats = step(cfg, params)
-    assert feats.key_detail is None and detail == []
+    reads, cache = step(cfg, params)
+    assert cache.key_detail is None and detail == []
     [((f_c, *_), _)] = enhance
     [*_, ((f_e, *_), _)] = blocks  # the scoring head comes last
     assert f_e is f_c  # the cross-modal rows, untouched
@@ -190,13 +191,15 @@ def test_a06_generalization_harness_and_grid_report(tmp_path):
     tcfg = TrainConfig(lam=0.2, t_max=15, lr=3e-3, iterations=150,
                        batch_size=2, seed=0)
     rows, sidecar = run_ablation(train_data, eval_data, tcfg, TINY_CONFIG,
-                                 seeds=range(5), min_timing_steps=50)
+                                 seeds=range(5), grid=GRID_LABELS,
+                                 min_timing_steps=50, jobs=1)
     assert [r.label for r in rows] == list(GRID_LABELS)
     out = tmp_path / "ablation.csv"
-    write_ablation_csv(out, rows)
+    write_ablation_csv(out, rows, comment="config_hash=a06")
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"
-    assert len(lines) == 1 + len(GRID_LABELS)
+    assert lines[:2] == ["# config_hash=a06",
+                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"]
+    assert len(lines) == 2 + len(GRID_LABELS)
 
     # directional report; the sign is not asserted at this scale
     diffs = [sidecar["MGLO"][str(s)]["SR"] - sidecar["----"][str(s)]["SR"]
@@ -259,8 +262,8 @@ def test_a08_recovery_labels_match_bruteforce_exhaustively():
 
 
 def test_a09_estimator_calibration():
-    stats = grad_second_moment(linear_regression_builder, seeds=(0, 1, 2))
-    assert abs(stats.mean_sq_norm - 4.0) <= 1e-8
+    stats = grad_second_moment(linear_regression_builder, (0, 1, 2), every_parameter)
+    assert abs(np.mean(stats.samples) - 4.0) <= 1e-8
 
     n = 100_000
     rng = substream(109, "mi-bits")

@@ -10,7 +10,7 @@ import pytest
 from tape_ops import mul, sub
 from test_model import flag_label
 
-from oikg import analysis, nn
+from oikg import analysis, model, nn
 from oikg import training
 from oikg.analysis import (GRID_LABELS, AblationRow, GradStats, detail_probe,
                            grad_probe, grad_second_moment, make_probe,
@@ -53,11 +53,15 @@ def linear_regression_builder(seed):
     return store, mul(diff, diff)
 
 
+def every_parameter(name):
+    return True
+
+
 def test_grad_second_moment_linear_regression():
-    stats = grad_second_moment(linear_regression_builder, seeds=(0, 1, 2))
-    assert abs(stats.mean_sq_norm - 4.0) <= 1e-8
+    stats = grad_second_moment(linear_regression_builder, (0, 1, 2), every_parameter)
+    assert abs(np.mean(stats.samples) - 4.0) <= 1e-8
     assert stats.samples == (4.0, 4.0, 4.0)
-    assert stats.seeds == 3 and stats.failures == 0
+    assert len(stats.samples) == 3 and stats.failures == 0
 
 
 def test_grad_second_moment_zero_loss_limit():
@@ -67,13 +71,13 @@ def test_grad_second_moment_zero_loss_limit():
         loss = nn.cross_entropy(nn.add(nn.Tensor(np.array([50.0, 0.0])), w), 0)
         return store, loss
 
-    stats = grad_second_moment(builder, seeds=(0, 1))
-    assert stats.mean_sq_norm < 1e-20
+    stats = grad_second_moment(builder, (0, 1), every_parameter)
+    assert np.mean(stats.samples) < 1e-20
 
 
 def test_grad_second_moment_guards_and_failures():
     with pytest.raises(InvalidArgument):
-        grad_second_moment(linear_regression_builder, seeds=(0,))
+        grad_second_moment(linear_regression_builder, (0,), every_parameter)
 
     def flaky(seed):
         store = nn.ParamStore()
@@ -81,8 +85,8 @@ def test_grad_second_moment_guards_and_failures():
         return store, mul(w, w)
 
     with pytest.warns(UserWarning, match="non-finite"):
-        stats = grad_second_moment(flaky, seeds=(0, 1, 2))
-    assert stats.failures == 1 and stats.seeds == 2
+        stats = grad_second_moment(flaky, (0, 1, 2), every_parameter)
+    assert stats.failures == 1 and len(stats.samples) == 2
 
 
 def test_pathway_filter_restricts_names():
@@ -97,7 +101,7 @@ def test_pathway_filter_restricts_names():
         return store, nn.add(mul(a, a), mul(nn.scale(b, 3.0), b))
 
     stats = grad_second_moment(builder, (0, 1), pathway_filter)
-    assert stats.mean_sq_norm == pytest.approx(4.0, abs=1e-12)  # txt.w excluded
+    assert np.mean(stats.samples) == pytest.approx(4.0, abs=1e-12)  # txt.w excluded
 
 
 def test_vln_builder_deterministic(world):
@@ -106,11 +110,13 @@ def test_vln_builder_deterministic(world):
     _, l2 = build(0)
     assert float(l1.data) == float(l2.data)
     stats = grad_second_moment(build, seeds=(0, 1), param_filter=pathway_filter)
-    assert stats.mean_sq_norm > 0.0 and math.isfinite(stats.mean_sq_norm)
+    mean_sq_norm = np.mean(stats.samples)
+    assert mean_sq_norm > 0.0 and math.isfinite(mean_sq_norm)
     with pytest.raises(InvalidArgument):
-        vln_loss_builder([], MCFG)
+        vln_loss_builder([], MCFG, lam=0.2, t_max=6)
     with pytest.raises(InvalidArgument):  # routes are checked before any seed
-        vln_loss_builder(world, MCFG, t_max=max(len(ep.gt_path) for _, ep in world) - 1)
+        vln_loss_builder(world, MCFG, lam=0.2,
+                         t_max=max(len(ep.gt_path) for _, ep in world) - 1)
 
 
 def test_vln_builder_matches_inline_composition(world):
@@ -181,7 +187,7 @@ def test_quantize_series():
     with pytest.raises(InvalidArgument):
         quantize_series([[1.0]], bins=1)
     with pytest.raises(InvalidArgument):
-        quantize_series(np.zeros((0, 2)))
+        quantize_series(np.zeros((0, 2)), bins=2)
 
 
 def test_cue_series_constant_without_details(world):
@@ -194,6 +200,30 @@ def test_cue_series_constant_without_details(world):
     full = build_params(MCFG, seed=0)
     _, xs_full, ys_full = teacher_probe(world, full, MCFG)
     assert len(xs_full) == len(xs) and ys_full == ys
+
+
+@pytest.mark.parametrize("label", ["MGLO", "MGL-", "MG--"])
+def test_cue_series_matches_key_detail_oracle(world, label):
+    """The MI probe's cue series, rebuilt from each episode's instruction:
+    the key detail's first CUE_DIMS entries (zeros with both detail cues
+    off), once per route node, quantized over the whole series."""
+    mcfg = variant_config(MCFG, label)
+    params = build_params(mcfg, seed=0)
+    cues = []
+    for _, ep in world:
+        ins = ep.instruction
+        if mcfg.loc_detail or mcfg.obj_detail:
+            with nn.no_tape():
+                f_k, _ = model.extract_key_detail(
+                    model.encode_instruction(ins, params, mcfg), ins.location_mask,
+                    ins.object_mask, params, mcfg)
+            cue = f_k[:analysis.CUE_DIMS]
+        else:
+            cue = np.zeros(analysis.CUE_DIMS)
+        cues += [cue] * len(ep.gt_path)
+    want = quantize_series(cues, bins=analysis.CUE_BINS)
+    assert teacher_probe(world, params, mcfg)[1] == want
+    assert (len(set(want)) > 1) == (label != "MG--")
 
 
 # ------------------------------------------------------------- alignment
@@ -261,12 +291,12 @@ def test_make_probe_and_json(tmp_path):
 
 
 def test_grad_probe_structure(world):
-    probe = grad_probe(world, seeds=(0, 1), base_mcfg=MCFG, t_max=5)
+    probe = grad_probe(world, seeds=(0, 1), base_mcfg=MCFG, lam=0.2, t_max=5)
     assert probe["variant_a"] == "MG--" and probe["variant_b"] == "----"
     assert len(probe["samples"]["a"]) == 2
     assert math.isfinite(probe["mean_diff"])
     assert probe["failures"] == {"a": 0, "b": 0}
-    again = grad_probe(world, seeds=(0, 1), base_mcfg=MCFG, t_max=5)
+    again = grad_probe(world, seeds=(0, 1), base_mcfg=MCFG, lam=0.2, t_max=5)
     assert again == probe
 
 
@@ -320,8 +350,7 @@ def test_variant_config_labels():
 
 def test_time_forward_steps(world):
     params = build_params(MCFG, seed=0)
-    ms = time_forward_steps(world, params, MCFG, t_max=4, min_steps=5,
-                            warmup=2)
+    ms = time_forward_steps(world, params, MCFG, t_max=4, min_steps=5)
     assert ms > 0.0 and math.isfinite(ms)
     with pytest.raises(InvalidArgument):
         time_forward_steps(world, params, MCFG, t_max=4, min_steps=0)
@@ -352,7 +381,7 @@ def test_run_ablation_deterministic(world, tmp_path):
     runs = []
     for _ in range(2):
         rows, sidecar = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                                     grid=grid, min_timing_steps=3)
+                                     grid=grid, min_timing_steps=3, jobs=1)
         runs.append((rows, sidecar))
     rows, sidecar = runs[0]
     assert [r.label for r in rows] == list(grid)
@@ -365,20 +394,22 @@ def test_run_ablation_deterministic(world, tmp_path):
     assert sidecar == runs[1][1]
 
     path = tmp_path / "ablation.csv"
-    write_ablation_csv(path, rows)
+    write_ablation_csv(path, rows, comment="config_hash=0123")
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"
-    assert len(lines) == 3
-    assert lines[1].startswith("----,0,0,0,0,")
-    assert lines[2].startswith("MGLO,1,1,1,1,")
+    assert lines[:2] == ["# config_hash=0123",
+                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"]
+    assert len(lines) == 4
+    assert lines[2].startswith("----,0,0,0,0,")
+    assert lines[3].startswith("MGLO,1,1,1,1,")
 
 
 def test_ablation_csv_flag_columns_read_off_the_label(tmp_path):
     path = tmp_path / "ablation.csv"
     rows = [AblationRow(label=label, tl=1.0, ne=2.0, sr=0.5, spl=0.25, step_ms=0.125)
             for label in ("M-L-", "-G-O")]
-    write_ablation_csv(path, rows)
-    assert path.read_text().splitlines()[1:] == [
+    write_ablation_csv(path, rows, comment="c")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# c" and lines[2:] == [
         "M-L-,1,0,1,0,1.00,2.00,50.00,25.00,0.125,0",
         "-G-O,0,1,0,1,1.00,2.00,50.00,25.00,0.125,0"]
 
@@ -427,7 +458,7 @@ def test_map_units_rejects_fewer_than_one_job(monkeypatch):
 def test_run_ablation_single_row(world):
     tcfg = TrainConfig(t_max=6, lr=3e-3, iterations=1, batch_size=1, seed=0)
     rows, _ = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                           grid=("----",), min_timing_steps=3)
+                           grid=("----",), min_timing_steps=3, jobs=1)
     assert len(rows) == 1
     assert rows[0].label == "----"
 
@@ -437,7 +468,7 @@ def test_run_ablation_divergence_marks_row(world):
     with pytest.warns(UserWarning, match="diverged"), \
             np.errstate(over="ignore", invalid="ignore"):
         rows, _ = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                               grid=("M---", "----"), min_timing_steps=3)
+                               grid=("M---", "----"), min_timing_steps=3, jobs=1)
     assert [r.failed for r in rows] == [True, True]
     assert math.isnan(rows[0].sr)
 
@@ -445,7 +476,8 @@ def test_run_ablation_divergence_marks_row(world):
 def test_run_ablation_guards(world):
     tcfg = TrainConfig(iterations=1)
     with pytest.raises(InvalidArgument):
-        run_ablation(world, world, tcfg, MCFG, seeds=())
+        run_ablation(world, world, tcfg, MCFG, seeds=(), grid=GRID_LABELS,
+                     min_timing_steps=3, jobs=1)
 
 
 def test_run_ablation_checks_every_label_before_compute(world, monkeypatch):
@@ -455,4 +487,5 @@ def test_run_ablation_checks_every_label_before_compute(world, monkeypatch):
     monkeypatch.setattr(analysis, "train", no_training)
     for grid in (("MGLO", "XYZW"), ("MG--", "MG--"), ("----", "MGLO", "----")):
         with pytest.raises(InvalidArgument):
-            run_ablation(world, world, TrainConfig(iterations=1), MCFG, grid=grid)
+            run_ablation(world, world, TrainConfig(iterations=1), MCFG, seeds=(0,),
+                         grid=grid, min_timing_steps=3, jobs=1)

@@ -41,7 +41,8 @@ def test_traced_step_exposes_scores_and_tape():
     params = model.build_params(cfg, seed=0)
     with tracing.Tracer("scores") as tracer:
         feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      env_of(graph, latents), ins, params, cfg)
+                                      env_of(graph, latents), ins, params, cfg,
+                                      model.EpisodeCache())
     assert feats.scores.shape == (3,)
     assert tracer.counts["model.forward_step"] == 1
     assert tracer.tape_nodes > 1  # walked back from the step's scores

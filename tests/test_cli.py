@@ -337,6 +337,69 @@ def test_data_file_wrong_value_type_is_a_data_error(data_dir, tmp_path, capsys,
     assert name in err and entry in err
 
 
+@pytest.mark.parametrize("argv", [["train", "--iters", "1"], ["eval", "--agent", "oracle"]],
+                         ids=["train", "eval_oracle"])
+@pytest.mark.parametrize("key, value", [
+    ("sigma", -1), ("sigma", float("nan")), ("feature_dim", 5), ("mode", "foo")],
+    ids=["sigma_negative", "sigma_nan", "feature_dim_5", "mode_foo"])
+def test_data_config_value_out_of_range_rejected_before_out(data_dir, tmp_path, capsys,
+                                                           argv, key, value):
+    """A `gen` config.json value of the right type but outside its range is
+    a data error, found before --out is created."""
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    record = json.loads((copy / "config.json").read_text())
+    record[key] = value
+    (copy / "config.json").write_text(json.dumps(record))
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
+    assert not out.exists()
+    assert "config.json" in capsys.readouterr().err
+
+
+def _unknown_node(route, graph):
+    return route[:-1] + [999]
+
+
+def _unknown_start(route, graph):
+    return [999] + route[1:]
+
+
+def _non_edge_hop(route, graph):
+    start = route[0]
+    far = min(n for n in graph.node_ids()
+              if n != start and not graph.has_edge(start, n))
+    return [start, far]
+
+
+@pytest.mark.parametrize("argv, split", [
+    (["train", "--iters", "1"], "train"),
+    (["eval", "--agent", "oracle"], "val_seen"),
+    (["eval", "--agent", "oracle", "--split", "val_unseen"], "val_unseen"),
+], ids=["train", "eval", "eval_unseen"])
+@pytest.mark.parametrize("edit", [_unknown_node, _unknown_start, _non_edge_hop],
+                         ids=["unknown_node", "unknown_start", "non_edge_hop"])
+def test_episode_route_off_its_graph_rejected_before_out(data_dir, tmp_path, capsys,
+                                                         argv, split, edit):
+    """Every episode's route is checked against its split's graph before
+    --out is created, whichever episodes a run would draw."""
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    graph = load_environment(copy / ("env_unseen.json" if split == "val_unseen"
+                                     else "env.json"))
+    path = copy / f"episodes_{split}.json"
+    record = json.loads(path.read_text())
+    last = record["episodes"][-1]
+    last["gt_path"] = edit(last["gt_path"], graph)
+    last["start"] = last["gt_path"][0]
+    path.write_text(json.dumps(record))
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert path.name in err and f"episode {len(record['episodes']) - 1}" in err
+
+
 # ------------------------------------------------------------------- eval
 
 

@@ -6,7 +6,8 @@ every method that is not a dunder, must be referenced by name somewhere in
 belongs in the tests; one that nothing calls belongs nowhere.  Names are
 matched, not resolved: a reference to ``x.add`` keeps every ``add`` alive,
 and one name of an unpacking assignment (``PAD, BOS, EOS = 0, 1, 2``)
-keeps the whole statement.
+keeps the whole statement.  Likewise every dataclass field must be read:
+loaded as an attribute (``x.field``) somewhere outside its class body.
 
 Likewise pytest must know every setting of ``[tool.pytest.ini_options]``:
 a misspelled key would switch nothing on.
@@ -49,11 +50,15 @@ def loaded_name(node: ast.AST) -> str | None:
     return None
 
 
+def parse(src: Path) -> dict:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
 def unreferenced(src: Path = SRC) -> list[str]:
     """Members of the package's modules that nothing in it references,
     as 'module.member' strings."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(src.glob("*.py"))}
+    trees = parse(src)
     # every loaded name, with the node that loads it
     loads = [(name, node) for tree in trees.values() for node in ast.walk(tree)
              if (name := loaded_name(node)) is not None]
@@ -66,8 +71,38 @@ def unreferenced(src: Path = SRC) -> list[str]:
     return found
 
 
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(loaded_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def unread_fields(src: Path = SRC) -> list[str]:
+    """Dataclass fields of the package that nothing in it loads as an
+    attribute outside the class body, as 'module.Class.field' strings."""
+    trees = parse(src)
+    reads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and is_dataclass(cls)):
+                continue
+            inside = {id(n) for n in ast.walk(cls)}
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    field = item.target.id
+                    if not any(attr == field and id(node) not in inside
+                               for attr, node in reads):
+                        found.append(f"{module}.{cls.name}.{field}")
+    return found
+
+
 def test_every_package_member_is_referenced_in_the_package():
     assert unreferenced() == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields() == []
 
 
 def test_check_flags_a_member_only_its_own_body_uses(tmp_path):
@@ -86,6 +121,31 @@ def test_check_flags_a_member_only_its_own_body_uses(tmp_path):
     (tmp_path / "b.py").write_text("from .a import Box, bounds\n\nBOX = (Box(), bounds())\n")
     assert unreferenced(tmp_path) == ["a.UNUSED_A, UNUSED_B", "a.recursive",
                                       "a.Box.orphan", "b.BOX"]
+
+
+def test_check_flags_a_dataclass_field_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    read: int\n"
+        "    own_body_only: int\n"
+        "    written_only: int = 0\n"
+        "    def __post_init__(self):\n        assert self.own_body_only >= 0\n"
+        "@dataclasses.dataclass\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Plain:\n"
+        "    never_read: int\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Pair, Row\n\n"
+        "def use(row: Row, pair: Pair):\n"
+        "    row.written_only = pair.left\n"
+        "    return row.read, getattr(pair, 'right')\n")
+    assert unread_fields(tmp_path) == ["a.Row.own_body_only", "a.Row.written_only",
+                                       "a.Pair.right"]
 
 
 def test_every_pytest_setting_is_known(pytestconfig):

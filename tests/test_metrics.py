@@ -212,13 +212,13 @@ def test_file_outputs_deterministic(square, tmp_path):
     rows = {"ep3": evaluate(EpisodeResult(square, (0, 1), (0, 1, 2))),
             "ep1": evaluate(EpisodeResult(square, (2, 4), (2, 4)))}
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_results_csv(a, rows)
-    write_results_csv(b, rows)
+    write_results_csv(a, rows, comment="config_hash=0123")
+    write_results_csv(b, rows, comment="config_hash=0123")
     assert a.read_bytes() == b.read_bytes()
     text = a.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == "episode_id,TL,NE,SR,SPL,nDTW,sDTW"
-    assert lines[1].startswith("ep1,") and lines[2].startswith("ep3,")
+    assert lines[:2] == ["# config_hash=0123", "episode_id,TL,NE,SR,SPL,nDTW,sDTW"]
+    assert lines[2].startswith("ep1,") and lines[3].startswith("ep3,")
 
     s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
     summary = aggregate(rows.values())

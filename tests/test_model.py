@@ -742,17 +742,18 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     cache = model.EpisodeCache()
     pg = PathGraph(graph, start=0)
     env = env_of(graph, latents)
-    first, _ = model.forward_step(pg, env, ins, params, TINY, cache)
+    model.forward_step(pg, env, ins, params, TINY, cache)
+    key_detail = cache.key_detail
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     added = record_calls(monkeypatch, model, "add_row")
-    feats, _ = model.forward_step(pg, env, ins, params, TINY, cache)
+    model.forward_step(pg, env, ins, params, TINY, cache)
     assert len(built) == 12 and detail == []
     assert len(blocks) == 3 and len(added) == 1
-    assert feats.key_detail is first.key_detail is cache.key_detail
+    assert cache.key_detail is key_detail
     with pytest.raises(ValueError):
-        feats.key_detail[0] = 1.0
+        cache.key_detail[0] = 1.0
     [((_, row), _)] = added
     assert row is not cache.align and row.data is cache.align.data
     reads = any(ins.location_mask) or any(ins.object_mask)
@@ -761,8 +762,8 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
                             "kd.fuse.w", "kd.fuse.b", "enh.wv"))
     assert row._backward is cache.align._backward
     with nn.no_tape():
-        plain, _ = model.forward_step(pg, env, ins, params, TINY, cache)
-    assert plain.key_detail is cache.key_detail and added[-1][0][1] is cache.align
+        model.forward_step(pg, env, ins, params, TINY, cache)
+    assert cache.key_detail is key_detail and added[-1][0][1] is cache.align
 
 
 # ----------------------------------------------------------------- scoring
@@ -854,10 +855,12 @@ def test_forward_step_shapes_and_determinism(setup):
     graph, latents, ins, params = setup
     pg = PathGraph(graph, start=0)
     env = env_of(graph, latents)
-    feats, action = model.forward_step(pg, env, ins, params, TINY)
+    cache = model.EpisodeCache()
+    feats, action = model.forward_step(pg, env, ins, params, TINY, cache)
     assert feats.scores.shape == (len(pg.frontier()) + 1,)
-    assert feats.key_detail.shape == (TINY.dim,)
-    feats2, action2 = model.forward_step(pg, env, ins, params, TINY)
+    assert cache.key_detail.shape == (TINY.dim,)
+    feats2, action2 = model.forward_step(pg, env, ins, params, TINY,
+                                         model.EpisodeCache())
     np.testing.assert_array_equal(feats.scores.data, feats2.scores.data)
     assert action == action2 and (action in pg.frontier() or action == STOP)
 
@@ -887,17 +890,18 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     reads = record_param_reads(monkeypatch)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
     blocks = record_calls(monkeypatch, nn, "residual_block")
-    feats, _ = model.forward_step(pg, env, ins, params, cfg)
+    cache = model.EpisodeCache()
+    feats, _ = model.forward_step(pg, env, ins, params, cfg, cache)
     assert set(reads) == {name for name, _ in model.param_spec(cfg)}
     [((f_c, row, *_), scores)] = enhance
     assert scores is feats.scores
     if loc_detail or obj_detail:
-        assert feats.key_detail.shape == (cfg.dim,) and row.shape == (1, cfg.dim)
+        assert cache.key_detail.shape == (cfg.dim,) and row.shape == (1, cfg.dim)
     else:
         # the step's last residual block is the scoring head; it sees the
         # cross-modal rows, untouched
         [*_, ((f_e, *_), _)] = blocks
-        assert feats.key_detail is None and row is None and f_e is f_c
+        assert cache.key_detail is None and row is None and f_e is f_c
 
 
 @pytest.fixture(scope="module")
@@ -951,6 +955,7 @@ def test_every_declared_parameter_learns(monkeypatch, learning_data, preset, fla
 
 
 def test_forward_step_cache_matches_uncached(setup):
+    """Steps sharing one cache score as steps that each get a fresh one."""
     graph, latents, ins, params = setup
     cache = model.EpisodeCache()
 
@@ -959,7 +964,7 @@ def test_forward_step_cache_matches_uncached(setup):
         outs = []
         for node in [0, 1]:
             feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
-                                          cache=cache if use_cache else None)
+                                          cache=cache if use_cache else model.EpisodeCache())
             outs.append(feats.scores.data.copy())
             pg.advance(node + 1)  # 0->1 then jump/step
         return outs
@@ -990,7 +995,8 @@ def test_forward_step_golden_scores():
     pipeline on the frozen fixture."""
     graph, latents, ins, params = frozen_gradient_fixture()
     pg = PathGraph(graph, start=0)
-    feats, action = model.forward_step(pg, env_of(graph, latents), ins, params, TINY)
+    feats, action = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
+                                       model.EpisodeCache())
     assert pg.frontier() == [1, 2]
     assert action == STOP
     np.testing.assert_allclose(
@@ -1004,7 +1010,8 @@ def test_forward_gradients_sampled_finite_difference():
 
     def make_loss():
         pg = PathGraph(graph, start=0)
-        feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY)
+        feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
+                                      model.EpisodeCache())
         target = pg.frontier().index(1)  # ground-truth next hop
         return nn.cross_entropy(feats.scores, target)
 

@@ -19,12 +19,15 @@ from oikg.navgraph import (
     NavGraph,
     NavNode,
     PathGraph,
+    action_slot,
     build_graph,
+    check_route,
     graph_from_dict,
     graph_to_dict,
     load_environment,
     path_length,
     save_environment,
+    slot_action,
 )
 
 
@@ -162,6 +165,35 @@ def test_path_length_and_bad_hop(fork):
         path_length(fork, [0, 3])
     with pytest.raises(InvalidArgument):
         path_length(fork, [])
+
+
+@pytest.mark.parametrize("route, message", [
+    ((), "gt path is empty"),
+    ((0, 1, 9), "gt path references unknown node 9"),
+    ((0, 1, 2), "gt path hop 1->2 is not an edge"),
+    ((0, 3), "gt path hop 0->3 is not an edge"),
+    ((2, 0, 1, 3), None),
+    ((3,), None),
+], ids=["empty", "unknown_node", "non_edge_hop", "non_edge_two_hops_away",
+        "valid", "valid_single_node"])
+def test_check_route(fork, route, message):
+    if message is None:
+        assert check_route(fork, route, "gt") is None
+    else:
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            check_route(fork, route, "gt")
+
+
+def test_slot_action_and_action_slot_are_inverses():
+    """Over every slot of a random frontier: the frontier nodes in order,
+    then STOP in the slot after them."""
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        order = sorted(int(n) for n in rng.choice(100, size=int(rng.integers(0, 8)),
+                                                  replace=False))
+        actions = [slot_action(order, slot) for slot in range(len(order) + 1)]
+        assert actions == order + [STOP]
+        assert [action_slot(order, a) for a in actions] == list(range(len(order) + 1))
 
 
 # ------------------------------------------------------------- construction

@@ -206,7 +206,7 @@ def test_observation_zero_noise_exact_views(cross_graph):
 
 def test_observation_elevation_rows_share_column(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
-    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0)
+    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=se.ViewGrid())
     vis = obs.visual.reshape(12, 3, 12)  # heading-major columns
     for h in range(12):
         np.testing.assert_array_equal(vis[h, 0], vis[h, 1])
@@ -215,18 +215,19 @@ def test_observation_elevation_rows_share_column(cross_graph):
 
 def test_observation_noise_deterministic_and_scaled(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
-    a = se.render_observation(cross_graph, 0, lat, sigma=0.1)
-    b = se.render_observation(cross_graph, 0, lat, sigma=0.1)
+    grid = se.ViewGrid()
+    a = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
+    b = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
     np.testing.assert_array_equal(a.visual, b.visual)
-    clean = se.render_observation(cross_graph, 0, lat, sigma=0.0)
+    clean = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=grid)
     noise = a.visual - clean.visual
     assert 0.03 < float(np.std(noise)) < 0.3
     # the same view grid regardless of noise
-    assert a.grid == clean.grid == se.ViewGrid()
-    other = se.render_observation(cross_graph, 1, lat, sigma=0.1)
+    assert a.grid == clean.grid == grid
+    other = se.render_observation(cross_graph, 1, lat, sigma=0.1, grid=grid)
     assert not np.array_equal(a.visual - clean.visual,
                               other.visual - se.render_observation(
-                                  cross_graph, 1, lat, sigma=0.0).visual)
+                                  cross_graph, 1, lat, sigma=0.0, grid=grid).visual)
 
 
 def test_observation_nearest_in_bin_rule(env):
@@ -303,10 +304,10 @@ def test_render_matches_per_view_scan(data):
 def test_observation_errors(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=0)
     with pytest.raises(InvalidArgument):
-        se.render_observation(cross_graph, 99, lat, sigma=0.1)
+        se.render_observation(cross_graph, 99, lat, sigma=0.1, grid=se.ViewGrid())
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidArgument, match="sigma"):
-            se.render_observation(cross_graph, 0, lat, sigma=sigma)
+            se.render_observation(cross_graph, 0, lat, sigma=sigma, grid=se.ViewGrid())
     with pytest.raises(InvalidArgument):
         se.make_latents(cross_graph, feature_dim=8, seed=0)
 

@@ -480,14 +480,14 @@ def test_greedy_rollout_renders_once_per_step(world, params, monkeypatch):
 
 def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
     """A teacher and a student rollout sharing one cache compute the key
-    detail once; every step records the same read-only array.  Greedy
+    detail once, and the cache keeps its one read-only array.  Greedy
     evaluation computes it once per episode."""
     calls = []
     extract = model.extract_key_detail
 
     def counted(*args):
-        calls.append(args)
-        return extract(*args)
+        calls.append(extract(*args))
+        return calls[-1]
 
     monkeypatch.setattr(model, "extract_key_detail", counted)
     ep = make_episode(world.graph, seed=6)
@@ -495,11 +495,10 @@ def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
     tf = rollout_teacher(world, ep, params, MCFG, cache=cache)
     sf = rollout(world, ep, 8, sample_policy(substream(9, "s")), params, MCFG,
                  cache, label=recovery_label)
-    steps = tf.steps + sf.steps
-    assert len(calls) == 1 and len(steps) > 1
-    assert all(s.key_detail is steps[0].key_detail for s in steps)
+    assert len(calls) == 1 and len(tf.steps + sf.steps) > 1
+    assert cache.key_detail is calls[0][0] and cache.key_detail.shape == (MCFG.dim,)
     with pytest.raises(ValueError):
-        steps[-1].key_detail[0] = 0.0
+        cache.key_detail[0] = 0.0
     calls.clear()
     episode_loss(world, ep, params, MCFG, substream(9, "s"), 8, 0.2)
     assert len(calls) == 1
@@ -568,11 +567,12 @@ def test_train_log_format(world, params, tmp_path):
     cfg = TrainConfig(t_max=8, lr=3e-3, iterations=2, batch_size=1, seed=1)
     log = train([(world, ep)], params, cfg, MCFG)
     path = tmp_path / "log.csv"
-    write_training_log(path, log)
+    write_training_log(path, log, comment="config_hash=0123")
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iteration,tf_loss,sf_loss,total_loss,grad_norm,eval_SR,eval_SPL,eval_nDTW"
-    assert len(lines) == 3
-    first = lines[1].split(",")
+    assert lines[:2] == ["# config_hash=0123", "iteration,tf_loss,sf_loss,total_loss,"
+                         "grad_norm,eval_SR,eval_SPL,eval_nDTW"]
+    assert len(lines) == 4
+    first = lines[2].split(",")
     assert first[0] == "1"
     assert float(first[3]) > 0.0
     assert first[5] == ""  # no eval ran
