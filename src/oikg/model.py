@@ -29,7 +29,7 @@ import numpy as np
 from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
-from .navgraph import PathGraph, slot_action
+from .navgraph import NavGraph, PathGraph, slot_action
 from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, Observation, ViewGrid,
                        render_observation)
 
@@ -200,18 +200,55 @@ def decouple_observation(obs: Observation, params: nn.ParamStore,
 # -------------------------------------------------------------- candidates
 
 
+def candidate_inputs(graph: NavGraph, node: int, order, n: int,
+                     geo_embed: bool) -> np.ndarray:
+    """The model inputs of the candidates ``order`` seen from ``node``, one
+    row each: t_i, then, with ``geo_embed``, p_i; ``(len(order), 7)`` or
+    ``(len(order), 4)``.
+
+    A candidate adjacent to ``node`` takes its edge direction, one attached
+    elsewhere the straight-line direction to it.  t_i is the trig
+    embedding of that direction and p_i = [distance, sin(offset),
+    cos(offset)] its offset to the nearest view, looked up among the two
+    heading columns of an n-column grid that bracket it.  Both depend on
+    the world alone, so they are computed once per world, on a row's first
+    query, into ``graph.candidate_memo(n)``, and read from it after: the
+    same ``math`` floats every time, never recomputed in another form.
+    p_i is filled only once a ``geo_embed`` query asks for it, so with
+    ``geo_embed`` off the positional lookup never runs.
+    """
+    table, level = graph.candidate_memo(n)
+    u = graph.index[node]
+    cols = [graph.index[c] for c in order]
+    need = 2 if geo_embed else 1
+    filled = level[u]
+    for c, j in zip(order, cols):
+        if filled[j] >= need:
+            continue
+        if graph.has_edge(node, c):
+            pose = graph.edge_pose(node, c)
+        else:
+            pose = relative_pose(graph.nodes[node].pos, graph.nodes[c].pos)
+        entry = table[u, j]
+        if filled[j] == 0:
+            entry[:4] = trig_embed(pose.heading, pose.elevation)
+        if geo_embed:
+            k, dist = nearest_column(pose.heading, n)
+            off = pose.heading - grid_columns(n)[k]
+            entry[4:] = dist, math.sin(off), math.cos(off)
+        filled[j] = need
+    return table[u][cols, :7 if geo_embed else 4]
+
+
 def build_candidates(pg: PathGraph, params: nn.ParamStore,
                      cfg: ModelConfig) -> tuple[nn.Tensor, list]:
     """One feature row per frontier node (sorted by id) plus the STOP row.
 
-    A frontier node adjacent to the current node uses its edge direction;
-    one attached elsewhere uses the straight-line direction to it.  Row i is
-    (t_i W_edge + b_edge) + (p_i W_pe + b_pe): t_i is the trig embedding of
-    that direction and p_i = [distance, sin(offset), cos(offset)] its offset
-    to the nearest panorama view, looked up among the two heading columns of
-    ``cfg.view_grid`` that bracket it; no panorama is read.  With
-    geo_embed off the positional term is an exact zero that touches no
-    parameter.  The last row is the learned STOP embedding.
+    Row i is (t_i W_edge + b_edge) + (p_i W_pe + b_pe), with t_i and p_i
+    the candidate's direction and view offset on ``cfg.view_grid``, read
+    from the world's memo (``candidate_inputs``); no panorama is read.
+    With geo_embed off the positional term is an exact zero that touches
+    no parameter.  The last row is the learned STOP embedding.
 
     All rows are one tape node.  Each row is its own vector-matrix product,
     not a row of one batched product, whose last bits can differ; backward
@@ -219,39 +256,29 @@ def build_candidates(pg: PathGraph, params: nn.ParamStore,
     forward values and gradients are bitwise those of one linear node per
     term and row.
     """
-    n = cfg.view_grid.n_headings
-    graph = pg.graph
     order = pg.frontier()
+    inputs = candidate_inputs(pg.graph, pg.current, order,
+                              cfg.view_grid.n_headings, cfg.geo_embed)
     w_e, b_e = params["graph.edge.w"], params["graph.edge.b"]
     stop = params["graph.stop"]
     parents = (w_e, b_e, stop)
     if cfg.geo_embed:
         w_p, b_p = params["graph.pe.w"], params["graph.pe.b"]
         parents += (w_p, b_p)
-    edge_in, pe_in, rows = [], [], []
-    for c in order:
-        if graph.has_edge(pg.current, c):
-            pose = graph.edge_pose(pg.current, c)
-        else:
-            pose = relative_pose(graph.nodes[pg.current].pos, graph.nodes[c].pos)
-        t = np.asarray(trig_embed(pose.heading, pose.elevation))
-        edge_in.append(t)
-        row = t @ w_e.data + b_e.data
+    rows = []
+    for x in inputs:
+        row = x[:4] @ w_e.data + b_e.data
         if cfg.geo_embed:
-            j, dist = nearest_column(pose.heading, n)
-            off = pose.heading - grid_columns(n)[j]
-            f = np.array([dist, math.sin(off), math.cos(off)])
-            pe_in.append(f)
-            rows.append(row + (f @ w_p.data + b_p.data))
+            rows.append(row + (x[4:] @ w_p.data + b_p.data))
         else:
             rows.append(row + 0.0)
     rows.append(stop.data.reshape(stop.shape[1]))
 
     def backward(g):
-        for i, t in enumerate(edge_in):
-            nn._affine_backward(t, w_e, b_e, g[i], False)
-            if pe_in:
-                nn._affine_backward(pe_in[i], w_p, b_p, g[i], False)
+        for i, x in enumerate(inputs):
+            nn._affine_backward(x[:4], w_e, b_e, g[i], False)
+            if cfg.geo_embed:
+                nn._affine_backward(x[4:], w_p, b_p, g[i], False)
         stop.accumulate_grad(g[-1].reshape(stop.shape))
 
     return nn.tape_node(np.stack(rows), parents, backward), order

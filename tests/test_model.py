@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from oikg import model, nn, training
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, ShapeError
 from oikg.geometry import relative_pose, trig_embed
-from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
+from oikg.navgraph import STOP, NavNode, PathGraph, build_graph, graph_from_dict
 
 TINY = model.TINY_CONFIG
 
@@ -401,6 +402,29 @@ def two_node_graph():
     return graph_from([(0, (0.0, 0.0, 0.0)), (1, (1.0, 2.0, 0.5))], [(0, 1)])
 
 
+def candidate_walk(build, graph, start, moves, params, cfg):
+    """(rows per step, parameter gradients) of ``build`` along a walk, under
+    a loss that sums fixed random weightings of every step's rows."""
+    rng = np.random.default_rng(13)
+    weights = [rng.normal(size=(len(graph.nodes) + 1, cfg.dim))
+               for _ in range(len(moves) + 1)]
+    params.zero_grad()
+    pg = PathGraph(graph, start=start)
+    rows, total = [], None
+    for t in range(len(moves) + 1):
+        f_g, order = build(pg, params, cfg)
+        assert order == pg.frontier()
+        n = f_g.shape[0]
+        term = tsum(mul(f_g, nn.Tensor(weights[t][:n])))
+        total = term if total is None else nn.add(total, term)
+        rows.append(f_g.data)
+        if t < len(moves):
+            pg.advance(moves[t])
+    nn.backward(total)
+    return rows, {n: params[n].grad.copy() for n in params.names()
+                  if params[n].grad is not None}
+
+
 @pytest.mark.parametrize("geo_embed", [True, False])
 @pytest.mark.parametrize("walk", ["adjacent-and-not", "empty-frontier"])
 def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
@@ -410,29 +434,9 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
     graph, moves = ((tiny_graph(), [1, 3, 2]) if walk == "adjacent-and-not"
                     else (two_node_graph(), [1]))
     params = model.build_params(cfg, seed=5)
-    rng = np.random.default_rng(13)
-    weights = [nn.Tensor(rng.normal(size=(4, cfg.dim)))
-               for _ in range(len(moves) + 1)]
-
-    def run(build):
-        params.zero_grad()
-        pg = PathGraph(graph, start=0)
-        rows, total = [], None
-        for t in range(len(moves) + 1):
-            f_g, order = build(pg, params, cfg)
-            assert order == pg.frontier()
-            n = f_g.shape[0]
-            term = tsum(mul(f_g, nn.Tensor(weights[t].data[:n])))
-            total = term if total is None else nn.add(total, term)
-            rows.append(f_g.data)
-            if t < len(moves):
-                pg.advance(moves[t])
-        nn.backward(total)
-        return rows, {n: params[n].grad.copy() for n in params.names()
-                      if params[n].grad is not None}
-
-    rows, grads = run(model.build_candidates)
-    want_rows, want_grads = run(oracle_build_candidates)
+    rows, grads = candidate_walk(model.build_candidates, graph, 0, moves, params, cfg)
+    want_rows, want_grads = candidate_walk(oracle_build_candidates, graph, 0, moves,
+                                           params, cfg)
     shapes = [r.shape[0] for r in rows]
     if walk == "adjacent-and-not":
         assert shapes == [3, 3, 2, 1]  # frontier {2, 3} at node 1: 2 is not adjacent
@@ -465,6 +469,112 @@ def test_build_candidates_matches_oracle_on_full_grid():
     want, want_order = oracle_build_candidates(PathGraph(star, start=0), params, cfg)
     assert order == want_order and len(order) == len(headings)
     np.testing.assert_array_equal(got.data, want.data)
+
+
+def scattered_ids_graph():
+    """A square with a diagonal-free walk, on node ids that are neither
+    contiguous nor listed in order: 17, 1000, 3, 42."""
+    return graph_from_dict({
+        "nodes": [{"id": i, "pos": pos, "room": 0, "objects": []} for i, pos in (
+            (17, [0.0, 2.0, 0.0]), (1000, [0.0, 0.0, 0.0]),
+            (3, [2.0, 0.0, 0.0]), (42, [2.0, 2.0, 0.5]))],
+        "edges": [[1000, 3], [1000, 17], [3, 42], [17, 42]]})
+
+
+MEMO_WORLDS = {  # graph, start, moves; each walk reaches a non-adjacent candidate
+    "tiny": (tiny_graph, 0, [1, 3, 2]),
+    "scattered-ids": (scattered_ids_graph, 1000, [3, 17, 42]),
+}
+FULL_GRID_TINY = replace(TINY, view_grid=model.ModelConfig().view_grid)  # 12 headings
+
+
+@pytest.mark.parametrize("world", sorted(MEMO_WORLDS))
+@pytest.mark.parametrize("cfg", [TINY, FULL_GRID_TINY,
+                                 replace(TINY, geo_embed=False)],
+                         ids=["4-headings", "12-headings", "geo-off"])
+@pytest.mark.parametrize("filled_by", ["same", "other-heading-count", "geo-flipped"])
+def test_build_candidates_memo_hits_match_fresh_graph_bitwise(world, cfg, filled_by):
+    """A walk on a graph whose candidate memo another walk filled first
+    gives the rows and every parameter gradient of the same walk on a fresh
+    graph, and of the per-candidate oracle, bit for bit.  The first walk
+    ran the same configuration, the other heading count (4 against 12), or
+    the opposite ``geo_embed``: a memo first filled with geo_embed off must
+    still fill the view offsets once they are asked for."""
+    make, start, moves = MEMO_WORLDS[world]
+    first = {"same": cfg,
+             "other-heading-count": FULL_GRID_TINY if cfg.view_grid == TINY.view_grid
+             else TINY,
+             "geo-flipped": replace(cfg, geo_embed=not cfg.geo_embed)}[filled_by]
+    warm = make()
+    candidate_walk(model.build_candidates, warm, start, moves,
+                   model.build_params(first, seed=4), first)
+    assert warm._candidate_memo
+    params = model.build_params(cfg, seed=5)
+    got = candidate_walk(model.build_candidates, warm, start, moves, params, cfg)
+    for build, graph in ((model.build_candidates, make()),
+                         (oracle_build_candidates, make())):
+        want = candidate_walk(build, graph, start, moves, params, cfg)
+        for r, w in zip(got[0], want[0], strict=True):
+            np.testing.assert_array_equal(r, w)
+        assert sorted(got[1]) == sorted(want[1])
+        for name, g in got[1].items():
+            np.testing.assert_array_equal(g, want[1][name], err_msg=name)
+
+
+def test_pickled_graph_drops_its_caches():
+    """A pickled graph, as ``--jobs`` workers receive it, arrives with empty
+    route and candidate caches, and its candidate rows equal the
+    original's, whose memo was filled."""
+    graph = tiny_graph()
+    params = model.build_params(TINY, seed=5)
+    rows, grads = candidate_walk(model.build_candidates, graph, 0, [1, 3, 2],
+                                 params, TINY)
+    graph.geodesic(0, 3)
+    assert graph._dist_cache and graph._candidate_memo
+    copy = pickle.loads(pickle.dumps(graph))
+    assert copy._dist_cache == {} and copy._candidate_memo == {}
+    assert copy.nodes == graph.nodes and copy.poses == graph.poses
+    assert copy.adjacency == graph.adjacency and copy.index == graph.index
+    got_rows, got_grads = candidate_walk(model.build_candidates, copy, 0, [1, 3, 2],
+                                         params, TINY)
+    for r, w in zip(got_rows, rows, strict=True):
+        np.testing.assert_array_equal(r, w)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(got_grads[name], g, err_msg=name)
+
+
+def test_candidate_memo_is_one_table_per_heading_count():
+    """After every ordered pair of a 100-node world has been queried under
+    two heading counts, the memo holds one (V, V, 7) table and its (V, V)
+    fill level per count and nothing else, the routing cache stays empty,
+    and every row equals its direct computation with the scan over all
+    views."""
+    g = se.generate_environment(se.EnvParams(
+        node_count=100, connection_radius=3.5, extent=10.0 * math.sqrt(100 / 30),
+        seed=7))
+    ids = g.node_ids()
+    before = set(vars(g))
+    for n in (4, 12):
+        views = se.ViewGrid(n, (0.0,)).angles()[0]
+        for u in ids:
+            others = [v for v in ids if v != u]
+            got = model.candidate_inputs(g, u, others, n, True)
+            for v, row in zip(others, got, strict=True):
+                pose = (g.edge_pose(u, v) if g.has_edge(u, v)
+                        else relative_pose(g.nodes[u].pos, g.nodes[v].pos))
+                j, dist = nearest_view(pose.heading, views)
+                off = pose.heading - views[j]
+                want = [*trig_embed(pose.heading, pose.elevation),
+                        dist, math.sin(off), math.cos(off)]
+                assert row.tolist() == want
+    assert set(vars(g)) == before and g._dist_cache == {}
+    assert sorted(g._candidate_memo) == [4, 12]
+    for table, level in g._candidate_memo.values():
+        assert table.shape == (100, 100, 7) and table.dtype == np.float64
+        assert level.shape == (100, 100) and level.dtype == np.int8
+        np.testing.assert_array_equal(level, 2 - 2 * np.eye(100, dtype=np.int8))
+    assert sum(a.nbytes for memo in g._candidate_memo.values() for a in memo) \
+        == 2 * 100 * 100 * (7 * 8 + 1)
 
 
 def test_stop_slot_is_learned_embedding(setup):
