@@ -295,16 +295,20 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
 def map_units(jobs: int, fn, *iterables) -> list:
     """list(map(fn, *iterables)), spread over at most `jobs` worker
     processes and never more than one per unit, since a pool starts all of
-    its workers up front; results keep input order either way.  It lives
-    here, not in `training`, so that importing the training code does not
-    load the process-pool modules (about 2 MB of resident memory)."""
+    its workers up front; results keep input order either way.  The units
+    go out as one chunk per worker, pickled as one object, so a chunk's
+    units share one copy of a common world and its caches.  It lives here,
+    not in `training`, so that importing the training code does not load
+    the process-pool modules (about 2 MB of resident memory)."""
     if jobs < 1:
         raise InvalidArgument(f"jobs must be >= 1, got {jobs}")
     units = list(zip(*iterables))
-    if min(jobs, len(units)) <= 1:
+    workers = min(jobs, len(units))
+    if workers <= 1:
         return [fn(*args) for args in units]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-        return list(pool.map(fn, *zip(*units)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*units),
+                             chunksize=math.ceil(len(units) / workers)))
 
 
 def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,

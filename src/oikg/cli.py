@@ -20,7 +20,8 @@ from . import nn
 from .analysis import (FLAG_NAMES, GRID_LABELS, check_grid, detail_probe,
                        grad_probe, map_units, run_ablation, variant_config,
                        write_ablation_csv)
-from .artifacts import canonical_json, load_checkpoint, read_json, write_json
+from .artifacts import (canonical_json, load_checkpoint, read_json,
+                        save_checkpoint, write_json)
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
@@ -28,9 +29,9 @@ from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
 from .model import TINY_CONFIG, ModelConfig, build_params
 from .navgraph import check_route, load_environment, save_environment
 from .rng import substream
-from .synthenv import (ROOM_COUNT, EnvBundle, EnvParams, episode_from_dict,
-                       episode_to_dict, generate_environment, make_episode,
-                       make_latents, save_vocab)
+from .synthenv import (EPISODE_MODES, ROOM_COUNT, EnvBundle, EnvParams,
+                       episode_from_dict, episode_to_dict, generate_environment,
+                       make_episode, make_latents, save_vocab)
 from .training import (TrainConfig, check_routes, greedy_policy,
                        random_policy, recovery_label, rollout, teacher_policy,
                        train, write_training_log)
@@ -41,7 +42,7 @@ MODEL_PRESETS = {"tiny": TINY_CONFIG, "full": ModelConfig()}
 # the allowed values of the enumerated settings, checked for flags and
 # config-file values alike
 CHOICES = {
-    "mode": ("shortest", "detour"),
+    "mode": EPISODE_MODES,
     "model": tuple(MODEL_PRESETS),
     "agent": ("model", "oracle", "random"),
     "split": SPLITS,
@@ -266,8 +267,13 @@ def cmd_train(cfg: dict) -> None:
     check_routes(data, tcfg.t_max)
     params = build_params(mcfg, cfg["seed"])
     out = _resolve_out(cfg["out"])
-    rows = train(data, params, tcfg, mcfg, out_dir=str(out))
     h = archive_config(out, "train", cfg)
+    try:
+        rows = train(data, params, tcfg, mcfg)
+    except NumericFailure:
+        save_checkpoint(out / "abort.ckpt", params)  # the pre-step values
+        raise
+    save_checkpoint(out / "params.ckpt", params)
     write_training_log(out / "train_log.csv", rows,
                        comment=f"config_hash={h}")
 
@@ -344,11 +350,11 @@ def cmd_ablate(cfg: dict) -> None:
     train_data = [(env, ep) for ep in train_eps]
     check_routes(train_data, tcfg.t_max)
     out = _resolve_out(cfg["out"])
+    h = archive_config(out, "ablate", cfg)
     rows, sidecar = run_ablation(
         train_data, [(env, ep) for ep in eval_eps], tcfg,
         base, seeds=range(cfg["seeds"]), grid=grid,
         min_timing_steps=cfg["timing_steps"], jobs=cfg["jobs"])
-    h = archive_config(out, "ablate", cfg)
     write_ablation_csv(out / "ablation.csv", rows, comment=f"config_hash={h}")
     write_json(out / "ablation_seeds.json", {"config_hash": h, "cells": sidecar})
 
@@ -371,13 +377,13 @@ def cmd_probe(cfg: dict) -> None:
     if len(seeds) < need:
         raise InvalidArgument(f"--which {cfg['which']} needs --seeds >= {need}")
     out = _resolve_out(cfg["out"])
+    h = archive_config(out, "probe", cfg)
     probes = {}
     if cfg["which"] in ("grad", "all"):
         probes["grad"] = grad_probe(data, seeds, base, lam=cfg["lam"],
                                     t_max=t_max)
     if cfg["which"] in ("detail", "all"):
         probes["detail"] = detail_probe(data, seeds, base, tcfg)
-    h = archive_config(out, "probe", cfg)
     for name, probe in probes.items():
         probe["config_hash"] = h
         write_json(out / f"probe_{name}.json", probe)

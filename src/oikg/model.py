@@ -30,7 +30,7 @@ from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
 from .navgraph import NavGraph, PathGraph, slot_action
-from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, Observation, ViewGrid,
+from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, ViewGrid,
                        render_observation)
 
 
@@ -161,32 +161,23 @@ def _grid_views(grid: ViewGrid) -> np.ndarray:
     return block
 
 
-def _check_view_grid(obs: Observation, grid: ViewGrid) -> np.ndarray:
-    """The grid's angular block, once ``obs`` is known to lie on the grid."""
-    if obs.grid != grid:
-        raise ShapeError(f"panorama at node {obs.node} is not on the model's "
-                         f"{grid.n_headings}-heading x {len(grid.elevations)}"
-                         "-elevation view grid")
-    return _grid_views(grid)
-
-
-def decouple_observation(obs: Observation, params: nn.ParamStore,
+def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
                          cfg: ModelConfig) -> nn.Tensor:
-    """Refined panorama rows of ``obs``, which must lie on ``cfg.view_grid``
-    with ``cfg.vis_dim`` visual columns (else ``ShapeError``); angular and
-    visual blocks embedded separately.  With decoupling off, one linear
-    projection of the raw concatenated [angular, visual] rows is used
-    instead (the coupled baseline).
+    """Refined panorama rows of ``visual``, a panorama rendered on
+    ``cfg.view_grid`` with ``cfg.vis_dim`` columns (else ``ShapeError``);
+    the grid's angular block (``_grid_views``) and the visual block are
+    embedded separately.  With decoupling off, one linear projection of the
+    raw concatenated [angular, visual] rows is used instead.
 
     Decoupled, the rows are one ``nn._joined_chain`` node over the eight
     ``obs.*`` parameters, since both blocks are constants: bitwise equal to
     the ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
-    if obs.visual.shape != want:
-        raise ShapeError(f"panorama shape {obs.visual.shape} != {want}")
-    ang = _check_view_grid(obs, cfg.view_grid)
-    vis = nn._as_f64(obs.visual)
+    if visual.shape != want:
+        raise ShapeError(f"panorama shape {visual.shape} != {want}")
+    ang = _grid_views(cfg.view_grid)
+    vis = nn._as_f64(visual)
     if not cfg.decouple:
         return nn.linear(nn.Tensor(np.concatenate([ang, vis], axis=-1)),
                          params["obs.coupled.w"], params["obs.coupled.b"])
@@ -476,9 +467,9 @@ def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
     """
     f_o = cache.obs.get(pg.current)
     if f_o is None:
-        obs = render_observation(env.graph, pg.current, env.latents, env.sigma,
-                                 cfg.view_grid)
-        f_o = cache.obs[pg.current] = decouple_observation(obs, params, cfg)
+        visual = render_observation(env.graph, pg.current, env.latents,
+                                    env.sigma, cfg.view_grid)
+        f_o = cache.obs[pg.current] = decouple_observation(visual, params, cfg)
 
     f_g, order = build_candidates(pg, params, cfg)
     g_enh = observation_graph_interaction(f_g, f_o, params, cfg)

@@ -223,10 +223,10 @@ def check_route(graph: NavGraph, path, what: str) -> None:
 class PathGraph:
     """Exploration state for one episode: visited set, route, and frontier.
 
-    ``visited`` lists distinct decision nodes in first-visit order; ``route``
-    is the full executed trajectory including pass-through nodes used to
-    reach a non-adjacent frontier choice.  The frontier is every unvisited
-    node adjacent to the visited set.
+    ``visited`` is the set of decision nodes; ``route`` is the full
+    executed trajectory including pass-through nodes used to reach a
+    non-adjacent frontier choice.  The frontier is every unvisited node
+    adjacent to the visited set.
     """
 
     def __init__(self, graph: NavGraph, start: int):
@@ -234,11 +234,10 @@ class PathGraph:
             raise InvalidArgument(f"unknown start node {start}")
         self.graph = graph
         self.current = start
-        self.visited: list[int] = [start]
-        self._visited_set: set[int] = {start}
+        self.visited: set[int] = {start}
         self.route: list[int] = [start]
         self.terminal = False
-        self._frontier: set[int] = set(graph.neighbors(start)) - self._visited_set
+        self._frontier: set[int] = set(graph.neighbors(start)) - self.visited
 
     def frontier(self) -> list[int]:
         """Candidate movement targets, sorted by node id."""
@@ -262,17 +261,15 @@ class PathGraph:
             segment = [chosen]
         else:
             route = self.graph.shortest_path(self.current, chosen,
-                                             allowed=self._visited_set | {chosen})
+                                             allowed=self.visited | {chosen})
             if route is None:
                 raise IllegalAction(f"no route through explored region to {chosen}")
             segment = route[1:]
         self.route.extend(segment)
         self.current = chosen
-        if chosen not in self._visited_set:
-            self.visited.append(chosen)
-            self._visited_set.add(chosen)
+        self.visited.add(chosen)
         self._frontier.discard(chosen)
-        self._frontier |= set(self.graph.neighbors(chosen)) - self._visited_set
+        self._frontier |= set(self.graph.neighbors(chosen)) - self.visited
         return segment
 
 

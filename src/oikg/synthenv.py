@@ -2,7 +2,7 @@
 
 Environments are geometric random graphs: nodes sampled uniformly in a box,
 edges between all pairs closer than a connection radius, rooms assigned by
-nearest spatial cluster center, and 1-3 objects per node.  Observations give
+nearest spatial cluster center, and 1-3 objects per node.  Panoramas give
 each node K views on a fixed heading/elevation grid; a view pointed at an
 out-neighbor shows that neighbor's latent vector plus its room one-hot, any
 other view shows a shared background latent.  Instructions are filled-in
@@ -119,15 +119,6 @@ class ViewGrid:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One node's panorama: the grid whose views it shows, in the grid's
-    order, and their noisy visual vectors."""
-    node: int
-    grid: ViewGrid
-    visual: np.ndarray      # (grid.k, feature_dim)
-
-
-@dataclass(frozen=True)
 class LatentTable:
     """Per-node appearance vectors; room one-hot fills the trailing dims."""
     seed: int
@@ -156,8 +147,9 @@ def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
 
 
 def render_observation(graph: NavGraph, node: int, latents: LatentTable,
-                       sigma: float, grid: ViewGrid) -> Observation:
-    """Panorama at a node.
+                       sigma: float, grid: ViewGrid) -> np.ndarray:
+    """Panorama at a node: the ``(grid.k, feature_dim)`` visual vectors of
+    its views, in the grid's order.
 
     A view shows the out-neighbor whose edge heading is nearest the view
     heading when that is within half a heading bin; otherwise the shared
@@ -195,7 +187,7 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
         noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
             (grid.k, dim))
         visual = visual + sigma * noise
-    return Observation(node=node, grid=grid, visual=visual)
+    return visual
 
 
 # ------------------------------------------------------------- environments
@@ -292,7 +284,6 @@ class Instruction:
     tokens: tuple[int, ...]
     location_mask: tuple[bool, ...]
     object_mask: tuple[bool, ...]
-    gt_path: tuple[int, ...]
     text: str
 
 
@@ -330,7 +321,6 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
     return Instruction(tokens=tuple(tokens),
                        location_mask=tuple(loc_mask),
                        object_mask=tuple(obj_mask),
-                       gt_path=gt_path,
                        text=" ".join(words))
 
 
@@ -339,12 +329,16 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
 
 @dataclass(frozen=True)
 class Episode:
-    start: int
+    """A reference route (supervision) and its instruction (model input)."""
+    gt_path: tuple[int, ...]
     instruction: Instruction
 
     @property
-    def gt_path(self) -> tuple[int, ...]:
-        return self.instruction.gt_path
+    def start(self) -> int:
+        return self.gt_path[0]
+
+
+EPISODE_MODES = ("shortest", "detour")
 
 
 _MIN_HOPS = 3
@@ -359,7 +353,7 @@ def make_episode(graph: NavGraph, seed: int, mode: str = "shortest") -> Episode:
     random off-route waypoint, keeping the result free of repeated nodes so
     it remains a followable supervision target.
     """
-    if mode not in ("shortest", "detour"):
+    if mode not in EPISODE_MODES:
         raise InvalidArgument(f"unknown episode mode {mode!r}")
     ids = graph.node_ids()
     rng = substream(seed, "episode", mode)
@@ -386,8 +380,8 @@ def make_episode(graph: NavGraph, seed: int, mode: str = "shortest") -> Episode:
                 continue
         if not graph.nodes[path[-1]].objects:
             continue
-        instr = generate_instruction(graph, path, seed)
-        return Episode(start=start, instruction=instr)
+        return Episode(gt_path=tuple(path),
+                       instruction=generate_instruction(graph, path, seed))
     raise GenerationFailure(
         f"no start/goal pair {_MIN_HOPS}-{_MAX_HOPS} edges apart after "
         f"{_MAX_EPISODE_ATTEMPTS} attempts")
@@ -431,7 +425,6 @@ def episode_from_dict(data: dict) -> Episode:
     if start != gt_path[0]:
         raise SchemaError("start must equal first gt_path node")
     instr = Instruction(tokens=tuple(tokens), location_mask=tuple(loc),
-                        object_mask=tuple(obj), gt_path=tuple(gt_path),
-                        text=str(data["text"]))
-    return Episode(start=start, instruction=instr)
+                        object_mask=tuple(obj), text=str(data["text"]))
+    return Episode(gt_path=tuple(gt_path), instruction=instr)
 

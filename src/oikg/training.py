@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .artifacts import save_checkpoint, write_csv
+from .artifacts import write_csv
 from .errors import InvalidArgument, InvalidState, NumericFailure
 from .metrics import EpisodeResult, aggregate, evaluate
 from .model import EpisodeCache, ModelConfig, forward_step
@@ -186,11 +186,8 @@ def rollout_teacher(env: EnvBundle, episode: Episode, params,
                     cache: EpisodeCache | None = None) -> RolloutRecord:
     """Walk the reference route, supervising each decision with its next hop
     and the final decision with STOP."""
-    gt = episode.gt_path
-    if episode.start != gt[0]:
-        raise InvalidArgument("episode start disagrees with its reference route")
-    return rollout(env, episode, len(gt), teacher_policy(episode), params,
-                   mcfg, cache, label=teacher_label)
+    return rollout(env, episode, len(episode.gt_path), teacher_policy(episode),
+                   params, mcfg, cache, label=teacher_label)
 
 
 def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
@@ -205,8 +202,7 @@ def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
     frontier = pg.frontier()
     gt = episode.gt_path
     goal = gt[-1]
-    visited = set(pg.visited)
-    unvisited = [n for n in gt if n not in visited]
+    unvisited = [n for n in gt if n not in pg.visited]
     if unvisited:
         n_star = min(unvisited,
                      key=lambda n: (env.geodesic(pg.current, n), gt.index(n)))
@@ -279,15 +275,13 @@ def write_training_log(path, rows, comment: str) -> None:
               comment=comment)
 
 
-def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
-          out_dir=None) -> list:
+def train(data, params, cfg: TrainConfig, mcfg: ModelConfig) -> list:
     """Optimize params in place over (EnvBundle, Episode) pairs.
 
     Returns the log rows (one dict per iteration; eval_every evaluates on
-    the training pairs); when out_dir is given also writes params.ckpt
-    there.  A non-finite loss or gradient norm aborts before the optimizer
-    step, with the parameters of the previous iteration dumped to
-    abort.ckpt.
+    the training pairs).  A non-finite loss or gradient norm raises
+    NumericFailure before the optimizer step, so ``params`` still holds
+    the previous iteration's values.
     """
     data = list(data)
     if not data:
@@ -317,8 +311,6 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             nn.backward(total)
             grad_norm = nn.clip_global_norm(params, CLIP_NORM)
         except NumericFailure as err:
-            if out_dir is not None:
-                save_checkpoint(f"{out_dir}/abort.ckpt", params)
             raise NumericFailure(f"iteration {it}: {err}") from err
         nn.optimizer_step(params, cfg.lr)
 
@@ -334,7 +326,4 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig,
             row["eval_SPL"] = repr(summary["SPL"])
             row["eval_nDTW"] = repr(summary["nDTW"])
         log.append(row)
-
-    if out_dir is not None:
-        save_checkpoint(f"{out_dir}/params.ckpt", params)
     return log

@@ -235,12 +235,12 @@ def oracle_residual_block(h, kv, attn, layers, heads: int, score: bool = False) 
     return reshape(m, (m.shape[0],)) if score else nn.add(h1, m)
 
 
-def oracle_decouple_observation(obs, params, cfg) -> nn.Tensor:
+def oracle_decouple_observation(visual, params, cfg) -> nn.Tensor:
     """``model.decouple_observation`` node per op: a ``linear`` per block,
     their ``concat`` and the fuse MLP; or, decoupling off, the ``concat``
     of the raw blocks and one ``linear``."""
-    ang_t = nn.Tensor(model._check_view_grid(obs, cfg.view_grid))
-    vis_t = nn.Tensor(obs.visual)
+    ang_t = nn.Tensor(model._grid_views(cfg.view_grid))
+    vis_t = nn.Tensor(visual)
     if not cfg.decouple:
         return nn.linear(concat([ang_t, vis_t], axis=-1),
                          params["obs.coupled.w"], params["obs.coupled.b"])

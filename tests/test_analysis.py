@@ -236,7 +236,7 @@ def test_alignment_uniform_baseline():
                      NavNode(3, (-2.0, 0.0, 0.0), 3, (3,))],
                     [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)])
     lat = make_latents(g, MCFG.vis_dim, seed=0)
-    ep = Episode(start=0, instruction=generate_instruction(g, (0,), 0))
+    ep = Episode(gt_path=(0,), instruction=generate_instruction(g, (0,), 0))
     params = build_params(MCFG, seed=0)
     for name in params.names():
         params.params[name].data[...] = 0.0
@@ -429,7 +429,7 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
 
@@ -453,6 +453,23 @@ def test_map_units_rejects_fewer_than_one_job(monkeypatch):
         with pytest.raises(InvalidArgument):
             analysis.map_units(jobs, pow, range(3), repeat(2))
     assert FakePool.started == []
+
+
+def route_cache_size_then_query(graph, src, dst) -> int:
+    """The number of routed sources the graph held, before it routes one."""
+    size = len(graph._dist_cache)
+    graph.geodesic(src, dst)
+    return size
+
+
+def test_map_units_sends_each_worker_its_units_as_one_chunk(world):
+    """Two workers, four units sharing one graph: each chunk of two arrives
+    as one pickled object, so its second unit sees the route its first one
+    cached; a unit pickled on its own would always see an empty cache."""
+    graph = world[0][0].graph
+    got = analysis.map_units(2, route_cache_size_then_query, [graph] * 4,
+                             range(4), repeat(graph.node_ids()[-1]))
+    assert got == [0, 1, 0, 1]
 
 
 def test_run_ablation_single_row(world):

@@ -184,6 +184,22 @@ def test_train_bad_lambda(data_dir, tmp_path):
     assert not out.exists()
 
 
+def test_train_numeric_failure_leaves_config_beside_abort(data_dir, tmp_path,
+                                                          capsys):
+    """A diverging run exits 4 and leaves its pre-step parameters in
+    abort.ckpt beside the config.json that produced them, and nothing else."""
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     "--lr", "1e100"]) == 4
+    assert "numeric failure" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["abort.ckpt", "config.json"]
+    cfg = json.loads((out / "config.json").read_text())
+    assert cfg["command"] == "train" and cfg["lr"] == 1e100
+    assert all(np.all(np.isfinite(a))
+               for a in artifacts.load_checkpoint(out / "abort.ckpt").values())
+
+
 def test_config_file_merge_and_override(data_dir, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"iters": 3, "batch": 1}))

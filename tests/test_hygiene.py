@@ -10,11 +10,14 @@ keeps the whole statement.  Likewise every dataclass field must be read:
 loaded as an attribute (``x.field``) somewhere outside its class body.
 
 Likewise pytest must know every setting of ``[tool.pytest.ini_options]``:
-a misspelled key would switch nothing on.
+a misspelled key would switch nothing on.  And under those settings a
+failing property test must count as one failure, not end the session.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oikg"
@@ -160,3 +163,32 @@ def test_every_pytest_setting_is_known(pytestconfig):
         pytestconfig.getini(key)
     assert pytestconfig.getini("strict_markers") is True
     assert pytestconfig.getini("strict_config") is True
+
+
+PROPERTY_TESTS = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported_as_a_failure(tmp_path):
+    """Reporting a failing ``@given`` test makes hypothesis import libcst,
+    whose import warns that ``mypy_extensions.TypedDict`` is deprecated.
+    Under ``filterwarnings = ["error"]`` alone that warning aborted the
+    session (INTERNALERROR, exit 3) before any later test ran."""
+    (tmp_path / "test_prop.py").write_text(PROPERTY_TESTS)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SRC.parents[1] / "pyproject.toml"), "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

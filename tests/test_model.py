@@ -42,19 +42,14 @@ def setup():
     return graph, latents, ins, params
 
 
-def obs_at(graph, latents, node, cfg=TINY, sigma=0.1):
-    return se.render_observation(graph, node, latents, sigma=sigma,
-                                 grid=cfg.view_grid)
-
-
 def env_of(graph, latents, sigma=0.1):
-    """The world ``forward_step`` renders ``obs_at``'s panoramas from."""
+    """The world ``forward_step`` renders its panoramas from."""
     return se.EnvBundle(graph, latents, sigma)
 
 
 def random_obs(rng, cfg):
-    return se.Observation(node=0, grid=cfg.view_grid,
-                          visual=rng.normal(size=(cfg.view_grid.k, cfg.vis_dim)))
+    """A random visual array in the shape of a panorama on ``cfg``'s grid."""
+    return rng.normal(size=(cfg.view_grid.k, cfg.vis_dim))
 
 
 def record_param_reads(monkeypatch) -> list:
@@ -136,26 +131,10 @@ def test_decouple_zero_visual_weights_isolate_angles(setup):
     params["obs.vis.w"].data[:] = 0.0
     rng = np.random.default_rng(1)
     a = random_obs(rng, TINY)
-    b = se.Observation(node=0, grid=a.grid, visual=rng.normal(size=a.visual.shape))
+    b = rng.normal(size=a.shape)
     out_a = model.decouple_observation(a, params, TINY)
     out_b = model.decouple_observation(b, params, TINY)
     np.testing.assert_array_equal(out_a.data, out_b.data)
-
-
-def test_observation_off_the_model_grid_is_rejected(setup):
-    """Two grids with the same k: a panorama rendered on one is refused by a
-    model configured with the other."""
-    graph, latents, *_ = setup
-    flat = replace(TINY, view_grid=se.ViewGrid(12, (0.0,)))
-    tall = replace(TINY, view_grid=se.ViewGrid(4, (-0.5, 0.0, 0.5)))
-    assert flat.view_grid.k == tall.view_grid.k == 12
-    for cfg, other in ((flat, tall), (tall, flat)):
-        params = model.build_params(cfg, seed=0)
-        good = obs_at(graph, latents, 0, cfg)
-        model.decouple_observation(good, params, cfg)
-        bad = obs_at(graph, latents, 0, other)
-        with pytest.raises(ShapeError):
-            model.decouple_observation(bad, params, cfg)
 
 
 def test_angular_block_built_once_per_grid(monkeypatch):
@@ -170,7 +149,7 @@ def test_angular_block_built_once_per_grid(monkeypatch):
     assert len(calls) == cfg.view_grid.k
     again = model.decouple_observation(random_obs(rng, cfg), params, cfg)
     assert len(calls) == cfg.view_grid.k and again.shape == first.shape
-    block = model._check_view_grid(obs, cfg.view_grid)
+    block = model._grid_views(cfg.view_grid)
     assert not block.flags.writeable
     want = np.stack([np.asarray(trig_embed(h, e))
                      for h, e in zip(*cfg.view_grid.angles())])
@@ -619,7 +598,7 @@ def make_instruction(tokens, loc=None, obj=None):
     loc = loc or [False] * n
     obj = obj or [False] * n
     return se.Instruction(tokens=tuple(tokens), location_mask=tuple(loc),
-                          object_mask=tuple(obj), gt_path=(0,), text="")
+                          object_mask=tuple(obj), text="")
 
 
 def test_encode_instruction_position_sensitivity(setup):

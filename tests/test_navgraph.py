@@ -249,7 +249,7 @@ def test_jump_to_non_adjacent_frontier_routes_through_visited(fork):
     segment = pg.advance(2)  # no edge 1-2: expect pass-through at 0
     assert segment == [0, 2]
     assert pg.route == [0, 1, 0, 2]
-    assert pg.visited == [0, 1, 2]
+    assert pg.visited == {0, 1, 2}
     assert pg.current == 2
     for u, v in zip(pg.route, pg.route[1:]):
         assert fork.has_edge(u, v)
@@ -276,7 +276,7 @@ def test_frontier_fuzz_matches_oracle():
             frontier = pg.frontier()
             assert frontier == global_frontier_oracle(g, pg.visited)
             assert pg.current == pg.route[-1]
-            assert len(set(pg.visited)) == len(pg.visited)
+            assert set(pg.route) == pg.visited
             for u, v in zip(pg.route, pg.route[1:]):
                 assert g.has_edge(u, v)
             if not frontier:

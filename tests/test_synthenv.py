@@ -189,7 +189,7 @@ def cross_graph():
 def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=FLAT_12)
-    assert obs.visual.shape == (12, 12) and obs.grid == FLAT_12
+    assert obs.shape == (12, 12)
 
     def expected_neighbor(nbr):
         onehot = np.zeros(se.ROOM_COUNT)
@@ -197,17 +197,17 @@ def test_observation_zero_noise_exact_views(cross_graph):
         return np.concatenate([lat.node[nbr], onehot])
 
     background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
-    np.testing.assert_allclose(obs.visual[0], expected_neighbor(1), atol=0)
-    np.testing.assert_allclose(obs.visual[3], expected_neighbor(2), atol=0)  # pi/2
+    np.testing.assert_allclose(obs[0], expected_neighbor(1), atol=0)
+    np.testing.assert_allclose(obs[3], expected_neighbor(2), atol=0)  # pi/2
     for k in range(12):
         if k not in (0, 3):
-            np.testing.assert_allclose(obs.visual[k], background, atol=0)
+            np.testing.assert_allclose(obs[k], background, atol=0)
 
 
 def test_observation_elevation_rows_share_column(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=se.ViewGrid())
-    vis = obs.visual.reshape(12, 3, 12)  # heading-major columns
+    vis = obs.reshape(12, 3, 12)  # heading-major columns
     for h in range(12):
         np.testing.assert_array_equal(vis[h, 0], vis[h, 1])
         np.testing.assert_array_equal(vis[h, 1], vis[h, 2])
@@ -218,16 +218,16 @@ def test_observation_noise_deterministic_and_scaled(cross_graph):
     grid = se.ViewGrid()
     a = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
     b = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
-    np.testing.assert_array_equal(a.visual, b.visual)
+    np.testing.assert_array_equal(a, b)
     clean = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=grid)
-    noise = a.visual - clean.visual
+    noise = a - clean
     assert 0.03 < float(np.std(noise)) < 0.3
-    # the same view grid regardless of noise
-    assert a.grid == clean.grid == grid
+    # the same panorama shape regardless of noise
+    assert a.shape == clean.shape == (grid.k, 12)
     other = se.render_observation(cross_graph, 1, lat, sigma=0.1, grid=grid)
-    assert not np.array_equal(a.visual - clean.visual,
-                              other.visual - se.render_observation(
-                                  cross_graph, 1, lat, sigma=0.0, grid=grid).visual)
+    assert not np.array_equal(a - clean,
+                              other - se.render_observation(
+                                  cross_graph, 1, lat, sigma=0.0, grid=grid))
 
 
 def test_observation_nearest_in_bin_rule(env):
@@ -235,7 +235,7 @@ def test_observation_nearest_in_bin_rule(env):
     half_bin = math.pi / 12
     for node in env.node_ids()[:6]:
         obs = se.render_observation(env, node, lat, sigma=0.0, grid=FLAT_12)
-        headings, _ = obs.grid.angles()
+        headings, _ = FLAT_12.angles()
         edges = [(nbr, env.edge_pose(node, nbr).heading) for nbr in env.neighbors(node)]
         background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
         for k in range(12):
@@ -248,7 +248,7 @@ def test_observation_nearest_in_bin_rule(env):
                 expect = np.concatenate([lat.node[nbr], onehot])
             else:
                 expect = background
-            np.testing.assert_allclose(obs.visual[k], expect, atol=0)
+            np.testing.assert_allclose(obs[k], expect, atol=0)
 
 
 def oracle_render_visual(graph, node, latents, grid):
@@ -298,7 +298,7 @@ def test_render_matches_per_view_scan(data):
         graph.poses[(0, i + 1)] = dataclasses.replace(graph.poses[(0, i + 1)], heading=h)
     lat = se.make_latents(graph, feature_dim=12, seed=data.draw(st.integers(0, 99)))
     obs = se.render_observation(graph, 0, lat, sigma=0.0, grid=grid)
-    np.testing.assert_array_equal(obs.visual, oracle_render_visual(graph, 0, lat, grid))
+    np.testing.assert_array_equal(obs, oracle_render_visual(graph, 0, lat, grid))
 
 
 def test_observation_errors(cross_graph):

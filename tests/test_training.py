@@ -43,8 +43,7 @@ def graph_from(points, pairs, directed=()):
 
 
 def episode_for(graph, gt, seed=0):
-    ins = generate_instruction(graph, gt, seed)
-    return Episode(start=gt[0], instruction=ins)
+    return Episode(gt_path=tuple(gt), instruction=generate_instruction(graph, gt, seed))
 
 
 def teacher_accuracy(records) -> float:
@@ -113,11 +112,6 @@ def test_teacher_guards(world, params):
     check_routes([(world, ep)], len(ep.gt_path))
     with pytest.raises(InvalidArgument):
         check_routes([(world, ep)], len(ep.gt_path) - 1)
-    bad = Episode(start=[n for n in world.graph.node_ids()
-                         if n != ep.gt_path[0]][0],
-                  instruction=ep.instruction)
-    with pytest.raises(InvalidArgument):
-        rollout_teacher(world, bad, params, MCFG)
 
 
 def make_fake_record(margins):
@@ -277,7 +271,7 @@ def oracle_label(pg, gt, graph, d):
     tol = 1e-9
     frontier = pg.frontier()
     cur = pg.current
-    unvis = [n for n in gt if n not in set(pg.visited)]
+    unvis = [n for n in gt if n not in pg.visited]
     if unvis:
         dmin = min(d[cur, n] for n in unvis)
         n_star = next(n for n in gt if n in unvis and d[cur, n] <= dmin + tol)
@@ -586,16 +580,13 @@ def test_train_deterministic(world, tmp_path):
                       seed=11, eval_every=2)
     logs, finals = [], []
     for run in ("a", "b"):
-        d = tmp_path / run
-        d.mkdir()
         p = build_params(MCFG, seed=0)
-        logs.append(train(data, p, cfg, MCFG, out_dir=str(d)))
+        logs.append(train(data, p, cfg, MCFG))
         finals.append(state_dict(p))
+        artifacts.save_checkpoint(tmp_path / f"{run}.ckpt", p)
     assert logs[0] == logs[1]
     assert all(np.array_equal(finals[0][k], finals[1][k]) for k in finals[0])
-    assert (tmp_path / "a" / "params.ckpt").read_bytes() == \
-        (tmp_path / "b" / "params.ckpt").read_bytes()
-    assert not (tmp_path / "a" / "train_log.csv").exists()  # the CLI writes it
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     # eval columns filled only on eval iterations
     assert logs[0][0]["eval_SR"] == "" and logs[0][1]["eval_SR"] != ""
 
@@ -666,19 +657,24 @@ def test_overfit_losses_bitwise_equal_benchmark_reference():
     assert [row["total_loss"] for row in log] == want
 
 
-def test_train_non_finite_aborts_with_dump(world, tmp_path):
+def test_train_non_finite_aborts_with_dump(world):
+    """A non-finite loss at iteration 1 raises before any optimizer step:
+    the store keeps the values the CLI dumps to abort.ckpt."""
     p = build_params(MCFG, seed=0)
     name = p.names()[0]
     p.params[name].data[...] = np.nan
+    before = state_dict(p)
     ep = make_episode(world.graph, seed=2)
     cfg = TrainConfig(t_max=6, iterations=3, batch_size=1, seed=1)
-    with pytest.raises(NumericFailure):
-        train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
-    assert (tmp_path / "abort.ckpt").exists()
+    with pytest.raises(NumericFailure, match="iteration 1"):
+        train([(world, ep)], p, cfg, MCFG)
+    after = state_dict(p)
+    assert after.keys() == before.keys()
+    for key, arr in after.items():
+        np.testing.assert_array_equal(arr, before[key])
 
 
-def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
-                                                     monkeypatch):
+def test_train_non_finite_gradient_fails_at_its_step(world, monkeypatch):
     ep = make_episode(world.graph, seed=2)
     cfg = TrainConfig(t_max=6, iterations=3, batch_size=1, seed=1)
     after_first = build_params(MCFG, seed=0)
@@ -698,12 +694,12 @@ def test_train_non_finite_gradient_fails_at_its_step(world, tmp_path,
 
     monkeypatch.setattr(nn, "backward", poisoned_backward)
     with pytest.raises(NumericFailure, match="iteration 2"):
-        train([(world, ep)], p, cfg, MCFG, out_dir=str(tmp_path))
+        train([(world, ep)], p, cfg, MCFG)
     assert len(calls) == 2
-    dumped = artifacts.load_checkpoint(tmp_path / "abort.ckpt")
+    left = state_dict(p)   # what the CLI dumps to abort.ckpt
     want = state_dict(after_first)
-    assert dumped.keys() == want.keys()
-    for name, arr in dumped.items():
+    assert left.keys() == want.keys()
+    for name, arr in left.items():
         assert np.all(np.isfinite(arr))
         np.testing.assert_array_equal(arr, want[name])
 
