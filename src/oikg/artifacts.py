@@ -6,13 +6,18 @@ plus a trailing newline.  A CSV file is a ``# comment`` line, which names
 the run's ``config_hash``, a header row and data rows, written with the csv
 module's line endings.  A checkpoint is binary: a magic string, then one
 length-prefixed block per parameter.  Every artifact the package reads or
-writes goes through this module.
+writes goes through this module.  A writer fills a sibling temporary file
+and moves it into place with ``os.replace``, so a failure part-way leaves
+the previous file, or none, never a prefix.
 """
 
 import csv
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +30,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file opened for writing whose contents replace ``path`` only when
+    the block exits normally; on any failure the temporary file goes and
+    ``path`` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    with _replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj) + "\n")
+    write_text(path, canonical_json(obj) + "\n")
 
 
 def read_json(path):
@@ -40,7 +65,7 @@ def read_json(path):
 
 
 def write_csv(path, header, rows, comment: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -50,7 +75,7 @@ def write_csv(path, header, rows, comment: str) -> None:
 def save_checkpoint(path, store) -> None:
     """A ParamStore's parameters, by name, as length-prefixed binary blocks
     (name, dims, little-endian float64 data)."""
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for name in store.names():
             data = store.params[name].data
@@ -64,6 +89,8 @@ def save_checkpoint(path, store) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Parameter arrays by name; a malformed file, or a block holding a
+    non-finite value, is a SchemaError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
@@ -95,5 +122,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             data = flat.reshape(shape)
         except ValueError as exc:  # more dims than numpy supports
             raise SchemaError(f"{path}: block {name!r}: {exc}") from exc
+        if not np.isfinite(data).all():
+            raise SchemaError(f"{path}: block {name!r} holds a non-finite value")
         out[name] = data.astype(np.float64).copy()
     return out

@@ -21,7 +21,7 @@ from .analysis import (FLAG_NAMES, GRID_LABELS, check_grid, detail_probe,
                        grad_probe, map_units, run_ablation, variant_config,
                        write_ablation_csv)
 from .artifacts import (canonical_json, load_checkpoint, read_json,
-                        save_checkpoint, write_json)
+                        save_checkpoint, write_json, write_text)
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
@@ -330,8 +330,8 @@ def cmd_eval(cfg: dict) -> None:
     traces = out / "traces"
     traces.mkdir(exist_ok=True)
     for idx, _, lines in sorted(results):
-        (traces / f"ep{idx:03d}.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8")
+        write_text(traces / f"ep{idx:03d}.jsonl",
+                   "".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------- ablate

@@ -5,6 +5,7 @@ All distances between nodes are shortest-route (geodesic) lengths.
 Success is inclusive at exactly the 3-meter boundary.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,29 +75,18 @@ def spl(r: EpisodeResult) -> float:
 
 def dtw_cost(r: EpisodeResult) -> float:
     """Minimum summed geodesic distance over monotone alignments of the two
-    paths (moves: advance either index or both)."""
-    p, q = r.executed_path, r.gt_path
-    n, m = len(p), len(q)
-    d = np.empty((n, m))
-    for i in range(n):
-        row = r.env._dist_from(p[i])
-        for j in range(m):
-            d[i, j] = row[q[j]]
-    cost = np.full((n, m), math.inf)
-    cost[0, 0] = d[0, 0]
-    for i in range(n):
-        for j in range(m):
-            if i == j == 0:
-                continue
-            best = math.inf
-            if i > 0:
-                best = cost[i - 1, j]
-            if j > 0:
-                best = min(best, cost[i, j - 1])
-            if i > 0 and j > 0:
-                best = min(best, cost[i - 1, j - 1])
-            cost[i, j] = d[i, j] + best
-    return float(cost[n - 1, m - 1])
+    paths (moves: advance either index or both).  The dynamic program runs
+    row by row over Python floats: each cell is its distance plus the least
+    of its predecessors' costs, one add."""
+    rows = ([dist[target] for target in r.gt_path]
+            for dist in map(r.env._dist_from, r.executed_path))
+    prev = list(itertools.accumulate(next(rows)))
+    for d in rows:
+        cost = [d[0] + prev[0]]
+        for j in range(1, len(d)):
+            cost.append(d[j] + min(prev[j], cost[-1], prev[j - 1]))
+        prev = cost
+    return prev[-1]
 
 
 def ndtw(r: EpisodeResult) -> float:

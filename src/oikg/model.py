@@ -241,38 +241,31 @@ def build_candidates(pg: PathGraph, params: nn.ParamStore,
     With geo_embed off the positional term is an exact zero that touches
     no parameter.  The last row is the learned STOP embedding.
 
-    All rows are one tape node.  Each row is its own vector-matrix product,
-    not a row of one batched product, whose last bits can differ; backward
-    adds each row's terms into the parameters row by row, in row order, so
-    forward values and gradients are bitwise those of one linear node per
-    term and row.
+    One tape node, bitwise a linear node per term and row: each term is a
+    stacked ``(N, 1, K) @ W``, N vector-matrix products as ``x @ W`` makes
+    them (a plain ``(N, K) @ W`` rounds differently), and the backward adds
+    each row's terms in row order (``Tensor.accumulate_rows``).
     """
     order = pg.frontier()
     inputs = candidate_inputs(pg.graph, pg.current, order,
                               cfg.view_grid.n_headings, cfg.geo_embed)
-    w_e, b_e = params["graph.edge.w"], params["graph.edge.b"]
     stop = params["graph.stop"]
-    parents = (w_e, b_e, stop)
+    terms = [(inputs[:, :4], params["graph.edge.w"], params["graph.edge.b"])]
     if cfg.geo_embed:
-        w_p, b_p = params["graph.pe.w"], params["graph.pe.b"]
-        parents += (w_p, b_p)
-    rows = []
-    for x in inputs:
-        row = x[:4] @ w_e.data + b_e.data
-        if cfg.geo_embed:
-            rows.append(row + (x[4:] @ w_p.data + b_p.data))
-        else:
-            rows.append(row + 0.0)
-    rows.append(stop.data.reshape(stop.shape[1]))
+        terms.append((inputs[:, 4:], params["graph.pe.w"], params["graph.pe.b"]))
+    edge, *pos = [np.matmul(x[:, None, :], w.data)[:, 0] + b.data for x, w, b in terms]
+    rows = edge + (pos[0] if pos else 0.0)
 
     def backward(g):
-        for i, x in enumerate(inputs):
-            nn._affine_backward(x[:4], w_e, b_e, g[i], False)
-            if cfg.geo_embed:
-                nn._affine_backward(x[4:], w_p, b_p, g[i], False)
+        for x, w, b in terms:
+            if b.requires_grad:
+                b.accumulate_rows(g[:-1])
+            if w.requires_grad:
+                w.accumulate_rows(x[:, :, None] * g[:-1, None, :])
         stop.accumulate_grad(g[-1].reshape(stop.shape))
 
-    return nn.tape_node(np.stack(rows), parents, backward), order
+    parents = (stop,) + tuple(t for _, w, b in terms for t in (w, b))
+    return nn.tape_node(np.concatenate([rows, stop.data]), parents, backward), order
 
 
 def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,

@@ -1,13 +1,10 @@
 """Minimal dense-tensor numerics with reverse-mode gradients.
 
 Everything is 64-bit float and deterministic: same inputs give bitwise
-identical outputs.  The engine is a flat tape of ``Tensor`` nodes; each op
-records a closure that routes the output gradient back into its parents.
-Shapes are limited to what the model needs: vectors and matrices, with a
-bias broadcast over rows inside the affine kernel (``_affine``, behind
-``linear`` and the fused nodes) and nowhere else.  Inside
-``no_tape()`` ops record nothing: their outputs are untracked values, bitwise
-the same as with the tape on.
+identical outputs.  The engine is a flat tape of ``Tensor`` nodes, vectors
+and matrices; each op records a closure that routes the output gradient
+back into its parents.  Inside ``no_tape()`` ops record nothing: their
+outputs are untracked values, bitwise the same as with the tape on.
 """
 
 import itertools
@@ -62,6 +59,16 @@ class Tensor:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
+
+    def accumulate_rows(self, terms: np.ndarray) -> None:
+        """``accumulate_grad`` of terms[0], terms[1], ... in order, bitwise:
+        one reduce over axis 0 from the gradient so far (or zeros).  numpy
+        sums one-element slices pairwise instead, so those raise."""
+        if self.data.size == 1:
+            raise ShapeError("an ordered reduce needs rows wider than one element")
+        if len(terms):
+            base = np.zeros_like(self.data) if self.grad is None else self.grad
+            self.grad = np.add.reduce(np.concatenate([base[None], terms]), axis=0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -528,6 +528,78 @@ def test_eval_rejects_one_cue_checkpoint_with_disabled_cue_weight(
     assert f"extra ['{dead}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_eval_rejects_non_finite_checkpoint_before_out(data_dir, ckpt_dir, tmp_path,
+                                                       capsys, bad):
+    """A checkpoint holding a NaN or an infinity is a data error naming its
+    block, raised before --out exists; it once ran and wrote traces whose
+    NaN scores are not JSON."""
+    store = build_params(TINY_CONFIG, 0)
+    store.load_state(artifacts.load_checkpoint(ckpt_dir / "params.ckpt"))
+    store["sel.mlp.w1"].data[1, 2] = bad
+    ckpt = tmp_path / "bad.ckpt"
+    artifacts.save_checkpoint(ckpt, store)
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(data_dir), "--out", str(out),
+                 "--ckpt", str(ckpt)]) == 3
+    assert "'sel.mlp.w1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -------------------------------------------------------------- artifacts
+
+
+class WriteFailure(Exception):
+    pass
+
+
+def rows_failing_after(n):
+    for i in range(n):
+        yield [str(i), "x" * 4096]
+    raise WriteFailure("cut part-way")
+
+
+class HalfStore:
+    """A store whose second parameter cannot be read: a checkpoint write
+    fails after its first block."""
+    def __init__(self):
+        self.params = {"a": build_params(TINY_CONFIG, 0)["sel.mlp.w1"]}
+
+    def names(self):
+        return ["a", "b"]
+
+
+FAILING_WRITERS = {
+    "csv": (lambda p: artifacts.write_csv(p, ["i", "pad"], rows_failing_after(50),
+                                          comment="c"), WriteFailure),
+    "checkpoint": (lambda p: artifacts.save_checkpoint(p, HalfStore()), KeyError),
+    # a lone surrogate cannot be encoded, after 64 kB of text that can
+    "text": (lambda p: artifacts.write_text(p, "x" * 65536 + "\ud800"),
+             UnicodeEncodeError),
+    "json": (lambda p: artifacts.write_json(p, {"ok": 1, "not JSON": object()}),
+             TypeError),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILING_WRITERS))
+@pytest.mark.parametrize("previous", [None, b"previous artifact\n"],
+                         ids=["no-file", "previous-file"])
+def test_failed_write_leaves_previous_file_or_none(tmp_path, writer, previous):
+    """A writer that fails part-way leaves the artifact's previous bytes, or
+    no file, never a prefix, and no temporary file beside it."""
+    write, error = FAILING_WRITERS[writer]
+    path = tmp_path / "artifact"
+    if previous is not None:
+        path.write_bytes(previous)
+    with pytest.raises(error):
+        write(path)
+    if previous is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == previous
+
+
 # ------------------------------------------------------------ ablate/probe
 
 

@@ -162,6 +162,40 @@ def test_ndtw_dp_matches_enumeration(square):
         assert dtw_cost(r) == pytest.approx(enumerate_dtw(r), abs=1e-9)
 
 
+def cell_dtw(r):
+    """The dynamic program as a numpy table filled cell by cell, the form
+    ``dtw_cost`` replaced: its exact oracle."""
+    p, q = r.executed_path, r.gt_path
+    d = np.array([[r.env.geodesic(a, b) for b in q] for a in p])
+    cost = np.full(d.shape, math.inf)
+    for i, j in itertools.product(range(len(p)), range(len(q))):
+        if i == j == 0:
+            cost[0, 0] = d[0, 0]
+            continue
+        best = math.inf
+        if i > 0:
+            best = cost[i - 1, j]
+        if j > 0:
+            best = min(best, cost[i, j - 1])
+        if i > 0 and j > 0:
+            best = min(best, cost[i - 1, j - 1])
+        cost[i, j] = d[i, j] + best
+    return float(cost[-1, -1])
+
+
+def test_dtw_cost_matches_cell_table_bitwise():
+    """On irregular edge lengths, including an unreachable component, the
+    Python-float program gives the numpy table's cost to the bit."""
+    rng = substream(80, "dtw-bitwise")
+    points = [(i, tuple(rng.uniform(0.0, 7.0, size=3))) for i in range(9)]
+    g = graph_from(points, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5),
+                            (5, 2), (6, 7), (7, 8)])
+    for _ in range(300):
+        r = EpisodeResult(g, random_walk(g, rng, max_len=9),
+                          random_walk(g, rng, max_len=9))
+        assert dtw_cost(r) == cell_dtw(r)
+
+
 def test_ndtw_range(square):
     rng = substream(78, "ndtw-range")
     for _ in range(50):

@@ -430,6 +430,24 @@ def test_build_candidates_matches_oracle_bitwise(geo_embed, walk):
         np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
 
 
+@pytest.mark.parametrize("geo_embed", [True, False])
+def test_empty_frontier_adds_no_candidate_gradient(geo_embed):
+    """With every node visited the rows are STOP alone: the backward adds
+    into ``graph.stop`` only, and the edge and positional parameters keep
+    ``grad is None``, as the per-row loop left them."""
+    cfg = replace(TINY, geo_embed=geo_embed)
+    params = model.build_params(cfg, seed=5)
+    pg = PathGraph(two_node_graph(), start=0)
+    pg.advance(1)
+    f_g, order = model.build_candidates(pg, params, cfg)
+    assert order == [] and f_g.shape == (1, cfg.dim)
+    nn.backward(tsum(mul(f_g, nn.Tensor(np.full((1, cfg.dim), 0.5)))))
+    np.testing.assert_array_equal(params["graph.stop"].grad, np.full((1, cfg.dim), 0.5))
+    names = [n for n in params.names() if n.startswith(("graph.edge.", "graph.pe."))]
+    assert len(names) == (4 if geo_embed else 2)
+    assert all(params[n].grad is None for n in names)
+
+
 def test_build_candidates_matches_oracle_on_full_grid():
     """On the default 12 x 3 grid, with candidates at random headings, on
     columns and at midpoints, the bracket lookup gives the rows of the

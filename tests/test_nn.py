@@ -689,6 +689,62 @@ def test_add_rejects_shape_mismatch():
         nn.add(rand_tensor(rng, (4,)), rand_tensor(rng, (3, 4)))
 
 
+# numpy kernels whose rounding the bitwise rule depends on: a numpy release
+# that routes them through another kernel fails here, before a loss drifts
+
+
+@pytest.mark.parametrize("k, lo", [(4, 0), (3, 4)], ids=["edge", "pos"])
+@pytest.mark.parametrize("d", [8, 32])
+def test_stacked_vector_matrix_product_is_per_row_product(k, lo, d):
+    """``np.matmul(X[:, None, :], W)[:, 0]`` is row i's ``X[i] @ W`` to the
+    bit, for 0-40 rows read as ``model.candidate_inputs`` reads them from a
+    ``(V, V, 7)`` memo: a gathered copy and strided views of the table."""
+    rng = np.random.default_rng(41 + d + k)
+    v = 41
+    table = rng.normal(size=(v, v, 7)) * 10.0 ** rng.integers(-3, 4, size=(v, v, 7))
+    w = rng.normal(size=(k, d))
+    for n in range(41):
+        u = int(rng.integers(v))
+        cols = rng.permutation(v)[:n]
+        for x in (table[u][cols, :7][:, lo:lo + k], table[u, :n, lo:lo + k],
+                  table[:n, u, lo:lo + k]):
+            got = np.matmul(x[:, None, :], w)[:, 0]
+            want = np.array([row @ w for row in x]).reshape(n, d)
+            assert same_bits(got, want), (n, x.strides)
+
+
+@pytest.mark.parametrize("shape", [(8,), (32,), (4, 8), (3, 32), (2,)])
+@pytest.mark.parametrize("start", ["no-grad", "grad"])
+def test_accumulate_rows_is_accumulate_grad_loop(shape, start):
+    """``Tensor.accumulate_rows`` equals ``accumulate_grad`` of each slice
+    in order, bit for bit, on terms of unlike magnitudes (so the order of
+    the sum shows) and with -0.0 slices; no terms leave ``grad`` as it was."""
+    rng = np.random.default_rng(43)
+    for n in range(41):
+        terms = rng.normal(size=(n, *shape)) * 10.0 ** rng.integers(
+            -12, 13, size=(n, *shape))
+        terms[::5] = -0.0
+        got, want = (nn.Tensor(np.zeros(shape), requires_grad=True) for _ in range(2))
+        if start == "grad":
+            got.grad = rng.normal(size=shape)
+            want.grad = got.grad.copy()
+        for t in terms:
+            want.accumulate_grad(t)
+        got.accumulate_rows(terms)
+        if want.grad is None:
+            assert n == 0 and got.grad is None
+        else:
+            assert same_bits(got.grad, want.grad), n
+
+
+def test_accumulate_rows_rejects_one_element_slices():
+    """Over one-element slices numpy's reduce sums pairwise, not in order."""
+    for shape in [(1,), (1, 1), ()]:
+        t = nn.Tensor(np.zeros(shape), requires_grad=True)
+        with pytest.raises(ShapeError):
+            t.accumulate_rows(np.ones((20, *shape)))
+
+
 def test_fused_ops_node_counts_and_no_tape():
     rng = np.random.default_rng(17)
     q, kv = rand_tensor(rng, (2, 4)), rand_tensor(rng, (3, 4))
