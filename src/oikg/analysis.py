@@ -9,10 +9,11 @@ so the direction stays an observation, not a baked-in assumption.
 """
 
 import math
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -32,7 +33,7 @@ PATHWAY_PREFIXES = ("obs.", "graph.")
 # binned into CUE_BINS uniform bins
 CUE_BINS = 8
 CUE_DIMS = 2
-TIMING_WARMUP = 50   # untimed greedy steps before time_forward_steps times
+TIMING_WARMUP = 50   # fewest untimed greedy steps before time_forward_steps times
 
 
 @dataclass(frozen=True)
@@ -273,23 +274,25 @@ def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) ->
 
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int) -> float:
-    """Mean wall-clock milliseconds per forward_step over at least
-    `min_steps` steps, measured without a tape, as greedy evaluation runs,
-    after TIMING_WARMUP untimed steps.  A greedy walk never revisits a
-    node, so each timed step includes its panorama's render."""
+    """Wall-clock milliseconds per decision step of warm greedy rollouts,
+    run whole and without a tape, as greedy evaluation runs: rollouts warm
+    up until TIMING_WARMUP steps have run, then are timed until at least
+    `min_steps` have.  A greedy walk never revisits a node, so each step
+    includes its panorama's render."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")
     if not data:
         raise InvalidArgument("no episodes to time")
-    seconds: list = []
-    while len(seconds) < TIMING_WARMUP + min_steps:
-        for env, ep in data:
-            with nn.no_tape():
+    episodes = cycle(data)
+    with nn.no_tape():
+        for at_least in (TIMING_WARMUP, min_steps):  # warm up, then time
+            steps, start = 0, time.perf_counter()
+            while steps < at_least:
+                env, ep = next(episodes)
                 rec = rollout(env, ep, t_max, greedy_policy, params, mcfg)
-            seconds += [s.seconds for s in rec.steps]
-    timed = seconds[TIMING_WARMUP:]
-    return sum(timed) / len(timed) * 1000.0
+                steps += len(rec.steps)
+    return (time.perf_counter() - start) / steps * 1000.0
 
 
 def map_units(jobs: int, fn, *iterables) -> list:

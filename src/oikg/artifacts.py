@@ -8,7 +8,8 @@ module's line endings.  A checkpoint is binary: a magic string, then one
 length-prefixed block per parameter.  Every artifact the package reads or
 writes goes through this module.  A writer fills a sibling temporary file
 and moves it into place with ``os.replace``, so a failure part-way leaves
-the previous file, or none, never a prefix.
+the previous file, or none, never a prefix.  ``check_record`` holds the
+one type rule every JSON data file is read by.
 """
 
 import csv
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -62,6 +64,33 @@ def read_json(path):
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def has_type(value, kind) -> bool:
+    """Whether a JSON value fits a field of type `kind`: a bool fits only a
+    bool field, and an int also a float field, if a float can hold it.  A
+    one-element list `[kind]` takes a list of such values."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(has_type(v, kind[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def check_record(record, keys: dict, where):
+    """`record`, once it is a JSON object holding every key in `keys` with
+    a value of the type it maps to; anything else is a SchemaError naming
+    `where` and the first key missing or mistyped."""
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    for key, kind in keys.items():
+        if key not in record:
+            raise SchemaError(f"{where}: missing key {key!r}")
+        if not has_type(record[key], kind):
+            raise SchemaError(f"{where}: key {key!r} has a value of the wrong type")
+    return record
 
 
 def write_csv(path, header, rows, comment: str) -> None:

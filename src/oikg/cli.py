@@ -20,8 +20,9 @@ from . import nn
 from .analysis import (FLAG_NAMES, GRID_LABELS, check_grid, detail_probe,
                        grad_probe, map_units, run_ablation, variant_config,
                        write_ablation_csv)
-from .artifacts import (canonical_json, load_checkpoint, read_json,
-                        save_checkpoint, write_json, write_text)
+from .artifacts import (canonical_json, check_record, has_type,
+                        load_checkpoint, read_json, save_checkpoint, write_json,
+                        write_text)
 from .errors import (GenerationFailure, IncompatibleCheckpoint,
                      InvalidArgument, InvalidState, NumericFailure, OikgError,
                      SchemaError, ShapeError)
@@ -155,50 +156,31 @@ def _derived_seed(seed: int, *tags) -> int:
     return int(substream(seed, *tags).integers(0, 2 ** 31 - 1))
 
 
-def _has_type(value, kind: type) -> bool:
-    """Whether a JSON value fits a setting of type `kind`: never a bool,
-    and an int also where `kind` is float, if a float can hold it."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return abs(value) <= sys.float_info.max
-    return not isinstance(value, bool) and isinstance(value, kind)
-
-
-def _read_record(path, keys: dict) -> dict:
-    """A JSON object from a data file holding every key in `keys` with a
-    value of the type it maps to; anything else is a data error naming the
-    first key missing or mistyped."""
-    record = read_json(path)
-    if not isinstance(record, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    for key, kind in keys.items():
-        if key not in record:
-            raise SchemaError(f"{path}: missing key {key!r}")
-        if not _has_type(record[key], kind):
-            raise SchemaError(f"{path}: key {key!r} has a value of the wrong type")
-    return record
-
-
 def _load_split(data_dir: str, split: str):
-    """(EnvBundle, episodes, archived gen config) for one split, once the
-    config's values are in range and every episode's route lies in the
-    split's graph; anything else is a data error."""
+    """(EnvBundle, episodes, archived gen config) for one split, once every
+    file fits its schema, the config's values and the graph's rooms are in
+    range, and every episode's route lies in the split's graph; anything
+    else is a data error."""
     base = Path(data_dir)
     gen_path = base / "config.json"
-    gen_cfg = _read_record(gen_path, GEN_KEYS)
+    gen_cfg = check_record(read_json(gen_path), GEN_KEYS, gen_path)
     if not 0 <= gen_cfg["sigma"] <= sys.float_info.max:  # also NaN
         raise SchemaError(f"{gen_path}: sigma must be finite and >= 0")
     if gen_cfg["feature_dim"] <= ROOM_COUNT:
         raise SchemaError(f"{gen_path}: feature_dim must exceed {ROOM_COUNT}")
     if gen_cfg["mode"] not in CHOICES["mode"]:
         raise SchemaError(f"{gen_path}: mode must be one of {CHOICES['mode']}")
-    env_file = "env_unseen.json" if split == "val_unseen" else "env.json"
-    graph = load_environment(base / env_file)
+    env_path = base / ("env_unseen.json" if split == "val_unseen" else "env.json")
+    graph = load_environment(env_path)
     latent_seed = (gen_cfg["latent_seed_unseen"] if split == "val_unseen"
                    else gen_cfg["latent_seed_seen"])
-    latents = make_latents(graph, gen_cfg["feature_dim"], latent_seed)
+    try:
+        latents = make_latents(graph, gen_cfg["feature_dim"], latent_seed)
+    except InvalidArgument as exc:  # a node's room outside the one-hot
+        raise SchemaError(f"{env_path}: {exc}") from exc
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
     path = base / f"episodes_{split}.json"
-    raw = _read_record(path, {"episodes": list})
+    raw = check_record(read_json(path), {"episodes": list}, path)
     if not raw["episodes"]:
         raise InvalidArgument(f"{path}: the {split} split has no episodes")
     episodes = []
@@ -438,7 +420,7 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise InvalidArgument(
                 f"unknown config fields {unknown} for command {args.cmd!r}")
         for key, value in loaded.items():
-            if not _has_type(value, kinds[key]):
+            if not has_type(value, kinds[key]):
                 raise InvalidArgument(
                     f"config field {key!r} needs a value of type "
                     f"{kinds[key].__name__}, got {value!r}")

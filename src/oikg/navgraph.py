@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import check_record, has_type, read_json, write_json
 from .errors import IllegalAction, InvalidArgument, SchemaError
 from .geometry import RelativePose, relative_pose
 
@@ -297,39 +297,27 @@ def graph_to_dict(graph: NavGraph) -> dict:
     }
 
 
+# an environment file's node entry: its keys and their types
+NODE_KEYS = {"id": int, "pos": [float], "room": int, "objects": [int]}
+
+
 def save_environment(path, graph: NavGraph) -> None:
     write_json(path, graph_to_dict(graph))
 
 
 def graph_from_dict(data: dict) -> NavGraph:
-    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-        raise SchemaError("environment must be an object with 'nodes' and 'edges'")
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
-        raise SchemaError("environment 'nodes' and 'edges' must be lists")
+    check_record(data, {"nodes": list, "edges": list}, "environment")
     nodes = []
     for i, entry in enumerate(data["nodes"]):
-        try:
-            nodes.append(NavNode(id=int(entry["id"]),
-                                 pos=tuple(float(c) for c in entry["pos"]),
-                                 room=int(entry["room"]),
-                                 objects=tuple(int(o) for o in entry["objects"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad node entry at index {i}: {exc}") from exc
-    edges: list[tuple[int, int]] = []
-    seen = set()
+        check_record(entry, NODE_KEYS, f"node entry at index {i}")
+        nodes.append(NavNode(id=entry["id"],
+                             pos=tuple(float(c) for c in entry["pos"]),
+                             room=entry["room"], objects=tuple(entry["objects"])))
     for i, pair in enumerate(data["edges"]):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"bad edge entry at index {i}: expected [from, to]")
-        try:
-            u, v = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad edge entry at index {i}: {exc}") from exc
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise SchemaError(f"duplicate connection {list(key)}")
-        seen.add(key)
-        edges.append((u, v))
-        edges.append((v, u))
+        if not (has_type(pair, [int]) and len(pair) == 2):
+            raise SchemaError(f"edge entry at index {i}: expected [from, to] node ids")
+    # a connection is two directed edges, so one stored twice is a duplicate edge
+    edges = [e for u, v in data["edges"] for e in ((u, v), (v, u))]
     try:
         return build_graph(nodes, edges)
     except InvalidArgument as exc:

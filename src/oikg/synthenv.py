@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import check_record, write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
 from .geometry import TWO_PI, bracketing_columns
 from .navgraph import NavGraph, NavNode, build_graph, check_route
@@ -138,6 +138,10 @@ class EnvBundle:
 def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
     if feature_dim <= ROOM_COUNT:
         raise InvalidArgument(f"feature dim must exceed {ROOM_COUNT}, got {feature_dim}")
+    for n in graph.node_ids():   # a room indexes the panorama's room one-hot
+        if not 0 <= graph.nodes[n].room < ROOM_COUNT:
+            raise InvalidArgument(f"node {n}: room {graph.nodes[n].room} is "
+                                  f"outside [0, {ROOM_COUNT})")
     free = feature_dim - ROOM_COUNT
     node = {n: substream(seed, "latent", n).standard_normal(free)
             for n in graph.node_ids()}
@@ -295,7 +299,6 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
     single-node path names the goal's room, so every instruction carries at
     least one location and one object cue.
     """
-    gt_path = tuple(int(n) for n in gt_path)
     check_route(graph, gt_path, "gt")
 
     goal = gt_path[-1]
@@ -390,6 +393,11 @@ def make_episode(graph: NavGraph, seed: int, mode: str = "shortest") -> Episode:
 # ------------------------------------------------------------- file formats
 
 
+# an episode file's entry: its keys and their types
+EPISODE_KEYS = {"start": int, "gt_path": [int], "tokens": [int],
+                "loc_mask": [bool], "obj_mask": [bool], "text": str}
+
+
 def episode_to_dict(ep: Episode) -> dict:
     return {
         "start": ep.start,
@@ -402,17 +410,9 @@ def episode_to_dict(ep: Episode) -> dict:
 
 
 def episode_from_dict(data: dict) -> Episode:
-    required = ("start", "gt_path", "tokens", "loc_mask", "obj_mask", "text")
-    if not isinstance(data, dict) or any(k not in data for k in required):
-        raise SchemaError(f"episode must contain {required}")
-    try:
-        tokens = [int(t) for t in data["tokens"]]
-        loc = [bool(b) for b in data["loc_mask"]]
-        obj = [bool(b) for b in data["obj_mask"]]
-        gt_path = [int(n) for n in data["gt_path"]]
-        start = int(data["start"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad episode value: {exc}") from exc
+    check_record(data, EPISODE_KEYS, "episode")
+    tokens, loc, obj = data["tokens"], data["loc_mask"], data["obj_mask"]
+    gt_path = data["gt_path"]
     if not (len(tokens) == len(loc) == len(obj)):
         raise SchemaError("masks must match token count")
     for t in tokens:
@@ -422,9 +422,10 @@ def episode_from_dict(data: dict) -> Episode:
         raise SchemaError("location and object masks overlap")
     if not gt_path:
         raise SchemaError("gt_path must be non-empty")
-    if start != gt_path[0]:
+    if len(set(gt_path)) != len(gt_path):
+        raise SchemaError("gt_path revisits a node")
+    if data["start"] != gt_path[0]:
         raise SchemaError("start must equal first gt_path node")
     instr = Instruction(tokens=tuple(tokens), location_mask=tuple(loc),
-                        object_mask=tuple(obj), text=str(data["text"]))
+                        object_mask=tuple(obj), text=data["text"])
     return Episode(gt_path=tuple(gt_path), instruction=instr)
-

@@ -10,7 +10,6 @@ differ in the policy that acts and the label that supervises.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +62,6 @@ class StepRecord:
     supervision: int | None
     loss: nn.Tensor | None
     action: int = STOP
-    seconds: float = 0.0
 
 
 @dataclass
@@ -95,10 +93,8 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
                           predicted=None, supervision=None, loss=None)
         scores = None
         if params is not None:
-            t0 = time.perf_counter()
             feats, step.predicted = forward_step(
                 pg, env, episode.instruction, params, mcfg, cache)
-            step.seconds = time.perf_counter() - t0
             scores = feats.scores
             step.logits = scores.data
         step.action = choose(t, step)

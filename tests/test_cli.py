@@ -302,17 +302,27 @@ def test_bare_key_error_is_not_a_data_error(monkeypatch, tmp_path):
         main(["gen", "--out", str(tmp_path / "g")])
 
 
+@pytest.fixture
+def edited_copy(tmp_path):
+    """`edited_copy(data_dir, name, edit)`: a copy of a data directory in
+    which `edit(record)` has changed the JSON file `name` in place."""
+    def make(data_dir, name, edit):
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        record = json.loads((copy / name).read_text())
+        edit(record)
+        (copy / name).write_text(json.dumps(record))
+        return copy
+    return make
+
+
 @pytest.mark.parametrize("name, key", [
     ("config.json", "latent_seed_seen"),
     ("episodes_val_seen.json", "episodes"),
 ])
-def test_data_file_missing_key_is_a_data_error(data_dir, tmp_path, capsys,
-                                               name, key):
-    copy = tmp_path / "data"
-    shutil.copytree(data_dir, copy)
-    record = json.loads((copy / name).read_text())
-    del record[key]
-    (copy / name).write_text(json.dumps(record))
+def test_data_file_missing_key_is_a_data_error(data_dir, edited_copy, tmp_path,
+                                               capsys, name, key):
+    copy = edited_copy(data_dir, name, lambda record: record.pop(key))
     assert main(["eval", "--data", str(copy), "--out", str(tmp_path / "e"),
                  "--agent", "oracle"]) == 3
     assert repr(key) in capsys.readouterr().err
@@ -334,21 +344,86 @@ def _edit_sigma(record):
     record["sigma"] = 10 ** 400   # an int no float can hold
 
 
+def _string_tokens(record):
+    ep = record["episodes"][0]
+    ep["tokens"] = [str(t) for t in ep["tokens"]]
+
+
+def _true_token(record):
+    record["episodes"][0]["tokens"][1] = True
+
+
+def _float_route_entry(record):
+    record["episodes"][0]["gt_path"][-1] += 0.5   # int() would truncate it back
+
+
+def _string_start(record):
+    ep = record["episodes"][0]
+    ep["start"] = str(ep["start"])
+
+
+def _int_masks(record):
+    ep = record["episodes"][0]
+    ep["loc_mask"] = [int(b) for b in ep["loc_mask"]]
+    ep["obj_mask"] = [int(b) for b in ep["obj_mask"]]
+
+
+def _numeric_text(record):
+    record["episodes"][0]["text"] = 5
+
+
+def _string_endpoint(record):
+    record["edges"][0][1] = str(record["edges"][0][1])
+
+
+def _float_endpoint(record):
+    record["edges"][0][1] += 0.5   # int() would truncate it back
+
+
+def _half_room(record):
+    record["nodes"][0]["room"] += 0.5
+
+
+def _room_99(record):
+    record["nodes"][0]["room"] = 99
+
+
+def _room_minus_1(record):
+    record["nodes"][0]["room"] = -1
+
+
+def _huge_coordinate(record):
+    record["nodes"][0]["pos"][0] = 10 ** 400   # an int no float can hold
+
+
 @pytest.mark.parametrize("name, edit, entry", [
     ("episodes_val_seen.json", _edit_episodes, "'episodes'"),
     ("env.json", _edit_edge, "edge entry at index 0"),
     ("config.json", _edit_feature_dim, "'feature_dim'"),
     ("config.json", _edit_sigma, "'sigma'"),
+    ("episodes_val_seen.json", _string_tokens, "episode 0: episode: key 'tokens'"),
+    ("episodes_val_seen.json", _true_token, "episode 0: episode: key 'tokens'"),
+    ("episodes_val_seen.json", _float_route_entry, "episode 0: episode: key 'gt_path'"),
+    ("episodes_val_seen.json", _string_start, "episode 0: episode: key 'start'"),
+    ("episodes_val_seen.json", _int_masks, "episode 0: episode: key 'loc_mask'"),
+    ("episodes_val_seen.json", _numeric_text, "episode 0: episode: key 'text'"),
+    ("env.json", _string_endpoint, "edge entry at index 0"),
+    ("env.json", _float_endpoint, "edge entry at index 0"),
+    ("env.json", _half_room, "node entry at index 0: key 'room'"),
+    ("env.json", _room_99, "node 0: room 99"),
+    ("env.json", _room_minus_1, "node 0: room -1"),
+    ("env.json", _huge_coordinate, "node entry at index 0: key 'pos'"),
 ])
-def test_data_file_wrong_value_type_is_a_data_error(data_dir, tmp_path, capsys,
-                                                    name, edit, entry):
-    copy = tmp_path / "data"
-    shutil.copytree(data_dir, copy)
-    record = json.loads((copy / name).read_text())
-    edit(record)
-    (copy / name).write_text(json.dumps(record))
-    assert main(["eval", "--data", str(copy), "--out", str(tmp_path / "e"),
+def test_data_file_wrong_value_type_is_a_data_error(data_dir, edited_copy, tmp_path,
+                                                    capsys, name, edit, entry):
+    """A data file value of the wrong JSON type, or a room outside the room
+    one-hot, is a data error naming the file and the entry, found before
+    --out is created."""
+    copy = edited_copy(data_dir, name, edit)
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(copy), "--out", str(out),
                  "--agent", "oracle"]) == 3
+    assert not out.exists()
     err = capsys.readouterr().err
     assert name in err and entry in err
 
@@ -358,15 +433,13 @@ def test_data_file_wrong_value_type_is_a_data_error(data_dir, tmp_path, capsys,
 @pytest.mark.parametrize("key, value", [
     ("sigma", -1), ("sigma", float("nan")), ("feature_dim", 5), ("mode", "foo")],
     ids=["sigma_negative", "sigma_nan", "feature_dim_5", "mode_foo"])
-def test_data_config_value_out_of_range_rejected_before_out(data_dir, tmp_path, capsys,
+def test_data_config_value_out_of_range_rejected_before_out(data_dir, edited_copy,
+                                                           tmp_path, capsys,
                                                            argv, key, value):
     """A `gen` config.json value of the right type but outside its range is
     a data error, found before --out is created."""
-    copy = tmp_path / "data"
-    shutil.copytree(data_dir, copy)
-    record = json.loads((copy / "config.json").read_text())
-    record[key] = value
-    (copy / "config.json").write_text(json.dumps(record))
+    copy = edited_copy(data_dir, "config.json",
+                       lambda record: record.update({key: value}))
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
     assert not out.exists()
@@ -388,32 +461,41 @@ def _non_edge_hop(route, graph):
     return [start, far]
 
 
+def _revisit(route, graph):
+    return route + [route[-2]]   # back along the last hop
+
+
 @pytest.mark.parametrize("argv, split", [
     (["train", "--iters", "1"], "train"),
     (["eval", "--agent", "oracle"], "val_seen"),
     (["eval", "--agent", "oracle", "--split", "val_unseen"], "val_unseen"),
 ], ids=["train", "eval", "eval_unseen"])
-@pytest.mark.parametrize("edit", [_unknown_node, _unknown_start, _non_edge_hop],
-                         ids=["unknown_node", "unknown_start", "non_edge_hop"])
-def test_episode_route_off_its_graph_rejected_before_out(data_dir, tmp_path, capsys,
+@pytest.mark.parametrize("edit", [_unknown_node, _unknown_start, _non_edge_hop,
+                                  _revisit],
+                         ids=["unknown_node", "unknown_start", "non_edge_hop",
+                              "revisit"])
+def test_episode_route_off_its_graph_rejected_before_out(data_dir, edited_copy,
+                                                         tmp_path, capsys,
                                                          argv, split, edit):
-    """Every episode's route is checked against its split's graph before
-    --out is created, whichever episodes a run would draw."""
-    copy = tmp_path / "data"
-    shutil.copytree(data_dir, copy)
-    graph = load_environment(copy / ("env_unseen.json" if split == "val_unseen"
-                                     else "env.json"))
-    path = copy / f"episodes_{split}.json"
-    record = json.loads(path.read_text())
-    last = record["episodes"][-1]
-    last["gt_path"] = edit(last["gt_path"], graph)
-    last["start"] = last["gt_path"][0]
-    path.write_text(json.dumps(record))
+    """Every episode's route is checked against its split's graph, and for
+    a node it visits twice, before --out is created, whichever episodes a
+    run would draw."""
+    graph = load_environment(data_dir / ("env_unseen.json" if split == "val_unseen"
+                                         else "env.json"))
+    name = f"episodes_{split}.json"
+    last = len(json.loads((data_dir / name).read_text())["episodes"]) - 1
+
+    def edit_last(record):
+        ep = record["episodes"][last]
+        ep["gt_path"] = edit(ep["gt_path"], graph)
+        ep["start"] = ep["gt_path"][0]
+
+    copy = edited_copy(data_dir, name, edit_last)
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
     assert not out.exists()
     err = capsys.readouterr().err
-    assert path.name in err and f"episode {len(record['episodes']) - 1}" in err
+    assert name in err and f"episode {last}" in err
 
 
 # ------------------------------------------------------------------- eval

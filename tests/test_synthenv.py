@@ -186,6 +186,16 @@ def cross_graph():
     return build_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("room", [-1, se.ROOM_COUNT, 99])
+def test_latents_reject_a_room_outside_the_one_hot(room):
+    """A room indexes the panorama's room one-hot, so one outside it is
+    rejected before any render could misplace it (-1) or fail on it."""
+    nodes = [NavNode(0, (0.0, 0.0, 0.0), 2, (1,)), NavNode(7, (1.0, 0.0, 0.0), room, (2,))]
+    graph = build_graph(nodes, [(0, 7), (7, 0)])
+    with pytest.raises(InvalidArgument, match=f"node 7: room {room} "):
+        se.make_latents(graph, feature_dim=12, seed=0)
+
+
 def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=FLAT_12)
@@ -429,6 +439,10 @@ def test_episode_schema_errors(tmp_path, env):
     bad = dict(good)
     bad["start"] = good["gt_path"][-1] + 1000
     with pytest.raises(SchemaError):
+        se.episode_from_dict(bad)
+    bad = dict(good)
+    bad["gt_path"] = good["gt_path"] + [good["gt_path"][-2]]   # back along the last hop
+    with pytest.raises(SchemaError, match="revisits"):
         se.episode_from_dict(bad)
     with pytest.raises(SchemaError):
         se.episode_from_dict({"start": 0})
