@@ -29,7 +29,7 @@ from .errors import (GenerationFailure, IncompatibleCheckpoint,
 from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
 from .model import TINY_CONFIG, ModelConfig, build_params
 from .navgraph import check_route, load_environment, save_environment
-from .rng import substream
+from .rng import SEED_BOUND, substream
 from .synthenv import (EPISODE_MODES, ROOM_COUNT, EnvBundle, EnvParams,
                        episode_from_dict, episode_to_dict, generate_environment,
                        make_episode, make_latents, save_vocab)
@@ -164,6 +164,9 @@ def _load_split(data_dir: str, split: str):
     base = Path(data_dir)
     gen_path = base / "config.json"
     gen_cfg = check_record(read_json(gen_path), GEN_KEYS, gen_path)
+    for key in ("latent_seed_seen", "latent_seed_unseen"):
+        if not 0 <= gen_cfg[key] < SEED_BOUND:
+            raise SchemaError(f"{gen_path}: {key} must lie in [0, 2**64)")
     if not 0 <= gen_cfg["sigma"] <= sys.float_info.max:  # also NaN
         raise SchemaError(f"{gen_path}: sigma must be finite and >= 0")
     if gen_cfg["feature_dim"] <= ROOM_COUNT:
@@ -405,7 +408,7 @@ def merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags.  A config-file field must
     name one of the command's flags and pass that flag's type and choice
     checks; an int given for a float setting becomes a float, as it would
-    from the flag."""
+    from the flag.  A seed, however given, must lie in [0, 2**64)."""
     given = {k: v for k, v in vars(args).items() if k != "cmd"}
     merged = dict(DEFAULTS[args.cmd])
     cfg_path = given.pop("config", None)
@@ -429,6 +432,8 @@ def merge_config(args: argparse.Namespace) -> dict:
                     f"invalid {key} {value!r}; choose from {CHOICES[key]}")
             merged[key] = kinds[key](value)
     merged.update(given)
+    if not 0 <= merged.get("seed", 0) < SEED_BOUND:
+        raise InvalidArgument(f"seed {merged['seed']} is outside [0, 2**64)")
     return merged
 
 

@@ -269,6 +269,20 @@ def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
         assert canonical_json(by_file) == canonical_json(by_flag)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", str(2 ** 64)], ["gen", "--seed", "-5"],
+    ["train", "--iters", "1", "--seed", "-1"],
+    ["eval", "--agent", "random", "--seed", str(2 ** 64)],
+], ids=["gen_2_64", "gen_negative", "train_negative", "eval_2_64"])
+def test_seed_flag_outside_64_bits_rejected_before_out(data_dir, tmp_path, argv):
+    """A root seed outside [0, 2**64) is a usage error, not folded into that
+    range: `gen --seed 2**64` would otherwise write `--seed 0`'s world."""
+    out = tmp_path / "o"
+    data = [] if argv[0] == "gen" else ["--data", str(data_dir)]
+    assert main(argv[:1] + data + ["--out", str(out)] + argv[1:]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, content", [
     (["eval"], {"agent": "oracel"}),
     (["probe"], {"which": "grads"}),
@@ -280,9 +294,11 @@ def test_flag_and_config_file_merge_alike(tmp_path, cmd, key):
     (["train"], {"iters": True}),
     (["train"], {"ckpt": "x"}),
     (["train"], {"lr": 10 ** 400}),
+    (["train", "--iters", "1"], {"seed": -1}),
+    (["eval", "--agent", "random"], {"seed": 2 ** 64}),
 ], ids=["agent", "which", "model", "not_an_object", "str_for_int",
         "float_for_int", "bool_for_float", "bool_for_int", "flag_of_another_command",
-        "int_too_large_for_float"])
+        "int_too_large_for_float", "seed_negative", "seed_2_64"])
 def test_config_file_values_are_checked_like_flags(data_dir, tmp_path, argv,
                                                    content):
     cfg = tmp_path / "c.json"
@@ -431,8 +447,10 @@ def test_data_file_wrong_value_type_is_a_data_error(data_dir, edited_copy, tmp_p
 @pytest.mark.parametrize("argv", [["train", "--iters", "1"], ["eval", "--agent", "oracle"]],
                          ids=["train", "eval_oracle"])
 @pytest.mark.parametrize("key, value", [
-    ("sigma", -1), ("sigma", float("nan")), ("feature_dim", 5), ("mode", "foo")],
-    ids=["sigma_negative", "sigma_nan", "feature_dim_5", "mode_foo"])
+    ("sigma", -1), ("sigma", float("nan")), ("feature_dim", 5), ("mode", "foo"),
+    ("latent_seed_seen", -1), ("latent_seed_unseen", 2 ** 64)],
+    ids=["sigma_negative", "sigma_nan", "feature_dim_5", "mode_foo",
+         "latent_seed_seen_negative", "latent_seed_unseen_2_64"])
 def test_data_config_value_out_of_range_rejected_before_out(data_dir, edited_copy,
                                                            tmp_path, capsys,
                                                            argv, key, value):

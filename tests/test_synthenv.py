@@ -14,6 +14,7 @@ from oikg.artifacts import read_json, write_json
 from oikg.errors import GenerationFailure, InvalidArgument, SchemaError
 from oikg.geometry import TWO_PI, angular_distance
 from oikg.navgraph import NavNode, build_graph, graph_to_dict, path_length
+from oikg.rng import substream
 
 
 FLAT_12 = se.ViewGrid(n_headings=12, elevations=(0.0,))
@@ -27,6 +28,16 @@ def canonical(graph) -> str:
 def env():
     return se.generate_environment(
         se.EnvParams(node_count=25, connection_radius=3.5, extent=10.0, seed=7))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+def test_substream_rejects_a_root_seed_outside_64_bits(seed):
+    """A root seed is never folded into [0, 2**64), where it would share
+    the stream of another seed."""
+    with pytest.raises(InvalidArgument, match="outside"):
+        substream(seed, "latent", 0)
+    ends = [substream(s, "latent", 0).standard_normal(4) for s in (0, 2 ** 64 - 1)]
+    assert not np.array_equal(*ends)
 
 
 # ------------------------------------------------------------------- vocab
