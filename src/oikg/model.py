@@ -460,8 +460,8 @@ def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
     """
     f_o = cache.obs.get(pg.current)
     if f_o is None:
-        visual = render_observation(env.graph, pg.current, env.latents,
-                                    env.sigma, cfg.view_grid)
+        # positional: the benchmark tracer reads the bundle and node as args
+        visual = render_observation(env, pg.current, cfg.view_grid)
         f_o = cache.obs[pg.current] = decouple_observation(visual, params, cfg)
 
     f_g, order = build_candidates(pg, params, cfg)

@@ -129,10 +129,29 @@ class LatentTable:
 
 @dataclass(frozen=True)
 class EnvBundle:
-    """Everything needed to run an agent in one environment."""
+    """Everything needed to run an agent in one environment.
+
+    Besides the world, the bundle holds the lazily filled memo of its
+    panoramas' draws, pure functions of the world made once each as
+    read-only arrays: the appearance rows (``appearance_rows``) and, when
+    sigma > 0, each panorama's noise term (``noise_term``).  The memo is
+    not pickled; a copy, such as a worker process's, fills its own.
+    """
     graph: NavGraph
     latents: LatentTable
     sigma: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidArgument(f"sigma must be finite and >= 0, got {self.sigma}")
+        # "rows": the appearance rows; (node, k): that panorama's noise term
+        object.__setattr__(self, "_draws", {})
+
+    def __getstate__(self) -> dict:
+        return {"graph": self.graph, "latents": self.latents, "sigma": self.sigma}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
 
 def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
@@ -150,22 +169,52 @@ def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
                        background=background)
 
 
-def render_observation(graph: NavGraph, node: int, latents: LatentTable,
-                       sigma: float, grid: ViewGrid) -> np.ndarray:
-    """Panorama at a node: the ``(grid.k, feature_dim)`` visual vectors of
-    its views, in the grid's order.
+def appearance_rows(env: EnvBundle) -> np.ndarray:
+    """The ``(V + 1, feature_dim)`` rows a view of ``env`` can show, made
+    once per bundle: row ``graph.index[n]`` is node n's latent then its room
+    one-hot, the last row the background latent then zeros."""
+    rows = env._draws.get("rows")
+    if rows is None:
+        lat, nodes = env.latents, env.graph.nodes
+        free = lat.feature_dim - ROOM_COUNT
+        rows = np.zeros((len(nodes) + 1, lat.feature_dim))
+        for i, n in enumerate(nodes):   # graph.index order
+            rows[i, :free] = lat.node[n]
+            rows[i, free + nodes[n].room] = 1.0
+        rows[-1, :free] = lat.background
+        rows.flags.writeable = False
+        env._draws["rows"] = rows
+    return rows
+
+
+def noise_term(env: EnvBundle, node: int, k: int) -> np.ndarray:
+    """``env.sigma`` times the ``(k, feature_dim)`` Gaussian noise of a
+    k-view panorama at a node, made once per bundle from the stream tagged
+    ("obs-noise", node, k) of the latent table's seed."""
+    term = env._draws.get((node, k))
+    if term is None:
+        noise = substream(env.latents.seed, "obs-noise", node, k).standard_normal(
+            (k, env.latents.feature_dim))
+        term = env._draws[(node, k)] = env.sigma * noise
+        term.flags.writeable = False
+    return term
+
+
+def render_observation(env: EnvBundle, node: int, grid: ViewGrid) -> np.ndarray:
+    """Panorama at a node of ``env``'s world: the ``(grid.k, feature_dim)``
+    visual vectors of its views, in the grid's order.
 
     A view shows the out-neighbor whose edge heading is nearest the view
     heading when that is within half a heading bin; otherwise the shared
     background.  Elevation never affects assignment, so all elevation rows
     of a heading column agree before noise.  Noise is Gaussian, applied to
-    the visual block only, and depends only on (table seed, node).
+    the visual block only, and depends only on (table seed, node, k).  The
+    rows and the noise come from the bundle's memo; the assignment runs on
+    every call.
     """
+    graph = env.graph
     if node not in graph.nodes:
         raise InvalidArgument(f"unknown node {node}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
-    dim = latents.feature_dim
     half_bin = math.pi / grid.n_headings
 
     # an edge can only be seen in the columns bracketing its heading: per
@@ -176,21 +225,14 @@ def render_observation(graph: NavGraph, node: int, latents: LatentTable,
                                        grid.n_headings):
             if j not in best or (d, nbr) < best[j]:
                 best[j] = (d, nbr)
-    ne = len(grid.elevations)
-    background = np.concatenate([latents.background, np.zeros(ROOM_COUNT)])
-    visual = np.empty((grid.k, dim))
-    for j in range(grid.n_headings):
-        d, nbr = best.get(j, (math.inf, None))
-        row = background
+    shown = [len(graph.nodes)] * grid.n_headings   # per column: the background row
+    for j, (d, nbr) in best.items():
         if d <= half_bin + 1e-12:
-            onehot = np.zeros(ROOM_COUNT)
-            onehot[graph.nodes[nbr].room] = 1.0
-            row = np.concatenate([latents.node[nbr], onehot])
-        visual[j * ne:(j + 1) * ne] = row  # every elevation row of column j
-    if sigma > 0:
-        noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
-            (grid.k, dim))
-        visual = visual + sigma * noise
+            shown[j] = graph.index[nbr]
+    # every elevation row of column j shows column j's row
+    visual = appearance_rows(env)[np.repeat(shown, len(grid.elevations))]
+    if env.sigma > 0:
+        visual = visual + noise_term(env, node, grid.k)
     return visual
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_latents_reject_a_room_outside_the_one_hot(room):
 
 def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
-    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=FLAT_12)
+    obs = se.render_observation(se.EnvBundle(cross_graph, lat, 0.0), 0, FLAT_12)
     assert obs.shape == (12, 12)
 
     def expected_neighbor(nbr):
@@ -227,7 +228,7 @@ def test_observation_zero_noise_exact_views(cross_graph):
 
 def test_observation_elevation_rows_share_column(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
-    obs = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=se.ViewGrid())
+    obs = se.render_observation(se.EnvBundle(cross_graph, lat, 0.0), 0, se.ViewGrid())
     vis = obs.reshape(12, 3, 12)  # heading-major columns
     for h in range(12):
         np.testing.assert_array_equal(vis[h, 0], vis[h, 1])
@@ -237,25 +238,26 @@ def test_observation_elevation_rows_share_column(cross_graph):
 def test_observation_noise_deterministic_and_scaled(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     grid = se.ViewGrid()
-    a = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
-    b = se.render_observation(cross_graph, 0, lat, sigma=0.1, grid=grid)
+    noisy, flat = se.EnvBundle(cross_graph, lat, 0.1), se.EnvBundle(cross_graph, lat, 0.0)
+    a = se.render_observation(noisy, 0, grid)
+    b = se.render_observation(se.EnvBundle(cross_graph, lat, 0.1), 0, grid)
     np.testing.assert_array_equal(a, b)
-    clean = se.render_observation(cross_graph, 0, lat, sigma=0.0, grid=grid)
+    clean = se.render_observation(flat, 0, grid)
     noise = a - clean
     assert 0.03 < float(np.std(noise)) < 0.3
     # the same panorama shape regardless of noise
     assert a.shape == clean.shape == (grid.k, 12)
-    other = se.render_observation(cross_graph, 1, lat, sigma=0.1, grid=grid)
+    other = se.render_observation(noisy, 1, grid)
     assert not np.array_equal(a - clean,
-                              other - se.render_observation(
-                                  cross_graph, 1, lat, sigma=0.0, grid=grid))
+                              other - se.render_observation(flat, 1, grid))
 
 
 def test_observation_nearest_in_bin_rule(env):
     lat = se.make_latents(env, feature_dim=16, seed=3)
+    bundle = se.EnvBundle(env, lat, 0.0)
     half_bin = math.pi / 12
     for node in env.node_ids()[:6]:
-        obs = se.render_observation(env, node, lat, sigma=0.0, grid=FLAT_12)
+        obs = se.render_observation(bundle, node, FLAT_12)
         headings, _ = FLAT_12.angles()
         edges = [(nbr, env.edge_pose(node, nbr).heading) for nbr in env.neighbors(node)]
         background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
@@ -318,17 +320,75 @@ def test_render_matches_per_view_scan(data):
     for i, h in enumerate(headings):  # pin each edge to its exact heading
         graph.poses[(0, i + 1)] = dataclasses.replace(graph.poses[(0, i + 1)], heading=h)
     lat = se.make_latents(graph, feature_dim=12, seed=data.draw(st.integers(0, 99)))
-    obs = se.render_observation(graph, 0, lat, sigma=0.0, grid=grid)
+    obs = se.render_observation(se.EnvBundle(graph, lat, 0.0), 0, grid)
     np.testing.assert_array_equal(obs, oracle_render_visual(graph, 0, lat, grid))
+
+
+def noisy_oracle(graph, node, latents, sigma, grid):
+    """The scan oracle's panorama plus its own draw of the node's noise."""
+    visual = oracle_render_visual(graph, node, latents, grid)
+    if sigma == 0:
+        return visual
+    noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
+        (grid.k, latents.feature_dim))
+    return visual + sigma * noise
+
+
+# pairs of equal k whose elevations differ, which share a noise term
+EQUAL_K_GRIDS = (se.ViewGrid(), se.ViewGrid(12, (-0.2, 0.0, 0.2)),
+                 FLAT_12, se.ViewGrid(4, (-0.5, 0.0, 0.5)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_memo_renders_equal_a_fresh_bundles(env, sigma):
+    """One bundle renders every node twice on each of four grids, two pairs
+    of equal k but different elevations: each read of its memo equals a
+    fresh bundle's render, and the scan oracle plus the node's own noise."""
+    lat = se.make_latents(env, feature_dim=16, seed=3)
+    memo = se.EnvBundle(env, lat, sigma)
+    for grid in EQUAL_K_GRIDS:
+        for node in env.node_ids():
+            fresh = se.render_observation(se.EnvBundle(env, lat, sigma), node, grid)
+            np.testing.assert_array_equal(fresh, noisy_oracle(env, node, lat, sigma, grid))
+            for _ in range(2):
+                np.testing.assert_array_equal(se.render_observation(memo, node, grid), fresh)
+
+
+def test_memo_arrays_are_read_only(cross_graph):
+    """The memo's rows and noise cannot be written; a rendered panorama is
+    the caller's own array, and writing to it leaves the memo as it was."""
+    lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
+    bundle, grid = se.EnvBundle(cross_graph, lat, 0.1), se.ViewGrid()
+    obs = se.render_observation(bundle, 0, grid)
+    obs[:] = 7.0
+    for memo in (se.appearance_rows(bundle), se.noise_term(bundle, 0, grid.k)):
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0, 0] = 0.0
+    np.testing.assert_array_equal(se.render_observation(bundle, 0, grid),
+                                  noisy_oracle(cross_graph, 0, lat, 0.1, grid))
+
+
+def test_pickled_bundle_arrives_with_an_empty_memo(cross_graph):
+    """A pickled bundle, as a ``--jobs`` worker receives it, leaves its memo
+    behind and renders the same arrays as the original, whose memo was
+    filled."""
+    lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
+    bundle, grid = se.EnvBundle(cross_graph, lat, 0.1), se.ViewGrid()
+    want = [se.render_observation(bundle, n, grid) for n in cross_graph.node_ids()]
+    assert len(bundle._draws) == 1 + len(want)   # the rows, then one noise term per node
+    copy = pickle.loads(pickle.dumps(bundle))
+    assert copy._draws == {} and copy.sigma == bundle.sigma
+    for n, w in zip(cross_graph.node_ids(), want, strict=True):
+        np.testing.assert_array_equal(se.render_observation(copy, n, grid), w)
 
 
 def test_observation_errors(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=0)
     with pytest.raises(InvalidArgument):
-        se.render_observation(cross_graph, 99, lat, sigma=0.1, grid=se.ViewGrid())
+        se.render_observation(se.EnvBundle(cross_graph, lat, 0.1), 99, se.ViewGrid())
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidArgument, match="sigma"):
-            se.render_observation(cross_graph, 0, lat, sigma=sigma, grid=se.ViewGrid())
+            se.EnvBundle(cross_graph, lat, sigma)
     with pytest.raises(InvalidArgument):
         se.make_latents(cross_graph, feature_dim=8, seed=0)
 

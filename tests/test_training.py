@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_model import record_calls
 
-from oikg import artifacts, model, nn, training
+from oikg import artifacts, geometry, model, nn, synthenv, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
 from oikg.model import TINY_CONFIG, EpisodeCache, build_params
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
@@ -434,9 +434,9 @@ def test_rollout_renders_each_node_once_per_episode(world, params,
     renders = []
     render = model.render_observation
 
-    def counted(graph, node, *args):
+    def counted(env, node, *args):
         renders.append(node)
-        return render(graph, node, *args)
+        return render(env, node, *args)
 
     monkeypatch.setattr(model, "render_observation", counted)
     ep = make_episode(world.graph, seed=6)
@@ -458,9 +458,9 @@ def test_greedy_rollout_renders_once_per_step(world, params, monkeypatch):
     renders = []
     render = model.render_observation
 
-    def counted(graph, node, *args):
+    def counted(env, node, *args):
         renders.append(node)
-        return render(graph, node, *args)
+        return render(env, node, *args)
 
     monkeypatch.setattr(model, "render_observation", counted)
     steps = 0
@@ -475,20 +475,40 @@ def test_greedy_rollout_renders_once_per_step(world, params, monkeypatch):
 
 
 def test_second_greedy_pass_reads_candidate_geometry_from_memo(params, monkeypatch):
-    """Greedy evaluation fills the world's candidate memo: a second pass
-    over the same episodes makes no ``relative_pose``, ``trig_embed`` or
-    ``nearest_column`` call, and takes the same routes.  Rendering is not
-    memoized, so each episode still renders as many panoramas as on the
-    first pass.  That count is kept on purpose: the benchmark tracer
-    requires render calls in every traced pass, and its passes repeat
+    """Greedy evaluation fills the world's candidate memo and its bundle's
+    draws: a second pass over the same episodes makes no ``relative_pose``,
+    ``trig_embed`` or ``nearest_column`` call, draws no observation noise,
+    and takes the same routes.  Each episode still renders as many
+    panoramas as on the first pass, and each render still assigns its
+    columns with as many ``angular_distance`` calls.  Those counts are kept
+    on purpose: the benchmark tracer requires render and
+    ``angular_distance`` calls in every traced pass, and its passes repeat
     episodes."""
     g = generate_environment(EnvParams(node_count=14, connection_radius=4.0,
                                        extent=11.0, feature_dim=MCFG.vis_dim, seed=5))
-    env = EnvBundle(g, make_latents(g, MCFG.vis_dim, seed=5), sigma=0.0)
+    env = EnvBundle(g, make_latents(g, MCFG.vis_dim, seed=5), sigma=0.1)
     episodes = [make_episode(g, seed=s) for s in range(6)]
     calls = {name: record_calls(monkeypatch, model, name)
-             for name in ("relative_pose", "trig_embed", "nearest_column",
-                          "render_observation")}
+             for name in ("relative_pose", "trig_embed", "nearest_column")}
+    calls["noise"] = record_calls(monkeypatch, synthenv, "substream")
+    calls.update(render_observation=[], render_distance=[], other_distance=[])
+    rendering = []   # non-empty while render_observation runs
+    render, distance = model.render_observation, geometry.angular_distance
+
+    def counted_render(*args):
+        calls["render_observation"].append(args)
+        rendering.append(True)
+        try:
+            return render(*args)
+        finally:
+            rendering.pop()
+
+    def counted_distance(*args):
+        calls["render_distance" if rendering else "other_distance"].append(args)
+        return distance(*args)
+
+    monkeypatch.setattr(model, "render_observation", counted_render)
+    monkeypatch.setattr(geometry, "angular_distance", counted_distance)
 
     def greedy_pass():
         routes, counts = [], []
@@ -501,13 +521,18 @@ def test_second_greedy_pass_reads_candidate_geometry_from_memo(params, monkeypat
     routes, first = greedy_pass()
     assert sum(c["relative_pose"] for c in first) > 0   # some candidate is not adjacent
     assert sum(c["nearest_column"] for c in first) > 0
+    # one noise draw per node rendered
+    assert sorted(args[2] for args, _ in calls["noise"]) == \
+        sorted({args[1] for args in calls["render_observation"]})
+    assert all(args[1] == "obs-noise" for args, _ in calls["noise"])
     again, second = greedy_pass()
     assert again == routes
-    for name in ("relative_pose", "trig_embed", "nearest_column"):
+    for name in ("relative_pose", "trig_embed", "nearest_column", "noise",
+                 "other_distance"):
         assert [c[name] for c in second] == [0] * len(episodes), name
-    assert [c["render_observation"] for c in second] == \
-        [c["render_observation"] for c in first]
-    assert all(c["render_observation"] > 0 for c in second)
+    for name in ("render_observation", "render_distance"):
+        assert [c[name] for c in second] == [c[name] for c in first], name
+        assert all(c[name] > 0 for c in second), name
 
 
 def test_key_detail_computed_once_per_episode(world, params, monkeypatch):
