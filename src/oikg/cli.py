@@ -182,7 +182,13 @@ def _load_split(data_dir: str, split: str):
     except InvalidArgument as exc:  # a node's room outside the one-hot
         raise SchemaError(f"{env_path}: {exc}") from exc
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
-    path = base / f"episodes_{split}.json"
+    return env, _load_episodes(base, split, graph), gen_cfg
+
+
+def _load_episodes(data_dir, split: str, graph) -> list:
+    """A split's episodes, once each fits the episode schema and its route
+    lies in ``graph``; anything else is a data error."""
+    path = Path(data_dir) / f"episodes_{split}.json"
     raw = check_record(read_json(path), {"episodes": list}, path)
     if not raw["episodes"]:
         raise InvalidArgument(f"{path}: the {split} split has no episodes")
@@ -193,7 +199,7 @@ def _load_split(data_dir: str, split: str):
             check_route(graph, episodes[-1].gt_path, "gt")
         except (SchemaError, InvalidArgument) as exc:
             raise SchemaError(f"{path}: episode {i}: {exc}") from exc
-    return env, episodes, gen_cfg
+    return episodes
 
 
 def _default_t_max(cfg: dict, gen_cfg: dict) -> int:
@@ -324,7 +330,7 @@ def cmd_eval(cfg: dict) -> None:
 
 def cmd_ablate(cfg: dict) -> None:
     env, train_eps, gen_cfg = _load_split(cfg["data"], "train")
-    _, eval_eps, _ = _load_split(cfg["data"], "val_seen")
+    eval_eps = _load_episodes(cfg["data"], "val_seen", env.graph)   # the same world
     base = MODEL_PRESETS[cfg["model"]]
     _guard_feature_dim(gen_cfg, base)
     grid = check_grid(base, GRID_LABELS if cfg["grid"] == "all"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from test_analysis import FakePool
+from test_model import record_calls
 from test_training import state_dict
 
 from oikg import analysis, artifacts, cli, training
@@ -715,6 +716,23 @@ def test_ablate_subset_grid(data_dir, tmp_path):
     sidecar = json.loads((out / "ablation_seeds.json").read_text())
     assert set(sidecar["cells"]) == {"M---", "MGLO"}
     assert set(sidecar["cells"]["MGLO"]["0"]) == {"TL", "NE", "SR", "SPL"}
+
+
+def test_ablate_loads_the_seen_world_once(data_dir, tmp_path, monkeypatch):
+    """`ablate` reads env.json and draws the world's latents once: its
+    train and val_seen episodes run in one bundle, sharing its caches."""
+    loads = record_calls(monkeypatch, cli, "load_environment")
+    draws = record_calls(monkeypatch, cli, "make_latents")
+    runs = record_calls(monkeypatch, cli, "run_ablation")
+    assert main(["ablate", "--data", str(data_dir), "--out", str(tmp_path / "a"),
+                 "--iters", "1", "--seeds", "1", "--batch", "1",
+                 "--timing-steps", "3", "--grid=MGLO"]) == 0
+    assert len(loads) == len(draws) == 1
+    (args, _), = runs
+    train_data, eval_data = args[:2]
+    assert eval_data and {id(env) for env, _ in train_data + eval_data} == \
+        {id(train_data[0][0])}
+    assert train_data[0][0].graph is loads[0][1]
 
 
 def test_ablate_jobs_invariant(data_dir, tmp_path):
