@@ -339,11 +339,18 @@ EQUAL_K_GRIDS = (se.ViewGrid(), se.ViewGrid(12, (-0.2, 0.0, 0.2)),
                  FLAT_12, se.ViewGrid(4, (-0.5, 0.0, 0.5)))
 
 
+@pytest.mark.parametrize("renumbered", [False, True])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
-def test_memo_renders_equal_a_fresh_bundles(env, sigma):
+def test_memo_renders_equal_a_fresh_bundles(env, sigma, renumbered):
     """One bundle renders every node twice on each of four grids, two pairs
     of equal k but different elevations: each read of its memo equals a
-    fresh bundle's render, and the scan oracle plus the node's own noise."""
+    fresh bundle's render, and the scan oracle plus the node's own noise.
+    The renumbered world has non-contiguous ids, inserted in reverse
+    order, so a memo row is not its node's id."""
+    if renumbered:
+        env = build_graph([NavNode(3 * n.id + 1, n.pos, n.room, n.objects)
+                           for n in reversed(env.nodes.values())],
+                          [(3 * u + 1, 3 * v + 1) for u, v in env.poses])
     lat = se.make_latents(env, feature_dim=16, seed=3)
     memo = se.EnvBundle(env, lat, sigma)
     for grid in EQUAL_K_GRIDS:
