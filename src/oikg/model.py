@@ -30,8 +30,8 @@ from . import nn
 from .errors import InvalidArgument, InvalidState, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
 from .navgraph import NavGraph, PathGraph, slot_action
-from .synthenv import (VOCAB_SIZE, EnvBundle, Instruction, ViewGrid,
-                       render_observation)
+from .synthenv import (VOCAB_SIZE, EnvBundle, ViewGrid, render_observation,
+                       token_class)
 
 
 HEADS = 2  # attention heads of every residual block
@@ -289,42 +289,43 @@ def sinusoid_table(m: int, dim: int) -> np.ndarray:
     return table
 
 
-def encode_instruction(ins: Instruction, params: nn.ParamStore,
-                       cfg: ModelConfig) -> nn.Tensor:
-    h = nn.embedding(list(ins.tokens), params["txt.embed"])
-    h = nn.add(h, nn.Tensor(sinusoid_table(len(ins.tokens), cfg.dim)))
+def encode_instruction(tokens, params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
+    h = nn.embedding(list(tokens), params["txt.embed"])
+    h = nn.add(h, nn.Tensor(sinusoid_table(len(tokens), cfg.dim)))
     for i in range(cfg.layers):
         h = _decoder_block(h, h, f"txt.l{i}", params)
     return h
 
 
-def _selector(mask, tokens: int) -> np.ndarray | None:
-    """The (1, tokens) row whose product with the token rows is the mean of
-    the masked rows, or None when the mask selects no token."""
-    idx = np.asarray(mask, dtype=bool)
-    if idx.shape != (tokens,):
-        raise ShapeError(f"mask length {idx.shape} != token count {tokens}")
+def _selector(tokens, cls: str) -> np.ndarray | None:
+    """The (1, len(tokens)) row whose product with the token rows is the
+    mean of the rows of the tokens of class ``cls`` (``token_class``), or
+    None when no token has that class."""
+    idx = np.array([token_class(t) == cls for t in tokens], dtype=bool)
     n = int(idx.sum())
     if n == 0:
         return None
-    sel = np.zeros((1, tokens))
+    sel = np.zeros((1, len(tokens)))
     sel[0, idx] = 1.0 / n
     return sel
 
 
-def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask, params: nn.ParamStore,
+def extract_key_detail(f_i: nn.Tensor, tokens, params: nn.ParamStore,
                        cfg: ModelConfig) -> tuple[np.ndarray, nn.Tensor]:
     """Pooled location/object cues, each projected then fused to the key
     detail f_k, and its single-key attention value, the row f_k W_v.
 
-    An empty mask zeroes that cue's pooled block.  A disabled flag leaves
-    the cue only its projection bias, ``0.0 + b``, the value a zero block
-    times its weight plus the bias gave, matching the ablation contract;
-    that weight is not declared, so it is not read.
+    ``f_i`` holds one row per id of ``tokens``.  The location cue pools the
+    rows of the room tokens, the object cue those of the object tokens
+    (``synthenv.TOKEN_CLASSES``); a cue no token carries zeroes its pooled
+    block.  A disabled flag leaves the cue only its projection bias,
+    ``0.0 + b``, the value a zero block times its weight plus the bias
+    gave, matching the ablation contract; that weight is not declared, so
+    it is not read.
 
     Returns f_k's read-only (d,) array and the (1, d) row, one tape node
     bitwise equal to the chain it fuses (``oracle_extract_key_detail`` in
-    the tests): per enabled cue the masked mean ``reshape(matmul(sel,
+    the tests): per enabled cue the mean ``reshape(matmul(sel,
     f_i))`` and a ``linear``, per disabled cue the bias, then ``concat``,
     the fuse ``linear``, the reshape of f_k to a row and its product with
     ``enh.wv``.  Its parents are f_i, when a cue reads
@@ -335,11 +336,11 @@ def extract_key_detail(f_i: nn.Tensor, loc_mask, obj_mask, params: nn.ParamStore
     other consumer of f_i can run in between, so f_i receives its terms
     where the chain gave them.
     """
-    tokens, d = f_i.shape
+    d = f_i.shape[1]
     sels, branches = [], []   # per cue: selector (None: zero block); (x, x live, w, b)
-    for on, mask, cue in ((cfg.loc_detail, loc_mask, "loc"),
-                          (cfg.obj_detail, obj_mask, "obj")):
-        sel = _selector(mask, tokens) if on else None
+    for on, cls, cue in ((cfg.loc_detail, "room", "loc"),
+                         (cfg.obj_detail, "object", "obj")):
+        sel = _selector(tokens, cls) if on else None
         x = np.zeros(d) if sel is None else (sel @ f_i.data).reshape(d)
         w = params[f"kd.{cue}.w"] if on else None
         sels.append(sel)
@@ -442,10 +443,11 @@ class EpisodeCache:
         self.align: nn.Tensor | None = None
 
 
-def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
+def forward_step(pg: PathGraph, env: EnvBundle, tokens,
                  params: nn.ParamStore, cfg: ModelConfig,
                  cache: EpisodeCache) -> tuple[StepFeatures, int]:
-    """Run the full pipeline for one decision step at ``pg.current``, whose
+    """Run the full pipeline for one decision step at ``pg.current`` of an
+    episode whose instruction is the token ids ``tokens``.  The node's
     panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
     its first visit per cache; later visits reuse the embedding.
 
@@ -469,15 +471,14 @@ def forward_step(pg: PathGraph, env: EnvBundle, ins: Instruction,
 
     f_i = cache.instr
     if f_i is None:
-        f_i = cache.instr = encode_instruction(ins, params, cfg)
+        f_i = cache.instr = encode_instruction(tokens, params, cfg)
 
     row = None
     if cfg.loc_detail or cfg.obj_detail:
         if cache.align is not None:
             row = nn.replay(cache.align)
         else:
-            cache.key_detail, row = extract_key_detail(
-                f_i, ins.location_mask, ins.object_mask, params, cfg)
+            cache.key_detail, row = extract_key_detail(f_i, tokens, params, cfg)
             cache.align = row
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, row, params, cfg)

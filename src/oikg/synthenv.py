@@ -49,6 +49,10 @@ OBJECT_COUNT = len(OBJECT_WORDS)
 
 _WORDS = SPECIAL_WORDS + ROOM_WORDS + OBJECT_WORDS + FILLER_WORDS
 _WORD_TO_ID = {w: i for i, w in enumerate(_WORDS)}
+# the class of each token id: a room or object word is a location or object
+# cue, the one fact the key detail reads from an instruction
+TOKEN_CLASSES = (("other",) * ROOM_BASE + ("room",) * ROOM_COUNT
+                 + ("object",) * OBJECT_COUNT + ("other",) * len(FILLER_WORDS))
 
 
 def word_token(word: str) -> int:
@@ -59,13 +63,9 @@ def word_token(word: str) -> int:
 
 
 def token_class(token_id: int) -> str:
-    if ROOM_BASE <= token_id < OBJECT_BASE:
-        return "room"
-    if OBJECT_BASE <= token_id < FILLER_BASE:
-        return "object"
-    if 0 <= token_id < VOCAB_SIZE:
-        return "other"
-    raise InvalidArgument(f"token id {token_id} out of vocabulary")
+    if not 0 <= token_id < VOCAB_SIZE:
+        raise InvalidArgument(f"token id {token_id} out of vocabulary")
+    return TOKEN_CLASSES[token_id]
 
 
 def vocab_table() -> list[dict]:
@@ -325,21 +325,14 @@ def generate_environment(p: EnvParams) -> NavGraph:
 # ------------------------------------------------------------- instructions
 
 
-@dataclass(frozen=True)
-class Instruction:
-    tokens: tuple[int, ...]
-    location_mask: tuple[bool, ...]
-    object_mask: tuple[bool, ...]
-    text: str
-
-
-def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
-    """Template instruction naming traversed rooms and one goal object.
+def generate_instruction(graph: NavGraph, gt_path, seed: int) -> tuple[int, ...]:
+    """Token ids of a template instruction, ``<bos>`` to ``<eos>``, naming
+    traversed rooms and one goal object.
 
     Consecutive path nodes sharing a room yield one mention.  The goal
     object is a seeded choice among the goal node's objects.  Even a
     single-node path names the goal's room, so every instruction carries at
-    least one location and one object cue.
+    least one location and one object cue (``TOKEN_CLASSES``).
     """
     check_route(graph, gt_path, "gt")
 
@@ -360,13 +353,7 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
         words.extend(["walk" if i == 0 else "then", "through", "the", ROOM_WORDS[r]])
     words.extend(["then", "stop", "near", "the", OBJECT_WORDS[obj]])
 
-    tokens = [BOS] + [word_token(w) for w in words] + [EOS]
-    loc_mask = [token_class(t) == "room" for t in tokens]
-    obj_mask = [token_class(t) == "object" for t in tokens]
-    return Instruction(tokens=tuple(tokens),
-                       location_mask=tuple(loc_mask),
-                       object_mask=tuple(obj_mask),
-                       text=" ".join(words))
+    return (BOS, *(word_token(w) for w in words), EOS)
 
 
 # ---------------------------------------------------------------- episodes
@@ -374,9 +361,10 @@ def generate_instruction(graph: NavGraph, gt_path, seed: int) -> Instruction:
 
 @dataclass(frozen=True)
 class Episode:
-    """A reference route (supervision) and its instruction (model input)."""
+    """A reference route (supervision) and its instruction's token ids
+    (model input)."""
     gt_path: tuple[int, ...]
-    instruction: Instruction
+    tokens: tuple[int, ...]
 
     @property
     def start(self) -> int:
@@ -426,7 +414,7 @@ def make_episode(graph: NavGraph, seed: int, mode: str = "shortest") -> Episode:
         if not graph.nodes[path[-1]].objects:
             continue
         return Episode(gt_path=tuple(path),
-                       instruction=generate_instruction(graph, path, seed))
+                       tokens=generate_instruction(graph, path, seed))
     raise GenerationFailure(
         f"no start/goal pair {_MIN_HOPS}-{_MAX_HOPS} edges apart after "
         f"{_MAX_EPISODE_ATTEMPTS} attempts")
@@ -435,39 +423,28 @@ def make_episode(graph: NavGraph, seed: int, mode: str = "shortest") -> Episode:
 # ------------------------------------------------------------- file formats
 
 
-# an episode file's entry: its keys and their types
-EPISODE_KEYS = {"start": int, "gt_path": [int], "tokens": [int],
-                "loc_mask": [bool], "obj_mask": [bool], "text": str}
+# an episode file's entry: its keys, the only ones, and their types
+EPISODE_KEYS = {"gt_path": [int], "tokens": [int]}
 
 
 def episode_to_dict(ep: Episode) -> dict:
-    return {
-        "start": ep.start,
-        "gt_path": list(ep.gt_path),
-        "tokens": list(ep.instruction.tokens),
-        "loc_mask": list(ep.instruction.location_mask),
-        "obj_mask": list(ep.instruction.object_mask),
-        "text": ep.instruction.text,
-    }
+    return {"gt_path": list(ep.gt_path), "tokens": list(ep.tokens)}
 
 
 def episode_from_dict(data: dict) -> Episode:
     check_record(data, EPISODE_KEYS, "episode")
-    tokens, loc, obj = data["tokens"], data["loc_mask"], data["obj_mask"]
-    gt_path = data["gt_path"]
-    if not (len(tokens) == len(loc) == len(obj)):
-        raise SchemaError("masks must match token count")
+    extra = sorted(data.keys() - EPISODE_KEYS.keys())
+    if extra:
+        raise SchemaError(f"episode: unknown key {extra[0]!r}; regenerate the "
+                          "data directory with `oikg gen`")
+    tokens, gt_path = data["tokens"], data["gt_path"]
+    if not tokens:
+        raise SchemaError("tokens must be non-empty")
     for t in tokens:
         if not 0 <= t < VOCAB_SIZE:
             raise SchemaError(f"token id {t} out of vocabulary")
-    if any(a and b for a, b in zip(loc, obj)):
-        raise SchemaError("location and object masks overlap")
     if not gt_path:
         raise SchemaError("gt_path must be non-empty")
     if len(set(gt_path)) != len(gt_path):
         raise SchemaError("gt_path revisits a node")
-    if data["start"] != gt_path[0]:
-        raise SchemaError("start must equal first gt_path node")
-    instr = Instruction(tokens=tuple(tokens), location_mask=tuple(loc),
-                        object_mask=tuple(obj), text=data["text"])
-    return Episode(gt_path=tuple(gt_path), instruction=instr)
+    return Episode(gt_path=tuple(gt_path), tokens=tuple(tokens))

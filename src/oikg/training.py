@@ -94,7 +94,7 @@ def rollout(env: EnvBundle, episode: Episode, t_max: int, choose, params=None,
         scores = None
         if params is not None:
             feats, step.predicted = forward_step(
-                pg, env, episode.instruction, params, mcfg, cache)
+                pg, env, episode.tokens, params, mcfg, cache)
             scores = feats.scores
             step.logits = scores.data
         step.action = choose(t, step)

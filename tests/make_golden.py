@@ -7,7 +7,8 @@ wall-clock field of the deterministic artifacts.  ``tests/test_golden.py``
 compares the digests at ``--jobs`` 1 and 2 with the committed table.
 
 Regenerate the table only for a byte change made on purpose, and list every
-file whose digest moved:
+file whose digest moved; the script prints each path whose digest moved,
+was added or was removed, against the table it replaces:
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -97,10 +98,27 @@ def run_set(root: Path, jobs: int) -> dict:
     return digest_tree(root)
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per path whose digest differs between two tables: moved,
+    added or removed, in path order."""
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new:
+            lines.append(f"removed {path}")
+        elif path not in old:
+            lines.append(f"added {path}")
+        elif old[path] != new[path]:
+            lines.append(f"moved {path}")
+    return lines
+
+
 def main_write() -> int:
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = run_set(Path(tmp), jobs=1)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    for line in changes(old, table):
+        print(line)
     print(f"wrote {len(table)} digests to {TABLE}")
     return 0
 

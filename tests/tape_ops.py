@@ -17,7 +17,8 @@ gradients by finite differences.
   - ``oracle_decouple_observation``, ``model.decouple_observation``;
   - ``oracle_extract_key_detail``, ``model.extract_key_detail``: the
     chain ``oracle_key_detail`` (with its part ``_masked_mean``) and
-    ``oracle_alignment_row``;
+    ``oracle_alignment_row``, over the masks ``cue_masks`` reads from a
+    token sequence;
   - ``oracle_add_row``, ``model.add_row``;
   - ``oracle_mean``, ``nn.mean``.
 """
@@ -27,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from oikg import model, nn
+from oikg import synthenv as se
 from oikg.errors import InvalidArgument, ShapeError
 
 
@@ -262,6 +264,13 @@ def _masked_mean(f_i: nn.Tensor, mask) -> nn.Tensor:
     sel = np.zeros((1, f_i.shape[0]))
     sel[0, idx] = 1.0 / n
     return reshape(matmul(nn.Tensor(sel), f_i), (f_i.shape[1],))
+
+
+def cue_masks(tokens) -> tuple[list, list]:
+    """The location and object masks of a token sequence, read from the id
+    ranges of the room and object words, not from ``se.TOKEN_CLASSES``."""
+    return ([se.ROOM_BASE <= t < se.OBJECT_BASE for t in tokens],
+            [se.OBJECT_BASE <= t < se.FILLER_BASE for t in tokens])
 
 
 def oracle_key_detail(f_i, loc_mask, obj_mask, params, cfg) -> nn.Tensor:

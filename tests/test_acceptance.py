@@ -74,11 +74,11 @@ def test_a02_dtw_dynamic_program_matches_enumeration():
 
 def test_a03_every_parameter_gradient_matches_finite_differences():
     t0 = time.monotonic()
-    graph, latents, ins, params = frozen_gradient_fixture()
+    graph, latents, tokens, params = frozen_gradient_fixture()
 
     def make_loss():
         pg = PathGraph(graph, start=0)
-        feats, _ = model.forward_step(pg, env_of(graph, latents), ins,
+        feats, _ = model.forward_step(pg, env_of(graph, latents), tokens,
                                       params, TINY_CONFIG, model.EpisodeCache())
         return nn.cross_entropy(feats.scores, pg.frontier().index(1))
 
@@ -104,7 +104,7 @@ def test_a03_every_parameter_gradient_matches_finite_differences():
 
 
 def test_a04_flag_bypasses_are_exact(monkeypatch):
-    graph, latents, ins, _ = frozen_gradient_fixture()
+    graph, latents, tokens, _ = frozen_gradient_fixture()
     rng = substream(104, "pe-sweep")
 
     def step(cfg, params):
@@ -112,7 +112,7 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
         reads = record_param_reads(monkeypatch)
         cache = model.EpisodeCache()
         model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
-                           ins, params, cfg, cache)
+                           tokens, params, cfg, cache)
         monkeypatch.undo()
         return set(reads), cache
 

@@ -7,7 +7,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from tape_ops import mul, sub
+from tape_ops import cue_masks, mul, oracle_extract_key_detail, sub
 from test_model import flag_label
 
 from oikg import analysis, model, nn
@@ -204,19 +204,19 @@ def test_cue_series_constant_without_details(world):
 
 @pytest.mark.parametrize("label", ["MGLO", "MGL-", "MG--"])
 def test_cue_series_matches_key_detail_oracle(world, label):
-    """The MI probe's cue series, rebuilt from each episode's instruction:
-    the key detail's first CUE_DIMS entries (zeros with both detail cues
-    off), once per route node, quantized over the whole series."""
+    """The MI probe's cue series, rebuilt from each episode's tokens by the
+    key-detail oracle over their ``cue_masks``: the key detail's first
+    CUE_DIMS entries (zeros with both detail cues off), once per route
+    node, quantized over the whole series."""
     mcfg = variant_config(MCFG, label)
     params = build_params(mcfg, seed=0)
     cues = []
     for _, ep in world:
-        ins = ep.instruction
         if mcfg.loc_detail or mcfg.obj_detail:
             with nn.no_tape():
-                f_k, _ = model.extract_key_detail(
-                    model.encode_instruction(ins, params, mcfg), ins.location_mask,
-                    ins.object_mask, params, mcfg)
+                f_k, _ = oracle_extract_key_detail(
+                    model.encode_instruction(ep.tokens, params, mcfg),
+                    *cue_masks(ep.tokens), params, mcfg)
             cue = f_k[:analysis.CUE_DIMS]
         else:
             cue = np.zeros(analysis.CUE_DIMS)
@@ -236,7 +236,7 @@ def test_alignment_uniform_baseline():
                      NavNode(3, (-2.0, 0.0, 0.0), 3, (3,))],
                     [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)])
     lat = make_latents(g, MCFG.vis_dim, seed=0)
-    ep = Episode(gt_path=(0,), instruction=generate_instruction(g, (0,), 0))
+    ep = Episode(gt_path=(0,), tokens=generate_instruction(g, (0,), 0))
     params = build_params(MCFG, seed=0)
     for name in params.names():
         params.params[name].data[...] = 0.0

@@ -49,10 +49,7 @@ SCHEMAS = {
                lambda record: check_record(record, GEN_KEYS, "config.json")),
     "node": (NODE_KEYS, {"id": 4, "pos": [0.5, 1, 2.0], "room": 3,
                          "objects": [0, 7]}, load_node),
-    "episode": (EPISODE_KEYS, {"start": 0, "gt_path": [0, 1], "tokens": [1, 3, 2],
-                               "loc_mask": [False, True, False],
-                               "obj_mask": [False, False, False],
-                               "text": "walk through the kitchen"},
+    "episode": (EPISODE_KEYS, {"gt_path": [0, 1], "tokens": [1, 3, 2]},
                 episode_from_dict),
 }
 

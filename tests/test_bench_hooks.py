@@ -37,11 +37,11 @@ def test_traced_step_exposes_scores_and_tape():
     cfg = model.TINY_CONFIG
     graph = tiny_graph()
     latents = se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3)
-    ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
+    tokens = se.generate_instruction(graph, [0, 1, 3], seed=0)
     params = model.build_params(cfg, seed=0)
     with tracing.Tracer("scores") as tracer:
         feats, _ = model.forward_step(PathGraph(graph, start=0),
-                                      env_of(graph, latents), ins, params, cfg,
+                                      env_of(graph, latents), tokens, params, cfg,
                                       model.EpisodeCache())
     assert feats.scores.shape == (3,)
     assert tracer.counts["model.forward_step"] == 1

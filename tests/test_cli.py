@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from tape_ops import cue_masks
 from test_analysis import FakePool
 from test_model import record_calls
 from test_training import state_dict
@@ -18,7 +19,7 @@ from oikg.cli import main
 from oikg.metrics import EpisodeResult  # noqa: F401  (re-export sanity)
 from oikg.model import TINY_CONFIG, build_params
 from oikg.navgraph import STOP, load_environment, path_length
-from oikg.synthenv import episode_from_dict
+from oikg.synthenv import BOS, episode_from_dict, vocab_table
 
 GEN_ARGS = ["--nodes", "14", "--radius", "4.0", "--extent", "11.0",
             "--episodes", "4", "--val-episodes", "2", "--sigma", "0",
@@ -374,19 +375,33 @@ def _float_route_entry(record):
     record["episodes"][0]["gt_path"][-1] += 0.5   # int() would truncate it back
 
 
-def _string_start(record):
+def _old_format(record):
+    """Every episode as the older format wrote it: its start, text and cue
+    masks beside the route and the tokens."""
+    words = [row["word"] for row in vocab_table()]
+    for ep in record["episodes"]:
+        loc, obj = cue_masks(ep["tokens"])
+        ep.update(start=ep["gt_path"][0], loc_mask=loc, obj_mask=obj,
+                  text=" ".join(words[t] for t in ep["tokens"][1:-1]))
+
+
+def _bos_cue(record):
+    """The older format, with the first episode's location mask flagging
+    only its <bos> token."""
+    _old_format(record)
     ep = record["episodes"][0]
-    ep["start"] = str(ep["start"])
+    ep["loc_mask"] = [t == BOS for t in ep["tokens"]]
 
 
-def _int_masks(record):
-    ep = record["episodes"][0]
-    ep["loc_mask"] = [int(b) for b in ep["loc_mask"]]
-    ep["obj_mask"] = [int(b) for b in ep["obj_mask"]]
+def _empty_tokens(record):
+    record["episodes"][0]["tokens"] = []
 
 
-def _numeric_text(record):
-    record["episodes"][0]["text"] = 5
+# an episode entry the schema rejects whatever its values' types: an edit,
+# and the fault the error names
+EPISODE_FAULTS = [(_old_format, "episode 0: episode: unknown key 'loc_mask'"),
+                  (_bos_cue, "episode 0: episode: unknown key 'loc_mask'"),
+                  (_empty_tokens, "episode 0: tokens must be non-empty")]
 
 
 def _string_endpoint(record):
@@ -421,9 +436,7 @@ def _huge_coordinate(record):
     ("episodes_val_seen.json", _string_tokens, "episode 0: episode: key 'tokens'"),
     ("episodes_val_seen.json", _true_token, "episode 0: episode: key 'tokens'"),
     ("episodes_val_seen.json", _float_route_entry, "episode 0: episode: key 'gt_path'"),
-    ("episodes_val_seen.json", _string_start, "episode 0: episode: key 'start'"),
-    ("episodes_val_seen.json", _int_masks, "episode 0: episode: key 'loc_mask'"),
-    ("episodes_val_seen.json", _numeric_text, "episode 0: episode: key 'text'"),
+    *(("episodes_val_seen.json", edit, entry) for edit, entry in EPISODE_FAULTS),
     ("env.json", _string_endpoint, "edge entry at index 0"),
     ("env.json", _float_endpoint, "edge entry at index 0"),
     ("env.json", _half_room, "node entry at index 0: key 'room'"),
@@ -433,9 +446,10 @@ def _huge_coordinate(record):
 ])
 def test_data_file_wrong_value_type_is_a_data_error(data_dir, edited_copy, tmp_path,
                                                     capsys, name, edit, entry):
-    """A data file value of the wrong JSON type, or a room outside the room
-    one-hot, is a data error naming the file and the entry, found before
-    --out is created."""
+    """A data file value of the wrong JSON type, a room outside the room
+    one-hot, or an episode entry with a key beside its route and tokens or
+    with no tokens, is a data error naming the file and the entry, found
+    before --out is created."""
     copy = edited_copy(data_dir, name, edit)
     out = tmp_path / "e"
     assert main(["eval", "--data", str(copy), "--out", str(out),
@@ -507,7 +521,6 @@ def test_episode_route_off_its_graph_rejected_before_out(data_dir, edited_copy,
     def edit_last(record):
         ep = record["episodes"][last]
         ep["gt_path"] = edit(ep["gt_path"], graph)
-        ep["start"] = ep["gt_path"][0]
 
     copy = edited_copy(data_dir, name, edit_last)
     out = tmp_path / "o"
@@ -515,6 +528,29 @@ def test_episode_route_off_its_graph_rejected_before_out(data_dir, edited_copy,
     assert not out.exists()
     err = capsys.readouterr().err
     assert name in err and f"episode {last}" in err
+
+
+@pytest.mark.parametrize("argv, split", [
+    (["train", "--iters", "1"], "train"),
+    (["eval", "--agent", "model"], "val_seen"),
+], ids=["train", "eval_model"])
+@pytest.mark.parametrize("edit, entry", EPISODE_FAULTS,
+                         ids=["old_format", "bos_cue", "empty_tokens"])
+def test_episode_entry_fault_rejected_before_out(data_dir, ckpt_dir, edited_copy,
+                                                 tmp_path, capsys, argv, split,
+                                                 edit, entry):
+    """The episode faults that oracle eval rejects
+    (``test_data_file_wrong_value_type_is_a_data_error``) stop training and
+    model eval too, before --out is created: the model never reads a cue
+    that the tokens do not carry, nor an empty instruction."""
+    name = f"episodes_{split}.json"
+    copy = edited_copy(data_dir, name, edit)
+    out = tmp_path / "o"
+    ckpt = ["--ckpt", str(ckpt_dir / "params.ckpt")] if argv[0] == "eval" else []
+    assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:] + ckpt) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert name in err and entry in err
 
 
 # ------------------------------------------------------------------- eval

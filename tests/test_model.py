@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tape_ops import (matmul, mlp, mul, oracle_add_row, oracle_decouple_observation,
-                      oracle_extract_key_detail, oracle_mean, oracle_residual_block,
-                      reshape, tsum)
+from tape_ops import (cue_masks, matmul, mlp, mul, oracle_add_row,
+                      oracle_decouple_observation, oracle_extract_key_detail,
+                      oracle_mean, oracle_residual_block, reshape, tsum)
 from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import same_bits
@@ -37,9 +37,9 @@ def tiny_graph():
 def setup():
     graph = tiny_graph()
     latents = se.make_latents(graph, feature_dim=TINY.vis_dim, seed=3)
-    ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
+    tokens = se.generate_instruction(graph, [0, 1, 3], seed=0)
     params = model.build_params(TINY, seed=0)
-    return graph, latents, ins, params
+    return graph, latents, tokens, params
 
 
 def env_of(graph, latents, sigma=0.1):
@@ -611,27 +611,17 @@ def test_ogi_zero_output_projection_leaves_mlp_path(setup):
     np.testing.assert_array_equal(out.data, expect.data)
 
 
-def make_instruction(tokens, loc=None, obj=None):
-    n = len(tokens)
-    loc = loc or [False] * n
-    obj = obj or [False] * n
-    return se.Instruction(tokens=tuple(tokens), location_mask=tuple(loc),
-                          object_mask=tuple(obj), text="")
-
-
 def test_encode_instruction_position_sensitivity(setup):
     *_, params = setup
     room, obj = se.ROOM_BASE, se.OBJECT_BASE + 1
-    a = make_instruction([se.BOS, room, obj, se.EOS])
-    b = make_instruction([se.BOS, obj, room, se.EOS])
-    fa = model.encode_instruction(a, params, TINY)
-    fb = model.encode_instruction(b, params, TINY)
+    fa = model.encode_instruction((se.BOS, room, obj, se.EOS), params, TINY)
+    fb = model.encode_instruction((se.BOS, obj, room, se.EOS), params, TINY)
     assert fa.shape == (4, TINY.dim)
     assert not np.allclose(fa.data[1], fb.data[1])
-    single = model.encode_instruction(make_instruction([se.BOS]), params, TINY)
+    single = model.encode_instruction((se.BOS,), params, TINY)
     assert single.shape == (1, TINY.dim)
     with pytest.raises(InvalidArgument):
-        model.encode_instruction(make_instruction([se.VOCAB_SIZE + 3]), params, TINY)
+        model.encode_instruction((se.VOCAB_SIZE + 3,), params, TINY)
 
 
 def test_sinusoid_table_shape_and_range():
@@ -646,12 +636,13 @@ def test_sinusoid_table_shape_and_range():
 
 
 def test_key_detail_masked_means(setup):
+    """The location cue is the mean of the room tokens' rows, the object
+    cue that of the object tokens' rows."""
     *_, params = setup
     rng = np.random.default_rng(6)
     f_i = nn.Tensor(rng.normal(size=(5, TINY.dim)))
-    loc = [False, True, False, True, False]
-    obj = [False, False, True, False, False]
-    out, _ = model.extract_key_detail(f_i, loc, obj, params, TINY)
+    tokens = (se.BOS, se.ROOM_BASE, se.OBJECT_BASE, se.ROOM_BASE + 2, se.EOS)
+    out, _ = model.extract_key_detail(f_i, tokens, params, TINY)
     f_loc = (f_i.data[1] + f_i.data[3]) / 2.0
     f_obj = f_i.data[2]
     e_loc = f_loc @ params["kd.loc.w"].data + params["kd.loc.b"].data
@@ -666,8 +657,8 @@ def test_key_detail_location_only_object_block_is_bias(setup):
     cfg = model.ModelConfig(**{**TINY.__dict__, "obj_detail": False})
     rng = np.random.default_rng(7)
     f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
-    loc = [False, True, True, False]
-    out, _ = model.extract_key_detail(f_i, loc, [False] * 4, params, cfg)
+    tokens = (se.BOS, se.ROOM_BASE + 1, se.ROOM_BASE + 4, se.OBJECT_BASE)
+    out, _ = model.extract_key_detail(f_i, tokens, params, cfg)
     f_loc = f_i.data[1:3].mean(axis=0)
     e_loc = f_loc @ params["kd.loc.w"].data + params["kd.loc.b"].data
     e_obj = params["kd.obj.b"].data  # zero pooled block leaves only the bias
@@ -680,10 +671,9 @@ def test_key_detail_empty_mask_degrades_to_zero_block(setup):
     *_, params = setup
     rng = np.random.default_rng(8)
     f_i = nn.Tensor(rng.normal(size=(3, TINY.dim)))
-    out, row = model.extract_key_detail(f_i, [False] * 3, [False] * 3, params, TINY)
+    tokens = (se.BOS, se.FILLER_BASE, se.EOS)   # neither a room nor an object
+    out, row = model.extract_key_detail(f_i, tokens, params, TINY)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(row.data))
-    with pytest.raises(ShapeError):
-        model.extract_key_detail(f_i, [False] * 2, [False] * 3, params, TINY)
 
 
 def detail_config(detail: str, base=TINY) -> model.ModelConfig:
@@ -691,12 +681,24 @@ def detail_config(detail: str, base=TINY) -> model.ModelConfig:
     return replace(base, loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
 
 
-def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
+# per cue set: six token ids, rooms at 1, 3 and 4 and objects at 0 and 5
+# where present, special or filler words elsewhere
+CUE_TOKENS = {
+    "both": (se.OBJECT_BASE + 1, se.ROOM_BASE, se.FILLER_BASE + 2,
+             se.ROOM_BASE + 3, se.ROOM_BASE + 7, se.OBJECT_BASE + 5),
+    "loc empty": (se.OBJECT_BASE + 1, se.FILLER_BASE + 4, se.FILLER_BASE + 2,
+                  se.FILLER_BASE + 9, se.EOS, se.OBJECT_BASE + 5),
+    "both empty": (se.BOS, se.FILLER_BASE + 4, se.FILLER_BASE + 2,
+                   se.FILLER_BASE + 9, se.FILLER_BASE, se.EOS),
+}
+
+
+def check_key_detail_against_oracle(detail, cues, f_i_use, add_rows,
                                     base=TINY, frozen=()):
-    """The fused key detail against the node chain it replaces,
-    ``oracle_extract_key_detail``, over one step, or two when its row is
-    replayed (the cached key detail of a later step) where the chain is
-    built again.  With ``add_rows`` each step adds its row into its own
+    """The fused key detail of the tokens ``CUE_TOKENS[cues]`` against the
+    node chain it replaces, ``oracle_extract_key_detail`` of their
+    ``cue_masks``, over one step, or two when its row is replayed (the
+    cached key detail of a later step) where the chain is built again.  With ``add_rows`` each step adds its row into its own
     candidate rows, ``add_row`` against ``oracle_add_row``.  The key detail
     arrays, every output and every leaf gradient match bit for bit.  f_i is
     an inner tensor; another consumer, a ``linear``, may read it too, with
@@ -720,16 +722,10 @@ def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
     rows = [nn.Tensor(rng.normal(size=(n, cfg.dim)), requires_grad=True) for n in sizes]
     c = [nn.Tensor(rng.normal(size=(n, cfg.dim))) for n in sizes]
     c_other = nn.Tensor(rng.normal(size=(6, 3)))
-    loc = [False, True, False, True, True, False]
-    obj = [True, True, False, False, True, False]   # overlaps loc: order counts
-    if masks != "both":
-        loc = [False] * 6
-    if masks == "both empty":
-        obj = [False] * 6
+    tokens = CUE_TOKENS[cues]
     leaves = [x0, w_in, w_other, w_c, *rows] + [params[name] for name in params.names()]
     runs = []
-    for op in (model.extract_key_detail, oracle_extract_key_detail):
-        fused = op is model.extract_key_detail
+    for fused in (True, False):
         for t in leaves:
             t.grad = None
         f_i = nn.linear(x0, w_in)
@@ -738,7 +734,9 @@ def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
             if fused and node is not None:
                 row = nn.replay(node)
             else:
-                f_k, row = op(f_i, loc, obj, params, cfg)
+                f_k, row = (model.extract_key_detail(f_i, tokens, params, cfg) if fused
+                            else oracle_extract_key_detail(f_i, *cue_masks(tokens),
+                                                           params, cfg))
                 f_ks.append(f_k)
                 node = row
             if add_rows:
@@ -758,8 +756,8 @@ def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
                      [None if t.grad is None else t.grad.copy() for t in leaves]))
         if fused:   # one node over f_i, kd.* and enh.wv
             assert len(f_ks) == 1 and not f_ks[0].flags.writeable
-            reads = (("L" in detail and masks == "both")
-                     or ("O" in detail and masks != "both empty"))
+            reads = (("L" in detail and cues == "both")
+                     or ("O" in detail and cues != "both empty"))
             kd = (("loc.w",) * ("L" in detail) + ("loc.b",)
                   + ("obj.w",) * ("O" in detail) + ("obj.b", "fuse.w", "fuse.b"))
             assert node._parents == (f_i,) * reads + tuple(
@@ -774,23 +772,23 @@ def check_key_detail_against_oracle(detail, masks, f_i_use, add_rows,
 
 
 @pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
-@pytest.mark.parametrize("masks", ["both", "loc empty", "both empty"])
+@pytest.mark.parametrize("cues", ["both", "loc empty", "both empty"])
 @pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
                                      "also read after", "replayed"])
-def test_key_detail_matches_oracle_bitwise(detail, masks, f_i_use):
+def test_key_detail_matches_oracle_bitwise(detail, cues, f_i_use):
     """The key detail and its alignment row against the node chain."""
-    check_key_detail_against_oracle(detail, masks, f_i_use, add_rows=False)
+    check_key_detail_against_oracle(detail, cues, f_i_use, add_rows=False)
 
 
 @pytest.mark.parametrize("detail", ["LO", "L-", "-O"])
-@pytest.mark.parametrize("masks", ["both", "both empty"])
+@pytest.mark.parametrize("cues", ["both", "both empty"])
 @pytest.mark.parametrize("f_i_use", ["tracked", "untracked", "also read before",
                                      "also read after"])
-def test_alignment_row_matches_oracle_bitwise(detail, masks, f_i_use):
+def test_alignment_row_matches_oracle_bitwise(detail, cues, f_i_use):
     """Two steps of the key-detail injection: the fused node, replayed for
     the second step, and one ``add_row`` node per step, against the chain
     each step built."""
-    check_key_detail_against_oracle(detail, masks, f_i_use, add_rows=True)
+    check_key_detail_against_oracle(detail, cues, f_i_use, add_rows=True)
 
 
 @pytest.mark.parametrize("frozen", [f for _, f in KD_FROZEN],
@@ -827,12 +825,12 @@ def test_first_step_builds_18_tape_nodes(setup, monkeypatch):
     node for the key detail with its alignment row; and the node adding the
     row into the candidate rows.  Counted the same way, it built 19 while
     the alignment row took over a key-detail node of its own."""
-    graph, latents, ins, params = setup
+    graph, latents, tokens, params = setup
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     cache = model.EpisodeCache()
     model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
-                       ins, params, TINY, cache)
+                       tokens, params, TINY, cache)
     assert len(built) == 18 and len(detail) == 1
     assert sum(t is cache.align for t in built) == 1
 
@@ -845,17 +843,17 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     the same way, a step built 24 before the residual blocks, the alignment
     row and its add became one node each.  Neither the key detail nor its
     row is computed again."""
-    graph, latents, ins, params = setup
+    graph, latents, tokens, params = setup
     cache = model.EpisodeCache()
     pg = PathGraph(graph, start=0)
     env = env_of(graph, latents)
-    model.forward_step(pg, env, ins, params, TINY, cache)
+    model.forward_step(pg, env, tokens, params, TINY, cache)
     key_detail = cache.key_detail
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     added = record_calls(monkeypatch, model, "add_row")
-    model.forward_step(pg, env, ins, params, TINY, cache)
+    model.forward_step(pg, env, tokens, params, TINY, cache)
     assert len(built) == 12 and detail == []
     assert len(blocks) == 3 and len(added) == 1
     assert cache.key_detail is key_detail
@@ -863,13 +861,13 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
         cache.key_detail[0] = 1.0
     [((_, row), _)] = added
     assert row is not cache.align and row.data is cache.align.data
-    reads = any(ins.location_mask) or any(ins.object_mask)
+    reads = any(map(any, cue_masks(tokens)))
     assert row._parents == cache.align._parents == (cache.instr,) * reads + tuple(
         params[n] for n in ("kd.loc.w", "kd.loc.b", "kd.obj.w", "kd.obj.b",
                             "kd.fuse.w", "kd.fuse.b", "enh.wv"))
     assert row._backward is cache.align._backward
     with nn.no_tape():
-        model.forward_step(pg, env, ins, params, TINY, cache)
+        model.forward_step(pg, env, tokens, params, TINY, cache)
     assert cache.key_detail is key_detail and added[-1][0][1] is cache.align
 
 
@@ -881,8 +879,8 @@ def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     rng = np.random.default_rng(9)
     f_c = nn.Tensor(rng.normal(size=(3, TINY.dim)))
     f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
-    f_k, row = model.extract_key_detail(f_i, [True, False, True, False],
-                                        [False, True, False, False], params, TINY)
+    tokens = (se.ROOM_BASE, se.OBJECT_BASE + 1, se.ROOM_BASE + 1, se.EOS)
+    f_k, row = model.extract_key_detail(f_i, tokens, params, TINY)
     blocks = record_calls(monkeypatch, nn, "residual_block")
     scores = model.enhance_and_score(f_c, row, params, TINY)
     assert scores.shape == (3,)
@@ -959,14 +957,14 @@ def test_select_action_affine_invariance():
 
 
 def test_forward_step_shapes_and_determinism(setup):
-    graph, latents, ins, params = setup
+    graph, latents, tokens, params = setup
     pg = PathGraph(graph, start=0)
     env = env_of(graph, latents)
     cache = model.EpisodeCache()
-    feats, action = model.forward_step(pg, env, ins, params, TINY, cache)
+    feats, action = model.forward_step(pg, env, tokens, params, TINY, cache)
     assert feats.scores.shape == (len(pg.frontier()) + 1,)
     assert cache.key_detail.shape == (TINY.dim,)
-    feats2, action2 = model.forward_step(pg, env, ins, params, TINY,
+    feats2, action2 = model.forward_step(pg, env, tokens, params, TINY,
                                          model.EpisodeCache())
     np.testing.assert_array_equal(feats.scores.data, feats2.scores.data)
     assert action == action2 and (action in pg.frontier() or action == STOP)
@@ -990,7 +988,7 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
                   loc_detail=loc_detail, obj_detail=obj_detail)
     params = model.build_params(cfg, seed=0)
     graph = tiny_graph()
-    ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
+    tokens = se.generate_instruction(graph, [0, 1, 3], seed=0)
     env = env_of(graph, se.make_latents(graph, feature_dim=cfg.vis_dim, seed=3))
     pg = PathGraph(graph, start=0)
     assert pg.frontier()  # so the candidate rows read their parameters
@@ -998,7 +996,7 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
     blocks = record_calls(monkeypatch, nn, "residual_block")
     cache = model.EpisodeCache()
-    feats, _ = model.forward_step(pg, env, ins, params, cfg, cache)
+    feats, _ = model.forward_step(pg, env, tokens, params, cfg, cache)
     assert set(reads) == {name for name, _ in model.param_spec(cfg)}
     [((f_c, row, *_), scores)] = enhance
     assert scores is feats.scores
@@ -1022,8 +1020,7 @@ def learning_data():
             feature_dim=vis_dim, seed=2))
         env = training.EnvBundle(graph, se.make_latents(graph, vis_dim, seed=2), sigma=0.1)
         eps = [se.make_episode(graph, seed=i) for i in range(2)]
-        assert all(any(ep.instruction.location_mask) and any(ep.instruction.object_mask)
-                   for ep in eps)
+        assert all(all(map(any, cue_masks(ep.tokens))) for ep in eps)
         data[vis_dim] = [(env, ep) for ep in eps]
     return data
 
@@ -1063,14 +1060,14 @@ def test_every_declared_parameter_learns(monkeypatch, learning_data, preset, fla
 
 def test_forward_step_cache_matches_uncached(setup):
     """Steps sharing one cache score as steps that each get a fresh one."""
-    graph, latents, ins, params = setup
+    graph, latents, tokens, params = setup
     cache = model.EpisodeCache()
 
     def rollout(use_cache):
         pg = PathGraph(graph, start=0)
         outs = []
         for node in [0, 1]:
-            feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
+            feats, _ = model.forward_step(pg, env_of(graph, latents), tokens, params, TINY,
                                           cache=cache if use_cache else model.EpisodeCache())
             outs.append(feats.scores.data.copy())
             pg.advance(node + 1)  # 0->1 then jump/step
@@ -1092,17 +1089,17 @@ def frozen_gradient_fixture():
     """
     graph = tiny_graph()
     latents = se.make_latents(graph, feature_dim=TINY.vis_dim, seed=3)
-    ins = se.generate_instruction(graph, [0, 1, 3], seed=0)
+    tokens = se.generate_instruction(graph, [0, 1, 3], seed=0)
     params = model.build_params(TINY, seed=3)
-    return graph, latents, ins, params
+    return graph, latents, tokens, params
 
 
 def test_forward_step_golden_scores():
     """Regression pin: values recorded once from the finite-difference-verified
     pipeline on the frozen fixture."""
-    graph, latents, ins, params = frozen_gradient_fixture()
+    graph, latents, tokens, params = frozen_gradient_fixture()
     pg = PathGraph(graph, start=0)
-    feats, action = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
+    feats, action = model.forward_step(pg, env_of(graph, latents), tokens, params, TINY,
                                        model.EpisodeCache())
     assert pg.frontier() == [1, 2]
     assert action == STOP
@@ -1113,11 +1110,11 @@ def test_forward_step_golden_scores():
 
 
 def test_forward_gradients_sampled_finite_difference():
-    graph, latents, ins, params = frozen_gradient_fixture()
+    graph, latents, tokens, params = frozen_gradient_fixture()
 
     def make_loss():
         pg = PathGraph(graph, start=0)
-        feats, _ = model.forward_step(pg, env_of(graph, latents), ins, params, TINY,
+        feats, _ = model.forward_step(pg, env_of(graph, latents), tokens, params, TINY,
                                       model.EpisodeCache())
         target = pg.frontier().index(1)  # ground-truth next hop
         return nn.cross_entropy(feats.scores, target)
@@ -1201,7 +1198,9 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
     monkeypatch.setattr(nn, "residual_block", oracle_residual_block)
     monkeypatch.setattr(nn, "mean", oracle_mean)
     monkeypatch.setattr(model, "decouple_observation", oracle_decouple_observation)
-    monkeypatch.setattr(model, "extract_key_detail", oracle_extract_key_detail)
+    monkeypatch.setattr(model, "extract_key_detail",
+                        lambda f_i, tokens, params, cfg: oracle_extract_key_detail(
+                            f_i, *cue_masks(tokens), params, cfg))
     monkeypatch.setattr(model, "add_row", oracle_add_row)
     monkeypatch.setattr(training, "EpisodeCache", PerStepKeyDetail)
     oracle = run()

@@ -57,6 +57,9 @@ def test_vocab_layout():
     assert table[se.EOS]["word"] == "<eos>"
     assert se.token_class(se.ROOM_BASE) == "room"
     assert se.token_class(se.OBJECT_BASE + 7) == "object"
+    for bad in (-1, se.VOCAB_SIZE):   # no wrap-around into the table
+        with pytest.raises(InvalidArgument):
+            se.token_class(bad)
     assert se.word_token("kitchen") == se.ROOM_BASE
     with pytest.raises(InvalidArgument):
         se.word_token("xyzzy")
@@ -403,17 +406,17 @@ def test_observation_errors(cross_graph):
 # ------------------------------------------------------------ instructions
 
 
+def cue_tokens(tokens, cls: str) -> list:
+    return [t for t in tokens if se.token_class(t) == cls]
+
+
 def test_instruction_two_room_path(cross_graph):
-    instr = se.generate_instruction(cross_graph, [0, 1], seed=0)
-    assert sum(instr.location_mask) == 2  # rooms 2 then 3, no dedup
-    assert sum(instr.object_mask) == 1
-    assert instr.tokens[0] == se.BOS and instr.tokens[-1] == se.EOS
-    assert "bedroom" in instr.text and "bathroom" in instr.text  # rooms 2, 3
-    # masks flag exactly the room/object class tokens
-    for t, lm, om in zip(instr.tokens, instr.location_mask, instr.object_mask):
-        assert lm == (se.token_class(t) == "room")
-        assert om == (se.token_class(t) == "object")
-        assert not (lm and om)
+    tokens = se.generate_instruction(cross_graph, [0, 1], seed=0)
+    assert tokens[0] == se.BOS and tokens[-1] == se.EOS
+    # rooms 2 then 3, no dedup
+    assert cue_tokens(tokens, "room") == [se.word_token("bedroom"),
+                                          se.word_token("bathroom")]
+    assert len(cue_tokens(tokens, "object")) == 1
 
 
 def test_instruction_dedups_consecutive_rooms():
@@ -421,15 +424,15 @@ def test_instruction_dedups_consecutive_rooms():
              NavNode(1, (1.0, 0.0, 0.0), 1, (0,)),
              NavNode(2, (2.0, 0.0, 0.0), 5, (4,))]
     g = build_graph(nodes, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    instr = se.generate_instruction(g, [0, 1, 2], seed=0)
-    assert sum(instr.location_mask) == 2  # rooms 1,1,5 -> two mentions
+    tokens = se.generate_instruction(g, [0, 1, 2], seed=0)
+    # rooms 1,1,5 -> two mentions
+    assert cue_tokens(tokens, "room") == [se.ROOM_BASE + 1, se.ROOM_BASE + 5]
 
 
 def test_instruction_degenerate_path_keeps_both_cue_types(cross_graph):
-    instr = se.generate_instruction(cross_graph, [2], seed=0)
-    assert sum(instr.object_mask) >= 1
-    assert sum(instr.location_mask) >= 1
-    assert instr.text.endswith(se.OBJECT_WORDS[3])
+    tokens = se.generate_instruction(cross_graph, [2], seed=0)
+    assert cue_tokens(tokens, "room")
+    assert tokens[-2:] == (se.word_token(se.OBJECT_WORDS[3]), se.EOS)
 
 
 def test_instruction_deterministic_and_errors(cross_graph):
@@ -502,28 +505,24 @@ def test_episode_round_trip_byte_identical(tmp_path, env):
 def test_episode_schema_errors(tmp_path, env):
     ep = se.make_episode(env, seed=11)
     good = se.episode_to_dict(ep)
-    bad = dict(good)
-    bad["loc_mask"] = bad["loc_mask"][:-1]
-    with pytest.raises(SchemaError):
-        se.episode_from_dict(bad)
+    assert good.keys() == {"gt_path", "tokens"}
     bad = dict(good)
     bad["tokens"] = [se.VOCAB_SIZE + 5] + list(good["tokens"])[1:]
     with pytest.raises(SchemaError):
         se.episode_from_dict(bad)
-    bad = dict(good)
-    bad["obj_mask"] = list(good["loc_mask"])
-    with pytest.raises(SchemaError):
+    bad = dict(good, tokens=[])
+    with pytest.raises(SchemaError, match="tokens must be non-empty"):
         se.episode_from_dict(bad)
-    bad = dict(good)
-    bad["start"] = good["gt_path"][-1] + 1000
-    with pytest.raises(SchemaError):
+    # a key of the older format: the first unknown key, sorted, is named
+    bad = dict(good, text="walk", start=good["gt_path"][0], loc_mask=[])
+    with pytest.raises(SchemaError, match="unknown key 'loc_mask'.*gen"):
         se.episode_from_dict(bad)
     bad = dict(good)
     bad["gt_path"] = good["gt_path"] + [good["gt_path"][-2]]   # back along the last hop
     with pytest.raises(SchemaError, match="revisits"):
         se.episode_from_dict(bad)
     with pytest.raises(SchemaError):
-        se.episode_from_dict({"start": 0})
+        se.episode_from_dict({"gt_path": [0]})
 
 
 def test_vocab_export(tmp_path):

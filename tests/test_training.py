@@ -43,7 +43,7 @@ def graph_from(points, pairs, directed=()):
 
 
 def episode_for(graph, gt, seed=0):
-    return Episode(gt_path=tuple(gt), instruction=generate_instruction(graph, gt, seed))
+    return Episode(gt_path=tuple(gt), tokens=generate_instruction(graph, gt, seed))
 
 
 def teacher_accuracy(records) -> float:
