@@ -4,19 +4,21 @@ Canonical JSON sorts object keys and drops all optional whitespace, so equal
 values always serialize to equal bytes; a JSON file holds one such document
 plus a trailing newline.  A CSV file is a ``# comment`` line, which names
 the run's ``config_hash``, a header row and data rows, written with the csv
-module's line endings.  A checkpoint is binary: a magic string, then one
-length-prefixed block per parameter.  Every artifact the package reads or
-writes goes through this module.  A writer fills a sibling temporary file
-and moves it into place with ``os.replace``, so a failure part-way leaves
-the previous file, or none, never a prefix.  ``check_record`` holds the
-one type rule every JSON data file is read by.
+module's line endings.  A checkpoint is binary: a magic string, a ``<I``
+length, a canonical JSON header holding the writer's fields and the block
+table (``[name, dims]`` per parameter, sorted by name), then each block's
+little-endian float64 data in table order, which fills the file exactly.
+Every artifact the package reads or writes goes through this module.  A
+writer fills a sibling temporary file and moves it into place with
+``os.replace``, so a failure part-way leaves the previous file, or none,
+never a prefix.  ``check_record`` holds the one type rule every JSON data
+file, the checkpoint header among them, is read by.
 """
 
 import csv
 import json
 import math
 import os
-import struct
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import SchemaError
 
-CHECKPOINT_MAGIC = b"OIKG0001"
+CHECKPOINT_MAGIC = b"OIKG0002"
 
 
 def canonical_json(obj) -> str:
@@ -101,57 +103,57 @@ def write_csv(path, header, rows, comment: str) -> None:
         writer.writerows(rows)
 
 
-def save_checkpoint(path, store) -> None:
-    """A ParamStore's parameters, by name, as length-prefixed binary blocks
-    (name, dims, little-endian float64 data)."""
+def save_checkpoint(path, store, header: dict) -> None:
+    """A ParamStore's parameters, by name, under ``header`` plus their
+    block table."""
     with _replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        for name in store.names():
-            data = store.params[name].data
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", data.ndim))
-            for d in data.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        names = store.names()
+        data = [np.asarray(store.params[n].data, dtype="<f8") for n in names]
+        table = [[n, list(d.shape)] for n, d in zip(names, data)]
+        head = canonical_json(dict(header, blocks=table)).encode("utf-8")
+        fh.write(len(head).to_bytes(4, "little") + head)   # <I, then the header
+        for d in data:
+            fh.write(d.tobytes())   # C order
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parameter arrays by name; a malformed file, or a block holding a
-    non-finite value, is a SchemaError."""
+def load_checkpoint(path, keys: dict) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, parameter arrays by name), once the header holds ``keys``
+    as ``check_record`` reads them and a block table whose data fills the
+    rest of the file exactly.  Anything else, such as a file of another
+    format or a block holding a non-finite value, is a SchemaError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
-        raise SchemaError(f"{path}: bad checkpoint magic")
+        raise SchemaError(f"{path}: not an {CHECKPOINT_MAGIC.decode()} checkpoint; retrain")
+    off = len(CHECKPOINT_MAGIC) + 4
+    size = int.from_bytes(blob[off - 4:off], "little")   # the <I header length
+    if off + size > len(blob):
+        raise SchemaError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[off:off + size].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: invalid checkpoint header: {exc}") from exc
+    check_record(header, dict(keys, blocks=list), f"{path} header")
+    off += size
     out: dict[str, np.ndarray] = {}
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise SchemaError(f"{path}: truncated checkpoint")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    while off < len(blob):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: block name is not UTF-8") from exc
+    for entry in header["blocks"]:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and has_type(entry[1], [int])
+                and len(entry[1]) <= 32 and min(entry[1], default=0) >= 0):
+            raise SchemaError(f"{path}: block entry {entry!r} is not [name, "
+                              "[dim >= 0, ...]] with at most 32 dims (numpy 1's limit)")
+        name, dims = entry
         if name in out:
             raise SchemaError(f"{path}: duplicate block {name!r}")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        # Python ints: a product of 32-bit dims can exceed any fixed width
-        flat = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8")
-        try:
-            data = flat.reshape(shape)
-        except ValueError as exc:  # more dims than numpy supports
-            raise SchemaError(f"{path}: block {name!r}: {exc}") from exc
+        end = off + 8 * math.prod(dims)   # Python ints: no fixed width to wrap
+        if end > len(blob):
+            raise SchemaError(f"{path}: block {name!r} is cut short")
+        data = np.frombuffer(blob[off:end], dtype="<f8").reshape(dims)
         if not np.isfinite(data).all():
             raise SchemaError(f"{path}: block {name!r} holds a non-finite value")
-        out[name] = data.astype(np.float64).copy()
-    return out
+        out[name] = data.astype(np.float64)
+        off = end
+    if off != len(blob):
+        raise SchemaError(f"{path}: {len(blob) - off} bytes after the last block")
+    return header, out

@@ -54,6 +54,9 @@ CHOICES = {
 GEN_KEYS = {"feature_dim": int, "sigma": float, "mode": str,
             "latent_seed_seen": int, "latent_seed_unseen": int}
 
+# the checkpoint header `train` writes and `eval` builds its model from
+CKPT_KEYS = {"config_hash": str, "model": str, "flags": str}
+
 # each command's settings, the one declaration of its flags: a key becomes
 # --key-with-dashes (lam becomes --lambda), typed by its default, and
 # CHOICES limit the values
@@ -65,7 +68,7 @@ DEFAULTS = {
               "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny",
               "eval_every": 0},
     "eval": {"ckpt": "", "agent": "model", "split": "val_seen", "t_max": 30,
-             "seed": 0, "flags": "MED,GE,LD,OD", "model": "tiny", "jobs": 1},
+             "seed": 0, "jobs": 1},
     "ablate": {"iters": 60, "seeds": 3, "t_max": 0, "batch": 2, "lr": 3e-3,
                "lam": 0.2, "timing_steps": 1000, "model": "tiny",
                "grid": "all", "jobs": 1},
@@ -149,7 +152,7 @@ def _guard_feature_dim(gen_cfg: dict, mcfg: ModelConfig) -> None:
         raise SchemaError(
             f"environment feature dim {gen_cfg['feature_dim']} does not match "
             f"model visual dim {mcfg.vis_dim}; regenerate with --feature-dim "
-            f"{mcfg.vis_dim} or pick a matching --model")
+            f"{mcfg.vis_dim} or use a model whose visual dim matches")
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -259,12 +262,13 @@ def cmd_train(cfg: dict) -> None:
     params = build_params(mcfg, cfg["seed"])
     out = _resolve_out(cfg["out"])
     h = archive_config(out, "train", cfg)
+    header = {"config_hash": h, "model": cfg["model"], "flags": cfg["flags"]}
     try:
         rows = train(data, params, tcfg, mcfg)
     except NumericFailure:
-        save_checkpoint(out / "abort.ckpt", params)  # the pre-step values
+        save_checkpoint(out / "abort.ckpt", params, header)  # the pre-step values
         raise
-    save_checkpoint(out / "params.ckpt", params)
+    save_checkpoint(out / "params.ckpt", params, header)
     write_training_log(out / "train_log.csv", rows,
                        comment=f"config_hash={h}")
 
@@ -295,18 +299,26 @@ def _eval_unit(payload):
 
 
 def cmd_eval(cfg: dict) -> None:
+    """Score an agent on one split.  The model agent is the preset and stage
+    flags its checkpoint's header names, and the archived config records the
+    header's config_hash, so the eval's hash names the train run it scored."""
     env, episodes, gen_cfg = _load_split(cfg["data"], cfg["split"])
-    mcfg = _model_config(cfg)
     agent = cfg["agent"]
     if cfg["t_max"] < 1 or cfg["jobs"] < 1:
         raise InvalidArgument("--t-max and --jobs must be >= 1")
-    params = None
+    params = mcfg = None
     if agent == "model":
         if not cfg["ckpt"]:
             raise InvalidArgument("--ckpt is required for the model agent")
-        _guard_feature_dim(gen_cfg, mcfg)
+        header, state = load_checkpoint(cfg["ckpt"], CKPT_KEYS)
+        try:
+            mcfg = _model_config(header)
+        except (KeyError, InvalidArgument) as exc:   # an unknown preset, bad flags
+            raise SchemaError(f"{cfg['ckpt']}: header model or flags: {exc}") from exc
         params = build_params(mcfg, 0)
-        params.load_state(load_checkpoint(cfg["ckpt"]))
+        params.load_state(state)
+        _guard_feature_dim(gen_cfg, mcfg)
+        cfg = dict(cfg, ckpt_config_hash=header["config_hash"])
     out = _resolve_out(cfg["out"])
     h = archive_config(out, "eval", cfg)
     t_max = cfg["t_max"]

@@ -120,11 +120,11 @@ class ViewGrid:
 
 @dataclass(frozen=True)
 class LatentTable:
-    """Per-node appearance vectors; room one-hot fills the trailing dims."""
+    """A world's read-only ``(V + 1, feature_dim)`` appearance rows: row
+    ``graph.index[n]`` is node n's latent then its room one-hot, the last
+    row the background latent then zeros."""
     seed: int
-    feature_dim: int   # the vectors' width plus ROOM_COUNT
-    node: dict[int, np.ndarray]
-    background: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,9 @@ class EnvBundle:
     """Everything needed to run an agent in one environment.
 
     Besides the world, the bundle holds the lazily filled memo of its
-    panoramas' draws, pure functions of the world made once each as
-    read-only arrays: the appearance rows (``appearance_rows``) and, when
-    sigma > 0, each panorama's noise term (``noise_term``).  The memo is
-    not pickled; a copy, such as a worker process's, fills its own.
+    panoramas' noise terms (``noise_term``, when sigma > 0), pure functions
+    of the world made once each as read-only arrays.  The memo is not
+    pickled; a copy, such as a worker process's, fills its own.
     """
     graph: NavGraph
     latents: LatentTable
@@ -144,7 +143,8 @@ class EnvBundle:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidArgument(f"sigma must be finite and >= 0, got {self.sigma}")
-        # "rows": the appearance rows; (node, k): that panorama's noise term
+        self.latents.rows.flags.writeable = False   # an unpickled copy arrives writeable
+        # (node, k): that panorama's noise term
         object.__setattr__(self, "_draws", {})
 
     def __getstate__(self) -> dict:
@@ -155,36 +155,22 @@ class EnvBundle:
 
 
 def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
+    """The world's appearance rows, each node's latent drawn from the stream
+    tagged ("latent", node) of ``seed`` and the background's from
+    ("latent", "background")."""
     if feature_dim <= ROOM_COUNT:
         raise InvalidArgument(f"feature dim must exceed {ROOM_COUNT}, got {feature_dim}")
-    for n in graph.node_ids():   # a room indexes the panorama's room one-hot
-        if not 0 <= graph.nodes[n].room < ROOM_COUNT:
-            raise InvalidArgument(f"node {n}: room {graph.nodes[n].room} is "
+    nodes, free = graph.nodes, feature_dim - ROOM_COUNT
+    rows = np.zeros((len(nodes) + 1, feature_dim))
+    for i, n in enumerate(nodes):   # graph.index order
+        if not 0 <= nodes[n].room < ROOM_COUNT:   # it indexes the room one-hot
+            raise InvalidArgument(f"node {n}: room {nodes[n].room} is "
                                   f"outside [0, {ROOM_COUNT})")
-    free = feature_dim - ROOM_COUNT
-    node = {n: substream(seed, "latent", n).standard_normal(free)
-            for n in graph.node_ids()}
-    background = substream(seed, "latent", "background").standard_normal(free)
-    return LatentTable(seed=seed, feature_dim=feature_dim, node=node,
-                       background=background)
-
-
-def appearance_rows(env: EnvBundle) -> np.ndarray:
-    """The ``(V + 1, feature_dim)`` rows a view of ``env`` can show, made
-    once per bundle: row ``graph.index[n]`` is node n's latent then its room
-    one-hot, the last row the background latent then zeros."""
-    rows = env._draws.get("rows")
-    if rows is None:
-        lat, nodes = env.latents, env.graph.nodes
-        free = lat.feature_dim - ROOM_COUNT
-        rows = np.zeros((len(nodes) + 1, lat.feature_dim))
-        for i, n in enumerate(nodes):   # graph.index order
-            rows[i, :free] = lat.node[n]
-            rows[i, free + nodes[n].room] = 1.0
-        rows[-1, :free] = lat.background
-        rows.flags.writeable = False
-        env._draws["rows"] = rows
-    return rows
+        rows[i, :free] = substream(seed, "latent", n).standard_normal(free)
+        rows[i, free + nodes[n].room] = 1.0
+    rows[-1, :free] = substream(seed, "latent", "background").standard_normal(free)
+    rows.flags.writeable = False
+    return LatentTable(seed=seed, rows=rows)
 
 
 def noise_term(env: EnvBundle, node: int, k: int) -> np.ndarray:
@@ -194,7 +180,7 @@ def noise_term(env: EnvBundle, node: int, k: int) -> np.ndarray:
     term = env._draws.get((node, k))
     if term is None:
         noise = substream(env.latents.seed, "obs-noise", node, k).standard_normal(
-            (k, env.latents.feature_dim))
+            (k, env.latents.rows.shape[1]))
         term = env._draws[(node, k)] = env.sigma * noise
         term.flags.writeable = False
     return term
@@ -209,8 +195,8 @@ def render_observation(env: EnvBundle, node: int, grid: ViewGrid) -> np.ndarray:
     background.  Elevation never affects assignment, so all elevation rows
     of a heading column agree before noise.  Noise is Gaussian, applied to
     the visual block only, and depends only on (table seed, node, k).  The
-    rows and the noise come from the bundle's memo; the assignment runs on
-    every call.
+    rows come from the latent table and the noise from the bundle's memo;
+    the assignment runs on every call.
     """
     graph = env.graph
     if node not in graph.nodes:
@@ -230,7 +216,7 @@ def render_observation(env: EnvBundle, node: int, grid: ViewGrid) -> np.ndarray:
         if d <= half_bin + 1e-12:
             shown[j] = graph.index[nbr]
     # every elevation row of column j shows column j's row
-    visual = appearance_rows(env)[np.repeat(shown, len(grid.elevations))]
+    visual = env.latents.rows[np.repeat(shown, len(grid.elevations))]
     if env.sigma > 0:
         visual = visual + noise_term(env, node, grid.k)
     return visual

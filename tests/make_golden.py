@@ -47,8 +47,8 @@ RUNS = (
     ("eval_random", ["eval", "@gen", "--agent", "random", "--seed", "4",
                      "--jobs", "{jobs}"]),
     ("eval_full_unseen", ["eval", "@gen_detour", "--ckpt",
-                          "@train_full/params.ckpt", "--model", "full",
-                          "--split", "val_unseen", "--jobs", "{jobs}"]),
+                          "@train_full/params.ckpt", "--split", "val_unseen",
+                          "--jobs", "{jobs}"]),
     ("ablate", ["ablate", "@gen", "--grid=----,MGLO", "--iters", "2",
                 "--seeds", "2", "--timing-steps", "5", "--jobs", "{jobs}"]),
     ("probe", ["probe", "@gen", "--which", "all", "--seeds", "2",

@@ -43,8 +43,7 @@ SURFACE = {
               "--eval-every": ("eval_every", int)},
     "eval": {"--ckpt": ("ckpt", str), "--agent": ("agent", str),
              "--split": ("split", str), "--t-max": ("t_max", int),
-             "--seed": ("seed", int), "--flags": ("flags", str),
-             "--model": ("model", str), "--jobs": ("jobs", int)},
+             "--seed": ("seed", int), "--jobs": ("jobs", int)},
     "ablate": {"--iters": ("iters", int), "--seeds": ("seeds", int),
                "--t-max": ("t_max", int), "--batch": ("batch", int),
                "--lr": ("lr", float), "--lambda": ("lam", float),
@@ -166,7 +165,9 @@ def test_train_zero_iters_keeps_init(data_dir, tmp_path):
     out = tmp_path / "t0"
     assert main(["train", "--data", str(data_dir), "--out", str(out),
                  "--iters", "0", "--seed", "5"]) == 0
-    saved = artifacts.load_checkpoint(out / "params.ckpt")
+    header, saved = artifacts.load_checkpoint(out / "params.ckpt", cli.CKPT_KEYS)
+    cfg = json.loads((out / "config.json").read_text())
+    assert {k: header[k] for k in cli.CKPT_KEYS} == {k: cfg[k] for k in cli.CKPT_KEYS}
     init = state_dict(build_params(TINY_CONFIG, 5))
     assert set(saved) == set(init)
     assert all(np.array_equal(saved[k], init[k]) for k in init)
@@ -198,8 +199,26 @@ def test_train_numeric_failure_leaves_config_beside_abort(data_dir, tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["abort.ckpt", "config.json"]
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["command"] == "train" and cfg["lr"] == 1e100
-    assert all(np.all(np.isfinite(a))
-               for a in artifacts.load_checkpoint(out / "abort.ckpt").values())
+    header, state = artifacts.load_checkpoint(out / "abort.ckpt", cli.CKPT_KEYS)
+    assert header["config_hash"] == cfg["config_hash"]
+    assert all(np.all(np.isfinite(a)) for a in state.values())
+
+
+def test_eval_accepts_an_abort_checkpoint(data_dir, tmp_path):
+    """abort.ckpt carries the same header as params.ckpt, so eval builds
+    the model a diverging run stopped at (here MG--) and loads it.  Its
+    weights are huge, so what the run scores is the numerics' business:
+    it is never a usage or data error."""
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     "--lr", "1e100", "--flags", "MED,GE"]) == 4
+        ev = tmp_path / "e"
+        assert main(["eval", "--data", str(data_dir), "--out", str(ev),
+                     "--ckpt", str(out / "abort.ckpt")]) in (0, 4)
+    cfg = json.loads((ev / "config.json").read_text())
+    train_cfg = json.loads((out / "config.json").read_text())
+    assert cfg["ckpt_config_hash"] == train_cfg["config_hash"]
 
 
 def test_config_file_merge_and_override(data_dir, tmp_path):
@@ -288,7 +307,7 @@ def test_seed_flag_outside_64_bits_rejected_before_out(data_dir, tmp_path, argv)
 @pytest.mark.parametrize("argv, content", [
     (["eval"], {"agent": "oracel"}),
     (["probe"], {"which": "grads"}),
-    (["eval", "--agent", "oracle"], {"model": "huge"}),
+    (["train"], {"model": "huge"}),
     (["train"], ["iters"]),
     (["train"], {"iters": "3"}),
     (["train"], {"batch": 1.5}),
@@ -624,30 +643,71 @@ def test_eval_requires_ckpt(data_dir, tmp_path):
     assert not out.exists()
 
 
-def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path):
-    # same dims, different parameter set: flags subset drops stages
-    assert main(["eval", "--data", str(data_dir),
-                 "--out", str(tmp_path / "e"),
-                 "--ckpt", str(ckpt_dir / "params.ckpt"),
-                 "--flags", "MED,GE"]) == 3
-    # dims mismatch is caught before touching the checkpoint
-    assert main(["eval", "--data", str(data_dir),
-                 "--out", str(tmp_path / "e2"),
-                 "--ckpt", str(ckpt_dir / "params.ckpt"),
-                 "--model", "full"]) == 3
+def forge_checkpoint(path, store, header):
+    """A checkpoint of ``store`` under ``header``'s model and flags."""
+    artifacts.save_checkpoint(path, store, {"config_hash": "0" * 16, **header})
+    return path
+
+
+def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path, capsys):
+    """The model comes from the checkpoint alone: eval takes no --flags or
+    --model, and a header that disagrees with its blocks, or names no
+    known preset or flag set, is a data error before --out exists."""
+    ckpt = ["--ckpt", str(ckpt_dir / "params.ckpt")]
+    for flag, value in (("--flags", "MED,GE"), ("--model", "full")):
+        assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                     flag, value] + ckpt) == 2
+        assert not (tmp_path / "e").exists()
+    tiny = build_params(TINY_CONFIG, 0)   # MGLO blocks
+    full = build_params(cli.MODEL_PRESETS["full"], 0)
+    for name, store, header, err in (
+            ("mg", tiny, {"model": "tiny", "flags": "MED,GE"}, "parameter name mismatch"),
+            ("full", tiny, {"model": "full", "flags": "MED,GE,LD,OD"}, "mismatch"),
+            # blocks and header agree, but not with the data's feature dim
+            ("full_model", full, {"model": "full", "flags": "MED,GE,LD,OD"},
+             "does not match model visual dim 32"),
+            ("huge", tiny, {"model": "huge", "flags": "MED,GE,LD,OD"}, "'huge'"),
+            ("label", tiny, {"model": "tiny", "flags": "MG--"}, "unknown flags")):
+        out = tmp_path / name
+        bad = forge_checkpoint(tmp_path / f"{name}.ckpt", store, header)
+        assert main(["eval", "--data", str(data_dir), "--out", str(out),
+                     "--ckpt", str(bad)]) == 3
+        assert err in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_eval_hash_names_its_checkpoint(data_dir, ckpt_dir, tmp_path):
+    """Two evals alike but for their checkpoints, from two train runs,
+    archive different config hashes, each recording its run's hash."""
+    other = tmp_path / "t2"
+    assert main(["train", "--data", str(data_dir), "--out", str(other),
+                 "--iters", "2", "--batch", "1", "--seed", "4"]) == 0
+    hashes = []
+    for run in (ckpt_dir, other):
+        out = tmp_path / f"e_{run.name}"
+        assert main(["eval", "--data", str(data_dir), "--out", str(out),
+                     "--ckpt", str(run / "params.ckpt")]) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        train_cfg = json.loads((run / "config.json").read_text())
+        assert cfg["ckpt_config_hash"] == train_cfg["config_hash"]
+        assert json.loads((out / "summary.json").read_text())["config_hash"] == \
+            cfg["config_hash"]
+        hashes.append(cfg["config_hash"])
+    assert hashes[0] != hashes[1]
 
 
 def test_eval_rejects_checkpoint_with_enhance_query_key(data_dir, ckpt_dir,
-                                                       tmp_path):
+                                                       tmp_path, capsys):
     # checkpoints from before the single-key reduction carry enh.wq/enh.wk
+    header, state = artifacts.load_checkpoint(ckpt_dir / "params.ckpt", cli.CKPT_KEYS)
     store = build_params(TINY_CONFIG, 0)
-    store.load_state(artifacts.load_checkpoint(ckpt_dir / "params.ckpt"))
+    store.load_state(state)
     store.add("enh.wq", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
     store.add("enh.wk", np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
-    old = tmp_path / "old.ckpt"
-    artifacts.save_checkpoint(old, store)
+    old = forge_checkpoint(tmp_path / "old.ckpt", store, header)
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
                  "--ckpt", str(old)]) == 3
+    assert "extra ['enh.wk', 'enh.wq']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, label, dead", [("MED,GE,LD", "MGL-", "kd.obj.w"),
@@ -658,10 +718,10 @@ def test_eval_rejects_one_cue_checkpoint_with_disabled_cue_weight(
     # carry that weight, which never learned
     store = build_params(variant_config(TINY_CONFIG, label), 0)
     store.add(dead, np.zeros((TINY_CONFIG.dim, TINY_CONFIG.dim)))
-    old = tmp_path / "old.ckpt"
-    artifacts.save_checkpoint(old, store)
+    old = forge_checkpoint(tmp_path / "old.ckpt", store,
+                           {"model": "tiny", "flags": flags})
     assert main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "e"),
-                 "--ckpt", str(old), "--flags", flags]) == 3
+                 "--ckpt", str(old)]) == 3
     assert f"extra ['{dead}']" in capsys.readouterr().err
 
 
@@ -671,11 +731,11 @@ def test_eval_rejects_non_finite_checkpoint_before_out(data_dir, ckpt_dir, tmp_p
     """A checkpoint holding a NaN or an infinity is a data error naming its
     block, raised before --out exists; it once ran and wrote traces whose
     NaN scores are not JSON."""
+    header, state = artifacts.load_checkpoint(ckpt_dir / "params.ckpt", cli.CKPT_KEYS)
     store = build_params(TINY_CONFIG, 0)
-    store.load_state(artifacts.load_checkpoint(ckpt_dir / "params.ckpt"))
+    store.load_state(state)
     store["sel.mlp.w1"].data[1, 2] = bad
-    ckpt = tmp_path / "bad.ckpt"
-    artifacts.save_checkpoint(ckpt, store)
+    ckpt = forge_checkpoint(tmp_path / "bad.ckpt", store, header)
     out = tmp_path / "e"
     assert main(["eval", "--data", str(data_dir), "--out", str(out),
                  "--ckpt", str(ckpt)]) == 3
@@ -698,7 +758,7 @@ def rows_failing_after(n):
 
 class HalfStore:
     """A store whose second parameter cannot be read: a checkpoint write
-    fails after its first block."""
+    fails after its magic, before its header."""
     def __init__(self):
         self.params = {"a": build_params(TINY_CONFIG, 0)["sel.mlp.w1"]}
 
@@ -709,7 +769,7 @@ class HalfStore:
 FAILING_WRITERS = {
     "csv": (lambda p: artifacts.write_csv(p, ["i", "pad"], rows_failing_after(50),
                                           comment="c"), WriteFailure),
-    "checkpoint": (lambda p: artifacts.save_checkpoint(p, HalfStore()), KeyError),
+    "checkpoint": (lambda p: artifacts.save_checkpoint(p, HalfStore(), {}), KeyError),
     # a lone surrogate cannot be encoded, after 64 kB of text that can
     "text": (lambda p: artifacts.write_text(p, "x" * 65536 + "\ud800"),
              UnicodeEncodeError),

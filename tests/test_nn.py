@@ -4,6 +4,7 @@ Every differentiable op is validated against central finite differences:
 relative error <= 1e-4 with step h = 1e-4, denominator max(|a|,|b|,1e-8).
 """
 
+import json
 import math
 import struct
 
@@ -870,54 +871,77 @@ def test_checkpoint_round_trip_byte_exact(tmp_path):
     store["scalar"].data = np.array(1.5)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    artifacts.save_checkpoint(p1, store)
-    state = artifacts.load_checkpoint(p1)
+    artifacts.save_checkpoint(p1, store, {"tag": "x"})
+    header, state = artifacts.load_checkpoint(p1, {"tag": str})
+    assert header == {"tag": "x", "blocks": [[n, list(store[n].data.shape)]
+                                             for n in ("m.b", "m.w", "scalar")]}
     assert set(state) == {"m.w", "m.b", "scalar"}
     for name in state:
         np.testing.assert_array_equal(state[name], store[name].data)
 
     other = nn.init_params([("m.w", (3, 5)), ("m.b", (5,)), ("scalar", ())], seed=99)
     other.load_state(state)
-    artifacts.save_checkpoint(p2, other)
+    artifacts.save_checkpoint(p2, other, {"tag": "x"})
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes().startswith(b"OIKG0001")
+    assert p1.read_bytes().startswith(b"OIKG0002")
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(SchemaError):
-        artifacts.load_checkpoint(p)
+        artifacts.load_checkpoint(p, {})
+    p.write_bytes(b"OIKG0001" + b"\x00" * 16)   # the older per-block format
+    with pytest.raises(SchemaError, match="retrain"):
+        artifacts.load_checkpoint(p, {})
     good = tmp_path / "good.ckpt"
-    artifacts.save_checkpoint(good, nn.init_params([("w", (2, 2))], seed=0))
-    cut = good.read_bytes()[:-5]
+    artifacts.save_checkpoint(good, nn.init_params([("w", (2, 2))], seed=0), {"n": 1})
+    with pytest.raises(SchemaError, match="'n' has a value of the wrong type"):
+        artifacts.load_checkpoint(good, {"n": str})
+    with pytest.raises(SchemaError, match="missing key 'm'"):
+        artifacts.load_checkpoint(good, {"m": int})
     trunc = tmp_path / "trunc.ckpt"
-    trunc.write_bytes(cut)
+    trunc.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(SchemaError):
-        artifacts.load_checkpoint(trunc)
+        artifacts.load_checkpoint(trunc, {})
 
 
-def raw_block(name: bytes, dims, payload: bytes | None = None) -> bytes:
-    """One checkpoint block written by hand: name, dims, float64 payload."""
-    head = struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
-    head += b"".join(struct.pack("<I", d) for d in dims)
-    return head + (payload if payload is not None
-                   else b"\0" * (8 * math.prod(dims)))
+def raw_checkpoint(table, payload: bytes | None = None, head: bytes | None = None) -> bytes:
+    """A checkpoint written by hand: the header holding ``table`` (or the
+    raw ``head`` bytes), then ``payload`` (zeros filling the table if not
+    given)."""
+    if head is None:
+        head = json.dumps({"blocks": table}).encode("utf-8")
+    if payload is None:
+        payload = b"\0" * sum(8 * math.prod(dims) for _, dims in table)
+    return artifacts.CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + payload
 
 
-@pytest.mark.parametrize("body", [
-    raw_block(b"\xff\xfe", (1,)),
+@pytest.mark.parametrize("blob", [
+    raw_checkpoint([], head=b'{"blocks": [["\xff\xfe", [1]]]}'),
     # the product wraps negative in int64; Python ints see a huge block
-    raw_block(b"w", (2 ** 32 - 1, 2 ** 32 - 1), payload=b"\0" * 8),
-    raw_block(b"w", (1,)) + raw_block(b"w", (1,)),
-    raw_block(b"w", (1,) * 65),
+    raw_checkpoint([["w", [2 ** 32 - 1, 2 ** 32 - 1]]], payload=b"\0" * 8),
+    raw_checkpoint([["w", [1]], ["w", [1]]]),
+    raw_checkpoint([["w", [1] * 33]]),
+    # read as a count, -1 would step back into the header for the next block
+    raw_checkpoint([["a", [-1]], ["b", [2]]], payload=b"\0" * 8),
+    raw_checkpoint([["w", [1], "extra"]], payload=b"\0" * 8),
+    raw_checkpoint([["w", [True]]], payload=b"\0" * 8),
+    raw_checkpoint([["w", [1]]], payload=b"\0" * 16),
 ], ids=["non_utf8_name", "dims_overflow_int64", "duplicate_name",
-        "too_many_dims"])
-def test_checkpoint_malformed_blocks_raise_schema_error(tmp_path, body):
+        "too_many_dims", "negative_dim", "not_a_pair", "bool_dim", "extra_byte"])
+def test_checkpoint_malformed_blocks_raise_schema_error(tmp_path, blob):
     p = tmp_path / "bad.ckpt"
-    p.write_bytes(artifacts.CHECKPOINT_MAGIC + body)
+    p.write_bytes(blob)
     with pytest.raises(SchemaError):
-        artifacts.load_checkpoint(p)
+        artifacts.load_checkpoint(p, {})
+
+
+def test_checkpoint_table_of_32_dims_loads(tmp_path):
+    p = tmp_path / "deep.ckpt"
+    p.write_bytes(raw_checkpoint([["w", [1] * 32]]))
+    _, state = artifacts.load_checkpoint(p, {})
+    assert state["w"].shape == (1,) * 32
 
 
 PROP_SPEC = [("m.w", (2, 3)), ("m.b", (3,)), ("s", ())]
@@ -927,44 +951,24 @@ PROP_SPEC = [("m.w", (2, 3)), ("m.b", (3,)), ("s", ())]
 def valid_ckpt(tmp_path_factory):
     """(scratch dir, bytes of a valid checkpoint of PROP_SPEC)."""
     d = tmp_path_factory.mktemp("ckpt_props")
-    artifacts.save_checkpoint(d / "valid.ckpt", nn.init_params(PROP_SPEC, seed=7))
+    artifacts.save_checkpoint(d / "valid.ckpt", nn.init_params(PROP_SPEC, seed=7),
+                              {"config_hash": "0123456789abcdef"})
     return d, (d / "valid.ckpt").read_bytes()
 
 
 def _load_bytes(d, blob: bytes):
     p = d / "probe.ckpt"
     p.write_bytes(blob)
-    return artifacts.load_checkpoint(p)
-
-
-def _block_ends() -> dict:
-    """Byte offset after each block of PROP_SPEC -> names stored up to it."""
-    off = len(artifacts.CHECKPOINT_MAGIC)
-    ends, names = {off: ()}, ()
-    for name, shape in sorted(PROP_SPEC):
-        off += 4 + len(name) + 4 + 4 * len(shape) + 8 * math.prod(shape)
-        names += (name,)
-        ends[off] = names
-    return ends
+    return artifacts.load_checkpoint(p, {"config_hash": str})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_checkpoint_strict_prefix_never_loads_whole(valid_ckpt, data):
-    # The format has no block count, so a cut at a block boundary parses as
-    # a shorter checkpoint; load_state then rejects the missing names.
     d, blob = valid_ckpt
-    ends = _block_ends()
-    assert max(ends) == len(blob)
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-    if cut in ends:
-        state = _load_bytes(d, blob[:cut])
-        assert tuple(sorted(state)) == ends[cut]
-        with pytest.raises(IncompatibleCheckpoint):
-            nn.init_params(PROP_SPEC, seed=0).load_state(state)
-    else:
-        with pytest.raises(SchemaError):
-            _load_bytes(d, blob[:cut])
+    with pytest.raises(SchemaError):
+        _load_bytes(d, blob[:cut])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -25,6 +25,18 @@ def canonical(graph) -> str:
     return json.dumps(graph_to_dict(graph), sort_keys=True)
 
 
+def view_row(graph, seed, width, nbr=None):
+    """What a view shows, drawn here from the latent streams: neighbour
+    ``nbr``'s latent then its room one-hot, or (None) the background
+    latent then zeros."""
+    free = width - se.ROOM_COUNT
+    tag = "background" if nbr is None else nbr
+    onehot = np.zeros(se.ROOM_COUNT)
+    if nbr is not None:
+        onehot[graph.nodes[nbr].room] = 1.0
+    return np.concatenate([substream(seed, "latent", tag).standard_normal(free), onehot])
+
+
 @pytest.fixture
 def env():
     return se.generate_environment(
@@ -215,15 +227,9 @@ def test_observation_zero_noise_exact_views(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     obs = se.render_observation(se.EnvBundle(cross_graph, lat, 0.0), 0, FLAT_12)
     assert obs.shape == (12, 12)
-
-    def expected_neighbor(nbr):
-        onehot = np.zeros(se.ROOM_COUNT)
-        onehot[cross_graph.nodes[nbr].room] = 1.0
-        return np.concatenate([lat.node[nbr], onehot])
-
-    background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
-    np.testing.assert_allclose(obs[0], expected_neighbor(1), atol=0)
-    np.testing.assert_allclose(obs[3], expected_neighbor(2), atol=0)  # pi/2
+    background = view_row(cross_graph, 5, 12)
+    np.testing.assert_allclose(obs[0], view_row(cross_graph, 5, 12, 1), atol=0)
+    np.testing.assert_allclose(obs[3], view_row(cross_graph, 5, 12, 2), atol=0)  # pi/2
     for k in range(12):
         if k not in (0, 3):
             np.testing.assert_allclose(obs[k], background, atol=0)
@@ -263,35 +269,29 @@ def test_observation_nearest_in_bin_rule(env):
         obs = se.render_observation(bundle, node, FLAT_12)
         headings, _ = FLAT_12.angles()
         edges = [(nbr, env.edge_pose(node, nbr).heading) for nbr in env.neighbors(node)]
-        background = np.concatenate([lat.background, np.zeros(se.ROOM_COUNT)])
+        background = view_row(env, 3, 16)
         for k in range(12):
             scored = sorted((angular_distance(a, headings[k]), nbr)
                             for nbr, a in edges)
             if scored and scored[0][0] <= half_bin + 1e-12:
-                nbr = scored[0][1]
-                onehot = np.zeros(se.ROOM_COUNT)
-                onehot[env.nodes[nbr].room] = 1.0
-                expect = np.concatenate([lat.node[nbr], onehot])
+                expect = view_row(env, 3, 16, scored[0][1])
             else:
                 expect = background
             np.testing.assert_allclose(obs[k], expect, atol=0)
 
 
 def oracle_render_visual(graph, node, latents, grid):
-    """Noise-free panorama by a per-view scan over every edge."""
+    """Noise-free panorama by a per-view scan over every edge, its rows
+    drawn from the latent streams of the table's seed."""
+    width = latents.rows.shape[1]
     headings, _ = grid.angles()
     half_bin = math.pi / grid.n_headings
     edges = [(nbr, graph.edge_pose(node, nbr).heading) for nbr in graph.neighbors(node)]
     rows = []
     for k in range(grid.k):
         scored = sorted((angular_distance(a, headings[k]), nbr) for nbr, a in edges)
-        if scored and scored[0][0] <= half_bin + 1e-12:
-            nbr = scored[0][1]
-            onehot = np.zeros(se.ROOM_COUNT)
-            onehot[graph.nodes[nbr].room] = 1.0
-            rows.append(np.concatenate([latents.node[nbr], onehot]))
-        else:
-            rows.append(np.concatenate([latents.background, np.zeros(se.ROOM_COUNT)]))
+        nbr = scored[0][1] if scored and scored[0][0] <= half_bin + 1e-12 else None
+        rows.append(view_row(graph, latents.seed, width, nbr))
     return np.stack(rows)
 
 
@@ -333,7 +333,7 @@ def noisy_oracle(graph, node, latents, sigma, grid):
     if sigma == 0:
         return visual
     noise = substream(latents.seed, "obs-noise", node, grid.k).standard_normal(
-        (grid.k, latents.feature_dim))
+        (grid.k, latents.rows.shape[1]))
     return visual + sigma * noise
 
 
@@ -365,13 +365,14 @@ def test_memo_renders_equal_a_fresh_bundles(env, sigma, renumbered):
 
 
 def test_memo_arrays_are_read_only(cross_graph):
-    """The memo's rows and noise cannot be written; a rendered panorama is
-    the caller's own array, and writing to it leaves the memo as it was."""
+    """The latent rows and the memo's noise cannot be written; a rendered
+    panorama is the caller's own array, and writing to it leaves both as
+    they were."""
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     bundle, grid = se.EnvBundle(cross_graph, lat, 0.1), se.ViewGrid()
     obs = se.render_observation(bundle, 0, grid)
     obs[:] = 7.0
-    for memo in (se.appearance_rows(bundle), se.noise_term(bundle, 0, grid.k)):
+    for memo in (lat.rows, se.noise_term(bundle, 0, grid.k)):
         with pytest.raises(ValueError, match="read-only"):
             memo[0, 0] = 0.0
     np.testing.assert_array_equal(se.render_observation(bundle, 0, grid),
@@ -380,14 +381,15 @@ def test_memo_arrays_are_read_only(cross_graph):
 
 def test_pickled_bundle_arrives_with_an_empty_memo(cross_graph):
     """A pickled bundle, as a ``--jobs`` worker receives it, leaves its memo
-    behind and renders the same arrays as the original, whose memo was
-    filled."""
+    behind, keeps its latent rows read-only and renders the same arrays as
+    the original, whose memo was filled."""
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     bundle, grid = se.EnvBundle(cross_graph, lat, 0.1), se.ViewGrid()
     want = [se.render_observation(bundle, n, grid) for n in cross_graph.node_ids()]
-    assert len(bundle._draws) == 1 + len(want)   # the rows, then one noise term per node
+    assert len(bundle._draws) == len(want)   # one noise term per node
     copy = pickle.loads(pickle.dumps(bundle))
     assert copy._draws == {} and copy.sigma == bundle.sigma
+    assert not copy.latents.rows.flags.writeable
     for n, w in zip(cross_graph.node_ids(), want, strict=True):
         np.testing.assert_array_equal(se.render_observation(copy, n, grid), w)
 

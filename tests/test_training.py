@@ -608,7 +608,7 @@ def test_train_deterministic(world, tmp_path):
         p = build_params(MCFG, seed=0)
         logs.append(train(data, p, cfg, MCFG))
         finals.append(state_dict(p))
-        artifacts.save_checkpoint(tmp_path / f"{run}.ckpt", p)
+        artifacts.save_checkpoint(tmp_path / f"{run}.ckpt", p, {})
     assert logs[0] == logs[1]
     assert all(np.array_equal(finals[0][k], finals[1][k]) for k in finals[0])
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
