@@ -13,7 +13,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import cycle, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -33,7 +33,6 @@ PATHWAY_PREFIXES = ("obs.", "graph.")
 # binned into CUE_BINS uniform bins
 CUE_BINS = 8
 CUE_DIMS = 2
-TIMING_WARMUP = 50   # fewest untimed greedy steps before time_forward_steps times
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class AblationRow:
     ne: float
     sr: float
     spl: float
-    step_ms: float
     failed: bool = False
 
 
@@ -275,23 +273,27 @@ def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) ->
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int) -> float:
     """Wall-clock milliseconds per decision step of warm greedy rollouts,
-    run whole and without a tape, as greedy evaluation runs: rollouts warm
-    up until TIMING_WARMUP steps have run, then are timed until at least
-    `min_steps` have.  A greedy walk never revisits a node, so each step
-    includes its panorama's render."""
+    run whole and without a tape, as greedy evaluation runs: one untimed
+    pass over `data`, then whole passes timed until at least `min_steps`
+    steps have run.  A greedy walk never revisits a node, so each step
+    includes its panorama's render; the timed passes walk the routes the
+    untimed one walked, so every render and candidate they need is in the
+    world's memos already."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")
     if not data:
         raise InvalidArgument("no episodes to time")
-    episodes = cycle(data)
+
+    def greedy_pass() -> int:
+        return sum(len(rollout(env, ep, t_max, greedy_policy, params,
+                               mcfg).steps) for env, ep in data)
+
     with nn.no_tape():
-        for at_least in (TIMING_WARMUP, min_steps):  # warm up, then time
-            steps, start = 0, time.perf_counter()
-            while steps < at_least:
-                env, ep = next(episodes)
-                rec = rollout(env, ep, t_max, greedy_policy, params, mcfg)
-                steps += len(rec.steps)
+        greedy_pass()
+        steps, start = 0, time.perf_counter()
+        while steps < min_steps:
+            steps += greedy_pass()
     return (time.perf_counter() - start) / steps * 1000.0
 
 
@@ -318,8 +320,9 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
                       base_mcfg: ModelConfig, seeds, min_timing_steps: int):
     """One grid cell: train/evaluate a variant over every seed.
 
-    Returns (AblationRow, per-seed metric dict); divergence on any seed
-    yields a failed row with the metrics gathered so far in the sidecar.
+    Returns (AblationRow, per-seed metric dict, ms per greedy step of the
+    first seed's model); divergence on any seed yields a failed row with
+    the metrics gathered so far in the sidecar, and no step time.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -335,8 +338,8 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
         except NumericFailure as err:
             warnings.warn(f"variant {label} seed {seed} diverged: {err}")
             return (AblationRow(label=label, tl=math.nan, ne=math.nan,
-                                sr=math.nan, spl=math.nan, step_ms=math.nan,
-                                failed=True), per_seed)
+                                sr=math.nan, spl=math.nan, failed=True),
+                    per_seed, None)
         per_seed[str(seed)] = {k: summary[k] for k in ("TL", "NE", "SR", "SPL")}
         if timing_params is None:
             timing_params = params
@@ -345,7 +348,7 @@ def run_ablation_cell(label: str, train_data, eval_data, tcfg: TrainConfig,
     ms = time_forward_steps(eval_data, timing_params, mcfg, tcfg.t_max,
                             min_steps=min_timing_steps)
     return (AblationRow(label=label, tl=mean["TL"], ne=mean["NE"],
-                        sr=mean["SR"], spl=mean["SPL"], step_ms=ms), per_seed)
+                        sr=mean["SR"], spl=mean["SPL"]), per_seed, ms)
 
 
 def run_ablation(train_data, eval_data, tcfg: TrainConfig,
@@ -355,25 +358,27 @@ def run_ablation(train_data, eval_data, tcfg: TrainConfig,
 
     The grid is checked (``check_grid``) before any compute; cells run
     over `jobs` worker processes without changing any result.  Returns
-    (rows, sidecar) where sidecar holds per-seed eval metrics.  A diverging
-    variant yields a failed row and the grid continues.
+    (rows, sidecar, step_ms): the deterministic rows, the per-seed eval
+    metrics by label, and the wall-clock ms per greedy step by label
+    (``time_forward_steps``).  A diverging variant yields a failed row and
+    a step time of None, and the grid continues.
     """
     grid = check_grid(base_mcfg, grid)
     cells = map_units(jobs, run_ablation_cell, grid, repeat(train_data),
                       repeat(eval_data), repeat(tcfg), repeat(base_mcfg),
                       repeat(tuple(seeds)), repeat(min_timing_steps))
-    rows = [row for row, _ in cells]
-    sidecar = {label: per_seed for label, (_, per_seed) in zip(grid, cells)}
-    return rows, sidecar
+    rows = [row for row, _, _ in cells]
+    sidecar = {label: per_seed for label, (_, per_seed, _) in zip(grid, cells)}
+    step_ms = {label: ms for label, (_, _, ms) in zip(grid, cells)}
+    return rows, sidecar, step_ms
 
 
 def write_ablation_csv(path, rows, comment: str) -> None:
-    """Flag columns, read off the label, then TL, NE, SR, SPL (x100),
-    per-step ms."""
-    write_csv(path, ["variant", *FLAG_NAMES, "TL", "NE", "SR", "SPL",
-                     "time_ms", "failed"],
+    """Flag columns, read off the label, then TL, NE, SR, SPL (x100) and
+    whether the variant failed."""
+    write_csv(path, ["variant", *FLAG_NAMES, "TL", "NE", "SR", "SPL", "failed"],
               ([r.label, *(int(c != "-") for c in r.label),
                 f"{r.tl:.2f}", f"{r.ne:.2f}", f"{r.sr * 100.0:.2f}",
-                f"{r.spl * 100.0:.2f}", f"{r.step_ms:.3f}", int(r.failed)]
+                f"{r.spl * 100.0:.2f}", int(r.failed)]
                for r in rows),
               comment=comment)

@@ -2,10 +2,11 @@
 
 All state flows through files.  Every command is driven by one root seed
 through named substreams, so rerunning a command with the same parameters
-reproduces its output tree byte for byte (per-step timing columns are the
-one wall-clock exception).  Outputs land under --out, optionally rooted at
-the OIKG_OUT environment variable; the effective parameter set is archived
-as config.json with a content hash that the other outputs embed.
+reproduces every deterministic artifact byte for byte; wall-clock time goes
+only to the timing.json sidecar of ablate.  Outputs land under --out,
+optionally rooted at the OIKG_OUT environment variable; the effective
+parameter set is archived as config.json with a content hash that the other
+outputs embed.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -266,7 +267,8 @@ def cmd_train(cfg: dict) -> None:
     try:
         rows = train(data, params, tcfg, mcfg)
     except NumericFailure:
-        save_checkpoint(out / "abort.ckpt", params, header)  # the pre-step values
+        # the pre-step values, or the post-step ones if eval_every failed
+        save_checkpoint(out / "abort.ckpt", params, header)
         raise
     save_checkpoint(out / "params.ckpt", params, header)
     write_training_log(out / "train_log.csv", rows,
@@ -354,12 +356,14 @@ def cmd_ablate(cfg: dict) -> None:
     check_routes(train_data, tcfg.t_max)
     out = _resolve_out(cfg["out"])
     h = archive_config(out, "ablate", cfg)
-    rows, sidecar = run_ablation(
+    rows, sidecar, step_ms = run_ablation(
         train_data, [(env, ep) for ep in eval_eps], tcfg,
         base, seeds=range(cfg["seeds"]), grid=grid,
         min_timing_steps=cfg["timing_steps"], jobs=cfg["jobs"])
     write_ablation_csv(out / "ablation.csv", rows, comment=f"config_hash={h}")
     write_json(out / "ablation_seeds.json", {"config_hash": h, "cells": sidecar})
+    # the wall clock: ms per greedy step by label, null for a failed cell
+    write_json(out / "timing.json", {"config_hash": h, "step_ms": step_ms})
 
 
 # ----------------------------------------------------------------- probe

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import InvalidArgument, InvalidState, ShapeError
+from .errors import InvalidArgument, InvalidState, NumericFailure, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
 from .navgraph import NavGraph, PathGraph, slot_action
 from .synthenv import (VOCAB_SIZE, EnvBundle, ViewGrid, render_observation,
@@ -408,15 +408,19 @@ def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
                              score=True)
 
 
-def select_action(scores: np.ndarray, frontier_order) -> int:
+def select_action(scores: np.ndarray, frontier_order, node: int) -> int:
     """The action of the highest score in the array ``scores``, one slot per
     frontier node then STOP (``navgraph.slot_action``); ordering makes ties
-    favor the lowest node id and give STOP lowest priority."""
+    favor the lowest node id and give STOP lowest priority.  A non-finite
+    score raises NumericFailure naming ``node``, the walk's current node,
+    so every walk, greedy or sampled, fails at the step that made it."""
     if scores.size == 0:
         raise InvalidState("no candidate scores")
     if scores.shape != (len(frontier_order) + 1,):
         raise ShapeError(
             f"{scores.shape[0]} scores for {len(frontier_order)} frontier nodes + STOP")
+    if not np.isfinite(scores).all():
+        raise NumericFailure(f"non-finite action scores at node {node}")
     return slot_action(frontier_order, int(np.argmax(scores)))
 
 
@@ -482,4 +486,5 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
             cache.align = row
     f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
     scores = enhance_and_score(f_c, row, params, cfg)
-    return StepFeatures(scores=scores), select_action(scores.data, order)
+    return StepFeatures(scores=scores), select_action(scores.data, order,
+                                                      pg.current)

@@ -130,9 +130,7 @@ def teacher_policy(episode: Episode):
 def sample_policy(rng: np.random.Generator):
     """Sample from the softmax of the model's scores (student forcing)."""
     def choose(t, step):
-        scores = step.logits
-        if not np.all(np.isfinite(scores)):
-            raise NumericFailure(f"non-finite action scores at node {step.node}")
+        scores = step.logits   # finite: select_action checked them
         p = np.exp(scores - scores.max())
         p /= p.sum()
         return slot_action(step.order, int(rng.choice(p.size, p=p)))
@@ -275,9 +273,10 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig) -> list:
     """Optimize params in place over (EnvBundle, Episode) pairs.
 
     Returns the log rows (one dict per iteration; eval_every evaluates on
-    the training pairs).  A non-finite loss or gradient norm raises
+    the training pairs).  A non-finite score, loss or gradient norm raises
     NumericFailure before the optimizer step, so ``params`` still holds
-    the previous iteration's values.
+    the previous iteration's values; a non-finite score in the eval_every
+    evaluation raises after it, so ``params`` holds that iteration's.
     """
     data = list(data)
     if not data:
@@ -317,7 +316,10 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig) -> list:
                "grad_norm": grad_norm,
                "eval_SR": "", "eval_SPL": "", "eval_nDTW": ""}
         if cfg.eval_every > 0 and it % cfg.eval_every == 0:
-            _, summary = evaluate_policy(data, params, mcfg, cfg.t_max)
+            try:
+                _, summary = evaluate_policy(data, params, mcfg, cfg.t_max)
+            except NumericFailure as err:
+                raise NumericFailure(f"iteration {it} evaluation: {err}") from err
             row["eval_SR"] = repr(summary["SR"])
             row["eval_SPL"] = repr(summary["SPL"])
             row["eval_nDTW"] = repr(summary["nDTW"])

@@ -2,9 +2,9 @@
 
 ``run_set(root, jobs)`` runs every command of ``RUNS`` in-process under
 ``root`` and returns ``{relative path: sha256 hex}`` for every file they
-wrote.  ``ablation.csv`` is hashed without its ``time_ms`` column, the one
-wall-clock field of the deterministic artifacts.  ``tests/test_golden.py``
-compares the digests at ``--jobs`` 1 and 2 with the committed table.
+wrote, except each ``timing.json``: that sidecar holds the wall clock, and
+every other artifact is deterministic.  ``tests/test_golden.py`` compares
+the digests at ``--jobs`` 1 and 2 with the committed table.
 
 Regenerate the table only for a byte change made on purpose, and list every
 file whose digest moved; the script prints each path whose digest moved,
@@ -16,9 +16,7 @@ The table holds the bits of the machine that wrote it: another numpy or
 BLAS build may round differently.
 """
 
-import csv
 import hashlib
-import io
 import json
 import sys
 import tempfile
@@ -67,23 +65,11 @@ def _argv(root: Path, name: str, args: list, jobs: int) -> list:
     return [cmd, "--out", str(root / name)] + rest
 
 
-def _without_time(data: bytes) -> bytes:
-    """An ablation.csv's bytes with the time_ms column taken out."""
-    comment, body = data.decode("utf-8").split("\n", 1)
-    rows = list(csv.reader(io.StringIO(body)))
-    col = rows[0].index("time_ms")
-    out = io.StringIO(newline="")
-    csv.writer(out).writerows([r[:col] + r[col + 1:] for r in rows])
-    return (comment + "\n" + out.getvalue()).encode("utf-8")
-
-
 def digest_tree(root: Path) -> dict:
     table = {}
     for p in sorted(root.rglob("*")):
-        if p.is_file():
+        if p.is_file() and p.name != "timing.json":
             data = p.read_bytes()
-            if p.name == "ablation.csv":
-                data = _without_time(data)
             table[p.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
     return table
 

@@ -190,15 +190,15 @@ def test_a06_generalization_harness_and_grid_report(tmp_path):
                  for i in range(50)]
     tcfg = TrainConfig(lam=0.2, t_max=15, lr=3e-3, iterations=150,
                        batch_size=2, seed=0)
-    rows, sidecar = run_ablation(train_data, eval_data, tcfg, TINY_CONFIG,
-                                 seeds=range(5), grid=GRID_LABELS,
-                                 min_timing_steps=50, jobs=1)
+    rows, sidecar, _ = run_ablation(train_data, eval_data, tcfg, TINY_CONFIG,
+                                    seeds=range(5), grid=GRID_LABELS,
+                                    min_timing_steps=50, jobs=1)
     assert [r.label for r in rows] == list(GRID_LABELS)
     out = tmp_path / "ablation.csv"
     write_ablation_csv(out, rows, comment="config_hash=a06")
     lines = out.read_text().strip().split("\n")
     assert lines[:2] == ["# config_hash=a06",
-                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"]
+                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,failed"]
     assert len(lines) == 2 + len(GRID_LABELS)
 
     # directional report; the sign is not asserted at this scale

@@ -2,7 +2,9 @@
 
 import math
 import signal
+import time
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,6 +358,45 @@ def test_time_forward_steps(world):
         time_forward_steps(world, params, MCFG, t_max=4, min_steps=0)
 
 
+def noisy_eval_set():
+    """Eight episodes in a fresh noisy 30-node world, its memos empty."""
+    g = generate_environment(EnvParams(node_count=30, connection_radius=3.5,
+                                       extent=10.0, feature_dim=MCFG.vis_dim,
+                                       seed=3))
+    env = EnvBundle(g, make_latents(g, MCFG.vis_dim, seed=3), sigma=0.1)
+    return env, [(env, make_episode(g, seed=s)) for s in range(8)]
+
+
+def test_time_forward_steps_times_only_warm_passes(monkeypatch):
+    """The untimed pass walks every route the timed passes walk, so the
+    timed passes add no noise draw to the bundle's memo and no candidate
+    to the graph's.  The eval set's pass is longer than 50 steps, so a
+    50-step warm-up would have left routes for the timed loop to fill."""
+    params = build_params(MCFG, seed=0)
+    _, data = noisy_eval_set()
+    with nn.no_tape():
+        assert sum(len(rollout(env, ep, 15, training.greedy_policy, params,
+                               MCFG).steps) for env, ep in data) > 50
+
+    env, data = noisy_eval_set()
+
+    def memo_entries():
+        levels = env.graph._candidate_memo.values()
+        return (len(env._draws),
+                sum(int(np.count_nonzero(level)) for _, level in levels))
+
+    seen = []
+
+    def clock():
+        seen.append(memo_entries())
+        return time.perf_counter()
+
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=clock))
+    time_forward_steps(data, params, MCFG, t_max=15, min_steps=1)
+    assert seen[-2][0] > 0 and seen[-2][1] > 0
+    assert seen[-2] == seen[-1] == memo_entries()
+
+
 def test_time_forward_steps_empty_data_raises():
     # a regression used to spin forever; the alarm turns a hang into a failure
     def hang(signum, frame):
@@ -378,26 +419,21 @@ def test_run_ablation_deterministic(world, tmp_path):
     tcfg = TrainConfig(lam=0.2, t_max=6, lr=3e-3, iterations=2, batch_size=1,
                        seed=0)
     grid = ("----", "MGLO")
-    runs = []
-    for _ in range(2):
-        rows, sidecar = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                                     grid=grid, min_timing_steps=3, jobs=1)
-        runs.append((rows, sidecar))
-    rows, sidecar = runs[0]
+    runs = [run_ablation(world, world, tcfg, MCFG, seeds=(0,), grid=grid,
+                         min_timing_steps=3, jobs=1) for _ in range(2)]
+    rows, sidecar, step_ms = runs[0]
     assert [r.label for r in rows] == list(grid)
     assert all(not r.failed for r in rows)
     assert sidecar["MGLO"]["0"].keys() == {"TL", "NE", "SR", "SPL"}
-    # timing jitters; everything else must match bitwise
-    for a, b in zip(rows, runs[1][0]):
-        assert (a.label, a.tl, a.ne, a.sr, a.spl, a.failed) == \
-            (b.label, b.tl, b.ne, b.sr, b.spl, b.failed)
-    assert sidecar == runs[1][1]
+    assert rows == runs[1][0] and sidecar == runs[1][1]
+    assert list(step_ms) == list(grid)
+    assert all(ms > 0.0 and math.isfinite(ms) for ms in step_ms.values())
 
     path = tmp_path / "ablation.csv"
     write_ablation_csv(path, rows, comment="config_hash=0123")
     lines = path.read_text().strip().split("\n")
     assert lines[:2] == ["# config_hash=0123",
-                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"]
+                         "variant,MED,GE,LD,OD,TL,NE,SR,SPL,failed"]
     assert len(lines) == 4
     assert lines[2].startswith("----,0,0,0,0,")
     assert lines[3].startswith("MGLO,1,1,1,1,")
@@ -405,13 +441,13 @@ def test_run_ablation_deterministic(world, tmp_path):
 
 def test_ablation_csv_flag_columns_read_off_the_label(tmp_path):
     path = tmp_path / "ablation.csv"
-    rows = [AblationRow(label=label, tl=1.0, ne=2.0, sr=0.5, spl=0.25, step_ms=0.125)
+    rows = [AblationRow(label=label, tl=1.0, ne=2.0, sr=0.5, spl=0.25)
             for label in ("M-L-", "-G-O")]
     write_ablation_csv(path, rows, comment="c")
     lines = path.read_text().splitlines()
     assert lines[0] == "# c" and lines[2:] == [
-        "M-L-,1,0,1,0,1.00,2.00,50.00,25.00,0.125,0",
-        "-G-O,0,1,0,1,1.00,2.00,50.00,25.00,0.125,0"]
+        "M-L-,1,0,1,0,1.00,2.00,50.00,25.00,0",
+        "-G-O,0,1,0,1,1.00,2.00,50.00,25.00,0"]
 
 
 class FakePool:
@@ -474,8 +510,8 @@ def test_map_units_sends_each_worker_its_units_as_one_chunk(world):
 
 def test_run_ablation_single_row(world):
     tcfg = TrainConfig(t_max=6, lr=3e-3, iterations=1, batch_size=1, seed=0)
-    rows, _ = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                           grid=("----",), min_timing_steps=3, jobs=1)
+    rows, _, _ = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
+                              grid=("----",), min_timing_steps=3, jobs=1)
     assert len(rows) == 1
     assert rows[0].label == "----"
 
@@ -484,10 +520,12 @@ def test_run_ablation_divergence_marks_row(world):
     tcfg = TrainConfig(t_max=6, lr=1e200, iterations=3, batch_size=1, seed=0)
     with pytest.warns(UserWarning, match="diverged"), \
             np.errstate(over="ignore", invalid="ignore"):
-        rows, _ = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
-                               grid=("M---", "----"), min_timing_steps=3, jobs=1)
+        rows, _, step_ms = run_ablation(world, world, tcfg, MCFG, seeds=(0,),
+                                        grid=("M---", "----"),
+                                        min_timing_steps=3, jobs=1)
     assert [r.failed for r in rows] == [True, True]
     assert math.isnan(rows[0].sr)
+    assert step_ms == {"M---": None, "----": None}
 
 
 def test_run_ablation_guards(world):

@@ -1,5 +1,6 @@
 """Command-line surface: files, exit codes, determinism."""
 
+import contextlib
 import json
 import re
 import shutil
@@ -207,18 +208,19 @@ def test_train_numeric_failure_leaves_config_beside_abort(data_dir, tmp_path,
 def test_eval_accepts_an_abort_checkpoint(data_dir, tmp_path):
     """abort.ckpt carries the same header as params.ckpt, so eval builds
     the model a diverging run stopped at (here MG--) and loads it.  Its
-    weights are huge, so what the run scores is the numerics' business:
-    it is never a usage or data error."""
+    finite but huge weights overflow the scores, so eval exits 4 at that
+    step and writes no NaN into any file."""
     out = tmp_path / "o"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["train", "--data", str(data_dir), "--out", str(out),
                      "--lr", "1e100", "--flags", "MED,GE"]) == 4
         ev = tmp_path / "e"
         assert main(["eval", "--data", str(data_dir), "--out", str(ev),
-                     "--ckpt", str(out / "abort.ckpt")]) in (0, 4)
+                     "--ckpt", str(out / "abort.ckpt")]) == 4
     cfg = json.loads((ev / "config.json").read_text())
     train_cfg = json.loads((out / "config.json").read_text())
     assert cfg["ckpt_config_hash"] == train_cfg["config_hash"]
+    assert not any(b"NaN" in p.read_bytes() for p in ev.rglob("*") if p.is_file())
 
 
 def test_config_file_merge_and_override(data_dir, tmp_path):
@@ -806,7 +808,7 @@ def test_ablate_subset_grid(data_dir, tmp_path):
                  "--iters", "1", "--seeds", "1", "--batch", "1",
                  "--timing-steps", "3", "--grid=M---,MGLO"]) == 0
     lines = (out / "ablation.csv").read_text().strip().split("\n")
-    assert lines[1] == "variant,MED,GE,LD,OD,TL,NE,SR,SPL,time_ms,failed"
+    assert lines[1] == "variant,MED,GE,LD,OD,TL,NE,SR,SPL,failed"
     assert lines[2].startswith("M---,1,0,0,0,")
     assert lines[3].startswith("MGLO,1,1,1,1,")
     sidecar = json.loads((out / "ablation_seeds.json").read_text())
@@ -831,25 +833,49 @@ def test_ablate_loads_the_seen_world_once(data_dir, tmp_path, monkeypatch):
     assert train_data[0][0].graph is loads[0][1]
 
 
+def ablate_run(data_dir, out, jobs, *extra):
+    """A two-cell `ablate` into ``out``; its files' bytes by relative path,
+    its timing.json apart."""
+    assert main(["ablate", "--data", str(data_dir), "--out", str(out),
+                 "--iters", "1", "--seeds", "2", "--batch", "1",
+                 "--timing-steps", "3", "--grid=----,MGLO", "--jobs", jobs,
+                 *extra]) == 0
+    files = tree_hashes(out)
+    assert set(files) == {"ablation.csv", "ablation_seeds.json", "config.json",
+                          "timing.json"}
+    return {name: data for name, data in files.items() if name != "timing.json"}
+
+
 def test_ablate_jobs_invariant(data_dir, tmp_path):
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"j{jobs}"
-        assert main(["ablate", "--data", str(data_dir), "--out", str(out),
-                     "--iters", "1", "--seeds", "2", "--batch", "1",
-                     "--timing-steps", "3", "--grid=----,MGLO",
-                     "--jobs", jobs]) == 0
-        outs.append(out)
-    assert ((outs[0] / "ablation_seeds.json").read_bytes()
-            == (outs[1] / "ablation_seeds.json").read_bytes())
+    assert (ablate_run(data_dir, tmp_path / "j1", "1")
+            == ablate_run(data_dir, tmp_path / "j2", "2"))
 
-    def without_time(out):
-        lines = (out / "ablation.csv").read_text().splitlines()
-        col = lines[1].split(",").index("time_ms")
-        return [line.split(",")[:col] + line.split(",")[col + 1:]
-                for line in lines]
 
-    assert without_time(outs[0]) == without_time(outs[1])
+def test_ablate_rerun_identical(data_dir, tmp_path):
+    assert (ablate_run(data_dir, tmp_path / "a", "1")
+            == ablate_run(data_dir, tmp_path / "b", "1"))
+
+
+@pytest.mark.parametrize("lr", ["3e-3", "1e200"], ids=["trained", "diverged"])
+def test_ablate_timing_sidecar(data_dir, tmp_path, lr):
+    """timing.json maps each grid label to its ms per greedy step, a finite
+    positive float, or null for a failed cell, under the run's hash."""
+    out = tmp_path / "a"
+    failed = lr == "1e200"
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(UserWarning, match="diverged") if failed \
+            else contextlib.nullcontext():
+        ablate_run(data_dir, out, "1", "--lr", lr)
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["config_hash"] == json.loads(
+        (out / "config.json").read_text())["config_hash"]
+    assert list(timing) == ["config_hash", "step_ms"]
+    assert list(timing["step_ms"]) == ["----", "MGLO"]
+    for ms in timing["step_ms"].values():
+        if failed:
+            assert ms is None
+        else:
+            assert isinstance(ms, float) and 0.0 < ms < float("inf")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from test_nn import same_bits
 
 from oikg import model, nn, training
 from oikg import synthenv as se
-from oikg.errors import InvalidArgument, InvalidState, ShapeError
+from oikg.errors import InvalidArgument, InvalidState, NumericFailure, ShapeError
 from oikg.geometry import relative_pose, trig_embed
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph, graph_from_dict
 
@@ -930,15 +930,18 @@ def test_candidate_order_equivariance(setup):
 
 def test_select_action_rules():
     with pytest.raises(InvalidState):
-        model.select_action(np.array([]), [])
-    assert model.select_action(np.array([0.5]), []) == STOP
-    assert model.select_action(np.array([0.1, 3.0, 0.2]), [4, 7]) == 7
+        model.select_action(np.array([]), [], 0)
+    assert model.select_action(np.array([0.5]), [], 0) == STOP
+    assert model.select_action(np.array([0.1, 3.0, 0.2]), [4, 7], 0) == 7
     # exact tie between nodes 3 and 5: lowest id wins
-    assert model.select_action(np.array([1.0, 1.0, 0.0]), [3, 5]) == 3
+    assert model.select_action(np.array([1.0, 1.0, 0.0]), [3, 5], 0) == 3
     # node ties with STOP: STOP loses
-    assert model.select_action(np.array([2.0, 2.0]), [9]) == 9
+    assert model.select_action(np.array([2.0, 2.0]), [9], 0) == 9
     with pytest.raises(ShapeError):
-        model.select_action(np.array([1.0, 2.0]), [1, 2, 3])
+        model.select_action(np.array([1.0, 2.0]), [1, 2, 3], 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericFailure, match="at node 6"):
+            model.select_action(np.array([0.1, bad, 0.2]), [4, 7], 6)
 
 
 def test_select_action_affine_invariance():
@@ -949,8 +952,8 @@ def test_select_action_affine_invariance():
         order = sorted(rng.choice(100, size=n, replace=False).tolist())
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.normal())
-        assert model.select_action(scores, order) == \
-            model.select_action(a * scores + b, order)
+        assert model.select_action(scores, order, 0) == \
+            model.select_action(a * scores + b, order, 0)
 
 
 # ---------------------------------------------------------------- pipeline

@@ -729,6 +729,28 @@ def test_train_non_finite_gradient_fails_at_its_step(world, monkeypatch):
         np.testing.assert_array_equal(arr, want[name])
 
 
+def test_train_non_finite_evaluation_fails_after_its_step(world):
+    """A step to finite parameters whose scores overflow fails in the
+    eval_every evaluation that follows it, named by its iteration; the
+    store then holds that iteration's post-step values."""
+    ep = make_episode(world.graph, seed=2)
+    stepped = build_params(MCFG, seed=0)
+    p = build_params(MCFG, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        train([(world, ep)], stepped, TrainConfig(t_max=6, lr=1e100, iterations=1,
+                                                  batch_size=1, seed=1), MCFG)
+        with pytest.raises(NumericFailure, match="iteration 1 evaluation: "
+                                                 "non-finite action scores"):
+            train([(world, ep)], p, TrainConfig(t_max=6, lr=1e100, iterations=2,
+                                                batch_size=1, seed=1,
+                                                eval_every=1), MCFG)
+    left, want = state_dict(p), state_dict(stepped)
+    assert left.keys() == want.keys()
+    for name, arr in left.items():
+        assert np.all(np.isfinite(arr))
+        np.testing.assert_array_equal(arr, want[name])
+
+
 def test_train_checks_every_route_before_compute(world, params, monkeypatch):
     """A route longer than t_max fails before any step, even in an episode
     the batches would never draw."""
