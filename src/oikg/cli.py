@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import nn
@@ -24,9 +25,7 @@ from .analysis import (FLAG_NAMES, GRID_LABELS, check_grid, detail_probe,
 from .artifacts import (canonical_json, check_record, has_type,
                         load_checkpoint, read_json, save_checkpoint, write_json,
                         write_text)
-from .errors import (GenerationFailure, IncompatibleCheckpoint,
-                     InvalidArgument, InvalidState, NumericFailure, OikgError,
-                     SchemaError, ShapeError)
+from .errors import InvalidArgument, NumericFailure, OikgError, SchemaError, ShapeError
 from .metrics import EpisodeResult, aggregate, evaluate, write_results_csv
 from .model import TINY_CONFIG, ModelConfig, build_params
 from .navgraph import check_route, load_environment, save_environment
@@ -87,8 +86,7 @@ COMMAND_HELP = {
 }
 
 SETTING_HELP = {
-    "feature_dim": "observation feature size; must match the model's visual "
-                   "dim (tiny: 10, full: 32)",
+    "feature_dim": "observation feature size, the model's visual width",
     "val_episodes": "per-split validation episode count (0: episodes/5)",
     "lam": "teacher-forcing weight in the mixed loss",
     "t_max": "step cap per episode (0: 15, or 30 for detour data)",
@@ -135,25 +133,25 @@ def _flags_label(spec: str) -> str:
                    for c, n in zip("MGLO", FLAG_NAMES))
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return variant_config(MODEL_PRESETS[cfg["model"]],
-                          _flags_label(cfg["flags"]))
+def _preset(name: str, gen_cfg: dict) -> ModelConfig:
+    """The named width preset, reading panoramas as wide as the data's."""
+    return replace(MODEL_PRESETS[name], vis_dim=gen_cfg["feature_dim"])
 
 
-def _train_config(cfg: dict, t_max: int, iterations: int) -> TrainConfig:
-    """TrainConfig from a command's settings.  Only `train` sets seed and
-    eval_every; the other commands keep their defaults."""
+def _model_config(record: dict, gen_cfg: dict) -> ModelConfig:
+    """The preset and flags that `train`'s settings or `eval`'s header name."""
+    return variant_config(_preset(record["model"], gen_cfg), _flags_label(record["flags"]))
+
+
+def _train_config(cfg: dict, gen_cfg: dict, iterations: int) -> TrainConfig:
+    """TrainConfig from a command's settings (--t-max 0: 15, or 30 on detour
+    data).  Only `train` sets seed and eval_every; the others keep defaults."""
+    if cfg["t_max"] < 0:
+        raise InvalidArgument("--t-max must be >= 0 (0: the default)")
+    t_max = cfg["t_max"] or (30 if gen_cfg["mode"] == "detour" else 15)
     extra = {k: cfg[k] for k in ("seed", "eval_every") if k in cfg}
     return TrainConfig(lam=cfg["lam"], t_max=t_max, lr=cfg["lr"],
                        iterations=iterations, batch_size=cfg["batch"], **extra)
-
-
-def _guard_feature_dim(gen_cfg: dict, mcfg: ModelConfig) -> None:
-    if gen_cfg["feature_dim"] != mcfg.vis_dim:
-        raise SchemaError(
-            f"environment feature dim {gen_cfg['feature_dim']} does not match "
-            f"model visual dim {mcfg.vis_dim}; regenerate with --feature-dim "
-            f"{mcfg.vis_dim} or use a model whose visual dim matches")
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -206,14 +204,6 @@ def _load_episodes(data_dir, split: str, graph) -> list:
     return episodes
 
 
-def _default_t_max(cfg: dict, gen_cfg: dict) -> int:
-    if cfg["t_max"] < 0:
-        raise InvalidArgument("--t-max must be >= 0 (0: the default)")
-    if cfg["t_max"] > 0:
-        return cfg["t_max"]
-    return 30 if gen_cfg["mode"] == "detour" else 15
-
-
 # ------------------------------------------------------------------- gen
 
 
@@ -255,9 +245,8 @@ def cmd_gen(cfg: dict) -> None:
 
 def cmd_train(cfg: dict) -> None:
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
-    mcfg = _model_config(cfg)
-    _guard_feature_dim(gen_cfg, mcfg)
-    tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
+    mcfg = _model_config(cfg, gen_cfg)
+    tcfg = _train_config(cfg, gen_cfg, cfg["iters"])
     data = [(env, ep) for ep in episodes]
     check_routes(data, tcfg.t_max)
     params = build_params(mcfg, cfg["seed"])
@@ -314,12 +303,11 @@ def cmd_eval(cfg: dict) -> None:
             raise InvalidArgument("--ckpt is required for the model agent")
         header, state = load_checkpoint(cfg["ckpt"], CKPT_KEYS)
         try:
-            mcfg = _model_config(header)
+            mcfg = _model_config(header, gen_cfg)
         except (KeyError, InvalidArgument) as exc:   # an unknown preset, bad flags
             raise SchemaError(f"{cfg['ckpt']}: header model or flags: {exc}") from exc
         params = build_params(mcfg, 0)
-        params.load_state(state)
-        _guard_feature_dim(gen_cfg, mcfg)
+        params.load_state(state)   # a checkpoint of another data width fails here
         cfg = dict(cfg, ckpt_config_hash=header["config_hash"])
     out = _resolve_out(cfg["out"])
     h = archive_config(out, "eval", cfg)
@@ -345,13 +333,12 @@ def cmd_eval(cfg: dict) -> None:
 def cmd_ablate(cfg: dict) -> None:
     env, train_eps, gen_cfg = _load_split(cfg["data"], "train")
     eval_eps = _load_episodes(cfg["data"], "val_seen", env.graph)   # the same world
-    base = MODEL_PRESETS[cfg["model"]]
-    _guard_feature_dim(gen_cfg, base)
+    base = _preset(cfg["model"], gen_cfg)
     grid = check_grid(base, GRID_LABELS if cfg["grid"] == "all"
                       else cfg["grid"].split(","))
     if min(cfg["seeds"], cfg["timing_steps"], cfg["jobs"]) < 1:
         raise InvalidArgument("--seeds, --timing-steps and --jobs must be >= 1")
-    tcfg = _train_config(cfg, _default_t_max(cfg, gen_cfg), cfg["iters"])
+    tcfg = _train_config(cfg, gen_cfg, cfg["iters"])
     train_data = [(env, ep) for ep in train_eps]
     check_routes(train_data, tcfg.t_max)
     out = _resolve_out(cfg["out"])
@@ -371,15 +358,13 @@ def cmd_ablate(cfg: dict) -> None:
 
 def cmd_probe(cfg: dict) -> None:
     env, episodes, gen_cfg = _load_split(cfg["data"], "train")
-    base = MODEL_PRESETS[cfg["model"]]
-    _guard_feature_dim(gen_cfg, base)
+    base = _preset(cfg["model"], gen_cfg)
     data = [(env, ep) for ep in episodes[:cfg["probe_episodes"]]]
     seeds = tuple(range(cfg["seeds"]))
-    t_max = _default_t_max(cfg, gen_cfg)
-    tcfg = _train_config(cfg, t_max, cfg["train_iters"])  # checks --lambda too
+    tcfg = _train_config(cfg, gen_cfg, cfg["train_iters"])  # checks --lambda too
     if cfg["probe_episodes"] < 1:
         raise InvalidArgument("--probe-episodes must select at least one episode")
-    check_routes(data, t_max)
+    check_routes(data, tcfg.t_max)
     need = 2 if cfg["which"] in ("grad", "all") else 1  # the grad probe pairs seeds
     if len(seeds) < need:
         raise InvalidArgument(f"--which {cfg['which']} needs --seeds >= {need}")
@@ -387,8 +372,8 @@ def cmd_probe(cfg: dict) -> None:
     h = archive_config(out, "probe", cfg)
     probes = {}
     if cfg["which"] in ("grad", "all"):
-        probes["grad"] = grad_probe(data, seeds, base, lam=cfg["lam"],
-                                    t_max=t_max)
+        probes["grad"] = grad_probe(data, seeds, base, lam=tcfg.lam,
+                                    t_max=tcfg.t_max)
     if cfg["which"] in ("detail", "all"):
         probes["detail"] = detail_probe(data, seeds, base, tcfg)
     for name, probe in probes.items():
@@ -480,8 +465,7 @@ def main(argv=None) -> int:
     except (InvalidArgument, ShapeError) as err:
         print(f"oikg: usage error: {err}", file=sys.stderr)
         return 2
-    except (SchemaError, IncompatibleCheckpoint, GenerationFailure,
-            InvalidState, OikgError, OSError) as err:
+    except (OikgError, OSError) as err:
         print(f"oikg: data error: {err}", file=sys.stderr)
         return 3
 

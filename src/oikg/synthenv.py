@@ -239,21 +239,14 @@ _MAX_ENV_ATTEMPTS = 50
 
 
 def _connected(n: int, adjacency: dict[int, list[int]]) -> bool:
-    # union-find over the undirected connection set
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, nbrs in adjacency.items():
-        for v in nbrs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(i) for i in range(n)}) == 1
+    """Whether a search from node 0 over the undirected lists reaches all n."""
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
 
 
 def generate_environment(p: EnvParams) -> NavGraph:

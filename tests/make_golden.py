@@ -39,6 +39,8 @@ RUNS = (
     ("train_od", ["train", "@gen", "--iters", "2", "--flags", "OD"]),
     ("train_full", ["train", "@gen_detour", "--iters", "2", "--model", "full",
                     "--batch", "1"]),
+    ("train_full_narrow", ["train", "@gen", "--iters", "1", "--model", "full",
+                           "--batch", "1"]),
     ("eval_model", ["eval", "@gen", "--ckpt", "@train_eval_every/params.ckpt",
                     "--jobs", "{jobs}"]),
     ("eval_oracle", ["eval", "@gen", "--agent", "oracle", "--jobs", "{jobs}"]),

@@ -667,7 +667,7 @@ def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path, capsys):
             ("full", tiny, {"model": "full", "flags": "MED,GE,LD,OD"}, "mismatch"),
             # blocks and header agree, but not with the data's feature dim
             ("full_model", full, {"model": "full", "flags": "MED,GE,LD,OD"},
-             "does not match model visual dim 32"),
+             "shape mismatch for 'obs.vis.w'"),
             ("huge", tiny, {"model": "huge", "flags": "MED,GE,LD,OD"}, "'huge'"),
             ("label", tiny, {"model": "tiny", "flags": "MG--"}, "unknown flags")):
         out = tmp_path / name
@@ -676,6 +676,45 @@ def test_eval_incompatible_checkpoint(data_dir, ckpt_dir, tmp_path, capsys):
                      "--ckpt", str(bad)]) == 3
         assert err in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def wide_data(tmp_path_factory):
+    """The GEN_ARGS worlds with 32-wide panoramas in place of 10."""
+    d = tmp_path_factory.mktemp("data") / "wide"
+    assert main(["gen", "--out", str(d), "--feature-dim", "32"] + GEN_ARGS) == 0
+    return d
+
+
+@pytest.mark.parametrize("flags, block, shape", [
+    ("MED,GE,LD,OD", "obs.vis.w", (10, 32)),
+    ("GE,LD,OD", "obs.coupled.w", (4 + 10, 32)),
+], ids=["decoupled", "coupled"])
+def test_full_model_reads_the_data_width(data_dir, wide_data, tmp_path, capsys,
+                                         flags, block, shape):
+    """The full preset trains on 10-wide data, its visual block as wide as
+    the panoramas; its checkpoint on 32-wide data is a data error naming
+    that block, raised before --out exists."""
+    run = tmp_path / "t"
+    assert main(["train", "--data", str(data_dir), "--out", str(run),
+                 "--model", "full", "--flags", flags, "--iters", "1"]) == 0
+    _, state = artifacts.load_checkpoint(run / "params.ckpt", cli.CKPT_KEYS)
+    assert state[block].shape == shape
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(wide_data), "--out", str(out),
+                 "--ckpt", str(run / "params.ckpt")]) == 3
+    assert f"shape mismatch for '{block}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_and_probe_full_model_on_narrow_data(data_dir, tmp_path):
+    """ablate and probe build the full preset at the data's 10-wide panoramas."""
+    assert main(["ablate", "--data", str(data_dir), "--out", str(tmp_path / "a"),
+                 "--model", "full", "--grid=MGLO", "--seeds", "1", "--iters", "1",
+                 "--timing-steps", "1"]) == 0
+    assert main(["probe", "--data", str(data_dir), "--out", str(tmp_path / "p"),
+                 "--model", "full", "--which", "grad", "--seeds", "2",
+                 "--probe-episodes", "1"]) == 0
 
 
 def test_eval_hash_names_its_checkpoint(data_dir, ckpt_dir, tmp_path):
