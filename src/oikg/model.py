@@ -318,10 +318,9 @@ def extract_key_detail(f_i: nn.Tensor, tokens, params: nn.ParamStore,
     ``f_i`` holds one row per id of ``tokens``.  The location cue pools the
     rows of the room tokens, the object cue those of the object tokens
     (``synthenv.TOKEN_CLASSES``); a cue no token carries zeroes its pooled
-    block.  A disabled flag leaves the cue only its projection bias,
-    ``0.0 + b``, the value a zero block times its weight plus the bias
-    gave, matching the ablation contract; that weight is not declared, so
-    it is not read.
+    block.  A disabled flag leaves the cue only its projection bias, the
+    value a zero block times its weight plus the bias gave, matching the
+    ablation contract; that weight is not declared, so it is not read.
 
     Returns f_k's read-only (d,) array and the (1, d) row, one tape node
     bitwise equal to the chain it fuses (``oracle_extract_key_detail`` in
@@ -353,9 +352,9 @@ def extract_key_detail(f_i: nn.Tensor, tokens, params: nn.ParamStore,
 
     def backward(g):
         g_k = nn._affine_backward(k_row, wv, None, g, True)
-        for sel, g_x in zip(sels, chain_backward(nn._grad_copy(g_k.reshape(f_k.shape)))):
+        for sel, g_x in zip(sels, chain_backward(g_k.reshape(f_k.shape))):
             if g_x is not None:
-                f_i.accumulate_grad(sel.T @ nn._grad_copy(g_x.reshape(1, d)))
+                f_i.accumulate_grad(sel.T @ g_x.reshape(1, d))
 
     row = nn.tape_node(nn._affine(k_row, wv, None), parents + (wv,), backward)
     f_k.flags.writeable = False
@@ -376,19 +375,20 @@ def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
 def add_row(f_c: nn.Tensor, row: nn.Tensor) -> nn.Tensor:
     """Every candidate row plus the (1, d) alignment row: one tape node,
     bitwise equal to ``add(f_c, matmul(ones((N_c, 1)), row))``.  With one
-    key the attention weights are exactly 1.0, so each row gains the same
-    row; the backward sums the rows' gradients as ``ones.T @ g``."""
+    key the attention weights are exactly 1.0, so the forward broadcasts
+    the row onto each candidate; the backward sums the rows' gradients as
+    that product's gradient, ``ones.T @ g``, which ``g.sum(axis=0)`` does
+    not equal bitwise."""
     if row.shape != (1, f_c.shape[1]):
         raise ShapeError(f"alignment row {row.shape} != (1, {f_c.shape[1]})")
-    ones = np.ones((f_c.shape[0], 1))   # the single key's attention weights
 
     def backward(g):
         if f_c.requires_grad:
             f_c.accumulate_grad(g)
-        if row.requires_grad:
-            row.accumulate_grad(ones.T @ nn._grad_copy(g))
+        if row.requires_grad:   # the single key's attention weights, all ones
+            row.accumulate_grad(np.ones((g.shape[0], 1)).T @ g)
 
-    return nn.tape_node(f_c.data + ones @ row.data, (f_c, row), backward)
+    return nn.tape_node(f_c.data + row.data, (f_c, row), backward)
 
 
 def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,

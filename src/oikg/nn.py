@@ -54,8 +54,13 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g, of exactly the data's shape, into ``grad``; any other
+        shape raises ``ShapeError`` instead of broadcasting."""
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.data.shape}")
         if self.grad is None:
-            # the values and layout of zeros_like(data) += g, in one allocation
+            # the values and layout of zeros_like(data) += g, in one
+            # allocation: -0.0 becomes +0.0, as accumulate_rows's reduce gives
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
@@ -167,9 +172,10 @@ def _check_linear(x_shape: tuple, w: Tensor, b: Tensor | None) -> None:
 def _affine(x: np.ndarray, w: Tensor | None, b: Tensor | None) -> np.ndarray:
     """x @ w + b, checked, for 1-D or 2-D x: the forward of every fused
     linear map.  Without b there is no bias; without w there is no input,
-    and the block is the bias alone, ``0.0 + b``."""
+    and the block is b's own array, which the caller must copy before the
+    tape keeps it (``_joined_chain`` concatenates it)."""
     if w is None:
-        return 0.0 + b.data
+        return b.data
     _check_linear(x.shape, w, b)
     out = x @ w.data
     return out if b is None else out + b.data
@@ -200,12 +206,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return tape_node(_affine(x.data, w, b), (x, w) if b is None else (x, w, b), backward)
 
 
-def _grad_copy(g: np.ndarray) -> np.ndarray:
-    """The gradient an inner node of a fused op's node-per-op composition
-    would hold: the values and C layout of ``zeros_like(data); grad += g``."""
-    return np.add(g, 0.0, order="C")
-
-
 def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
     """The one implementation of an MLP: linear layers with ReLU between
     them, the last layer linear.  Returns the output and ``backward(g)``,
@@ -232,7 +232,7 @@ def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
         for i in reversed(range(len(layers))):
             g = _affine_backward(ins[i], *layers[i], g, True)
             if i:
-                g = _grad_copy(g * (ins[i] > 0.0))   # through the ReLU below
+                g = g * (ins[i] > 0.0)   # through the ReLU below
         return g
 
     return h, backward
@@ -257,8 +257,8 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     out, chain_backward = _mlp_chain(np.concatenate(embedded, axis=-1), layers)
 
     def backward(g):
-        g_c = _grad_copy(chain_backward(g))
-        return [_affine_backward(x, w, b, _grad_copy(g_c[..., lo:hi]), x_live)
+        g_c = chain_backward(g)
+        return [_affine_backward(x, w, b, g_c[..., lo:hi], x_live)
                 for (x, x_live, w, b), lo, hi in zip(branches, offsets[:-1], offsets[1:])]
 
     weights = tuple(t for *_, w, b in branches for t in (w, b) if t is not None)
@@ -274,8 +274,9 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
 
     Bitwise equal to the 17-node composition of projections, reshapes,
     transposes, matmuls, scale and softmax (``oracle_attention`` in the
-    tests): it makes the composition's numpy calls on the same memory
-    layouts, and its backward replays the composition's arrays in its order.
+    tests): the forward makes the composition's numpy calls on the same
+    memory layouts, and the backward computes the composition's gradients
+    in its order.
     """
     n, dm = q.shape
     m = k_proj.shape[0]
@@ -300,12 +301,12 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
         g_merged = g @ wo.data.T
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g)
-        g_mixed = _grad_copy(g_merged.reshape(n, heads, dh).transpose(1, 0, 2))
-        g_p = _grad_copy(g_mixed @ vh.transpose(0, 2, 1))
+        g_mixed = g_merged.reshape(n, heads, dh).transpose(1, 0, 2)
+        g_p = g_mixed @ vh.transpose(0, 2, 1)
         dot = (g_p * p).sum(axis=-1, keepdims=True)
-        g_scores = _grad_copy(_grad_copy((g_p - dot) * p) * s)
+        g_scores = (g_p - dot) * p * s
         g_qh = g_scores @ kt.transpose(0, 2, 1)
-        g_q = _grad_copy(g_qh.transpose(1, 0, 2)).reshape(n, dm)
+        g_q = g_qh.transpose(1, 0, 2).reshape(n, dm)
         if q.requires_grad:
             q.accumulate_grad(g_q @ wq.data.T)
         if wq.requires_grad:
@@ -348,8 +349,8 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
     the MLP and the second add (or the final reshape).  Its backward runs
     the composition's steps in the tape's order: the second add, the MLP,
     the first add, the attention core.  So h receives the first add's term,
-    then the query's.  h1's gradient is the second add's term (none in a
-    scoring head) plus the MLP's, one expression for both.  Every step
+    then the query's.  h1's gradient is the second add's term plus the
+    MLP's, or in a scoring head the MLP's alone.  Every step
     runs, since wq, wo and the MLP weights are parameters; only the adds
     into an input or weight wait on its ``requires_grad``.  K and V keep
     their own nodes because a decoder stack feeds one k=v tensor to every
@@ -371,11 +372,11 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
         out = h1 + m
 
     def backward(g):
-        g_in = mlp_backward(_grad_copy(g.reshape(m.shape) if score else g))
-        g_h1 = (0.0 if score else _grad_copy(g)) + g_in   # second add's term + MLP's
+        g_in = mlp_backward(g.reshape(m.shape) if score else g)
+        g_h1 = g_in if score else g + g_in   # second add's term + MLP's
         if h.requires_grad:
             h.accumulate_grad(g_h1)
-        core_backward(_grad_copy(g_h1))
+        core_backward(g_h1)
 
     parents = (h, k_proj, v_proj, wq, wo) + tuple(t for layer in layers for t in layer)
     return tape_node(out, parents, backward)
@@ -400,8 +401,6 @@ def mean(terms: Sequence[Tensor]) -> Tensor:
 
     def backward(g):
         g = g * s
-        if len(terms) > 1:
-            g = _grad_copy(g)   # as the chain's sum node holds it
         for t in terms:
             if t.requires_grad:
                 t.accumulate_grad(g)

@@ -7,7 +7,9 @@ gradients by finite differences.
   (``unbroadcast``), where ``nn.add`` takes equal shapes only.
 - ``matmul``, ``reshape``, ``relu``, ``softmax``, ``transpose`` and
   ``concat`` are the parts of the node-per-op compositions that the
-  library's fused nodes replace.  The fused ops must match them bitwise,
+  library's fused nodes replace.  Each of their inner nodes holds its
+  gradient in its own ``accumulate_grad`` copy, where a fused op hands
+  numpy's result on as it is.  The fused ops must match them bitwise,
   values and every gradient:
   - ``oracle_mlp`` and ``oracle_attention``, what the MLP chain and the
     attention core compute; ``mlp`` (one node) and ``attention`` (three)

@@ -237,6 +237,45 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(w.grad, [7.0], atol=1e-12)
 
 
+def test_accumulate_grad_rejects_wrong_shape():
+    """A gradient of any other shape than the tensor's raises instead of
+    broadcasting, on the first write and on a later one, and leaves grad as
+    it was."""
+    t = nn.Tensor(np.zeros((3, 4)), requires_grad=True)
+    for bad in (np.ones(4), np.array(1.0), np.ones((4, 3)), np.ones((1, 4))):
+        with pytest.raises(ShapeError):
+            t.accumulate_grad(bad)
+        assert t.grad is None
+    t.accumulate_grad(np.ones((3, 4)))
+    for bad in (np.ones(4), np.array(1.0)):
+        with pytest.raises(ShapeError):
+            t.accumulate_grad(bad)
+    assert same_bits(t.grad, np.ones((3, 4)))
+
+
+def test_first_accumulate_grad_is_a_positive_zero_copy():
+    """The first write is ``zeros_like(data) += g``: a new C-contiguous
+    array, not g, with -0.0 stored as +0.0, as ``accumulate_rows``'s reduce
+    from zeros stores it."""
+    g = np.full((4, 3), -0.0).T   # F-ordered
+    t = nn.Tensor(np.ones((3, 4)), requires_grad=True)
+    t.accumulate_grad(g)
+    assert t.grad.flags["C_CONTIGUOUS"]
+    assert not np.shares_memory(t.grad, g)
+    assert same_bits(t.grad, np.zeros((3, 4)))
+
+
+def test_tensor_data_is_c_contiguous():
+    """A tensor keeps a C-contiguous copy of non-contiguous data, so every
+    numpy call reads the layout the tape's nodes give; 0-d data stays 0-d."""
+    base = np.arange(24.0).reshape(4, 6)
+    for view in (base.T, base[:, ::2], base[::-1]):
+        t = nn.Tensor(view)
+        assert t.data.flags["C_CONTIGUOUS"] and np.array_equal(t.data, view)
+        assert not np.shares_memory(t.data, base)
+    assert nn.Tensor(2.5).data.shape == ()
+
+
 def test_fd_add_mul_scale_sub():
     rng = np.random.default_rng(1)
     a = rand_tensor(rng, (3, 4))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_model import record_calls
 
-from oikg import artifacts, geometry, model, nn, synthenv, training
+from oikg import analysis, artifacts, geometry, model, nn, synthenv, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
 from oikg.model import TINY_CONFIG, EpisodeCache, build_params
 from oikg.navgraph import STOP, NavNode, PathGraph, build_graph
@@ -662,6 +662,59 @@ def test_train_with_evaluations_learns_as_without(world):
     assert all(np.array_equal(state_a[k], state_b[k]) for k in state_a)
     assert not np.array_equal(state_b["graph.edge.w"],
                               build_params(MCFG, seed=0)["graph.edge.w"].data)
+
+
+@pytest.mark.parametrize("label", ["MG--", "MGL-"])
+def test_train_iteration_with_read_only_gradients(world, monkeypatch, label):
+    """No backward writes into a gradient it receives, and no forward value
+    is a parameter's own array, so the tape needs no defensive copies.
+
+    One train iteration on a detour episode runs with every node's backward
+    handed its gradient read-only; it must end as an unwrapped run ends.
+    ``_affine`` returns the bias itself for a bias-only block (``MGL-``'s
+    object cue), which ``_joined_chain`` concatenates into a new array."""
+    mcfg = analysis.variant_config(MCFG, label)
+    data = [(world, make_episode(world.graph, seed=2, mode="detour"))]
+    cfg = TrainConfig(lam=0.2, t_max=15, lr=3e-3, iterations=1, batch_size=1, seed=0)
+    want = build_params(mcfg, seed=0)
+    want_log = train(data, want, cfg, mcfg)
+
+    p = build_params(mcfg, seed=0)
+    owned = [p[name].data for name in p.names()]
+    tape_node, affine, joined_chain = nn.tape_node, nn._affine, nn._joined_chain
+    frozen, bias_blocks = [], []
+
+    def owns(a):
+        return any(np.may_share_memory(a, q) for q in owned)
+
+    def read_only_node(data, parents, backward):
+        def read_only_backward(g):
+            g.flags.writeable = False
+            frozen.append(g)
+            backward(g)
+        node = tape_node(data, parents, read_only_backward)
+        assert not owns(node.data)
+        return node
+
+    def recording_affine(x, w, b):
+        out = affine(x, w, b)
+        if owns(out):
+            bias_blocks.append(out)
+        return out
+
+    def checked_joined_chain(branches, layers):
+        out, weights, backward = joined_chain(branches, layers)
+        assert not owns(out)
+        return out, weights, backward
+
+    monkeypatch.setattr(nn, "tape_node", read_only_node)
+    monkeypatch.setattr(nn, "_affine", recording_affine)
+    monkeypatch.setattr(nn, "_joined_chain", checked_joined_chain)
+    log = train(data, p, cfg, mcfg)
+    assert frozen   # the backward ran under the wrapper
+    assert bool(bias_blocks) == (label == "MGL-")
+    assert log == want_log
+    assert all(p[name].data.tobytes() == want[name].data.tobytes() for name in p.names())
 
 
 def test_overfit_losses_bitwise_equal_benchmark_reference():
