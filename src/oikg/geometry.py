@@ -54,7 +54,8 @@ def angular_distance(a: float, b: float) -> float:
     Computed as |atan2(sin(a-b), cos(a-b))|, which equals
     min over integers k of |a - b + 2*k*pi|.
     """
-    _check_finite(a, b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        _check_finite(a, b)
     d = a - b
     return abs(math.atan2(math.sin(d), math.cos(d)))
 
@@ -107,7 +108,8 @@ def bracketing_columns(heading: float, n: int) -> list[tuple[float, int]]:
     bin.  Each distance is ``angular_distance(heading, column)``, the call a
     scan of every column would make for that column.
     """
-    _check_finite(heading)
+    if not math.isfinite(heading):
+        _check_finite(heading)
     columns = grid_columns(n)
     j = math.floor(heading / (TWO_PI / n)) % n
     near = (j, (j + 1) % n) if n > 1 else (j,)

@@ -22,6 +22,7 @@ reads exactly the parameters ``param_spec`` declares for it, and each learns.
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +135,23 @@ def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
     return nn.init_params(param_spec(cfg), seed)
 
 
-def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, list]:
-    """The (wq, wk, wv, wo) attention weights and the MLP layers of a block."""
-    attn = tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    return attn, [(params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
-                  (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])]
+# per store, each block's weights; the Tensors, so loaded or stepped values show
+_BLOCKS: "weakref.WeakKeyDictionary[nn.ParamStore, dict]" = weakref.WeakKeyDictionary()
+
+
+def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, tuple]:
+    """The (wq, wk, wv, wo) attention weights and the MLP layers of a block,
+    looked up once per store."""
+    blocks = _BLOCKS.get(params)
+    if blocks is None:
+        blocks = _BLOCKS[params] = {}
+    found = blocks.get(prefix)
+    if found is None:
+        attn = tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        found = blocks[prefix] = (attn, (
+            (params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
+            (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])))
+    return found
 
 
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
@@ -231,6 +244,45 @@ def candidate_inputs(graph: NavGraph, node: int, order, n: int,
     return table[u][cols, :7 if geo_embed else 4]
 
 
+def _candidate_rows(inputs: np.ndarray, params: nn.ParamStore,
+                    cfg: ModelConfig) -> tuple[np.ndarray, list]:
+    """The candidate rows of ``inputs`` (``candidate_inputs``), and each
+    term's (x, w, b): row i is (t_i W_edge + b_edge) + (p_i W_pe + b_pe),
+    the positional term an exact zero with geo_embed off.  Each term is a
+    stacked ``(N, 1, K) @ W``, N vector-matrix products as ``x @ W`` makes
+    them (a plain ``(N, K) @ W`` rounds differently), so a row's value does
+    not depend on which rows share its batch."""
+    terms = [(inputs[:, :4], params["graph.edge.w"], params["graph.edge.b"])]
+    if cfg.geo_embed:
+        terms.append((inputs[:, 4:], params["graph.pe.w"], params["graph.pe.b"]))
+    edge, *pos = [np.matmul(x[:, None, :], w.data)[:, 0] + b.data for x, w, b in terms]
+    return edge + (pos[0] if pos else 0.0), terms
+
+
+def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
+               cfg: ModelConfig) -> np.ndarray:
+    """The rows of the candidates ``order`` seen from ``pg.current``, read
+    from the world's row memo (``NavGraph.row_memo``) under a key of the
+    heading count, ``geo_embed`` and the exact bytes of the parameters the
+    rows read; missing rows are computed by ``_candidate_rows`` and kept."""
+    graph, n = pg.graph, cfg.view_grid.n_headings
+    names = ("graph.edge.w", "graph.edge.b") + (
+        ("graph.pe.w", "graph.pe.b") if cfg.geo_embed else ())
+    key = (n, cfg.geo_embed) + tuple(params[k].data.tobytes() for k in names)
+    table, filled = graph.row_memo(key, params["graph.edge.w"].shape[1])
+    u = graph.index[pg.current]
+    cols = np.array([graph.index[c] for c in order], dtype=np.intp)
+    rows, done = table[u], filled[u]
+    hit = done[cols]
+    if not hit.all():
+        miss = np.flatnonzero(~hit)
+        inputs = candidate_inputs(graph, pg.current, [order[i] for i in miss],
+                                  n, cfg.geo_embed)
+        rows[cols[miss]] = _candidate_rows(inputs, params, cfg)[0]
+        done[cols[miss]] = True
+    return rows.take(cols, axis=0)
+
+
 def build_candidates(pg: PathGraph, params: nn.ParamStore,
                      cfg: ModelConfig) -> tuple[nn.Tensor, list]:
     """One feature row per frontier node (sorted by id) plus the STOP row.
@@ -241,20 +293,21 @@ def build_candidates(pg: PathGraph, params: nn.ParamStore,
     With geo_embed off the positional term is an exact zero that touches
     no parameter.  The last row is the learned STOP embedding.
 
-    One tape node, bitwise a linear node per term and row: each term is a
-    stacked ``(N, 1, K) @ W``, N vector-matrix products as ``x @ W`` makes
-    them (a plain ``(N, K) @ W`` rounds differently), and the backward adds
-    each row's terms in row order (``Tensor.accumulate_rows``).
+    One tape node, bitwise a linear node per term and row
+    (``_candidate_rows``); the backward adds each row's terms in row order
+    (``Tensor.accumulate_rows``).  Under ``nn.no_tape()`` the parameters
+    stay fixed for the walk, so the rows come from the world's row memo
+    (``_memo_rows``), the very floats ``_candidate_rows`` gave; a taped
+    walk neither reads nor fills it.
     """
     order = pg.frontier()
+    stop = params["graph.stop"]
+    if not nn._TAPE_ON:
+        rows = _memo_rows(pg, order, params, cfg)
+        return nn.Tensor(np.concatenate([rows, stop.data])), order
     inputs = candidate_inputs(pg.graph, pg.current, order,
                               cfg.view_grid.n_headings, cfg.geo_embed)
-    stop = params["graph.stop"]
-    terms = [(inputs[:, :4], params["graph.edge.w"], params["graph.edge.b"])]
-    if cfg.geo_embed:
-        terms.append((inputs[:, 4:], params["graph.pe.w"], params["graph.pe.b"]))
-    edge, *pos = [np.matmul(x[:, None, :], w.data)[:, 0] + b.data for x, w, b in terms]
-    rows = edge + (pos[0] if pos else 0.0)
+    rows, terms = _candidate_rows(inputs, params, cfg)
 
     def backward(g):
         for x, w, b in terms:

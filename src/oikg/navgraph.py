@@ -48,7 +48,8 @@ class NavGraph:
 
     Besides route distances, the graph holds the lazily filled memo of its
     candidates' model inputs (``candidate_memo``): pure functions of the
-    world, kept with it.  Neither cache is pickled; a copy, such as a
+    world, kept with it; and one slot of candidate feature rows under fixed
+    parameters (``row_memo``).  No cache is pickled; a copy, such as a
     worker process's, fills its own.
     """
 
@@ -61,6 +62,7 @@ class NavGraph:
         self.index = {n: i for i, n in enumerate(nodes)}   # node id -> memo row
         self._dist_cache: dict[int, dict[int, float]] = {}
         self._candidate_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._row_memo: tuple | None = None   # (key, table, filled)
 
     def __getstate__(self) -> dict:
         return {"nodes": self.nodes, "adjacency": self.adjacency, "poses": self.poses}
@@ -101,6 +103,21 @@ class NavGraph:
             memo = self._candidate_memo[n] = (np.empty((v, v, 7)),
                                               np.zeros((v, v), dtype=np.int8))
         return memo
+
+    def row_memo(self, key: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The memo of candidate feature rows under ``key``, which names
+        everything the rows read besides the world (``model._memo_rows``).
+
+        Returns ``(table, filled)``: a ``(V, V, width)`` float table,
+        uninitialised until filled, and a ``(V, V)`` bool, both indexed as
+        ``candidate_memo``'s.  One slot: a new key drops the old table.
+        """
+        memo = self._row_memo
+        if memo is None or memo[0] != key:
+            v = len(self.nodes)
+            memo = self._row_memo = (key, np.empty((v, v, width)),
+                                     np.zeros((v, v), dtype=bool))
+        return memo[1], memo[2]
 
     # ------------------------------------------------------------- routing
 
@@ -255,7 +272,7 @@ class PathGraph:
         if chosen == STOP:
             self.terminal = True
             return []
-        if chosen not in self.frontier():
+        if chosen not in self._frontier:
             raise IllegalAction(f"node {chosen} is not on the frontier")
         if self.graph.has_edge(self.current, chosen):
             segment = [chosen]

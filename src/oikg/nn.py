@@ -8,6 +8,7 @@ outputs are untracked values, bitwise the same as with the tape on.
 """
 
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -26,9 +27,12 @@ _TAPE_ON = True
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # optimizer_step's moments
 _EPOCHS = itertools.count(1)  # one stamp per backward pass marks visited nodes
+_F64 = np.dtype(np.float64)   # the dtype of every native float64 array
 
 
 def _as_f64(data) -> np.ndarray:
+    if type(data) is np.ndarray and data.dtype is _F64 and data.flags.c_contiguous:
+        return data   # what np.asarray returns for it, without the call
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)  # keep 0-d scalars 0-d
@@ -59,21 +63,23 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != tensor shape {self.data.shape}")
         if self.grad is None:
-            # the values and layout of zeros_like(data) += g, in one
-            # allocation: -0.0 becomes +0.0, as accumulate_rows's reduce gives
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
     def accumulate_rows(self, terms: np.ndarray) -> None:
         """``accumulate_grad`` of terms[0], terms[1], ... in order, bitwise:
-        one reduce over axis 0 from the gradient so far (or zeros).  numpy
-        sums one-element slices pairwise instead, so those raise."""
+        one reduce over axis 0 from the gradient so far, or from -0.0, the
+        exact additive identity.  numpy sums one-element slices pairwise
+        instead, so those raise."""
         if self.data.size == 1:
             raise ShapeError("an ordered reduce needs rows wider than one element")
-        if len(terms):
-            base = np.zeros_like(self.data) if self.grad is None else self.grad
-            self.grad = np.add.reduce(np.concatenate([base[None], terms]), axis=0)
+        if not len(terms):
+            return
+        if self.grad is None:
+            self.grad = np.add.reduce(terms, axis=0, initial=-0.0)
+        else:
+            self.grad = np.add.reduce(np.concatenate([self.grad[None], terms]), axis=0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -97,10 +103,11 @@ def tape_node(data, parents, backward) -> Tensor:
     gradient into its tracked parents, when the tape is on and any parent is
     tracked; otherwise a plain value.  Ops outside this module build their
     tape nodes through it too."""
-    tracked = _TAPE_ON and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=tracked,
-                  _parents=tuple(parents) if tracked else (),
-                  _backward=backward if tracked else None)
+    if _TAPE_ON:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, True, tuple(parents), backward)
+    return Tensor(data)
 
 
 def replay(node: Tensor) -> Tensor:
@@ -161,12 +168,13 @@ def embedding(ids: Sequence[int], table: Tensor) -> Tensor:
 def _check_linear(x_shape: tuple, w: Tensor, b: Tensor | None) -> None:
     if len(x_shape) not in (1, 2):
         raise ShapeError(f"linear input must be 1-D or 2-D, got {x_shape}")
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-D, got {w.shape}")
-    if x_shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear shape mismatch {x_shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    w_shape = w.data.shape
+    if len(w_shape) != 2:
+        raise ShapeError(f"linear weight must be 2-D, got {w_shape}")
+    if x_shape[-1] != w_shape[0]:
+        raise ShapeError(f"linear shape mismatch {x_shape} @ {w_shape}")
+    if b is not None and b.data.shape != (w_shape[1],):
+        raise ShapeError(f"bias shape {b.shape} != ({w_shape[1]},)")
 
 
 def _affine(x: np.ndarray, w: Tensor | None, b: Tensor | None) -> np.ndarray:
@@ -188,7 +196,7 @@ def _affine_backward(x: np.ndarray, w: Tensor | None, b: Tensor | None,
     then the weight term."""
     vector = g.ndim == 1
     if b is not None and b.requires_grad:
-        b.accumulate_grad(g if vector else g.sum(axis=0))
+        b.accumulate_grad(g if vector else np.add.reduce(g, axis=0))
     g_x = (w.data @ g if vector else g @ w.data.T) if x_live else None
     if w is not None and w.requires_grad:
         w.accumulate_grad(np.outer(x, g) if vector else x.T @ g)
@@ -278,23 +286,19 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     memory layouts, and the backward computes the composition's gradients
     in its order.
     """
-    n, dm = q.shape
-    m = k_proj.shape[0]
+    n, dm = q.data.shape
+    m = k_proj.data.shape[0]
     dh = dm // heads
-    s = 1.0 / np.sqrt(dh)
-
-    def split(a: np.ndarray, rows: int) -> np.ndarray:
-        # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data
-        return np.ascontiguousarray(a.reshape(rows, heads, dh).transpose(1, 0, 2))
-
-    qh = split(q.data @ wq.data, n)
-    kh = split(k_proj.data, m)
-    vh = split(v_proj.data, m)
-    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    s = 1.0 / math.sqrt(dh)
+    # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data;
+    # K goes straight to its (heads, dh, m) transpose, the same copy
+    qh = np.ascontiguousarray((q.data @ wq.data).reshape(n, heads, dh).transpose(1, 0, 2))
+    vh = np.ascontiguousarray(v_proj.data.reshape(m, heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k_proj.data.reshape(m, heads, dh).transpose(1, 2, 0))
     scores = (qh @ kt) * s
-    z = scores - scores.max(axis=-1, keepdims=True)
+    z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
     merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
 
     def backward(g):
@@ -303,7 +307,7 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
             wo.accumulate_grad(merged.T @ g)
         g_mixed = g_merged.reshape(n, heads, dh).transpose(1, 0, 2)
         g_p = g_mixed @ vh.transpose(0, 2, 1)
-        dot = (g_p * p).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g_p * p, axis=-1, keepdims=True)
         g_scores = (g_p - dot) * p * s
         g_qh = g_scores @ kt.transpose(0, 2, 1)
         g_q = g_qh.transpose(1, 0, 2).reshape(n, dm)
@@ -328,8 +332,9 @@ def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
     if dm % heads != 0:
         raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
     wq, wk, wv, wo = attn
-    if (any(w.shape != (dm, dm) for w in (wq, wk, wv))
-            or wo.data.ndim != 2 or wo.shape[0] != dm):
+    square, wo_shape = (dm, dm), wo.data.shape
+    if (wq.data.shape != square or wk.data.shape != square or wv.data.shape != square
+            or len(wo_shape) != 2 or wo_shape[0] != dm):
         raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
                          f"do not fit width {dm}")
 
@@ -358,7 +363,7 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
     query's ancestry, earlier layers included, has run; a block node would
     add them before.
     """
-    _check_attention(h.shape, kv.shape, attn, heads)
+    _check_attention(h.data.shape, kv.data.shape, attn, heads)
     wq, wk, wv, wo = attn
     k_proj, v_proj = linear(kv, wk), linear(kv, wv)
     a, core_backward = _attention_core(h, k_proj, v_proj, wq, wo, heads)
@@ -415,8 +420,8 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     m = logits.shape[0]
     if not 0 <= int(target) < m:
         raise InvalidArgument(f"target {target} out of range for {m} logits")
-    z = logits.data - logits.data.max()
-    lse = np.log(np.exp(z).sum())
+    z = logits.data - np.maximum.reduce(logits.data, axis=None)
+    lse = np.log(np.add.reduce(np.exp(z), axis=None))
     loss = lse - z[int(target)]
     p = np.exp(z - lse)
 
@@ -502,8 +507,8 @@ class ParamStore:
         total = 0.0
         for t in self.params.values():
             if t.grad is not None:
-                total += float(np.sum(t.grad * t.grad))
-        return float(np.sqrt(total))
+                total += float(np.add.reduce(t.grad * t.grad, axis=None))
+        return math.sqrt(total)
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         if set(state) != set(self.params):

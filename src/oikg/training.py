@@ -131,8 +131,8 @@ def sample_policy(rng: np.random.Generator):
     """Sample from the softmax of the model's scores (student forcing)."""
     def choose(t, step):
         scores = step.logits   # finite: select_action checked them
-        p = np.exp(scores - scores.max())
-        p /= p.sum()
+        p = np.exp(scores - np.maximum.reduce(scores, axis=None))
+        p /= np.add.reduce(p, axis=None)
         return slot_action(step.order, int(rng.choice(p.size, p=p)))
     return choose
 

@@ -6,6 +6,7 @@ the fast test loop.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from test_model import env_of, tiny_graph
@@ -14,7 +15,8 @@ from oikg import model, nn
 from oikg import synthenv as se
 from oikg.navgraph import PathGraph
 
-TRACING = Path(__file__).resolve().parents[1] / "benches" / "tracing.py"
+BENCHES = Path(__file__).resolve().parents[1] / "benches"
+TRACING = BENCHES / "tracing.py"
 
 
 def load_tracing():
@@ -22,6 +24,12 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def files_under(root: Path) -> dict:
+    """Every file below root, with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
 
 
 def test_every_traced_layer_resolves():
@@ -46,3 +54,33 @@ def test_traced_step_exposes_scores_and_tape():
     assert feats.scores.shape == (3,)
     assert tracer.counts["model.forward_step"] == 1
     assert tracer.tape_nodes > 1  # walked back from the step's scores
+
+
+def test_traced_pass_checks_pass_on_every_workload(monkeypatch):
+    """Each benchmark workload, set up under a tracer and run through the
+    traced pass's checks at its smallest pass (2 ops), records a call in
+    every layer it must (else ``TraceError``), repeats its counts between
+    runs and fails no op.  The harness is read from ``benches/``, with that
+    directory on the import path for this test only, and nothing is written
+    there."""
+    before = files_under(BENCHES)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCHES))
+    for name in ("tracing", "bench_harness"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("bench_harness", BENCHES / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_harness", harness)
+    spec.loader.exec_module(harness)
+    try:
+        for name, (wl, build) in sorted(harness.WORKLOADS.items()):
+            setup_tracer = harness.Tracer(wl.walk)
+            inp = harness.setup(wl, build, 0, setup_tracer)
+            assert wl.ops(1e-6) == 2
+            _, passes, detail = harness.per_layer(
+                wl, inp, 1e-6, setup_tracer, harness.load_reference(name, 0))
+            assert detail["ops_per_pass"] == 2
+            assert sum(p.failed for p in passes) == 0, name
+    finally:
+        sys.modules.pop("tracing", None)
+    assert files_under(BENCHES) == before

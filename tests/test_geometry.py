@@ -56,6 +56,20 @@ def test_wrap_rejects_nonfinite():
         wrap_angle(float("inf"))
 
 
+@pytest.mark.parametrize("a, b, shown", [
+    (math.nan, 0.0, "nan"), (0.0, math.inf, "inf"), (-math.inf, math.nan, "-inf"),
+    (math.nan, math.inf, "nan")])
+def test_angular_distance_rejects_nonfinite_naming_the_first(a, b, shown):
+    """A NaN or infinite argument raises, naming the first such argument;
+    so does the heading of a column bracket."""
+    with pytest.raises(InvalidArgument) as err:
+        angular_distance(a, b)
+    assert str(err.value) == f"non-finite angle or coordinate: {shown}"
+    with pytest.raises(InvalidArgument) as err:
+        bracketing_columns(a if not math.isfinite(a) else b, 4)
+    assert str(err.value) == f"non-finite angle or coordinate: {shown}"
+
+
 def test_angular_distance_examples():
     assert angular_distance(1.3, 1.3) == 0.0
     assert angular_distance(0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)

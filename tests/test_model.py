@@ -574,6 +574,110 @@ def test_candidate_memo_is_one_table_per_heading_count():
         == 2 * 100 * 100 * (7 * 8 + 1)
 
 
+def row_memo_hits(graph, pg, cfg) -> list:
+    """Per frontier node of ``pg``, whether the world's row memo holds its
+    row for ``cfg``'s heading count and ``geo_embed`` (the parameters are
+    the same in every call of a test)."""
+    memo = graph._row_memo
+    if memo is None or memo[0][:2] != (cfg.view_grid.n_headings, cfg.geo_embed):
+        return [False] * len(pg.frontier())
+    u = graph.index[pg.current]
+    return [bool(memo[2][u, graph.index[c]]) for c in pg.frontier()]
+
+
+@pytest.mark.parametrize("geo_embed", [True, False], ids=["geo-on", "geo-off"])
+def test_memo_rows_equal_taped_and_oracle_rows(geo_embed):
+    """Untaped candidate rows, read from the world's row memo on frontiers
+    that mix memo hits and misses, equal the taped rows bit for bit and the
+    per-candidate oracle's, under two heading counts taking turns on one
+    graph (each turn a new memo key)."""
+    g = se.generate_environment(se.EnvParams(node_count=30, connection_radius=3.5,
+                                             extent=10.0, seed=7))
+    cfgs = [replace(cfg, geo_embed=geo_embed) for cfg in (TINY, FULL_GRID_TINY)]
+    params = model.build_params(cfgs[0], seed=5)
+    for cfg in cfgs + cfgs:
+        mixed = 0
+        for start, pick in itertools.product(g.node_ids()[:5], (0, -1)):
+            pg = PathGraph(g, start=start)
+            for _ in range(6):
+                hits = row_memo_hits(g, pg, cfg)
+                mixed += any(hits) and not all(hits)
+                with nn.no_tape():
+                    got, order = model.build_candidates(pg, params, cfg)
+                taped, _ = model.build_candidates(pg, params, cfg)
+                oracle, _ = oracle_build_candidates(pg, params, cfg)
+                assert not got.requires_grad and taped.requires_grad
+                assert same_bits(got.data, taped.data)
+                np.testing.assert_array_equal(got.data, oracle.data)
+                if not order:
+                    break
+                pg.advance(order[pick])
+        assert mixed > 0, cfg
+        assert g._row_memo[0][:2] == (cfg.view_grid.n_headings, geo_embed)
+
+
+def test_taped_walk_neither_reads_nor_fills_the_row_memo():
+    """A taped walk leaves the row memo empty; with a memo of NaN rows
+    under the walk's own key, it still gives the oracle's rows and every
+    gradient of a fresh graph, and writes nothing into the memo."""
+    params = model.build_params(TINY, seed=5)
+    g = tiny_graph()
+    candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
+    assert g._row_memo is None
+    with nn.no_tape():
+        for start in g.node_ids():
+            model.build_candidates(PathGraph(g, start=start), params, TINY)
+    key, table, filled = g._row_memo
+    table[...] = np.nan
+    before = filled.copy()
+    got = candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
+    want = candidate_walk(oracle_build_candidates, tiny_graph(), 0, [1, 3, 2],
+                          params, TINY)
+    assert g._row_memo[0] is key and np.isnan(table).all()
+    np.testing.assert_array_equal(filled, before)
+    for r, w in zip(got[0], want[0], strict=True):
+        np.testing.assert_array_equal(r, w)
+    for name, grad in want[1].items():
+        np.testing.assert_array_equal(got[1][name], grad, err_msg=name)
+
+
+def test_pickled_graph_carries_no_row_memo():
+    """The row memo, like the graph's other caches, stays behind when the
+    graph is pickled; the copy's rows equal the original's."""
+    params = model.build_params(TINY, seed=5)
+    g = tiny_graph()
+    with nn.no_tape():
+        rows, _ = model.build_candidates(PathGraph(g, start=0), params, TINY)
+    assert g._row_memo is not None
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy._row_memo is None
+    with nn.no_tape():
+        again, _ = model.build_candidates(PathGraph(copy, start=0), params, TINY)
+    assert same_bits(again.data, rows.data)
+
+
+def test_forward_step_after_load_state_equals_fresh_store(setup):
+    """Block weights are looked up once per store, as the store's Tensors:
+    after ``load_state`` a step reads the loaded values, equal to a step on
+    a fresh store loaded with the same state."""
+    graph, latents, tokens, params = setup
+
+    def step(store):
+        feats, _ = model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
+                                      tokens, store, TINY, model.EpisodeCache())
+        return feats.scores.data
+
+    before = step(params)
+    other = model.build_params(TINY, seed=9)
+    state = {name: other[name].data.copy() for name in other.names()}
+    params.load_state(state)
+    fresh = model.build_params(TINY, seed=0)
+    fresh.load_state(state)
+    got = step(params)
+    assert same_bits(got, step(fresh)) and same_bits(got, step(other))
+    assert not np.array_equal(got, before)
+
+
 def test_stop_slot_is_learned_embedding(setup):
     graph, _, _, params = setup
     pg = PathGraph(graph, start=0)

@@ -253,16 +253,51 @@ def test_accumulate_grad_rejects_wrong_shape():
     assert same_bits(t.grad, np.ones((3, 4)))
 
 
-def test_first_accumulate_grad_is_a_positive_zero_copy():
-    """The first write is ``zeros_like(data) += g``: a new C-contiguous
-    array, not g, with -0.0 stored as +0.0, as ``accumulate_rows``'s reduce
-    from zeros stores it."""
+def test_first_accumulate_grad_is_a_c_contiguous_copy():
+    """The first write is a plain copy of g: a new C-contiguous array, not
+    g, that keeps g's bits, -0.0 included, as ``accumulate_rows``'s reduce
+    from -0.0 keeps them."""
     g = np.full((4, 3), -0.0).T   # F-ordered
+    g[0, ::2] = [1.5, -2.25]
     t = nn.Tensor(np.ones((3, 4)), requires_grad=True)
     t.accumulate_grad(g)
     assert t.grad.flags["C_CONTIGUOUS"]
     assert not np.shares_memory(t.grad, g)
-    assert same_bits(t.grad, np.zeros((3, 4)))
+    assert same_bits(t.grad, g)
+
+
+def old_as_f64(data) -> np.ndarray:
+    """``nn._as_f64`` as it was before its fast path: every input through
+    ``np.asarray``, then a C-contiguous copy unless 0-d."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
+        arr = np.ascontiguousarray(arr)
+    return arr
+
+
+class Subclassed(np.ndarray):
+    pass
+
+
+def test_tensor_keeps_c_contiguous_float64_and_converts_the_rest_as_before():
+    """A C-contiguous float64 ndarray, 0-d included, is kept as it is, the
+    object ``np.asarray`` returns for it.  An F-ordered, strided, integer,
+    big-endian, subclass or list input converts exactly as ``np.asarray``
+    with a C-contiguous copy made it: same type, bits, layout and memory
+    sharing."""
+    base = np.arange(12.0).reshape(3, 4)
+    for kept in (base, np.array(2.5), np.zeros(0), base[1]):
+        assert nn.Tensor(kept).data is kept is old_as_f64(kept)
+    inputs = [np.asfortranarray(base), base[:, ::2], base.astype(np.int64),
+              base.astype(">f8"), base.view(Subclassed), np.float64(1.5), 3,
+              [[1.0, -0.0], [2.0, 3.0]], np.array(7, dtype=np.int32)]
+    for x in inputs:
+        got, want = nn.Tensor(x).data, old_as_f64(x)
+        assert type(got) is type(want) is np.ndarray, type(x)
+        assert got.dtype == want.dtype == np.float64 and same_bits(got, want)
+        assert got.flags["C_CONTIGUOUS"] == want.flags["C_CONTIGUOUS"]
+        if isinstance(x, np.ndarray):
+            assert np.shares_memory(got, x) == np.shares_memory(want, x), type(x)
 
 
 def test_tensor_data_is_c_contiguous():
