@@ -154,6 +154,12 @@ def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, tuple]:
     return found
 
 
+def _param_bytes(params: nn.ParamStore, names) -> tuple:
+    """The exact bytes of the named parameters: the part of a forward-only
+    memo's key that a loaded, stepped or edited value changes."""
+    return tuple(params[k].data.tobytes() for k in names)
+
+
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
                    params: nn.ParamStore) -> nn.Tensor:
     return nn.residual_block(h, kv, *_block_weights(prefix, params), HEADS)
@@ -174,6 +180,14 @@ def _grid_views(grid: ViewGrid) -> np.ndarray:
     return block
 
 
+# per store, one slot of untaped panorama rows: (key, {visual bytes: rows})
+_EMBEDDED: "weakref.WeakKeyDictionary[nn.ParamStore, tuple]" = weakref.WeakKeyDictionary()
+# the parameters the panorama rows read, decoupled or not, in reading order
+_OBS_NAMES = {True: ("obs.ang.w", "obs.ang.b", "obs.vis.w", "obs.vis.b", "obs.fuse.w1",
+                     "obs.fuse.b1", "obs.fuse.w2", "obs.fuse.b2"),
+              False: ("obs.coupled.w", "obs.coupled.b")}
+
+
 def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
                          cfg: ModelConfig) -> nn.Tensor:
     """Refined panorama rows of ``visual``, a panorama rendered on
@@ -185,20 +199,40 @@ def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
     Decoupled, the rows are one ``nn._joined_chain`` node over the eight
     ``obs.*`` parameters, since both blocks are constants: bitwise equal to
     the ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
+
+    Under ``nn.no_tape()`` the rows are a pure function of the visual's
+    bytes, ``cfg`` (its grid gives the angular block) and the ``obs.*``
+    parameters, so they come from a one-slot memo per store, keyed by
+    ``cfg`` and those parameters' exact bytes (a new key drops the slot);
+    each entry is the read-only rows a miss computed.  A taped call neither
+    reads nor fills it.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
     if visual.shape != want:
         raise ShapeError(f"panorama shape {visual.shape} != {want}")
-    ang = _grid_views(cfg.view_grid)
     vis = nn._as_f64(visual)
+    if nn._TAPE_ON:
+        return _embed_observation(vis, params, cfg)
+    key = (cfg,) + _param_bytes(params, _OBS_NAMES[cfg.decouple])
+    slot = _EMBEDDED.get(params)
+    if slot is None or slot[0] != key:
+        slot = _EMBEDDED[params] = (key, {})
+    seen = vis.tobytes()
+    rows = slot[1].get(seen)
+    if rows is None:
+        rows = slot[1][seen] = _embed_observation(vis, params, cfg).data
+        rows.flags.writeable = False
+    return nn.Tensor(rows)
+
+
+def _embed_observation(vis: np.ndarray, params: nn.ParamStore,
+                       cfg: ModelConfig) -> nn.Tensor:
+    ang = _grid_views(cfg.view_grid)
+    w = [params[k] for k in _OBS_NAMES[cfg.decouple]]
     if not cfg.decouple:
-        return nn.linear(nn.Tensor(np.concatenate([ang, vis], axis=-1)),
-                         params["obs.coupled.w"], params["obs.coupled.b"])
-    branches = [(ang, False, params["obs.ang.w"], params["obs.ang.b"]),
-                (vis, False, params["obs.vis.w"], params["obs.vis.b"])]
-    layers = [(params["obs.fuse.w1"], params["obs.fuse.b1"]),
-              (params["obs.fuse.w2"], params["obs.fuse.b2"])]
-    return nn.tape_node(*nn._joined_chain(branches, layers))
+        return nn.linear(nn.Tensor(np.concatenate([ang, vis], axis=-1)), *w)
+    branches = [(ang, False, *w[0:2]), (vis, False, *w[2:4])]
+    return nn.tape_node(*nn._joined_chain(branches, [tuple(w[4:6]), tuple(w[6:8])]))
 
 
 # -------------------------------------------------------------- candidates
@@ -268,7 +302,7 @@ def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
     graph, n = pg.graph, cfg.view_grid.n_headings
     names = ("graph.edge.w", "graph.edge.b") + (
         ("graph.pe.w", "graph.pe.b") if cfg.geo_embed else ())
-    key = (n, cfg.geo_embed) + tuple(params[k].data.tobytes() for k in names)
+    key = (n, cfg.geo_embed) + _param_bytes(params, names)
     table, filled = graph.row_memo(key, params["graph.edge.w"].shape[1])
     u = graph.index[pg.current]
     cols = np.array([graph.index[c] for c in order], dtype=np.intp)
@@ -506,7 +540,8 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     """Run the full pipeline for one decision step at ``pg.current`` of an
     episode whose instruction is the token ids ``tokens``.  The node's
     panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
-    its first visit per cache; later visits reuse the embedding.
+    its first visit per cache (untaped, the embedding comes from the
+    store's memo, ``decouple_observation``); later visits reuse it.
 
     ``cache`` is shared by the episode's steps: the first computes the key
     detail, kept in ``cache.key_detail``, and its alignment row, as one

@@ -20,9 +20,15 @@ TRACING = BENCHES / "tracing.py"
 
 
 def load_tracing():
+    """``benches/tracing.py`` as a new module, loaded with bytecode writing
+    off, so no ``benches/__pycache__`` file is left behind."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
     return module
 
 
@@ -33,14 +39,17 @@ def files_under(root: Path) -> dict:
 
 
 def test_every_traced_layer_resolves():
+    before = files_under(BENCHES)
     tracing = load_tracing()
     for _, module, attr in tracing.SPAN_LAYERS + tracing.COUNT_LAYERS:
         sites, _ = tracing.binding_sites(module, attr)  # TraceError if gone
         assert sites, f"{module}.{attr} is bound nowhere"
+    assert files_under(BENCHES) == before
 
 
 def test_traced_step_exposes_scores_and_tape():
     assert hasattr(nn.Tensor(0.0), "_parents")
+    before = files_under(BENCHES)
     tracing = load_tracing()
     cfg = model.TINY_CONFIG
     graph = tiny_graph()
@@ -54,6 +63,7 @@ def test_traced_step_exposes_scores_and_tape():
     assert feats.scores.shape == (3,)
     assert tracer.counts["model.forward_step"] == 1
     assert tracer.tape_nodes > 1  # walked back from the step's scores
+    assert files_under(BENCHES) == before
 
 
 def test_traced_pass_checks_pass_on_every_workload(monkeypatch):

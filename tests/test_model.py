@@ -247,6 +247,150 @@ def test_coupled_baseline_differs_from_decoupled():
     assert not np.allclose(out_on.data, out_off.data)
 
 
+# The untaped embedding memo: one slot per store, keyed by the configuration
+# and the obs.* parameter bytes, one read-only entry per distinct visual.
+
+
+def embed_memo(params):
+    """(key, entries) of ``params``' embedding memo slot, or None."""
+    return model._EMBEDDED.get(params)
+
+
+def memo_world_data(cfg):
+    """Six episodes in a fresh noisy 14-node world whose panoramas fit
+    ``cfg``; every memo of the world is empty."""
+    g = se.generate_environment(se.EnvParams(node_count=14, connection_radius=4.0,
+                                             extent=11.0, feature_dim=cfg.vis_dim, seed=5))
+    env = se.EnvBundle(g, se.make_latents(g, cfg.vis_dim, seed=5), sigma=0.1)
+    return [(env, se.make_episode(g, seed=s)) for s in range(6)]
+
+
+def untaped_scores(data, params, cfg) -> list:
+    """Every step's scores of an untaped greedy walk over each episode."""
+    with nn.no_tape():
+        return [s.logits for env, ep in data
+                for s in training.rollout(env, ep, 8, training.greedy_policy,
+                                          params, cfg).steps]
+
+
+def same_scores(got, want) -> bool:
+    return len(got) == len(want) and all(map(same_bits, got, want))
+
+
+def store_copy(params, cfg):
+    """A fresh store holding ``params``' values: its memo slot is empty."""
+    fresh = model.build_params(cfg, seed=99)
+    fresh.load_state({name: params[name].data.copy() for name in params.names()})
+    return fresh
+
+
+@pytest.mark.parametrize("name", ["obs.ang.b", "obs.vis.w", "obs.fuse.w1", "obs.fuse.b2",
+                                  "obs.coupled.w", "obs.coupled.b"])
+def test_untaped_walk_after_in_place_obs_edit_equals_fresh_store(name):
+    """After one ``obs.*`` parameter is edited in place, an untaped walk
+    equals the same walk on a fresh store and the taped walk: the memo's
+    key holds the bytes of the parameters the rows read, so it misses, and
+    the new key drops the old slot."""
+    cfg = replace(TINY, decouple=not name.startswith("obs.coupled"))
+    data = memo_world_data(cfg)
+    params = model.build_params(cfg, seed=0)
+    before = untaped_scores(data, params, cfg)
+    old_key, old_entries = embed_memo(params)
+    assert len(old_entries) > 1
+    params[name].data.flat[1] += 0.25
+    got = untaped_scores(data, params, cfg)
+    assert not same_scores(got, before)
+    assert same_scores(got, untaped_scores(memo_world_data(cfg), store_copy(params, cfg), cfg))
+    taped = [s.logits for env, ep in data for s in training.rollout(
+        env, ep, 8, training.greedy_policy, params, cfg).steps]
+    assert same_scores(got, taped)
+    key, entries = embed_memo(params)
+    assert key != old_key and entries is not old_entries
+
+
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "coupled"])
+def test_embedding_memo_keys_grids_that_share_k_apart(decouple):
+    """Two grids with k = 4 views give panoramas of one shape but different
+    angular blocks; the memo keys the configuration, so an untaped call
+    under each, by turns on one store and one visual, gives that
+    configuration's taped rows."""
+    cfgs = [replace(TINY, decouple=decouple, view_grid=grid)
+            for grid in (se.ViewGrid(4, (0.0,)), se.ViewGrid(2, (0.0, 0.5)))]
+    assert cfgs[0].view_grid.k == cfgs[1].view_grid.k == 4
+    params = model.build_params(cfgs[0], seed=2)
+    obs = random_obs(np.random.default_rng(8), cfgs[0])
+    taped = [model.decouple_observation(obs, params, cfg).data for cfg in cfgs]
+    assert not np.array_equal(*taped)
+    for cfg, want in zip(cfgs + cfgs, taped + taped):
+        with nn.no_tape():
+            got = model.decouple_observation(obs, params, cfg)
+        assert same_bits(got.data, want)
+        assert embed_memo(params)[0][0] == cfg
+
+
+def test_taped_decouple_neither_reads_nor_fills_the_memo():
+    """A taped call leaves the memo empty; with the memo's entry for the
+    same visual and key set to NaN rows, a taped call still gives the
+    oracle's rows and gradients and writes nothing, while an untaped call
+    reads the NaN entry."""
+    params = model.build_params(TINY, seed=3)
+    obs = random_obs(np.random.default_rng(9), TINY)
+    want = oracle_decouple_observation(obs, params, TINY)
+    taped = model.decouple_observation(obs, params, TINY)
+    assert embed_memo(params) is None and taped.requires_grad
+    with nn.no_tape():
+        model.decouple_observation(obs, params, TINY)
+    key, entries = embed_memo(params)
+    (seen,) = entries
+    entries[seen] = np.full(want.shape, np.nan)
+    grads = []
+    for run in (model.decouple_observation(obs, params, TINY), want):
+        assert same_bits(run.data, want.data)
+        params.zero_grad()
+        nn.backward(tsum(run))
+        grads.append({n: params[n].grad.copy() for n in params.names()
+                      if params[n].grad is not None})
+    got, ref = grads
+    assert sorted(got) == sorted(ref) == sorted(model._OBS_NAMES[True])
+    assert all(same_bits(got[n], ref[n]) for n in ref)
+    assert embed_memo(params)[0] is key and list(entries) == [seen]
+    assert np.isnan(entries[seen]).all()
+    with nn.no_tape():
+        assert np.isnan(model.decouple_observation(obs, params, TINY).data).all()
+
+
+def test_checkpoints_loaded_by_turns_into_one_store_equal_each_alone():
+    """Two parameter sets loaded by turns into one store give, each time,
+    the untaped scores each gives alone in a store of its own on a fresh
+    world: each load changes the key, so the slot of the other set drops.
+    (Sets in two stores by turns: ``test_training``'s
+    ``test_alternating_checkpoints_on_one_world_equal_each_alone``.)"""
+    a, b = (model.build_params(TINY, seed=s) for s in (0, 1))
+    alone = [untaped_scores(memo_world_data(TINY), p, TINY) for p in (a, b)]
+    assert not same_scores(*alone)
+    data, shared = memo_world_data(TINY), model.build_params(TINY, seed=7)
+    states = [{n: p[n].data.copy() for n in p.names()} for p in (a, b)]
+    for state, want in zip(states * 2, alone * 2):
+        shared.load_state(state)
+        assert same_scores(untaped_scores(data, shared, TINY), want)
+
+
+def test_embedding_memo_entries_are_read_only():
+    """An untaped call returns the memo's entry itself, read-only, and a
+    second call on an equal visual reads the same array."""
+    params = model.build_params(TINY, seed=4)
+    obs = random_obs(np.random.default_rng(10), TINY)
+    with nn.no_tape():
+        first = model.decouple_observation(obs, params, TINY)
+        again = model.decouple_observation(obs.copy(), params, TINY)
+    (entry,) = embed_memo(params)[1].values()
+    assert first.data is entry and again.data is entry
+    assert not entry.flags.writeable and not first.requires_grad
+    with pytest.raises(ValueError):
+        first.data[0, 0] = 0.0
+    assert same_bits(entry, model.decouple_observation(obs, params, TINY).data)
+
+
 # -------------------------------------------------------------- candidates
 
 

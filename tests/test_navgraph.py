@@ -94,10 +94,12 @@ def all_simple_paths(graph, src, dst):
     return out
 
 
-def brute_shortest(graph, src, dst):
-    if src == dst:
-        return [src]
-    paths = all_simple_paths(graph, src, dst)
+def brute_shortest(graph, src, dst, allowed=None):
+    """The shortest simple path, ties to the smaller id sequence, among
+    those whose every node is in ``allowed`` (any node when None)."""
+    paths = [[src]] if src == dst else all_simple_paths(graph, src, dst)
+    if allowed is not None:
+        paths = [p for p in paths if set(p) <= allowed]
     if not paths:
         return None
     return min(paths, key=lambda p: (path_length(graph, p), p))
@@ -156,6 +158,27 @@ def test_one_way_edge_is_directional():
 def test_restricted_path_ignores_outside_nodes(diamond):
     assert diamond.shortest_path(0, 3, allowed={0, 2, 3}) == [0, 2, 3]
     assert diamond.shortest_path(0, 3, allowed={0, 3}) is None
+
+
+def test_restricted_shortest_path_matches_enumeration():
+    """On random graphs and random node subsets S, shortest_path(src, dst,
+    allowed=S) is the enumeration's best path inside S, or None when no
+    path stays inside S, src and dst included."""
+    rng = np.random.default_rng(4321)
+    kinds = {"found": 0, "none": 0, "differs": 0}
+    for trial in range(40):
+        g = random_graph(rng, int(rng.integers(3, 9)))
+        ids = g.node_ids()
+        for _ in range(8):
+            src, dst = (int(v) for v in rng.choice(ids, size=2))
+            allowed = {int(v) for v in ids if rng.random() < 0.7} | (
+                {src, dst} if rng.random() < 0.8 else set())
+            got = g.shortest_path(src, dst, allowed=allowed)
+            want = brute_shortest(g, src, dst, allowed)
+            assert got == want, f"trial {trial}: {src}->{dst} in {sorted(allowed)}"
+            kinds["none" if got is None else "found"] += 1
+            kinds["differs"] += got is not None and got != g.shortest_path(src, dst)
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_path_length_and_bad_hop(fork):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_model import record_calls
-from test_nn import same_bits
+from test_model import memo_world_data, record_calls, same_scores, untaped_scores
 
 from oikg import analysis, artifacts, geometry, model, nn, synthenv, training
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure
@@ -587,48 +586,29 @@ def test_greedy_eval_builds_no_tape(world, params, monkeypatch):
     assert all(s._parents == () for s in scores)
 
 
-def memo_world_data():
-    """Six episodes in a fresh noisy 14-node world, its memos empty."""
-    g = generate_environment(EnvParams(node_count=14, connection_radius=4.0,
-                                       extent=11.0, feature_dim=MCFG.vis_dim, seed=5))
-    env = EnvBundle(g, make_latents(g, MCFG.vis_dim, seed=5), sigma=0.1)
-    return [(env, make_episode(g, seed=s)) for s in range(6)]
-
-
-def greedy_logits(data, params) -> list:
-    """Every step's scores of an untaped greedy walk over each episode."""
-    with nn.no_tape():
-        return [s.logits for env, ep in data
-                for s in rollout(env, ep, 8, training.greedy_policy, params, MCFG).steps]
-
-
-def same_logits(got, want) -> bool:
-    return len(got) == len(want) and all(map(same_bits, got, want))
-
-
 @pytest.mark.parametrize("name", ["graph.edge.w", "graph.edge.b", "graph.pe.w",
                                   "graph.pe.b"])
 def test_eval_after_in_place_graph_edit_equals_fresh_world(params, name):
     """An evaluation after one ``graph.*`` parameter was edited in place
     equals one on a fresh world: the world's candidate-row memo keys its
     rows by the bytes of the parameters they read, so it misses."""
-    data = memo_world_data()
-    before = greedy_logits(data, params)
+    data = memo_world_data(MCFG)
+    before = untaped_scores(data, params, MCFG)
     params[name].data.flat[1] += 0.25
-    got = greedy_logits(data, params)
-    assert same_logits(got, greedy_logits(memo_world_data(), params))
-    assert not same_logits(got, before)
+    got = untaped_scores(data, params, MCFG)
+    assert same_scores(got, untaped_scores(memo_world_data(MCFG), params, MCFG))
+    assert not same_scores(got, before)
 
 
 def test_alternating_checkpoints_on_one_world_equal_each_alone():
     """Two parameter sets evaluated by turns on one world each give the
     scores they give alone on a fresh world."""
     a, b = build_params(MCFG, seed=0), build_params(MCFG, seed=1)
-    data = memo_world_data()
-    alone = [greedy_logits(memo_world_data(), p) for p in (a, b)]
-    assert not same_logits(*alone)
+    data = memo_world_data(MCFG)
+    alone = [untaped_scores(memo_world_data(MCFG), p, MCFG) for p in (a, b)]
+    assert not same_scores(*alone)
     for p, want in zip((a, b, a, b), alone * 2):
-        assert same_logits(greedy_logits(data, p), want)
+        assert same_scores(untaped_scores(data, p, MCFG), want)
 
 
 # ----------------------------------------------------------- training loop
