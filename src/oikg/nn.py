@@ -5,6 +5,10 @@ identical outputs.  The engine is a flat tape of ``Tensor`` nodes, vectors
 and matrices; each op records a closure that routes the output gradient
 back into its parents.  Inside ``no_tape()`` ops record nothing: their
 outputs are untracked values, bitwise the same as with the tape on.
+
+A closure saves only the arrays its backward reads, each once.  ``backward``
+frees each node's gradient and closure as its walk passes the node, so a
+graph is single-use: a second walk through any of its nodes raises.
 """
 
 import itertools
@@ -30,6 +34,10 @@ _EPOCHS = itertools.count(1)  # one stamp per backward pass marks visited nodes
 _F64 = np.dtype(np.float64)   # the dtype of every native float64 array
 
 
+def _released(g):
+    raise InvalidState("backward already ran through this node; rebuild the loss first")
+
+
 def _as_f64(data) -> np.ndarray:
     if type(data) is np.ndarray and data.dtype is _F64 and data.flags.c_contiguous:
         return data   # what np.asarray returns for it, without the call
@@ -42,7 +50,7 @@ def _as_f64(data) -> np.ndarray:
 class Tensor:
     """Shape-tagged float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done", "_epoch")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_epoch")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_f64(data)
@@ -50,7 +58,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
-        self._done = False
         self._epoch = 0
 
     @property
@@ -273,6 +280,13 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     return out, weights + tuple(t for layer in layers for t in layer), backward
 
 
+def _head_major(k_proj: Tensor, v_proj: Tensor, heads: int) -> tuple:
+    """K's (heads, dh, m) and V's (heads, m, dh) copies for the attention core."""
+    m, dm = k_proj.data.shape
+    return (np.ascontiguousarray(k_proj.data.reshape(m, heads, dm // heads).transpose(1, 2, 0)),
+            np.ascontiguousarray(v_proj.data.reshape(m, heads, dm // heads).transpose(1, 0, 2)))
+
+
 def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
                     wq: Tensor, wo: Tensor, heads: int):
     """The one implementation of multi-head scaled dot-product attention
@@ -284,7 +298,8 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     transposes, matmuls, scale and softmax (``oracle_attention`` in the
     tests): the forward makes the composition's numpy calls on the same
     memory layouts, and the backward computes the composition's gradients
-    in its order.
+    in its order.  K and V are saved once, as their nodes' data: the
+    backward rebuilds their head-major copies with the forward's calls.
     """
     n, dm = q.data.shape
     m = k_proj.data.shape[0]
@@ -293,8 +308,7 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data;
     # K goes straight to its (heads, dh, m) transpose, the same copy
     qh = np.ascontiguousarray((q.data @ wq.data).reshape(n, heads, dh).transpose(1, 0, 2))
-    vh = np.ascontiguousarray(v_proj.data.reshape(m, heads, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k_proj.data.reshape(m, heads, dh).transpose(1, 2, 0))
+    kt, vh = _head_major(k_proj, v_proj, heads)
     scores = (qh @ kt) * s
     z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -302,6 +316,7 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
 
     def backward(g):
+        kt, vh = _head_major(k_proj, v_proj, heads)
         g_merged = g @ wo.data.T
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g)
@@ -361,7 +376,7 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
     their own nodes because a decoder stack feeds one k=v tensor to every
     layer, and the tape adds a layer's K and V terms into it only after the
     query's ancestry, earlier layers included, has run; a block node would
-    add them before.
+    add them before.  The backward saves no MLP output, only its shape.
     """
     _check_attention(h.data.shape, kv.data.shape, attn, heads)
     wq, wk, wv, wo = attn
@@ -377,7 +392,7 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
         out = h1 + m
 
     def backward(g):
-        g_in = mlp_backward(g.reshape(m.shape) if score else g)
+        g_in = mlp_backward(g.reshape(-1, 1) if score else g)   # m's shape, not m
         g_h1 = g_in if score else g + g_in   # second add's term + MLP's
         if h.requires_grad:
             h.accumulate_grad(g_h1)
@@ -438,14 +453,15 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every tracked tensor reachable from a scalar loss."""
+    """Populate .grad on every tracked leaf (parameter, or input with no
+    backward) reachable from a scalar loss.  Each node the walk passes is
+    freed: its ``grad`` and its closure, with every array saved, go, while
+    ``data`` and ``_parents`` stay.  So a graph is single-use: a walk that
+    reaches a freed node, from any loss, raises ``InvalidState`` first."""
     if loss.data.ndim != 0:
         raise InvalidArgument(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise InvalidState("loss does not belong to a tracked graph")
-    if loss._done:
-        raise InvalidState("backward already ran on this graph; rebuild the loss first")
-    loss._done = True
 
     epoch = next(_EPOCHS)
     order: list[Tensor] = []
@@ -457,6 +473,8 @@ def backward(loss: Tensor) -> None:
             continue
         if node._epoch == epoch:
             continue
+        if node._backward is _released:
+            _released(None)
         node._epoch = epoch
         stack.append((node, True))
         for p in node._parents:
@@ -465,8 +483,10 @@ def backward(loss: Tensor) -> None:
 
     loss.accumulate_grad(np.array(1.0))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._backward = None, _released
 
 
 # ------------------------------------------------------------ parameter store

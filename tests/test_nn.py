@@ -194,6 +194,29 @@ def test_backward_requires_scalar_tracked_fresh_graph():
         nn.backward(loss)
 
 
+def test_backward_through_a_freed_shared_node_raises_before_writing():
+    """Two losses on one add node: the first walk frees the node, so the
+    second raises where it would have run on the node's stale gradient
+    ([-0.762, 0.762] where a fresh graph gives [0.119, -0.119]), and leaves
+    every leaf's gradient as it was.  A replay of the freed node fails the
+    same way."""
+    w = nn.Tensor([1.0, 2.0], requires_grad=True)
+    x = nn.Tensor([0.0, 1.0], requires_grad=True)
+    h = nn.add(w, x)
+    first, second = nn.cross_entropy(h, 0), nn.cross_entropy(h, 1)
+    nn.backward(first)
+    x_grad = x.grad.copy()
+    w.grad = None
+    for loss in (second, nn.cross_entropy(nn.replay(h), 1)):
+        with pytest.raises(InvalidState):
+            nn.backward(loss)
+        assert w.grad is None and np.array_equal(x.grad, x_grad)
+        assert loss.grad is None
+    fresh = nn.Tensor([1.0, 2.0], requires_grad=True)
+    nn.backward(nn.cross_entropy(nn.add(fresh, nn.Tensor([0.0, 1.0])), 1))
+    np.testing.assert_allclose(fresh.grad, [0.119, -0.119], atol=1e-3)
+
+
 def test_no_tape_values_match_and_nothing_is_recorded():
     rng = np.random.default_rng(10)
     x = rand_tensor(rng, (2, 3))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -164,6 +165,40 @@ def test_episode_loss_linear_in_lambda(world, params):
                                            substream(0, "lin"), 8, lam)
         assert (tf_got, sf_got) == (tfm, sfm)
         assert float(got.data) == lam * tfm + (1.0 - lam) * sfm  # bitwise
+
+
+def test_backward_frees_the_tape_as_it_walks():
+    """The memory contract of one full-model episode loss on a 30-node
+    detour world: backward's traced peak above its entry is at most the
+    parameter gradients' bytes, since it frees each node's gradient and
+    saved arrays as it passes, and afterwards only leaves hold ``.grad``."""
+    mcfg = model.ModelConfig()
+    g = generate_environment(EnvParams(node_count=30, connection_radius=3.5,
+                                       extent=10.0, feature_dim=mcfg.vis_dim,
+                                       sigma=0.1, seed=0))
+    env = EnvBundle(g, make_latents(g, mcfg.vis_dim, seed=0), sigma=0.1)
+    ep = make_episode(g, seed=0, mode="detour")
+    p = build_params(mcfg, seed=0)
+    tracemalloc.start()
+    try:
+        loss, _, _ = episode_loss(env, ep, p, mcfg, substream(0, "mem"), 30, 0.2)
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        nn.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grads = [t.grad for t in p.params.values() if t.grad is not None]
+    assert grads and peak - entry <= sum(a.nbytes for a in grads)
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        assert node.grad is None or not node._parents
+        for q in node._parents:
+            if id(q) not in seen:
+                seen.add(id(q))
+                stack.append(q)
+    assert len(seen) > len(p.params)
 
 
 # ----------------------------------------------------------- pseudo labels
