@@ -135,23 +135,32 @@ def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
     return nn.init_params(param_spec(cfg), seed)
 
 
-# per store, each block's weights; the Tensors, so loaded or stepped values show
-_BLOCKS: "weakref.WeakKeyDictionary[nn.ParamStore, dict]" = weakref.WeakKeyDictionary()
+# The forward's memos, by the object each depends on, a store or a world:
+# owner -> {name: (key, value)}.  Held weakly, so they go with their owner,
+# and never on it, so a pickled copy carries none.
+_MEMOS: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+
+
+def _memo(owner, name, key, make):
+    """The value of ``owner``'s memo slot ``name``: ``make()``, made on first
+    use or once ``key`` differs from the one it was made under."""
+    slots = _MEMOS.get(owner)
+    if slots is None:
+        slots = _MEMOS[owner] = {}
+    slot = slots.get(name)
+    if slot is None or slot[0] != key:
+        slot = slots[name] = (key, make())
+    return slot[1]
 
 
 def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, tuple]:
     """The (wq, wk, wv, wo) attention weights and the MLP layers of a block,
-    looked up once per store."""
-    blocks = _BLOCKS.get(params)
-    if blocks is None:
-        blocks = _BLOCKS[params] = {}
-    found = blocks.get(prefix)
-    if found is None:
-        attn = tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-        found = blocks[prefix] = (attn, (
-            (params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
-            (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"])))
-    return found
+    looked up once per store (slot ``prefix``): the Tensors, so loaded or
+    stepped values show."""
+    return _memo(params, prefix, None, lambda: (
+        tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
+        ((params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
+         (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))))
 
 
 def _param_bytes(params: nn.ParamStore, names) -> tuple:
@@ -180,8 +189,6 @@ def _grid_views(grid: ViewGrid) -> np.ndarray:
     return block
 
 
-# per store, one slot of untaped panorama rows: (key, {visual bytes: rows})
-_EMBEDDED: "weakref.WeakKeyDictionary[nn.ParamStore, tuple]" = weakref.WeakKeyDictionary()
 # the parameters the panorama rows read, decoupled or not, in reading order
 _OBS_NAMES = {True: ("obs.ang.w", "obs.ang.b", "obs.vis.w", "obs.vis.b", "obs.fuse.w1",
                      "obs.fuse.b1", "obs.fuse.w2", "obs.fuse.b2"),
@@ -202,10 +209,10 @@ def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
 
     Under ``nn.no_tape()`` the rows are a pure function of the visual's
     bytes, ``cfg`` (its grid gives the angular block) and the ``obs.*``
-    parameters, so they come from a one-slot memo per store, keyed by
-    ``cfg`` and those parameters' exact bytes (a new key drops the slot);
-    each entry is the read-only rows a miss computed.  A taped call neither
-    reads nor fills it.
+    parameters, so they come from the store's memo slot ``"panorama"``,
+    {visual bytes: rows}, keyed by ``cfg`` and those parameters' exact
+    bytes (a new key drops the slot); each entry is the read-only rows a
+    miss computed.  A taped call neither reads nor fills it.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
     if visual.shape != want:
@@ -214,13 +221,11 @@ def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
     if nn._TAPE_ON:
         return _embed_observation(vis, params, cfg)
     key = (cfg,) + _param_bytes(params, _OBS_NAMES[cfg.decouple])
-    slot = _EMBEDDED.get(params)
-    if slot is None or slot[0] != key:
-        slot = _EMBEDDED[params] = (key, {})
+    embedded = _memo(params, "panorama", key, dict)
     seen = vis.tobytes()
-    rows = slot[1].get(seen)
+    rows = embedded.get(seen)
     if rows is None:
-        rows = slot[1][seen] = _embed_observation(vis, params, cfg).data
+        rows = embedded[seen] = _embed_observation(vis, params, cfg).data
         rows.flags.writeable = False
     return nn.Tensor(rows)
 
@@ -250,12 +255,17 @@ def candidate_inputs(graph: NavGraph, node: int, order, n: int,
     cos(offset)] its offset to the nearest view, looked up among the two
     heading columns of an n-column grid that bracket it.  Both depend on
     the world alone, so they are computed once per world, on a row's first
-    query, into ``graph.candidate_memo(n)``, and read from it after: the
-    same ``math`` floats every time, never recomputed in another form.
+    query, and read after from the world's memo slot ``("inputs", n)``:
+    the same ``math`` floats every time, never recomputed in another form.
     p_i is filled only once a ``geo_embed`` query asks for it, so with
-    ``geo_embed`` off the positional lookup never runs.
+    ``geo_embed`` off the positional lookup never runs.  The slot holds a
+    ``(V, V, 7)`` float table and a ``(V, V)`` fill level (0 empty, 1 t_i,
+    2 also p_i), indexed by ``graph.index`` of node and candidate: at most
+    V * V * 57 bytes per heading count.
     """
-    table, level = graph.candidate_memo(n)
+    v = len(graph.nodes)
+    table, level = _memo(graph, ("inputs", n), None, lambda: (
+        np.empty((v, v, 7)), np.zeros((v, v), dtype=np.int8)))
     u = graph.index[node]
     cols = [graph.index[c] for c in order]
     need = 2 if geo_embed else 1
@@ -296,14 +306,17 @@ def _candidate_rows(inputs: np.ndarray, params: nn.ParamStore,
 def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
                cfg: ModelConfig) -> np.ndarray:
     """The rows of the candidates ``order`` seen from ``pg.current``, read
-    from the world's row memo (``NavGraph.row_memo``) under a key of the
-    heading count, ``geo_embed`` and the exact bytes of the parameters the
-    rows read; missing rows are computed by ``_candidate_rows`` and kept."""
+    from the world's memo slot ``"rows"``, a ``(V, V, dim)`` table and its
+    ``(V, V)`` fill flags, under a key of the heading count, ``geo_embed``
+    and the exact bytes of the parameters the rows read (a new key drops
+    the table); missing rows are computed by ``_candidate_rows`` and kept."""
     graph, n = pg.graph, cfg.view_grid.n_headings
     names = ("graph.edge.w", "graph.edge.b") + (
         ("graph.pe.w", "graph.pe.b") if cfg.geo_embed else ())
     key = (n, cfg.geo_embed) + _param_bytes(params, names)
-    table, filled = graph.row_memo(key, params["graph.edge.w"].shape[1])
+    v, width = len(graph.nodes), params["graph.edge.w"].shape[1]
+    table, filled = _memo(graph, "rows", key, lambda: (
+        np.empty((v, v, width)), np.zeros((v, v), dtype=bool)))
     u = graph.index[pg.current]
     cols = np.array([graph.index[c] for c in order], dtype=np.intp)
     rows, done = table[u], filled[u]

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .artifacts import check_record, has_type, read_json, write_json
 from .errors import IllegalAction, InvalidArgument, SchemaError
 from .geometry import RelativePose, relative_pose
@@ -46,11 +44,8 @@ class NavNode:
 class NavGraph:
     """Immutable node/edge container with cached route queries.
 
-    Besides route distances, the graph holds the lazily filled memo of its
-    candidates' model inputs (``candidate_memo``): pure functions of the
-    world, kept with it; and one slot of candidate feature rows under fixed
-    parameters (``row_memo``).  No cache is pickled; a copy, such as a
-    worker process's, fills its own.
+    The route cache is not pickled; a copy, such as a worker process's,
+    fills its own.
     """
 
     def __init__(self, nodes: dict[int, NavNode],
@@ -59,10 +54,8 @@ class NavGraph:
         self.nodes = nodes
         self.adjacency = adjacency
         self.poses = poses
-        self.index = {n: i for i, n in enumerate(nodes)}   # node id -> memo row
+        self.index = {n: i for i, n in enumerate(nodes)}   # node id -> row number
         self._dist_cache: dict[int, dict[int, float]] = {}
-        self._candidate_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._row_memo: tuple | None = None   # (key, table, filled)
 
     def __getstate__(self) -> dict:
         return {"nodes": self.nodes, "adjacency": self.adjacency, "poses": self.poses}
@@ -86,38 +79,6 @@ class NavGraph:
             return self.poses[(u, v)]
         except KeyError:
             raise InvalidArgument(f"no edge {u}->{v}") from None
-
-    def candidate_memo(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The memo of candidate inputs for an n-column heading grid.
-
-        Returns ``(table, level)``: a ``(V, V, 7)`` float table, uninitialised
-        until filled, and a ``(V, V)`` fill level, both indexed by
-        ``index[u], index[v]`` for candidate v seen from node u.  Level 0 is
-        empty, 1 holds the direction's 4 floats, 2 also the view offset's 3
-        (``model.candidate_inputs`` fills them).  One table per heading count,
-        made on first use: at most V * V * 57 bytes per count.
-        """
-        memo = self._candidate_memo.get(n)
-        if memo is None:
-            v = len(self.nodes)
-            memo = self._candidate_memo[n] = (np.empty((v, v, 7)),
-                                              np.zeros((v, v), dtype=np.int8))
-        return memo
-
-    def row_memo(self, key: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The memo of candidate feature rows under ``key``, which names
-        everything the rows read besides the world (``model._memo_rows``).
-
-        Returns ``(table, filled)``: a ``(V, V, width)`` float table,
-        uninitialised until filled, and a ``(V, V)`` bool, both indexed as
-        ``candidate_memo``'s.  One slot: a new key drops the old table.
-        """
-        memo = self._row_memo
-        if memo is None or memo[0] != key:
-            v = len(self.nodes)
-            memo = self._row_memo = (key, np.empty((v, v, width)),
-                                     np.zeros((v, v), dtype=bool))
-        return memo[1], memo[2]
 
     # ------------------------------------------------------------- routing
 

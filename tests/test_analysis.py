@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tape_ops import cue_masks, mul, oracle_extract_key_detail, sub
-from test_model import flag_label
+from test_model import flag_label, memo_slot
 
 from oikg import analysis, model, nn
 from oikg import training
@@ -383,10 +383,11 @@ def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     params = build_params(MCFG, seed=0)
 
     def memo_entries():
-        levels = env.graph._candidate_memo.values()
+        inputs = memo_slot(env.graph, ("inputs", MCFG.view_grid.n_headings))
+        panorama = memo_slot(params, "panorama")
         return (len(env._draws),
-                sum(int(np.count_nonzero(level)) for _, level in levels),
-                len(model._EMBEDDED.get(params, (None, {}))[1]))
+                0 if inputs is None else int(np.count_nonzero(inputs[1][1])),
+                0 if panorama is None else len(panorama[1]))
 
     seen = []
 

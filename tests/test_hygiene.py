@@ -9,6 +9,10 @@ and one name of an unpacking assignment (``PAD, BOS, EOS = 0, 1, 2``)
 keeps the whole statement.  Likewise every dataclass field must be read:
 loaded as an attribute (``x.field``) somewhere outside its class body.
 
+Layering: the world modules (geometry, navgraph, synthenv, metrics)
+import none of the model side (nn, model, training, analysis, cli), so
+model state, such as the model's memos, cannot drift into world objects.
+
 Likewise pytest must know every setting of ``[tool.pytest.ini_options]``:
 a misspelled key would switch nothing on.  And under those settings a
 failing property test must count as one failure, not end the session.
@@ -149,6 +153,50 @@ def test_check_flags_a_dataclass_field_nothing_reads(tmp_path):
         "    return row.read, getattr(pair, 'right')\n")
     assert unread_fields(tmp_path) == ["a.Row.own_body_only", "a.Row.written_only",
                                        "a.Pair.right"]
+
+
+WORLD = ("geometry", "navgraph", "synthenv", "metrics")
+MODEL_SIDE = ("nn", "model", "training", "analysis", "cli")
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or as ``oikg.x``,
+    at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("oikg.")}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:      # absolute: only the package's own modules
+                if base.split(".")[0] != "oikg":
+                    continue
+                base = base.removeprefix("oikg").lstrip(".")
+            found |= {base.split(".")[0]} if base else {a.name for a in node.names}
+    return found
+
+
+def layering_breaks(src: Path = SRC) -> list[str]:
+    """'world -> model-side' for each import of a model-side module by a
+    world module."""
+    return [f"{module} -> {dep}" for module, tree in parse(src).items()
+            if module in WORLD for dep in sorted(package_imports(tree))
+            if dep in MODEL_SIDE]
+
+
+def test_world_modules_import_no_model_side_module():
+    assert layering_breaks() == []
+
+
+def test_check_flags_a_world_module_importing_the_model_side(tmp_path):
+    (tmp_path / "geometry.py").write_text("import math\nfrom .errors import InvalidArgument\n")
+    (tmp_path / "navgraph.py").write_text("from . import nn\nfrom .geometry import x\n")
+    (tmp_path / "synthenv.py").write_text("def f():\n    from .model import TINY_CONFIG\n")
+    (tmp_path / "metrics.py").write_text("import oikg.training\nfrom oikg import cli\n")
+    (tmp_path / "model.py").write_text("from .navgraph import NavGraph\nfrom . import nn\n")
+    assert layering_breaks(tmp_path) == ["metrics -> cli", "metrics -> training",
+                                         "navgraph -> nn", "synthenv -> model"]
 
 
 def test_every_pytest_setting_is_known(pytestconfig):

@@ -1,8 +1,10 @@
 """Pipeline-stage contracts: shapes, bypasses, equivariance, gradients."""
 
+import gc
 import itertools
 import math
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -247,13 +249,15 @@ def test_coupled_baseline_differs_from_decoupled():
     assert not np.allclose(out_on.data, out_off.data)
 
 
-# The untaped embedding memo: one slot per store, keyed by the configuration
-# and the obs.* parameter bytes, one read-only entry per distinct visual.
+def memo_slot(owner, name):
+    """The (key, value) of ``owner``'s slot ``name`` in the model's memo map
+    (``model._MEMOS``), or None."""
+    return model._MEMOS.get(owner, {}).get(name)
 
 
-def embed_memo(params):
-    """(key, entries) of ``params``' embedding memo slot, or None."""
-    return model._EMBEDDED.get(params)
+# The untaped embedding memo: the store's slot "panorama", keyed by the
+# configuration and the obs.* parameter bytes, one read-only entry per
+# distinct visual.
 
 
 def memo_world_data(cfg):
@@ -295,7 +299,7 @@ def test_untaped_walk_after_in_place_obs_edit_equals_fresh_store(name):
     data = memo_world_data(cfg)
     params = model.build_params(cfg, seed=0)
     before = untaped_scores(data, params, cfg)
-    old_key, old_entries = embed_memo(params)
+    old_key, old_entries = memo_slot(params, "panorama")
     assert len(old_entries) > 1
     params[name].data.flat[1] += 0.25
     got = untaped_scores(data, params, cfg)
@@ -304,7 +308,7 @@ def test_untaped_walk_after_in_place_obs_edit_equals_fresh_store(name):
     taped = [s.logits for env, ep in data for s in training.rollout(
         env, ep, 8, training.greedy_policy, params, cfg).steps]
     assert same_scores(got, taped)
-    key, entries = embed_memo(params)
+    key, entries = memo_slot(params, "panorama")
     assert key != old_key and entries is not old_entries
 
 
@@ -325,7 +329,7 @@ def test_embedding_memo_keys_grids_that_share_k_apart(decouple):
         with nn.no_tape():
             got = model.decouple_observation(obs, params, cfg)
         assert same_bits(got.data, want)
-        assert embed_memo(params)[0][0] == cfg
+        assert memo_slot(params, "panorama")[0][0] == cfg
 
 
 def test_taped_decouple_neither_reads_nor_fills_the_memo():
@@ -337,10 +341,10 @@ def test_taped_decouple_neither_reads_nor_fills_the_memo():
     obs = random_obs(np.random.default_rng(9), TINY)
     want = oracle_decouple_observation(obs, params, TINY)
     taped = model.decouple_observation(obs, params, TINY)
-    assert embed_memo(params) is None and taped.requires_grad
+    assert memo_slot(params, "panorama") is None and taped.requires_grad
     with nn.no_tape():
         model.decouple_observation(obs, params, TINY)
-    key, entries = embed_memo(params)
+    key, entries = memo_slot(params, "panorama")
     (seen,) = entries
     entries[seen] = np.full(want.shape, np.nan)
     grads = []
@@ -353,7 +357,7 @@ def test_taped_decouple_neither_reads_nor_fills_the_memo():
     got, ref = grads
     assert sorted(got) == sorted(ref) == sorted(model._OBS_NAMES[True])
     assert all(same_bits(got[n], ref[n]) for n in ref)
-    assert embed_memo(params)[0] is key and list(entries) == [seen]
+    assert memo_slot(params, "panorama")[0] is key and list(entries) == [seen]
     assert np.isnan(entries[seen]).all()
     with nn.no_tape():
         assert np.isnan(model.decouple_observation(obs, params, TINY).data).all()
@@ -383,7 +387,7 @@ def test_embedding_memo_entries_are_read_only():
     with nn.no_tape():
         first = model.decouple_observation(obs, params, TINY)
         again = model.decouple_observation(obs.copy(), params, TINY)
-    (entry,) = embed_memo(params)[1].values()
+    (entry,) = memo_slot(params, "panorama")[1].values()
     assert first.data is entry and again.data is entry
     assert not entry.flags.writeable and not first.requires_grad
     with pytest.raises(ValueError):
@@ -649,7 +653,7 @@ def test_build_candidates_memo_hits_match_fresh_graph_bitwise(world, cfg, filled
     warm = make()
     candidate_walk(model.build_candidates, warm, start, moves,
                    model.build_params(first, seed=4), first)
-    assert warm._candidate_memo
+    assert memo_slot(warm, ("inputs", first.view_grid.n_headings))
     params = model.build_params(cfg, seed=5)
     got = candidate_walk(model.build_candidates, warm, start, moves, params, cfg)
     for build, graph in ((model.build_candidates, make()),
@@ -671,9 +675,10 @@ def test_pickled_graph_drops_its_caches():
     rows, grads = candidate_walk(model.build_candidates, graph, 0, [1, 3, 2],
                                  params, TINY)
     graph.geodesic(0, 3)
-    assert graph._dist_cache and graph._candidate_memo
+    inputs = ("inputs", TINY.view_grid.n_headings)
+    assert graph._dist_cache and memo_slot(graph, inputs)
     copy = pickle.loads(pickle.dumps(graph))
-    assert copy._dist_cache == {} and copy._candidate_memo == {}
+    assert copy._dist_cache == {} and memo_slot(copy, inputs) is None
     assert copy.nodes == graph.nodes and copy.poses == graph.poses
     assert copy.adjacency == graph.adjacency and copy.index == graph.index
     got_rows, got_grads = candidate_walk(model.build_candidates, copy, 0, [1, 3, 2],
@@ -709,24 +714,24 @@ def test_candidate_memo_is_one_table_per_heading_count():
                         dist, math.sin(off), math.cos(off)]
                 assert row.tolist() == want
     assert set(vars(g)) == before and g._dist_cache == {}
-    assert sorted(g._candidate_memo) == [4, 12]
-    for table, level in g._candidate_memo.values():
+    assert sorted(model._MEMOS[g]) == [("inputs", 4), ("inputs", 12)]
+    memos = [memo_slot(g, ("inputs", n))[1] for n in (4, 12)]
+    for table, level in memos:
         assert table.shape == (100, 100, 7) and table.dtype == np.float64
         assert level.shape == (100, 100) and level.dtype == np.int8
         np.testing.assert_array_equal(level, 2 - 2 * np.eye(100, dtype=np.int8))
-    assert sum(a.nbytes for memo in g._candidate_memo.values() for a in memo) \
-        == 2 * 100 * 100 * (7 * 8 + 1)
+    assert sum(a.nbytes for memo in memos for a in memo) == 2 * 100 * 100 * (7 * 8 + 1)
 
 
 def row_memo_hits(graph, pg, cfg) -> list:
     """Per frontier node of ``pg``, whether the world's row memo holds its
     row for ``cfg``'s heading count and ``geo_embed`` (the parameters are
     the same in every call of a test)."""
-    memo = graph._row_memo
+    memo = memo_slot(graph, "rows")
     if memo is None or memo[0][:2] != (cfg.view_grid.n_headings, cfg.geo_embed):
         return [False] * len(pg.frontier())
     u = graph.index[pg.current]
-    return [bool(memo[2][u, graph.index[c]]) for c in pg.frontier()]
+    return [bool(memo[1][1][u, graph.index[c]]) for c in pg.frontier()]
 
 
 @pytest.mark.parametrize("geo_embed", [True, False], ids=["geo-on", "geo-off"])
@@ -757,7 +762,7 @@ def test_memo_rows_equal_taped_and_oracle_rows(geo_embed):
                     break
                 pg.advance(order[pick])
         assert mixed > 0, cfg
-        assert g._row_memo[0][:2] == (cfg.view_grid.n_headings, geo_embed)
+        assert memo_slot(g, "rows")[0][:2] == (cfg.view_grid.n_headings, geo_embed)
 
 
 def test_taped_walk_neither_reads_nor_fills_the_row_memo():
@@ -767,17 +772,17 @@ def test_taped_walk_neither_reads_nor_fills_the_row_memo():
     params = model.build_params(TINY, seed=5)
     g = tiny_graph()
     candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
-    assert g._row_memo is None
+    assert memo_slot(g, "rows") is None
     with nn.no_tape():
         for start in g.node_ids():
             model.build_candidates(PathGraph(g, start=start), params, TINY)
-    key, table, filled = g._row_memo
+    key, (table, filled) = memo_slot(g, "rows")
     table[...] = np.nan
     before = filled.copy()
     got = candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
     want = candidate_walk(oracle_build_candidates, tiny_graph(), 0, [1, 3, 2],
                           params, TINY)
-    assert g._row_memo[0] is key and np.isnan(table).all()
+    assert memo_slot(g, "rows")[0] is key and np.isnan(table).all()
     np.testing.assert_array_equal(filled, before)
     for r, w in zip(got[0], want[0], strict=True):
         np.testing.assert_array_equal(r, w)
@@ -792,12 +797,40 @@ def test_pickled_graph_carries_no_row_memo():
     g = tiny_graph()
     with nn.no_tape():
         rows, _ = model.build_candidates(PathGraph(g, start=0), params, TINY)
-    assert g._row_memo is not None
+    assert memo_slot(g, "rows") is not None
     copy = pickle.loads(pickle.dumps(g))
-    assert copy._row_memo is None
+    assert memo_slot(copy, "rows") is None
     with nn.no_tape():
         again, _ = model.build_candidates(PathGraph(copy, start=0), params, TINY)
     assert same_bits(again.data, rows.data)
+
+
+def test_memos_live_in_the_memo_map_and_go_with_their_owners():
+    """Taped and untaped walks in every flag setting, on one world with one
+    store, leave the graph equal to a fresh graph, its route cache aside,
+    and the store holding only a fresh store's attributes: every memo is a
+    slot of ``model._MEMOS``.  Once the store and the world are
+    collected, the map holds no entry for either."""
+    cfgs = [replace(TINY, decouple=d, geo_embed=g, loc_detail=loc, obj_detail=obj)
+            for d, g, loc, obj in FLAG_COMBINATIONS]
+    spec = dict(pair for cfg in cfgs for pair in model.param_spec(cfg))
+    store, data = nn.init_params(spec.items(), seed=0), memo_world_data(TINY)
+    for cfg in cfgs:
+        untaped_scores(data, store, cfg)
+        for env, ep in data[:2]:
+            training.rollout(env, ep, 8, training.greedy_policy, store, cfg)
+    graph = data[0][0].graph
+    assert memo_slot(graph, "rows") and memo_slot(store, "panorama")
+    fresh = vars(memo_world_data(TINY)[0][0].graph)
+    assert vars(graph) == {**fresh, "_dist_cache": graph._dist_cache}
+    assert set(vars(store)) == set(vars(model.build_params(TINY, seed=0)))
+    owners = [weakref.ref(graph), weakref.ref(store)]
+    gc.collect()
+    entries = len(model._MEMOS)
+    del store, data, env, graph
+    gc.collect()
+    assert [owner() for owner in owners] == [None, None]
+    assert len(model._MEMOS) == entries - 2
 
 
 def test_forward_step_after_load_state_equals_fresh_store(setup):
