@@ -277,8 +277,9 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
     pass over `data`, then whole passes timed until at least `min_steps`
     steps have run.  A greedy walk never revisits a node, so each step
     includes its panorama's render; the timed passes walk the routes the
-    untimed one walked, so every render, candidate and panorama embedding
-    they need is in the world's and the store's memos already."""
+    untimed one walked, so every render, candidate, panorama embedding and
+    OGI output row they need is in the world's and the store's memos
+    already (the store's slots "panorama" and "ogi")."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")

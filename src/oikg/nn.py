@@ -531,6 +531,10 @@ class ParamStore:
         return math.sqrt(total)
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set every parameter to a C-contiguous float64 copy of its array
+        in ``state``: the store never shares memory with the caller's
+        arrays, so a step on it moves neither them nor another store that
+        loaded the same dict."""
         if set(state) != set(self.params):
             missing = set(self.params) - set(state)
             extra = set(state) - set(self.params)
@@ -540,7 +544,7 @@ class ParamStore:
             if arr.shape != self.params[name].shape:
                 raise IncompatibleCheckpoint(
                     f"shape mismatch for {name!r}: checkpoint {arr.shape} vs config {self.params[name].shape}")
-            self.params[name].data = _as_f64(arr)
+            self.params[name].data = np.array(arr, dtype=np.float64, order="C")
 
 
 def init_params(spec: Iterable[tuple[str, tuple]], seed: int) -> ParamStore:

@@ -370,7 +370,8 @@ def noisy_eval_set():
 def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     """The untimed pass walks every route the timed passes walk, so the
     timed passes add no noise draw to the bundle's memo, no candidate to
-    the graph's and no panorama to the store's embedding memo.  The eval
+    the graph's, no panorama to the store's embedding memo and no row to
+    its OGI memo.  The eval
     set's pass is longer than 50 steps, so a 50-step warm-up would have
     left routes for the timed loop to fill."""
     _, data = noisy_eval_set()
@@ -385,9 +386,11 @@ def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     def memo_entries():
         inputs = memo_slot(env.graph, ("inputs", MCFG.view_grid.n_headings))
         panorama = memo_slot(params, "panorama")
+        ogi = memo_slot(params, "ogi")
         return (len(env._draws),
                 0 if inputs is None else int(np.count_nonzero(inputs[1][1])),
-                0 if panorama is None else len(panorama[1]))
+                0 if panorama is None else len(panorama[1]),
+                0 if ogi is None else sum(len(index) for _, index in ogi[1].values()))
 
     seen = []
 

@@ -811,6 +811,60 @@ def test_stacked_vector_matrix_product_is_per_row_product(k, lo, d):
             assert same_bits(got, want), (n, x.strides)
 
 
+# the (K, D) weights of the model's products but the 1-wide scoring layer,
+# at the tiny (dim 8, 10 visual features) and the full (dim 32, 32) widths
+ROW_WEIGHTS = sorted({(k, d) for dim, vis in ((8, 10), (32, 32)) for k, d in (
+    (4, dim), (3, dim), (vis, dim), (4 + vis, dim), (dim, dim), (dim, 2 * dim),
+    (2 * dim, dim), (2 * dim, 2 * dim))})
+
+
+def check_rows_shared(product, x, axis, rng):
+    """Row i of ``product(x)``, taken along ``axis``, equals the same row of
+    ``product`` over any other batch of two or more of x's rows, bit for
+    bit: random sub-batches in any order, duplicated rows, and slices."""
+    m = x.shape[axis]
+    full = product(x)
+    batches = [rng.choice(m, size=int(rng.integers(2, m + 1)), replace=bool(rng.integers(2)))
+               for _ in range(40)]
+    batches += [np.array([i, i]) for i in range(0, m, 7)]
+    batches += [np.arange(lo, m) for lo in range(0, m - 1, 9)]
+    for rows in batches:
+        got = product(np.ascontiguousarray(x.take(rows, axis=axis)))
+        assert same_bits(got, full.take(rows, axis=axis)), (x.shape, rows)
+
+
+@pytest.mark.parametrize("k, d", ROW_WEIGHTS)
+def test_matrix_product_row_is_the_same_in_every_batch_of_two_or_more(k, d):
+    """Each row of an ``(N, K) @ W`` product, N >= 2, is the same in every
+    product it shares with at least one other row: the property that lets
+    untaped walks compute only missed rows (``model.observation_graph_interaction``).
+    It is pinned at the model's shapes only: a one-row product rounds
+    otherwise, and so, on OpenBLAS 0.3.31, do products whose output width
+    is 1, 2 or 3 mod 8 over an inner width of 16 or more, such as the
+    scoring layer's ``(N, 32) @ (32, 1)``."""
+    rng = np.random.default_rng(47 + k * 67 + d)
+    x = rng.normal(size=(61, k)) * 10.0 ** rng.integers(-3, 4, size=(61, k))
+    w = rng.normal(size=(k, d))
+    check_rows_shared(lambda a: a @ w, x, 0, rng)
+
+
+@pytest.mark.parametrize("dh", [4, 16], ids=["tiny", "full"])
+@pytest.mark.parametrize("m", [4, 12, 36])
+def test_stacked_attention_product_row_is_the_same_in_every_batch_of_two_or_more(dh, m):
+    """The attention core's stacked products, scores ``(heads, n, dh) @
+    (heads, dh, m)`` and values ``(heads, n, m) @ (heads, m, dh)``, give
+    query row i the same floats in every batch of two or more queries, at
+    the heads' widths of the tiny and the full model over 4, 12 and 36
+    keys (the presets' panoramas have 4 and 36 views)."""
+    rng = np.random.default_rng(53 + dh * 41 + m)
+    kt = rng.normal(size=(2, dh, m))
+    vh = rng.normal(size=(2, m, dh))
+    qh = rng.normal(size=(2, 61, dh)) * 10.0 ** rng.integers(-3, 4, size=(2, 61, dh))
+    p = rng.random(size=(2, 61, m))
+    check_rows_shared(lambda a: a @ kt, qh, 1, rng)
+    check_rows_shared(lambda a: a @ vh, p, 1, rng)
+
+
 @pytest.mark.parametrize("shape", [(8,), (32,), (4, 8), (3, 32), (2,)])
 @pytest.mark.parametrize("start", ["no-grad", "grad"])
 def test_accumulate_rows_is_accumulate_grad_loop(shape, start):
@@ -1080,6 +1134,26 @@ def test_checkpoint_single_byte_overwrite_loads_or_schema_error(valid_ckpt,
         _load_bytes(d, bytes(changed))
     except SchemaError:
         pass
+
+
+def test_load_state_copies_the_callers_arrays():
+    """Two stores loaded from one dict share no memory with it or with each
+    other: a step on one leaves the other store and the dict as they were."""
+    spec = [("sel.mlp.w1", (4, 3)), ("sel.mlp.b1", (3,))]
+    state = {name: nn.init_params(spec, seed=5)[name].data.copy() for name, _ in spec}
+    before = {name: arr.copy() for name, arr in state.items()}
+    a, b = nn.init_params(spec, seed=0), nn.init_params(spec, seed=1)
+    a.load_state(state)
+    b.load_state(state)
+    for name in state:
+        assert not np.shares_memory(a[name].data, state[name])
+        assert not np.shares_memory(a[name].data, b[name].data)
+    for name in state:
+        a[name].grad = np.ones_like(a[name].data)
+    nn.optimizer_step(a, lr=0.1)
+    assert not np.array_equal(a["sel.mlp.w1"].data, before["sel.mlp.w1"])
+    for name in state:
+        assert same_bits(b[name].data, before[name]) and same_bits(state[name], before[name])
 
 
 def test_load_state_mismatch_errors(tmp_path):
