@@ -370,10 +370,9 @@ def noisy_eval_set():
 def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     """The untimed pass walks every route the timed passes walk, so the
     timed passes add no noise draw to the bundle's memo, no candidate to
-    the graph's, no panorama to the store's embedding memo and no row to
-    its OGI memo.  The eval
-    set's pass is longer than 50 steps, so a 50-step warm-up would have
-    left routes for the timed loop to fill."""
+    the graph's, no panorama to the store's embedding memo and no output
+    to its OGI memo.  The eval set's pass is longer than 50 steps, so a
+    50-step warm-up would have left routes for the timed loop to fill."""
     _, data = noisy_eval_set()
     probe = build_params(MCFG, seed=0)   # a store of its own: the timed one starts empty
     with nn.no_tape():
@@ -390,7 +389,7 @@ def test_time_forward_steps_times_only_warm_passes(monkeypatch):
         return (len(env._draws),
                 0 if inputs is None else int(np.count_nonzero(inputs[1][1])),
                 0 if panorama is None else len(panorama[1]),
-                0 if ogi is None else sum(len(index) for _, index in ogi[1].values()))
+                0 if ogi is None else sum(len(calls) for calls in ogi[1].values()))
 
     seen = []
 

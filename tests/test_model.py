@@ -835,9 +835,8 @@ def test_memos_live_in_the_memo_map_and_go_with_their_owners():
     assert len(model._MEMOS) == entries - 2
 
 
-# The untaped OGI row memo: the store's slot "ogi", keyed by the layer count
-# and the ogi.* parameter bytes; per panorama, a table of output rows and a
-# {query-row bytes: table row} map.
+# The untaped OGI memo: the store's slot "ogi", keyed by the layer count and
+# the ogi.* parameter bytes; per panorama, {candidate-matrix bytes: output}.
 
 
 def oracle_ogi(f_g, f_o, params, cfg):
@@ -853,24 +852,24 @@ def oracle_ogi(f_g, f_o, params, cfg):
     return h
 
 
-def ogi_entry(params, f_o):
-    """The store's ogi memo entry [table, index] for the panorama rows
-    ``f_o``, or None."""
+def ogi_calls(params, f_o):
+    """The store's ogi memo entries {f_g bytes: output} for the panorama
+    rows ``f_o``, or None."""
     slot = memo_slot(params, "ogi")
     return None if slot is None else slot[1].get((f_o.shape, f_o.data.tobytes()))
 
 
-def ogi_memo_rows(params) -> int:
+def ogi_memo_entries(params) -> int:
     slot = memo_slot(params, "ogi")
-    return 0 if slot is None else sum(len(index) for _, index in slot[1].values())
+    return 0 if slot is None else sum(len(calls) for calls in slot[1].values())
 
 
 def ogi_walk_steps(graph, env, params, cfg, picks=(0, -1)):
     """Per step of walks from every node of ``graph``, each step taking
     the first or the last frontier node until the frontier is empty: the
-    untaped, taped and oracle OGI rows, and the step's kind,
-    read before the untaped call: "empty" (STOP alone), "one-miss" (one
-    distinct row missing), "mixed" (hits and misses), "hit" or "miss"."""
+    untaped, taped and oracle OGI outputs, and the step's kind, read before
+    the untaped call: "hit" or "miss", with "-stop" when the frontier is
+    empty (STOP alone, a one-row ``f_g``)."""
     out = []
     for start, pick in itertools.product(graph.node_ids(), picks):
         pg = PathGraph(graph, start=start)
@@ -879,19 +878,14 @@ def ogi_walk_steps(graph, env, params, cfg, picks=(0, -1)):
             with nn.no_tape():
                 f_g, order = model.build_candidates(pg, params, cfg)
                 f_o = model.decouple_observation(visual, params, cfg)
-                entry = ogi_entry(params, f_o)
-                hit = [entry is not None and r.tobytes() in entry[1] for r in f_g.data]
-                missed = {r.tobytes() for r, h in zip(f_g.data, hit) if not h}
-                rows_before = ogi_memo_rows(params)
+                calls = ogi_calls(params, f_o)
+                hit = calls is not None and f_g.data.tobytes() in calls
                 got = model.observation_graph_interaction(f_g, f_o, params, cfg)
-            kind = ("empty" if len(hit) == 1 else "one-miss" if len(missed) == 1
-                    else "mixed" if any(hit) and not all(hit)
-                    else "hit" if all(hit) else "miss")
-            if kind == "empty":
-                assert ogi_memo_rows(params) == rows_before
+            assert got.data is ogi_calls(params, f_o)[f_g.data.tobytes()]
             t_g, _ = model.build_candidates(pg, params, cfg)
             t_o = model.decouple_observation(visual, params, cfg)
             taped = model.observation_graph_interaction(t_g, t_o, params, cfg)
+            kind = ("hit" if hit else "miss") + ("-stop" if not order else "")
             out.append((kind, got, taped, oracle_ogi(t_g, t_o, params, cfg)))
             if not order:
                 break
@@ -907,65 +901,71 @@ def ogi_world(cfg):
 
 
 @pytest.mark.parametrize("cfg", [TINY, FULL_GRID_TINY], ids=["4-views", "36-views"])
-def test_ogi_memo_rows_equal_taped_and_oracle_rows(cfg):
-    """Untaped OGI rows, read from the store's ogi slot on steps that hit
-    the memo, miss it, mix both, miss one row alone or score STOP alone,
-    equal the taped rows and the unfused oracle's bit for bit; a STOP-only
-    step stores nothing."""
+def test_ogi_memo_outputs_equal_taped_and_oracle_outputs(cfg):
+    """Untaped OGI outputs, stored in the store's ogi slot by a first walk
+    and read from it by the same walk repeated, equal the taped outputs and
+    the unfused oracle's bit for bit, on multi-row and STOP-only steps; each
+    read is the read-only array the miss stored."""
     params = model.build_params(cfg, seed=5)
     kinds = collections.Counter()
-    for graph, env in (ogi_world(cfg), (tiny_graph(), env_of(
-            tiny_graph(), se.make_latents(tiny_graph(), cfg.vis_dim, seed=3)))):
-        for kind, got, taped, oracle in ogi_walk_steps(graph, env, params, cfg):
-            kinds[kind] += 1
-            assert not got.requires_grad and taped.requires_grad
-            assert same_bits(got.data, taped.data) and same_bits(got.data, oracle.data)
-    assert min(kinds[k] for k in ("empty", "one-miss", "mixed", "hit", "miss")) > 0, kinds
+    worlds = (ogi_world(cfg), (tiny_graph(), env_of(
+        tiny_graph(), se.make_latents(tiny_graph(), cfg.vis_dim, seed=3))))
+    for _ in range(2):
+        for graph, env in worlds:
+            for kind, got, taped, oracle in ogi_walk_steps(graph, env, params, cfg):
+                kinds[kind] += 1
+                assert not got.requires_grad and taped.requires_grad
+                assert not got.data.flags.writeable
+                assert same_bits(got.data, taped.data) and same_bits(got.data, oracle.data)
+    assert min(kinds[k] for k in ("hit", "miss", "hit-stop", "miss-stop")) > 0, kinds
     assert memo_slot(params, "ogi")[0][0] == cfg.layers
 
 
 def test_taped_walk_neither_reads_nor_fills_the_ogi_memo():
-    """A taped walk leaves the ogi slot empty; with every stored row set to
-    NaN under the walk's own key, it still gives the oracle's rows and
+    """A taped walk leaves the ogi slot empty; with every stored output set
+    to NaN under the walk's own key, it still gives the oracle's outputs and
     every gradient, and writes nothing into the slot, while an untaped call
-    reads the NaN rows."""
+    reads the NaN output."""
     params = model.build_params(TINY, seed=5)
     graph, env = ogi_world(TINY)
 
     def walk(ogi):
         params.zero_grad()
-        pg, rows, total = PathGraph(graph, start=graph.node_ids()[0]), [], None
+        pg, outs, total = PathGraph(graph, start=graph.node_ids()[0]), [], None
         for _ in range(5):
             f_g, order = model.build_candidates(pg, params, TINY)
             f_o = model.decouple_observation(
                 se.render_observation(env, pg.current, TINY.view_grid), params, TINY)
             h = ogi(f_g, f_o, params, TINY)
-            rows.append(h.data)
+            outs.append(h.data)
             total = tsum(h) if total is None else nn.add(total, tsum(h))
             pg.advance(order[-1])
         nn.backward(total)
-        return rows, {n: params[n].grad.copy() for n in params.names()
+        return outs, {n: params[n].grad.copy() for n in params.names()
                       if params[n].grad is not None}
 
     walk(model.observation_graph_interaction)
     assert memo_slot(params, "ogi") is None
     untaped_scores([(env, se.make_episode(graph, seed=s)) for s in range(4)], params, TINY)
     key, panoramas = memo_slot(params, "ogi")
-    for table, _ in panoramas.values():
-        table[...] = np.nan
-    sizes = {seen: len(index) for seen, (_, index) in panoramas.items()}
+    for calls in panoramas.values():
+        for query, out in calls.items():
+            calls[query] = np.full_like(out, np.nan)
+    poisoned = {seen: dict(calls) for seen, calls in panoramas.items()}
     got, want = walk(model.observation_graph_interaction), walk(oracle_ogi)
     assert memo_slot(params, "ogi")[0] is key
-    assert {seen: len(index) for seen, (_, index) in panoramas.items()} == sizes
-    assert all(np.isnan(table).all() for table, _ in panoramas.values())
+    assert {seen: list(calls) for seen, calls in panoramas.items()} == {
+        seen: list(calls) for seen, calls in poisoned.items()}
+    assert all(out is poisoned[seen][q] for seen, calls in panoramas.items()
+               for q, out in calls.items())
     for r, w in zip(got[0], want[0], strict=True):
         assert same_bits(r, w)
     assert sorted(got[1]) == sorted(want[1])
     for name, grad in want[1].items():
         assert same_bits(got[1][name], grad), name
-    seen, (table, index) = next(iter(panoramas.items()))
+    seen, calls = next(iter(panoramas.items()))
     f_o = nn.Tensor(np.frombuffer(seen[1]).reshape(seen[0]))
-    f_g = nn.Tensor(np.stack([np.frombuffer(k) for k in list(index)[:2]]))
+    f_g = nn.Tensor(np.frombuffer(next(iter(calls))).reshape(-1, TINY.dim))
     with nn.no_tape():
         assert np.isnan(model.observation_graph_interaction(f_g, f_o, params, TINY).data).all()
 
@@ -979,7 +979,7 @@ def test_ogi_memo_drops_on_load_state_or_an_edited_ogi_parameter(change):
     params = model.build_params(TINY, seed=0)
     before = untaped_scores(data, params, TINY)
     old_key, old_panoramas = memo_slot(params, "ogi")
-    assert ogi_memo_rows(params) > 0
+    assert ogi_memo_entries(params) > 0
     if change == "load_state":
         other = model.build_params(TINY, seed=1)
         params.load_state({n: other[n].data for n in other.names()})
@@ -994,20 +994,6 @@ def test_ogi_memo_drops_on_load_state_or_an_edited_ogi_parameter(change):
     taped = [s.logits for env, ep in data for s in training.rollout(
         env, ep, 8, training.greedy_policy, params, TINY).steps]
     assert same_scores(got, taped)
-
-
-def test_ogi_memo_stays_off_where_rows_depend_on_their_batch(monkeypatch):
-    """The row property holds at the model's widths, so the probe passes
-    there; where it fails, untaped calls neither read nor fill the slot and
-    give the taped rows."""
-    for cfg in (TINY, FULL_GRID_TINY, model.ModelConfig()):
-        assert model._ogi_rows_shared(cfg.layers, cfg.dim, cfg.view_grid.k)
-    monkeypatch.setattr(model, "_ogi_rows_shared", lambda layers, dim, views: False)
-    params = model.build_params(TINY, seed=5)
-    graph, env = ogi_world(TINY)
-    for _, got, taped, _ in ogi_walk_steps(graph, env, params, TINY, picks=(0,)):
-        assert same_bits(got.data, taped.data)
-    assert memo_slot(params, "ogi") is None
 
 
 def test_forward_step_after_load_state_equals_fresh_store(setup):

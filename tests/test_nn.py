@@ -836,12 +836,12 @@ def check_rows_shared(product, x, axis, rng):
 @pytest.mark.parametrize("k, d", ROW_WEIGHTS)
 def test_matrix_product_row_is_the_same_in_every_batch_of_two_or_more(k, d):
     """Each row of an ``(N, K) @ W`` product, N >= 2, is the same in every
-    product it shares with at least one other row: the property that lets
-    untaped walks compute only missed rows (``model.observation_graph_interaction``).
-    It is pinned at the model's shapes only: a one-row product rounds
-    otherwise, and so, on OpenBLAS 0.3.31, do products whose output width
-    is 1, 2 or 3 mod 8 over an inner width of 16 or more, such as the
-    scoring layer's ``(N, 32) @ (32, 1)``."""
+    product it shares with at least one other row: what any cut that
+    computes a subset of a batch's rows, or shares rows between batches,
+    would rely on.  It is pinned at the model's shapes only: a one-row
+    product rounds otherwise, and so, on OpenBLAS 0.3.31, do products whose
+    output width is 1, 2 or 3 mod 8 over an inner width of 16 or more, such
+    as the scoring layer's ``(N, 32) @ (32, 1)``."""
     rng = np.random.default_rng(47 + k * 67 + d)
     x = rng.normal(size=(61, k)) * 10.0 ** rng.integers(-3, 4, size=(61, k))
     w = rng.normal(size=(k, d))

@@ -1,10 +1,12 @@
-"""The pair runner, ``tools/pairs.py``, driven with a stub benchmark command
-in a throwaway git repository: its statistics and alternation, its refusal
-of an incorrect run, and that it writes nothing but its BENCH file."""
+"""The pair runner, ``tools/pairs.py``, copied into a throwaway git repository
+whose ``BENCHMARK.json`` names a stub benchmark command: its statistics and
+alternation, its refusal of an incorrect run, and that it writes nothing but
+its BENCH file."""
 
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -28,13 +30,14 @@ metrics = {"op_ms_p50": (10.0 + seed - change, "ms"),
            "peak_rss_mb": (40.0, "MB"), "start_ns": (time.monotonic_ns(), "ns")}
 Path("out").mkdir(exist_ok=True)
 Path("out", f"{args['--workload']}-{seed}.json").write_text(side)
-print("machine " + json.dumps({"stub": True, "trace": args["--trace"]}))
+print("machine " + json.dumps({"stub": True, "trace": args["--trace"],
+                               "seconds": args["--seconds"]}))
 print(json.dumps({"correct": not Path("incorrect.txt").exists(), "attempted": 3,
                   "failed": 0, "metrics": {k: {"value": v, "unit": u}
                                            for k, (v, u) in metrics.items()}}))
 '''
 
-DECLARED = {"command": ["python3", "missing.py"], "end_to_end": [
+DECLARED = {"command": [sys.executable, "stub.py"], "run_seconds": 2, "end_to_end": [
     {"name": "op_ms_p50", "better": "lower"},
     {"name": "decision_steps_per_s", "better": "higher"},
     {"name": "peak_rss_mb", "better": "lower"}]}
@@ -52,6 +55,8 @@ def repo(tmp_path):
     root = tmp_path / "repo"
     root.mkdir()
     (root / "stub.py").write_text(STUB)
+    (root / "tools").mkdir()
+    shutil.copy(PAIRS, root / "tools" / "pairs.py")
     (root / "BENCHMARK.json").write_text(json.dumps(DECLARED))
     (root / "side.txt").write_text("parent\n")
     git(root, "init", "-q")
@@ -69,8 +74,8 @@ def snapshot(root: Path) -> dict:
 def run_pairs(repo, tmp, *extra):
     tmp.mkdir(exist_ok=True)
     return subprocess.run(
-        [sys.executable, str(PAIRS), "--pr", "7", "--parent", "HEAD", "--repo", str(repo),
-         "--command", f"{sys.executable} stub.py", "--seconds", "2", *extra],
+        [sys.executable, str(repo / "tools" / "pairs.py"), "--pr", "7", "--parent", "HEAD",
+         *extra],
         capture_output=True, text=True, env={**os.environ, "TMPDIR": str(tmp)})
 
 
@@ -78,8 +83,8 @@ def test_pairs_statistics_and_alternation(repo, tmp_path):
     proc = run_pairs(repo, tmp_path / "tmp", "--workloads", "wide:0-3", "tiny", "--seeds", "5")
     assert proc.returncode == 0, proc.stderr
     record = json.loads((repo / "BENCH_7.json").read_text())
-    assert record["machine"] == {"stub": True, "trace": "0"}
-    assert record["seconds"] == 2.0 and record["command"][1:] == ["stub.py"]
+    assert record["machine"] == {"stub": True, "trace": "0", "seconds": "2.0"}
+    assert record["seconds"] == 2.0 and record["command"] == [sys.executable, "stub.py"]
     wide = record["workloads"]["wide"]
     assert wide["seeds"] == [0, 1, 2, 3] and record["workloads"]["tiny"]["seeds"] == [5]
     for i, pair in enumerate(wide["pairs"]):

@@ -1,13 +1,13 @@
 """Run the benchmark in parent/change pairs and write ``BENCH_<pr>.json``.
 
     python3 tools/pairs.py --pr N --parent HEAD \\
-        --workloads eval_wide:0-9 overfit_tiny train_full --seeds 0-2 --seconds 30
+        --workloads eval_wide:0-9 overfit_tiny train_full --seeds 0-2
 
 The parent revision (``git archive``) and the working tree (every tracked
 or untracked, not ignored file, as it is on disk) are exported into one
 temporary directory each, so neither run writes into the repository.  Each
-pair runs the benchmark command (``BENCHMARK.json``'s ``command``, or
-``--command``) with ``--workload W --seed S --seconds N --trace 0`` in both
+pair runs ``BENCHMARK.json``'s ``command`` with ``--workload W --seed S
+--seconds N --trace 0`` (``N`` defaults to its ``run_seconds``) in both
 trees, one after the other; the side that runs first alternates from pair
 to pair.  The last line of a run's standard output is its JSON result; a
 run that exits non-zero or is not ``"correct"`` stops the runner before
@@ -23,7 +23,6 @@ runner imports nothing from ``benches/``.
 import argparse
 import io
 import json
-import shlex
 import shutil
 import statistics
 import subprocess
@@ -120,35 +119,34 @@ def main() -> int:
                     help="workload names, each optionally NAME:SEEDS to override --seeds")
     ap.add_argument("--seeds", type=parse_seeds, default=[0],
                     help="seeds such as 0-9 or 0,3,5 (default 0)")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--repo", type=Path, default=ROOT, help="the checkout (default: this one)")
-    ap.add_argument("--command", help="the benchmark command (default: BENCHMARK.json's)")
+    ap.add_argument("--seconds", type=float,
+                    help="length of each run (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args()
 
-    repo = args.repo.resolve()
-    declared = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
-    command = shlex.split(args.command) if args.command else list(declared["command"])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    command = list(declared["command"])
+    seconds = float(declared["run_seconds"] if args.seconds is None else args.seconds)
     better = {m["name"]: m["better"] for m in declared.get("end_to_end", [])}
     plan = []
     for item in args.workloads:
         name, _, seeds = item.partition(":")
         plan.append((name, parse_seeds(seeds) if seeds else args.seeds))
 
-    record = {"parent": git(repo, "rev-parse", args.parent).decode().strip(),
-              "change": "working tree of " + git(repo, "rev-parse", "HEAD").decode().strip(),
-              "command": command, "seconds": args.seconds, "machine": None,
+    record = {"parent": git(ROOT, "rev-parse", args.parent).decode().strip(),
+              "change": "working tree of " + git(ROOT, "rev-parse", "HEAD").decode().strip(),
+              "command": command, "seconds": seconds, "machine": None,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        export_revision(repo, args.parent, trees["parent"])
-        export_worktree(repo, trees["change"])
+        export_revision(ROOT, args.parent, trees["parent"])
+        export_worktree(ROOT, trees["change"])
         for name, seeds in plan:
             pairs, units = [], {}
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run = run_once(command, trees[side], name, seed, args.seconds)
+                    run = run_once(command, trees[side], name, seed, seconds)
                     pair[side] = run["metrics"]
                     units.update(run["units"])
                     record["machine"] = record["machine"] or run["machine"]
@@ -158,7 +156,7 @@ def main() -> int:
                     for side in SIDES), file=sys.stderr)
             record["workloads"][name] = {"seeds": seeds, "pairs": pairs,
                                          "metrics": workload_stats(pairs, units, better)}
-    out = repo / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0
