@@ -276,10 +276,12 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
     run whole and without a tape, as greedy evaluation runs: one untimed
     pass over `data`, then whole passes timed until at least `min_steps`
     steps have run.  A greedy walk never revisits a node, so each step
-    includes its panorama's render; the timed passes walk the routes the
-    untimed one walked, so every render, candidate, panorama embedding and
-    OGI output row they need is in the world's and the store's memos
-    already (the store's slots "panorama" and "ogi")."""
+    includes its panorama's render, which still runs whole: only its noise
+    term is kept, in the bundle's memo.  The timed passes walk the routes
+    the untimed one walked, so every candidate row, panorama embedding and
+    whole OGI call they need is in the world's and the store's memos
+    already (the world's slot "rows", the store's slots "panorama" and
+    "ogi")."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")

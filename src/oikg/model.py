@@ -163,10 +163,23 @@ def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, tuple]:
          (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))))
 
 
+# inside forward_step: its cache's keys, {names: _param_bytes(params, names)}
+_WALK_KEYS: dict | None = None
+
+
 def _param_bytes(params: nn.ParamStore, names) -> tuple:
     """The exact bytes of the named parameters: the part of a forward-only
-    memo's key that a loaded, stepped or edited value changes."""
-    return tuple(params[k].data.tobytes() for k in names)
+    memo's key that a loaded, stepped or edited value changes.  No
+    parameter changes during the walk an ``EpisodeCache`` serves, so inside
+    ``forward_step`` each tuple is built once per cache and kept in
+    ``cache.keys``; any other caller builds it on every call."""
+    keys = _WALK_KEYS
+    if keys is None:
+        return tuple(params[k].data.tobytes() for k in names)
+    key = keys.get(names)
+    if key is None:
+        key = keys[names] = tuple(params[k].data.tobytes() for k in names)
+    return key
 
 
 def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
@@ -303,6 +316,11 @@ def _candidate_rows(inputs: np.ndarray, params: nn.ParamStore,
     return edge + (pos[0] if pos else 0.0), terms
 
 
+# the parameters the candidate rows read, with geo_embed on or off
+_ROW_NAMES = {True: ("graph.edge.w", "graph.edge.b", "graph.pe.w", "graph.pe.b"),
+              False: ("graph.edge.w", "graph.edge.b")}
+
+
 def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
                cfg: ModelConfig) -> np.ndarray:
     """The rows of the candidates ``order`` seen from ``pg.current``, read
@@ -311,8 +329,7 @@ def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
     and the exact bytes of the parameters the rows read (a new key drops
     the table); missing rows are computed by ``_candidate_rows`` and kept."""
     graph, n = pg.graph, cfg.view_grid.n_headings
-    names = ("graph.edge.w", "graph.edge.b") + (
-        ("graph.pe.w", "graph.pe.b") if cfg.geo_embed else ())
+    names = _ROW_NAMES[cfg.geo_embed]
     key = (n, cfg.geo_embed) + _param_bytes(params, names)
     v, width = len(graph.nodes), params["graph.edge.w"].shape[1]
     table, filled = _memo(graph, "rows", key, lambda: (
@@ -570,8 +587,10 @@ class EpisodeCache:
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
     they were built in.  ``key_detail`` is the episode's read-only key
-    detail array, the one copy (None when both detail flags are off), and
-    ``align`` the first step's alignment row node; later steps replay it.
+    detail array, the one copy (None when both detail flags are off),
+    ``align`` the first step's alignment row node, which later steps
+    replay, and ``keys`` the untaped memos' parameter-bytes keys, each built
+    on first use (``_param_bytes``).
     """
 
     def __init__(self):
@@ -579,6 +598,7 @@ class EpisodeCache:
         self.obs: dict[int, nn.Tensor] = {}
         self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
+        self.keys: dict = {}
 
 
 def forward_step(pg: PathGraph, env: EnvBundle, tokens,
@@ -597,29 +617,35 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     f_i, ``enh.wv`` and the ``kd.*`` parameters on its own, at the step's
     place in the backward walk, as a per-step rebuild gave it.  One tracked
     tensor shared by the steps would sum their gradients first and change
-    the last bits.
+    the last bits.  The untaped memos' keys are built once per cache, not
+    once per step (``_param_bytes``).
     """
-    f_o = cache.obs.get(pg.current)
-    if f_o is None:
-        # positional: the benchmark tracer reads the bundle and node as args
-        visual = render_observation(env, pg.current, cfg.view_grid)
-        f_o = cache.obs[pg.current] = decouple_observation(visual, params, cfg)
+    global _WALK_KEYS
+    outer, _WALK_KEYS = _WALK_KEYS, cache.keys
+    try:
+        f_o = cache.obs.get(pg.current)
+        if f_o is None:
+            # positional: the benchmark tracer reads the bundle and node as args
+            visual = render_observation(env, pg.current, cfg.view_grid)
+            f_o = cache.obs[pg.current] = decouple_observation(visual, params, cfg)
 
-    f_g, order = build_candidates(pg, params, cfg)
-    g_enh = observation_graph_interaction(f_g, f_o, params, cfg)
+        f_g, order = build_candidates(pg, params, cfg)
+        g_enh = observation_graph_interaction(f_g, f_o, params, cfg)
 
-    f_i = cache.instr
-    if f_i is None:
-        f_i = cache.instr = encode_instruction(tokens, params, cfg)
+        f_i = cache.instr
+        if f_i is None:
+            f_i = cache.instr = encode_instruction(tokens, params, cfg)
 
-    row = None
-    if cfg.loc_detail or cfg.obj_detail:
-        if cache.align is not None:
-            row = nn.replay(cache.align)
-        else:
-            cache.key_detail, row = extract_key_detail(f_i, tokens, params, cfg)
-            cache.align = row
-    f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
-    scores = enhance_and_score(f_c, row, params, cfg)
-    return StepFeatures(scores=scores), select_action(scores.data, order,
-                                                      pg.current)
+        row = None
+        if cfg.loc_detail or cfg.obj_detail:
+            if cache.align is not None:
+                row = nn.replay(cache.align)
+            else:
+                cache.key_detail, row = extract_key_detail(f_i, tokens, params, cfg)
+                cache.align = row
+        f_c = cross_modal_fusion(g_enh, f_i, params, cfg)
+        scores = enhance_and_score(f_c, row, params, cfg)
+        return StepFeatures(scores=scores), select_action(scores.data, order,
+                                                          pg.current)
+    finally:
+        _WALK_KEYS = outer

@@ -221,11 +221,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return tape_node(_affine(x.data, w, b), (x, w) if b is None else (x, w, b), backward)
 
 
+def _mlp_forward(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]) -> tuple:
+    """The one implementation of an MLP's arithmetic: linear layers with
+    ReLU between them, the last layer linear, each layer checked.  Returns
+    each layer's input, after the ReLU below it, and the output."""
+    if not layers:
+        raise InvalidArgument("mlp needs at least one layer")
+    ins, h = [], x
+    for i, (w, b) in enumerate(layers):
+        ins.append(np.maximum(h, 0.0) if i else h)
+        h = _affine(ins[-1], w, b)
+    return ins, h
+
+
 def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
-    """The one implementation of an MLP: linear layers with ReLU between
-    them, the last layer linear.  Returns the output and ``backward(g)``,
-    which adds into each tracked bias and weight, last layer first, and
-    returns the gradient of x.
+    """An MLP (``_mlp_forward``) with its gradient.  Returns the output and
+    ``backward(g)``, which adds into each tracked bias and weight, last
+    layer first, and returns the gradient of x.
 
     Fused nodes run it, bitwise equal to the chain of ``linear`` and ReLU
     nodes (``oracle_mlp`` in the tests): the forward makes the chain's numpy
@@ -236,12 +248,7 @@ def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
     x's gradient comes back for the caller to route, after the first
     layer's weight term.
     """
-    if not layers:
-        raise InvalidArgument("mlp needs at least one layer")
-    ins, h = [], x   # per layer: its input, after the ReLU below it
-    for i, (w, b) in enumerate(layers):
-        ins.append(np.maximum(h, 0.0) if i else h)
-        h = _affine(ins[-1], w, b)
+    ins, h = _mlp_forward(x, layers)
 
     def backward(g):
         for i in reversed(range(len(layers))):
@@ -280,19 +287,39 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     return out, weights + tuple(t for layer in layers for t in layer), backward
 
 
-def _head_major(k_proj: Tensor, v_proj: Tensor, heads: int) -> tuple:
+def _head_major(k: np.ndarray, v: np.ndarray, heads: int) -> tuple:
     """K's (heads, dh, m) and V's (heads, m, dh) copies for the attention core."""
-    m, dm = k_proj.data.shape
-    return (np.ascontiguousarray(k_proj.data.reshape(m, heads, dm // heads).transpose(1, 2, 0)),
-            np.ascontiguousarray(v_proj.data.reshape(m, heads, dm // heads).transpose(1, 0, 2)))
+    m, dm = k.shape
+    return (np.ascontiguousarray(k.reshape(m, heads, dm // heads).transpose(1, 2, 0)),
+            np.ascontiguousarray(v.reshape(m, heads, dm // heads).transpose(1, 0, 2)))
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       wq: np.ndarray, wo: np.ndarray, heads: int) -> tuple:
+    """The one implementation of multi-head scaled dot-product attention's
+    arithmetic after the K and V projections k and v: per head
+    softmax(QWq K^T / sqrt(dm/h)) V, heads concatenated and projected by
+    wo.  Returns the head-major queries, the weights, the merged heads and
+    the (n, dm) output."""
+    n, dm = q.shape
+    dh = dm // heads
+    # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data;
+    # K goes straight to its (heads, dh, m) transpose, the same copy
+    qh = np.ascontiguousarray((q @ wq).reshape(n, heads, dh).transpose(1, 0, 2))
+    kt, vh = _head_major(k, v, heads)
+    scores = (qh @ kt) * (1.0 / math.sqrt(dh))
+    z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
+    merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
+    return qh, p, merged, merged @ wo
 
 
 def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
                     wq: Tensor, wo: Tensor, heads: int):
-    """The one implementation of multi-head scaled dot-product attention
-    after the K and V projections: per head softmax(QWq K^T / sqrt(dm/h)) V,
-    heads concatenated and projected by wo.  Returns the (n, dm) output and
-    ``backward(g)``, which adds into wo, q, wq, K and V in that order.
+    """Attention (``_attention_forward``) with its gradient.  Returns the
+    (n, dm) output and ``backward(g)``, which adds into wo, q, wq, K and V
+    in that order.
 
     Bitwise equal to the 17-node composition of projections, reshapes,
     transposes, matmuls, scale and softmax (``oracle_attention`` in the
@@ -305,18 +332,11 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
     m = k_proj.data.shape[0]
     dh = dm // heads
     s = 1.0 / math.sqrt(dh)
-    # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data;
-    # K goes straight to its (heads, dh, m) transpose, the same copy
-    qh = np.ascontiguousarray((q.data @ wq.data).reshape(n, heads, dh).transpose(1, 0, 2))
-    kt, vh = _head_major(k_proj, v_proj, heads)
-    scores = (qh @ kt) * s
-    z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
-    merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
+    qh, p, merged, out = _attention_forward(q.data, k_proj.data, v_proj.data,
+                                            wq.data, wo.data, heads)
 
     def backward(g):
-        kt, vh = _head_major(k_proj, v_proj, heads)
+        kt, vh = _head_major(k_proj.data, v_proj.data, heads)
         g_merged = g @ wo.data.T
         if wo.requires_grad:
             wo.accumulate_grad(merged.T @ g)
@@ -337,7 +357,7 @@ def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
             g_vh = p.transpose(0, 2, 1) @ g_mixed
             v_proj.accumulate_grad(g_vh.transpose(1, 0, 2).reshape(m, dm))
 
-    return merged @ wo.data, backward
+    return out, backward
 
 
 def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
@@ -352,6 +372,16 @@ def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
             or len(wo_shape) != 2 or wo_shape[0] != dm):
         raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
                          f"do not fit width {dm}")
+
+
+def _block_out(h1: np.ndarray, m: np.ndarray, score: bool) -> np.ndarray:
+    """A residual block's output from h1 and its MLP output m: h1 + m, or a
+    scoring head's one score per row."""
+    if not score:
+        return h1 + m
+    if m.shape[1] != 1:
+        raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
+    return m.reshape(m.shape[0])
 
 
 def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
@@ -377,19 +407,24 @@ def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
     layer, and the tape adds a layer's K and V terms into it only after the
     query's ancestry, earlier layers included, has run; a block node would
     add them before.  The backward saves no MLP output, only its shape.
+
+    Under ``no_tape()`` the block is one untracked Tensor: K and V are the
+    arrays their ``linear`` nodes would hold, and the same forwards run
+    (``_attention_forward``, ``_mlp_forward``), with every check, but no
+    node or closure is built.
     """
     _check_attention(h.data.shape, kv.data.shape, attn, heads)
     wq, wk, wv, wo = attn
+    if not _TAPE_ON:   # _check_attention has checked the K and V products
+        a = _attention_forward(h.data, kv.data @ wk.data, kv.data @ wv.data,
+                               wq.data, wo.data, heads)[-1]
+        h1 = h.data + a
+        return Tensor(_block_out(h1, _mlp_forward(h1, layers)[1], score))
     k_proj, v_proj = linear(kv, wk), linear(kv, wv)
     a, core_backward = _attention_core(h, k_proj, v_proj, wq, wo, heads)
     h1 = h.data + a
     m, mlp_backward = _mlp_chain(h1, layers)
-    if score:
-        if m.shape[1] != 1:
-            raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
-        out = m.reshape(m.shape[0])
-    else:
-        out = h1 + m
+    out = _block_out(h1, m, score)
 
     def backward(g):
         g_in = mlp_backward(g.reshape(-1, 1) if score else g)   # m's shape, not m

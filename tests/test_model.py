@@ -16,7 +16,7 @@ from tape_ops import (cue_masks, matmul, mlp, mul, oracle_add_row,
                       oracle_mean, oracle_residual_block, reshape, tsum)
 from test_geometry import nearest_view
 from test_metrics import graph_from
-from test_nn import same_bits
+from test_nn import record_calls, same_bits
 
 from oikg import model, nn, training
 from oikg import synthenv as se
@@ -67,20 +67,6 @@ def record_param_reads(monkeypatch) -> list:
 
     monkeypatch.setattr(nn.ParamStore, "__getitem__", spy)
     return reads
-
-
-def record_calls(monkeypatch, owner, name) -> list:
-    """(args, result) of every call made to ``owner.name`` from now on."""
-    calls = []
-    original = getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        result = original(*args, **kwargs)
-        calls.append((args, result))
-        return result
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
 
 
 # ------------------------------------------------------------------ config
@@ -994,6 +980,45 @@ def test_ogi_memo_drops_on_load_state_or_an_edited_ogi_parameter(change):
     taped = [s.logits for env, ep in data for s in training.rollout(
         env, ep, 8, training.greedy_policy, params, TINY).steps]
     assert same_scores(got, taped)
+
+
+def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
+    """Inside ``forward_step`` the untaped memos' parameter-bytes keys are
+    built once per ``EpisodeCache``: a warm walk of several steps reads each
+    keyed parameter once, where the parent read it on every step, while a
+    direct call of a stage function builds its key on every call.  No
+    walk's keys stay in force after a step, one that raised included."""
+    data = memo_world_data(TINY)
+    params = model.build_params(TINY, seed=0)
+    untaped_scores(data, params, TINY)   # block weights looked up, every memo filled
+    env, ep = data[0]
+    reads = record_param_reads(monkeypatch)
+    cache = model.EpisodeCache()
+    with nn.no_tape():
+        rec = training.rollout(env, ep, 8, training.greedy_policy, params, TINY, cache)
+    assert len(rec.steps) > 2 and model._WALK_KEYS is None
+    keyed = (model._ogi_names(TINY.layers), model._OBS_NAMES[True], model._ROW_NAMES[True])
+    assert set(cache.keys) == set(keyed)
+    assert all(reads.count(name) == 1 for names in keyed[:2] for name in names)
+    assert all(reads.count(name) == 1 for name in ("graph.edge.b", "graph.pe.w", "graph.pe.b"))
+
+    pg = PathGraph(env.graph, start=ep.start)
+    with nn.no_tape():
+        f_o = model.decouple_observation(se.render_observation(env, pg.current, TINY.view_grid),
+                                         params, TINY)
+        f_g, _ = model.build_candidates(pg, params, TINY)
+        reads.clear()
+        for _ in range(2):
+            model.observation_graph_interaction(f_g, f_o, params, TINY)
+    assert all(reads.count(name) == 2 for name in model._ogi_names(TINY.layers))
+
+    def broken(*args):
+        raise InvalidState("no render")
+
+    monkeypatch.setattr(model, "render_observation", broken)
+    with nn.no_tape(), pytest.raises(InvalidState):
+        model.forward_step(pg, env, ep.tokens, params, TINY, model.EpisodeCache())
+    assert model._WALK_KEYS is None
 
 
 def test_forward_step_after_load_state_equals_fresh_store(setup):

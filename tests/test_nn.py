@@ -4,6 +4,7 @@ Every differentiable op is validated against central finite differences:
 relative error <= 1e-4 with step h = 1e-4, denominator max(|a|,|b|,1e-8).
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -26,6 +27,7 @@ from oikg.errors import (
     SchemaError,
     ShapeError,
 )
+from oikg.model import HEADS, TINY_CONFIG, ModelConfig
 
 FD_H = 1e-4
 FD_TOL = 1e-4
@@ -60,6 +62,20 @@ def check_grads(make_loss, tensors, h=FD_H, tol=FD_TOL):
 
 def rand_tensor(rng, shape, requires_grad=True):
     return nn.Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """(args, result) of every call made to ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 # ----------------------------------------------------------- forward values
@@ -744,16 +760,58 @@ def test_fd_residual_block(score):
     check_grads(make_loss, [h, kv] + block_leaves([(attn, mlp_layers)]))
 
 
-def test_residual_block_shape_errors():
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("cfg", [TINY_CONFIG, ModelConfig()], ids=["tiny", "default"])
+def test_untaped_residual_block_builds_no_node_and_equals_taped(monkeypatch, cfg, rows):
+    """Under ``no_tape()`` a block calls neither ``linear`` nor ``tape_node``
+    and its data is the taped block's, bit for bit: a two-block decoder
+    stack sharing one kv, then the self-attention scoring head, at the
+    model's widths."""
+    rng = np.random.default_rng(24)
+    dm = cfg.dim
+    h0, kv = rand_tensor(rng, (rows, dm)), rand_tensor(rng, (6, dm))
+    decoder = block_params(rng, dm, 2)
+    [(head_attn, head_layers)] = block_params(rng, dm, 1, out_width=1)
+
+    def run():
+        h, outs = h0, []
+        for attn, mlp_layers in decoder:
+            h = nn.residual_block(h, kv, attn, mlp_layers, HEADS)
+            outs.append(h)
+        return outs + [nn.residual_block(h, h, head_attn, head_layers, HEADS, score=True)]
+
+    taped = run()
+    linears = record_calls(monkeypatch, nn, "linear")
+    nodes = record_calls(monkeypatch, nn, "tape_node")
+    with nn.no_tape():
+        plain = run()
+    assert linears == [] and nodes == []
+    assert plain[-1].shape == (rows,)
+    for a, b in zip(plain, taped):
+        assert b.requires_grad and not a.requires_grad and a._parents == ()
+        assert a.data.shape == b.data.shape and (a.data == b.data).all()
+        assert same_bits(a.data, b.data)
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+def test_residual_block_shape_errors(taped):
     rng = np.random.default_rng(21)
     [(attn, mlp_layers)] = block_params(rng, 4, 1)
+    (w1, b1), (w2, b2) = mlp_layers
     h = rand_tensor(rng, (3, 4))
-    with pytest.raises(ShapeError):
-        nn.residual_block(h, rand_tensor(rng, (2, 6)), attn, mlp_layers, 2)
-    with pytest.raises(ShapeError):
-        nn.residual_block(h, h, attn, mlp_layers, 3)
-    with pytest.raises(ShapeError):   # a scoring head needs one output column
-        nn.residual_block(h, h, attn, mlp_layers, 2, score=True)
+    with contextlib.nullcontext() if taped else nn.no_tape():
+        with pytest.raises(ShapeError):
+            nn.residual_block(h, rand_tensor(rng, (2, 6)), attn, mlp_layers, 2)
+        with pytest.raises(ShapeError):
+            nn.residual_block(h, h, attn, mlp_layers, 3)
+        with pytest.raises(ShapeError):   # a scoring head needs one output column
+            nn.residual_block(h, h, attn, mlp_layers, 2, score=True)
+        with pytest.raises(ShapeError):   # an MLP weight that does not fit
+            nn.residual_block(h, h, attn, [(w1, b1), (rand_tensor(rng, (7, 4)), b2)], 2)
+        with pytest.raises(ShapeError):   # an MLP bias that does not fit
+            nn.residual_block(h, h, attn, [(w1, rand_tensor(rng, (5,))), (w2, b2)], 2)
+        with pytest.raises(InvalidArgument):
+            nn.residual_block(h, h, attn, [], 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

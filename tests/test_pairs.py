@@ -37,6 +37,20 @@ print(json.dumps({"correct": not Path("incorrect.txt").exists(), "attempted": 3,
                                            for k, (v, u) in metrics.items()}}))
 '''
 
+# The acceptance stub: a test named like test_a05 that takes longer in the
+# parent tree and fails where incorrect.txt exists.
+STUB_A05 = '''
+import time
+from pathlib import Path
+
+def test_a05_stub():
+    time.sleep(0.6 if Path("side.txt").read_text().strip() == "parent" else 0.1)
+    assert not Path("incorrect.txt").exists()
+
+def test_a06_stub():
+    raise AssertionError("-k test_a05 deselects this")
+'''
+
 DECLARED = {"command": [sys.executable, "stub.py"], "run_seconds": 2, "end_to_end": [
     {"name": "op_ms_p50", "better": "lower"},
     {"name": "decision_steps_per_s", "better": "higher"},
@@ -59,6 +73,8 @@ def repo(tmp_path):
     shutil.copy(PAIRS, root / "tools" / "pairs.py")
     (root / "BENCHMARK.json").write_text(json.dumps(DECLARED))
     (root / "side.txt").write_text("parent\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_stub.py").write_text(STUB_A05)
     git(root, "init", "-q")
     git(root, "add", "-A")
     git(root, "commit", "-q", "-m", "parent")
@@ -127,3 +143,32 @@ def test_pairs_writes_only_its_bench_file(repo, tmp_path):
     assert not (repo / "out").exists()
     assert list(tmp.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["repo", "tmp"]
+
+
+def test_pairs_acceptance_times_test_a05_in_both_trees(repo, tmp_path):
+    before = snapshot(repo)
+    proc = run_pairs(repo, tmp_path / "tmp", "--acceptance", "2")
+    assert proc.returncode == 0, proc.stderr
+    after = snapshot(repo)
+    assert after.pop("BENCH_7.json") and after == before
+    record = json.loads((repo / "BENCH_7.json").read_text())
+    assert record["workloads"] == {}
+    acceptance = record["acceptance"]
+    assert acceptance["command"] == ["python", "-m", "pytest", "-q", "-k", "test_a05"]
+    assert [pair["first"] for pair in acceptance["pairs"]] == ["parent", "change"]
+    for pair in acceptance["pairs"]:
+        assert pair["parent"]["wall_s"] > pair["change"]["wall_s"] + 0.3
+    wall = acceptance["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["better"] == "lower"
+    assert (wall["parent"]["won"], wall["change"]["won"]) == (0, 2)
+    assert wall["parent"]["median"] == statistics.median(
+        pair["parent"]["wall_s"] for pair in acceptance["pairs"])
+
+
+def test_pairs_acceptance_refuses_a_failed_run(repo, tmp_path):
+    (repo / "incorrect.txt").write_text("")   # untracked: only the change side has it
+    proc = run_pairs(repo, tmp_path / "tmp", "--acceptance", "1")
+    assert proc.returncode != 0
+    assert "acceptance run in change exited 1" in proc.stderr
+    assert not (repo / "BENCH_7.json").exists()
+    assert run_pairs(repo, tmp_path / "tmp").returncode == 2   # nothing to run

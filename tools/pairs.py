@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py --pr N --parent HEAD \\
         --workloads eval_wide:0-9 overfit_tiny train_full --seeds 0-2
+    python3 tools/pairs.py --pr N --parent HEAD --acceptance 3
 
 The parent revision (``git archive``) and the working tree (every tracked
 or untracked, not ignored file, as it is on disk) are exported into one
@@ -18,21 +19,30 @@ run, every pair's metrics, and per workload and metric each side's median,
 inter-quartile range and pairs won (the direction comes from
 ``BENCHMARK.json``'s ``end_to_end`` list; ties win for neither side).  The
 runner imports nothing from ``benches/``.
+
+``--acceptance N`` adds N pairs, alternating in the same way, of the
+2000-iteration overfit acceptance test: ``python -m pytest -q -k test_a05``
+run in each tree with its ``src`` first on ``PYTHONPATH``.  Each run's wall
+time goes under ``"acceptance"`` as ``wall_s``, lower being better; a run
+that exits non-zero, a failed or deselected test, stops the runner.
 """
 
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+ACCEPTANCE = ["-m", "pytest", "-q", "-k", "test_a05"]   # after this interpreter
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -85,6 +95,25 @@ def run_once(command: list, tree: Path, workload: str, seed: int, seconds: float
             "machine": machine}
 
 
+def run_acceptance(tree: Path) -> dict:
+    """One timed acceptance run in ``tree``; a failed run raises SystemExit."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src") + (os.pathsep + path if path else "")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *ACCEPTANCE], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"pairs: acceptance run in {tree.name} exited {proc.returncode}\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {"wall_s": wall}
+
+
+def alternate(n: int):
+    """The order of the sides in pair i: parent first on even i."""
+    return SIDES if n % 2 == 0 else SIDES[::-1]
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else (values[0],) * 3)
@@ -115,13 +144,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workloads", nargs="+", required=True,
+    ap.add_argument("--workloads", nargs="*", default=[],
                     help="workload names, each optionally NAME:SEEDS to override --seeds")
     ap.add_argument("--seeds", type=parse_seeds, default=[0],
                     help="seeds such as 0-9 or 0,3,5 (default 0)")
     ap.add_argument("--seconds", type=float,
                     help="length of each run (default: BENCHMARK.json's run_seconds)")
+    ap.add_argument("--acceptance", type=int, default=0, metavar="N",
+                    help="also time N pairs of the test_a05 acceptance run (default 0)")
     args = ap.parse_args()
+    if not args.workloads and args.acceptance < 1:
+        ap.error("nothing to run: give --workloads or --acceptance N")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command = list(declared["command"])
@@ -143,7 +176,7 @@ def main() -> int:
         for name, seeds in plan:
             pairs, units = [], {}
             for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                order = alternate(i)
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     run = run_once(command, trees[side], name, seed, seconds)
@@ -156,6 +189,19 @@ def main() -> int:
                     for side in SIDES), file=sys.stderr)
             record["workloads"][name] = {"seeds": seeds, "pairs": pairs,
                                          "metrics": workload_stats(pairs, units, better)}
+        if args.acceptance:
+            pairs = []
+            for i in range(args.acceptance):
+                order = alternate(i)
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_acceptance(trees[side])
+                pairs.append(pair)
+                print(f"acceptance pair {i}: " + ", ".join(
+                    f"{side} {pair[side]['wall_s']:.1f} s" for side in SIDES), file=sys.stderr)
+            record["acceptance"] = {
+                "command": ["python", *ACCEPTANCE], "pairs": pairs,
+                "metrics": workload_stats(pairs, {"wall_s": "s"}, {"wall_s": "lower"})}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
