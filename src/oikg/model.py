@@ -153,14 +153,19 @@ def _memo(owner, name, key, make):
     return slot[1]
 
 
-def _block_weights(prefix: str, params: nn.ParamStore) -> tuple[tuple, tuple]:
-    """The (wq, wk, wv, wo) attention weights and the MLP layers of a block,
-    looked up once per store (slot ``prefix``): the Tensors, so loaded or
-    stepped values show."""
-    return _memo(params, prefix, None, lambda: (
-        tuple(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
-        ((params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]),
-         (params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"]))))
+def _stack(h: nn.Tensor, kv: nn.Tensor | None, stage: str, params: nn.ParamStore,
+           layers: int | None = None, score: bool = False) -> nn.Tensor:
+    """``nn.residual_stack`` over kv (None: self-attention) of the blocks
+    ``stage.l0``, ``stage.l1``, ... of a ``layers``-deep stage, or of the one
+    block ``stage``.  Their (wq, wk, wv, wo) attention weights and MLP
+    layers are looked up once per store (slot ``(stage, layers)``): the
+    Tensors, so loaded or stepped values show."""
+    blocks = _memo(params, (stage, layers), None, lambda: tuple(
+        (tuple(params[f"{p}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
+         ((params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"]),
+          (params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])))
+        for p in ([stage] if layers is None else [f"{stage}.l{i}" for i in range(layers)])))
+    return nn.residual_stack(h, kv, blocks, HEADS, score)
 
 
 # inside forward_step: its cache's keys, {names: _param_bytes(params, names)}
@@ -180,11 +185,6 @@ def _param_bytes(params: nn.ParamStore, names) -> tuple:
     if key is None:
         key = keys[names] = tuple(params[k].data.tobytes() for k in names)
     return key
-
-
-def _decoder_block(h: nn.Tensor, kv: nn.Tensor, prefix: str,
-                   params: nn.ParamStore) -> nn.Tensor:
-    return nn.residual_block(h, kv, *_block_weights(prefix, params), HEADS)
 
 
 # ------------------------------------------------------------- observation
@@ -391,14 +391,6 @@ def _ogi_names(layers: int) -> tuple:
     return tuple(name for i in range(layers) for name, _ in _block_spec(f"ogi.l{i}", 1))
 
 
-def _ogi_stack(f_g: nn.Tensor, f_o: nn.Tensor, params: nn.ParamStore,
-               layers: int) -> nn.Tensor:
-    h = f_g
-    for i in range(layers):
-        h = _decoder_block(h, f_o, f"ogi.l{i}", params)
-    return h
-
-
 def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
                                   params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     """Candidates attend over panorama rows through the decoder stack.
@@ -413,7 +405,7 @@ def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
     call neither reads nor fills it.
     """
     if nn._TAPE_ON:
-        return _ogi_stack(f_g, f_o, params, cfg.layers)
+        return _stack(f_g, f_o, "ogi", params, cfg.layers)
     key = (cfg.layers,) + _param_bytes(params, _ogi_names(cfg.layers))
     panoramas = _memo(params, "ogi", key, dict)
     seen = (f_o.data.shape, f_o.data.tobytes())
@@ -423,7 +415,7 @@ def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
     query = f_g.data.tobytes()
     out = calls.get(query)
     if out is None:
-        out = calls[query] = _ogi_stack(f_g, f_o, params, cfg.layers).data
+        out = calls[query] = _stack(f_g, f_o, "ogi", params, cfg.layers).data
         out.flags.writeable = False
     return nn.Tensor(out)
 
@@ -443,9 +435,7 @@ def sinusoid_table(m: int, dim: int) -> np.ndarray:
 def encode_instruction(tokens, params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     h = nn.embedding(list(tokens), params["txt.embed"])
     h = nn.add(h, nn.Tensor(sinusoid_table(len(tokens), cfg.dim)))
-    for i in range(cfg.layers):
-        h = _decoder_block(h, h, f"txt.l{i}", params)
-    return h
+    return _stack(h, None, "txt", params, cfg.layers)
 
 
 def _selector(tokens, cls: str) -> np.ndarray | None:
@@ -514,10 +504,7 @@ def extract_key_detail(f_i: nn.Tensor, tokens, params: nn.ParamStore,
 
 def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
                        params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    h = g_enh
-    for i in range(cfg.layers):
-        h = _decoder_block(h, f_i, f"cmf.l{i}", params)
-    return h
+    return _stack(g_enh, f_i, "cmf", params, cfg.layers)
 
 
 # ----------------------------------------------------------------- scoring
@@ -555,8 +542,7 @@ def enhance_and_score(f_c: nn.Tensor, row: nn.Tensor | None,
     one score per row.
     """
     f_e = f_c if row is None else add_row(f_c, row)
-    return nn.residual_block(f_e, f_e, *_block_weights("sel", params), HEADS,
-                             score=True)
+    return _stack(f_e, None, "sel", params, score=True)
 
 
 def select_action(scores: np.ndarray, frontier_order, node: int) -> int:
@@ -581,8 +567,8 @@ def select_action(scores: np.ndarray, frontier_order, node: int) -> int:
 class EpisodeCache:
     """Reuses, inside one autograd graph, the encodings that stay fixed for
     an episode: the instruction encoding, each node's panorama embedding
-    (so each node is rendered once per episode), and the key detail with
-    its alignment row.
+    (so each node is rendered at most once per episode), and the key detail
+    with its alignment row.
 
     One cache serves one episode, its teacher and student rollouts alike,
     and is dropped with it: the encoded tensors belong to the loss graph
@@ -591,14 +577,34 @@ class EpisodeCache:
     ``align`` the first step's alignment row node, which later steps
     replay, and ``keys`` the untaped memos' parameter-bytes keys, each built
     on first use (``_param_bytes``).
+    ``panoramas``, when given, is a map {id(bundle): (bundle, {node:
+    embedding node})} that the caches of one graph share (``train`` keeps
+    one per iteration, since it must die with its parameter values): keyed
+    by identity, as a bundle cannot be hashed, and holding the bundle, so no
+    id is reused while it lives.
     """
 
-    def __init__(self):
+    def __init__(self, panoramas: dict | None = None):
         self.instr: nn.Tensor | None = None
         self.obs: dict[int, nn.Tensor] = {}
         self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
         self.keys: dict = {}
+        self.panoramas = panoramas
+
+
+def _panorama(env: EnvBundle, node: int, params: nn.ParamStore, cfg: ModelConfig,
+              shared: dict | None) -> nn.Tensor:
+    """``nn.replay`` of ``node``'s embedding in the ``shared`` map, or the
+    panorama rendered and embedded, and kept in the map if one is given."""
+    seen = None if shared is None else shared.setdefault(id(env), (env, {}))[1]
+    if seen and node in seen:
+        return nn.replay(seen[node])
+    # positional: the benchmark tracer reads the bundle and node as args
+    f_o = decouple_observation(render_observation(env, node, cfg.view_grid), params, cfg)
+    if seen is not None:
+        seen[node] = f_o
+    return f_o
 
 
 def forward_step(pg: PathGraph, env: EnvBundle, tokens,
@@ -608,7 +614,12 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     episode whose instruction is the token ids ``tokens``.  The node's
     panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
     its first visit per cache (untaped, the embedding comes from the
-    store's memo, ``decouple_observation``); later visits reuse it.
+    store's memo, ``decouple_observation``); later visits reuse it.  A
+    (bundle, node) that another cache of a shared map (``cache.panoramas``)
+    embedded first is ``nn.replay`` of that node: bitwise the cache's own
+    embedding, since the node's parents are leaves (the ``obs.*``
+    parameters, a constant), so each replay's backward runs with its own
+    episode's gradient.  A chain of nodes must never be shared so.
 
     ``cache`` is shared by the episode's steps: the first computes the key
     detail, kept in ``cache.key_detail``, and its alignment row, as one
@@ -625,9 +636,8 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     try:
         f_o = cache.obs.get(pg.current)
         if f_o is None:
-            # positional: the benchmark tracer reads the bundle and node as args
-            visual = render_observation(env, pg.current, cfg.view_grid)
-            f_o = cache.obs[pg.current] = decouple_observation(visual, params, cfg)
+            f_o = cache.obs[pg.current] = _panorama(env, pg.current, params, cfg,
+                                                    cache.panoramas)
 
         f_g, order = build_candidates(pg, params, cfg)
         g_enh = observation_graph_interaction(f_g, f_o, params, cfg)

@@ -234,36 +234,29 @@ def _mlp_forward(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]) -> tupl
     return ins, h
 
 
-def _mlp_chain(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]):
-    """An MLP (``_mlp_forward``) with its gradient.  Returns the output and
-    ``backward(g)``, which adds into each tracked bias and weight, last
-    layer first, and returns the gradient of x.
+def _mlp_backward(ins: list, layers: Sequence[tuple[Tensor, Tensor]],
+                  g: np.ndarray) -> np.ndarray:
+    """The gradient of ``_mlp_forward``, whose layer inputs are ``ins``:
+    adds into each tracked bias and weight, last layer first, and returns
+    the gradient of x, after the first layer's weight term.
 
-    Fused nodes run it, bitwise equal to the chain of ``linear`` and ReLU
+    With the forward, bitwise equal to the chain of ``linear`` and ReLU
     nodes (``oracle_mlp`` in the tests): the forward makes the chain's numpy
-    calls, and the backward replays its arrays, adding into each bias and
-    weight in the chain's order.  Every layer's weight is a parameter, so
-    the backward runs the whole chain; a ReLU passes the gradient where the
-    next layer's input, ``max(h, 0)``, is positive, which is where h is.
-    x's gradient comes back for the caller to route, after the first
-    layer's weight term.
+    calls, and this replays its arrays in the chain's order.  Every layer's
+    weight is a parameter, so the whole chain runs; a ReLU passes the
+    gradient where the next layer's input, ``max(h, 0)``, is positive.
     """
-    ins, h = _mlp_forward(x, layers)
-
-    def backward(g):
-        for i in reversed(range(len(layers))):
-            g = _affine_backward(ins[i], *layers[i], g, True)
-            if i:
-                g = g * (ins[i] > 0.0)   # through the ReLU below
-        return g
-
-    return h, backward
+    for i in reversed(range(len(layers))):
+        g = _affine_backward(ins[i], *layers[i], g, True)
+        if i:
+            g = g * (ins[i] > 0.0)   # through the ReLU below
+    return g
 
 
 def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tensor]]):
     """Blocks embedded apart, joined, then an MLP chain: each branch
     ``(x, x_live, w, b)`` is ``_affine(x, w, b)``, the blocks are
-    concatenated on the last axis and run through ``_mlp_chain``.  Returns
+    concatenated on the last axis and run through the MLP.  Returns
     the output, the weights and biases it reads, in order, and
     ``backward(g)``, which runs the chain, then each branch in order, and
     returns the list of the branches' x gradients (None where x is not
@@ -276,10 +269,10 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     """
     embedded = [_affine(x, w, b) for x, _, w, b in branches]
     offsets = list(itertools.accumulate((e.shape[-1] for e in embedded), initial=0))
-    out, chain_backward = _mlp_chain(np.concatenate(embedded, axis=-1), layers)
+    ins, out = _mlp_forward(np.concatenate(embedded, axis=-1), layers)
 
     def backward(g):
-        g_c = chain_backward(g)
+        g_c = _mlp_backward(ins, layers, g)
         return [_affine_backward(x, w, b, g_c[..., lo:hi], x_live)
                 for (x, x_live, w, b), lo, hi in zip(branches, offsets[:-1], offsets[1:])]
 
@@ -315,49 +308,39 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return qh, p, merged, merged @ wo
 
 
-def _attention_core(q: Tensor, k_proj: Tensor, v_proj: Tensor,
-                    wq: Tensor, wo: Tensor, heads: int):
-    """Attention (``_attention_forward``) with its gradient.  Returns the
-    (n, dm) output and ``backward(g)``, which adds into wo, q, wq, K and V
-    in that order.
-
-    Bitwise equal to the 17-node composition of projections, reshapes,
-    transposes, matmuls, scale and softmax (``oracle_attention`` in the
-    tests): the forward makes the composition's numpy calls on the same
-    memory layouts, and the backward computes the composition's gradients
-    in its order.  K and V are saved once, as their nodes' data: the
-    backward rebuilds their head-major copies with the forward's calls.
-    """
-    n, dm = q.data.shape
-    m = k_proj.data.shape[0]
+def _attention_backward(x: np.ndarray, k: np.ndarray, v: np.ndarray, fwd: tuple,
+                        wq: Tensor, wo: Tensor, heads: int, g: np.ndarray,
+                        live: tuple) -> tuple:
+    """The gradient of ``_attention_forward(x, k, v, ...)``, whose queries,
+    weights and merged heads are ``fwd``: adds into wo, then wq, and returns
+    the gradients of x (the query's term), K and V, each None where its
+    flag in ``live`` is false.  With the forward, bitwise equal to the
+    17-node composition of projections, reshapes, transposes, matmuls,
+    scale and softmax (``oracle_attention`` in the tests), on the same
+    memory layouts; K's and V's gradients come back C-contiguous, as a
+    node's ``accumulate_grad`` copy held them."""
+    qh, p, merged = fwd
+    n, dm = x.shape
+    m = k.shape[0]
     dh = dm // heads
-    s = 1.0 / math.sqrt(dh)
-    qh, p, merged, out = _attention_forward(q.data, k_proj.data, v_proj.data,
-                                            wq.data, wo.data, heads)
-
-    def backward(g):
-        kt, vh = _head_major(k_proj.data, v_proj.data, heads)
-        g_merged = g @ wo.data.T
-        if wo.requires_grad:
-            wo.accumulate_grad(merged.T @ g)
-        g_mixed = g_merged.reshape(n, heads, dh).transpose(1, 0, 2)
-        g_p = g_mixed @ vh.transpose(0, 2, 1)
-        dot = np.add.reduce(g_p * p, axis=-1, keepdims=True)
-        g_scores = (g_p - dot) * p * s
-        g_qh = g_scores @ kt.transpose(0, 2, 1)
-        g_q = g_qh.transpose(1, 0, 2).reshape(n, dm)
-        if q.requires_grad:
-            q.accumulate_grad(g_q @ wq.data.T)
-        if wq.requires_grad:
-            wq.accumulate_grad(q.data.T @ g_q)
-        if k_proj.requires_grad:
-            g_kt = qh.transpose(0, 2, 1) @ g_scores
-            k_proj.accumulate_grad(g_kt.transpose(2, 0, 1).reshape(m, dm))
-        if v_proj.requires_grad:
-            g_vh = p.transpose(0, 2, 1) @ g_mixed
-            v_proj.accumulate_grad(g_vh.transpose(1, 0, 2).reshape(m, dm))
-
-    return out, backward
+    kt, vh = _head_major(k, v, heads)
+    g_merged = g @ wo.data.T
+    if wo.requires_grad:
+        wo.accumulate_grad(merged.T @ g)
+    g_mixed = g_merged.reshape(n, heads, dh).transpose(1, 0, 2)
+    g_p = g_mixed @ vh.transpose(0, 2, 1)
+    dot = np.add.reduce(g_p * p, axis=-1, keepdims=True)
+    g_scores = (g_p - dot) * p * (1.0 / math.sqrt(dh))
+    g_q = (g_scores @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, dm)
+    x_live, k_live, v_live = live
+    g_x = g_q @ wq.data.T if x_live else None
+    if wq.requires_grad:
+        wq.accumulate_grad(x.T @ g_q)
+    g_k = np.ascontiguousarray((qh.transpose(0, 2, 1) @ g_scores)
+                               .transpose(2, 0, 1).reshape(m, dm)) if k_live else None
+    g_v = np.ascontiguousarray((p.transpose(0, 2, 1) @ g_mixed)
+                               .transpose(1, 0, 2).reshape(m, dm)) if v_live else None
+    return g_x, g_k, g_v
 
 
 def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
@@ -378,63 +361,92 @@ def _block_out(h1: np.ndarray, m: np.ndarray, score: bool) -> np.ndarray:
     """A residual block's output from h1 and its MLP output m: h1 + m, or a
     scoring head's one score per row."""
     if not score:
+        if m.shape != h1.shape:
+            raise ShapeError(f"a block's MLP output {m.shape} != its input {h1.shape}")
         return h1 + m
     if m.shape[1] != 1:
         raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
     return m.reshape(m.shape[0])
 
 
-def residual_block(h: Tensor, kv: Tensor, attn: Sequence[Tensor],
-                   layers: Sequence[tuple[Tensor, Tensor]], heads: int,
-                   score: bool = False) -> Tensor:
-    """A residual attention + MLP block: h1 = h + attention(h, kv, kv), then
-    h1 + mlp(h1).  ``attn`` is (wq, wk, wv, wo), ``layers`` the MLP's (w, b)
-    pairs.  With ``score`` the block is a scoring head: mlp(h1), whose last
-    layer is one wide, flattened to one score per row, with no second add.
+def residual_stack(h: Tensor, kv: Tensor | None, blocks: Sequence[tuple],
+                   heads: int, score: bool = False) -> Tensor:
+    """Residual attention + MLP blocks as one tape node.  Block l maps its
+    input x (h, then the block before's output) to h1 = x + attention(x, s,
+    s), then h1 + mlp(h1), with s = ``kv``, or x itself when ``kv`` is None
+    (self-attention).  ``blocks`` holds per block ((wq, wk, wv, wo), the
+    MLP's (w, b) pairs).  With ``score`` the last block is a scoring head:
+    mlp(h1), one wide, flattened to one score per row.
 
-    Three tape nodes, bitwise equal to the composition they fuse
-    (``oracle_residual_block`` in the tests): the K and V projections stay
-    ``linear`` nodes, and one block node with parents (h, K, V, wq, wo, MLP
-    weights) covers the Q projection, the attention core, the first add,
-    the MLP and the second add (or the final reshape).  Its backward runs
-    the composition's steps in the tape's order: the second add, the MLP,
-    the first add, the attention core.  So h receives the first add's term,
-    then the query's.  h1's gradient is the second add's term plus the
-    MLP's, or in a scoring head the MLP's alone.  Every step
-    runs, since wq, wo and the MLP weights are parameters; only the adds
-    into an input or weight wait on its ``requires_grad``.  K and V keep
-    their own nodes because a decoder stack feeds one k=v tensor to every
-    layer, and the tape adds a layer's K and V terms into it only after the
-    query's ancestry, earlier layers included, has run; a block node would
-    add them before.  The backward saves no MLP output, only its shape.
-
-    Under ``no_tape()`` the block is one untracked Tensor: K and V are the
-    arrays their ``linear`` nodes would hold, and the same forwards run
-    (``_attention_forward``, ``_mlp_forward``), with every check, but no
-    node or closure is built.
+    Bitwise equal to the tape of per-block K and V ``linear`` nodes and
+    block nodes (``oracle_residual_block`` in the tests) whenever h's
+    ancestry does not read kv, as in the model (ogi's h is the candidate
+    rows, cmf's the ogi output).  The backward runs the blocks last to
+    first, each in that tape's order: the second add, the MLP, the first
+    add's term into the block input, the attention core (wo, the query's
+    term, wq).  K's terms (wk, then the input) and V's follow at once in
+    self-attention; in cross-attention they wait until every block has run,
+    then go in block order, since the tape reached block l's K and V nodes
+    only after the query's ancestry.  h and kv take each term through
+    ``accumulate_grad``; a block input inside the stack sums its terms in a
+    copy of the first.  The parents are (h, kv, weights), so the walk
+    reaches kv before h, as it did through the last block's V node.  Under
+    ``no_tape()`` the same forwards run, with every check, and no node or
+    closure is built.
     """
-    _check_attention(h.data.shape, kv.data.shape, attn, heads)
-    wq, wk, wv, wo = attn
-    if not _TAPE_ON:   # _check_attention has checked the K and V products
-        a = _attention_forward(h.data, kv.data @ wk.data, kv.data @ wv.data,
-                               wq.data, wo.data, heads)[-1]
-        h1 = h.data + a
-        return Tensor(_block_out(h1, _mlp_forward(h1, layers)[1], score))
-    k_proj, v_proj = linear(kv, wk), linear(kv, wv)
-    a, core_backward = _attention_core(h, k_proj, v_proj, wq, wo, heads)
-    h1 = h.data + a
-    m, mlp_backward = _mlp_chain(h1, layers)
-    out = _block_out(h1, m, score)
+    if not blocks:
+        raise InvalidArgument("a residual stack needs at least one block")
+    taped, last = _TAPE_ON, len(blocks) - 1
+    x, saved = h.data, []
+    for i, (attn, layers) in enumerate(blocks):
+        src = x if kv is None else kv.data
+        _check_attention(x.shape, src.shape, attn, heads)
+        wq, wk, wv, wo = attn
+        k, v = src @ wk.data, src @ wv.data
+        *fwd, a = _attention_forward(x, k, v, wq.data, wo.data, heads)
+        h1 = x + a
+        ins, m = _mlp_forward(h1, layers)
+        if taped:
+            saved.append((x, k, v, fwd, ins))
+        x = _block_out(h1, m, score and i == last)
+    if not taped:
+        return Tensor(x)
 
     def backward(g):
-        g_in = mlp_backward(g.reshape(-1, 1) if score else g)   # m's shape, not m
-        g_h1 = g_in if score else g + g_in   # second add's term + MLP's
-        if h.requires_grad:
-            h.accumulate_grad(g_h1)
-        core_backward(g_h1)
+        deferred = []   # cross-attention: per block, last first, K's and V's terms
+        for i in reversed(range(len(blocks))):
+            (wq, wk, wv, wo), layers = blocks[i]
+            x, k, v, fwd, ins = saved[i]
+            head = score and i == last
+            g_in = _mlp_backward(ins, layers, g.reshape(-1, 1) if head else g)
+            g_h1 = g_in if head else g + g_in   # second add's term + MLP's
+            x_live = i > 0 or h.requires_grad
+            src_live = x_live if kv is None else kv.requires_grad
+            g_q, g_k, g_v = _attention_backward(
+                x, k, v, fwd, wq, wo, heads, g_h1,
+                (x_live, src_live or wk.requires_grad, src_live or wv.requires_grad))
+            terms = [g_h1, g_q]
+            proj = [(w, g_s) for w, g_s in ((wk, g_k), (wv, g_v)) if g_s is not None]
+            if kv is None:
+                terms += [_affine_backward(x, w, None, g_s, x_live) for w, g_s in proj]
+            else:
+                deferred.append(proj)
+            if i:
+                g = terms[0].copy()
+                for t in terms[1:]:
+                    g += t
+            elif h.requires_grad:
+                for t in terms:
+                    h.accumulate_grad(t)
+        for proj in reversed(deferred):
+            for w, g_s in proj:
+                g_x = _affine_backward(kv.data, w, None, g_s, kv.requires_grad)
+                if g_x is not None:
+                    kv.accumulate_grad(g_x)
 
-    parents = (h, k_proj, v_proj, wq, wo) + tuple(t for layer in layers for t in layer)
-    return tape_node(out, parents, backward)
+    weights = tuple(t for attn, layers in blocks
+                    for t in (*attn, *(t for layer in layers for t in layer)))
+    return tape_node(x, (h,) + ((kv,) if kv is not None else ()) + weights, backward)
 
 
 def mean(terms: Sequence[Tensor]) -> Tensor:

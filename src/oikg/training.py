@@ -218,15 +218,17 @@ def pseudo_label(pg: PathGraph, episode: Episode, env: NavGraph) -> int:
 
 
 def episode_loss(env: EnvBundle, episode: Episode, params, mcfg: ModelConfig,
-                 rng: np.random.Generator, t_max: int, lam: float):
+                 rng: np.random.Generator, t_max: int, lam: float,
+                 panoramas: dict | None = None):
     """The mixed-forcing loss of one episode, lam * mean(TF) + (1 - lam) *
     mean(SF).  The teacher walk and the
     student walk (sampled with `rng`, at most t_max steps, supervised by the
-    recovery label) share one EpisodeCache.  Returns (loss, TF mean, SF
-    mean), the means as floats."""
+    recovery label) share one EpisodeCache, over `panoramas`, when given,
+    the embeddings shared by one graph's episodes.  Returns (loss, TF mean,
+    SF mean), the means as floats."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgument(f"lam must be in [0, 1], got {lam}")
-    cache = EpisodeCache()
+    cache = EpisodeCache(panoramas)
     tf = rollout_teacher(env, episode, params, mcfg, cache).mean_loss()
     sf = rollout(env, episode, t_max, sample_policy(rng), params, mcfg, cache,
                  label=recovery_label).mean_loss()
@@ -290,12 +292,12 @@ def train(data, params, cfg: TrainConfig, mcfg: ModelConfig) -> list:
         idx = batch_rng.integers(len(data), size=cfg.batch_size)
         params.zero_grad()
         try:
-            total = None   # drop the last iteration's graph before building this one
+            total, panoramas = None, {}   # drop the last iteration's graph and map
             losses, tf_vals, sf_vals = [], [], []
             for j in idx:
                 env, ep = data[int(j)]
                 loss, tf, sf = episode_loss(env, ep, params, mcfg, student_rng,
-                                            cfg.t_max, cfg.lam)
+                                            cfg.t_max, cfg.lam, panoramas)
                 losses.append(loss)
                 tf_vals.append(tf)
                 sf_vals.append(sf)

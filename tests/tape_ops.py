@@ -14,8 +14,8 @@ gradients by finite differences.
   - ``oracle_mlp`` and ``oracle_attention``, what the MLP chain and the
     attention core compute; ``mlp`` (one node) and ``attention`` (three)
     run those two implementations as ops of their own;
-  - ``oracle_residual_block``, ``nn.residual_block`` (decoder block and
-    scoring head);
+  - ``oracle_residual_stack``, a loop of ``oracle_residual_block``,
+    ``nn.residual_stack`` (decoder stacks and the scoring head);
   - ``oracle_decouple_observation``, ``model.decouple_observation``;
   - ``oracle_extract_key_detail``, ``model.extract_key_detail``: the
     chain ``oracle_key_detail`` (with its part ``_masked_mean``) and
@@ -175,10 +175,10 @@ def softmax(a: nn.Tensor, axis: int = -1) -> nn.Tensor:
 
 def mlp(x: nn.Tensor, layers) -> nn.Tensor:
     """The library's MLP chain as one node over (x, each w and b)."""
-    out, chain_backward = nn._mlp_chain(x.data, layers)
+    ins, out = nn._mlp_forward(x.data, layers)
 
     def backward(g):
-        g_x = chain_backward(g)
+        g_x = nn._mlp_backward(ins, layers, g)
         if x.requires_grad:
             x.accumulate_grad(g_x)
 
@@ -187,14 +187,25 @@ def mlp(x: nn.Tensor, layers) -> nn.Tensor:
 
 
 def attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
-    """The library's attention core as three nodes: ``linear(k, wk)``,
+    """The library's attention core (``nn._attention_forward`` and
+    ``nn._attention_backward``) as three nodes: ``linear(k, wk)``,
     ``linear(v, wv)`` and one core node with parents (q, K, V, wq, wo)."""
     nn._check_attention(q.shape, k.shape, (wq, wk, wv, wo), heads)
     if v.shape != k.shape:
         raise ShapeError(f"attention value shape {v.shape} != key shape {k.shape}")
     k_proj, v_proj = nn.linear(k, wk), nn.linear(v, wv)
-    out, backward = nn._attention_core(q, k_proj, v_proj, wq, wo, heads)
-    return nn.tape_node(out, (q, k_proj, v_proj, wq, wo), backward)
+    *fwd, out = nn._attention_forward(q.data, k_proj.data, v_proj.data, wq.data, wo.data,
+                                      heads)
+    ins = (q, k_proj, v_proj)
+
+    def backward(g):
+        grads = nn._attention_backward(q.data, k_proj.data, v_proj.data, fwd, wq, wo,
+                                       heads, g, tuple(t.requires_grad for t in ins))
+        for t, g_t in zip(ins, grads):
+            if g_t is not None:
+                t.accumulate_grad(g_t)
+
+    return nn.tape_node(out, ins + (wq, wo), backward)
 
 
 # ------------------------------------------------------------ oracles
@@ -232,11 +243,21 @@ def oracle_attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
 
 
 def oracle_residual_block(h, kv, attn, layers, heads: int, score: bool = False) -> nn.Tensor:
-    """``nn.residual_block`` node per op: attention, add, MLP, then add (a
-    decoder block) or reshape to one score per row (a scoring head)."""
+    """One block of ``nn.residual_stack`` node per op: attention, add, MLP,
+    then add (a decoder block) or reshape to one score per row (a scoring
+    head)."""
     h1 = nn.add(h, oracle_attention(h, kv, kv, *attn, heads))
     m = oracle_mlp(h1, layers)
     return reshape(m, (m.shape[0],)) if score else nn.add(h1, m)
+
+
+def oracle_residual_stack(h, kv, blocks, heads: int, score: bool = False) -> nn.Tensor:
+    """``nn.residual_stack`` as a loop of ``oracle_residual_block``, each
+    block's keys and values ``kv`` or, ``kv`` None, its own input."""
+    for i, (attn, layers) in enumerate(blocks):
+        h = oracle_residual_block(h, h if kv is None else kv, attn, layers, heads,
+                                  score and i == len(blocks) - 1)
+    return h
 
 
 def oracle_decouple_observation(visual, params, cfg) -> nn.Tensor:

@@ -136,7 +136,7 @@ def test_a04_flag_bypasses_are_exact(monkeypatch):
     cfg = replace(TINY_CONFIG, loc_detail=False, obj_detail=False)
     params = build_params(cfg, seed=0)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
-    blocks = record_calls(monkeypatch, nn, "residual_block")
+    blocks = record_calls(monkeypatch, nn, "residual_stack")
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     reads, cache = step(cfg, params)
     assert cache.key_detail is None and detail == []

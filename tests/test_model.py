@@ -13,7 +13,7 @@ import pytest
 
 from tape_ops import (cue_masks, matmul, mlp, mul, oracle_add_row,
                       oracle_decouple_observation, oracle_extract_key_detail,
-                      oracle_mean, oracle_residual_block, reshape, tsum)
+                      oracle_mean, oracle_residual_stack, reshape, tsum)
 from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import record_calls, same_bits
@@ -828,14 +828,11 @@ def test_memos_live_in_the_memo_map_and_go_with_their_owners():
 def oracle_ogi(f_g, f_o, params, cfg):
     """``model.observation_graph_interaction`` node per op: the unfused
     residual block of each layer, its weights read by name."""
-    h = f_g
-    for i in range(cfg.layers):
-        p = f"ogi.l{i}"
-        h = oracle_residual_block(
-            h, f_o, [params[f"{p}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")],
-            [(params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"]),
-             (params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])], model.HEADS)
-    return h
+    blocks = [([params[f"ogi.l{i}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")],
+               [(params[f"ogi.l{i}.mlp.w1"], params[f"ogi.l{i}.mlp.b1"]),
+                (params[f"ogi.l{i}.mlp.w2"], params[f"ogi.l{i}.mlp.b2"])])
+              for i in range(cfg.layers)]
+    return oracle_residual_stack(f_g, f_o, blocks, model.HEADS)
 
 
 def ogi_calls(params, f_o):
@@ -1287,31 +1284,34 @@ def record_tracked_nodes(monkeypatch) -> list:
     return built
 
 
-def test_first_step_builds_18_tape_nodes(setup, monkeypatch):
-    """An episode's first TINY step builds 18 tracked tensors: the panorama
-    and the candidate rows; K, V and one block node for each decoder block
-    and for the scoring head; the token embedding and its position add; one
-    node for the key detail with its alignment row; and the node adding the
-    row into the candidate rows.  Counted the same way, it built 19 while
-    the alignment row took over a key-detail node of its own."""
+def test_first_step_builds_10_tape_nodes(setup, monkeypatch):
+    """An episode's first TINY step builds 10 tracked tensors: the panorama
+    and the candidate rows; one node for each attention stack (the
+    observation-graph and cross-modal decoders, the instruction encoder and
+    the scoring head); the token embedding and its position add; one node
+    for the key detail with its alignment row; and the node adding the row
+    into the candidate rows.  Counted the same way, it built 18 while each
+    residual block kept K and V nodes of its own, and 19 while the
+    alignment row took over a key-detail node of its own."""
     graph, latents, tokens, params = setup
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
     cache = model.EpisodeCache()
     model.forward_step(PathGraph(graph, start=0), env_of(graph, latents),
                        tokens, params, TINY, cache)
-    assert len(built) == 18 and len(detail) == 1
+    assert len(built) == 10 and len(detail) == 1
     assert sum(t is cache.align for t in built) == 1
 
 
-def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
+def test_cached_step_builds_6_tape_nodes(setup, monkeypatch):
     """With the instruction, the panorama and the key detail cached, a TINY
-    step builds 12 tracked tensors: the candidate rows; K, V and one block
-    node for each decoder block and for the scoring head; the replayed
-    alignment row and the node adding it into the candidate rows.  Counted
-    the same way, a step built 24 before the residual blocks, the alignment
-    row and its add became one node each.  Neither the key detail nor its
-    row is computed again."""
+    step builds 6 tracked tensors: the candidate rows; one node for each of
+    the observation-graph stack, the cross-modal stack and the scoring
+    head; the replayed alignment row and the node adding it into the
+    candidate rows.  Counted the same way, a step built 12 while each
+    residual block kept K and V nodes of its own, and 24 before the
+    residual blocks, the alignment row and its add became one node each.
+    Neither the key detail nor its row is computed again."""
     graph, latents, tokens, params = setup
     cache = model.EpisodeCache()
     pg = PathGraph(graph, start=0)
@@ -1320,11 +1320,12 @@ def test_cached_step_builds_12_tape_nodes(setup, monkeypatch):
     key_detail = cache.key_detail
     built = record_tracked_nodes(monkeypatch)
     detail = record_calls(monkeypatch, model, "extract_key_detail")
-    blocks = record_calls(monkeypatch, nn, "residual_block")
+    blocks = record_calls(monkeypatch, nn, "residual_stack")
     added = record_calls(monkeypatch, model, "add_row")
     model.forward_step(pg, env, tokens, params, TINY, cache)
-    assert len(built) == 12 and detail == []
+    assert len(built) == 6 and detail == []
     assert len(blocks) == 3 and len(added) == 1
+    assert all(out in built for _, out in blocks)
     assert cache.key_detail is key_detail
     with pytest.raises(ValueError):
         cache.key_detail[0] = 1.0
@@ -1350,7 +1351,7 @@ def test_enhance_residual_identity_and_single_key(setup, monkeypatch):
     f_i = nn.Tensor(rng.normal(size=(4, TINY.dim)))
     tokens = (se.ROOM_BASE, se.OBJECT_BASE + 1, se.ROOM_BASE + 1, se.EOS)
     f_k, row = model.extract_key_detail(f_i, tokens, params, TINY)
-    blocks = record_calls(monkeypatch, nn, "residual_block")
+    blocks = record_calls(monkeypatch, nn, "residual_stack")
     scores = model.enhance_and_score(f_c, row, params, TINY)
     assert scores.shape == (3,)
     # single key row: weights are exactly 1, so each row the scoring
@@ -1367,7 +1368,7 @@ def test_enhance_bypass_is_bitwise(setup, monkeypatch):
     rng = np.random.default_rng(10)
     f_c = nn.Tensor(rng.normal(size=(4, TINY.dim)))
     reads = record_param_reads(monkeypatch)
-    blocks = record_calls(monkeypatch, nn, "residual_block")
+    blocks = record_calls(monkeypatch, nn, "residual_stack")
     scores = model.enhance_and_score(f_c, None, params, TINY)
     [((f_e, *_), _)] = blocks
     assert f_e is f_c  # scoring sees the cross-modal rows, untouched
@@ -1466,7 +1467,7 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     assert pg.frontier()  # so the candidate rows read their parameters
     reads = record_param_reads(monkeypatch)
     enhance = record_calls(monkeypatch, model, "enhance_and_score")
-    blocks = record_calls(monkeypatch, nn, "residual_block")
+    blocks = record_calls(monkeypatch, nn, "residual_stack")
     cache = model.EpisodeCache()
     feats, _ = model.forward_step(pg, env, tokens, params, cfg, cache)
     assert set(reads) == {name for name, _ in model.param_spec(cfg)}
@@ -1475,7 +1476,7 @@ def test_forward_step_reads_exactly_its_parameters(monkeypatch, preset, flags):
     if loc_detail or obj_detail:
         assert cache.key_detail.shape == (cfg.dim,) and row.shape == (1, cfg.dim)
     else:
-        # the step's last residual block is the scoring head; it sees the
+        # the step's last residual stack is the scoring head; it sees the
         # cross-modal rows, untouched
         [*_, ((f_e, *_), _)] = blocks
         assert cache.key_detail is None and row is None and f_e is f_c
@@ -1613,10 +1614,14 @@ def test_forward_gradients_sampled_finite_difference():
 
 class PerStepKeyDetail(model.EpisodeCache):
     """A cache that never holds the key detail or its alignment row, so
-    every step rebuilds them."""
+    every step rebuilds them, and ignores the map of panoramas shared by the
+    episodes of an iteration, so each episode embeds its own (the oracle's
+    embedding is a chain of nodes, which a replay of its last node would
+    not run once per episode)."""
 
     key_detail = property(lambda self: None, lambda self, value: None)
     align = property(lambda self: None, lambda self, value: None)
+    panoramas = property(lambda self: None, lambda self, value: None)
 
 
 TRAIN_CASES = [pytest.param(geo, detail, True, id=f"{geo}-{detail}")
@@ -1631,14 +1636,16 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
                                                            detail, decouple):
     """One iteration of the full model in the benchmark's ``train_full``
     setup (a 30-node detour world, two episodes, 30 steps), run with the
-    fused nodes (residual blocks, panorama, key detail and alignment row
-    once per episode, loss means), and again with the node-per-op oracles
-    patched in and the key detail and its row rebuilt on every step, the
-    tape of a per-step pipeline.  Losses, every gradient, the Adam moments
-    and the updated parameters match bit for bit.  Two decoder layers share
-    each k=v tensor, so a fused op that reorders those gradient sums fails
-    here; so does a key detail whose steps reach f_i and ``kd.*`` out of
-    order."""
+    fused nodes (residual stacks, panoramas shared by the iteration's
+    episodes, key detail and alignment row once per episode, loss means),
+    and again with the node-per-op oracles patched in, each episode
+    embedding its own panoramas and the key detail and its row rebuilt on
+    every step, the tape of a per-step pipeline.  Losses, every gradient,
+    the Adam moments and the updated parameters match bit for bit.  Two
+    decoder layers share each k=v tensor, so a stack that reorders those
+    gradient sums fails here; so does a key detail whose steps reach f_i
+    and ``kd.*`` out of order, or a shared panorama whose episodes reach the
+    ``obs.*`` parameters out of order."""
     cfg = replace(model.ModelConfig(), geo_embed=geo_embed, decouple=decouple,
                   loc_detail=detail[0] == "L", obj_detail=detail[1] == "O")
     graph = se.generate_environment(se.EnvParams(
@@ -1667,7 +1674,7 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
     fused = run()
     per_episode = train_cfg.batch_size if detail != "--" else 0
     assert fused[3] == per_episode
-    monkeypatch.setattr(nn, "residual_block", oracle_residual_block)
+    monkeypatch.setattr(nn, "residual_stack", oracle_residual_stack)
     monkeypatch.setattr(nn, "mean", oracle_mean)
     monkeypatch.setattr(model, "decouple_observation", oracle_decouple_observation)
     monkeypatch.setattr(model, "extract_key_detail",
@@ -1683,3 +1690,55 @@ def test_fused_ops_train_iteration_matches_oracles_bitwise(monkeypatch, geo_embe
         assert fused[1][name].tobytes() == oracle[1][name].tobytes(), f"{name} gradient"
         for a, b in zip(fused[2][name], oracle[2][name]):
             assert a.tobytes() == b.tobytes(), f"{name} state"
+
+
+def test_train_iteration_embeds_each_panorama_once(monkeypatch):
+    """A training iteration renders and embeds each (bundle, node) once:
+    the first episode to visit it keeps the embedding node in the map its
+    caches share, and the cache of every other episode that visits it
+    holds a replay, a distinct node with the same data, parents and
+    backward.  Equal node ids of two worlds stay apart.  The next iteration,
+    under new parameter values, has a new map and renders again."""
+    graph_b, env_b = ogi_world(TINY)
+    data = memo_world_data(TINY)[:2] + [(env_b, se.make_episode(graph_b, seed=1))]
+    renders = record_calls(monkeypatch, model, "render_observation")
+    caches, seen = [], []   # this iteration's caches; per iteration, what backward saw
+
+    class Recorded(model.EpisodeCache):
+        def __init__(self, panoramas=None):
+            super().__init__(panoramas)
+            caches.append(self)
+
+    def backward(loss):
+        held = collections.defaultdict(list)   # (bundle id, node): (node, backward, first)
+        for c in caches:
+            for n, t in c.obs.items():
+                [(env, first)] = [(env, nodes[n]) for env, nodes in c.panoramas.values()
+                                  if n in nodes and nodes[n].data is t.data]
+                held[id(env), n].append((t, t._backward, first))
+        seen.append(([(id(env), n) for (env, n, _), _ in renders], held,
+                     {id(c.panoramas) for c in caches}))
+        renders.clear()
+        caches.clear()
+        return nn_backward(loss)
+
+    nn_backward = nn.backward
+    monkeypatch.setattr(training, "EpisodeCache", Recorded)
+    monkeypatch.setattr(nn, "backward", backward)
+    training.train(data, model.build_params(TINY, seed=0),
+                   training.TrainConfig(t_max=8, iterations=2, batch_size=4), TINY)
+    assert len(seen) == 2
+    for rendered, held, maps in seen:
+        assert len(maps) == 1
+        assert len(set(rendered)) == len(rendered) and set(rendered) == set(held)
+        assert any(len(nodes) > 1 for nodes in held.values())
+        for nodes in held.values():
+            [(first, first_backward, _)] = [h for h in nodes if h[0] is h[2]]
+            for node, backward_fn, owner in nodes:
+                assert owner is first and backward_fn is first_backward
+                assert node._parents == first._parents
+    assert seen[0][2] != seen[1][2] and set(seen[0][0]) & set(seen[1][0])
+    ids = collections.defaultdict(set)   # the first batch draws both worlds
+    for env, n in seen[0][0]:
+        ids[env].add(n)
+    assert len(ids) == 2 and set.intersection(*ids.values())

@@ -5,6 +5,7 @@ relative error <= 1e-4 with step h = 1e-4, denominator max(|a|,|b|,1e-8).
 """
 
 import contextlib
+import itertools
 import json
 import math
 import struct
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tape_ops import (attention, bias_add, concat, matmul, mlp, mul, oracle_attention,
-                      oracle_mean, oracle_mlp, oracle_residual_block, relu, reshape,
+                      oracle_mean, oracle_mlp, oracle_residual_stack, relu, reshape,
                       softmax, sub, transpose, tsum)
 
 from oikg import artifacts, nn
@@ -658,16 +659,17 @@ def test_mlp_untracked_first_layer_matches_oracle():
     fused_vs_oracle(build, [x] + [t for wb in layers for t in wb])
 
 
-BLOCKS = ((nn.residual_block,), (oracle_residual_block,))
+STACKS = ((nn.residual_stack,), (oracle_residual_stack,))
 
 
 def block_params(rng, dm, layers, out_width=None, tracked=True):
-    """Per layer: the (wq, wk, wv, wo) weights and a two-layer MLP."""
+    """Per block: the (wq, wk, wv, wo) weights and a two-layer MLP, the last
+    block's ``out_width`` wide (default dm)."""
     def t(*shape):
         return rand_tensor(rng, shape, requires_grad=tracked)
     return [((t(dm, dm), t(dm, dm), t(dm, dm), t(dm, dm)),
-             [(t(dm, 2 * dm), t(2 * dm)), (t(2 * dm, out_width or dm), t(out_width or dm))])
-            for _ in range(layers)]
+             [(t(dm, 2 * dm), t(2 * dm)), (t(2 * dm, width), t(width))])
+            for width in [dm] * (layers - 1) + [out_width or dm]]
 
 
 def block_leaves(blocks):
@@ -675,143 +677,175 @@ def block_leaves(blocks):
             for t in list(attn) + [p for wb in mlp_layers for p in wb]]
 
 
+# The residual_block tests keep their names and ids from the block-per-node
+# form; each now runs nn.residual_stack against a loop of oracle blocks.
+
+
 @pytest.mark.parametrize("kv_read", ["first", "last"])
 @pytest.mark.parametrize("heads", [1, 2])
 def test_residual_block_stack_sharing_kv_matches_oracle_bitwise(heads, kv_read):
-    """Two decoder blocks read one k=v tensor, which a third consumer reads
-    too, its term entering the loss before or after theirs.  The tape adds
-    block 0's K and V terms into it before block 1's, since block 1's query
-    ancestry (block 0) runs before block 1's K and V projections; and each
-    block input receives the first residual add's term before the query's."""
+    """A cross-attention stack of one or two blocks reads one k=v tensor,
+    which a third consumer reads too, its term entering the loss before or
+    after the stack's.  The tape adds block 0's K and V terms into it
+    before block 1's, since block 1's query ancestry (block 0) runs before
+    block 1's K and V projections; and each block input receives the first
+    residual add's term before the query's.  The stack input's ancestry
+    does not read kv."""
     rng = np.random.default_rng(14)
     dm = 8
     x0, src = rand_tensor(rng, (3, dm)), rand_tensor(rng, (6, dm))
     w_in, w_src = rand_tensor(rng, (dm, dm)), rand_tensor(rng, (dm, dm))
-    blocks = block_params(rng, dm, 2)
     c, c_kv = nn.Tensor(rng.normal(size=(3, dm))), nn.Tensor(rng.normal(size=(6, dm)))
+    for depth in (1, 2):
+        blocks = block_params(rng, dm, depth)
 
-    def build(block):
-        kv = nn.linear(src, w_src)
-        h, outs = nn.linear(x0, w_in), []
-        for attn, mlp_layers in blocks:
-            h = block(h, kv, attn, mlp_layers, heads)
-            outs.append(h)
-        terms = [tsum(mul(h, c)), tsum(mul(kv, c_kv))]
-        if kv_read == "first":
-            terms.reverse()
-        return outs, nn.add(*terms)
+        def build(stack):
+            kv = nn.linear(src, w_src)
+            h = stack(nn.linear(x0, w_in), kv, blocks, heads)
+            terms = [tsum(mul(h, c)), tsum(mul(kv, c_kv))]
+            if kv_read == "first":
+                terms.reverse()
+            return [h], nn.add(*terms)
 
-    fused_vs_oracle(build, [x0, src, w_in, w_src] + block_leaves(blocks), BLOCKS)
+        fused_vs_oracle(build, [x0, src, w_in, w_src] + block_leaves(blocks), STACKS)
 
 
 @pytest.mark.parametrize("score", [False, True], ids=["self-attention", "head"])
 def test_residual_block_with_q_k_v_one_tensor_matches_oracle_bitwise(score):
-    """q = k = v, as in the instruction encoder's blocks and the scoring
-    head, where the block input receives four terms in the tape's order:
-    the first add's, the query's, K's and V's.  The input is also read
-    elsewhere."""
+    """kv None: each block of a one- or two-block stack attends over its own
+    input, as in the instruction encoder's stack and the scoring head, so a
+    block input receives four terms in the tape's order: the first add's,
+    the query's, K's and V's.  The stack input is also read elsewhere."""
     rng = np.random.default_rng(18)
     dm = 8
     x0, w_in = rand_tensor(rng, (4, dm)), rand_tensor(rng, (dm, dm))
-    blocks = block_params(rng, dm, 1 if score else 2, out_width=1 if score else None)
     c = nn.Tensor(rng.normal(size=(4,) if score else (4, dm)))
+    for depth in (1, 2):
+        blocks = block_params(rng, dm, depth, out_width=1 if score else None)
 
-    def build(block):
-        x = nn.linear(x0, w_in)
-        h, outs = x, []
-        for attn, mlp_layers in blocks:
-            h = block(h, h, attn, mlp_layers, 2, score=score)
-            outs.append(h)
-        return outs, nn.add(tsum(mul(h, c)), tsum(mul(x, x)))
+        def build(stack):
+            x = nn.linear(x0, w_in)
+            h = stack(x, None, blocks, 2, score=score)
+            return [h], nn.add(tsum(mul(h, c)), tsum(mul(x, x)))
 
-    fused_vs_oracle(build, [x0, w_in] + block_leaves(blocks), BLOCKS)
+        fused_vs_oracle(build, [x0, w_in] + block_leaves(blocks), STACKS)
 
 
 @pytest.mark.parametrize("score", [False, True], ids=["block", "head"])
 @pytest.mark.parametrize("tracked", ["input", "key", "attention", "mlp"])
 def test_residual_block_partial_tracking_matches_oracle(tracked, score):
-    """Only some inputs tracked: the block node routes gradient exactly
-    where the composition did and nowhere else."""
+    """Only some inputs of a two-block stack tracked, with kv given or None
+    (no key then), the weights tracked in both blocks or in one: the stack
+    node routes gradient exactly where the composition did and nowhere
+    else."""
     rng = np.random.default_rng(19)
     h = rand_tensor(rng, (3, 4), requires_grad=tracked == "input")
     kv = rand_tensor(rng, (5, 4), requires_grad=tracked == "key")
-    [(attn, _)] = block_params(rng, 4, 1, tracked=tracked == "attention")
-    [(_, mlp_layers)] = block_params(rng, 4, 1, out_width=1 if score else None,
-                                     tracked=tracked == "mlp")
+    blocks = block_params(rng, 4, 2, out_width=1 if score else None)
     c = nn.Tensor(rng.normal(size=(3,) if score else (3, 4)))
+    weights = tracked in ("attention", "mlp")
+    for src, which in itertools.product([kv] if tracked == "key" else [kv, None],
+                                        (None, 0, 1) if weights else (None,)):
+        for i, (attn, mlp_layers) in enumerate(blocks):
+            on = which in (None, i)
+            for t in attn:
+                t.requires_grad = tracked == "attention" and on
+            for t in (p for wb in mlp_layers for p in wb):
+                t.requires_grad = tracked == "mlp" and on
 
-    def build(block):
-        out = block(h, kv, attn, mlp_layers, 2, score=score)
-        return [out], tsum(mul(out, c))
+        def build(stack):
+            out = stack(h, src, blocks, 2, score=score)
+            return [out], tsum(mul(out, c))
 
-    fused_vs_oracle(build, [h, kv] + block_leaves([(attn, mlp_layers)]), BLOCKS)
+        fused_vs_oracle(build, [h, kv] + block_leaves(blocks), STACKS)
 
 
 @pytest.mark.parametrize("score", [False, True])
 def test_fd_residual_block(score):
+    """Finite differences of a two-block cross-attention stack and a
+    one-block self-attention stack, or a one-block scoring head over kv or
+    itself.  A two-block self-attention stack at these random weights has
+    gradients near 1e-7, below what central differences resolve at the
+    relative tolerance; the oracle tests check it bitwise."""
     rng = np.random.default_rng(20)
     h, kv = rand_tensor(rng, (3, 4)), rand_tensor(rng, (2, 4))
-    [(attn, mlp_layers)] = block_params(rng, 4, 1, out_width=1 if score else None)
     c = nn.Tensor(rng.normal(size=(3,) if score else (3, 4)))
+    for src, depth in ((kv, 1 if score else 2), (None, 1)):
+        blocks = block_params(rng, 4, depth, out_width=1 if score else None)
 
-    def make_loss():
-        return tsum(mul(nn.residual_block(h, kv, attn, mlp_layers, 2, score=score), c))
+        def make_loss():
+            return tsum(mul(nn.residual_stack(h, src, blocks, 2, score=score), c))
 
-    check_grads(make_loss, [h, kv] + block_leaves([(attn, mlp_layers)]))
+        h.grad = kv.grad = None
+        check_grads(make_loss, ([h] if src is None else [h, kv]) + block_leaves(blocks))
 
 
 @pytest.mark.parametrize("rows", [1, 5])
 @pytest.mark.parametrize("cfg", [TINY_CONFIG, ModelConfig()], ids=["tiny", "default"])
 def test_untaped_residual_block_builds_no_node_and_equals_taped(monkeypatch, cfg, rows):
-    """Under ``no_tape()`` a block calls neither ``linear`` nor ``tape_node``
-    and its data is the taped block's, bit for bit: a two-block decoder
-    stack sharing one kv, then the self-attention scoring head, at the
-    model's widths."""
+    """A taped stack builds one node and calls no ``linear``; under
+    ``no_tape()`` it builds none and its data is the taped stack's, bit for
+    bit: a two-block cross-attention stack, a two-block self-attention
+    stack over its output, then the scoring head, at the model's widths."""
     rng = np.random.default_rng(24)
     dm = cfg.dim
     h0, kv = rand_tensor(rng, (rows, dm)), rand_tensor(rng, (6, dm))
-    decoder = block_params(rng, dm, 2)
-    [(head_attn, head_layers)] = block_params(rng, dm, 1, out_width=1)
+    decoder, encoder = block_params(rng, dm, 2), block_params(rng, dm, 2)
+    head = block_params(rng, dm, 1, out_width=1)
 
     def run():
-        h, outs = h0, []
-        for attn, mlp_layers in decoder:
-            h = nn.residual_block(h, kv, attn, mlp_layers, HEADS)
-            outs.append(h)
-        return outs + [nn.residual_block(h, h, head_attn, head_layers, HEADS, score=True)]
+        outs = [nn.residual_stack(h0, kv, decoder, HEADS)]
+        outs.append(nn.residual_stack(outs[-1], None, encoder, HEADS))
+        return outs + [nn.residual_stack(outs[-1], None, head, HEADS, score=True)]
 
-    taped = run()
     linears = record_calls(monkeypatch, nn, "linear")
     nodes = record_calls(monkeypatch, nn, "tape_node")
+    taped = run()
+    assert linears == [] and [out for _, out in nodes] == taped
+    nodes.clear()
     with nn.no_tape():
         plain = run()
     assert linears == [] and nodes == []
     assert plain[-1].shape == (rows,)
-    for a, b in zip(plain, taped):
+    for a, b in zip(plain, taped, strict=True):
         assert b.requires_grad and not a.requires_grad and a._parents == ()
-        assert a.data.shape == b.data.shape and (a.data == b.data).all()
         assert same_bits(a.data, b.data)
 
 
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
 def test_residual_block_shape_errors(taped):
+    """A part that does not fit raises, in whichever block of a two-block
+    stack it sits."""
     rng = np.random.default_rng(21)
-    [(attn, mlp_layers)] = block_params(rng, 4, 1)
-    (w1, b1), (w2, b2) = mlp_layers
+    blocks = block_params(rng, 4, 2)
     h = rand_tensor(rng, (3, 4))
-    with contextlib.nullcontext() if taped else nn.no_tape():
-        with pytest.raises(ShapeError):
-            nn.residual_block(h, rand_tensor(rng, (2, 6)), attn, mlp_layers, 2)
-        with pytest.raises(ShapeError):
-            nn.residual_block(h, h, attn, mlp_layers, 3)
-        with pytest.raises(ShapeError):   # a scoring head needs one output column
-            nn.residual_block(h, h, attn, mlp_layers, 2, score=True)
-        with pytest.raises(ShapeError):   # an MLP weight that does not fit
-            nn.residual_block(h, h, attn, [(w1, b1), (rand_tensor(rng, (7, 4)), b2)], 2)
-        with pytest.raises(ShapeError):   # an MLP bias that does not fit
-            nn.residual_block(h, h, attn, [(w1, rand_tensor(rng, (5,))), (w2, b2)], 2)
-        with pytest.raises(InvalidArgument):
-            nn.residual_block(h, h, attn, [], 2)
+    for at in (0, 1):
+        (wq, wk, wv, wo), ((w1, b1), (w2, b2)) = blocks[at]
+
+        def stack(attn=None, layers=None, kv=None, heads=2, score=False):
+            parts = list(blocks)
+            parts[at] = (attn or blocks[at][0], blocks[at][1] if layers is None else layers)
+            return nn.residual_stack(h, kv, parts, heads, score=score)
+
+        with contextlib.nullcontext() if taped else nn.no_tape():
+            with pytest.raises(ShapeError):
+                stack(kv=rand_tensor(rng, (2, 6)))
+            with pytest.raises(ShapeError):
+                stack(heads=3)
+            with pytest.raises(ShapeError):   # an attention weight that does not fit
+                stack(attn=(wq, wk, rand_tensor(rng, (4, 3)), wo))
+            with pytest.raises(ShapeError):   # an MLP weight that does not fit
+                stack(layers=[(w1, b1), (rand_tensor(rng, (7, 4)), b2)])
+            with pytest.raises(ShapeError):   # an MLP bias that does not fit
+                stack(layers=[(w1, rand_tensor(rng, (5,))), (w2, b2)])
+            with pytest.raises(ShapeError):   # a decoder block keeps its width
+                stack(layers=[(w1, b1), (rand_tensor(rng, (8, 1)), rand_tensor(rng, (1,)))])
+            with pytest.raises(ShapeError):   # a scoring head needs one output column
+                stack(score=True)
+            with pytest.raises(InvalidArgument):
+                stack(layers=[])
+    with pytest.raises(InvalidArgument):
+        nn.residual_stack(h, None, [], 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -971,24 +1005,28 @@ def test_fused_ops_node_counts_and_no_tape():
     assert inner_nodes(out) == 1
     assert inner_nodes(oracle_mlp(q, layers)) == 3
     weights = [t for wb in layers for t in wb]
-    block = nn.residual_block(q, kv, ws, layers, 2)
-    assert inner_nodes(block) == 3
-    assert inner_nodes(oracle_residual_block(q, kv, ws, layers, 2)) == 22
-    k_proj, v_proj = block._parents[1:3]
-    assert block._parents == (q, k_proj, v_proj, ws[0], ws[3], *weights)
-    assert k_proj._parents == (kv, ws[1]) and v_proj._parents == (kv, ws[2])
-    head = nn.residual_block(q, q, ws, head_layers, 2, score=True)
-    assert head.shape == (2,) and inner_nodes(head) == 3
-    assert inner_nodes(oracle_residual_block(q, q, ws, head_layers, 2, score=True)) == 22
+    stack = nn.residual_stack(q, kv, [(ws, layers)], 2)
+    assert inner_nodes(stack) == 1
+    assert inner_nodes(oracle_residual_stack(q, kv, [(ws, layers)], 2)) == 22
+    assert stack._parents == (q, kv, *ws, *weights)
+    deep = nn.residual_stack(q, kv, [(ws, layers)] * 2, 2)
+    assert inner_nodes(deep) == 1 and deep._parents == (q, kv) + (*ws, *weights) * 2
+    assert inner_nodes(oracle_residual_stack(q, kv, [(ws, layers)] * 2, 2)) == 44
+    head = nn.residual_stack(q, None, [(ws, head_layers)], 2, score=True)
+    assert head.shape == (2,) and inner_nodes(head) == 1
+    assert head._parents == (q, *ws, *(t for wb in head_layers for t in wb))
+    assert inner_nodes(oracle_residual_stack(q, None, [(ws, head_layers)], 2, score=True)) == 22
     terms = [tsum(q), tsum(kv), tsum(q)]
     mean = nn.mean(terms)
     assert mean._parents == tuple(terms) and inner_nodes(mean) == 3 + 1
     assert inner_nodes(oracle_mean(terms)) == 3 + 3
     with nn.no_tape():
         plain = [attention(q, kv, kv, *ws, heads=2), mlp(q, layers),
-                 nn.residual_block(q, kv, ws, layers, 2),
-                 nn.residual_block(q, q, ws, head_layers, 2, score=True), nn.mean(terms)]
-    for a, b in zip(plain, (att, out, block, head, mean)):
+                 nn.residual_stack(q, kv, [(ws, layers)], 2),
+                 nn.residual_stack(q, kv, [(ws, layers)] * 2, 2),
+                 nn.residual_stack(q, None, [(ws, head_layers)], 2, score=True),
+                 nn.mean(terms)]
+    for a, b in zip(plain, (att, out, stack, deep, head, mean), strict=True):
         assert not a.requires_grad and a._parents == () and same_bits(a.data, b.data)
 
 

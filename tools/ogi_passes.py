@@ -9,17 +9,19 @@ every evaluation of fresh parameters runs, and it pays for filling the memo;
 the warm pass repeats each call of the cold one.  The "off" side replaces
 ``model.observation_graph_interaction`` by the plain decoder stack, as it ran
 before the memo; the side that runs first alternates by rep, in one process.
-Prints one JSON object: per pass and side the median and IQR in ms and the
-reps won, the median and IQR over reps of the memo side's time relative to
-the off side's, and the share of the memo side's OGI calls that read the
-memo.
+Each pass is timed as the benchmark times an op (``harness.OpTimer``): in ms
+on the reference machine, scaled by the calibration kernel's speed in the
+calibrations that bracket it, so a shared machine's drift in speed between
+passes cancels.  Prints one JSON object: per pass and side the median and
+IQR in scaled ms and the reps won, the median and IQR over reps of the memo
+side's time relative to the off side's, and the share of the memo side's
+OGI calls that read the memo.
 """
 
 import argparse
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,32 +36,32 @@ SIDES = ("memo", "off")
 
 
 def plain_stack(f_g, f_o, params, cfg):
-    return model._ogi_stack(f_g, f_o, params, cfg.layers)
+    return model._stack(f_g, f_o, "ogi", params, cfg.layers)
 
 
 def two_passes(inp, t_max: int, side: str) -> tuple[list, list, list]:
-    """Per pass: seconds, decoder-stack runs and the per-episode metrics."""
-    memo, stack = model.observation_graph_interaction, model._ogi_stack
+    """Per pass: scaled ms, OGI stack runs and the per-episode metrics."""
+    memo, stack = model.observation_graph_interaction, model._stack
     runs = [0]
 
-    def counted(*args):
-        runs[0] += 1
-        return stack(*args)
+    def counted(h, kv, stage, *args, **kwargs):
+        runs[0] += stage == "ogi"
+        return stack(h, kv, stage, *args, **kwargs)
 
     if side == "off":
         model.observation_graph_interaction = plain_stack
-    model._ogi_stack = counted
+    model._stack = counted
     try:
-        secs, stacks, rows = [], [], []
+        timer, stacks, rows = harness.OpTimer(), [], []
         for _ in PASSES:
             runs[0] = 0
-            start = time.perf_counter()
+            timer.start()
             rows.append(training.evaluate_policy(inp.data, inp.params, inp.mcfg, t_max)[0])
-            secs.append(time.perf_counter() - start)
+            timer.stop()
             stacks.append(runs[0])
     finally:
-        model.observation_graph_interaction, model._ogi_stack = memo, stack
-    return secs, stacks, rows
+        model.observation_graph_interaction, model._stack = memo, stack
+    return timer.scaled_ms(), stacks, rows
 
 
 def main(argv=None) -> int:
@@ -77,9 +79,9 @@ def main(argv=None) -> int:
             got[side] = two_passes(build(FIRST_SEED + rep), wl.t_max, side)
         if got["memo"][2] != got["off"][2]:
             raise SystemExit(f"ogi_passes: rep {rep}: the two sides walked differently")
-        for side, (secs, stacks, _) in got.items():
+        for side, (pass_ms, stacks, _) in got.items():
             for i, name in enumerate(PASSES):
-                ms[name, side].append(secs[i] * 1e3)
+                ms[name, side].append(pass_ms[i])
                 runs[name, side] += stacks[i]
     out = {"reps": args.reps, "seeds": [FIRST_SEED, FIRST_SEED + args.reps - 1]}
     for name in PASSES:
