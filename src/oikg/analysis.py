@@ -279,9 +279,8 @@ def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
     includes its panorama's render, which still runs whole: only its noise
     term is kept, in the bundle's memo.  The timed passes walk the routes
     the untimed one walked, so every candidate row, panorama embedding and
-    whole OGI call they need is in the world's and the store's memos
-    already (the world's slot "rows", the store's slots "panorama" and
-    "ogi")."""
+    whole OGI call they need is in the store's untaped memo already (its
+    slot "frozen", ``model._frozen``)."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")

@@ -168,23 +168,29 @@ def _stack(h: nn.Tensor, kv: nn.Tensor | None, stage: str, params: nn.ParamStore
     return nn.residual_stack(h, kv, blocks, HEADS, score)
 
 
-# inside forward_step: its cache's keys, {names: _param_bytes(params, names)}
-_WALK_KEYS: dict | None = None
+# inside forward_step: the step's EpisodeCache, which keeps its walk's slot
+_WALK: "EpisodeCache | None" = None
 
 
-def _param_bytes(params: nn.ParamStore, names) -> tuple:
-    """The exact bytes of the named parameters: the part of a forward-only
-    memo's key that a loaded, stepped or edited value changes.  No
-    parameter changes during the walk an ``EpisodeCache`` serves, so inside
-    ``forward_step`` each tuple is built once per cache and kept in
-    ``cache.keys``; any other caller builds it on every call."""
-    keys = _WALK_KEYS
-    if keys is None:
-        return tuple(params[k].data.tobytes() for k in names)
-    key = keys.get(names)
-    if key is None:
-        key = keys[names] = tuple(params[k].data.tobytes() for k in names)
-    return key
+def _frozen(params: nn.ParamStore, cfg: ModelConfig) -> dict:
+    """The untaped forward's memo of ``params`` under ``cfg``, the store's
+    slot ``"frozen"``: ``"panorama"`` {visual bytes: rows}, ``"ogi"``
+    {(f_o shape, f_o bytes): {f_g bytes: output}} and ``"rows"``, a weak
+    map {NavGraph: (candidate-row table, fill flags)}.  Its key is ``cfg``
+    and the exact bytes of every parameter in the store, so a load, a step
+    or an in-place edit of any value drops it.  No parameter changes during
+    the walk an ``EpisodeCache`` serves, so inside ``forward_step`` it is
+    looked up once per cache and kept in ``cache.frozen``; any other caller
+    looks it up on every call.  A taped call never reads it."""
+    cache = _WALK
+    if cache is not None and cache.frozen is not None:
+        return cache.frozen
+    key = (cfg,) + tuple(params[name].data.tobytes() for name in params.params)
+    frozen = _memo(params, "frozen", key, lambda: {
+        "panorama": {}, "ogi": {}, "rows": weakref.WeakKeyDictionary()})
+    if cache is not None:
+        cache.frozen = frozen
+    return frozen
 
 
 # ------------------------------------------------------------- observation
@@ -221,11 +227,10 @@ def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
     the ``linear`` per block, their ``concat`` and the fuse MLP it replaces.
 
     Under ``nn.no_tape()`` the rows are a pure function of the visual's
-    bytes, ``cfg`` (its grid gives the angular block) and the ``obs.*``
-    parameters, so they come from the store's memo slot ``"panorama"``,
-    {visual bytes: rows}, keyed by ``cfg`` and those parameters' exact
-    bytes (a new key drops the slot); each entry is the read-only rows a
-    miss computed.  A taped call neither reads nor fills it.
+    bytes, ``cfg`` (its grid gives the angular block) and the parameters,
+    so they come from the ``"panorama"`` entries of the untaped memo
+    (``_frozen``), by the visual's bytes; each entry is the read-only rows
+    a miss computed.  A taped call neither reads nor fills it.
     """
     want = (cfg.view_grid.k, cfg.vis_dim)
     if visual.shape != want:
@@ -233,8 +238,7 @@ def decouple_observation(visual: np.ndarray, params: nn.ParamStore,
     vis = nn._as_f64(visual)
     if nn._TAPE_ON:
         return _embed_observation(vis, params, cfg)
-    key = (cfg,) + _param_bytes(params, _OBS_NAMES[cfg.decouple])
-    embedded = _memo(params, "panorama", key, dict)
+    embedded = _frozen(params, cfg)["panorama"]
     seen = vis.tobytes()
     rows = embedded.get(seen)
     if rows is None:
@@ -316,24 +320,20 @@ def _candidate_rows(inputs: np.ndarray, params: nn.ParamStore,
     return edge + (pos[0] if pos else 0.0), terms
 
 
-# the parameters the candidate rows read, with geo_embed on or off
-_ROW_NAMES = {True: ("graph.edge.w", "graph.edge.b", "graph.pe.w", "graph.pe.b"),
-              False: ("graph.edge.w", "graph.edge.b")}
-
-
 def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
                cfg: ModelConfig) -> np.ndarray:
     """The rows of the candidates ``order`` seen from ``pg.current``, read
-    from the world's memo slot ``"rows"``, a ``(V, V, dim)`` table and its
-    ``(V, V)`` fill flags, under a key of the heading count, ``geo_embed``
-    and the exact bytes of the parameters the rows read (a new key drops
-    the table); missing rows are computed by ``_candidate_rows`` and kept."""
-    graph, n = pg.graph, cfg.view_grid.n_headings
-    names = _ROW_NAMES[cfg.geo_embed]
-    key = (n, cfg.geo_embed) + _param_bytes(params, names)
-    v, width = len(graph.nodes), params["graph.edge.w"].shape[1]
-    table, filled = _memo(graph, "rows", key, lambda: (
-        np.empty((v, v, width)), np.zeros((v, v), dtype=bool)))
+    from the world's entry in the untaped memo's ``"rows"`` (``_frozen``),
+    a ``(V, V, dim)`` table and its ``(V, V)`` fill flags, held weakly so
+    it dies with its world; missing rows are computed by
+    ``_candidate_rows`` and kept."""
+    graph = pg.graph
+    tables = _frozen(params, cfg)["rows"]
+    memo = tables.get(graph)
+    if memo is None:
+        v, width = len(graph.nodes), params["graph.edge.w"].shape[1]
+        memo = tables[graph] = np.empty((v, v, width)), np.zeros((v, v), dtype=bool)
+    table, filled = memo
     u = graph.index[pg.current]
     cols = np.array([graph.index[c] for c in order], dtype=np.intp)
     rows, done = table[u], filled[u]
@@ -341,7 +341,7 @@ def _memo_rows(pg: PathGraph, order, params: nn.ParamStore,
     if not hit.all():
         miss = np.flatnonzero(~hit)
         inputs = candidate_inputs(graph, pg.current, [order[i] for i in miss],
-                                  n, cfg.geo_embed)
+                                  cfg.view_grid.n_headings, cfg.geo_embed)
         rows[cols[miss]] = _candidate_rows(inputs, params, cfg)[0]
         done[cols[miss]] = True
     return rows.take(cols, axis=0)
@@ -360,9 +360,9 @@ def build_candidates(pg: PathGraph, params: nn.ParamStore,
     One tape node, bitwise a linear node per term and row
     (``_candidate_rows``); the backward adds each row's terms in row order
     (``Tensor.accumulate_rows``).  Under ``nn.no_tape()`` the parameters
-    stay fixed for the walk, so the rows come from the world's row memo
-    (``_memo_rows``), the very floats ``_candidate_rows`` gave; a taped
-    walk neither reads nor fills it.
+    stay fixed for the walk, so the rows come from the world's table in
+    the untaped memo (``_memo_rows``), the very floats ``_candidate_rows``
+    gave; a taped walk neither reads nor fills it.
     """
     order = pg.frontier()
     stop = params["graph.stop"]
@@ -385,20 +385,13 @@ def build_candidates(pg: PathGraph, params: nn.ParamStore,
     return nn.tape_node(np.concatenate([rows, stop.data]), parents, backward), order
 
 
-@functools.cache
-def _ogi_names(layers: int) -> tuple:
-    """The names of the ``ogi.*`` parameters of a ``layers``-deep stack."""
-    return tuple(name for i in range(layers) for name, _ in _block_spec(f"ogi.l{i}", 1))
-
-
 def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
                                   params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
     """Candidates attend over panorama rows through the decoder stack.
 
     Under ``nn.no_tape()`` the output is a pure function of ``f_o``, ``f_g``
-    and the ``ogi.*`` parameters, so it comes from the store's memo slot
-    ``"ogi"``, keyed by ``cfg.layers`` and those parameters' exact bytes (a
-    new key drops the slot): per panorama, by ``f_o``'s shape and bytes,
+    and the parameters, so it comes from the ``"ogi"`` entries of the
+    untaped memo (``_frozen``): per panorama, by ``f_o``'s shape and bytes,
     {``f_g`` bytes: output}; each entry is the read-only output the same
     call computed, so a hit is bitwise what the stack would give.  A greedy
     walk repeated under unchanged parameters hits on every call.  A taped
@@ -406,8 +399,7 @@ def observation_graph_interaction(f_g: nn.Tensor, f_o: nn.Tensor,
     """
     if nn._TAPE_ON:
         return _stack(f_g, f_o, "ogi", params, cfg.layers)
-    key = (cfg.layers,) + _param_bytes(params, _ogi_names(cfg.layers))
-    panoramas = _memo(params, "ogi", key, dict)
+    panoramas = _frozen(params, cfg)["ogi"]
     seen = (f_o.data.shape, f_o.data.tobytes())
     calls = panoramas.get(seen)
     if calls is None:
@@ -575,13 +567,12 @@ class EpisodeCache:
     they were built in.  ``key_detail`` is the episode's read-only key
     detail array, the one copy (None when both detail flags are off),
     ``align`` the first step's alignment row node, which later steps
-    replay, and ``keys`` the untaped memos' parameter-bytes keys, each built
-    on first use (``_param_bytes``).
-    ``panoramas``, when given, is a map {id(bundle): (bundle, {node:
-    embedding node})} that the caches of one graph share (``train`` keeps
-    one per iteration, since it must die with its parameter values): keyed
-    by identity, as a bundle cannot be hashed, and holding the bundle, so no
-    id is reused while it lives.
+    replay, and ``frozen`` the untaped memo of the walk's parameters
+    (``_frozen``), looked up on first use.
+    ``panoramas``, when given, is a map {bundle: {node: embedding node}}
+    that the caches of one graph share (``train`` keeps one per iteration,
+    since it must die with its parameter values); a bundle compares by
+    identity.
     """
 
     def __init__(self, panoramas: dict | None = None):
@@ -589,7 +580,7 @@ class EpisodeCache:
         self.obs: dict[int, nn.Tensor] = {}
         self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
-        self.keys: dict = {}
+        self.frozen: dict | None = None
         self.panoramas = panoramas
 
 
@@ -597,7 +588,7 @@ def _panorama(env: EnvBundle, node: int, params: nn.ParamStore, cfg: ModelConfig
               shared: dict | None) -> nn.Tensor:
     """``nn.replay`` of ``node``'s embedding in the ``shared`` map, or the
     panorama rendered and embedded, and kept in the map if one is given."""
-    seen = None if shared is None else shared.setdefault(id(env), (env, {}))[1]
+    seen = None if shared is None else shared.setdefault(env, {})
     if seen and node in seen:
         return nn.replay(seen[node])
     # positional: the benchmark tracer reads the bundle and node as args
@@ -614,7 +605,7 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     episode whose instruction is the token ids ``tokens``.  The node's
     panorama is rendered from ``env`` on ``cfg.view_grid`` and embedded on
     its first visit per cache (untaped, the embedding comes from the
-    store's memo, ``decouple_observation``); later visits reuse it.  A
+    untaped memo, ``decouple_observation``); later visits reuse it.  A
     (bundle, node) that another cache of a shared map (``cache.panoramas``)
     embedded first is ``nn.replay`` of that node: bitwise the cache's own
     embedding, since the node's parents are leaves (the ``obs.*``
@@ -628,11 +619,11 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
     f_i, ``enh.wv`` and the ``kd.*`` parameters on its own, at the step's
     place in the backward walk, as a per-step rebuild gave it.  One tracked
     tensor shared by the steps would sum their gradients first and change
-    the last bits.  The untaped memos' keys are built once per cache, not
-    once per step (``_param_bytes``).
+    the last bits.  An untaped walk looks up its memo once per cache, not
+    once per step (``_frozen``).
     """
-    global _WALK_KEYS
-    outer, _WALK_KEYS = _WALK_KEYS, cache.keys
+    global _WALK
+    outer, _WALK = _WALK, cache
     try:
         f_o = cache.obs.get(pg.current)
         if f_o is None:
@@ -658,4 +649,4 @@ def forward_step(pg: PathGraph, env: EnvBundle, tokens,
         return StepFeatures(scores=scores), select_action(scores.data, order,
                                                           pg.current)
     finally:
-        _WALK_KEYS = outer
+        _WALK = outer

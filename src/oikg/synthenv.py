@@ -118,7 +118,7 @@ class ViewGrid:
         return np.repeat(head, ne), np.tile(np.array(self.elevations), self.n_headings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentTable:
     """A world's read-only ``(V + 1, feature_dim)`` appearance rows: row
     ``graph.index[n]`` is node n's latent then its room one-hot, the last
@@ -127,9 +127,10 @@ class LatentTable:
     rows: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvBundle:
-    """Everything needed to run an agent in one environment.
+    """Everything needed to run an agent in one environment; it compares
+    and hashes by identity, as its graph does.
 
     Besides the world, the bundle holds the lazily filled memo of its
     panoramas' noise terms (``noise_term``, when sigma > 0), pure functions

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tape_ops import cue_masks, mul, oracle_extract_key_detail, sub
-from test_model import flag_label, memo_slot
+from test_model import flag_label, frozen_memo, memo_slot
 
 from oikg import analysis, model, nn
 from oikg import training
@@ -370,8 +370,8 @@ def noisy_eval_set():
 def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     """The untimed pass walks every route the timed passes walk, so the
     timed passes add no noise draw to the bundle's memo, no candidate to
-    the graph's, no panorama to the store's embedding memo and no output
-    to its OGI memo.  The eval set's pass is longer than 50 steps, so a
+    the graph's, and no panorama, candidate row or OGI output to the
+    store's untaped memo.  The eval set's pass is longer than 50 steps, so a
     50-step warm-up would have left routes for the timed loop to fill."""
     _, data = noisy_eval_set()
     probe = build_params(MCFG, seed=0)   # a store of its own: the timed one starts empty
@@ -384,12 +384,13 @@ def test_time_forward_steps_times_only_warm_passes(monkeypatch):
 
     def memo_entries():
         inputs = memo_slot(env.graph, ("inputs", MCFG.view_grid.n_headings))
-        panorama = memo_slot(params, "panorama")
-        ogi = memo_slot(params, "ogi")
+        memo = frozen_memo(params) or {"panorama": {}, "ogi": {}, "rows": {}}
+        rows = memo["rows"].get(env.graph)
         return (len(env._draws),
                 0 if inputs is None else int(np.count_nonzero(inputs[1][1])),
-                0 if panorama is None else len(panorama[1]),
-                0 if ogi is None else sum(len(calls) for calls in ogi[1].values()))
+                len(memo["panorama"]),
+                0 if rows is None else int(np.count_nonzero(rows[1])),
+                sum(len(calls) for calls in memo["ogi"].values()))
 
     seen = []
 

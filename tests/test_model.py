@@ -242,9 +242,16 @@ def memo_slot(owner, name):
     return model._MEMOS.get(owner, {}).get(name)
 
 
-# The untaped embedding memo: the store's slot "panorama", keyed by the
-# configuration and the obs.* parameter bytes, one read-only entry per
-# distinct visual.
+def frozen_memo(params):
+    """The untaped memo of ``params`` (its slot "frozen", ``model._frozen``):
+    {"panorama": ..., "ogi": ..., "rows": ...}, or None."""
+    slot = memo_slot(params, "frozen")
+    return None if slot is None else slot[1]
+
+
+# The untaped memo: the store's slot "frozen", keyed by the configuration
+# and the bytes of every parameter.  Its panorama entries hold one
+# read-only embedding per distinct visual.
 
 
 def memo_world_data(cfg):
@@ -275,28 +282,35 @@ def store_copy(params, cfg):
     return fresh
 
 
-@pytest.mark.parametrize("name", ["obs.ang.b", "obs.vis.w", "obs.fuse.w1", "obs.fuse.b2",
-                                  "obs.coupled.w", "obs.coupled.b"])
-def test_untaped_walk_after_in_place_obs_edit_equals_fresh_store(name):
-    """After one ``obs.*`` parameter is edited in place, an untaped walk
+@pytest.mark.parametrize("change", ["obs.ang.b", "obs.vis.w", "obs.fuse.w1", "obs.fuse.b2",
+                                    "obs.coupled.w", "obs.coupled.b", "graph.edge.w",
+                                    "ogi.l0.attn.wq", "sel.mlp.w1", "load_state"])
+def test_untaped_walk_after_a_parameter_change_equals_fresh_store(change):
+    """After one parameter is edited in place, one no memo entry reads
+    (``sel.mlp.w1``) included, or another state is loaded, an untaped walk
     equals the same walk on a fresh store and the taped walk: the memo's
-    key holds the bytes of the parameters the rows read, so it misses, and
-    the new key drops the old slot."""
-    cfg = replace(TINY, decouple=not name.startswith("obs.coupled"))
+    key holds the bytes of every parameter, so the next walk drops the old
+    slot, panorama, candidate-row and OGI entries alike."""
+    cfg = replace(TINY, decouple=not change.startswith("obs.coupled"))
     data = memo_world_data(cfg)
     params = model.build_params(cfg, seed=0)
     before = untaped_scores(data, params, cfg)
-    old_key, old_entries = memo_slot(params, "panorama")
-    assert len(old_entries) > 1
-    params[name].data.flat[1] += 0.25
+    old_key, old_memo = memo_slot(params, "frozen")
+    assert len(old_memo["panorama"]) > 1 and len(old_memo["ogi"]) > 1
+    assert data[0][0].graph in old_memo["rows"]
+    if change == "load_state":
+        other = model.build_params(cfg, seed=1)
+        params.load_state({n: other[n].data for n in other.names()})
+    else:
+        params[change].data.flat[1] += 0.25
     got = untaped_scores(data, params, cfg)
+    key, memo = memo_slot(params, "frozen")
+    assert key != old_key and memo is not old_memo
     assert not same_scores(got, before)
     assert same_scores(got, untaped_scores(memo_world_data(cfg), store_copy(params, cfg), cfg))
     taped = [s.logits for env, ep in data for s in training.rollout(
         env, ep, 8, training.greedy_policy, params, cfg).steps]
     assert same_scores(got, taped)
-    key, entries = memo_slot(params, "panorama")
-    assert key != old_key and entries is not old_entries
 
 
 @pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "coupled"])
@@ -316,7 +330,7 @@ def test_embedding_memo_keys_grids_that_share_k_apart(decouple):
         with nn.no_tape():
             got = model.decouple_observation(obs, params, cfg)
         assert same_bits(got.data, want)
-        assert memo_slot(params, "panorama")[0][0] == cfg
+        assert memo_slot(params, "frozen")[0][0] == cfg
 
 
 def test_taped_decouple_neither_reads_nor_fills_the_memo():
@@ -328,10 +342,11 @@ def test_taped_decouple_neither_reads_nor_fills_the_memo():
     obs = random_obs(np.random.default_rng(9), TINY)
     want = oracle_decouple_observation(obs, params, TINY)
     taped = model.decouple_observation(obs, params, TINY)
-    assert memo_slot(params, "panorama") is None and taped.requires_grad
+    assert memo_slot(params, "frozen") is None and taped.requires_grad
     with nn.no_tape():
         model.decouple_observation(obs, params, TINY)
-    key, entries = memo_slot(params, "panorama")
+    key, memo = memo_slot(params, "frozen")
+    entries = memo["panorama"]
     (seen,) = entries
     entries[seen] = np.full(want.shape, np.nan)
     grads = []
@@ -344,7 +359,7 @@ def test_taped_decouple_neither_reads_nor_fills_the_memo():
     got, ref = grads
     assert sorted(got) == sorted(ref) == sorted(model._OBS_NAMES[True])
     assert all(same_bits(got[n], ref[n]) for n in ref)
-    assert memo_slot(params, "panorama")[0] is key and list(entries) == [seen]
+    assert memo_slot(params, "frozen")[0] is key and list(entries) == [seen]
     assert np.isnan(entries[seen]).all()
     with nn.no_tape():
         assert np.isnan(model.decouple_observation(obs, params, TINY).data).all()
@@ -374,7 +389,7 @@ def test_embedding_memo_entries_are_read_only():
     with nn.no_tape():
         first = model.decouple_observation(obs, params, TINY)
         again = model.decouple_observation(obs.copy(), params, TINY)
-    (entry,) = memo_slot(params, "panorama")[1].values()
+    (entry,) = frozen_memo(params)["panorama"].values()
     assert first.data is entry and again.data is entry
     assert not entry.flags.writeable and not first.requires_grad
     with pytest.raises(ValueError):
@@ -710,23 +725,23 @@ def test_candidate_memo_is_one_table_per_heading_count():
     assert sum(a.nbytes for memo in memos for a in memo) == 2 * 100 * 100 * (7 * 8 + 1)
 
 
-def row_memo_hits(graph, pg, cfg) -> list:
-    """Per frontier node of ``pg``, whether the world's row memo holds its
-    row for ``cfg``'s heading count and ``geo_embed`` (the parameters are
-    the same in every call of a test)."""
-    memo = memo_slot(graph, "rows")
-    if memo is None or memo[0][:2] != (cfg.view_grid.n_headings, cfg.geo_embed):
+def row_memo_hits(graph, pg, params, cfg) -> list:
+    """Per frontier node of ``pg``, whether the untaped memo of ``params``
+    under ``cfg`` holds its row in ``graph``'s table."""
+    slot = memo_slot(params, "frozen")
+    table = None if slot is None or slot[0][0] != cfg else slot[1]["rows"].get(graph)
+    if table is None:
         return [False] * len(pg.frontier())
     u = graph.index[pg.current]
-    return [bool(memo[1][1][u, graph.index[c]]) for c in pg.frontier()]
+    return [bool(table[1][u, graph.index[c]]) for c in pg.frontier()]
 
 
 @pytest.mark.parametrize("geo_embed", [True, False], ids=["geo-on", "geo-off"])
 def test_memo_rows_equal_taped_and_oracle_rows(geo_embed):
-    """Untaped candidate rows, read from the world's row memo on frontiers
-    that mix memo hits and misses, equal the taped rows bit for bit and the
-    per-candidate oracle's, under two heading counts taking turns on one
-    graph (each turn a new memo key)."""
+    """Untaped candidate rows, read from the world's table in the untaped
+    memo on frontiers that mix memo hits and misses, equal the taped rows
+    bit for bit and the per-candidate oracle's, under two heading counts
+    taking turns on one graph (each turn a new memo key)."""
     g = se.generate_environment(se.EnvParams(node_count=30, connection_radius=3.5,
                                              extent=10.0, seed=7))
     cfgs = [replace(cfg, geo_embed=geo_embed) for cfg in (TINY, FULL_GRID_TINY)]
@@ -736,7 +751,7 @@ def test_memo_rows_equal_taped_and_oracle_rows(geo_embed):
         for start, pick in itertools.product(g.node_ids()[:5], (0, -1)):
             pg = PathGraph(g, start=start)
             for _ in range(6):
-                hits = row_memo_hits(g, pg, cfg)
+                hits = row_memo_hits(g, pg, params, cfg)
                 mixed += any(hits) and not all(hits)
                 with nn.no_tape():
                     got, order = model.build_candidates(pg, params, cfg)
@@ -749,27 +764,29 @@ def test_memo_rows_equal_taped_and_oracle_rows(geo_embed):
                     break
                 pg.advance(order[pick])
         assert mixed > 0, cfg
-        assert memo_slot(g, "rows")[0][:2] == (cfg.view_grid.n_headings, geo_embed)
+        key, memo = memo_slot(params, "frozen")
+        assert key[0] == cfg and g in memo["rows"]
 
 
 def test_taped_walk_neither_reads_nor_fills_the_row_memo():
-    """A taped walk leaves the row memo empty; with a memo of NaN rows
-    under the walk's own key, it still gives the oracle's rows and every
-    gradient of a fresh graph, and writes nothing into the memo."""
+    """A taped walk leaves the untaped memo empty; with a row table of NaN
+    rows under the walk's own key, it still gives the oracle's rows and
+    every gradient of a fresh graph, and writes nothing into the table."""
     params = model.build_params(TINY, seed=5)
     g = tiny_graph()
     candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
-    assert memo_slot(g, "rows") is None
+    assert memo_slot(params, "frozen") is None
     with nn.no_tape():
         for start in g.node_ids():
             model.build_candidates(PathGraph(g, start=start), params, TINY)
-    key, (table, filled) = memo_slot(g, "rows")
+    key, memo = memo_slot(params, "frozen")
+    table, filled = memo["rows"][g]
     table[...] = np.nan
     before = filled.copy()
     got = candidate_walk(model.build_candidates, g, 0, [1, 3, 2], params, TINY)
     want = candidate_walk(oracle_build_candidates, tiny_graph(), 0, [1, 3, 2],
                           params, TINY)
-    assert memo_slot(g, "rows")[0] is key and np.isnan(table).all()
+    assert memo_slot(params, "frozen")[0] is key and np.isnan(table).all()
     np.testing.assert_array_equal(filled, before)
     for r, w in zip(got[0], want[0], strict=True):
         np.testing.assert_array_equal(r, w)
@@ -779,25 +796,29 @@ def test_taped_walk_neither_reads_nor_fills_the_row_memo():
 
 def test_pickled_graph_carries_no_row_memo():
     """The row memo, like the graph's other caches, stays behind when the
-    graph is pickled; the copy's rows equal the original's."""
+    graph is pickled: the copy has neither a slot nor a row table; its
+    rows equal the original's."""
     params = model.build_params(TINY, seed=5)
     g = tiny_graph()
     with nn.no_tape():
         rows, _ = model.build_candidates(PathGraph(g, start=0), params, TINY)
-    assert memo_slot(g, "rows") is not None
+    tables = frozen_memo(params)["rows"]
+    assert g in tables and model._MEMOS[g]
     copy = pickle.loads(pickle.dumps(g))
-    assert memo_slot(copy, "rows") is None
+    assert copy not in tables and copy not in model._MEMOS
     with nn.no_tape():
         again, _ = model.build_candidates(PathGraph(copy, start=0), params, TINY)
-    assert same_bits(again.data, rows.data)
+    assert same_bits(again.data, rows.data) and copy in tables
 
 
 def test_memos_live_in_the_memo_map_and_go_with_their_owners():
     """Taped and untaped walks in every flag setting, on one world with one
     store, leave the graph equal to a fresh graph, its route cache aside,
     and the store holding only a fresh store's attributes: every memo is a
-    slot of ``model._MEMOS``.  Once the store and the world are
-    collected, the map holds no entry for either."""
+    slot of ``model._MEMOS``.  The store holds one parameter-keyed slot,
+    the untaped memo, and the world only its ``("inputs", n)`` slots.  Once
+    the world is collected, its row table goes from the store's memo; once
+    the store is too, the map holds no entry for either."""
     cfgs = [replace(TINY, decouple=d, geo_embed=g, loc_detail=loc, obj_detail=obj)
             for d, g, loc, obj in FLAG_COMBINATIONS]
     spec = dict(pair for cfg in cfgs for pair in model.param_spec(cfg))
@@ -807,22 +828,29 @@ def test_memos_live_in_the_memo_map_and_go_with_their_owners():
         for env, ep in data[:2]:
             training.rollout(env, ep, 8, training.greedy_policy, store, cfg)
     graph = data[0][0].graph
-    assert memo_slot(graph, "rows") and memo_slot(store, "panorama")
-    assert memo_slot(store, "ogi")
+    memo = frozen_memo(store)
+    assert graph in memo["rows"] and memo["panorama"] and memo["ogi"]
+    assert [name for name, (key, _) in model._MEMOS[store].items()
+            if key is not None] == ["frozen"]
+    assert all(name[:1] == ("inputs",) for name in model._MEMOS[graph])
     fresh = vars(memo_world_data(TINY)[0][0].graph)
     assert vars(graph) == {**fresh, "_dist_cache": graph._dist_cache}
     assert set(vars(store)) == set(vars(model.build_params(TINY, seed=0)))
     owners = [weakref.ref(graph), weakref.ref(store)]
     gc.collect()
     entries = len(model._MEMOS)
-    del store, data, env, graph
+    del data, env, graph
+    gc.collect()
+    assert owners[0]() is None and len(memo["rows"]) == 0
+    assert len(model._MEMOS) == entries - 1
+    del store
     gc.collect()
     assert [owner() for owner in owners] == [None, None]
     assert len(model._MEMOS) == entries - 2
 
 
-# The untaped OGI memo: the store's slot "ogi", keyed by the layer count and
-# the ogi.* parameter bytes; per panorama, {candidate-matrix bytes: output}.
+# The untaped memo's OGI entries: per panorama, {candidate-matrix bytes:
+# output}.
 
 
 def oracle_ogi(f_g, f_o, params, cfg):
@@ -836,15 +864,10 @@ def oracle_ogi(f_g, f_o, params, cfg):
 
 
 def ogi_calls(params, f_o):
-    """The store's ogi memo entries {f_g bytes: output} for the panorama
+    """The untaped memo's OGI entries {f_g bytes: output} for the panorama
     rows ``f_o``, or None."""
-    slot = memo_slot(params, "ogi")
-    return None if slot is None else slot[1].get((f_o.shape, f_o.data.tobytes()))
-
-
-def ogi_memo_entries(params) -> int:
-    slot = memo_slot(params, "ogi")
-    return 0 if slot is None else sum(len(calls) for calls in slot[1].values())
+    memo = frozen_memo(params)
+    return None if memo is None else memo["ogi"].get((f_o.shape, f_o.data.tobytes()))
 
 
 def ogi_walk_steps(graph, env, params, cfg, picks=(0, -1)):
@@ -885,7 +908,7 @@ def ogi_world(cfg):
 
 @pytest.mark.parametrize("cfg", [TINY, FULL_GRID_TINY], ids=["4-views", "36-views"])
 def test_ogi_memo_outputs_equal_taped_and_oracle_outputs(cfg):
-    """Untaped OGI outputs, stored in the store's ogi slot by a first walk
+    """Untaped OGI outputs, stored in the untaped memo by a first walk
     and read from it by the same walk repeated, equal the taped outputs and
     the unfused oracle's bit for bit, on multi-row and STOP-only steps; each
     read is the read-only array the miss stored."""
@@ -901,14 +924,14 @@ def test_ogi_memo_outputs_equal_taped_and_oracle_outputs(cfg):
                 assert not got.data.flags.writeable
                 assert same_bits(got.data, taped.data) and same_bits(got.data, oracle.data)
     assert min(kinds[k] for k in ("hit", "miss", "hit-stop", "miss-stop")) > 0, kinds
-    assert memo_slot(params, "ogi")[0][0] == cfg.layers
+    assert memo_slot(params, "frozen")[0][0] == cfg
 
 
 def test_taped_walk_neither_reads_nor_fills_the_ogi_memo():
-    """A taped walk leaves the ogi slot empty; with every stored output set
-    to NaN under the walk's own key, it still gives the oracle's outputs and
-    every gradient, and writes nothing into the slot, while an untaped call
-    reads the NaN output."""
+    """A taped walk leaves the untaped memo empty; with every stored OGI
+    output set to NaN under the walk's own key, it still gives the oracle's
+    outputs and every gradient, and writes nothing into the memo, while an
+    untaped call reads the NaN output."""
     params = model.build_params(TINY, seed=5)
     graph, env = ogi_world(TINY)
 
@@ -928,15 +951,16 @@ def test_taped_walk_neither_reads_nor_fills_the_ogi_memo():
                       if params[n].grad is not None}
 
     walk(model.observation_graph_interaction)
-    assert memo_slot(params, "ogi") is None
+    assert memo_slot(params, "frozen") is None
     untaped_scores([(env, se.make_episode(graph, seed=s)) for s in range(4)], params, TINY)
-    key, panoramas = memo_slot(params, "ogi")
+    key, memo = memo_slot(params, "frozen")
+    panoramas = memo["ogi"]
     for calls in panoramas.values():
         for query, out in calls.items():
             calls[query] = np.full_like(out, np.nan)
     poisoned = {seen: dict(calls) for seen, calls in panoramas.items()}
     got, want = walk(model.observation_graph_interaction), walk(oracle_ogi)
-    assert memo_slot(params, "ogi")[0] is key
+    assert memo_slot(params, "frozen")[0] is key
     assert {seen: list(calls) for seen, calls in panoramas.items()} == {
         seen: list(calls) for seen, calls in poisoned.items()}
     assert all(out is poisoned[seen][q] for seen, calls in panoramas.items()
@@ -953,38 +977,14 @@ def test_taped_walk_neither_reads_nor_fills_the_ogi_memo():
         assert np.isnan(model.observation_graph_interaction(f_g, f_o, params, TINY).data).all()
 
 
-@pytest.mark.parametrize("change", ["load_state", "in-place"])
-def test_ogi_memo_drops_on_load_state_or_an_edited_ogi_parameter(change):
-    """Loading a state, or editing one ogi.* parameter in place, changes the
-    slot's key: the next untaped walk drops the old slot and gives the
-    scores of the same walk on a fresh store, and the taped walk's."""
-    data = memo_world_data(TINY)
-    params = model.build_params(TINY, seed=0)
-    before = untaped_scores(data, params, TINY)
-    old_key, old_panoramas = memo_slot(params, "ogi")
-    assert ogi_memo_entries(params) > 0
-    if change == "load_state":
-        other = model.build_params(TINY, seed=1)
-        params.load_state({n: other[n].data for n in other.names()})
-    else:
-        params["ogi.l0.attn.wq"].data.flat[3] += 0.25
-    got = untaped_scores(data, params, TINY)
-    key, panoramas = memo_slot(params, "ogi")
-    assert key != old_key and panoramas is not old_panoramas
-    assert not same_scores(got, before)
-    assert same_scores(got, untaped_scores(memo_world_data(TINY), store_copy(params, TINY),
-                                           TINY))
-    taped = [s.logits for env, ep in data for s in training.rollout(
-        env, ep, 8, training.greedy_policy, params, TINY).steps]
-    assert same_scores(got, taped)
-
-
 def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
-    """Inside ``forward_step`` the untaped memos' parameter-bytes keys are
-    built once per ``EpisodeCache``: a warm walk of several steps reads each
-    keyed parameter once, where the parent read it on every step, while a
-    direct call of a stage function builds its key on every call.  No
-    walk's keys stay in force after a step, one that raised included."""
+    """Inside ``forward_step`` the untaped memo is looked up once per
+    ``EpisodeCache``: a warm walk of several steps reads every parameter
+    once, for the memo's key, and besides only what the walk reads itself:
+    the STOP row every step, the instruction's and key detail's weights once
+    per episode.  A direct call of a stage function looks the memo up, so
+    reads every parameter, on every call.  No walk's cache stays in force
+    after a step, one that raised included."""
     data = memo_world_data(TINY)
     params = model.build_params(TINY, seed=0)
     untaped_scores(data, params, TINY)   # block weights looked up, every memo filled
@@ -993,11 +993,11 @@ def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
     cache = model.EpisodeCache()
     with nn.no_tape():
         rec = training.rollout(env, ep, 8, training.greedy_policy, params, TINY, cache)
-    assert len(rec.steps) > 2 and model._WALK_KEYS is None
-    keyed = (model._ogi_names(TINY.layers), model._OBS_NAMES[True], model._ROW_NAMES[True])
-    assert set(cache.keys) == set(keyed)
-    assert all(reads.count(name) == 1 for names in keyed[:2] for name in names)
-    assert all(reads.count(name) == 1 for name in ("graph.edge.b", "graph.pe.w", "graph.pe.b"))
+    assert len(rec.steps) > 2 and model._WALK is None
+    assert cache.frozen is frozen_memo(params)
+    per_episode = ["txt.embed", "enh.wv"] + [n for n in params.names() if n.startswith("kd.")]
+    assert collections.Counter(reads) == collections.Counter(
+        params.names() + per_episode + ["graph.stop"] * len(rec.steps))
 
     pg = PathGraph(env.graph, start=ep.start)
     with nn.no_tape():
@@ -1007,7 +1007,7 @@ def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
         reads.clear()
         for _ in range(2):
             model.observation_graph_interaction(f_g, f_o, params, TINY)
-    assert all(reads.count(name) == 2 for name in model._ogi_names(TINY.layers))
+    assert collections.Counter(reads) == collections.Counter(params.names() * 2)
 
     def broken(*args):
         raise InvalidState("no render")
@@ -1015,7 +1015,7 @@ def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
     monkeypatch.setattr(model, "render_observation", broken)
     with nn.no_tape(), pytest.raises(InvalidState):
         model.forward_step(pg, env, ep.tokens, params, TINY, model.EpisodeCache())
-    assert model._WALK_KEYS is None
+    assert model._WALK is None
 
 
 def test_forward_step_after_load_state_equals_fresh_store(setup):
@@ -1710,13 +1710,13 @@ def test_train_iteration_embeds_each_panorama_once(monkeypatch):
             caches.append(self)
 
     def backward(loss):
-        held = collections.defaultdict(list)   # (bundle id, node): (node, backward, first)
+        held = collections.defaultdict(list)   # (bundle, node): (node, backward, first)
         for c in caches:
             for n, t in c.obs.items():
-                [(env, first)] = [(env, nodes[n]) for env, nodes in c.panoramas.values()
+                [(env, first)] = [(env, nodes[n]) for env, nodes in c.panoramas.items()
                                   if n in nodes and nodes[n].data is t.data]
-                held[id(env), n].append((t, t._backward, first))
-        seen.append(([(id(env), n) for (env, n, _), _ in renders], held,
+                held[env, n].append((t, t._backward, first))
+        seen.append(([(env, n) for (env, n, _), _ in renders], held,
                      {id(c.panoramas) for c in caches}))
         renders.clear()
         caches.clear()

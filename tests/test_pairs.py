@@ -38,13 +38,16 @@ print(json.dumps({"correct": not Path("incorrect.txt").exists(), "attempted": 3,
 '''
 
 # The acceptance stub: a test named like test_a05 that takes longer in the
-# parent tree and fails where incorrect.txt exists.
+# parent tree and fails where incorrect.txt exists.  Each timed run includes
+# a whole pytest start-up, whose time spreads by up to about 0.35 s inside a
+# full suite run, so the parent's extra second keeps the acceptance test's
+# 0.3-s margin clear of that spread.
 STUB_A05 = '''
 import time
 from pathlib import Path
 
 def test_a05_stub():
-    time.sleep(0.6 if Path("side.txt").read_text().strip() == "parent" else 0.1)
+    time.sleep(1.1 if Path("side.txt").read_text().strip() == "parent" else 0.1)
     assert not Path("incorrect.txt").exists()
 
 def test_a06_stub():

@@ -394,6 +394,15 @@ def test_pickled_bundle_arrives_with_an_empty_memo(cross_graph):
         np.testing.assert_array_equal(se.render_observation(copy, n, grid), w)
 
 
+def test_bundles_compare_and_hash_by_identity(cross_graph):
+    """Two bundles over one graph with equal latent tables are distinct
+    keys: comparing them raises nothing (an array field compared by value
+    would), and each hashes, so a map can key a world by its bundle."""
+    a, b = (se.EnvBundle(cross_graph, se.make_latents(cross_graph, feature_dim=12, seed=5))
+            for _ in range(2))
+    assert a != b and a == a and a.latents != b.latents and len({a, b, a}) == 2
+
+
 def test_observation_errors(cross_graph):
     lat = se.make_latents(cross_graph, feature_dim=12, seed=0)
     with pytest.raises(InvalidArgument):
