@@ -251,7 +251,18 @@ def _connected(n: int, adjacency: dict[int, list[int]]) -> bool:
 
 
 def generate_environment(p: EnvParams) -> NavGraph:
-    """Seeded geometric random graph, resampled until connected."""
+    """Seeded geometric random graph, resampled until it is connected and
+    no two nodes coincide.
+
+    Each node i screens the nodes j > i at once by squared distance,
+    against the radius widened by a 1e-9 relative margin; each pair the
+    screen keeps is then decided exactly, in (i, j) order, by
+    ``np.linalg.norm(pos[i] - pos[j]) <= connection_radius``.  The margin
+    is about a million times the last-bit gap between a numpy sum of
+    squares and the norm's BLAS dot, so every pair the screen drops is
+    farther than the radius, and the graphs are those of a norm call per
+    pair.  The screen holds O(node_count) memory per row.
+    """
     if p.node_count < 2:
         raise InvalidArgument("node_count must be >= 2")
     if not all(math.isfinite(v) and v > 0 for v in (p.connection_radius, p.extent)):
@@ -262,6 +273,10 @@ def generate_environment(p: EnvParams) -> NavGraph:
         raise InvalidArgument(
             f"feature dim must exceed {ROOM_COUNT}, got {p.feature_dim}")
 
+    # a product, not ** 2, so that a radius near the float limit screens
+    # against inf instead of raising OverflowError
+    wide = p.connection_radius * (1 + 1e-9)
+    screen = wide * wide
     for attempt in range(_MAX_ENV_ATTEMPTS):
         rng = substream(p.seed, "env", attempt)
         pos = np.column_stack([
@@ -272,12 +287,13 @@ def generate_environment(p: EnvParams) -> NavGraph:
         pairs = []
         adjacency: dict[int, list[int]] = {i: [] for i in range(p.node_count)}
         degenerate = False
-        for i in range(p.node_count):
-            for j in range(i + 1, p.node_count):
+        for i in range(p.node_count - 1):
+            near = np.square(pos[i + 1:] - pos[i]).sum(axis=1) <= screen
+            for j in (np.flatnonzero(near) + (i + 1)).tolist():
                 d = float(np.linalg.norm(pos[i] - pos[j]))
+                if d == 0.0:
+                    degenerate = True
                 if d <= p.connection_radius:
-                    if d == 0.0:
-                        degenerate = True
                     pairs.append((i, j))
                     adjacency[i].append(j)
                     adjacency[j].append(i)
@@ -286,8 +302,7 @@ def generate_environment(p: EnvParams) -> NavGraph:
 
         n_rooms = int(rng.integers(4, ROOM_COUNT + 1))
         centers = rng.uniform(0.0, p.extent, size=(n_rooms, 2))
-        rooms = [int(np.argmin(np.linalg.norm(centers - pos[i, :2], axis=1)))
-                 for i in range(p.node_count)]
+        rooms = np.linalg.norm(centers[None] - pos[:, None, :2], axis=2).argmin(1).tolist()
         objects = [tuple(sorted(int(o) for o in rng.choice(
             OBJECT_COUNT, size=int(rng.integers(1, 4)), replace=False)))
             for _ in range(p.node_count)]

@@ -151,23 +151,152 @@ def union_find_connected(graph) -> bool:
     return len({find(i) for i in ids}) == 1
 
 
-def test_environment_connected_and_geometric(env):
+WIDE_EXTENT = 10.0 * math.sqrt(100 / 30)   # the 30-node density at 100 nodes
+
+
+class AttemptSpy:
+    """Stands in for ``synthenv.substream``, counting the layout attempts."""
+
+    def __init__(self, real=substream):
+        self.real, self.attempts = real, 0
+
+    def __call__(self, seed, *tags):
+        self.attempts += tags[0] == "env"
+        return self.real(seed, *tags)
+
+
+@pytest.mark.parametrize("params,attempts", [
+    ((25, 3.5, 10.0, 7), 1),
+    ((14, 4.0, 11.0, 11), 4),            # overfit_tiny's world
+    ((30, 3.5, 10.0, 0), 1),             # a train_full world
+    ((100, 3.5, WIDE_EXTENT, 1), 3),     # an eval_wide world, two retries
+], ids=["seed7-25", "overfit_tiny", "train_full", "eval_wide_retry"])
+def test_environment_connected_and_geometric(monkeypatch, params, attempts):
+    n, radius, extent, seed = params
+    spy = AttemptSpy()
+    monkeypatch.setattr(se, "substream", spy)
+    env = se.generate_environment(se.EnvParams(
+        node_count=n, connection_radius=radius, extent=extent, seed=seed))
+    assert spy.attempts == attempts
     assert union_find_connected(env)
-    p = 3.5
     ids = env.node_ids()
+    assert ids == list(range(n))
     for i in ids:
         for j in ids:
             if i >= j:
                 continue
             d = float(np.linalg.norm(np.subtract(env.nodes[i].pos, env.nodes[j].pos)))
-            assert env.has_edge(i, j) == (d <= p)
+            assert env.has_edge(i, j) == (d <= radius)
     for i in ids:
         node = env.nodes[i]
         assert 0 <= node.room < se.ROOM_COUNT
         assert 1 <= len(node.objects) <= 3
         assert all(0 <= o < se.OBJECT_COUNT for o in node.objects)
-        assert 0.0 <= node.pos[0] <= 10.0 and 0.0 <= node.pos[1] <= 10.0
+        assert 0.0 <= node.pos[0] <= extent and 0.0 <= node.pos[1] <= extent
         assert 0.0 <= node.pos[2] <= 3.0
+
+
+def test_edge_kept_at_its_exact_distance_and_dropped_just_below():
+    # Positions depend only on the seed and the attempt.  With the radius at
+    # the largest pair distance d the first layout is complete; one float
+    # below d it loses that one edge and stays connected, so both radii
+    # build the same layout.  The pair chosen is one whose exact distance
+    # squares below its numpy sum of squares: a screen against radius**2
+    # with no margin, or a strict one, would drop it at radius d.
+    for seed in range(100):
+        g = se.generate_environment(se.EnvParams(
+            node_count=6, connection_radius=1e6, extent=10.0, seed=seed))
+        diff = {(i, j): np.subtract(g.nodes[i].pos, g.nodes[j].pos)
+                for i in range(6) for j in range(i + 1, 6)}
+        dist = {ij: float(np.linalg.norm(v)) for ij, v in diff.items()}
+        far = max(dist, key=dist.get)
+        d = dist[far]
+        if d * d < np.square(diff[far]).sum():
+            break
+    else:
+        pytest.fail("no layout whose farthest pair squares below its sum of squares")
+
+    def layout(radius):
+        return se.generate_environment(se.EnvParams(
+            node_count=6, connection_radius=radius, extent=10.0, seed=seed))
+
+    at, below = layout(d), layout(math.nextafter(d, 0.0))
+    assert [at.nodes[i].pos for i in range(6)] == [g.nodes[i].pos for i in range(6)]
+    assert [below.nodes[i].pos for i in range(6)] == [g.nodes[i].pos for i in range(6)]
+    assert len(at.poses) == 6 * 5 and at.has_edge(*far)
+    assert len(below.poses) == 6 * 5 - 2 and not below.has_edge(*far)
+
+
+def test_coincident_nodes_force_a_retry(monkeypatch):
+    # Attempt 0's stream is made to draw node 1 onto node 0; the layout is
+    # otherwise connected, so only the coincident-node check rejects it,
+    # and generation returns the world attempt 1 would build first.
+    p = se.EnvParams(node_count=14, connection_radius=4.0, extent=11.0, seed=0)
+
+    class Coincident:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def uniform(self, *args, **kwargs):
+            out = self.rng.uniform(*args, **kwargs)
+            if self.draws < 3:   # the x, y and z columns of the layout
+                out[1] = out[0]
+            self.draws += 1
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    def degenerate_first(seed, *tags):
+        rng = substream(seed, *tags)
+        return Coincident(rng) if tags == ("env", 0) else rng
+
+    def skip_first(seed, *tags):
+        if tags[0] == "env":
+            tags = ("env", tags[1] + 1)
+        return substream(seed, *tags)
+
+    layout = Coincident(substream(p.seed, "env", 0))
+    pos = np.column_stack([layout.uniform(0.0, p.extent, size=14),
+                           layout.uniform(0.0, p.extent, size=14),
+                           layout.uniform(0.0, 3.0, size=14)])
+    assert (pos[0] == pos[1]).all()
+    near = np.linalg.norm(pos[:, None] - pos[None], axis=2) <= p.connection_radius
+    seen, stack = {0}, [0]
+    while stack:
+        for v in np.flatnonzero(near[stack.pop()]).tolist():
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    assert len(seen) == 14
+
+    spy = AttemptSpy(degenerate_first)
+    monkeypatch.setattr(se, "substream", spy)
+    retried = se.generate_environment(p)
+    assert spy.attempts == 2
+    monkeypatch.setattr(se, "substream", skip_first)
+    assert canonical(retried) == canonical(se.generate_environment(p))
+
+
+def test_generation_norms_only_the_pairs_the_screen_keeps(monkeypatch):
+    # A one-attempt 100-node world: one exact norm per kept pair, which
+    # here is one per undirected edge, and one for the room assignment;
+    # a norm per node pair would make 4,950.
+    calls = []
+    real = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return real(*args, **kwargs)
+
+    spy = AttemptSpy()
+    monkeypatch.setattr(se, "substream", spy)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    g = se.generate_environment(se.EnvParams(
+        node_count=100, connection_radius=3.5, extent=WIDE_EXTENT, seed=0))
+    assert spy.attempts == 1
+    assert len(calls) == len(g.poses) // 2 + 1 < 100 * 99 // 2
+    assert calls.count(None) == len(g.poses) // 2
 
 
 def test_environment_deterministic():
@@ -180,6 +309,10 @@ def test_environment_deterministic():
 def test_environment_two_nodes_huge_radius_complete():
     g = se.generate_environment(
         se.EnvParams(node_count=2, connection_radius=1e6, extent=5.0, seed=1))
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    # a radius whose square overflows screens against inf
+    g = se.generate_environment(
+        se.EnvParams(node_count=2, connection_radius=1e300, extent=5.0, seed=1))
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
 
 
