@@ -78,7 +78,7 @@ def dtw_cost(r: EpisodeResult) -> float:
     paths (moves: advance either index or both).  The dynamic program runs
     row by row over Python floats: each cell is its distance plus the least
     of its predecessors' costs, one add."""
-    rows = ([dist[target] for target in r.gt_path]
+    rows = ([dist.get(target, math.inf) for target in r.gt_path]
             for dist in map(r.env._dist_from, r.executed_path))
     prev = list(itertools.accumulate(next(rows)))
     for d in rows:

@@ -42,9 +42,9 @@ class NavNode:
 
 
 class NavGraph:
-    """Immutable node/edge container with cached route queries.
+    """Immutable node/edge container with cached distance maps.
 
-    The route cache is not pickled; a copy, such as a worker process's,
+    The distance cache is not pickled; a copy, such as a worker process's,
     fills its own.
     """
 
@@ -82,33 +82,45 @@ class NavGraph:
 
     # ------------------------------------------------------------- routing
 
-    def _dist_from(self, src: int) -> dict[int, float]:
-        """Dijkstra distance map from src, cached (nodes/edges never change)."""
-        cached = self._dist_cache.get(src)
-        if cached is not None:
-            return cached
-        if src not in self.nodes:
-            raise InvalidArgument(f"unknown node {src}")
-        dist = {n: INF for n in self.nodes}
-        dist[src] = 0.0
-        heap = [(0.0, src)]
+    def _search(self, src: int, allowed: set[int] | None = None, dst: int | None = None):
+        """Dijkstra from src: the settled distances and dst's route (None
+        unless dst settles).  Entries are (distance, route), so equal-length
+        routes pop in id-sequence order; a push longer than the best pushed
+        to its node could never settle first, so it is dropped."""
+        dist: dict[int, float] = {}
+        best = {src: 0.0}
+        heap = [(0.0, (src,))]
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
+            d, route = heapq.heappop(heap)
+            u = route[-1]
+            if u in dist:
                 continue
+            dist[u] = d
+            if u == dst:
+                return dist, route
             for v in self.adjacency[u]:
+                if v in dist or (allowed is not None and v not in allowed):
+                    continue
                 nd = d + self.poses[(u, v)].length
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        self._dist_cache[src] = dist
-        return dist
+                if nd <= best.get(v, INF):
+                    best[v] = nd
+                    heapq.heappush(heap, (nd, route + (v,)))
+        return dist, None
+
+    def _dist_from(self, src: int) -> dict[int, float]:
+        """Distances from src of the nodes it reaches, cached (nodes/edges never change)."""
+        cached = self._dist_cache.get(src)
+        if cached is None:
+            if src not in self.nodes:
+                raise InvalidArgument(f"unknown node {src}")
+            cached = self._dist_cache[src] = self._search(src)[0]
+        return cached
 
     def geodesic(self, src: int, dst: int) -> float:
         """Shortest-route length from src to dst; +inf when unreachable."""
         if dst not in self.nodes:
             raise InvalidArgument(f"unknown node {dst}")
-        return self._dist_from(src)[dst]
+        return self._dist_from(src).get(dst, INF)
 
     def shortest_path(self, src: int, dst: int,
                       allowed: set[int] | None = None) -> list[int] | None:
@@ -123,23 +135,8 @@ class NavGraph:
             raise InvalidArgument(f"unknown endpoint in {src}->{dst}")
         if allowed is not None and (src not in allowed or dst not in allowed):
             return None
-        if src == dst:
-            return [src]
-        settled: set[int] = set()
-        heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
-        while heap:
-            d, path = heapq.heappop(heap)
-            u = path[-1]
-            if u == dst:
-                return list(path)
-            if u in settled:
-                continue
-            settled.add(u)
-            for v in self.adjacency[u]:
-                if v in settled or (allowed is not None and v not in allowed):
-                    continue
-                heapq.heappush(heap, (d + self.poses[(u, v)].length, path + (v,)))
-        return None
+        route = self._search(src, allowed, dst)[1]
+        return None if route is None else list(route)
 
 
 def build_graph(nodes: Iterable[NavNode], edges: Iterable[tuple[int, int]]) -> NavGraph:

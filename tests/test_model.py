@@ -813,7 +813,7 @@ def test_pickled_graph_carries_no_row_memo():
 
 def test_memos_live_in_the_memo_map_and_go_with_their_owners():
     """Taped and untaped walks in every flag setting, on one world with one
-    store, leave the graph equal to a fresh graph, its route cache aside,
+    store, leave the graph equal to a fresh graph, its distance cache aside,
     and the store holding only a fresh store's attributes: every memo is a
     slot of ``model._MEMOS``.  The store holds one parameter-keyed slot,
     the untaped memo, and the world only its ``("inputs", n)`` slots.  Once

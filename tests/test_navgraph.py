@@ -136,6 +136,8 @@ def test_shortest_path_trivial_and_unreachable():
 
 
 def test_geodesic_matches_path_and_is_symmetric_when_bidirectional():
+    """The search's distance adds the route's edge lengths in route order, as
+    ``path_length`` does, so the two are equal to the bit."""
     rng = np.random.default_rng(77)
     for _ in range(10):
         g = random_graph(rng, 7)
@@ -144,7 +146,7 @@ def test_geodesic_matches_path_and_is_symmetric_when_bidirectional():
                 d = g.geodesic(src, dst)
                 assert abs(d - g.geodesic(dst, src)) < 1e-9
                 path = g.shortest_path(src, dst)
-                assert abs(path_length(g, path) - d) < 1e-9
+                assert path_length(g, path) == d
 
 
 def test_one_way_edge_is_directional():
@@ -179,6 +181,57 @@ def test_restricted_shortest_path_matches_enumeration():
             kinds["none" if got is None else "found"] += 1
             kinds["differs"] += got is not None and got != g.shortest_path(src, dst)
     assert min(kinds.values()) > 0, kinds
+
+
+def lattice_graph(rng, width, height):
+    """A width x height lattice at integer positions, node ids shuffled over
+    the points.  Each unit edge, and each straight two-unit edge, is kept
+    both ways, one way either way, or dropped; two-unit edges are rarer.
+    Every length is an exact small integer, so equal-length routes tie
+    exactly, also when their pushers settle at different distances, and
+    the id-sequence rule alone decides."""
+    points = [(x, y, 0) for y in range(height) for x in range(width)]
+    ids = rng.permutation(len(points))
+    nodes = make_nodes([points[k] for k in np.argsort(ids)])
+    at = {p: int(i) for p, i in zip(points, ids)}
+    edges = []
+    for (x, y, _), u in at.items():
+        for step, kept in ((1, 0.7), (2, 0.2)):
+            for v in (at.get((x + step, y, 0)), at.get((x, y + step, 0))):
+                if v is not None:
+                    edges += [[(u, v), (v, u)], [(u, v)], [(v, u)], []][
+                        int(rng.choice(4, p=[kept, 0.1, 0.1, 0.8 - kept]))]
+    return build_graph(nodes, edges)
+
+
+def test_exact_ties_on_lattices_match_enumeration():
+    """On integer lattices, where equal-length routes are exact float ties:
+    restricted and unrestricted shortest_path give the enumeration's best
+    route, smallest id sequence first, and geodesic is its length (+inf
+    when no route exists) with ==.  Exact ties must actually decide.  The
+    two-unit edges make a search that pushes only strictly shorter entries
+    fail here, where the random graphs above never tie."""
+    rng = np.random.default_rng(36)
+    ties = restricted = 0
+    for trial in range(40):
+        g = lattice_graph(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
+        ids = g.node_ids()
+        for _ in range(6):
+            src, dst = (int(v) for v in rng.choice(ids, size=2))
+            best = brute_shortest(g, src, dst)
+            assert g.shortest_path(src, dst) == best, f"trial {trial}: {src}->{dst}"
+            assert g.geodesic(src, dst) == (
+                math.inf if best is None else path_length(g, best))
+            if best is not None:
+                length = path_length(g, best)
+                ties += sum(path_length(g, p) == length
+                            for p in all_simple_paths(g, src, dst)) > 1
+            allowed = {int(v) for v in ids if rng.random() < 0.75} | {src, dst}
+            want = brute_shortest(g, src, dst, allowed)
+            assert g.shortest_path(src, dst, allowed=allowed) == want, (
+                f"trial {trial}: {src}->{dst} in {sorted(allowed)}")
+            restricted += want is not None and want != best
+    assert ties > 40 and restricted > 5, (ties, restricted)
 
 
 def test_path_length_and_bad_hop(fork):
