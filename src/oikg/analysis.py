@@ -272,31 +272,38 @@ def detail_probe(data, seeds, base_mcfg: ModelConfig, train_cfg: TrainConfig) ->
 
 def time_forward_steps(data, params, mcfg: ModelConfig, t_max: int,
                        min_steps: int) -> float:
-    """Wall-clock milliseconds per decision step of warm greedy rollouts,
-    run whole and without a tape, as greedy evaluation runs: one untimed
-    pass over `data`, then whole passes timed until at least `min_steps`
-    steps have run.  A greedy walk never revisits a node, so each step
-    includes its panorama's render, which still runs whole: only its noise
-    term is kept, in the bundle's memo.  The timed passes walk the routes
-    the untimed one walked, so every candidate row, panorama embedding and
-    whole OGI call they need is in the store's untaped memo already (its
-    slot "frozen", ``model._frozen``)."""
+    """Wall-clock milliseconds per decision step of greedy rollouts, run
+    whole and without a tape, as greedy evaluation runs: one untimed pass
+    over `data`, then whole passes timed until at least `min_steps` steps
+    have run.  Each pass walks a fresh copy of `params`, made off the
+    clock, so it fills its own untaped memo (``model._frozen``) as an
+    evaluation of new parameters does.  The world's memos stay warm: the
+    untimed pass made the noise terms and candidate inputs of its routes."""
     data = list(data)
     if min_steps < 1 or t_max < 1:
         raise InvalidArgument("min_steps and t_max must be >= 1")
     if not data:
         raise InvalidArgument("no episodes to time")
+    state = {name: t.data for name, t in params.params.items()}
 
-    def greedy_pass() -> int:
-        return sum(len(rollout(env, ep, t_max, greedy_policy, params,
+    def fresh_copy() -> nn.ParamStore:
+        store = nn.init_params([(name, a.shape) for name, a in state.items()], seed=0)
+        store.load_state(state)
+        return store
+
+    def greedy_pass(store) -> int:
+        return sum(len(rollout(env, ep, t_max, greedy_policy, store,
                                mcfg).steps) for env, ep in data)
 
     with nn.no_tape():
-        greedy_pass()
-        steps, start = 0, time.perf_counter()
+        greedy_pass(fresh_copy())
+        steps = seconds = 0
         while steps < min_steps:
-            steps += greedy_pass()
-    return (time.perf_counter() - start) / steps * 1000.0
+            store = fresh_copy()
+            start = time.perf_counter()
+            steps += greedy_pass(store)
+            seconds += time.perf_counter() - start
+    return seconds / steps * 1000.0
 
 
 def map_units(jobs: int, fn, *iterables) -> list:

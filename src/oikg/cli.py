@@ -183,6 +183,8 @@ def _load_split(data_dir: str, split: str):
         latents = make_latents(graph, gen_cfg["feature_dim"], latent_seed)
     except InvalidArgument as exc:  # a node's room outside the one-hot
         raise SchemaError(f"{env_path}: {exc}") from exc
+    except (ValueError, MemoryError) as exc:  # no table of feature_dim columns fits
+        raise SchemaError(f"{gen_path}: feature_dim is too large: {exc}") from exc
     env = EnvBundle(graph, latents, sigma=gen_cfg["sigma"])
     return env, _load_episodes(base, split, graph), gen_cfg
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import nn
 from .errors import InvalidArgument, InvalidState, NumericFailure, ShapeError
 from .geometry import grid_columns, nearest_column, relative_pose, trig_embed
-from .navgraph import NavGraph, PathGraph, slot_action
+from .navgraph import NavGraph, PathGraph, memo, slot_action
 from .synthenv import (VOCAB_SIZE, EnvBundle, ViewGrid, render_observation,
                        token_class)
 
@@ -135,24 +135,6 @@ def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
     return nn.init_params(param_spec(cfg), seed)
 
 
-# The forward's memos, by the object each depends on, a store or a world:
-# owner -> {name: (key, value)}.  Held weakly, so they go with their owner,
-# and never on it, so a pickled copy carries none.
-_MEMOS: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
-
-
-def _memo(owner, name, key, make):
-    """The value of ``owner``'s memo slot ``name``: ``make()``, made on first
-    use or once ``key`` differs from the one it was made under."""
-    slots = _MEMOS.get(owner)
-    if slots is None:
-        slots = _MEMOS[owner] = {}
-    slot = slots.get(name)
-    if slot is None or slot[0] != key:
-        slot = slots[name] = (key, make())
-    return slot[1]
-
-
 def _stack(h: nn.Tensor, kv: nn.Tensor | None, stage: str, params: nn.ParamStore,
            layers: int | None = None, score: bool = False) -> nn.Tensor:
     """``nn.residual_stack`` over kv (None: self-attention) of the blocks
@@ -160,7 +142,7 @@ def _stack(h: nn.Tensor, kv: nn.Tensor | None, stage: str, params: nn.ParamStore
     block ``stage``.  Their (wq, wk, wv, wo) attention weights and MLP
     layers are looked up once per store (slot ``(stage, layers)``): the
     Tensors, so loaded or stepped values show."""
-    blocks = _memo(params, (stage, layers), None, lambda: tuple(
+    blocks = memo(params, (stage, layers), None, lambda: tuple(
         (tuple(params[f"{p}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
          ((params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"]),
           (params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])))
@@ -186,7 +168,7 @@ def _frozen(params: nn.ParamStore, cfg: ModelConfig) -> dict:
     if cache is not None and cache.frozen is not None:
         return cache.frozen
     key = (cfg,) + tuple(params[name].data.tobytes() for name in params.params)
-    frozen = _memo(params, "frozen", key, lambda: {
+    frozen = memo(params, "frozen", key, lambda: {
         "panorama": {}, "ogi": {}, "rows": weakref.WeakKeyDictionary()})
     if cache is not None:
         cache.frozen = frozen
@@ -281,7 +263,7 @@ def candidate_inputs(graph: NavGraph, node: int, order, n: int,
     V * V * 57 bytes per heading count.
     """
     v = len(graph.nodes)
-    table, level = _memo(graph, ("inputs", n), None, lambda: (
+    table, level = memo(graph, ("inputs", n), None, lambda: (
         np.empty((v, v, 7)), np.zeros((v, v), dtype=np.int8)))
     u = graph.index[node]
     cols = [graph.index[c] for c in order]

@@ -11,6 +11,7 @@ each connection as two directed edges.
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,23 @@ from .geometry import RelativePose, relative_pose
 STOP = -1  # action sentinel: terminate at the current node
 
 INF = float("inf")
+
+# The package's memos, by the object each depends on, a world or a store:
+# owner -> {name: (key, value)}.  Held weakly, so they go with their owner,
+# and never on it, so a pickled copy carries none.
+_MEMOS: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+
+
+def memo(owner, name, key, make):
+    """The value of ``owner``'s memo slot ``name``: ``make()``, made on first
+    use or once ``key`` differs from the one it was made under."""
+    slots = _MEMOS.get(owner)
+    if slots is None:
+        slots = _MEMOS[owner] = {}
+    slot = slots.get(name)
+    if slot is None or slot[0] != key:
+        slot = slots[name] = (key, make())
+    return slot[1]
 
 
 def slot_action(order, slot: int) -> int:
@@ -42,11 +60,8 @@ class NavNode:
 
 
 class NavGraph:
-    """Immutable node/edge container with cached distance maps.
-
-    The distance cache is not pickled; a copy, such as a worker process's,
-    fills its own.
-    """
+    """Immutable node/edge container.  Its distance maps are kept in its
+    memo slot ``"dist"``, never on it, so a pickled copy fills its own."""
 
     def __init__(self, nodes: dict[int, NavNode],
                  adjacency: dict[int, tuple[int, ...]],
@@ -55,13 +70,6 @@ class NavGraph:
         self.adjacency = adjacency
         self.poses = poses
         self.index = {n: i for i, n in enumerate(nodes)}   # node id -> row number
-        self._dist_cache: dict[int, dict[int, float]] = {}
-
-    def __getstate__(self) -> dict:
-        return {"nodes": self.nodes, "adjacency": self.adjacency, "poses": self.poses}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
@@ -108,12 +116,13 @@ class NavGraph:
         return dist, None
 
     def _dist_from(self, src: int) -> dict[int, float]:
-        """Distances from src of the nodes it reaches, cached (nodes/edges never change)."""
-        cached = self._dist_cache.get(src)
+        """Distances from src of the nodes it reaches, in the slot "dist"."""
+        dists = memo(self, "dist", None, dict)
+        cached = dists.get(src)
         if cached is None:
             if src not in self.nodes:
                 raise InvalidArgument(f"unknown node {src}")
-            cached = self._dist_cache[src] = self._search(src)[0]
+            cached = dists[src] = self._search(src)[0]
         return cached
 
     def geodesic(self, src: int, dst: int) -> float:
@@ -143,15 +152,20 @@ def build_graph(nodes: Iterable[NavNode], edges: Iterable[tuple[int, int]]) -> N
     """Assemble and validate a directed graph.
 
     Rejects duplicate node ids, self loops, duplicate edges, edges touching
-    unknown nodes, and non-finite positions.  Connected nodes may not share
-    a position (the edge would have no direction).
+    unknown nodes, and non-finite positions.  No two nodes may share a
+    position (an edge or a move between them would have no direction).
     """
     node_map: dict[int, NavNode] = {}
+    at: dict[tuple, int] = {}   # position -> the node there
     for n in nodes:
         if n.id in node_map:
             raise InvalidArgument(f"duplicate node id {n.id}")
         if len(n.pos) != 3 or not all(math.isfinite(c) for c in n.pos):
             raise InvalidArgument(f"node {n.id}: position must be 3 finite coordinates")
+        pos = tuple(n.pos)
+        if pos in at:
+            raise InvalidArgument(f"nodes {at[pos]} and {n.id} share position {pos}")
+        at[pos] = n.id
         node_map[n.id] = n
 
     adjacency: dict[int, list[int]] = {i: [] for i in node_map}

@@ -22,7 +22,7 @@ import numpy as np
 from .artifacts import check_record, write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
 from .geometry import TWO_PI, bracketing_columns
-from .navgraph import NavGraph, NavNode, build_graph, check_route
+from .navgraph import NavGraph, NavNode, build_graph, check_route, memo
 from .rng import substream
 
 ROOM_WORDS = ("kitchen", "hallway", "bedroom", "bathroom",
@@ -132,10 +132,8 @@ class EnvBundle:
     """Everything needed to run an agent in one environment; it compares
     and hashes by identity, as its graph does.
 
-    Besides the world, the bundle holds the lazily filled memo of its
-    panoramas' noise terms (``noise_term``, when sigma > 0), pure functions
-    of the world made once each as read-only arrays.  The memo is not
-    pickled; a copy, such as a worker process's, fills its own.
+    Its panoramas' noise terms (``noise_term``, when sigma > 0) are kept in
+    its memo slot ``"draws"``, never on it, so a pickled copy fills its own.
     """
     graph: NavGraph
     latents: LatentTable
@@ -144,15 +142,10 @@ class EnvBundle:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidArgument(f"sigma must be finite and >= 0, got {self.sigma}")
-        self.latents.rows.flags.writeable = False   # an unpickled copy arrives writeable
-        # (node, k): that panorama's noise term
-        object.__setattr__(self, "_draws", {})
-
-    def __getstate__(self) -> dict:
-        return {"graph": self.graph, "latents": self.latents, "sigma": self.sigma}
+        self.latents.rows.flags.writeable = False
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
+        self.__init__(**state)   # an unpickled copy's rows arrive writeable
 
 
 def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
@@ -176,13 +169,14 @@ def make_latents(graph: NavGraph, feature_dim: int, seed: int) -> LatentTable:
 
 def noise_term(env: EnvBundle, node: int, k: int) -> np.ndarray:
     """``env.sigma`` times the ``(k, feature_dim)`` Gaussian noise of a
-    k-view panorama at a node, made once per bundle from the stream tagged
-    ("obs-noise", node, k) of the latent table's seed."""
-    term = env._draws.get((node, k))
+    k-view panorama at a node, made once per bundle (its slot ``"draws"``)
+    from the stream tagged ("obs-noise", node, k) of the latent table's seed."""
+    draws = memo(env, "draws", None, dict)
+    term = draws.get((node, k))
     if term is None:
         noise = substream(env.latents.seed, "obs-noise", node, k).standard_normal(
             (k, env.latents.rows.shape[1]))
-        term = env._draws[(node, k)] = env.sigma * noise
+        term = draws[(node, k)] = env.sigma * noise
         term.flags.writeable = False
     return term
 

@@ -12,7 +12,7 @@ import pytest
 from tape_ops import cue_masks, mul, oracle_extract_key_detail, sub
 from test_model import flag_label, frozen_memo, memo_slot
 
-from oikg import analysis, model, nn
+from oikg import analysis, model, navgraph, nn
 from oikg import training
 from oikg.analysis import (GRID_LABELS, AblationRow, GradStats, detail_probe,
                            grad_probe, grad_second_moment, make_probe,
@@ -369,39 +369,99 @@ def noisy_eval_set():
 
 def test_time_forward_steps_times_only_warm_passes(monkeypatch):
     """The untimed pass walks every route the timed passes walk, so the
-    timed passes add no noise draw to the bundle's memo, no candidate to
-    the graph's, and no panorama, candidate row or OGI output to the
-    store's untaped memo.  The eval set's pass is longer than 50 steps, so a
-    50-step warm-up would have left routes for the timed loop to fill."""
+    timed passes add no noise draw to the bundle's memo and no candidate to
+    the graph's.  Every pass walks a fresh copy of the store, made before
+    its clock starts: a timed pass begins with no untaped memo and fills
+    its own, and the caller's store gets none.  The eval set's pass is
+    longer than 50 steps, so a 50-step warm-up would have left routes for
+    the timed loop to fill."""
     _, data = noisy_eval_set()
     probe = build_params(MCFG, seed=0)   # a store of its own: the timed one starts empty
     with nn.no_tape():
-        assert sum(len(rollout(env, ep, 15, training.greedy_policy, probe,
-                               MCFG).steps) for env, ep in data) > 50
+        pass_steps = sum(len(rollout(env, ep, 15, training.greedy_policy, probe,
+                                     MCFG).steps) for env, ep in data)
+    assert pass_steps > 50
 
     env, data = noisy_eval_set()
     params = build_params(MCFG, seed=0)
+    walked, walk = [], analysis.rollout   # the store of each rollout, in call order
 
-    def memo_entries():
+    def spy(*args):
+        walked.append(args[4])
+        return walk(*args)
+
+    def world_entries():
+        draws = memo_slot(env, "draws")
         inputs = memo_slot(env.graph, ("inputs", MCFG.view_grid.n_headings))
-        memo = frozen_memo(params) or {"panorama": {}, "ogi": {}, "rows": {}}
-        rows = memo["rows"].get(env.graph)
-        return (len(env._draws),
-                0 if inputs is None else int(np.count_nonzero(inputs[1][1])),
-                len(memo["panorama"]),
-                0 if rows is None else int(np.count_nonzero(rows[1])),
-                sum(len(calls) for calls in memo["ogi"].values()))
+        return (0 if draws is None else len(draws[1]),
+                0 if inputs is None else int(np.count_nonzero(inputs[1][1])))
 
-    seen = []
+    seen = []   # per clock read: world entries, rollouts so far, stores with a memo
 
     def clock():
-        seen.append(memo_entries())
+        seen.append((world_entries(), len(walked),
+                     {id(s) for s in list(navgraph._MEMOS) if memo_slot(s, "frozen")}))
         return time.perf_counter()
 
+    monkeypatch.setattr(analysis, "rollout", spy)
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=clock))
+    time_forward_steps(data, params, MCFG, t_max=15, min_steps=pass_steps + 1)
+    assert len(seen) == 4   # two timed passes, each read at its start and stop
+    assert min(seen[0][0]) > 0
+    assert [entries for entries, _, _ in seen] == [world_entries()] * 4
+    ns = [n for _, n, _ in seen]   # untimed pass, then timed, then timed
+    assert ns[1] == ns[2] and ns[3] == len(walked)
+    passes = [walked[a:b] for a, b in ((0, ns[0]), (ns[0], ns[1]), (ns[2], ns[3]))]
+    assert all(p == [p[0]] * len(data) for p in passes)
+    stores = [p[0] for p in passes]
+    assert len({id(s) for s in stores + [params]}) == 4
+    for store, (_, _, before), (_, _, after) in zip(stores[1:], seen[::2], seen[1::2]):
+        assert id(store) not in before and id(store) in after
+    assert frozen_memo(params) is None
+
+
+def test_every_timed_step_runs_the_ogi_stack(monkeypatch):
+    """A timed pass runs the observation-graph decoder stack, counted as
+    ``tools/ogi_passes.py`` counts it (calls of ``model._stack`` of stage
+    "ogi"), on every step whose OGI call is new to that pass: once per
+    distinct call, as often as the cold untimed pass.  No timed step reads
+    an OGI output that an earlier pass made; a step that skips the stack
+    repeats a call made earlier in its own pass, as when two episodes
+    start at one node."""
+    _, data = noisy_eval_set()
+    params = build_params(MCFG, seed=0)
+    runs, calls, steps = [0], [], [0]
+    stack, ogi, walk = model._stack, model.observation_graph_interaction, analysis.rollout
+
+    def counted(h, kv, stage, *args, **kwargs):
+        runs[0] += stage == "ogi"
+        return stack(h, kv, stage, *args, **kwargs)
+
+    def logged(f_g, f_o, *args):
+        calls.append((f_o.data.shape, f_o.data.tobytes(), f_g.data.tobytes()))
+        return ogi(f_g, f_o, *args)
+
+    def spy(*args):
+        rec = walk(*args)
+        steps[0] += len(rec.steps)
+        return rec
+
+    seen = []   # per clock read: stack runs, OGI calls and steps so far
+
+    def clock():
+        seen.append((runs[0], len(calls), steps[0]))
+        return time.perf_counter()
+
+    monkeypatch.setattr(model, "_stack", counted)
+    monkeypatch.setattr(model, "observation_graph_interaction", logged)
+    monkeypatch.setattr(analysis, "rollout", spy)
     monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=clock))
     time_forward_steps(data, params, MCFG, t_max=15, min_steps=1)
-    assert min(seen[-2]) > 0
-    assert seen[-2] == seen[-1] == memo_entries()
+    (cold_runs, cold_calls, cold_steps), stop = seen
+    timed = [b - a for a, b in zip(seen[0], stop)]
+    assert cold_steps > 50 and timed[2] == cold_steps == cold_calls == timed[1]
+    assert timed[0] == len(set(calls[cold_calls:])) == cold_runs
+    assert cold_runs == len(set(calls[:cold_calls]))
 
 
 def test_time_forward_steps_empty_data_raises():
@@ -500,7 +560,8 @@ def test_map_units_rejects_fewer_than_one_job(monkeypatch):
 
 def route_cache_size_then_query(graph, src, dst) -> int:
     """The number of routed sources the graph held, before it routes one."""
-    size = len(graph._dist_cache)
+    slot = memo_slot(graph, "dist")
+    size = 0 if slot is None else len(slot[1])
     graph.geodesic(src, dst)
     return size
 

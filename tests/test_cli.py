@@ -484,20 +484,48 @@ def test_data_file_wrong_value_type_is_a_data_error(data_dir, edited_copy, tmp_p
                          ids=["train", "eval_oracle"])
 @pytest.mark.parametrize("key, value", [
     ("sigma", -1), ("sigma", float("nan")), ("feature_dim", 5), ("mode", "foo"),
-    ("latent_seed_seen", -1), ("latent_seed_unseen", 2 ** 64)],
+    ("latent_seed_seen", -1), ("latent_seed_unseen", 2 ** 64),
+    ("feature_dim", 10 ** 15), ("feature_dim", 10 ** 40)],
     ids=["sigma_negative", "sigma_nan", "feature_dim_5", "mode_foo",
-         "latent_seed_seen_negative", "latent_seed_unseen_2_64"])
+         "latent_seed_seen_negative", "latent_seed_unseen_2_64",
+         "feature_dim_1e15", "feature_dim_1e40"])
 def test_data_config_value_out_of_range_rejected_before_out(data_dir, edited_copy,
                                                            tmp_path, capsys,
                                                            argv, key, value):
     """A `gen` config.json value of the right type but outside its range is
-    a data error, found before --out is created."""
+    a data error, found before --out is created: a `feature_dim` whose
+    latent table numpy cannot allocate (MemoryError at 10**15, ValueError
+    at 10**40) among them."""
     copy = edited_copy(data_dir, "config.json",
                        lambda record: record.update({key: value}))
     out = tmp_path / "o"
     assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
     assert not out.exists()
     assert "config.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--iters", "1"], ["eval", "--agent", "oracle"]],
+                         ids=["train", "eval_oracle"])
+def test_coincident_nodes_rejected_before_out(data_dir, edited_copy, tmp_path, capsys,
+                                              argv):
+    """Two nodes at one position are a data error naming env.json and both
+    nodes, found before --out is created, even when no edge joins them: a
+    walk's move from one to the other would have no direction."""
+    record = json.loads((data_dir / "env.json").read_text())
+    joined = {tuple(e) for e in record["edges"]}
+    ids = [n["id"] for n in record["nodes"]]
+    a, b = next((u, v) for u in ids for v in ids if u < v and (u, v) not in joined)
+
+    def twin(record):
+        pos = {n["id"]: n["pos"] for n in record["nodes"]}
+        next(n for n in record["nodes"] if n["id"] == b)["pos"] = pos[a]
+
+    copy = edited_copy(data_dir, "env.json", twin)
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--data", str(copy), "--out", str(out)] + argv[1:]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "env.json" in err and f"nodes {a} and {b} share position" in err
 
 
 def _unknown_node(route, graph):

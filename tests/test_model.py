@@ -18,7 +18,7 @@ from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import record_calls, same_bits
 
-from oikg import model, nn, training
+from oikg import model, navgraph, nn, training
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure, ShapeError
 from oikg.geometry import relative_pose, trig_embed
@@ -237,9 +237,9 @@ def test_coupled_baseline_differs_from_decoupled():
 
 
 def memo_slot(owner, name):
-    """The (key, value) of ``owner``'s slot ``name`` in the model's memo map
-    (``model._MEMOS``), or None."""
-    return model._MEMOS.get(owner, {}).get(name)
+    """The (key, value) of ``owner``'s slot ``name`` in the package's memo
+    map (``navgraph._MEMOS``), or None."""
+    return navgraph._MEMOS.get(owner, {}).get(name)
 
 
 def frozen_memo(params):
@@ -678,9 +678,9 @@ def test_pickled_graph_drops_its_caches():
                                  params, TINY)
     graph.geodesic(0, 3)
     inputs = ("inputs", TINY.view_grid.n_headings)
-    assert graph._dist_cache and memo_slot(graph, inputs)
+    assert memo_slot(graph, "dist")[1] and memo_slot(graph, inputs)
     copy = pickle.loads(pickle.dumps(graph))
-    assert copy._dist_cache == {} and memo_slot(copy, inputs) is None
+    assert memo_slot(copy, "dist") is None and memo_slot(copy, inputs) is None
     assert copy.nodes == graph.nodes and copy.poses == graph.poses
     assert copy.adjacency == graph.adjacency and copy.index == graph.index
     got_rows, got_grads = candidate_walk(model.build_candidates, copy, 0, [1, 3, 2],
@@ -715,8 +715,8 @@ def test_candidate_memo_is_one_table_per_heading_count():
                 want = [*trig_embed(pose.heading, pose.elevation),
                         dist, math.sin(off), math.cos(off)]
                 assert row.tolist() == want
-    assert set(vars(g)) == before and g._dist_cache == {}
-    assert sorted(model._MEMOS[g]) == [("inputs", 4), ("inputs", 12)]
+    assert set(vars(g)) == before and memo_slot(g, "dist") is None
+    assert set(navgraph._MEMOS[g]) == {("inputs", 4), ("inputs", 12)}
     memos = [memo_slot(g, ("inputs", n))[1] for n in (4, 12)]
     for table, level in memos:
         assert table.shape == (100, 100, 7) and table.dtype == np.float64
@@ -803,9 +803,9 @@ def test_pickled_graph_carries_no_row_memo():
     with nn.no_tape():
         rows, _ = model.build_candidates(PathGraph(g, start=0), params, TINY)
     tables = frozen_memo(params)["rows"]
-    assert g in tables and model._MEMOS[g]
+    assert g in tables and navgraph._MEMOS[g]
     copy = pickle.loads(pickle.dumps(g))
-    assert copy not in tables and copy not in model._MEMOS
+    assert copy not in tables and copy not in navgraph._MEMOS
     with nn.no_tape():
         again, _ = model.build_candidates(PathGraph(copy, start=0), params, TINY)
     assert same_bits(again.data, rows.data) and copy in tables
@@ -813,12 +813,14 @@ def test_pickled_graph_carries_no_row_memo():
 
 def test_memos_live_in_the_memo_map_and_go_with_their_owners():
     """Taped and untaped walks in every flag setting, on one world with one
-    store, leave the graph equal to a fresh graph, its distance cache aside,
-    and the store holding only a fresh store's attributes: every memo is a
-    slot of ``model._MEMOS``.  The store holds one parameter-keyed slot,
-    the untaped memo, and the world only its ``("inputs", n)`` slots.  Once
-    the world is collected, its row table goes from the store's memo; once
-    the store is too, the map holds no entry for either."""
+    store, leave the graph equal to a fresh graph, the bundle holding only
+    a fresh bundle's attributes and the store only a fresh store's: every
+    memo is a slot of ``navgraph._MEMOS``.  The store holds one
+    parameter-keyed slot, the untaped memo, the graph only its
+    ``("inputs", n)`` slots, and the bundle only its noise terms
+    ``"draws"``.  Once the world is collected, its row table goes from the
+    store's memo and the map drops the graph and the bundle; once the store
+    is too, the map holds no entry for any of them."""
     cfgs = [replace(TINY, decouple=d, geo_embed=g, loc_detail=loc, obj_detail=obj)
             for d, g, loc, obj in FLAG_COMBINATIONS]
     spec = dict(pair for cfg in cfgs for pair in model.param_spec(cfg))
@@ -827,26 +829,49 @@ def test_memos_live_in_the_memo_map_and_go_with_their_owners():
         untaped_scores(data, store, cfg)
         for env, ep in data[:2]:
             training.rollout(env, ep, 8, training.greedy_policy, store, cfg)
-    graph = data[0][0].graph
+    bundle = data[0][0]
+    graph = bundle.graph
     memo = frozen_memo(store)
     assert graph in memo["rows"] and memo["panorama"] and memo["ogi"]
-    assert [name for name, (key, _) in model._MEMOS[store].items()
+    assert [name for name, (key, _) in navgraph._MEMOS[store].items()
             if key is not None] == ["frozen"]
-    assert all(name[:1] == ("inputs",) for name in model._MEMOS[graph])
-    fresh = vars(memo_world_data(TINY)[0][0].graph)
-    assert vars(graph) == {**fresh, "_dist_cache": graph._dist_cache}
+    assert all(name[:1] == ("inputs",) for name in navgraph._MEMOS[graph])
+    assert list(navgraph._MEMOS[bundle]) == ["draws"]
+    fresh = memo_world_data(TINY)[0][0]
+    assert vars(graph) == vars(fresh.graph)
+    assert set(vars(bundle)) == set(vars(fresh)) == {"graph", "latents", "sigma"}
     assert set(vars(store)) == set(vars(model.build_params(TINY, seed=0)))
-    owners = [weakref.ref(graph), weakref.ref(store)]
+    owners = [weakref.ref(graph), weakref.ref(bundle), weakref.ref(store)]
     gc.collect()
-    entries = len(model._MEMOS)
-    del data, env, graph
+    entries = len(navgraph._MEMOS)
+    del data, env, bundle, graph
     gc.collect()
-    assert owners[0]() is None and len(memo["rows"]) == 0
-    assert len(model._MEMOS) == entries - 1
+    assert owners[0]() is None and owners[1]() is None and len(memo["rows"]) == 0
+    assert len(navgraph._MEMOS) == entries - 2
     del store
     gc.collect()
-    assert [owner() for owner in owners] == [None, None]
-    assert len(model._MEMOS) == entries - 2
+    assert [owner() for owner in owners] == [None, None, None]
+    assert len(navgraph._MEMOS) == entries - 3
+
+
+def test_training_evaluation_and_metrics_leave_world_and_bundle_as_fresh_copies():
+    """A taped ``train`` iteration, then an untaped ``evaluate_policy``,
+    whose ``metrics.evaluate`` reads geodesics, fill the graph's distance
+    maps and candidate inputs and the bundle's noise terms, all as slots
+    of ``navgraph._MEMOS``: the graph's and the bundle's ``vars()`` equal
+    those of fresh copies."""
+    data = memo_world_data(TINY)
+    params = model.build_params(TINY, seed=0)
+    training.train(data, params, training.TrainConfig(t_max=8, iterations=1,
+                                                      batch_size=2), TINY)
+    training.evaluate_policy(data, params, TINY, 8)
+    bundle = data[0][0]
+    graph = bundle.graph
+    assert set(navgraph._MEMOS[graph]) == {"dist", ("inputs", TINY.view_grid.n_headings)}
+    assert list(navgraph._MEMOS[bundle]) == ["draws"]
+    fresh = build_graph(graph.nodes.values(), graph.poses)
+    assert fresh not in navgraph._MEMOS and vars(graph) == vars(fresh)
+    assert vars(bundle) == vars(se.EnvBundle(graph, bundle.latents, bundle.sigma))
 
 
 # The untaped memo's OGI entries: per panorama, {candidate-matrix bytes:

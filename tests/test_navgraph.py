@@ -293,6 +293,18 @@ def test_build_rejects_bad_input():
         build_graph(twins, [(0, 1)])
 
 
+def test_coincident_nodes_are_rejected_whether_or_not_joined():
+    """Two nodes at one position, -0.0 and 0.0 alike, are rejected with both
+    ids named, whether an edge joins them, a route through a third node
+    does, or nothing does."""
+    nodes = [NavNode(0, (0.0, 0.0, 0.0), 0, ()), NavNode(1, (1.0, 0.0, 0.0), 0, ()),
+             NavNode(2, (-0.0, 0.0, 0.0), 0, ())]
+    for edges in ([(0, 2), (2, 0)], [(0, 1), (1, 0), (1, 2), (2, 1)], []):
+        with pytest.raises(InvalidArgument, match="nodes 0 and 2 share position"):
+            build_graph(nodes, edges)
+    build_graph(nodes[:2] + [NavNode(2, (0.0, 0.0, 1e-300), 0, ())], [(0, 1), (1, 2)])
+
+
 def test_edge_pose_geometry(fork):
     pose = fork.edge_pose(0, 1)
     assert abs(pose.length - 1.0) < 1e-12

@@ -14,7 +14,7 @@ from oikg import synthenv as se
 from oikg.artifacts import read_json, write_json
 from oikg.errors import GenerationFailure, InvalidArgument, SchemaError
 from oikg.geometry import TWO_PI, angular_distance
-from oikg.navgraph import NavNode, build_graph, graph_to_dict, path_length
+from oikg.navgraph import _MEMOS, NavNode, build_graph, graph_to_dict, path_length
 from oikg.rng import substream
 
 
@@ -515,13 +515,15 @@ def test_memo_arrays_are_read_only(cross_graph):
 def test_pickled_bundle_arrives_with_an_empty_memo(cross_graph):
     """A pickled bundle, as a ``--jobs`` worker receives it, leaves its memo
     behind, keeps its latent rows read-only and renders the same arrays as
-    the original, whose memo was filled."""
+    the original, whose memo was filled.  Neither holds a cache attribute:
+    the noise terms are the bundle's slot "draws" of the memo map."""
     lat = se.make_latents(cross_graph, feature_dim=12, seed=5)
     bundle, grid = se.EnvBundle(cross_graph, lat, 0.1), se.ViewGrid()
     want = [se.render_observation(bundle, n, grid) for n in cross_graph.node_ids()]
-    assert len(bundle._draws) == len(want)   # one noise term per node
+    assert len(_MEMOS[bundle]["draws"][1]) == len(want)   # one noise term per node
     copy = pickle.loads(pickle.dumps(bundle))
-    assert copy._draws == {} and copy.sigma == bundle.sigma
+    assert copy not in _MEMOS and copy.sigma == bundle.sigma
+    assert set(vars(copy)) == set(vars(bundle)) == {"graph", "latents", "sigma"}
     assert not copy.latents.rows.flags.writeable
     for n, w in zip(cross_graph.node_ids(), want, strict=True):
         np.testing.assert_array_equal(se.render_observation(copy, n, grid), w)
