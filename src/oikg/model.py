@@ -136,18 +136,32 @@ def build_params(cfg: ModelConfig, seed: int) -> nn.ParamStore:
 
 
 def _stack(h: nn.Tensor, kv: nn.Tensor | None, stage: str, params: nn.ParamStore,
-           layers: int | None = None, score: bool = False) -> nn.Tensor:
+           layers: int | None = None, score: bool = False,
+           keys: list | None = None) -> nn.Tensor:
     """``nn.residual_stack`` over kv (None: self-attention) of the blocks
     ``stage.l0``, ``stage.l1``, ... of a ``layers``-deep stage, or of the one
-    block ``stage``.  Their (wq, wk, wv, wo) attention weights and MLP
-    layers are looked up once per store (slot ``(stage, layers)``): the
-    Tensors, so loaded or stepped values show."""
-    blocks = memo(params, (stage, layers), None, lambda: tuple(
-        (tuple(params[f"{p}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
-         ((params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"]),
-          (params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])))
-        for p in ([stage] if layers is None else [f"{stage}.l{i}" for i in range(layers)])))
-    return nn.residual_stack(h, kv, blocks, HEADS, score)
+    block ``stage``, reading ``keys`` where given.  Their (wq, wk, wv, wo)
+    attention weights and MLP layers are looked up and checked once per
+    store and stage, as one ``nn.StackWeights`` kept in the store's slot
+    ``"stacks"`` {(stage, layers): bundle}: it holds the Tensors, so loaded
+    or stepped values show.  Inside ``forward_step`` the slot is looked up
+    once per ``EpisodeCache`` and kept in ``cache.stacks``, as ``_frozen``
+    keeps its memo."""
+    walk = _WALK
+    stacks = None if walk is None else walk.stacks
+    if stacks is None:
+        stacks = memo(params, "stacks", None, dict)
+        if walk is not None:
+            walk.stacks = stacks
+    stack = stacks.get((stage, layers))
+    if stack is None:
+        stack = stacks[stage, layers] = nn.StackWeights(tuple(
+            (tuple(params[f"{p}.attn.{w}"] for w in ("wq", "wk", "wv", "wo")),
+             ((params[f"{p}.mlp.w1"], params[f"{p}.mlp.b1"]),
+              (params[f"{p}.mlp.w2"], params[f"{p}.mlp.b2"])))
+            for p in ([stage] if layers is None else [f"{stage}.l{i}" for i in range(layers)])),
+            HEADS, score)
+    return nn.residual_stack(h, kv, stack, keys)
 
 
 # inside forward_step: the step's EpisodeCache, which keeps its walk's slot
@@ -478,7 +492,14 @@ def extract_key_detail(f_i: nn.Tensor, tokens, params: nn.ParamStore,
 
 def cross_modal_fusion(g_enh: nn.Tensor, f_i: nn.Tensor,
                        params: nn.ParamStore, cfg: ModelConfig) -> nn.Tensor:
-    return _stack(g_enh, f_i, "cmf", params, cfg.layers)
+    """The cross-modal decoder stack: the rows ``g_enh`` attend over the
+    instruction encoding ``f_i``.  An untaped step inside ``forward_step``
+    reads its blocks' head-major K and V of f_i from the walk's
+    ``EpisodeCache.keys``, which its first step fills: f_i and the
+    parameters stay fixed for the walk.  A taped step computes its own."""
+    walk = _WALK
+    keys = None if walk is None or nn._TAPE_ON else walk.keys
+    return _stack(g_enh, f_i, "cmf", params, cfg.layers, keys=keys)
 
 
 # ----------------------------------------------------------------- scoring
@@ -549,8 +570,11 @@ class EpisodeCache:
     they were built in.  ``key_detail`` is the episode's read-only key
     detail array, the one copy (None when both detail flags are off),
     ``align`` the first step's alignment row node, which later steps
-    replay, and ``frozen`` the untaped memo of the walk's parameters
-    (``_frozen``), looked up on first use.
+    replay, ``frozen`` the untaped memo of the walk's parameters
+    (``_frozen``) and ``stacks`` their checked stack weights (``_stack``),
+    each looked up on first use, and ``keys`` the cross-modal blocks'
+    head-major K and V of the instruction encoding, which the walk's first
+    untaped step computes (``cross_modal_fusion``).
     ``panoramas``, when given, is a map {bundle: {node: embedding node}}
     that the caches of one graph share (``train`` keeps one per iteration,
     since it must die with its parameter values); a bundle compares by
@@ -563,6 +587,8 @@ class EpisodeCache:
         self.key_detail: np.ndarray | None = None
         self.align: nn.Tensor | None = None
         self.frozen: dict | None = None
+        self.stacks: dict | None = None
+        self.keys: list = []
         self.panoramas = panoramas
 
 

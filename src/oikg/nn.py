@@ -186,9 +186,10 @@ def _check_linear(x_shape: tuple, w: Tensor, b: Tensor | None) -> None:
 
 def _affine(x: np.ndarray, w: Tensor | None, b: Tensor | None) -> np.ndarray:
     """x @ w + b, checked, for 1-D or 2-D x: the forward of every fused
-    linear map.  Without b there is no bias; without w there is no input,
-    and the block is b's own array, which the caller must copy before the
-    tape keeps it (``_joined_chain`` concatenates it)."""
+    linear map but an MLP layer, whose weights ``_check_mlp`` checked
+    (``_mlp_forward``).  Without b there is no bias; without w there is no
+    input, and the block is b's own array, which the caller must copy
+    before the tape keeps it (``_joined_chain`` concatenates it)."""
     if w is None:
         return b.data
     _check_linear(x.shape, w, b)
@@ -221,16 +222,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return tape_node(_affine(x.data, w, b), (x, w) if b is None else (x, w, b), backward)
 
 
-def _mlp_forward(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]) -> tuple:
-    """The one implementation of an MLP's arithmetic: linear layers with
-    ReLU between them, the last layer linear, each layer checked.  Returns
-    each layer's input, after the ReLU below it, and the output."""
+def _check_mlp(width: int, layers: Sequence[tuple[Tensor, Tensor]]) -> int:
+    """The output width of an MLP over ``width``-wide rows, each layer a
+    (w, b) pair that fits the one below; any misfit raises."""
     if not layers:
         raise InvalidArgument("mlp needs at least one layer")
+    for w, b in layers:
+        if b is None:
+            raise ShapeError("an mlp layer needs a bias")
+        _check_linear((width,), w, b)
+        width = w.data.shape[1]
+    return width
+
+
+def _mlp_forward(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]]) -> tuple:
+    """The one implementation of an MLP's arithmetic: linear layers with
+    ReLU between them, the last layer linear, on layers ``_check_mlp``
+    passed.  Returns each layer's input, after the ReLU below it, and the
+    output."""
     ins, h = [], x
     for i, (w, b) in enumerate(layers):
         ins.append(np.maximum(h, 0.0) if i else h)
-        h = _affine(ins[-1], w, b)
+        h = ins[-1] @ w.data + b.data
     return ins, h
 
 
@@ -269,6 +282,7 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     """
     embedded = [_affine(x, w, b) for x, _, w, b in branches]
     offsets = list(itertools.accumulate((e.shape[-1] for e in embedded), initial=0))
+    _check_mlp(offsets[-1], layers)
     ins, out = _mlp_forward(np.concatenate(embedded, axis=-1), layers)
 
     def backward(g):
@@ -280,50 +294,23 @@ def _joined_chain(branches: Sequence[tuple], layers: Sequence[tuple[Tensor, Tens
     return out, weights + tuple(t for layer in layers for t in layer), backward
 
 
-def _head_major(k: np.ndarray, v: np.ndarray, heads: int) -> tuple:
-    """K's (heads, dh, m) and V's (heads, m, dh) copies for the attention core."""
-    m, dm = k.shape
-    return (np.ascontiguousarray(k.reshape(m, heads, dm // heads).transpose(1, 2, 0)),
-            np.ascontiguousarray(v.reshape(m, heads, dm // heads).transpose(1, 0, 2)))
-
-
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       wq: np.ndarray, wo: np.ndarray, heads: int) -> tuple:
-    """The one implementation of multi-head scaled dot-product attention's
-    arithmetic after the K and V projections k and v: per head
-    softmax(QWq K^T / sqrt(dm/h)) V, heads concatenated and projected by
-    wo.  Returns the head-major queries, the weights, the merged heads and
-    the (n, dm) output."""
-    n, dm = q.shape
-    dh = dm // heads
-    # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data;
-    # K goes straight to its (heads, dh, m) transpose, the same copy
-    qh = np.ascontiguousarray((q @ wq).reshape(n, heads, dh).transpose(1, 0, 2))
-    kt, vh = _head_major(k, v, heads)
-    scores = (qh @ kt) * (1.0 / math.sqrt(dh))
-    z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
-    merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
-    return qh, p, merged, merged @ wo
-
-
-def _attention_backward(x: np.ndarray, k: np.ndarray, v: np.ndarray, fwd: tuple,
+def _attention_backward(x: np.ndarray, kt: np.ndarray, vh: np.ndarray, fwd: tuple,
                         wq: Tensor, wo: Tensor, heads: int, g: np.ndarray,
                         live: tuple) -> tuple:
-    """The gradient of ``_attention_forward(x, k, v, ...)``, whose queries,
-    weights and merged heads are ``fwd``: adds into wo, then wq, and returns
-    the gradients of x (the query's term), K and V, each None where its
-    flag in ``live`` is false.  With the forward, bitwise equal to the
-    17-node composition of projections, reshapes, transposes, matmuls,
-    scale and softmax (``oracle_attention`` in the tests), on the same
-    memory layouts; K's and V's gradients come back C-contiguous, as a
-    node's ``accumulate_grad`` copy held them."""
+    """The gradient of one block's attention core over the queries x, the
+    head-major keys kt (heads, dh, m) and values vh (heads, m, dh), whose
+    queries, weights and merged heads are ``fwd``: adds into wo, then wq,
+    and returns the gradients of x (the query's term), K and V, each None
+    where its flag in ``live`` is false.  With ``residual_stack``'s
+    forward, bitwise equal to the 17-node composition of projections,
+    reshapes, transposes, matmuls, scale and softmax (``oracle_attention``
+    in the tests), on the same memory layouts, since kt and vh are the
+    forward's own copies; K's and V's gradients come back C-contiguous, as
+    a node's ``accumulate_grad`` copy held them."""
     qh, p, merged = fwd
     n, dm = x.shape
-    m = k.shape[0]
+    m = kt.shape[2]
     dh = dm // heads
-    kt, vh = _head_major(k, v, heads)
     g_merged = g @ wo.data.T
     if wo.requires_grad:
         wo.accumulate_grad(merged.T @ g)
@@ -343,40 +330,67 @@ def _attention_backward(x: np.ndarray, k: np.ndarray, v: np.ndarray, fwd: tuple,
     return g_x, g_k, g_v
 
 
-def _check_attention(q_shape: tuple, kv_shape: tuple, attn, heads: int) -> None:
-    n, dm = q_shape
-    if len(kv_shape) != 2 or kv_shape[1] != dm:
-        raise ShapeError(f"attention key/value shape {kv_shape} != (m, {dm})")
-    if dm % heads != 0:
-        raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
-    wq, wk, wv, wo = attn
-    square, wo_shape = (dm, dm), wo.data.shape
-    if (wq.data.shape != square or wk.data.shape != square or wv.data.shape != square
-            or len(wo_shape) != 2 or wo_shape[0] != dm):
-        raise ShapeError(f"attention weights {wq.shape}/{wk.shape}/{wv.shape}/{wo.shape} "
-                         f"do not fit width {dm}")
+class StackWeights:
+    """The weights of a residual stack, checked once: ``residual_stack``
+    takes its weights only so, and checks per call only the widths of its
+    inputs.
+
+    ``blocks`` holds per block ((wq, wk, wv, wo), the MLP's (w, b) pairs),
+    kept as ``self.blocks`` entries (wq, wk, wv, wo, layers).  Every
+    attention weight is (dm, dm), dm the stack's ``width`` and a multiple of
+    ``heads``; each block's MLP maps dm-wide rows back to dm, or, with
+    ``score``, the last block's to one column: a scoring head, one score
+    per row.  A misfit, an empty ``layers`` or no block at all raises here.
+    The bundle holds the Tensors, not their arrays, so a loaded or stepped
+    value shows; ``init_params`` and ``load_state`` fix their shapes.
+    ``params`` lists every weight in block order: attention, then MLP."""
+
+    __slots__ = ("blocks", "heads", "score", "width", "params")
+
+    def __init__(self, blocks: Sequence[tuple], heads: int, score: bool = False):
+        if not blocks:
+            raise InvalidArgument("a residual stack needs at least one block")
+        if heads < 1:
+            raise InvalidArgument(f"a residual stack needs at least one head, got {heads}")
+        first = blocks[0][0][0].data.shape
+        dm = first[0] if len(first) == 2 else 0
+        if dm % heads != 0:
+            raise ShapeError(f"model dim {dm} not divisible by {heads} heads")
+        last = len(blocks) - 1
+        for i, (attn, layers) in enumerate(blocks):
+            if len(attn) != 4 or any(w.data.shape != (dm, dm) for w in attn):
+                raise ShapeError(f"attention weights {[w.shape for w in attn]} "
+                                 f"do not fit width {dm}")
+            width, want = _check_mlp(dm, layers), 1 if score and i == last else dm
+            if width != want:
+                raise ShapeError(f"block {i}'s MLP is {width} wide, not {want}"
+                                 + (" (a scoring head)" if want == 1 else ""))
+        self.blocks = tuple((*attn, tuple(layers)) for attn, layers in blocks)
+        self.heads, self.score, self.width = heads, bool(score), dm
+        self.params = tuple(t for *attn, layers in self.blocks
+                            for t in (*attn, *(t for layer in layers for t in layer)))
 
 
-def _block_out(h1: np.ndarray, m: np.ndarray, score: bool) -> np.ndarray:
-    """A residual block's output from h1 and its MLP output m: h1 + m, or a
-    scoring head's one score per row."""
-    if not score:
-        if m.shape != h1.shape:
-            raise ShapeError(f"a block's MLP output {m.shape} != its input {h1.shape}")
-        return h1 + m
-    if m.shape[1] != 1:
-        raise ShapeError(f"a scoring head's last layer must be 1 wide, got {m.shape[1]}")
-    return m.reshape(m.shape[0])
-
-
-def residual_stack(h: Tensor, kv: Tensor | None, blocks: Sequence[tuple],
-                   heads: int, score: bool = False) -> Tensor:
+def residual_stack(h: Tensor, kv: Tensor | None, stack: StackWeights,
+                   keys: list | None = None) -> Tensor:
     """Residual attention + MLP blocks as one tape node.  Block l maps its
     input x (h, then the block before's output) to h1 = x + attention(x, s,
     s), then h1 + mlp(h1), with s = ``kv``, or x itself when ``kv`` is None
-    (self-attention).  ``blocks`` holds per block ((wq, wk, wv, wo), the
-    MLP's (w, b) pairs).  With ``score`` the last block is a scoring head:
-    mlp(h1), one wide, flattened to one score per row.
+    (self-attention): per head softmax(x Wq (s Wk)^T / sqrt(dm/h)) s Wv,
+    heads concatenated and projected by wo.  ``stack`` is the checked
+    ``StackWeights``; a scoring head's last block gives mlp(h1), one wide,
+    flattened to one score per row.  Only the widths of h and kv are
+    checked here.
+
+    One loop serves the taped and the untaped stack, and it is the one
+    copy of the attention arithmetic: the same numpy calls on the same
+    operands and layouts, so every float is the same either way.  Under
+    ``no_tape()`` it builds no node or closure and saves nothing.  An
+    untaped cross-attention stack may be given ``keys``, a list that holds
+    each block's head-major K (heads, dh, m) and V (heads, m, dh) of kv:
+    blocks past its end compute theirs and append them, earlier blocks read
+    them.  Its owner keeps it only while kv and the weights stay as they
+    were; a taped stack or a self-attention stack refuses one.
 
     Bitwise equal to the tape of per-block K and V ``linear`` nodes and
     block nodes (``oracle_residual_block`` in the tests) whenever h's
@@ -384,46 +398,67 @@ def residual_stack(h: Tensor, kv: Tensor | None, blocks: Sequence[tuple],
     rows, cmf's the ogi output).  The backward runs the blocks last to
     first, each in that tape's order: the second add, the MLP, the first
     add's term into the block input, the attention core (wo, the query's
-    term, wq).  K's terms (wk, then the input) and V's follow at once in
-    self-attention; in cross-attention they wait until every block has run,
-    then go in block order, since the tape reached block l's K and V nodes
-    only after the query's ancestry.  h and kv take each term through
-    ``accumulate_grad``; a block input inside the stack sums its terms in a
-    copy of the first.  The parents are (h, kv, weights), so the walk
-    reaches kv before h, as it did through the last block's V node.  Under
-    ``no_tape()`` the same forwards run, with every check, and no node or
-    closure is built.
+    term, wq), on the head-major K and V the forward saved.  K's terms (wk,
+    then the input) and V's follow at once in self-attention; in
+    cross-attention they wait until every block has run, then go in block
+    order, since the tape reached block l's K and V nodes only after the
+    query's ancestry.  h and kv take each term through ``accumulate_grad``;
+    a block input inside the stack sums its terms in a copy of the first.
+    The parents are (h, kv, weights), so the walk reaches kv before h, as
+    it did through the last block's V node.
     """
-    if not blocks:
-        raise InvalidArgument("a residual stack needs at least one block")
-    taped, last = _TAPE_ON, len(blocks) - 1
-    x, saved = h.data, []
-    for i, (attn, layers) in enumerate(blocks):
-        src = x if kv is None else kv.data
-        _check_attention(x.shape, src.shape, attn, heads)
-        wq, wk, wv, wo = attn
-        k, v = src @ wk.data, src @ wv.data
-        *fwd, a = _attention_forward(x, k, v, wq.data, wo.data, heads)
-        h1 = x + a
-        ins, m = _mlp_forward(h1, layers)
+    if type(stack) is not StackWeights:
+        raise InvalidArgument("residual_stack takes its weights as a StackWeights")
+    heads, dm, taped = stack.heads, stack.width, _TAPE_ON
+    x = h.data
+    if x.ndim != 2 or x.shape[1] != dm:
+        raise ShapeError(f"stack input shape {x.shape} != (n, {dm})")
+    src = x if kv is None else kv.data
+    if src.ndim != 2 or src.shape[1] != dm:
+        raise ShapeError(f"attention key/value shape {src.shape} != (m, {dm})")
+    if keys is not None and (kv is None or taped):
+        raise InvalidArgument("only an untaped cross-attention stack reads kept keys")
+    n, m, dh = x.shape[0], src.shape[0], dm // heads
+    scale = 1.0 / math.sqrt(dh)
+    head = len(stack.blocks) - 1 if stack.score else -1
+    saved = []
+    for i, (wq, wk, wv, wo, layers) in enumerate(stack.blocks):
+        if keys is not None and i < len(keys):
+            kt, vh = keys[i]
+        else:
+            if kv is None:
+                src = x
+            # K goes straight to its (heads, dh, m) transpose, V to (heads, m, dh)
+            kt = np.ascontiguousarray((src @ wk.data).reshape(m, heads, dh).transpose(1, 2, 0))
+            vh = np.ascontiguousarray((src @ wv.data).reshape(m, heads, dh).transpose(1, 0, 2))
+            if keys is not None:
+                keys.append((kt, vh))
+        # (rows, dm) -> (heads, rows, dh), laid out as a transpose node's data
+        qh = np.ascontiguousarray((x @ wq.data).reshape(n, heads, dh).transpose(1, 0, 2))
+        scores = (qh @ kt) * scale
+        z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / np.add.reduce(e, axis=-1, keepdims=True)  # (heads, n, m), rows sum to 1
+        merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
+        h1 = x + merged @ wo.data
+        ins, out = _mlp_forward(h1, layers)
         if taped:
-            saved.append((x, k, v, fwd, ins))
-        x = _block_out(h1, m, score and i == last)
+            saved.append((x, kt, vh, (qh, p, merged), ins))
+        x = h1 + out if i != head else out.reshape(n)
     if not taped:
         return Tensor(x)
 
     def backward(g):
         deferred = []   # cross-attention: per block, last first, K's and V's terms
-        for i in reversed(range(len(blocks))):
-            (wq, wk, wv, wo), layers = blocks[i]
-            x, k, v, fwd, ins = saved[i]
-            head = score and i == last
-            g_in = _mlp_backward(ins, layers, g.reshape(-1, 1) if head else g)
-            g_h1 = g_in if head else g + g_in   # second add's term + MLP's
+        for i in reversed(range(len(saved))):
+            wq, wk, wv, wo, layers = stack.blocks[i]
+            x, kt, vh, fwd, ins = saved[i]
+            g_in = _mlp_backward(ins, layers, g.reshape(-1, 1) if i == head else g)
+            g_h1 = g_in if i == head else g + g_in   # second add's term + MLP's
             x_live = i > 0 or h.requires_grad
             src_live = x_live if kv is None else kv.requires_grad
             g_q, g_k, g_v = _attention_backward(
-                x, k, v, fwd, wq, wo, heads, g_h1,
+                x, kt, vh, fwd, wq, wo, heads, g_h1,
                 (x_live, src_live or wk.requires_grad, src_live or wv.requires_grad))
             terms = [g_h1, g_q]
             proj = [(w, g_s) for w, g_s in ((wk, g_k), (wv, g_v)) if g_s is not None]
@@ -444,9 +479,7 @@ def residual_stack(h: Tensor, kv: Tensor | None, blocks: Sequence[tuple],
                 if g_x is not None:
                     kv.accumulate_grad(g_x)
 
-    weights = tuple(t for attn, layers in blocks
-                    for t in (*attn, *(t for layer in layers for t in layer)))
-    return tape_node(x, (h,) + ((kv,) if kv is not None else ()) + weights, backward)
+    return tape_node(x, (h,) + ((kv,) if kv is not None else ()) + stack.params, backward)
 
 
 def mean(terms: Sequence[Tensor]) -> Tensor:

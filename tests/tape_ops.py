@@ -12,8 +12,9 @@ gradients by finite differences.
   numpy's result on as it is.  The fused ops must match them bitwise,
   values and every gradient:
   - ``oracle_mlp`` and ``oracle_attention``, what the MLP chain and the
-    attention core compute; ``mlp`` (one node) and ``attention`` (three)
-    run those two implementations as ops of their own;
+    attention core compute; ``mlp`` (one node) runs the library's MLP and
+    ``attention`` (three) the attention core of a stack block, with the
+    library's backward, as ops of their own;
   - ``oracle_residual_stack``, a loop of ``oracle_residual_block``,
     ``nn.residual_stack`` (decoder stacks and the scoring head);
   - ``oracle_decouple_observation``, ``model.decouple_observation``;
@@ -25,6 +26,7 @@ gradients by finite differences.
   - ``oracle_mean``, ``nn.mean``.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -175,6 +177,7 @@ def softmax(a: nn.Tensor, axis: int = -1) -> nn.Tensor:
 
 def mlp(x: nn.Tensor, layers) -> nn.Tensor:
     """The library's MLP chain as one node over (x, each w and b)."""
+    nn._check_mlp(x.shape[-1], layers)
     ins, out = nn._mlp_forward(x.data, layers)
 
     def backward(g):
@@ -187,25 +190,36 @@ def mlp(x: nn.Tensor, layers) -> nn.Tensor:
 
 
 def attention(q, k, v, wq, wk, wv, wo, heads: int) -> nn.Tensor:
-    """The library's attention core (``nn._attention_forward`` and
-    ``nn._attention_backward``) as three nodes: ``linear(k, wk)``,
-    ``linear(v, wv)`` and one core node with parents (q, K, V, wq, wo)."""
-    nn._check_attention(q.shape, k.shape, (wq, wk, wv, wo), heads)
-    if v.shape != k.shape:
-        raise ShapeError(f"attention value shape {v.shape} != key shape {k.shape}")
+    """The attention core of a ``nn.residual_stack`` block as three nodes:
+    ``linear(k, wk)``, ``linear(v, wv)`` and one core node with parents (q,
+    K, V, wq, wo).  Its forward makes the block loop's numpy calls, which
+    the stack tests pin against ``oracle_attention`` through whole blocks;
+    its backward is the library's ``nn._attention_backward``, on the
+    head-major K and V copies the forward made, as the stack saves them."""
+    n, dm = q.shape
+    if (dm % heads or k.shape[1:] != (dm,) or v.shape != k.shape
+            or any(w.shape != (dm, dm) for w in (wq, wk, wv, wo))):
+        raise ShapeError(f"attention of {q.shape} over {k.shape}/{v.shape}, {heads} heads, "
+                         f"weights {[w.shape for w in (wq, wk, wv, wo)]}")
     k_proj, v_proj = nn.linear(k, wk), nn.linear(v, wv)
-    *fwd, out = nn._attention_forward(q.data, k_proj.data, v_proj.data, wq.data, wo.data,
-                                      heads)
+    m, dh = k.shape[0], dm // heads
+    kt = np.ascontiguousarray(k_proj.data.reshape(m, heads, dh).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v_proj.data.reshape(m, heads, dh).transpose(1, 0, 2))
+    qh = np.ascontiguousarray((q.data @ wq.data).reshape(n, heads, dh).transpose(1, 0, 2))
+    scores = (qh @ kt) * (1.0 / math.sqrt(dh))
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    merged = np.ascontiguousarray((p @ vh).transpose(1, 0, 2)).reshape(n, dm)
     ins = (q, k_proj, v_proj)
 
     def backward(g):
-        grads = nn._attention_backward(q.data, k_proj.data, v_proj.data, fwd, wq, wo,
+        grads = nn._attention_backward(q.data, kt, vh, (qh, p, merged), wq, wo,
                                        heads, g, tuple(t.requires_grad for t in ins))
         for t, g_t in zip(ins, grads):
             if g_t is not None:
                 t.accumulate_grad(g_t)
 
-    return nn.tape_node(out, ins + (wq, wo), backward)
+    return nn.tape_node(merged @ wo.data, ins + (wq, wo), backward)
 
 
 # ------------------------------------------------------------ oracles
@@ -251,12 +265,14 @@ def oracle_residual_block(h, kv, attn, layers, heads: int, score: bool = False) 
     return reshape(m, (m.shape[0],)) if score else nn.add(h1, m)
 
 
-def oracle_residual_stack(h, kv, blocks, heads: int, score: bool = False) -> nn.Tensor:
-    """``nn.residual_stack`` as a loop of ``oracle_residual_block``, each
-    block's keys and values ``kv`` or, ``kv`` None, its own input."""
-    for i, (attn, layers) in enumerate(blocks):
-        h = oracle_residual_block(h, h if kv is None else kv, attn, layers, heads,
-                                  score and i == len(blocks) - 1)
+def oracle_residual_stack(h, kv, stack, keys=None) -> nn.Tensor:
+    """``nn.residual_stack`` as a loop of ``oracle_residual_block`` over the
+    blocks of the ``nn.StackWeights`` ``stack``, each block's keys and
+    values ``kv`` or, ``kv`` None, its own input.  It computes its own keys
+    and values, so it ignores ``keys``."""
+    for i, (*attn, layers) in enumerate(stack.blocks):
+        h = oracle_residual_block(h, h if kv is None else kv, attn, layers, stack.heads,
+                                  stack.score and i == len(stack.blocks) - 1)
     return h
 
 

@@ -18,7 +18,7 @@ from test_geometry import nearest_view
 from test_metrics import graph_from
 from test_nn import record_calls, same_bits
 
-from oikg import model, navgraph, nn, training
+from oikg import cli, model, navgraph, nn, training
 from oikg import synthenv as se
 from oikg.errors import InvalidArgument, InvalidState, NumericFailure, ShapeError
 from oikg.geometry import relative_pose, trig_embed
@@ -284,7 +284,8 @@ def store_copy(params, cfg):
 
 @pytest.mark.parametrize("change", ["obs.ang.b", "obs.vis.w", "obs.fuse.w1", "obs.fuse.b2",
                                     "obs.coupled.w", "obs.coupled.b", "graph.edge.w",
-                                    "ogi.l0.attn.wq", "sel.mlp.w1", "load_state"])
+                                    "ogi.l0.attn.wq", "cmf.l0.attn.wk", "cmf.l0.attn.wv",
+                                    "sel.mlp.w1", "load_state"])
 def test_untaped_walk_after_a_parameter_change_equals_fresh_store(change):
     """After one parameter is edited in place, one no memo entry reads
     (``sel.mlp.w1``) included, or another state is loaded, an untaped walk
@@ -885,7 +886,7 @@ def oracle_ogi(f_g, f_o, params, cfg):
                [(params[f"ogi.l{i}.mlp.w1"], params[f"ogi.l{i}.mlp.b1"]),
                 (params[f"ogi.l{i}.mlp.w2"], params[f"ogi.l{i}.mlp.b2"])])
               for i in range(cfg.layers)]
-    return oracle_residual_stack(f_g, f_o, blocks, model.HEADS)
+    return oracle_residual_stack(f_g, f_o, nn.StackWeights(blocks, model.HEADS))
 
 
 def ogi_calls(params, f_o):
@@ -1041,6 +1042,117 @@ def test_untaped_walk_builds_each_memo_key_once_per_cache(monkeypatch):
     with nn.no_tape(), pytest.raises(InvalidState):
         model.forward_step(pg, env, ep.tokens, params, TINY, model.EpisodeCache())
     assert model._WALK is None
+
+
+def test_stack_weights_are_checked_once_per_store_and_stage(monkeypatch):
+    """``model._stack`` bundles and checks a stage's weights
+    (``nn.StackWeights``) on its first call per store: the four stages of
+    a walk once each, kept in the store's slot ``"stacks"``.  Later walks,
+    taped or not and after ``load_state``, check nothing again; a fresh
+    store checks its own four once."""
+    checked = []
+    init = nn.StackWeights.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        checked.append(self)
+
+    monkeypatch.setattr(nn.StackWeights, "__init__", spy)
+    data = memo_world_data(TINY)
+    params = model.build_params(TINY, seed=0)
+    slots = [("ogi", TINY.layers), ("txt", TINY.layers), ("cmf", TINY.layers), ("sel", None)]
+    before = untaped_scores(data, params, TINY)
+    assert sorted(map(id, checked)) == sorted(
+        id(memo_slot(params, "stacks")[1][s]) for s in slots)
+    for env, ep in data[:2]:
+        training.rollout_teacher(env, ep, params, TINY)
+    other = model.build_params(TINY, seed=1)
+    params.load_state({n: other[n].data for n in other.names()})
+    got = untaped_scores(data, params, TINY)
+    assert len(checked) == 4 and not same_scores(got, before)
+    assert same_scores(got, untaped_scores(data, store_copy(params, TINY), TINY))
+    assert len(checked) == 8
+
+
+def golden_worlds(tmp_path):
+    """(EnvBundle, training episodes, model configuration) of the golden
+    table's two ``gen`` runs (``tests/make_golden.py``), written by the CLI
+    and read back as ``train`` reads them."""
+    runs = ((["--episodes", "6", "--val-episodes", "2"], TINY),
+            (["--mode", "detour", "--feature-dim", "32", "--episodes", "4",
+              "--val-episodes", "2", "--seed", "1"], model.ModelConfig()))
+    worlds = []
+    for i, (args, cfg) in enumerate(runs):
+        out = tmp_path / f"gen{i}"
+        assert cli.main(["gen", "--out", str(out)] + args) == 0
+        env, episodes, _ = cli._load_split(str(out), "train")
+        worlds.append((env, episodes, cfg))
+    return worlds
+
+
+def wide_world():
+    """One world of the benchmark's ``eval_wide`` shape: 100 nodes at the
+    30-node worlds' density, ten detour episodes, the tiny model."""
+    g = se.generate_environment(se.EnvParams(
+        node_count=100, connection_radius=3.5, extent=10.0 * math.sqrt(100 / 30),
+        feature_dim=TINY.vis_dim, sigma=0.1, seed=17))
+    env = se.EnvBundle(g, se.make_latents(g, TINY.vis_dim, seed=17), sigma=0.1)
+    return env, [se.make_episode(g, seed=i, mode="detour") for i in range(10)], TINY
+
+
+def test_untaped_walks_with_per_walk_keys_equal_taped_steps(tmp_path):
+    """An untaped greedy walk computes the cross-modal blocks' head-major K
+    and V of the instruction once, on its first step, keeps them in its
+    ``EpisodeCache.keys`` and reads them on every later step; each step's
+    scores equal the taped ``forward_step``'s at the same state bit for
+    bit, on the golden worlds (the tiny and the full model) and an
+    ``eval_wide``-shaped world.  A taped walk leaves its cache's keys
+    empty."""
+    steps = 0
+    for env, episodes, cfg in golden_worlds(tmp_path) + [wide_world()]:
+        params = model.build_params(cfg, seed=0)
+        for ep in episodes:
+            cache = model.EpisodeCache()
+            with nn.no_tape():
+                got = training.rollout(env, ep, 30, training.greedy_policy, params, cfg, cache)
+            assert len(cache.keys) == cfg.layers
+            for kt, vh in cache.keys:
+                assert kt.shape == (model.HEADS, cfg.dim // model.HEADS, len(ep.tokens))
+                assert vh.shape == (model.HEADS, len(ep.tokens), cfg.dim // model.HEADS)
+            taped_cache = model.EpisodeCache()
+            want = training.rollout(env, ep, 30, training.greedy_policy, params, cfg,
+                                    taped_cache)
+            assert taped_cache.keys == []
+            assert [s.node for s in got.steps] == [s.node for s in want.steps]
+            assert same_scores([s.logits for s in got.steps], [s.logits for s in want.steps])
+            steps += len(got.steps)
+    assert steps > 150
+
+
+def test_per_walk_keys_are_read_and_die_with_their_cache():
+    """The keys an untaped walk keeps are what its later steps read:
+    replaced by NaN after the first step, they turn the next step's scores
+    NaN, which the step rejects.  The cache alone holds them, so they go
+    with it."""
+    data = memo_world_data(TINY)
+    params = model.build_params(TINY, seed=0)
+    env, ep = next((env, ep) for env, ep in data
+                   if len(untaped_scores([(env, ep)], params, TINY)) > 2)
+    pg, cache = PathGraph(env.graph, start=ep.start), model.EpisodeCache()
+    with nn.no_tape():
+        feats, action = model.forward_step(pg, env, ep.tokens, params, TINY, cache)
+        assert np.isfinite(feats.scores.data).all() and len(cache.keys) == TINY.layers
+        alive = [weakref.ref(a) for pair in cache.keys for a in pair]
+        cache.keys[:] = [(np.full_like(kt, np.nan), np.full_like(vh, np.nan))
+                         for kt, vh in cache.keys]
+        assert all(ref() is None for ref in alive)
+        pg.advance(action)
+        with pytest.raises(NumericFailure):
+            model.forward_step(pg, env, ep.tokens, params, TINY, cache)
+        alive = [weakref.ref(a) for pair in cache.keys for a in pair]
+    del cache
+    gc.collect()
+    assert all(ref() is None for ref in alive)
 
 
 def test_forward_step_after_load_state_equals_fresh_store(setup):

@@ -701,7 +701,7 @@ def test_residual_block_stack_sharing_kv_matches_oracle_bitwise(heads, kv_read):
 
         def build(stack):
             kv = nn.linear(src, w_src)
-            h = stack(nn.linear(x0, w_in), kv, blocks, heads)
+            h = stack(nn.linear(x0, w_in), kv, nn.StackWeights(blocks, heads))
             terms = [tsum(mul(h, c)), tsum(mul(kv, c_kv))]
             if kv_read == "first":
                 terms.reverse()
@@ -725,7 +725,7 @@ def test_residual_block_with_q_k_v_one_tensor_matches_oracle_bitwise(score):
 
         def build(stack):
             x = nn.linear(x0, w_in)
-            h = stack(x, None, blocks, 2, score=score)
+            h = stack(x, None, nn.StackWeights(blocks, 2, score))
             return [h], nn.add(tsum(mul(h, c)), tsum(mul(x, x)))
 
         fused_vs_oracle(build, [x0, w_in] + block_leaves(blocks), STACKS)
@@ -754,7 +754,7 @@ def test_residual_block_partial_tracking_matches_oracle(tracked, score):
                 t.requires_grad = tracked == "mlp" and on
 
         def build(stack):
-            out = stack(h, src, blocks, 2, score=score)
+            out = stack(h, src, nn.StackWeights(blocks, 2, score))
             return [out], tsum(mul(out, c))
 
         fused_vs_oracle(build, [h, kv] + block_leaves(blocks), STACKS)
@@ -774,7 +774,7 @@ def test_fd_residual_block(score):
         blocks = block_params(rng, 4, depth, out_width=1 if score else None)
 
         def make_loss():
-            return tsum(mul(nn.residual_stack(h, src, blocks, 2, score=score), c))
+            return tsum(mul(nn.residual_stack(h, src, nn.StackWeights(blocks, 2, score)), c))
 
         h.grad = kv.grad = None
         check_grads(make_loss, ([h] if src is None else [h, kv]) + block_leaves(blocks))
@@ -790,13 +790,14 @@ def test_untaped_residual_block_builds_no_node_and_equals_taped(monkeypatch, cfg
     rng = np.random.default_rng(24)
     dm = cfg.dim
     h0, kv = rand_tensor(rng, (rows, dm)), rand_tensor(rng, (6, dm))
-    decoder, encoder = block_params(rng, dm, 2), block_params(rng, dm, 2)
-    head = block_params(rng, dm, 1, out_width=1)
+    decoder = nn.StackWeights(block_params(rng, dm, 2), HEADS)
+    encoder = nn.StackWeights(block_params(rng, dm, 2), HEADS)
+    head = nn.StackWeights(block_params(rng, dm, 1, out_width=1), HEADS, score=True)
 
     def run():
-        outs = [nn.residual_stack(h0, kv, decoder, HEADS)]
-        outs.append(nn.residual_stack(outs[-1], None, encoder, HEADS))
-        return outs + [nn.residual_stack(outs[-1], None, head, HEADS, score=True)]
+        outs = [nn.residual_stack(h0, kv, decoder)]
+        outs.append(nn.residual_stack(outs[-1], None, encoder))
+        return outs + [nn.residual_stack(outs[-1], None, head)]
 
     linears = record_calls(monkeypatch, nn, "linear")
     nodes = record_calls(monkeypatch, nn, "tape_node")
@@ -815,37 +816,48 @@ def test_untaped_residual_block_builds_no_node_and_equals_taped(monkeypatch, cfg
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
 def test_residual_block_shape_errors(taped):
     """A part that does not fit raises, in whichever block of a two-block
-    stack it sits."""
+    stack it sits: a weight, the head count or an empty part where the
+    weights are bundled (``nn.StackWeights``, the stack's only weight
+    argument), the widths of h and kv at the call."""
     rng = np.random.default_rng(21)
     blocks = block_params(rng, 4, 2)
-    h = rand_tensor(rng, (3, 4))
-    for at in (0, 1):
-        (wq, wk, wv, wo), ((w1, b1), (w2, b2)) = blocks[at]
+    h, kv = rand_tensor(rng, (3, 4)), rand_tensor(rng, (2, 4))
+    with contextlib.nullcontext() if taped else nn.no_tape():
+        fits = nn.StackWeights(blocks, 2)
+        with pytest.raises(ShapeError):
+            nn.residual_stack(h, rand_tensor(rng, (2, 6)), fits)
+        with pytest.raises(ShapeError):   # the stack input's width
+            nn.residual_stack(rand_tensor(rng, (3, 6)), kv, fits)
+        with pytest.raises(InvalidArgument):   # weights that were never checked
+            nn.residual_stack(h, kv, blocks)
+        with pytest.raises(InvalidArgument):   # kept keys: untaped cross-attention only
+            nn.residual_stack(h, kv if taped else None, fits, keys=[])
+        for at in (0, 1):
+            (wq, wk, wv, wo), ((w1, b1), (w2, b2)) = blocks[at]
 
-        def stack(attn=None, layers=None, kv=None, heads=2, score=False):
-            parts = list(blocks)
-            parts[at] = (attn or blocks[at][0], blocks[at][1] if layers is None else layers)
-            return nn.residual_stack(h, kv, parts, heads, score=score)
+            def bundle(attn=None, layers=None, heads=2, score=False):
+                parts = list(blocks)
+                parts[at] = (attn or blocks[at][0], blocks[at][1] if layers is None else layers)
+                return nn.StackWeights(parts, heads, score)
 
-        with contextlib.nullcontext() if taped else nn.no_tape():
             with pytest.raises(ShapeError):
-                stack(kv=rand_tensor(rng, (2, 6)))
-            with pytest.raises(ShapeError):
-                stack(heads=3)
+                bundle(heads=3)
             with pytest.raises(ShapeError):   # an attention weight that does not fit
-                stack(attn=(wq, wk, rand_tensor(rng, (4, 3)), wo))
+                bundle(attn=(wq, wk, rand_tensor(rng, (4, 3)), wo))
+            with pytest.raises(ShapeError):   # a one-column wo would broadcast into h1
+                bundle(attn=(wq, wk, wv, rand_tensor(rng, (4, 1))))
             with pytest.raises(ShapeError):   # an MLP weight that does not fit
-                stack(layers=[(w1, b1), (rand_tensor(rng, (7, 4)), b2)])
+                bundle(layers=[(w1, b1), (rand_tensor(rng, (7, 4)), b2)])
             with pytest.raises(ShapeError):   # an MLP bias that does not fit
-                stack(layers=[(w1, rand_tensor(rng, (5,))), (w2, b2)])
+                bundle(layers=[(w1, rand_tensor(rng, (5,))), (w2, b2)])
             with pytest.raises(ShapeError):   # a decoder block keeps its width
-                stack(layers=[(w1, b1), (rand_tensor(rng, (8, 1)), rand_tensor(rng, (1,)))])
+                bundle(layers=[(w1, b1), (rand_tensor(rng, (8, 1)), rand_tensor(rng, (1,)))])
             with pytest.raises(ShapeError):   # a scoring head needs one output column
-                stack(score=True)
+                bundle(score=True)
             with pytest.raises(InvalidArgument):
-                stack(layers=[])
+                bundle(layers=[])
     with pytest.raises(InvalidArgument):
-        nn.residual_stack(h, None, [], 2)
+        nn.StackWeights([], 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -1005,26 +1017,27 @@ def test_fused_ops_node_counts_and_no_tape():
     assert inner_nodes(out) == 1
     assert inner_nodes(oracle_mlp(q, layers)) == 3
     weights = [t for wb in layers for t in wb]
-    stack = nn.residual_stack(q, kv, [(ws, layers)], 2)
+    one, two = nn.StackWeights([(ws, layers)], 2), nn.StackWeights([(ws, layers)] * 2, 2)
+    scoring = nn.StackWeights([(ws, head_layers)], 2, score=True)
+    stack = nn.residual_stack(q, kv, one)
     assert inner_nodes(stack) == 1
-    assert inner_nodes(oracle_residual_stack(q, kv, [(ws, layers)], 2)) == 22
+    assert inner_nodes(oracle_residual_stack(q, kv, one)) == 22
     assert stack._parents == (q, kv, *ws, *weights)
-    deep = nn.residual_stack(q, kv, [(ws, layers)] * 2, 2)
+    deep = nn.residual_stack(q, kv, two)
     assert inner_nodes(deep) == 1 and deep._parents == (q, kv) + (*ws, *weights) * 2
-    assert inner_nodes(oracle_residual_stack(q, kv, [(ws, layers)] * 2, 2)) == 44
-    head = nn.residual_stack(q, None, [(ws, head_layers)], 2, score=True)
+    assert inner_nodes(oracle_residual_stack(q, kv, two)) == 44
+    head = nn.residual_stack(q, None, scoring)
     assert head.shape == (2,) and inner_nodes(head) == 1
     assert head._parents == (q, *ws, *(t for wb in head_layers for t in wb))
-    assert inner_nodes(oracle_residual_stack(q, None, [(ws, head_layers)], 2, score=True)) == 22
+    assert inner_nodes(oracle_residual_stack(q, None, scoring)) == 22
     terms = [tsum(q), tsum(kv), tsum(q)]
     mean = nn.mean(terms)
     assert mean._parents == tuple(terms) and inner_nodes(mean) == 3 + 1
     assert inner_nodes(oracle_mean(terms)) == 3 + 3
     with nn.no_tape():
         plain = [attention(q, kv, kv, *ws, heads=2), mlp(q, layers),
-                 nn.residual_stack(q, kv, [(ws, layers)], 2),
-                 nn.residual_stack(q, kv, [(ws, layers)] * 2, 2),
-                 nn.residual_stack(q, None, [(ws, head_layers)], 2, score=True),
+                 nn.residual_stack(q, kv, one), nn.residual_stack(q, kv, two),
+                 nn.residual_stack(q, None, scoring),
                  nn.mean(terms)]
     for a, b in zip(plain, (att, out, stack, deep, head, mean), strict=True):
         assert not a.requires_grad and a._parents == () and same_bits(a.data, b.data)

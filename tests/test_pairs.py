@@ -54,6 +54,22 @@ def test_a06_stub():
     raise AssertionError("-k test_a05 deselects this")
 '''
 
+# The gen stub, run as ``python -m oikg.cli gen --nodes 300 --out DIR``:
+# slower in the parent tree, exit 3 where incorrect.txt exists, and a
+# refusal to write inside its own tree.
+STUB_GEN = '''
+import sys, time
+from pathlib import Path
+args = sys.argv[1:]
+out = Path(args[args.index("--out") + 1]).resolve()
+assert args[:3] == ["gen", "--nodes", "300"] and not out.is_relative_to(Path.cwd().resolve())
+time.sleep(1.1 if Path("side.txt").read_text().strip() == "parent" else 0.1)
+if Path("incorrect.txt").exists():
+    sys.exit(3)
+out.mkdir(parents=True, exist_ok=True)
+(out / "env.json").write_text("{}")
+'''
+
 DECLARED = {"command": [sys.executable, "stub.py"], "run_seconds": 2, "end_to_end": [
     {"name": "op_ms_p50", "better": "lower"},
     {"name": "decision_steps_per_s", "better": "higher"},
@@ -78,6 +94,9 @@ def repo(tmp_path):
     (root / "side.txt").write_text("parent\n")
     (root / "tests").mkdir()
     (root / "tests" / "test_stub.py").write_text(STUB_A05)
+    (root / "src" / "oikg").mkdir(parents=True)
+    (root / "src" / "oikg" / "__init__.py").write_text("")
+    (root / "src" / "oikg" / "cli.py").write_text(STUB_GEN)
     git(root, "init", "-q")
     git(root, "add", "-A")
     git(root, "commit", "-q", "-m", "parent")
@@ -175,3 +194,28 @@ def test_pairs_acceptance_refuses_a_failed_run(repo, tmp_path):
     assert "acceptance run in change exited 1" in proc.stderr
     assert not (repo / "BENCH_7.json").exists()
     assert run_pairs(repo, tmp_path / "tmp").returncode == 2   # nothing to run
+
+
+def test_pairs_gen_times_world_generation_in_both_trees(repo, tmp_path):
+    before = snapshot(repo)
+    tmp = tmp_path / "tmp"
+    proc = run_pairs(repo, tmp, "--gen", "2")
+    assert proc.returncode == 0, proc.stderr
+    after = snapshot(repo)
+    written = after.pop("BENCH_7.json")
+    assert written and after == before and list(tmp.iterdir()) == []
+    record = json.loads((repo / "BENCH_7.json").read_text())
+    assert record["workloads"] == {} and "acceptance" not in record
+    gen = record["gen"]
+    assert gen["command"] == ["python", "-m", "oikg.cli", "gen", "--nodes", "300"]
+    assert [pair["first"] for pair in gen["pairs"]] == ["parent", "change"]
+    for pair in gen["pairs"]:
+        assert pair["parent"]["wall_s"] > pair["change"]["wall_s"] + 0.3
+    wall = gen["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["better"] == "lower"
+    assert (wall["parent"]["won"], wall["change"]["won"]) == (0, 2)
+
+    (repo / "incorrect.txt").write_text("")   # untracked: only the change side has it
+    proc = run_pairs(repo, tmp, "--gen", "1")
+    assert proc.returncode != 0 and "gen run in change exited 3" in proc.stderr
+    assert snapshot(repo)["BENCH_7.json"] == written and list(tmp.iterdir()) == []

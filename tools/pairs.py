@@ -3,6 +3,7 @@
     python3 tools/pairs.py --pr N --parent HEAD \\
         --workloads eval_wide:0-9 overfit_tiny train_full --seeds 0-2
     python3 tools/pairs.py --pr N --parent HEAD --acceptance 3
+    python3 tools/pairs.py --pr N --parent HEAD --gen 10
 
 The parent revision (``git archive``) and the working tree (every tracked
 or untracked, not ignored file, as it is on disk) are exported into one
@@ -25,6 +26,13 @@ runner imports nothing from ``benches/``.
 run in each tree with its ``src`` first on ``PYTHONPATH``.  Each run's wall
 time goes under ``"acceptance"`` as ``wall_s``, lower being better; a run
 that exits non-zero, a failed or deselected test, stops the runner.
+
+``--gen N`` adds N pairs, alternating in the same way, of world generation:
+``python -m oikg.cli gen --nodes 300``, set up as the acceptance runs are,
+writing into a fresh directory under the runner's temporary directory,
+removed after each run.  The wall times go under ``"gen"``, as
+``"acceptance"``'s do; a run that exits non-zero stops the runner.  Both
+timers are raw wall time, start-up included, not scaled by a calibration.
 """
 
 import argparse
@@ -42,7 +50,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-ACCEPTANCE = ["-m", "pytest", "-q", "-k", "test_a05"]   # after this interpreter
+# the timed commands, after this interpreter; gen also gets --out DIR
+TIMED = {"acceptance": ["-m", "pytest", "-q", "-k", "test_a05"],
+         "gen": ["-m", "oikg.cli", "gen", "--nodes", "300"]}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -95,16 +105,19 @@ def run_once(command: list, tree: Path, workload: str, seed: int, seconds: float
             "machine": machine}
 
 
-def run_acceptance(tree: Path) -> dict:
-    """One timed acceptance run in ``tree``; a failed run raises SystemExit."""
+def run_timed(kind: str, tree: Path, scratch: Path) -> dict:
+    """One timed run of ``TIMED[kind]`` in ``tree``, with its ``src`` first
+    on ``PYTHONPATH``; gen writes into ``scratch``, removed after.  A failed
+    run raises SystemExit."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(tree / "src") + (os.pathsep + path if path else "")}
+    argv = [sys.executable, *TIMED[kind]] + (["--out", str(scratch)] if kind == "gen" else [])
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *ACCEPTANCE], cwd=tree, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
+    shutil.rmtree(scratch, ignore_errors=True)
     if proc.returncode != 0:
-        raise SystemExit(f"pairs: acceptance run in {tree.name} exited {proc.returncode}\n"
+        raise SystemExit(f"pairs: {kind} run in {tree.name} exited {proc.returncode}\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {"wall_s": wall}
 
@@ -152,9 +165,11 @@ def main() -> int:
                     help="length of each run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--acceptance", type=int, default=0, metavar="N",
                     help="also time N pairs of the test_a05 acceptance run (default 0)")
+    ap.add_argument("--gen", type=int, default=0, metavar="N",
+                    help="also time N pairs of `oikg gen --nodes 300` (default 0)")
     args = ap.parse_args()
-    if not args.workloads and args.acceptance < 1:
-        ap.error("nothing to run: give --workloads or --acceptance N")
+    if not args.workloads and args.acceptance < 1 and args.gen < 1:
+        ap.error("nothing to run: give --workloads, --acceptance N or --gen N")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command = list(declared["command"])
@@ -189,18 +204,20 @@ def main() -> int:
                     for side in SIDES), file=sys.stderr)
             record["workloads"][name] = {"seeds": seeds, "pairs": pairs,
                                          "metrics": workload_stats(pairs, units, better)}
-        if args.acceptance:
+        for kind, n in (("acceptance", args.acceptance), ("gen", args.gen)):
+            if n < 1:
+                continue
             pairs = []
-            for i in range(args.acceptance):
+            for i in range(n):
                 order = alternate(i)
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_acceptance(trees[side])
+                    pair[side] = run_timed(kind, trees[side], Path(tmp) / "gen-out")
                 pairs.append(pair)
-                print(f"acceptance pair {i}: " + ", ".join(
-                    f"{side} {pair[side]['wall_s']:.1f} s" for side in SIDES), file=sys.stderr)
-            record["acceptance"] = {
-                "command": ["python", *ACCEPTANCE], "pairs": pairs,
+                print(f"{kind} pair {i}: " + ", ".join(
+                    f"{side} {pair[side]['wall_s']:.2f} s" for side in SIDES), file=sys.stderr)
+            record[kind] = {
+                "command": ["python", *TIMED[kind]], "pairs": pairs,
                 "metrics": workload_stats(pairs, {"wall_s": "s"}, {"wall_s": "lower"})}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
