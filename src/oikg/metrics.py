@@ -77,14 +77,18 @@ def dtw_cost(r: EpisodeResult) -> float:
     """Minimum summed geodesic distance over monotone alignments of the two
     paths (moves: advance either index or both).  The dynamic program runs
     row by row over Python floats: each cell is its distance plus the least
-    of its predecessors' costs, one add."""
-    rows = ([dist.get(target, math.inf) for target in r.gt_path]
-            for dist in map(r.env._dist_from, r.executed_path))
-    prev = list(itertools.accumulate(next(rows)))
-    for d in rows:
-        cost = [d[0] + prev[0]]
-        for j in range(1, len(d)):
-            cost.append(d[j] + min(prev[j], cost[-1], prev[j - 1]))
+    of its predecessors' costs (up, left, diagonal), one add."""
+    gt, inf = r.gt_path, math.inf
+    dists = map(r.env._dist_from, r.executed_path)
+    prev = list(itertools.accumulate(map(next(dists).get, gt, itertools.repeat(inf))))
+    for dist in dists:
+        diag = prev[0]
+        left = dist.get(gt[0], inf) + diag
+        cost = [left]
+        for target, up in zip(gt[1:], prev[1:]):
+            left = dist.get(target, inf) + min(up, left, diag)
+            diag = up
+            cost.append(left)
         prev = cost
     return prev[-1]
 
@@ -95,24 +99,26 @@ def ndtw(r: EpisodeResult) -> float:
 
 
 def evaluate(r: EpisodeResult) -> MetricRow:
-    """Every metric of one episode; sDTW is SR * nDTW."""
-    sr = success(r)
+    """Every metric of one episode, TL, NE, SR and the start-goal geodesic
+    each computed once as its own function computes it; sDTW is SR * nDTW."""
+    tl = path_length(r.env, r.executed_path)
+    ne = r.env.geodesic(r.final, r.goal)
+    sr = 1.0 if ne <= SUCCESS_RADIUS else 0.0
+    l = r.env.geodesic(r.executed_path[0], r.goal)
     nd = ndtw(r)
-    return MetricRow(tl=trajectory_length(r),
-                     ne=navigation_error(r),
-                     sr=sr,
-                     spl=spl(r),
-                     ndtw=nd,
-                     sdtw=sr * nd)
+    return MetricRow(tl=tl, ne=ne, sr=sr, spl=sr if l == 0.0 else sr * l / max(l, tl),
+                     ndtw=nd, sdtw=sr * nd)
 
 
 def aggregate(rows) -> dict:
-    """Arithmetic means plus the conventional x100 2-decimal rendering."""
+    """Arithmetic means plus the conventional x100 2-decimal rendering; one
+    ``(6, rows)`` sum along its rows makes each field's ``np.mean`` sum."""
     rows = list(rows)
     if not rows:
         raise InvalidArgument("no rows to aggregate")
-    mean = {f: float(np.mean([getattr(row, f) for row in rows]))
-            for f in ("tl", "ne", "sr", "spl", "ndtw", "sdtw")}
+    fields = ("tl", "ne", "sr", "spl", "ndtw", "sdtw")
+    sums = np.array([[getattr(row, f) for row in rows] for f in fields]).sum(axis=1)
+    mean = dict(zip(fields, (sums / len(rows)).tolist()))
     out = {"count": len(rows), "TL": mean["tl"], "NE": mean["ne"],
            "SR": mean["sr"], "SPL": mean["spl"], "nDTW": mean["ndtw"],
            "sDTW": mean["sdtw"]}

@@ -21,7 +21,8 @@ import numpy as np
 
 from .artifacts import check_record, write_json
 from .errors import GenerationFailure, InvalidArgument, SchemaError
-from .geometry import TWO_PI, bracketing_columns
+from . import geometry
+from .geometry import TWO_PI
 from .navgraph import NavGraph, NavNode, build_graph, check_route, memo
 from .rng import substream
 
@@ -186,32 +187,39 @@ def render_observation(env: EnvBundle, node: int, grid: ViewGrid) -> np.ndarray:
     visual vectors of its views, in the grid's order.
 
     A view shows the out-neighbor whose edge heading is nearest the view
-    heading when that is within half a heading bin; otherwise the shared
-    background.  Elevation never affects assignment, so all elevation rows
-    of a heading column agree before noise.  Noise is Gaussian, applied to
-    the visual block only, and depends only on (table seed, node, k).  The
-    rows come from the latent table and the noise from the bundle's memo;
-    the assignment runs on every call.
+    heading (ties to the lower id) when that is within half a heading bin +
+    1e-12; otherwise the shared background.  Only a bracket column whose
+    offset ``min(a, 2*pi - a)``, ``a = |heading - column|``, is within half a
+    bin + 1e-9 is scored by ``angular_distance``; the offset is within about
+    1e-15 of it, so a skipped column could not show the edge.  Elevation
+    never affects assignment.  Noise is Gaussian, applied to the visual
+    block only, and depends only on (table seed, node, k).  The rows come
+    from the latent table and the noise from the bundle's memo; the
+    assignment runs on every call.
     """
     graph = env.graph
     if node not in graph.nodes:
         raise InvalidArgument(f"unknown node {node}")
-    half_bin = math.pi / grid.n_headings
+    n = grid.n_headings
+    columns, step, half_bin = geometry.grid_columns(n), TWO_PI / n, math.pi / n
+    distance, poses, reach = geometry.angular_distance, graph.poses, half_bin + 1e-9
 
-    # an edge can only be seen in the columns bracketing its heading: per
-    # column, the nearest such edge, ties to the lowest neighbour id
-    best: dict[int, tuple[float, int]] = {}
+    best: dict[int, tuple[float, int]] = {}   # per column: its nearest edge in reach
     for nbr in graph.neighbors(node):
-        for d, j in bracketing_columns(graph.edge_pose(node, nbr).heading,
-                                       grid.n_headings):
-            if j not in best or (d, nbr) < best[j]:
-                best[j] = (d, nbr)
-    shown = [len(graph.nodes)] * grid.n_headings   # per column: the background row
-    for j, (d, nbr) in best.items():
+        h = poses[node, nbr].heading
+        j = math.floor(h / step) % n
+        for c in ((j, (j + 1) % n) if n > 1 else (j,)):
+            a = abs(h - columns[c])
+            if a <= reach or TWO_PI - a <= reach:
+                d = distance(h, columns[c])
+                if c not in best or (d, nbr) < best[c]:
+                    best[c] = (d, nbr)
+    shown = [len(graph.nodes)] * n   # per column: the background row
+    for c, (d, nbr) in best.items():
         if d <= half_bin + 1e-12:
-            shown[j] = graph.index[nbr]
-    # every elevation row of column j shows column j's row
-    visual = env.latents.rows[np.repeat(shown, len(grid.elevations))]
+            shown[c] = graph.index[nbr]
+    ne = len(grid.elevations)   # every elevation row of column c shows column c's row
+    visual = env.latents.rows[shown if ne == 1 else np.repeat(shown, ne)]
     if env.sigma > 0:
         visual = visual + noise_term(env, node, grid.k)
     return visual

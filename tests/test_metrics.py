@@ -8,7 +8,7 @@ import pytest
 
 from oikg.artifacts import write_json
 from oikg.errors import InvalidArgument
-from oikg.metrics import (EpisodeResult, aggregate, dtw_cost, evaluate,
+from oikg.metrics import (EpisodeResult, MetricRow, aggregate, dtw_cost, evaluate,
                           navigation_error, ndtw, spl, success,
                           trajectory_length, write_results_csv)
 from oikg.navgraph import NavNode, build_graph
@@ -225,6 +225,41 @@ def test_evaluate_row_consistency(square):
     assert row.sr == success(r)
     assert row.spl == spl(r)
     assert row.ndtw == ndtw(r)
+
+
+def test_evaluate_equals_each_metric_function():
+    """On irregular edge lengths with an unreachable component, every field
+    of ``evaluate``'s row is its own function's value to the bit (NaN where
+    SPL meets an infinite start-goal distance)."""
+    rng = substream(81, "evaluate-fields")
+    points = [(i, tuple(rng.uniform(0.0, 7.0, size=3))) for i in range(9)]
+    g = graph_from(points, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5),
+                            (5, 2), (6, 7), (7, 8)])
+    for _ in range(300):
+        r = EpisodeResult(g, random_walk(g, rng, max_len=9), random_walk(g, rng, max_len=9))
+        row = evaluate(r)
+        np.testing.assert_array_equal(
+            [row.tl, row.ne, row.sr, row.spl, row.ndtw, row.sdtw],
+            [trajectory_length(r), navigation_error(r), success(r), spl(r), ndtw(r),
+             success(r) * ndtw(r)])
+
+
+def test_aggregate_means_equal_numpy_mean_per_field():
+    """Each mean equals ``np.mean`` of its field's column to the bit, at row
+    counts on both sides of numpy's pairwise-summation block edges."""
+    rng = substream(82, "aggregate-mean")
+    fields = ("tl", "ne", "sr", "spl", "ndtw", "sdtw")
+    columns = {f: rng.standard_normal(20000) * 10.0 ** rng.uniform(-3, 3, size=20000)
+               for f in fields}
+    columns["sr"] = np.floor(rng.uniform(0.0, 2.0, size=20000))
+    rows = [MetricRow(*values) for values in zip(*(columns[f].tolist() for f in fields))]
+    keys = dict(zip(fields, ("TL", "NE", "SR", "SPL", "nDTW", "sDTW")))
+    for count in (1, 2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 20000):
+        out = aggregate(rows[:count])
+        assert out["count"] == count
+        for f in fields:
+            assert out[keys[f]] == float(np.mean([getattr(row, f) for row in rows[:count]])), \
+                (count, f)
 
 
 def test_aggregate_means(square):

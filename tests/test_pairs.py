@@ -18,7 +18,9 @@ PAIRS = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
 
 # Prints a machine line and a JSON result whose metrics depend on the side
 # (side.txt of the tree it runs in) and the seed, and writes a record into
-# its own tree, as the benchmark writes benches/out/.
+# its own tree, as the benchmark writes benches/out/.  A traced run prints
+# per-layer metrics instead, and is incorrect where incorrect-trace.txt
+# exists.
 STUB = '''
 import json, sys, time
 from pathlib import Path
@@ -28,11 +30,17 @@ change = side == "change"
 metrics = {"op_ms_p50": (10.0 + seed - change, "ms"),
            "decision_steps_per_s": (100.0 + seed + change, "1/s"),
            "peak_rss_mb": (40.0, "MB"), "start_ns": (time.monotonic_ns(), "ns")}
+traced = args["--trace"] == "1"
+if traced:
+    metrics = {"calls_per_step": (15.0 - 7.5 * change + seed, "count"),
+               "seconds": (float(args["--seconds"]), "s")}
 Path("out").mkdir(exist_ok=True)
 Path("out", f"{args['--workload']}-{seed}.json").write_text(side)
 print("machine " + json.dumps({"stub": True, "trace": args["--trace"],
                                "seconds": args["--seconds"]}))
-print(json.dumps({"correct": not Path("incorrect.txt").exists(), "attempted": 3,
+correct = not (Path("incorrect.txt").exists()
+               or traced and Path("incorrect-trace.txt").exists())
+print(json.dumps({"correct": correct, "attempted": 3,
                   "failed": 0, "metrics": {k: {"value": v, "unit": u}
                                            for k, (v, u) in metrics.items()}}))
 '''
@@ -73,7 +81,8 @@ out.mkdir(parents=True, exist_ok=True)
 DECLARED = {"command": [sys.executable, "stub.py"], "run_seconds": 2, "end_to_end": [
     {"name": "op_ms_p50", "better": "lower"},
     {"name": "decision_steps_per_s", "better": "higher"},
-    {"name": "peak_rss_mb", "better": "lower"}]}
+    {"name": "peak_rss_mb", "better": "lower"}], "per_layer": [
+    {"name": "calls_per_step", "better": "lower"}]}
 
 
 def git(repo, *args):
@@ -219,3 +228,39 @@ def test_pairs_gen_times_world_generation_in_both_trees(repo, tmp_path):
     proc = run_pairs(repo, tmp, "--gen", "1")
     assert proc.returncode != 0 and "gen run in change exited 3" in proc.stderr
     assert snapshot(repo)["BENCH_7.json"] == written and list(tmp.iterdir()) == []
+
+
+def test_pairs_traced_runs_once_per_side_on_each_first_seed(repo, tmp_path):
+    before = snapshot(repo)
+    tmp = tmp_path / "tmp"
+    proc = run_pairs(repo, tmp, "--workloads", "wide:3-4", "tiny", "--seeds", "5",
+                     "--traced", "1.5")
+    assert proc.returncode == 0, proc.stderr
+    after = snapshot(repo)
+    written = after.pop("BENCH_7.json")
+    assert written and after == before and list(tmp.iterdir()) == []
+    record = json.loads((repo / "BENCH_7.json").read_text())
+    assert record["machine"]["trace"] == "0"
+    assert [pair["seed"] for pair in record["workloads"]["wide"]["pairs"]] == [3, 4]
+    traced = record["traced"]
+    assert sorted(traced) == ["tiny", "wide"]
+    for name, seed, first in (("wide", 3, "parent"), ("tiny", 5, "change")):
+        entry = traced[name]
+        assert entry["seconds"] == 1.5
+        [pair] = entry["pairs"]
+        assert pair["seed"] == seed and pair["first"] == first
+        assert pair["parent"] == {"calls_per_step": 15.0 + seed, "seconds": 1.5}
+        assert pair["change"] == {"calls_per_step": 7.5 + seed, "seconds": 1.5}
+        calls = entry["metrics"]["calls_per_step"]
+        assert calls["unit"] == "count" and calls["better"] == "lower"
+        assert calls["parent"] == {"median": 15.0 + seed, "iqr": 0.0, "won": 0}
+        assert calls["change"] == {"median": 7.5 + seed, "iqr": 0.0, "won": 1}
+        assert calls["median_change_frac"] == pytest.approx(-7.5 / (15.0 + seed))
+        assert entry["metrics"]["seconds"]["better"] is None
+
+    (repo / "incorrect-trace.txt").write_text("")   # untracked: only the change side has it
+    proc = run_pairs(repo, tmp, "--workloads", "wide", "--traced", "1")
+    assert proc.returncode != 0
+    assert "wide seed 0 traced in change is not correct" in proc.stderr
+    assert snapshot(repo)["BENCH_7.json"] == written and list(tmp.iterdir()) == []
+    assert run_pairs(repo, tmp, "--gen", "1", "--traced", "1").returncode == 2

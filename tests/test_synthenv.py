@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oikg import geometry
 from oikg import synthenv as se
 from oikg.artifacts import read_json, write_json
 from oikg.errors import GenerationFailure, InvalidArgument, SchemaError
@@ -414,18 +415,18 @@ def test_observation_nearest_in_bin_rule(env):
 
 
 def oracle_render_visual(graph, node, latents, grid):
-    """Noise-free panorama by a per-view scan over every edge, its rows
-    drawn from the latent streams of the table's seed."""
+    """Noise-free panorama by a per-view scan over every edge, each distinct
+    row drawn once from the latent streams of the table's seed."""
     width = latents.rows.shape[1]
     headings, _ = grid.angles()
     half_bin = math.pi / grid.n_headings
     edges = [(nbr, graph.edge_pose(node, nbr).heading) for nbr in graph.neighbors(node)]
-    rows = []
+    shown = []
     for k in range(grid.k):
         scored = sorted((angular_distance(a, headings[k]), nbr) for nbr, a in edges)
-        nbr = scored[0][1] if scored and scored[0][0] <= half_bin + 1e-12 else None
-        rows.append(view_row(graph, latents.seed, width, nbr))
-    return np.stack(rows)
+        shown.append(scored[0][1] if scored and scored[0][0] <= half_bin + 1e-12 else None)
+    rows = {nbr: view_row(graph, latents.seed, width, nbr) for nbr in set(shown)}
+    return np.stack([rows[nbr] for nbr in shown])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -445,7 +446,7 @@ def test_render_matches_per_view_scan(data):
     heading = st.one_of(
         st.floats(0.0, TWO_PI, exclude_max=True), cols.map(lambda j: j * step),
         half, half.map(lambda h: math.nextafter(h, 0.0)),
-        half.map(lambda h: math.nextafter(h, TWO_PI)))
+        half.map(lambda h: math.nextafter(h, TWO_PI)), st.just(math.nextafter(TWO_PI, 0.0)))
     headings = data.draw(st.lists(heading, min_size=1, max_size=8), label="headings")
     headings += data.draw(st.lists(st.sampled_from(headings), max_size=2), label="repeats")
     nodes = [NavNode(0, (0.0, 0.0, 0.0), 0, (0,))] + [
@@ -458,6 +459,68 @@ def test_render_matches_per_view_scan(data):
     lat = se.make_latents(graph, feature_dim=12, seed=data.draw(st.integers(0, 99)))
     obs = se.render_observation(se.EnvBundle(graph, lat, 0.0), 0, grid)
     np.testing.assert_array_equal(obs, oracle_render_visual(graph, 0, lat, grid))
+
+
+def hard_headings(n):
+    """Headings in [0, 2*pi) where the bracket's scoring margin is tightest
+    on an n-column grid: 0, the largest float below 2*pi (whose bin index
+    rounds up to n), every column and midpoint (both roundings) with their
+    float neighbours, and every midpoint +-1e-10 and +-2e-9."""
+    step = TWO_PI / n
+    mids = [m for j in range(n) for m in ((j + 0.5) * step, j * step + step / 2)]
+    headings = {0.0, math.nextafter(TWO_PI, 0.0)}
+    for h in [j * step for j in range(n)] + mids:
+        headings.update((math.nextafter(h, -math.inf), h, math.nextafter(h, math.inf)))
+    headings.update(m + e for m in mids for e in (-2e-9, -1e-10, 1e-10, 2e-9))
+    return sorted(h for h in headings if 0.0 <= h < TWO_PI)
+
+
+def edge_graph(heading):
+    """Node 0 with one out-edge, to node 1, pinned to an exact heading."""
+    graph = build_graph([NavNode(0, (0.0, 0.0, 0.0), 0, (0,)),
+                         NavNode(1, (1.0, 0.0, 0.0), 1, (0,))], [(0, 1), (1, 0)])
+    graph.poses[(0, 1)] = dataclasses.replace(graph.poses[(0, 1)], heading=heading)
+    return graph
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_render_matches_per_view_scan_at_hard_headings(n):
+    """A lone edge at each hard heading of an n-column grid, with one and
+    with three elevations, renders the scan oracle's panorama: a column is
+    left unscored only where it could not show the edge."""
+    graph = edge_graph(0.0)
+    lat = se.make_latents(graph, feature_dim=12, seed=n)
+    env = se.EnvBundle(graph, lat, 0.0)
+    for h in hard_headings(n):
+        graph.poses[(0, 1)] = dataclasses.replace(graph.poses[(0, 1)], heading=h)
+        for grid in (se.ViewGrid(n, (0.0,)), se.ViewGrid(n, (-0.5, 0.0, 0.5))):
+            np.testing.assert_array_equal(se.render_observation(env, 0, grid),
+                                          oracle_render_visual(graph, 0, lat, grid),
+                                          err_msg=f"heading {h!r}, {grid}")
+
+
+def test_render_scores_one_column_per_edge_off_midpoints(env, monkeypatch):
+    """A render calls ``angular_distance`` once per out-edge when every edge
+    heading is more than 1e-9 from each column midpoint, and twice for an
+    edge exactly at a midpoint, where both bracket columns are in reach."""
+    calls = []
+    distance = geometry.angular_distance
+    monkeypatch.setattr(geometry, "angular_distance",
+                        lambda a, b: calls.append((a, b)) or distance(a, b))
+    bundle = se.EnvBundle(env, se.make_latents(env, feature_dim=16, seed=3), 0.1)
+    for grid in (se.ViewGrid(4, (0.0,)), se.ViewGrid()):
+        step = TWO_PI / grid.n_headings
+        mids = [(j + 0.5) * step for j in range(grid.n_headings)]
+        for node in env.node_ids():
+            headings = [env.edge_pose(node, nbr).heading for nbr in env.neighbors(node)]
+            assert all(abs(h - m) > 1e-9 for h in headings for m in mids)
+            calls.clear()
+            se.render_observation(bundle, node, grid)
+            assert len(calls) == len(headings)
+        graph = edge_graph(step / 2)
+        calls.clear()
+        se.render_observation(se.EnvBundle(graph, se.make_latents(graph, 12, seed=0)), 0, grid)
+        assert calls == [(step / 2, 0.0), (step / 2, step)]
 
 
 def noisy_oracle(graph, node, latents, sigma, grid):

@@ -4,6 +4,7 @@
         --workloads eval_wide:0-9 overfit_tiny train_full --seeds 0-2
     python3 tools/pairs.py --pr N --parent HEAD --acceptance 3
     python3 tools/pairs.py --pr N --parent HEAD --gen 10
+    python3 tools/pairs.py --pr N --parent HEAD --workloads eval_wide --traced 5
 
 The parent revision (``git archive``) and the working tree (every tracked
 or untracked, not ignored file, as it is on disk) are exported into one
@@ -26,6 +27,13 @@ runner imports nothing from ``benches/``.
 run in each tree with its ``src`` first on ``PYTHONPATH``.  Each run's wall
 time goes under ``"acceptance"`` as ``wall_s``, lower being better; a run
 that exits non-zero, a failed or deselected test, stops the runner.
+
+``--traced S`` adds, per workload, one ``--trace 1`` run of S seconds in
+each tree on the workload's first seed, the parent first on the first
+workload and alternating after.  Its per-layer metrics go under
+``"traced"``, summarised like a workload's pairs (the directions from
+``BENCHMARK.json``'s ``per_layer`` list); a run that fails or is not
+``"correct"`` stops the runner, as an untraced one does.
 
 ``--gen N`` adds N pairs, alternating in the same way, of world generation:
 ``python -m oikg.cli gen --nodes 300``, set up as the acceptance runs are,
@@ -85,14 +93,15 @@ def export_worktree(repo: Path, dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_once(command: list, tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``: its JSON result and machine
-    record; a failed or incorrect run raises SystemExit."""
+def run_once(command: list, tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run in ``tree``, traced when ``trace`` is 1: its JSON
+    result and machine record; a failed or incorrect run raises SystemExit."""
     argv = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"]
+                      "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    what = f"{workload} seed {seed} in {tree.name}"
+    what = f"{workload} seed {seed} {'traced ' if trace else ''}in {tree.name}"
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"pairs: {what} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
@@ -167,14 +176,19 @@ def main() -> int:
                     help="also time N pairs of the test_a05 acceptance run (default 0)")
     ap.add_argument("--gen", type=int, default=0, metavar="N",
                     help="also time N pairs of `oikg gen --nodes 300` (default 0)")
+    ap.add_argument("--traced", type=float, default=0.0, metavar="S",
+                    help="also one traced S-second run per side and workload (default 0: none)")
     args = ap.parse_args()
     if not args.workloads and args.acceptance < 1 and args.gen < 1:
         ap.error("nothing to run: give --workloads, --acceptance N or --gen N")
+    if args.traced and not args.workloads:
+        ap.error("--traced needs --workloads")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command = list(declared["command"])
     seconds = float(declared["run_seconds"] if args.seconds is None else args.seconds)
     better = {m["name"]: m["better"] for m in declared.get("end_to_end", [])}
+    layer_better = {m["name"]: m["better"] for m in declared.get("per_layer", [])}
     plan = []
     for item in args.workloads:
         name, _, seeds = item.partition(":")
@@ -184,6 +198,8 @@ def main() -> int:
               "change": "working tree of " + git(ROOT, "rev-parse", "HEAD").decode().strip(),
               "command": command, "seconds": seconds, "machine": None,
               "workloads": {}}
+    if args.traced:
+        record["traced"] = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         export_revision(ROOT, args.parent, trees["parent"])
@@ -204,6 +220,15 @@ def main() -> int:
                     for side in SIDES), file=sys.stderr)
             record["workloads"][name] = {"seeds": seeds, "pairs": pairs,
                                          "metrics": workload_stats(pairs, units, better)}
+            if args.traced:
+                order = alternate(len(record["traced"]))
+                pair, units = {"seed": seeds[0], "first": order[0]}, {}
+                for side in order:
+                    run = run_once(command, trees[side], name, seeds[0], args.traced, trace=1)
+                    pair[side] = run["metrics"]
+                    units.update(run["units"])
+                record["traced"][name] = {"seconds": args.traced, "pairs": [pair],
+                                          "metrics": workload_stats([pair], units, layer_better)}
         for kind, n in (("acceptance", args.acceptance), ("gen", args.gen)):
             if n < 1:
                 continue
